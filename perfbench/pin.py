@@ -5,8 +5,7 @@
 Run from the root of a source checkout at the commit whose results are to
 be pinned.  Items that raise are pinned as failures with their exception
 class, never as values, so a later fix lowers the failure count instead of
-raising the wrong count.  The pools are defined in workloads.py; the
-per-item ``calls`` pinned here is what its seeded sampling orders by.
+raising the wrong count.  The items are the fixed lists of workloads.py.
 """
 
 from __future__ import annotations
@@ -27,22 +26,17 @@ def clear_caches():
 
 
 def pin_runs(run_item, inputs: dict) -> dict:
-    """Run every pool item from cold caches and pin its result and its
-    ``calls``, the number of traced toriq calls it made."""
-    clear_caches()
-    tracer = tracing.Tracer()
-    tracer.install()
+    """Run every item from cold caches and pin its result."""
     items = {}
     for key, item in inputs.items():
         print(key, file=sys.stderr)
-        first = len(tracer.span_start)
+        clear_caches()
         try:
             result = run_item(item)[1]
         except Exception as exc:  # pinned as a failure, see the module docstring
             print(f"  {type(exc).__name__}: {str(exc)[:200]}", file=sys.stderr)
             result = workloads.error_entry(exc)
-        items[key] = {"calls": len(tracer.span_start) - first, "result": result}
-        clear_caches()
+        items[key] = {"result": result}
     return items
 
 
@@ -58,10 +52,11 @@ def pin_table() -> dict:
 
 
 def pin_mmp() -> dict:
-    rows = workloads.explicit_rows()
-    ks = workloads.mmp_perturbations(rows)
+    rows = {r.name: r for r in workloads.explicit_rows()}
+    ks = workloads.mmp_perturbations(rows.values())
     inputs = {}
-    for row in rows:
+    for name in workloads.MMP_ROWS:
+        row = rows[name]
         fan, _ = fano_table.reconstruct_fan(row)
         P = workloads.mmp_polytope(row, ks[row.name])
         if not is_ample(fan, TorusDivisor(fan, P.constants)):
@@ -71,9 +66,8 @@ def pin_mmp() -> dict:
 
 
 def pin_adjoint() -> dict:
-    keys = [workloads.adjoint_pool_key(dim, i)
-            for dim in (2, 3) for i in range(workloads.ADJOINT_POOL_PER_DIM)]
-    return pin_runs(workloads.run_adjoint_item, {key: workloads.adjoint_polytope(key) for key in keys})
+    return pin_runs(workloads.run_adjoint_item,
+                    {key: workloads.adjoint_polytope(key) for key in workloads.ADJOINT_KEYS})
 
 
 PINNERS = {"table-verify": pin_table, "mmp-4fold": pin_mmp, "adjoint-family": pin_adjoint}

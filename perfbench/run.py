@@ -6,7 +6,7 @@ Run from the root of a source checkout; toriq is imported from ``src/``.
 Every set-up and every run is a fresh interpreter (see ``worker.py``).
 
 ``--trace 0`` times the workload untraced and prints the end-to-end
-metrics; set-up is timed in five fresh processes and its median reported.
+metrics; set-up is timed in nine fresh processes and the fastest reported.
 ``--trace 1`` runs the workload with per-layer spans, then once more
 untraced over the same single pass to measure the tracing overhead, and
 prints the per-layer metrics.  Spans go to ``perfbench/out/``.
@@ -31,7 +31,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("table-verify", "mmp-4fold", "adjoint-family")
-SETUPS = 4            # set-up-only processes; with the timed one, 5 set-ups
+SETUPS = 8            # set-up-only processes; with the timed one, 9 set-ups
 DEADLINE_S = 170
 
 
@@ -141,8 +141,8 @@ def main(argv=None) -> int:
                                 deadline)
             _, plain = run_worker(base + ["--passes", "1", "--seconds", "0"], deadline)
         else:
-            # set-up-only processes before and after the timed one, so the
-            # median spans the run and not one slow spell of the machine
+            # set-up-only processes before and after the timed one; machine
+            # noise only ever adds time, so the fastest set-up is reported
             setups = []
             for i in range(SETUPS):
                 if i == SETUPS // 2:
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         run_s = sum(times) + min(t - i for t, i in zip(run["pass_times"], in_items))
         p, tail_s, n = tail(times)
         metrics = {
-            "setup_s": metric(statistics.median(setups), "s"),
+            "setup_s": metric(min(setups), "s"),
             "run_s": metric(run_s, "s"),
             "items_per_s": metric(len(times) / run_s, "1/s"),
             "item_p50_ms": metric(statistics.median(times) * 1000, "ms"),

@@ -5,8 +5,8 @@ set-up and every run, because toriq's caches would otherwise make a second
 in-process run measure cache hits that a CLI user never gets.
 
 The timed part runs whole passes over the same items, each from cleared
-caches like a fresh CLI call, until ``--seconds`` have passed and the
-workload's number of passes (``--passes`` overrides it) is done.
+caches like a fresh CLI call, until ``--seconds`` have passed and
+``PASSES`` passes (or ``--passes``) are done.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ import resource
 import sys
 from time import perf_counter
 
+# Each item is timed this many times, a pass apart, and the fastest timing
+# counts: the machine has slow spells of 5-10 s, which would otherwise
+# decide the median of a pass of short items.
+PASSES = 2
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
@@ -24,7 +29,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--trace", type=int, default=0)
-    ap.add_argument("--passes", type=int, default=0, help="override the workload's passes")
+    ap.add_argument("--passes", type=int, default=0, help=f"passes instead of {PASSES}")
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--spans", default="", help="file for the traced run's spans")
     args = ap.parse_args(argv)
@@ -32,8 +37,8 @@ def main(argv=None) -> int:
     import tracing
     import workloads
 
-    make_items, run_item, finish_pass, passes = workloads.WORKLOADS[args.workload]
-    passes = args.passes or passes
+    make_items, run_item, finish_pass = workloads.WORKLOADS[args.workload]
+    passes = args.passes or PASSES
     items = make_items(args.seed)
     caches = tracing.lru_caches()
     counter = tracing.CacheCounter()

@@ -1,17 +1,15 @@
-"""The three benchmark workloads: their input pools, the seeded choice of
-items from a pool, the calls one item makes into toriq, and the exact,
-JSON-ready encoding of an item's result.
+"""The three benchmark workloads: their items, the calls one item makes
+into toriq, and the exact, JSON-ready encoding of an item's result.
 
-Every pool is finite so that each item's exact result can be pinned in
-``reference/<workload>.json`` (written by ``pin.py``).  The items of a run
-are fixed by the pool and its pinned costs; the run's seed sets their
-order.  The program receives the generated inputs.  Items call toriq through module attributes at call
-time, so the tracer's patched wrappers see every call.
+Every workload runs a fixed list of items so that each item's exact
+result can be pinned in ``reference/<workload>.json`` (written by
+``pin.py``); the run's seed sets only their order.  Items call toriq
+through module attributes at call time, so the tracer's patched wrappers
+see every call.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -24,14 +22,18 @@ REFERENCE_DIR = HERE / "reference"
 # mmp-4fold: the perturbation 1 + k/10000 per ray, k drawn in table order
 # from this seed (the seed-1 sweep of the 4-fold table).
 MMP_PERTURBATION_SEED = 1
-# Cost blocks per run, besides the pool's costliest item (see cost_blocks).
-MMP_BLOCKS = 9
-ADJOINT_BLOCKS = 39
-ADJOINT_POOL_PER_DIM = 120
-
-
-def load_reference(name: str) -> dict:
-    return json.loads((REFERENCE_DIR / f"{name}.json").read_text())
+# The costliest row of that sweep (117) and nine rows spread over the rest
+# by cost; G_4 is one of its known MalformedFanError failures.
+MMP_ROWS = ("117", "G_5", "H_6", "G_4", "M_1", "Q_1", "Q_5", "H_4", "I_8", "U_2")
+# adjoint-family: entries of the polytope pool (see adjoint_polytope),
+# the costliest one (d3-48) and 39 spread over the rest by cost.
+ADJOINT_KEYS = (
+    "d3-48", "d2-101", "d2-12", "d2-106", "d2-35", "d2-86", "d2-57", "d3-114",
+    "d2-102", "d2-76", "d2-118", "d2-5", "d2-39", "d2-9", "d2-65", "d2-98",
+    "d2-74", "d3-77", "d2-53", "d3-98", "d2-103", "d3-45", "d3-52", "d2-36",
+    "d2-15", "d3-43", "d3-16", "d3-74", "d3-89", "d3-31", "d3-119", "d3-22",
+    "d3-47", "d3-76", "d3-105", "d3-58", "d3-62", "d3-5", "d3-55", "d3-19",
+)
 
 
 def q(x) -> str:
@@ -46,25 +48,10 @@ def error_entry(exc: BaseException) -> dict:
     return {"error": type(exc).__name__}
 
 
-def cost_blocks(reference: dict, nblocks: int) -> tuple[str, list[list[str]]]:
-    """The pool's costliest item, and ``nblocks`` consecutive blocks of the
-    other items in order of ``calls``: the number of traced toriq calls
-    each item made when it was pinned, a work count that does not depend
-    on the machine."""
-    calls = {key: entry["calls"] for key, entry in reference["items"].items()}
-    order = sorted(calls, key=lambda key: (calls[key], key))
-    top, rest = order[-1], order[:-1]
-    n = len(rest)
-    return top, [rest[i * n // nblocks:(i + 1) * n // nblocks] for i in range(nblocks)]
-
-
-def block_midpoints(seed: int, reference: dict, nblocks: int) -> list[str]:
-    """The costliest item and the middle item of each cost block, in a
-    seeded order: the same items for every seed."""
-    top, blocks = cost_blocks(reference, nblocks)
-    picked = [top] + [block[len(block) // 2] for block in blocks]
-    random.Random(seed).shuffle(picked)
-    return picked
+def shuffled(seed: int, keys) -> list:
+    keys = list(keys)
+    random.Random(seed).shuffle(keys)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +65,7 @@ def explicit_rows() -> list:
 
 def table_items(seed: int) -> list[tuple[str, object]]:
     """All explicit rows of the builtin table, in a seeded order."""
-    rows = explicit_rows()
-    random.Random(seed).shuffle(rows)
-    return [(r.name, r) for r in rows]
+    return [(r.name, r) for r in shuffled(seed, explicit_rows())]
 
 
 def encode_row(res) -> dict:
@@ -131,8 +116,7 @@ def mmp_polytope(row, ks) -> polytopes.FacetPresentation:
 def mmp_items(seed: int) -> list[tuple[str, object]]:
     rows = {r.name: r for r in explicit_rows()}
     ks = mmp_perturbations(rows.values())
-    names = block_midpoints(seed, load_reference("mmp-4fold"), MMP_BLOCKS)
-    return [(name, mmp_polytope(rows[name], ks[name])) for name in names]
+    return [(name, mmp_polytope(rows[name], ks[name])) for name in shuffled(seed, MMP_ROWS)]
 
 
 def encode_trace(trace) -> dict:
@@ -177,13 +161,9 @@ def random_simple_polytope(rng: random.Random, dim: int):
     return reduced if polytopes.is_simple(reduced) else None
 
 
-def adjoint_pool_key(dim: int, index: int) -> str:
-    return f"d{dim}-{index}"
-
-
 def adjoint_polytope(key: str):
-    """Pool entry ``key``: the first simple polytope drawn from its own
-    generator, so any entry can be rebuilt without the others."""
+    """Pool entry ``key`` = ``d<dim>-<i>``: the first simple polytope drawn
+    from its own generator, so any entry can be rebuilt without the others."""
     dim = int(key[1])
     rng = random.Random(f"adjoint-family/{key}")
     while True:
@@ -197,8 +177,7 @@ def encode_polytope(P) -> dict:
 
 
 def adjoint_items(seed: int) -> list[tuple[str, object]]:
-    keys = block_midpoints(seed, load_reference("adjoint-family"), ADJOINT_BLOCKS)
-    return [(key, adjoint_polytope(key)) for key in keys]
+    return [(key, adjoint_polytope(key)) for key in shuffled(seed, ADJOINT_KEYS)]
 
 
 def encode_cayley(dec) -> dict | None:
@@ -238,11 +217,8 @@ def run_adjoint_item(P):
 
 # ---------------------------------------------------------------------------
 
-# The last field is how many times each item is timed, a pass apart; the
-# faster timing counts.  The machine has slow spells of 5-10 s, which
-# would otherwise decide the median of a pass of short items.
 WORKLOADS = {
-    "table-verify": (table_items, run_table_item, finish_table_pass, 2),
-    "mmp-4fold": (mmp_items, run_mmp_item, None, 2),
-    "adjoint-family": (adjoint_items, run_adjoint_item, None, 2),
+    "table-verify": (table_items, run_table_item, finish_table_pass),
+    "mmp-4fold": (mmp_items, run_mmp_item, None),
+    "adjoint-family": (adjoint_items, run_adjoint_item, None),
 }
