@@ -6,10 +6,12 @@ Run from the root of a source checkout; toriq is imported from ``src/``.
 Every set-up and every run is a fresh interpreter (see ``worker.py``).
 
 ``--trace 0`` times the workload untraced and prints the end-to-end
-metrics; set-up is timed in nine fresh processes and the fastest reported.
-``--trace 1`` runs the workload with per-layer spans, then once more
-untraced over the same single pass to measure the tracing overhead, and
-prints the per-layer metrics.  Spans go to ``perfbench/out/``.
+metrics.  Times are corrected for CPU contention (``contention.py``); the
+wall times are printed beside them.  Set-up is timed in nine fresh
+processes and the median reported.  ``--trace 1`` runs one pass with
+per-layer spans, then one untraced pass to measure the tracing overhead,
+both in wall time, and prints the per-layer metrics.  Spans go to
+``perfbench/out/``.
 
 Every item's exact result is compared with the pinned reference in
 ``perfbench/reference/``.  The last line of output is one JSON object.
@@ -26,6 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 from time import monotonic, perf_counter
+
+import contention
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -46,7 +50,7 @@ def child_env() -> dict:
 
 
 def run_worker(args: list[str], deadline: float) -> tuple[float, dict]:
-    """Start a fresh worker, wait for it, return (start time, its JSON)."""
+    """Start a fresh worker, wait for it, return (spawn time, its JSON)."""
     cmd = [sys.executable, str(HERE / "worker.py")] + args
     t_spawn = perf_counter()
     proc = subprocess.Popen(cmd, env=child_env(), cwd=ROOT,
@@ -82,7 +86,7 @@ def check(records: list, reference: dict) -> dict:
     raise, and as fixed once they return."""
     c = {"attempted": len(records), "failed": 0, "new_failures": 0, "fixed": 0,
          "compared": 0, "wrong": 0, "wrong_keys": []}
-    for key, _, got, _ in records:
+    for key, _, got, _, _ in records:
         ref = reference[key]["result"]
         if "error" in got:
             c["failed"] += 1
@@ -102,19 +106,15 @@ def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def trace_metrics(traced: dict, plain: dict, passes: int) -> dict:
-    """Per-layer metrics of a traced run, per pass, plus the tracing
+def trace_metrics(traced: dict, plain: dict) -> dict:
+    """Per-layer metrics of a traced single pass, plus the tracing
     overhead: traced minus untraced wall time of the same single pass."""
     out = {}
     for key, value in traced["layers"].items():
         stat = key.rsplit(".", 1)[1]
-        if stat == "yield":
-            out[key] = metric(value, "ratio")
-        elif stat.endswith("_s"):
-            out[key] = metric(value / passes, "s")
-        else:  # every pass does the same work, so counts divide exactly
-            out[key] = metric(value // passes if value % passes == 0 else value / passes, "count")
-    out["trace.overhead_s"] = metric(traced["pass_times"][0] - plain["pass_times"][0], "s")
+        unit = "ratio" if stat == "yield" else "s" if stat.endswith("_s") else "count"
+        out[key] = metric(value, unit)
+    out["trace.overhead_s"] = metric(traced["pass_times"][0][0] - plain["pass_times"][0][0], "s")
     return out
 
 
@@ -137,19 +137,18 @@ def main(argv=None) -> int:
             out_dir = HERE / "out"
             out_dir.mkdir(exist_ok=True)
             spans = out_dir / f"spans-{args.workload}-seed{args.seed}.tsv"
-            _, run = run_worker(base + ["--passes", "1", "--trace", "1", "--spans", str(spans)],
-                                deadline)
-            _, plain = run_worker(base + ["--passes", "1", "--seconds", "0"], deadline)
+            one_pass = base[:-1] + ["0", "--probe", "0"]
+            _, run = run_worker(one_pass + ["--trace", "1", "--spans", str(spans)], deadline)
+            _, plain = run_worker(one_pass, deadline)
         else:
-            # set-up-only processes before and after the timed one; machine
-            # noise only ever adds time, so the fastest set-up is reported
-            setups = []
+            # set-up-only processes before and after the timed one
+            spawned = []
             for i in range(SETUPS):
                 if i == SETUPS // 2:
                     t_spawn, run = run_worker(base, deadline)
-                    setups.append(run["t_first"] - t_spawn)
+                    spawned.append((t_spawn, run["setup"]))
                 t_spawn, ready = run_worker(base + ["--setup-only"], deadline)
-                setups.append(ready["t_first"] - t_spawn)
+                spawned.append((t_spawn, ready))
     except BenchError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
@@ -167,10 +166,10 @@ def main(argv=None) -> int:
           + (f" (wrong: {', '.join(c['wrong_keys'])})" if c["wrong_keys"] else ""))
 
     if args.trace:
-        metrics = trace_metrics(run, plain, passes)
-        print(f"tracing overhead: traced pass {run['pass_times'][0]:.3f} s - untraced pass "
-              f"{plain['pass_times'][0]:.3f} s; {run.get('spans', 0)} spans in "
-              f"{spans.relative_to(ROOT)}; per-layer figures are per pass")
+        metrics = trace_metrics(run, plain)
+        print(f"tracing overhead: traced pass {run['pass_times'][0][0]:.3f} s - untraced pass "
+              f"{plain['pass_times'][0][0]:.3f} s (wall); {run.get('spans', 0)} spans in "
+              f"{spans.relative_to(ROOT)}")
         functions = sorted(k[:-6] for k in metrics if k.endswith(".calls"))
         print(f"{'function':<44}{'calls':>10}{'self_s':>11}{'total_s':>11}")
         for key in functions:
@@ -183,29 +182,39 @@ def main(argv=None) -> int:
             if name not in functions or stat not in ("calls", "self_s", "total_s"):
                 print(f"{key} {m['value']:.6g} {m['unit']}")
     else:
-        fastest: dict[str, float] = {}
-        in_items = [0.0] * len(run["pass_times"])
-        for key, seconds, _, npass in records:
-            fastest[key] = min(seconds, fastest.get(key, seconds))
-            in_items[npass] += seconds
-        times = list(fastest.values())
-        # a pass counted from each item's fastest timing, plus the fastest
-        # remainder of a pass (emit_report on table-verify, loop overhead)
-        run_s = sum(times) + min(t - i for t, i in zip(run["pass_times"], in_items))
+        b = run["base"]
+        # perf_counter is the system-wide monotonic clock, so a worker's
+        # times compare with the spawn time taken here; interpreter start,
+        # before the worker's first probe, counts at that probe's speed
+        setups = [contention.corrected(*ready["probes"], b, t_spawn, ready["t_first"])
+                  for t_spawn, ready in spawned]
+        # each item's corrected time, averaged over the passes
+        per_item: dict[str, list[float]] = {}
+        for key, _, _, _, seconds in records:
+            per_item.setdefault(key, []).append(seconds)
+        item_s = {key: statistics.fmean(ts) for key, ts in per_item.items()}
+        times = list(item_s.values())
+        run_s = statistics.fmean(corr for _, corr in run["pass_times"])
         p, tail_s, n = tail(times)
         metrics = {
-            "setup_s": metric(min(setups), "s"),
+            "setup_s": metric(statistics.median(setups), "s"),
             "run_s": metric(run_s, "s"),
             "items_per_s": metric(len(times) / run_s, "1/s"),
             "item_p50_ms": metric(statistics.median(times) * 1000, "ms"),
             "item_tail_ms": metric(tail_s * 1000, "ms"),
             "peak_rss_mb": metric(run["peak_rss_mb"], "MB"),
         }
-        print("pass wall times: " + ", ".join(f"{t:.3f}" for t in run["pass_times"]) + " s")
-        print("setup_s over fresh processes: " + ", ".join(f"{t:.3f}" for t in setups))
-        slowest = max(fastest, key=fastest.get)
+        wall_items = [wall for _, wall, _, _, _ in records]
+        print("passes, wall / corrected: " + ", ".join(
+            f"{wall:.3f} / {corr:.3f} s" for wall, corr in run["pass_times"]))
+        print(f"contention: {run['probes']} probes, {run['fast_share']:.0%} uncontended, "
+              f"base {run['base'] * 1e6:.1f} us; item p50 wall "
+              f"{statistics.median(wall_items) * 1000:.1f} ms")
+        print("setup_s over fresh processes, corrected: "
+              + ", ".join(f"{t:.3f}" for t in setups))
+        slowest = max(item_s, key=item_s.get)
         print(f"item_tail_ms is p{p} of {n} items; slowest item {slowest} "
-              f"{fastest[slowest] * 1000:.1f} ms")
+              f"{item_s[slowest] * 1000:.1f} ms")
         for key, m in metrics.items():
             print(f"{key} {m['value']:.6g} {m['unit']}")
     print(json.dumps({"correct": correct, "attempted": c["attempted"], "failed": c["failed"],
