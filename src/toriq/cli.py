@@ -193,7 +193,7 @@ def _cmd_plot(args) -> int:
     try:
         trace = mmp.run_mmp_scaling(reduced, force=True)
         critical = list(trace.critical_values)
-    except Exception:
+    except (ValueError, mmp.StepBudgetError, mmp.GeneralityError):
         pass  # fall back to nef/effective only
     svg = formats.emit_svg(reduced, critical_values=critical)
     with open(args.svg, "w", encoding="utf-8") as fh:

@@ -151,7 +151,7 @@ def verify_row(row: TableRow) -> RowResult:
             if scan.minimum > row.expected:
                 res.status = "error"
                 res.reason = "scan minimum exceeds the reference value"
-    except Exception as exc:  # keep the batch running, record the row
+    except ValueError as exc:  # keep the batch running, record the row
         res.status = "error"
         res.reason = f"{type(exc).__name__}: {exc}"
     return res

@@ -82,12 +82,20 @@ class Wall:
     fan, supported on the wall rays and the two opposite rays, normalized
     so the higher-indexed opposite ray has coefficient 1; both opposite
     coefficients are positive.
+
+    ``multiplicity`` is the lattice index mult(wall) of the wall cone, and
+    ``scale`` is s = mult(wall) / (mult(sigma_a) * r_a) for either adjacent
+    maximal cone sigma_a and its opposite-ray coefficient r_a: the divisor
+    sum_k d_k D_k meets the wall curve in s * sum_k d_k * relation_k.  On
+    smooth fans both are 1.
     """
 
     wall_rays: tuple[int, ...]
     side_a: int
     side_b: int
     relation: QVec
+    multiplicity: int
+    scale: Fraction
 
     def opposite_rays(self, fan: Fan) -> tuple[int, int]:
         a = next(i for i in fan.max_cones[self.side_a] if i not in self.wall_rays)
@@ -138,15 +146,15 @@ def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
     return False
 
 
-def cone_contains_general(fan: Fan, cone: tuple[int, ...], x) -> bool:
-    """Membership test that also works for non-simplicial cones."""
-    if _is_simplicial_cone(fan, cone):
-        return cone_contains(fan, cone, x)
-    return nonneg_solve([fan.rays[i] for i in cone], x) is not None
-
-
-def _is_simplicial_cone(fan: Fan, cone: tuple[int, ...]) -> bool:
-    return matrix_rank([fan.rays[i] for i in cone]) == len(cone)
+def cone_multiplicity(fan: Fan, cone: tuple[int, ...]) -> int:
+    """Index of the lattice spanned by a simplicial cone's rays in its
+    saturation (1 exactly when the cone is smooth)."""
+    if not cone:
+        return 1
+    mult = 1
+    for d in snf_diagonal([list(fan.rays[i]) for i in cone]):
+        mult *= d
+    return abs(mult)
 
 
 def faces_of_dim(fan: Fan, k: int) -> list[tuple[int, ...]]:
@@ -274,6 +282,7 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     rep = validate(fan)
     if not rep.simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
+    cone_mult: dict[int, int] = {}
     seen: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for facet in combinations(cone, max(len(cone) - 1, 0)):
@@ -299,11 +308,18 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
         rel[hi] = Fraction(1)
         if rel[lo] <= 0:
             raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-        assert all(
-            sum(rel[i] * fan.rays[i][k] for i in range(len(fan.rays))) == 0
-            for k in range(fan.rank)
-        )
-        out.append(Wall(facet, a, b, tuple(rel)))
+        if any(sum(rel[i] * fan.rays[i][k] for i in cols + [hi]) != 0 for k in range(fan.rank)):
+            raise MalformedFanError(f"relation across wall {facet} does not vanish")
+        if rep.smooth:
+            mult, scale = 1, Fraction(1)
+        else:
+            # r_hi = 1, so s = mult(wall) / mult(cone holding the ray hi)
+            side_hi = a if op_a == hi else b
+            if side_hi not in cone_mult:
+                cone_mult[side_hi] = cone_multiplicity(fan, fan.max_cones[side_hi])
+            mult = cone_multiplicity(fan, facet)
+            scale = Fraction(mult, cone_mult[side_hi])
+        out.append(Wall(facet, a, b, tuple(rel), mult, scale))
     return tuple(out)
 
 
@@ -365,14 +381,6 @@ def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], QVec]:
             cf = tuple(c for c in coords if c > 0)
             return support, cf
     raise MalformedFanError(f"{x} lies outside the fan support")
-
-
-def minimal_cone_containing(fan: Fan, x) -> Optional[tuple[int, ...]]:
-    try:
-        sigma, _ = _minimal_cone_with_coords(fan, x)
-        return sigma
-    except MalformedFanError:
-        return None
 
 
 def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]]) -> Fan:

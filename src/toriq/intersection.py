@@ -1,30 +1,36 @@
 """Exact intersection theory on complete simplicial toric data.
 
-Products of invariant divisors with invariant subvarieties are computed by
-the standard recipe: replace the divisor by a linearly equivalent one whose
-support misses the subvariety (subtracting the divisor of a character), then
-read off the coefficients over the one-step-larger cones, dividing by the
-index of the ray image in the one-dimensional quotient lattice.
+Every intersection number is read off the wall relations that
+``fans.walls`` computes once per fan.  For a wall tau between the maximal
+cones sigma_a and sigma_b, with relation r (sum_k r_k v_k = 0, supported on
+tau and the two opposite rays), a divisor D = sum_k d_k D_k meets the curve
+V(tau) in s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a)
+is stored on the wall (Fulton, *Introduction to Toric Varieties*, ch. 5;
+Cox-Little-Schenck, *Toric Varieties*, 6.4).  Products with an invariant
+surface V(sigma) first restrict the divisor to the surface: a prime divisor
+D_j with j not in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for
+the wall tau_j = sigma + {j}, and one on a ray of sigma is first replaced by
+a linearly equivalent divisor off sigma (one character solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fans import (
     Fan,
     UnsupportedFanError,
     Wall,
+    cone_multiplicity,
     faces_of_dim,
     is_face,
     primitive_collections,
     validate,
     walls,
 )
-from .linalg import QVec, Vec, dot, frac, invert, smith_normal_form, solve_linear
+from .linalg import QVec, Vec, dot, frac, solve_linear
 
 ZERO = Fraction(0)
 
@@ -61,19 +67,6 @@ class TorusDivisor:
         return TorusDivisor(self.fan, tuple(c * a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A rational combination of invariant subvarieties of one dimension,
-    keyed by the defining cones."""
-
-    fan: Fan
-    codim: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def total(self) -> Fraction:
-        return sum((c for _, c in self.terms), ZERO)
-
-
 def div_char(fan: Fan, m: Vec) -> TorusDivisor:
     """Divisor of the character associated to a dual lattice point."""
     if len(m) != fan.rank:
@@ -89,22 +82,6 @@ def prime_divisor(fan: Fan, i: int) -> TorusDivisor:
     return TorusDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(len(fan.rays))))
 
 
-def move_divisor(fan: Fan, i: int, sigma: tuple[int, ...]) -> TorusDivisor:
-    """D_i minus the divisor of a character u with <u, v_i> = 1 and
-    <u, v_j> = 0 on the other rays of sigma; the result's support misses
-    V(sigma).  For singular cones u may be rational."""
-    sigma = tuple(sorted(sigma))
-    if i not in sigma:
-        raise ValueError(f"ray {i} does not lie in the cone {sigma}; no move needed")
-    target = [Fraction(1 if j == i else 0) for j in sigma]
-    u = _solve_character(fan, sigma, target)
-    return prime_divisor(fan, i) - div_char_rational(fan, u)
-
-
-def div_char_rational(fan: Fan, u: Sequence[Fraction]) -> TorusDivisor:
-    return TorusDivisor(fan, tuple(sum(a * x for a, x in zip(u, v)) for v in fan.rays))
-
-
 def _solve_character(fan: Fan, sigma: tuple[int, ...], values) -> QVec:
     mat = [fan.rays[j] for j in sigma]
     u = solve_linear(mat, values)
@@ -113,94 +90,18 @@ def _solve_character(fan: Fan, sigma: tuple[int, ...], values) -> QVec:
     return u
 
 
-def move_off(fan: Fan, D: TorusDivisor, sigma: tuple[int, ...]) -> TorusDivisor:
-    """A divisor linearly equivalent to D whose support contains no ray of
-    sigma (so V(sigma) is not inside the support)."""
-    if not sigma:
-        return D
-    values = [D.coeffs[j] for j in sigma]
-    u = _solve_character(fan, sigma, values)
-    return D - div_char_rational(fan, u)
-
-
-@lru_cache(maxsize=None)
-def _quotient_data(fan: Fan, sigma: tuple[int, ...], gamma: tuple[int, ...]):
-    """Data for the surjection N_gamma -> Z with kernel N_sigma: a lattice
-    basis of N_gamma (as an n x k matrix of columns) and the functional on
-    basis coordinates whose kernel is the sigma-sublattice."""
-    cols = [fan.rays[i] for i in gamma]
-    n = fan.rank
-    A = [[c[r] for c in cols] for r in range(n)]
-    U, _, _ = smith_normal_form(A)
-    k1 = len(gamma)
-    Uinv = invert(U)
-    mat = [[Uinv[r][j] for j in range(k1)] for r in range(n)]  # basis columns
-    scoords = []
-    for i in sigma:
-        sol = solve_linear(mat, fan.rays[i])
-        assert sol is not None
-        scoords.append([int(x) for x in sol])
-    if scoords:
-        S = [[col[r] for col in scoords] for r in range(k1)]
-        U2, _, _ = smith_normal_form(S)
-        phi = tuple(U2[k1 - 1])
-    else:
-        phi = tuple([0] * (k1 - 1) + [1])
-    return mat, phi
-
-
-def quotient_index(fan: Fan, sigma: tuple[int, ...], gamma: tuple[int, ...], j: int) -> int:
-    """The positive integer s: the image of ray j generates s times the
-    one-dimensional lattice N_gamma / N_sigma."""
-    mat, phi = _quotient_data(fan, sigma, gamma)
-    coords = solve_linear(mat, fan.rays[j])
-    assert coords is not None
-    val = dot(phi, coords)
-    assert val.denominator == 1 and val != 0
-    return abs(int(val))
-
-
-def intersect_once(fan: Fan, D: TorusDivisor, sigma: tuple[int, ...]) -> Cycle:
-    """D . V(sigma) as a cycle over the cones one dimension up.
-
-    D is internally replaced by a linearly equivalent divisor missing
-    V(sigma); the coefficient over gamma = sigma + one ray j is the moved
-    coefficient at j divided by the index of v_j in N_gamma/N_sigma.
-    """
-    sigma = tuple(sorted(sigma))
-    if sigma and not is_face(fan, sigma):
-        raise ValueError(f"{sigma} is not a cone of the fan")
-    moved = move_off(fan, D, sigma)
-    terms = []
-    seen = set()
-    for cone in fan.max_cones:
-        if not set(sigma) <= set(cone):
-            continue
-        for j in cone:
-            if j in sigma:
-                continue
-            gamma = tuple(sorted(sigma + (j,)))
-            if gamma in seen:
-                continue
-            seen.add(gamma)
-            if moved.coeffs[j] == 0:
-                continue
-            s = quotient_index(fan, sigma, gamma, j)
-            terms.append((gamma, moved.coeffs[j] / s))
-    return Cycle(fan, len(sigma) + 1, tuple(sorted(terms)))
-
-
 def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
     """The intersection number D . V(tau) for a wall tau."""
     tau = tuple(sorted(tau))
-    adjacent = [c for c in fan.max_cones if set(tau) <= set(c)]
-    if len(adjacent) != 2:
+    wall = next((w for w in walls(fan) if w.wall_rays == tau), None)
+    if wall is None:
         raise ValueError(f"{tau} is not a wall")
-    return intersect_once(fan, D, tau).total()
+    return wall_curve_number(fan, D, wall)
 
 
 def wall_curve_number(fan: Fan, D: TorusDivisor, wall: Wall) -> Fraction:
-    return curve_number(fan, D, wall.wall_rays)
+    """D . V(wall): the wall's scale times the pairing of D with its relation."""
+    return wall.scale * sum((d * r for d, r in zip(D.coeffs, wall.relation) if r), ZERO)
 
 
 def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
@@ -215,12 +116,24 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
         raise ValueError(f"{sigma} is not a codimension-2 cone")
     if sigma and not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
-    total = ZERO
-    for i in range(len(fan.rays)):
-        Di = prime_divisor(fan, i)
-        once = intersect_once(fan, Di, sigma)
-        for tau, b in once.terms:
-            total += b * intersect_once(fan, Di, tau).total()
+    inside = set(sigma)
+    mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
+    # D_j . V(sigma) = weight_j * V(tau_j) for the wall tau_j = sigma + {j}
+    star: dict[int, tuple[Wall, Fraction]] = {}
+    for w in walls(fan):
+        if inside.issubset(w.wall_rays):
+            j = next(k for k in w.wall_rays if k not in inside)
+            star[j] = (w, mult * w.scale / w.multiplicity)
+    for cone in fan.max_cones:
+        if inside.issubset(cone) and any(j not in inside and j not in star for j in cone):
+            raise UnsupportedFanError(f"the surface V{sigma} is not complete")
+    total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
+    for i in sigma:
+        # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j
+        u = _solve_character(fan, sigma, [Fraction(1 if k == i else 0) for k in sigma])
+        for j, (w, weight) in star.items():
+            if w.relation[i]:
+                total -= dot(u, fan.rays[j]) * weight * w.relation[i]
     return total / 2
 
 

@@ -47,16 +47,8 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def is_zero_vec(v) -> bool:
@@ -503,19 +495,6 @@ def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPR
         return res
     x = tuple(res.point[i] - res.point[n + i] for i in range(n))
     return LPResult("optimal", res.value, x)
-
-
-def feasible_point(normals, constants) -> Optional[QVec]:
-    """A point of {x : <v_i,x> >= -a_i}, or None when empty."""
-    if not normals:
-        return ()
-    res = lp_min([0] * len(normals[0]), normals, constants)
-    if res.status == "infeasible":
-        return None
-    if res.status == "optimal":
-        return res.point
-    # zero objective cannot be unbounded
-    raise AssertionError("zero objective reported unbounded")
 
 
 def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:

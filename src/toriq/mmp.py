@@ -216,7 +216,8 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     fiber_origin = []
     for i in in_kernel:
         coords = solve_linear(bmat, fan.rays[i])
-        assert coords is not None
+        if coords is None:
+            raise MalformedFanError(f"ray {i} lies outside the fiber lattice")
         fiber_rays.append(tuple(int(x) for x in coords))
         fiber_origin.append(i)
     kernel_set = set(in_kernel)

@@ -284,7 +284,8 @@ def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
             raise RedundantPresentationError("polytope is not simple")
         mat = [P.normals[i] for i in tight]
         d = solve_linear(mat, [1] * n)
-        assert d is not None
+        if d is None:
+            raise DegenerateError(f"tight normals at vertex {x} are not independent")
         for j in range(P.nfacets):
             if j in tight:
                 continue

@@ -1,5 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run with -s or read test_output.txt).
+PASS/FAIL line (run with -s).
 
 Criteria touching the two recorded data defects of the bundled reference
 values (the H_2 table entry and the second trace's critical values) are

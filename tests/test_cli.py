@@ -150,3 +150,26 @@ def test_missing_file():
 
 def test_bad_surface_flag(p2_file):
     assert main(["ch2", p2_file, "--surface", "x,y"]) == 2
+
+
+def test_plot_propagates_kernel_bug(hexagon_file, tmp_path, monkeypatch):
+    from toriq import mmp
+
+    def broken(*args, **kwargs):
+        raise TypeError("kernel bug")
+
+    monkeypatch.setattr(mmp, "run_mmp_scaling", broken)
+    with pytest.raises(TypeError):
+        main(["plot", hexagon_file, "--svg", str(tmp_path / "hex.svg")])
+
+
+def test_plot_falls_back_on_step_budget(hexagon_file, tmp_path, monkeypatch):
+    from toriq import mmp
+
+    def exhausted(*args, **kwargs):
+        raise mmp.StepBudgetError("runaway")
+
+    monkeypatch.setattr(mmp, "run_mmp_scaling", exhausted)
+    svg = tmp_path / "hex.svg"
+    assert main(["plot", hexagon_file, "--svg", str(svg)]) == 0
+    assert svg.read_text().startswith("<svg")

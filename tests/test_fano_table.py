@@ -144,3 +144,27 @@ class TestVerification:
 
     def test_nef_names_subset_of_table(self, by_name):
         assert NEF_CH2_NAMES <= set(by_name)
+
+
+def test_kernel_bug_propagates_out_of_verify_row(by_name, monkeypatch):
+    # only the package's ValueError family becomes a row "error"
+    from toriq import fano_table
+
+    def broken(fan):
+        raise TypeError("kernel bug")
+
+    monkeypatch.setattr(fano_table, "is_2fano", broken)
+    with pytest.raises(TypeError):
+        fano_table.verify_row(by_name["E_1"])
+
+
+def test_package_error_becomes_row_error(by_name, monkeypatch):
+    from toriq import fano_table
+    from toriq.fans import UnsupportedFanError
+
+    def unsupported(fan):
+        raise UnsupportedFanError("not here")
+
+    monkeypatch.setattr(fano_table, "is_2fano", unsupported)
+    res = fano_table.verify_row(by_name["E_1"])
+    assert res.status == "error" and "UnsupportedFanError" in res.reason

@@ -10,15 +10,13 @@ from toriq.intersection import (
     ch2_dot_surface,
     curve_number,
     div_char,
-    intersect_once,
     is_2fano,
     is_ample,
     is_fano,
-    move_divisor,
     nef_threshold,
     prime_divisor,
-    quotient_index,
 )
+from intersection_oracle import intersect_once, move_divisor, quotient_index
 from conftest import hirzebruch_fan
 
 F = Fraction
