@@ -12,11 +12,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Optional
 
 from .linalg import (
+    ONE,
+    ZERO,
     Vec,
     QVec,
+    adjugate,
     dot,
     hull_facets,
     is_primitive,
@@ -62,6 +66,8 @@ class Fan:
                 raise MalformedFanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise MalformedFanError("rays are not pairwise distinct")
+        if len(set(cones)) != len(cones):
+            raise MalformedFanError("maximal cones are not pairwise distinct")
         for c in cones:
             if c and (c[0] < 0 or c[-1] >= len(rays)):
                 raise MalformedFanError(f"cone {c} has out-of-range ray indices")
@@ -123,10 +129,43 @@ class ValidationReport:
     problems: list[str] = field(default_factory=list)
 
 
+# Bound of the per-fan (and per-polytope) caches: far above the few hundred
+# distinct keys one table or MMP run meets, so such a run evicts nothing,
+# while a long sweep stays bounded.
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _inverses(fan: Fan) -> dict[tuple[int, ...], tuple[Optional[tuple[Vec, ...]], int]]:
+    """Integer adjugate and determinant of each maximal cone with ``rank``
+    rays, taking the rays as matrix columns: the coordinates of x in the
+    cone's ray basis are adj·x / det, so row j of adj pairs with the ray
+    cone[j].  The adjugate is None when the rays are dependent."""
+    return {
+        cone: adjugate([[fan.rays[i][k] for i in cone] for k in range(fan.rank)])
+        for cone in fan.max_cones
+        if cone and len(cone) == fan.rank
+    }
+
+
+def _facets(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Each (n-1)-face of the maximal cones with n rays, mapped to the
+    (cone index, position of the opposite ray) of every cone holding it."""
+    out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ci, cone in enumerate(fan.max_cones):
+        if cone and len(cone) == fan.rank:
+            for j in range(len(cone)):
+                out.setdefault(cone[:j] + cone[j + 1:], []).append((ci, j))
+    return out
+
+
 def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
     """Coordinates of x in the simplicial cone's ray basis, or None."""
     if not cone:
         return () if all(a == 0 for a in x) else None
+    adj, d = _inverses(fan).get(cone, (None, 0))
+    if d:
+        return tuple(Fraction(dot(row, x), d) for row in adj)
     cols = [[fan.rays[i][k] for i in cone] for k in range(fan.rank)]
     sol = solve_linear(cols, x)
     if sol is None:
@@ -141,9 +180,7 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
 def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
     """Exact membership of x in the cone spanned by the given rays."""
     coords = _cone_coords(fan, cone, x)
-    if coords is not None:
-        return all(c >= 0 for c in coords)
-    return False
+    return coords is not None and all(c >= 0 for c in coords)
 
 
 def cone_multiplicity(fan: Fan, cone: tuple[int, ...]) -> int:
@@ -171,67 +208,102 @@ def is_face(fan: Fan, rays: tuple[int, ...]) -> bool:
     return any(s.issubset(cone) for cone in fan.max_cones)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def validate(fan: Fan, deep: bool = False) -> ValidationReport:
     """Validate a fan and report simplicial / smooth / complete flags.
 
-    Overlap of maximal cones is probed with exact interior-point checks
-    (each cone's ray sum must lie in no other maximal cone); ``deep=True``
-    additionally runs the exact pairwise LP test that two cones intersect
-    in their common face.  Completeness is certified by requiring every
-    (n-1)-face to be shared by exactly two maximal cones plus exact
-    membership sampling of the +-unit vectors and all ray directions.
+    A cone with ``rank`` rays is simplicial when its determinant is nonzero
+    and smooth when it is +-1; simplicial cones are strongly convex, and
+    any other cone is checked for strong convexity by an LP.
+
+    A simplicial fan whose maximal cones all have ``rank`` rays and whose
+    (n-1)-faces each lie in exactly two of them is certified complete, or
+    rejected, by two checks: across every wall the two opposite rays lie
+    strictly on opposite sides, and one generic point, off every cone's
+    boundary hyperplanes, lies in exactly one cone.  Across a wall the
+    number of cones holding a point is then unchanged, so it is the same
+    for all points off the codimension-2 faces; the point shows it is 1,
+    i.e. the cones cover the space and meet in faces.  Any other simplicial
+    fan is not complete, and the exact pairwise LP test checks that every
+    two of its cones meet in their common face.  ``deep=True`` runs that
+    pairwise test on the certified fans too.  Overlapping cones raise
+    ``MalformedFanError`` naming two of them; non-simplicial fans get no
+    overlap test and are never reported complete.
     """
     problems: list[str] = []
     simplicial = True
     smooth = True
+    inverses = _inverses(fan)
     for cone in fan.max_cones:
-        rays = fan.ray_matrix(cone)
-        if cone and matrix_rank(rays) != len(cone):
-            simplicial = False
         if not cone:
             continue
-        if simplicial and len(cone) == 0:
-            continue
-        diag = snf_diagonal([list(r) for r in rays]) if cone else []
-        if any(d != 1 for d in diag[: len(cone)]):
-            smooth = False
-        if not _strongly_convex(fan, cone):
+        if cone in inverses:
+            d = inverses[cone][1]
+            cone_simplicial, cone_smooth = d != 0, abs(d) == 1
+        else:
+            cone_simplicial = matrix_rank(fan.ray_matrix(cone)) == len(cone)
+            cone_smooth = cone_simplicial and cone_multiplicity(fan, cone) == 1
+        simplicial = simplicial and cone_simplicial
+        smooth = smooth and cone_smooth
+        if not cone_simplicial and not _strongly_convex(fan, cone):
             problems.append(f"cone {cone} is not strongly convex")
-    if not simplicial:
-        smooth = False
+    smooth = smooth and simplicial
 
-    well_formed = not problems
-    # interior-point overlap probe
-    if simplicial:
-        for i, cone in enumerate(fan.max_cones):
-            if not cone:
-                continue
-            bary = tuple(sum(fan.rays[j][k] for j in cone) for k in range(fan.rank))
-            for i2, other in enumerate(fan.max_cones):
-                if i2 == i or set(cone) <= set(other):
-                    continue
-                if cone_contains(fan, other, bary):
-                    raise MalformedFanError(
-                        f"maximal cones {cone} and {other} overlap without meeting in a face"
-                    )
-        if deep:
+    complete = False
+    if fan.rank == 0:
+        complete = not problems and bool(fan.max_cones)
+    elif simplicial:
+        facets = _facets(fan)
+        complete = (
+            bool(fan.max_cones)
+            and all(len(cone) == fan.rank for cone in fan.max_cones)
+            and all(len(sides) == 2 for sides in facets.values())
+        )
+        if complete:
+            _certify_cover(fan, inverses, facets)
+        if deep or not complete:
             for c1, c2 in combinations(fan.max_cones, 2):
                 if _pair_overlaps(fan, c1, c2):
                     raise MalformedFanError(
                         f"maximal cones {c1} and {c2} overlap without meeting in a face"
                     )
+    return ValidationReport(not problems, simplicial, smooth, complete, problems)
 
-    complete = _certify_complete(fan, problems) if well_formed else False
-    return ValidationReport(well_formed, simplicial, smooth, complete, problems)
+
+def _certify_cover(fan: Fan, inverses, facets) -> None:
+    """Raise unless the pseudo-manifold of full cones covers the space
+    exactly once (see ``validate``)."""
+    cones = fan.max_cones
+    for sides in facets.values():
+        (a, ja), (b, jb) = sides
+        adj, d = inverses[cones[a]]
+        # v_b's coordinate on v_a in sigma_a's basis must be negative
+        if dot(adj[ja], fan.rays[cones[b][jb]]) * d >= 0:
+            raise MalformedFanError(
+                f"maximal cones {cones[a]} and {cones[b]} lie on the same side of their wall"
+            )
+    rows = [(cone, row, d) for cone, (adj, d) in inverses.items() for row in adj]
+    m = 2
+    while True:
+        # (1, m, m^2, ...) lies on a boundary hyperplane for finitely many m
+        p = tuple(m**k for k in range(fan.rank))
+        signs = [(cone, dot(row, p) * d) for cone, row, d in rows]
+        if all(s for _, s in signs):
+            break
+        m += 1
+    outside = {cone for cone, s in signs if s < 0}
+    # at least one cone holds p: the count is the same everywhere off the
+    # codimension-2 faces, and every cone holds such points
+    hits = [cone for cone in cones if cone not in outside]
+    if len(hits) > 1:
+        raise MalformedFanError(
+            f"maximal cones {hits[0]} and {hits[1]} overlap without meeting in a face"
+        )
 
 
 def _strongly_convex(fan: Fan, cone: tuple[int, ...]) -> bool:
-    rays = fan.ray_matrix(cone)
-    if matrix_rank(rays) == len(cone):
-        return True
     # exists c with <c, ray> >= 1 for all rays of the cone
-    res = lp_min([0] * fan.rank, rays, [-1] * len(rays))
+    res = lp_min([0] * fan.rank, fan.ray_matrix(cone), [-1] * len(cone))
     return res.status == "optimal"
 
 
@@ -250,75 +322,45 @@ def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     return nonneg_solve(gens, target) is not None
 
 
-def _certify_complete(fan: Fan, problems: list[str]) -> bool:
-    if fan.rank == 0:
-        return bool(fan.max_cones)
-    if not fan.max_cones:
-        return False
-    for cone in fan.max_cones:
-        if len(cone) != fan.rank:
-            return False
-    counts: dict[tuple[int, ...], int] = {}
-    for cone in fan.max_cones:
-        for facet in combinations(cone, fan.rank - 1):
-            counts[facet] = counts.get(facet, 0) + 1
-    if any(c != 2 for c in counts.values()):
-        return False
-    samples = []
-    for k in range(fan.rank):
-        e = tuple(1 if j == k else 0 for j in range(fan.rank))
-        samples.append(e)
-        samples.append(tuple(-x for x in e))
-    samples.extend(fan.rays)
-    for x in samples:
-        if not any(cone_contains(fan, cone, x) for cone in fan.max_cones):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def walls(fan: Fan) -> tuple[Wall, ...]:
-    """All walls of a simplicial fan with their exact relations."""
+    """All walls of a simplicial fan with their exact relations.
+
+    The relation across a wall is read off the inverse of the cone holding
+    the lower-indexed opposite ray: -v_hi in that cone's ray basis."""
     rep = validate(fan)
     if not rep.simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
-    cone_mult: dict[int, int] = {}
-    seen: dict[tuple[int, ...], list[int]] = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for facet in combinations(cone, max(len(cone) - 1, 0)):
-            seen.setdefault(facet, []).append(ci)
+    inverses = _inverses(fan)
     out = []
-    for facet, cones in sorted(seen.items()):
-        if len(cones) != 2:
+    for facet, sides in sorted(_facets(fan).items()):
+        if len(sides) != 2:
             continue
-        a, b = cones
-        op_a = next(i for i in fan.max_cones[a] if i not in facet)
-        op_b = next(i for i in fan.max_cones[b] if i not in facet)
-        hi = max(op_a, op_b)
-        lo = min(op_a, op_b)
-        cols = list(facet) + [lo]
-        mat = [[fan.rays[i][k] for i in cols] for k in range(fan.rank)]
-        rhs = [-x for x in fan.rays[hi]]
-        sol = solve_linear(mat, rhs)
-        if sol is None:
-            raise MalformedFanError(f"no relation across wall {facet}")
-        rel = [Fraction(0)] * len(fan.rays)
-        for i, c in zip(cols, sol):
-            rel[i] = c
-        rel[hi] = Fraction(1)
+        (a, ja), (b, jb) = sides
+        op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
+        lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
+        lo_cone = fan.max_cones[lo_side]
+        lo = lo_cone[lo_pos]
+        adj, d = inverses[lo_cone]
+        rel = [ZERO] * len(fan.rays)
+        for i, row in zip(lo_cone, adj):
+            c = dot(row, fan.rays[hi])
+            if c:
+                rel[i] = Fraction(-c, d)
+        rel[hi] = ONE
         if rel[lo] <= 0:
             raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-        if any(sum(rel[i] * fan.rays[i][k] for i in cols + [hi]) != 0 for k in range(fan.rank)):
+        support = lo_cone + (hi,)
+        if any(sum(rel[i] * fan.rays[i][k] for i in support) != 0 for k in range(fan.rank)):
             raise MalformedFanError(f"relation across wall {facet} does not vanish")
         if rep.smooth:
-            mult, scale = 1, Fraction(1)
+            mult, scale = 1, ONE
         else:
-            # r_hi = 1, so s = mult(wall) / mult(cone holding the ray hi)
-            side_hi = a if op_a == hi else b
-            if side_hi not in cone_mult:
-                cone_mult[side_hi] = cone_multiplicity(fan, fan.max_cones[side_hi])
-            mult = cone_multiplicity(fan, facet)
-            scale = Fraction(mult, cone_mult[side_hi])
+            # mult(wall) is the gcd of the wall's maximal minors, which make
+            # up the adjugate row of the ray it omits; r_hi = 1, so
+            # s = mult(wall) / mult(cone holding the ray hi)
+            mult = gcd(*adj[lo_pos])
+            scale = Fraction(mult, abs(inverses[fan.max_cones[hi_side]][1]))
         out.append(Wall(facet, a, b, tuple(rel), mult, scale))
     return tuple(out)
 
@@ -339,7 +381,7 @@ def wall_class_key(wall: Wall) -> QVec:
     return tuple(c / pos for c in wall.relation)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
     """Exhaustive list of primitive collections of a complete simplicial fan.
 
@@ -395,7 +437,7 @@ def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]])
         s = frozenset(sub)
         if any(c <= s for c in colls):
             continue
-        if matrix_rank([rays[i] for i in sub]) != n:
+        if not adjugate([rays[i] for i in sub])[1]:
             continue
         cones.append(sub)
     try:

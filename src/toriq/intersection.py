@@ -35,10 +35,6 @@ from .linalg import QVec, Vec, dot, frac, solve_linear
 ZERO = Fraction(0)
 
 
-class NotQGorensteinError(ValueError):
-    """A required divisor is not Q-Cartier on this fan."""
-
-
 @dataclass(frozen=True)
 class TorusDivisor:
     """An invariant Q-divisor, one rational coefficient per ray."""
@@ -82,14 +78,6 @@ def prime_divisor(fan: Fan, i: int) -> TorusDivisor:
     return TorusDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(len(fan.rays))))
 
 
-def _solve_character(fan: Fan, sigma: tuple[int, ...], values) -> QVec:
-    mat = [fan.rays[j] for j in sigma]
-    u = solve_linear(mat, values)
-    if u is None:
-        raise UnsupportedFanError(f"cone {sigma} is not simplicial; cannot solve for u")
-    return u
-
-
 def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
     """The intersection number D . V(tau) for a wall tau."""
     tau = tuple(sorted(tau))
@@ -130,7 +118,8 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
     total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
     for i in sigma:
         # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j
-        u = _solve_character(fan, sigma, [Fraction(1 if k == i else 0) for k in sigma])
+        # (walls() above checked the fan is simplicial, so u exists)
+        u = solve_linear([fan.rays[j] for j in sigma], [int(k == i) for k in sigma])
         for j, (w, weight) in star.items():
             if w.relation[i]:
                 total -= dot(u, fan.rays[j]) * weight * w.relation[i]
@@ -147,9 +136,9 @@ class FanoVerdict:
 def is_fano(fan: Fan) -> FanoVerdict:
     """Ampleness of the anticanonical divisor.
 
-    Smooth fans: every primitive collection has positive degree.  General
-    simplicial fans: every wall curve meets the anticanonical divisor
-    positively, after checking it is Q-Cartier (automatic for simplicial).
+    Smooth fans: every primitive collection has positive degree.  Other
+    simplicial fans (where every divisor is Q-Cartier): every wall curve
+    meets the anticanonical divisor positively (Kleiman's criterion).
     """
     rep = validate(fan)
     if not (rep.simplicial and rep.complete):
@@ -157,8 +146,6 @@ def is_fano(fan: Fan) -> FanoVerdict:
     if rep.smooth:
         bad = tuple(c for c in primitive_collections(fan) if c.degree <= 0)
         return FanoVerdict(not bad, "primitive-collections", bad)
-    for cone in fan.max_cones:
-        _solve_character(fan, cone, [Fraction(1)] * len(cone))  # Q-Cartier check
     mk = anticanonical(fan)
     bad_walls = tuple(
         w for w in walls(fan) if wall_curve_number(fan, mk, w) <= 0

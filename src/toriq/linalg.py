@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import index
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -96,10 +97,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(M, x):
-    return tuple(dot(row, x) for row in M)
-
-
 def mat_mul(A, B):
     if not A or not B:
         return []
@@ -107,52 +104,71 @@ def mat_mul(A, B):
     return [[dot(row, col) for col in cols] for row in A]
 
 
-def transpose(M):
-    return [list(col) for col in zip(*M)]
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place over their first
+    ``ncols`` columns; returns the pivot columns, leftmost first."""
+    m = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
 
 
 def matrix_rank(M) -> int:
     rows = [[Fraction(x) for x in row] for row in M]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_rref(rows, len(rows[0]))) if rows else 0
 
 
-def det(M) -> Fraction:
+def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
+    """Adjugate and determinant of a square integer matrix, so that
+    M^-1 = adj / det.  One fraction-free Gauss-Jordan elimination (Bareiss
+    1968) on [M | I]: every intermediate entry is a minor, so each division
+    is exact and no ``Fraction`` is built.  The adjugate is None when the
+    determinant is 0."""
     n = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+    rows = [[index(x) for x in row] + [int(j == i) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None, 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
-        pv = rows[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return sign * result
+        pk = rows[k]
+        pv = pk[k]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and (f or prev != pv):
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
+        prev = pv
+    # rows = [d I | d M^-1] for d = prev, the determinant after the row swaps
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def det(M) -> int:
+    """Determinant of a square integer matrix."""
+    return adjugate(M)[1]
+
+
+def invert(M) -> list[list[Fraction]]:
+    adj, d = adjugate(M)
+    if not d:
+        raise ValueError("matrix is singular")
+    return [[Fraction(a, d) for a in row] for row in adj]
 
 
 def solve_linear(M, b) -> Optional[QVec]:
@@ -169,24 +185,8 @@ def solve_linear(M, b) -> Optional[QVec]:
         return ()
     n = len(M[0])
     rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(M, b)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    pivots = _rref(rows, n)
+    for i in range(len(pivots), m):
         if rows[i][n] != 0:
             return None
     x = [ZERO] * n
@@ -195,48 +195,13 @@ def solve_linear(M, b) -> Optional[QVec]:
     return tuple(x)
 
 
-def solve_matrix(M, B) -> Optional[list[list[Fraction]]]:
-    """Solve M X = B column by column; None if any column is inconsistent."""
-    cols = []
-    for col in zip(*B):
-        x = solve_linear(M, col)
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(cols)
-
-
-def invert(M) -> list[list[Fraction]]:
-    n = len(M)
-    X = solve_matrix(M, identity_matrix(n))
-    if X is None:
-        raise ValueError("matrix is singular")
-    return X
-
-
 def kernel_basis(M) -> list[QVec]:
     """Basis of the rational kernel of M (rows are equations)."""
     if not M:
         return []
-    m, n = len(M), len(M[0])
+    n = len(M[0])
     rows = [[Fraction(x) for x in row] for row in M]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    pivots = _rref(rows, n)
     basis = []
     free = [c for c in range(n) if c not in pivots]
     for fc in free:

@@ -139,7 +139,7 @@ def is_empty(P: FacetPresentation) -> bool:
     return res.status == "infeasible"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=fans.CACHE_SIZE)
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     """Exact vertex enumeration over all invertible n-subsets of facets."""
     if is_empty(P):

@@ -19,7 +19,9 @@ from toriq.fans import (
     wall_classification,
     walls,
 )
-from conftest import hirzebruch_fan
+from toriq.fano_table import load_builtin_table, reconstruct_fan
+from toriq.mmp import run_mmp_scaling
+from conftest import blowup_polytope, hexagon, hirzebruch_fan
 
 F = Fraction
 
@@ -44,6 +46,41 @@ class TestValidate:
         with pytest.raises(MalformedFanError, match=r"\(0, 1\).*\(0, 2\)"):
             validate(f)
 
+    def test_overlap_of_incomplete_fan_raises(self):
+        # the two cones share the directions between about 96 and 99 degrees;
+        # neither cone's ray sum lies in the other, so only an exact pairwise
+        # test of the (incomplete) fan finds the overlap
+        f = Fan(2, ((1, 0), (-1, 6), (-1, 10), (-6, 1)), ((0, 1), (2, 3)))
+        with pytest.raises(MalformedFanError, match=r"\(0, 1\).*\(2, 3\)"):
+            validate(f)
+
+    def test_double_cover_raises(self):
+        # five cones of under 180 degrees each winding twice round the
+        # origin: every ray lies in two cones and every crossing is proper,
+        # so only the generic point sees the second sheet
+        f = Fan(
+            2,
+            ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
+            ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
+        )
+        with pytest.raises(MalformedFanError, match="overlap"):
+            validate(f)
+
+    def test_fold_raises(self):
+        # every ray lies in two cones, but across the ray (1, 0) the cones
+        # (0, 1) and (0, 2) both lie above it
+        f = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(MalformedFanError, match="same side"):
+            validate(f)
+
+    def test_fold_in_rank_three_raises(self):
+        # the cones of P3 over e1, e2, -e3 and (-1, -1, -1): every facet lies
+        # in two cones, but both rays opposite the wall (0, 1) lie below it
+        rays = ((1, 0, 0), (0, 1, 0), (0, 0, -1), (-1, -1, -1))
+        f = Fan(3, rays, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        with pytest.raises(MalformedFanError, match="same side"):
+            validate(f)
+
     def test_deep_pair_check(self, p2):
         rep = validate(p2, deep=True)
         assert rep.well_formed
@@ -55,6 +92,10 @@ class TestValidate:
     def test_duplicate_ray_rejected(self):
         with pytest.raises(MalformedFanError):
             Fan(2, ((1, 0), (1, 0)), ((0, 1),))
+
+    def test_duplicate_cone_rejected(self):
+        with pytest.raises(MalformedFanError):
+            Fan(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
 
 
 class TestWalls:
@@ -250,3 +291,14 @@ def test_ray_count_minus_rank_is_picard_bookkeeping(corpus_fans):
     for fan in corpus_fans:
         if validate(fan).complete:
             assert len(fan.rays) - fan.rank >= 1
+
+
+def test_certificate_agrees_with_pairwise_check(corpus_fans):
+    fans = list(corpus_fans)
+    fans += [reconstruct_fan(row)[0] for row in load_builtin_table() if row.explicit]
+    for P in (hexagon(), blowup_polytope((6, 5, 6, 5, 2))):
+        for step in run_mmp_scaling(P, force=True).steps:
+            fans += [step.fan_before, step.fan_after]
+    assert len(set(fans)) > 67 + len(corpus_fans)
+    for fan in set(fans):
+        assert validate(fan) == validate(fan, deep=True)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from toriq.linalg import (
     DimensionError,
+    adjugate,
+    det,
     dot,
     hull_facets,
     lp_min,
@@ -46,6 +48,43 @@ class TestSolveLinear:
         x = solve_linear(M, b)
         if x is not None:
             assert all(dot(row, x) == bi for row, bi in zip(M, b))
+
+
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total
+
+
+class TestAdjugate:
+    def test_two_by_two(self):
+        # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
+        assert adjugate([[2, 1], [7, 4]]) == (((4, -1), (-7, 2)), 1)
+
+    def test_needs_row_swap(self):
+        assert adjugate([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
+
+    def test_singular(self):
+        assert adjugate([[1, 2], [2, 4]]) == (None, 0)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_adj_times_matrix_is_det(self, M):
+        adj, d = adjugate(M)
+        assert d == leibniz_det(M) == det(M)
+        if d:
+            n = len(M)
+            for i in range(n):
+                for j in range(n):
+                    assert sum(adj[i][k] * M[k][j] for k in range(n)) == (d if i == j else 0)
+        else:
+            assert adj is None
 
 
 class TestSmithNormalForm:
