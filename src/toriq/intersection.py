@@ -10,7 +10,8 @@ Cox-Little-Schenck, *Toric Varieties*, 6.4).  Products with an invariant
 surface V(sigma) first restrict the divisor to the surface: a prime divisor
 D_j with j not in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for
 the wall tau_j = sigma + {j}, and one on a ray of sigma is first replaced by
-a linearly equivalent divisor off sigma (one character solve).
+a linearly equivalent divisor off sigma (through a row of the cached
+inverse of a maximal cone over sigma).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .fans import (
     Fan,
     UnsupportedFanError,
     Wall,
+    _inverses,
     cone_multiplicity,
     faces_of_dim,
     is_face,
@@ -30,7 +32,7 @@ from .fans import (
     validate,
     walls,
 )
-from .linalg import QVec, Vec, dot, frac, solve_linear
+from .linalg import QVec, Vec, dot, frac
 
 ZERO = Fraction(0)
 
@@ -116,13 +118,15 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
         if inside.issubset(cone) and any(j not in inside and j not in star for j in cone):
             raise UnsupportedFanError(f"the surface V{sigma} is not complete")
     total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
+    # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u the row
+    # adj_i / det of a maximal cone tau over sigma: <u, v_k> = [k = i] on tau
+    tau = next(cone for cone in fan.max_cones if inside.issubset(cone))
+    adj, d = _inverses(fan)[tau]
     for i in sigma:
-        # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j
-        # (walls() above checked the fan is simplicial, so u exists)
-        u = solve_linear([fan.rays[j] for j in sigma], [int(k == i) for k in sigma])
+        row = adj[tau.index(i)]
         for j, (w, weight) in star.items():
             if w.relation[i]:
-                total -= dot(u, fan.rays[j]) * weight * w.relation[i]
+                total -= Fraction(dot(row, fan.rays[j]), d) * weight * w.relation[i]
     return total / 2
 
 

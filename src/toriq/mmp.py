@@ -33,6 +33,7 @@ from .intersection import (
 from .linalg import (
     Vec,
     dot,
+    matrix_rank,
     primitive_part,
     quotient_projection,
     saturated_basis,
@@ -284,8 +285,6 @@ def weakly_split(fan: Fan, projection, base_fan: Optional[Fan] = None) -> bool:
         for i in blade:
             img = tuple(dot(row, fan.rays[i]) for row in proj)
             imgs.append(primitive_part(img))
-        from .linalg import matrix_rank
-
         if matrix_rank(imgs) != len(blade):
             return False
         key = tuple(sorted(imgs))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import fans
@@ -20,6 +22,7 @@ from .fans import Fan, wall_classification, walls
 from .linalg import (
     QVec,
     Vec,
+    adjugate,
     affine_rank,
     det,
     dot,
@@ -29,7 +32,6 @@ from .linalg import (
     invert,
     is_primitive,
     lp_min,
-    matrix_rank,
     nonneg_solve,
     quotient_projection,
     saturated_basis,
@@ -68,7 +70,9 @@ class FacetPresentation:
     irredundant: bool = False
 
     def __post_init__(self):
-        normals = tuple(tuple(int(x) for x in v) for v in self.normals)
+        # int tuples are kept as given, so every P^(s) of a family shares them
+        normals = tuple(v if type(v) is tuple and all(type(x) is int for x in v)
+                        else tuple(map(int, v)) for v in self.normals)
         constants = tuple(frac(a) for a in self.constants)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "constants", constants)
@@ -122,12 +126,14 @@ class CayleyMoriDecomposition:
     simplex_vertices: tuple[QVec, ...]
 
 
-def is_bounded(P: FacetPresentation) -> bool:
-    # bounded iff the normals positively span R^n
-    for k in range(P.dim):
+@lru_cache(maxsize=fans.CACHE_SIZE)
+def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
+    """Whether every presentation with these normals is bounded; cached per
+    normal list, which a whole adjoint family P^(s) shares."""
+    for k in range(dim):
         for sign in (1, -1):
-            e = tuple(sign if j == k else 0 for j in range(P.dim))
-            if nonneg_solve(P.normals, e) is None:
+            e = tuple(sign if j == k else 0 for j in range(dim))
+            if nonneg_solve(normals, e) is None:
                 return False
     return True
 
@@ -139,42 +145,46 @@ def is_empty(P: FacetPresentation) -> bool:
     return res.status == "infeasible"
 
 
-@lru_cache(maxsize=fans.CACHE_SIZE)
+@lru_cache(maxsize=64)  # a vertex set is reused within one adjoint step only
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
-    """Exact vertex enumeration over all invertible n-subsets of facets."""
-    if is_empty(P):
-        raise EmptyPolytopeError("polytope is empty")
+    """Exact vertex enumeration over all invertible n-subsets of facets, each
+    solved by one integer adjugate.  A bounded presentation with no vertex is
+    empty; only an unbounded one needs the emptiness LP."""
     n = P.dim
     if n == 0:
         return VertexSet(((),), ((),))
-    if not is_bounded(P):
+    if not _positively_spanning(n, P.normals):
+        if is_empty(P):
+            raise EmptyPolytopeError("polytope is empty")
         raise UnboundedError("presentation is unbounded")
-    found: dict[QVec, None] = {}
+    # <v_i, x> >= c_i / L with integers c_i; a vertex is x = y / (d L)
+    L = lcm(*(a.denominator for a in P.constants))
+    c = [-a.numerator * (L // a.denominator) for a in P.constants]
+    found: dict[QVec, tuple[int, ...]] = {}
+    coords: dict[Fraction, Fraction] = {}
     for subset in combinations(range(P.nfacets), n):
-        mat = [P.normals[i] for i in subset]
-        rhs = [-P.constants[i] for i in subset]
-        if matrix_rank(mat) != n:
+        adj, d = adjugate([P.normals[i] for i in subset])
+        if not d:
             continue
-        x = solve_linear(mat, rhs)
-        if x is None:
+        y = [sum(a * c[i] for a, i in zip(row, subset)) for row in adj]
+        if d < 0:
+            y, d = [-t for t in y], -d
+        slack = [sum(map(mul, v, y)) - ci * d for v, ci in zip(P.normals, c)]
+        if min(slack) < 0:
             continue
-        if P.contains(x):
-            found.setdefault(x)
+        x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
+        if x not in found:
+            found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)
+    if not found:
+        raise EmptyPolytopeError("polytope is empty")
     verts = tuple(sorted(found))
-    if not verts:
-        raise EmptyPolytopeError("no vertices found")
     if not allow_lower_dim and affine_rank(verts) != n:
         raise DegenerateError("polytope is not full-dimensional")
-    tight = tuple(
-        tuple(i for i in range(P.nfacets) if dot(P.normals[i], x) == -P.constants[i])
-        for x in verts
-    )
-    return VertexSet(verts, tight)
+    return VertexSet(verts, tuple(found[x] for x in verts))
 
 
 def is_simple(P: FacetPresentation) -> bool:
-    vs = vertices(P)
-    return all(len(t) == P.dim for t in vs.tight)
+    return all(len(t) == P.dim for t in vertices(P).tight)
 
 
 def normal_fan(P: FacetPresentation) -> Fan:
@@ -182,12 +192,8 @@ def normal_fan(P: FacetPresentation) -> Fan:
     rays are exactly the facet normals in presentation order."""
     if not P.irredundant:
         raise RedundantPresentationError("normal fan needs an irredundant presentation")
-    vs = vertices(P)
-    cones = tuple(t for t in vs.tight)
-    used = set()
-    for c in cones:
-        used.update(c)
-    if used != set(range(P.nfacets)):
+    cones = vertices(P).tight
+    if set().union(*cones) != set(range(P.nfacets)):
         raise RedundantPresentationError("an inequality is tight at no vertex")
     return Fan(P.dim, P.normals, cones)
 
@@ -216,44 +222,36 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
             "pass allow_redundant=True to override"
         )
     shifted = FacetPresentation(P.dim, P.normals, tuple(a - s for a in P.constants))
-    if is_empty(shifted):
-        return shifted
     try:
-        _, removed = remove_redundant(shifted)
-        flag = not removed
+        flag = not remove_redundant(shifted)[1]
+    except EmptyPolytopeError:
+        return shifted
     except DegenerateError:
         flag = False
     return FacetPresentation(P.dim, P.normals, shifted.constants, irredundant=flag)
 
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:
-    """Minimal sub-presentation; removed inequalities are certified by exact
-    LP to be implied by the rest."""
-    if is_empty(P):
-        raise EmptyPolytopeError("cannot reduce an empty polytope")
-    keep = list(range(P.nfacets))
-    removed = []
-    for i in range(P.nfacets):
-        others = [j for j in keep if j != i]
-        if not others:
-            break
-        res = lp_min(
-            P.normals[i],
-            [P.normals[j] for j in others],
-            [P.constants[j] for j in others],
-        )
-        if res.status == "optimal" and res.value + P.constants[i] >= 0:
-            keep.remove(i)
-            removed.append(i)
+    """Minimal sub-presentation of a bounded full-dimensional polytope and
+    the indices it drops.  Inequality i is kept exactly when the vertices
+    tight at it have affine rank n-1: a face is the hull of its vertices, and
+    distinct primitive normals define distinct facets, so the facet-defining
+    inequalities are the unique minimal subsystem."""
+    # one cache entry whether or not P carries the irredundance flag
+    base = FacetPresentation(P.dim, P.normals, P.constants) if P.irredundant else P
+    vs = vertices(base, allow_lower_dim=True)
+    n = P.dim
+    if affine_rank(vs.vertices) != n:
+        raise DegenerateError("polytope is not full-dimensional")
+    facet = [affine_rank([x for x, t in zip(vs.vertices, vs.tight) if i in t]) == n - 1
+             for i in range(P.nfacets)]
     Q = FacetPresentation(
-        P.dim,
-        tuple(P.normals[i] for i in keep),
-        tuple(P.constants[i] for i in keep),
+        n,
+        tuple(v for v, f in zip(P.normals, facet) if f),
+        tuple(a for a, f in zip(P.constants, facet) if f),
         irredundant=True,
     )
-    if affine_rank(vertices(Q, allow_lower_dim=True).vertices) != P.dim:
-        raise DegenerateError("polytope is not full-dimensional")
-    return Q, tuple(removed)
+    return Q, tuple(i for i, f in enumerate(facet) if not f)
 
 
 def effective_threshold(P: FacetPresentation) -> Fraction:
@@ -317,12 +315,8 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
         dvec = vec_sub(v, base)
         if any(x != 0 for x in dvec):
             kern_cols.append(scale_to_primitive(dvec))
-    if kern_cols:
-        proj = quotient_projection(kern_cols, P.dim)
-        kbasis = saturated_basis(kern_cols)
-    else:
-        proj = [tuple(1 if j == i else 0 for j in range(P.dim)) for i in range(P.dim)]
-        kbasis = []
+    proj = quotient_projection(kern_cols, P.dim)
+    kbasis = saturated_basis(kern_cols)
     pvs = vertices(P)
     imgs = sorted({tuple(dot(row, v) for row in proj) for v in pvs.vertices})
     Q = facet_presentation_from_vertices(imgs)

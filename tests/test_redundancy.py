@@ -1,0 +1,159 @@
+"""Redundancy removal read off the vertex-facet incidences agrees exactly with
+the LP oracle in ``polytope_oracle``, and the adjoint path runs no LP."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import polytope_oracle as oracle
+from conftest import blowup_polytope, hexagon
+from test_acceptance import random_simple_polytope
+from toriq import linalg, polytopes
+from toriq.fans import face_fan
+from toriq.linalg import dot, primitive_part
+from toriq.mmp import run_mmp_scaling
+from toriq.polytopes import (
+    DegenerateError,
+    EmptyPolytopeError,
+    FacetPresentation,
+    UnboundedError,
+    adjoint,
+    effective_threshold,
+    polytope_of_divisor,
+    remove_redundant,
+    vertices,
+)
+
+FLIP_RAYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -2),
+             (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+def outcome(reduce, P):
+    """The (Q, removed) result, or the class of the error raised."""
+    try:
+        return reduce(P)
+    except ValueError as err:
+        return type(err)
+
+
+def assert_matches_oracle(P):
+    got = outcome(remove_redundant, P)
+    assert got == outcome(oracle.remove_redundant, P), P
+    return got
+
+
+def random_presentation(rng, dim):
+    """Random primitive normals with small constants: often empty, unbounded
+    or lower-dimensional, sometimes a bounded full-dimensional polytope.  A
+    quarter of them also get the opposite of one normal with the opposite
+    constant, which flattens the polytope into that hyperplane."""
+    normals = []
+    for _ in range(rng.randint(dim + 1, dim + 5)):
+        v = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(v):
+            v = primitive_part(v)
+            if v not in normals:
+                normals.append(v)
+    constants = [Fraction(rng.randint(-2, 3), rng.choice((1, 2))) for _ in normals]
+    if normals and rng.random() < 0.25:
+        k = rng.randrange(len(normals))
+        flat = tuple(-a for a in normals[k])
+        if flat not in normals:
+            normals.append(flat)
+            constants.append(-constants[k])
+    return FacetPresentation(dim, tuple(normals), tuple(constants))
+
+
+def with_supporting_inequality(rng, P):
+    """P plus a redundant inequality through one vertex whose normal is the
+    sum of some of the normals tight there, so it touches P in a vertex, an
+    edge or a facet; None when no new normal comes out."""
+    vs = vertices(P)
+    k = rng.randrange(len(vs.vertices))
+    x, tight = vs.vertices[k], vs.tight[k]
+    chosen = rng.sample(tight, rng.randint(2, len(tight)))
+    w = primitive_part(tuple(sum(P.normals[i][c] for i in chosen) for c in range(P.dim)))
+    if w in P.normals:
+        return None
+    normals = list(P.normals)
+    constants = list(P.constants)
+    at = rng.randint(0, len(normals))
+    normals.insert(at, w)
+    constants.insert(at, -dot(w, x))
+    return FacetPresentation(P.dim, tuple(normals), tuple(constants))
+
+
+def test_random_presentations_match_oracle():
+    rng = random.Random(20121)
+    seen = {EmptyPolytopeError: 0, UnboundedError: 0, DegenerateError: 0}
+    reduced = touching = 0
+    for trial in range(600):
+        P = random_presentation(rng, trial % 3 + 1)
+        got = assert_matches_oracle(P)
+        if isinstance(got, type):
+            seen[got] += 1
+            continue
+        reduced += bool(got[1])
+        Q = with_supporting_inequality(rng, got[0]) if P.dim > 1 else None
+        if Q is not None:
+            _, removed = assert_matches_oracle(Q)
+            touching += bool(removed)
+    # the corpus reaches every outcome
+    assert min(seen.values()) >= 40 and reduced >= 20 and touching >= 40, (
+        seen, reduced, touching)
+
+
+def acceptance_corpus(count):
+    rng = random.Random(73911)
+    corpus = []
+    while len(corpus) < count:
+        P = random_simple_polytope(rng, 2 if len(corpus) % 2 else 3)
+        if P is not None:
+            corpus.append(P)
+    return corpus
+
+
+def test_adjoint_family_matches_oracle():
+    for P in acceptance_corpus(24):
+        sigma = effective_threshold(P)
+        for j in range(9):
+            A = adjoint(P, sigma * Fraction(j, 8))
+            got = assert_matches_oracle(A)
+            assert A.irredundant == (not isinstance(got, type) and not got[1])
+
+
+@pytest.mark.parametrize("P", [
+    hexagon(),
+    blowup_polytope((6, 5, 6, 5, 2)),
+    polytope_of_divisor(face_fan(list(FLIP_RAYS)), (3, 5, 3, 5, 5, 8, 6)),
+], ids=["hexagon", "blowup-65652", "flips"])
+def test_critical_values_match_oracle(P):
+    P, _ = remove_redundant(P)
+    trace = run_mmp_scaling(P, force=True)
+    for lam in trace.critical_values:
+        assert_matches_oracle(adjoint(P, lam, allow_redundant=True))
+
+
+def test_adjoint_path_runs_no_lp(monkeypatch):
+    P = acceptance_corpus(1)[0]
+    sigma = effective_threshold(P)
+    calls = []
+    lp_standard = linalg.lp_standard
+
+    def counted(*args):
+        calls.append(args)
+        return lp_standard(*args)
+
+    monkeypatch.setattr(linalg, "lp_standard", counted)
+
+    def adjoint_path_lps():
+        polytopes.vertices.cache_clear()
+        calls.clear()
+        remove_redundant(adjoint(P, sigma / 2))
+        return len(calls)
+
+    # a cold boundedness cache costs LPs, so the count is live
+    polytopes._positively_spanning.cache_clear()
+    assert adjoint_path_lps() > 0
+    assert adjoint_path_lps() == 0
