@@ -28,7 +28,7 @@ from .linalg import (
     matrix_rank,
     nonneg_solve,
     primitive_part,
-    quotient_projection,
+    saturation_and_projection,
     snf_diagonal,
     solve_linear,
 )
@@ -167,14 +167,7 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
     if d:
         return tuple(Fraction(dot(row, x), d) for row in adj)
     cols = [[fan.rays[i][k] for i in cone] for k in range(fan.rank)]
-    sol = solve_linear(cols, x)
-    if sol is None:
-        return None
-    # verify (solve_linear handles underdetermined by zero-fill; recheck)
-    for k in range(fan.rank):
-        if sum(fan.rays[i][k] * c for i, c in zip(cone, sol)) != x[k]:
-            return None
-    return sol
+    return solve_linear(cols, x)
 
 
 def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
@@ -509,7 +502,7 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     sigma = tuple(sorted(sigma))
     if not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
-    proj = quotient_projection([fan.rays[i] for i in sigma], fan.rank)
+    _, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
     qrank = len(proj)
     ray_map: dict[Vec, int] = {}
     qrays: list[Vec] = []

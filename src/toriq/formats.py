@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 from .fans import Fan
 from .linalg import format_frac, frac, gcd_vec, primitive_part
 from .polytopes import (
+    EmptyPolytopeError,
     FacetPresentation,
     adjoint,
     remove_redundant,
-    is_empty,
     thresholds,
     vertices,
 )
@@ -280,10 +280,11 @@ def emit_svg(P: FacetPresentation, s_values: Optional[Sequence] = None,
     for a sampled grid plus the exact critical values (labelled p/q)."""
     if P.dim != 2:
         raise SvgError("only 2-dimensional polytopes are drawn")
-    if is_empty(P):
-        raise SvgError("nothing to draw")
-    base = P if P.irredundant else remove_redundant(P)[0]
-    th = thresholds(base)
+    try:
+        base = P if P.irredundant else remove_redundant(P)[0]
+        th = thresholds(base)
+    except EmptyPolytopeError:
+        raise SvgError("nothing to draw") from None
     crit = sorted({frac(c) for c in (critical_values or [])} | {th.nef, th.effective})
     if s_values is None:
         sigma = th.effective
@@ -293,10 +294,10 @@ def emit_svg(P: FacetPresentation, s_values: Optional[Sequence] = None,
     labels = []
     allpts = []
     for s in svals:
-        Q = adjoint(base, s, allow_redundant=True)
-        if is_empty(Q):
+        try:
+            vs = vertices(adjoint(base, s, allow_redundant=True), allow_lower_dim=True).vertices
+        except EmptyPolytopeError:
             continue
-        vs = vertices(Q, allow_lower_dim=True).vertices
         allpts.extend(vs)
         is_crit = s in crit
         polys.append((vs, is_crit))

@@ -2,9 +2,10 @@
 
 Everything in this package runs on Python ints and ``fractions.Fraction``;
 there is no floating point anywhere.  This module provides the shared
-kernels: Gaussian elimination, Smith normal form, an exact simplex LP
-solver (Bland's rule, so it terminates), and facet enumeration for convex
-hulls of rational point sets.
+kernels: fraction-free Gauss-Jordan elimination on integers (rational rows
+are scaled to integers first, and a ``Fraction`` is built only for the
+result), Smith normal form, an exact simplex LP solver (Bland's rule, so it
+terminates), and facet enumeration for convex hulls of rational point sets.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import index
 from typing import Optional, Sequence
 
@@ -104,59 +105,63 @@ def mat_mul(A, B):
     return [[dot(row, col) for col in cols] for row in A]
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of ``rows`` in place over their first
-    ``ncols`` columns; returns the pivot columns, leftmost first."""
+def _integer_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators, so every entry is an
+    int; a row of ints is taken as it is."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    q = [Fraction(x) for x in row]
+    L = lcm(*(x.denominator for x in q))
+    return [x.numerator * (L // x.denominator) for x in q]
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    ``rows`` in place over their first ``ncols`` columns, skipping columns
+    without a pivot.  Returns the pivot columns (leftmost first), d and the
+    sign of the row swaps: row i below the rank is then d times row i of the
+    reduced row echelon form, and every entry is a minor, so each division
+    is exact.  For a square matrix of full rank, det = sign * d."""
     m = len(rows)
     pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
+        p = next((i for i in range(r, m) if rows[i][col]), None)
+        if p is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pk = rows[r]
+        pv = pk[col]
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and (f or prev != pv):
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
+        prev = pv
         pivots.append(col)
-    return pivots
+    return pivots, prev, sign
 
 
 def matrix_rank(M) -> int:
-    rows = [[Fraction(x) for x in row] for row in M]
-    return len(_rref(rows, len(rows[0]))) if rows else 0
+    rows = [_integer_row(row) for row in M]
+    return len(_eliminate(rows, len(rows[0]))[0]) if rows else 0
 
 
 def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
     """Adjugate and determinant of a square integer matrix, so that
-    M^-1 = adj / det.  One fraction-free Gauss-Jordan elimination (Bareiss
-    1968) on [M | I]: every intermediate entry is a minor, so each division
-    is exact and no ``Fraction`` is built.  The adjugate is None when the
-    determinant is 0."""
+    M^-1 = adj / det, from one elimination of [M | I].  The adjugate is None
+    when the determinant is 0."""
     n = len(M)
     rows = [[index(x) for x in row] + [int(j == i) for j in range(n)] for i, row in enumerate(M)]
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            return None, 0
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pk = rows[k]
-        pv = pk[k]
-        for i in range(n):
-            f = rows[i][k]
-            if i != k and (f or prev != pv):
-                rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
-        prev = pv
-    # rows = [d I | d M^-1] for d = prev, the determinant after the row swaps
-    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+    pivots, d, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return None, 0
+    # rows = [d I | d M^-1]
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * d
 
 
 def det(M) -> int:
@@ -184,14 +189,13 @@ def solve_linear(M, b) -> Optional[QVec]:
     if m == 0:
         return ()
     n = len(M[0])
-    rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(M, b)]
-    pivots = _rref(rows, n)
-    for i in range(len(pivots), m):
-        if rows[i][n] != 0:
-            return None
+    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(M, b)]
+    pivots, d, _ = _eliminate(rows, n)
+    if any(rows[i][n] for i in range(len(pivots), m)):
+        return None
     x = [ZERO] * n
     for i, col in enumerate(pivots):
-        x[col] = rows[i][n]
+        x[col] = Fraction(rows[i][n], d)
     return tuple(x)
 
 
@@ -200,15 +204,15 @@ def kernel_basis(M) -> list[QVec]:
     if not M:
         return []
     n = len(M[0])
-    rows = [[Fraction(x) for x in row] for row in M]
-    pivots = _rref(rows, n)
+    rows = [_integer_row(row) for row in M]
+    pivots, d, _ = _eliminate(rows, n)
     basis = []
     free = [c for c in range(n) if c not in pivots]
     for fc in free:
         v = [ZERO] * n
         v[fc] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+            v[pc] = Fraction(-rows[i][fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -302,35 +306,18 @@ def snf_diagonal(M) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0])))]
 
 
-def saturated_basis(columns: list[Vec]) -> list[Vec]:
-    """Basis of the saturation of the lattice spanned by integer columns.
-
-    Returns k = rank(columns) integer vectors spanning span(columns) whose
-    Z-span is (span ∩ Z^n).
-    """
+def saturation_and_projection(columns: list[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
+    """From one Smith normal form of the integer columns in Z^n: a basis of
+    the saturation (span ∩ Z^n) of their lattice, and the rows of the
+    projection Z^n -> Z^(n-k) whose kernel is that saturation."""
     if not columns:
-        return []
-    n = len(columns[0])
+        return [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     A = [[col[i] for col in columns] for i in range(n)]
     U, D, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    Uinv = invert(U)
-    basis = []
-    for j in range(r):
-        col = tuple(int(Uinv[i][j]) for i in range(n))
-        basis.append(col)
-    return basis
-
-
-def quotient_projection(columns: list[Vec], n: int) -> list[Vec]:
-    """Rows of the projection Z^n -> Z^(n-k) whose kernel is the saturation
-    of the span of the given integer columns."""
-    if not columns:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    A = [[col[i] for col in columns] for i in range(n)]
-    U, D, _ = smith_normal_form(A)
-    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    return [tuple(int(x) for x in U[i]) for i in range(r, n)]
+    adj, d = adjugate(U)  # U is unimodular, so U^-1 = d * adj
+    basis = [tuple(d * adj[i][j] for i in range(n)) for j in range(r)]
+    return basis, [tuple(U[i]) for i in range(r, n)]
 
 
 def integer_kernel_basis(rows: list[Vec]) -> list[Vec]:
@@ -514,8 +501,6 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     for subset in combinations(range(len(pts)), d):
         base = pts[subset[0]]
         diffs = [vec_sub(pts[i], base) for i in subset[1:]]
-        if matrix_rank(diffs) != d - 1:
-            continue
         kern = kernel_basis(diffs) if diffs else [tuple(ONE if j == 0 else ZERO for j in range(d))]
         if len(kern) != 1:
             continue

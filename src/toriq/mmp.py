@@ -35,8 +35,7 @@ from .linalg import (
     dot,
     matrix_rank,
     primitive_part,
-    quotient_projection,
-    saturated_basis,
+    saturation_and_projection,
     solve_linear,
 )
 from .polytopes import FacetPresentation
@@ -205,8 +204,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     if alpha != 0:
         raise ValueError("fibering data needs a wall with alpha = 0")
     support = [i for i, c in enumerate(wall.relation) if c > 0]
-    proj = quotient_projection([fan.rays[i] for i in support], fan.rank)
-    basis = saturated_basis([fan.rays[i] for i in support])
+    basis, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
     # fiber fan: cones of the fan lying inside the kernel sublattice
     in_kernel = [
         i for i in range(len(fan.rays))

@@ -33,8 +33,7 @@ from .linalg import (
     is_primitive,
     lp_min,
     nonneg_solve,
-    quotient_projection,
-    saturated_basis,
+    saturation_and_projection,
     scale_to_primitive,
     smith_normal_form,
     solve_linear,
@@ -233,18 +232,23 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:
     """Minimal sub-presentation of a bounded full-dimensional polytope and
-    the indices it drops.  Inequality i is kept exactly when the vertices
-    tight at it have affine rank n-1: a face is the hull of its vertices, and
-    distinct primitive normals define distinct facets, so the facet-defining
-    inequalities are the unique minimal subsystem."""
+    the indices it drops.  Inequality i is kept exactly when its set T_i of
+    tight vertices lies strictly inside no T_j: every facet has an
+    inequality, any smaller face (empty included) lies strictly inside a
+    facet, and only P itself strictly contains a facet.  Distinct primitive
+    normals define distinct facets, so the kept inequalities are the unique
+    minimal subsystem."""
     # one cache entry whether or not P carries the irredundance flag
     base = FacetPresentation(P.dim, P.normals, P.constants) if P.irredundant else P
     vs = vertices(base, allow_lower_dim=True)
     n = P.dim
     if affine_rank(vs.vertices) != n:
         raise DegenerateError("polytope is not full-dimensional")
-    facet = [affine_rank([x for x, t in zip(vs.vertices, vs.tight) if i in t]) == n - 1
-             for i in range(P.nfacets)]
+    tight: list[set[int]] = [set() for _ in range(P.nfacets)]
+    for k, t in enumerate(vs.tight):
+        for i in t:
+            tight[i].add(k)
+    facet = [not any(T < U for U in tight) for T in tight]
     Q = FacetPresentation(
         n,
         tuple(v for v, f in zip(P.normals, facet) if f),
@@ -254,6 +258,7 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     return Q, tuple(i for i, f in enumerate(facet) if not f)
 
 
+@lru_cache(maxsize=64)  # thresholds, the core and the MMP run each ask for it
 def effective_threshold(P: FacetPresentation) -> Fraction:
     """sup{s : P^(s) nonempty}, by exact LP over (x, s)."""
     n = P.dim
@@ -315,8 +320,7 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
         dvec = vec_sub(v, base)
         if any(x != 0 for x in dvec):
             kern_cols.append(scale_to_primitive(dvec))
-    proj = quotient_projection(kern_cols, P.dim)
-    kbasis = saturated_basis(kern_cols)
+    kbasis, proj = saturation_and_projection(kern_cols, P.dim)
     pvs = vertices(P)
     imgs = sorted({tuple(dot(row, v) for row in proj) for v in pvs.vertices})
     Q = facet_presentation_from_vertices(imgs)

@@ -135,3 +135,30 @@ class TestSvg:
         P = FacetPresentation(1, ((1,), (-1,)), (0, 1))
         with pytest.raises(SvgError):
             emit_svg(P)
+
+
+def test_empty_flagged_polytope_rejected():
+    P = FacetPresentation(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (0, -1, 0, 1),
+                          irredundant=True)
+    with pytest.raises(SvgError, match="nothing to draw"):
+        emit_svg(P)
+
+
+def test_hexagon_drawing_lp_count(monkeypatch):
+    # four boundedness solves for the hexagon's normals and one effective
+    # threshold; emptiness is read off the vertex enumeration
+    from toriq import linalg, polytopes
+
+    for cached in (polytopes.vertices, polytopes._positively_spanning,
+                   polytopes.effective_threshold):
+        cached.cache_clear()
+    calls = []
+    lp_standard = linalg.lp_standard
+
+    def counted(*args):
+        calls.append(args)
+        return lp_standard(*args)
+
+    monkeypatch.setattr(linalg, "lp_standard", counted)
+    emit_svg(hexagon())
+    assert len(calls) == 5

@@ -157,3 +157,27 @@ def test_adjoint_path_runs_no_lp(monkeypatch):
     polytopes._positively_spanning.cache_clear()
     assert adjoint_path_lps() > 0
     assert adjoint_path_lps() == 0
+
+
+def test_effective_threshold_one_lp_per_polytope(monkeypatch):
+    # thresholds, the core and the MMP run all ask for sigma(P)
+    P = acceptance_corpus(1)[0]
+
+    def run():
+        polytopes.thresholds(P)
+        polytopes.core_and_projection(P)
+        run_mmp_scaling(P)
+
+    run()  # warms every other cache, boundedness included
+    calls = []
+    lp_standard = linalg.lp_standard
+
+    def counted(*args):
+        calls.append(args)
+        return lp_standard(*args)
+
+    monkeypatch.setattr(linalg, "lp_standard", counted)
+    polytopes.vertices.cache_clear()
+    polytopes.effective_threshold.cache_clear()
+    run()
+    assert len(calls) == 1
