@@ -2,8 +2,9 @@
 
 A fan is stored combinatorially: the lattice rank, an ordered list of
 primitive ray generators, and the maximal cones as sorted tuples of ray
-indices.  Walls, primitive collections, star subdivisions and quotient
-(star) fans are computed exactly.
+indices.  Walls, primitive collections, star subdivisions and images under
+lattice projections (quotient and star fans among them) are computed
+exactly.
 """
 
 from __future__ import annotations
@@ -496,32 +497,40 @@ def star_subdivision(fan: Fan, v: Vec) -> Fan:
     return Fan(fan.rank, fan.rays + (v,), tuple(set(new_cones)))
 
 
+def image_fan(fan: Fan, projection, cones) -> Fan:
+    """The fan of the images of the given cones under a lattice projection
+    (rows of N -> N').  Rays mapping to zero are dropped, the others go to
+    their primitive images, numbered in order of first appearance."""
+    index: dict[Vec, int] = {}
+    images = set()
+    for cone in cones:
+        idxs = set()
+        for i in cone:
+            img = tuple(dot(row, fan.rays[i]) for row in projection)
+            if any(img):
+                idxs.add(index.setdefault(primitive_part(img), len(index)))
+        images.add(tuple(sorted(idxs)))
+    return Fan(len(projection), tuple(index), tuple(images))
+
+
+def restricted_cones(fan: Fan, rays) -> list[tuple[int, ...]]:
+    """The maximal cones among sigma ∩ S, for sigma a maximal cone of the
+    fan and S the given set of ray indices."""
+    keep = set(rays)
+    faces = {tuple(i for i in cone if i in keep) for cone in fan.max_cones}
+    return sorted(c for c in faces if not any(set(c) < set(o) for o in faces))
+
+
 def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     """The fan of the invariant subvariety V(sigma) in the quotient lattice,
-    together with the projection matrix (rows) realizing N -> N/N_sigma."""
+    together with the projection matrix (rows) realizing N -> N/N_sigma:
+    the image of the star of sigma."""
     sigma = tuple(sorted(sigma))
     if not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
     _, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
-    qrank = len(proj)
-    ray_map: dict[Vec, int] = {}
-    qrays: list[Vec] = []
-    qcones = set()
-    for cone in fan.max_cones:
-        if not set(sigma) <= set(cone):
-            continue
-        idxs = []
-        for i in cone:
-            if i in sigma:
-                continue
-            img = tuple(dot(row, fan.rays[i]) for row in proj)
-            img = primitive_part(img)
-            if img not in ray_map:
-                ray_map[img] = len(qrays)
-                qrays.append(img)
-            idxs.append(ray_map[img])
-        qcones.add(tuple(sorted(idxs)))
-    return Fan(qrank, tuple(qrays), tuple(sorted(qcones))), proj
+    star = [cone for cone in fan.max_cones if set(sigma) <= set(cone)]
+    return image_fan(fan, proj, star), proj
 
 
 def fans_equal_up_to_ray_order(f1: Fan, f2: Fan) -> bool:

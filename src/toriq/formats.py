@@ -175,21 +175,23 @@ def parse_dataset(text: str):
             raise ParseError("missing row name", field="name", line=lineno)
         rays = _parse_vec_list(rec.get("rays") or "", "rays", lineno)
         colls = _parse_vec_list(rec.get("collections") or "", "collections", lineno)
-        surface_cell = (rec.get("surface") or "").strip()
-        surface = None
-        if surface_cell:
-            parts = surface_cell.split()
-            if len(parts) != 2:
-                raise ParseError("surface needs two indices", field="surface", line=lineno)
-            surface = (int(parts[0]), int(parts[1]))
+        surface = _parse_vec_list(rec.get("surface") or "", "surface", lineno)
+        if surface and (len(surface) != 1 or len(surface[0]) != 2):
+            raise ParseError("surface needs two indices", field="surface", line=lineno)
         expected_cell = (rec.get("expected") or "").strip()
-        expected = frac(expected_cell) if expected_cell else None
+        expected = None
+        if expected_cell:
+            try:
+                expected = frac(expected_cell)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"malformed rational {expected_cell!r}",
+                                 field="expected", line=lineno) from exc
         rows.append(
             TableRow(
                 name=name,
                 rays=rays or None,
                 collections=colls or None,
-                surface=surface,
+                surface=surface[0] if surface else None,
                 expected=expected,
                 note=(rec.get("note") or "").strip(),
             )
@@ -274,10 +276,10 @@ def _ordered_cycle(points: Sequence[tuple[Fraction, Fraction]]):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
-def emit_svg(P: FacetPresentation, s_values: Optional[Sequence] = None,
-             critical_values: Optional[Sequence] = None) -> str:
+def emit_svg(P: FacetPresentation, critical_values: Optional[Sequence] = None) -> str:
     """Nested outlines of the adjoint family P^(s) of a 2D polytope, drawn
-    for a sampled grid plus the exact critical values (labelled p/q)."""
+    for s = i/6 of the effective threshold (i = 0..5) plus the exact
+    critical values (labelled p/q)."""
     if P.dim != 2:
         raise SvgError("only 2-dimensional polytopes are drawn")
     try:
@@ -286,10 +288,7 @@ def emit_svg(P: FacetPresentation, s_values: Optional[Sequence] = None,
     except EmptyPolytopeError:
         raise SvgError("nothing to draw") from None
     crit = sorted({frac(c) for c in (critical_values or [])} | {th.nef, th.effective})
-    if s_values is None:
-        sigma = th.effective
-        s_values = [sigma * i / 6 for i in range(6)]
-    svals = sorted({frac(s) for s in s_values} | set(crit))
+    svals = sorted({th.effective * i / 6 for i in range(6)} | set(crit))
     polys = []
     labels = []
     allpts = []

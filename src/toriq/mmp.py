@@ -18,6 +18,9 @@ from .fans import (
     Fan,
     MalformedFanError,
     Wall,
+    _inverses,
+    image_fan,
+    restricted_cones,
     validate,
     wall_class_key,
     wall_classification,
@@ -33,7 +36,6 @@ from .intersection import (
 from .linalg import (
     Vec,
     dot,
-    matrix_rank,
     primitive_part,
     saturation_and_projection,
     solve_linear,
@@ -212,40 +214,14 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     ]
     bmat = [[b[r] for b in basis] for r in range(fan.rank)]
     fiber_rays = []
-    fiber_origin = []
     for i in in_kernel:
         coords = solve_linear(bmat, fan.rays[i])
         if coords is None:
             raise MalformedFanError(f"ray {i} lies outside the fiber lattice")
         fiber_rays.append(tuple(int(x) for x in coords))
-        fiber_origin.append(i)
-    kernel_set = set(in_kernel)
-    fiber_cones = set()
-    for cone in fan.max_cones:
-        inside = tuple(sorted(in_kernel.index(i) for i in cone if i in kernel_set))
-        fiber_cones.add(inside)
-    maximal = [
-        c for c in fiber_cones
-        if not any(set(c) < set(other) for other in fiber_cones)
-    ]
-    fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(sorted(maximal)))
-    # base fan: images of the maximal cones
-    ray_map: dict[Vec, int] = {}
-    base_rays: list[Vec] = []
-    base_cones = set()
-    for cone in fan.max_cones:
-        idxs = set()
-        for i in cone:
-            img = tuple(dot(row, fan.rays[i]) for row in proj)
-            if all(x == 0 for x in img):
-                continue
-            img = primitive_part(img)
-            if img not in ray_map:
-                ray_map[img] = len(base_rays)
-                base_rays.append(img)
-            idxs.add(ray_map[img])
-        base_cones.add(tuple(sorted(idxs)))
-    base_fan = Fan(len(proj), tuple(base_rays), tuple(sorted(base_cones)))
+    fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
+    fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
+    base_fan = image_fan(fan, proj, fan.max_cones)
     base_rep = validate(base_fan)
     fiber_rep = validate(fiber_fan)
     ok = (
@@ -254,53 +230,41 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     )
     if not ok:
         raise MalformedFanError("wall does not induce a fibration")
-    rho_one = len(fiber_rays) == fiber_fan.rank + 1
-    split = weakly_split(fan, proj, base_fan)
     return MoriFiberData(
         base_fan=base_fan,
         fiber_fan=fiber_fan,
         projection=tuple(proj),
         fiber_basis=tuple(basis),
-        fiber_ray_origin=tuple(fiber_origin),
-        fiber_rho_one=rho_one,
-        split=split,
+        fiber_ray_origin=tuple(in_kernel),
+        fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
+        split=weakly_split(fan, proj),
     )
 
 
-def weakly_split(fan: Fan, projection, base_fan: Optional[Fan] = None) -> bool:
+def weakly_split(fan: Fan, projection) -> bool:
     """Whether the fan is weakly split by its kernel subfan and the image
-    fan: a subfan maps cone-by-cone bijectively onto the base and every
-    maximal cone decomposes as lifted cone + kernel cone."""
-    proj = [tuple(row) for row in projection]
-    kernel_rays = {
-        i for i in range(len(fan.rays))
-        if all(dot(row, fan.rays[i]) == 0 for row in proj)
+    fan under a surjection N -> N' (rows of ``projection``): a subfan maps
+    cone-by-cone bijectively onto the base and every maximal cone
+    decomposes as lifted cone + kernel cone.
+
+    That holds exactly when the image fan is simplicial with rank-many rays
+    per maximal cone, every blade (the non-kernel rays of a maximal cone)
+    has rank-many rays, and distinct blades have distinct images."""
+    base = image_fan(fan, projection, fan.max_cones)
+    blades = {
+        tuple(i for i in cone if any(dot(row, fan.rays[i]) for row in projection))
+        for cone in fan.max_cones
     }
-    lifts: dict[tuple, tuple[int, ...]] = {}
-    for cone in fan.max_cones:
-        blade = tuple(sorted(i for i in cone if i not in kernel_rays))
-        imgs = []
-        for i in blade:
-            img = tuple(dot(row, fan.rays[i]) for row in proj)
-            imgs.append(primitive_part(img))
-        if matrix_rank(imgs) != len(blade):
-            return False
-        key = tuple(sorted(imgs))
-        if key in lifts and lifts[key] != blade:
-            return False
-        lifts[key] = blade
-    if base_fan is not None:
-        base_keys = {
-            tuple(sorted(base_fan.rays[i] for i in cone)) for cone in base_fan.max_cones
-        }
-        if base_keys != set(lifts.keys()):
-            return False
-    return True
+    # determinants only: validate would add an LP per non-simplicial image cone
+    return (
+        all(len(c) == base.rank for c in base.max_cones)
+        and all(d for _, d in _inverses(base).values())
+        and all(len(b) == base.rank for b in blades)
+        and len(blades) == len(base.max_cones)
+    )
 
 
-def run_mmp_scaling(
-    P: FacetPresentation, force: bool = False, cross_validate: bool = True
-) -> MMPTrace:
+def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     """Run the scaled program on the polarized data of a simple polytope.
 
     At each critical value the vanishing extremal class is contracted or
@@ -406,8 +370,7 @@ def run_mmp_scaling(
         lams = [s.lam for s in steps]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise MalformedFanError("critical values are not strictly increasing")
-    if cross_validate:
-        _adjoint_cross_validation(trace)
+    _adjoint_cross_validation(trace)
     return trace
 
 
@@ -494,12 +457,7 @@ def _fiber_polytope_matches(trace: MMPTrace, data: MoriFiberData) -> bool:
         i for i, v in enumerate(fanX.rays)
         if all(dot(kb, v) == 0 for kb in cp.kernel_basis)
     ]
-    sub_cones = {
-        tuple(sorted(i for i in cone if i in set(inside))) for cone in fanX.max_cones
-    }
-    sub_max = {
-        c for c in sub_cones if not any(set(c) < set(o) for o in sub_cones)
-    }
+    sub_max = set(restricted_cones(fanX, inside))
     if cp.Q.dim == 0:
         return not inside and sub_max == {()}
     fq = polytopes.normal_fan(cp.Q)

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from . import fans
 from .fans import Fan, wall_classification, walls
+from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
@@ -275,33 +276,15 @@ def effective_threshold(P: FacetPresentation) -> Fraction:
 
 
 def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
-    """sup{s : P^(s) has the same normal fan as P}, by exact parametric
-    vertex tracking.  Needs a simple, irredundant, full-dimensional P."""
+    """sup{s : P^(s) has the same normal fan as P}, read off the walls of
+    the normal fan as the nef threshold of P's divisor.  Needs a simple,
+    irredundant, full-dimensional P."""
     if not P.irredundant:
         raise RedundantPresentationError("nef threshold needs an irredundant presentation")
-    vs = vertices(P)
-    n = P.dim
-    best: Optional[Fraction] = None
-    for x, tight in zip(vs.vertices, vs.tight):
-        if len(tight) != n:
-            raise RedundantPresentationError("polytope is not simple")
-        mat = [P.normals[i] for i in tight]
-        d = solve_linear(mat, [1] * n)
-        if d is None:
-            raise DegenerateError(f"tight normals at vertex {x} are not independent")
-        for j in range(P.nfacets):
-            if j in tight:
-                continue
-            slope = 1 - dot(P.normals[j], d)
-            if slope <= 0:
-                continue
-            g0 = dot(P.normals[j], x) + P.constants[j]
-            cand = g0 / slope
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return effective_threshold(P)
-    return best
+    if not is_simple(P):
+        raise RedundantPresentationError("polytope is not simple")
+    fan = normal_fan(P)
+    return nef_threshold(fan, TorusDivisor(fan, P.constants))
 
 
 def thresholds(P: FacetPresentation) -> Thresholds:

@@ -1,19 +1,28 @@
-"""Reference redundancy removal by exact LP, for cross-checks.
+"""Reference polytope algorithms, for cross-checks.
 
-This is an independent route to the irredundant sub-presentation that
-``toriq.polytopes.remove_redundant`` reads off the vertex-facet incidences:
-walk the inequalities in order and drop each one that a two-phase simplex
-shows to be implied by the ones still kept.  It runs one LP per inequality,
-so it is kept for tests only.
+``remove_redundant`` is an independent route to the irredundant
+sub-presentation that ``toriq.polytopes.remove_redundant`` reads off the
+vertex-facet incidences: walk the inequalities in order and drop each one
+that a two-phase simplex shows to be implied by the ones still kept.  It
+runs one LP per inequality, so it is kept for tests only.
+
+``nef_threshold_tracking`` finds the nef threshold that
+``toriq.polytopes.thresholds`` reads off the walls of the normal fan by
+tracking each vertex of P^(s) linearly in s instead.
 """
 
 from __future__ import annotations
 
-from toriq.linalg import affine_rank, lp_min
+from fractions import Fraction
+from typing import Optional
+
+from toriq.linalg import affine_rank, dot, lp_min, solve_linear
 from toriq.polytopes import (
     DegenerateError,
     EmptyPolytopeError,
     FacetPresentation,
+    RedundantPresentationError,
+    effective_threshold,
     is_empty,
     vertices,
 )
@@ -47,3 +56,33 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     if affine_rank(vertices(Q, allow_lower_dim=True).vertices) != P.dim:
         raise DegenerateError("polytope is not full-dimensional")
     return Q, tuple(removed)
+
+
+def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
+    """sup{s : P^(s) has the same normal fan as P}, by exact parametric
+    vertex tracking.  Needs a simple, irredundant, full-dimensional P."""
+    if not P.irredundant:
+        raise RedundantPresentationError("nef threshold needs an irredundant presentation")
+    vs = vertices(P)
+    n = P.dim
+    best: Optional[Fraction] = None
+    for x, tight in zip(vs.vertices, vs.tight):
+        if len(tight) != n:
+            raise RedundantPresentationError("polytope is not simple")
+        mat = [P.normals[i] for i in tight]
+        d = solve_linear(mat, [1] * n)
+        if d is None:
+            raise DegenerateError(f"tight normals at vertex {x} are not independent")
+        for j in range(P.nfacets):
+            if j in tight:
+                continue
+            slope = 1 - dot(P.normals[j], d)
+            if slope <= 0:
+                continue
+            g0 = dot(P.normals[j], x) + P.constants[j]
+            cand = g0 / slope
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return effective_threshold(P)
+    return best

@@ -134,6 +134,18 @@ def test_verify_table_exit_code(tmp_path, capsys):
     assert main(["verify-table", str(subset)]) == 0
 
 
+@pytest.mark.parametrize("surface,expected,field", [
+    ("1 x", "-2", "surface"),
+    ("1 2", "1/0", "expected"),
+])
+def test_verify_table_bad_cell_exits_2(tmp_path, capsys, surface, expected, field):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("name,rays,collections,surface,expected,note\n"
+                   f"X,1 0;0 1;-1 -1,,{surface},{expected},\n")
+    assert main(["verify-table", str(bad)]) == 2
+    assert f"(field {field!r}) (line 2)" in capsys.readouterr().err
+
+
 def test_plot(hexagon_file, tmp_path, capsys):
     svg = tmp_path / "hex.svg"
     assert main(["plot", hexagon_file, "--svg", str(svg)]) == 0

@@ -94,6 +94,18 @@ class TestDataset:
         with pytest.raises(ParseError, match="surface"):
             parse_dataset(text)
 
+    @pytest.mark.parametrize("surface,expected,field", [
+        ("1 x", "1", "surface"),
+        ("1 2", "1/0", "expected"),
+        ("1 2", "one", "expected"),
+    ])
+    def test_bad_cell_names_field_and_line(self, surface, expected, field):
+        text = ("name,rays,collections,surface,expected,note\n"
+                f"E_1,1 0,,1 2,1,\nX,1 0,,{surface},{expected},\n")
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert (err.value.field, err.value.line) == (field, 3)
+
 
 class TestReport:
     def test_emit_csv(self):

@@ -1,5 +1,6 @@
 """Redundancy removal read off the vertex-facet incidences agrees exactly with
-the LP oracle in ``polytope_oracle``, and the adjoint path runs no LP."""
+the LP oracle in ``polytope_oracle``, and the adjoint path runs no LP.  The
+nef threshold read off the walls agrees with the oracle's vertex tracking."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import polytope_oracle as oracle
-from conftest import blowup_polytope, hexagon
+from conftest import blowup_polytope, hexagon, simplex_polytope
 from test_acceptance import random_simple_polytope
 from toriq import linalg, polytopes
 from toriq.fans import face_fan
@@ -17,6 +18,7 @@ from toriq.polytopes import (
     DegenerateError,
     EmptyPolytopeError,
     FacetPresentation,
+    RedundantPresentationError,
     UnboundedError,
     adjoint,
     effective_threshold,
@@ -181,3 +183,20 @@ def test_effective_threshold_one_lp_per_polytope(monkeypatch):
     polytopes.effective_threshold.cache_clear()
     run()
     assert len(calls) == 1
+
+
+def test_nef_threshold_matches_vertex_tracking(corpus_polytopes):
+    simplices = [simplex_polytope(n, a) for n, a in ((2, 2), (2, 7), (3, 5), (4, 3))]
+    for P in corpus_polytopes + acceptance_corpus(100) + simplices:
+        assert polytopes.thresholds(P).nef == oracle.nef_threshold_tracking(P)
+
+
+@pytest.mark.parametrize("irredundant", [True, False])
+def test_nef_threshold_needs_simple_irredundant(irredundant):
+    octahedron = FacetPresentation(
+        3, tuple((a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)),
+        (1,) * 8, irredundant=irredundant,
+    )
+    for threshold in (polytopes.nef_threshold_tracking, oracle.nef_threshold_tracking):
+        with pytest.raises(RedundantPresentationError):
+            threshold(octahedron)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import toriq
@@ -44,3 +45,33 @@ def test_no_unbounded_caches():
             if any(_unbounded_cache(n) for n in calls + decorators):
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def _tracing_tables() -> dict:
+    """``LAYERS`` and ``CACHED`` as written in the benchmark's tracer."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tables = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("LAYERS", "CACHED"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_names_resolve():
+    # `--trace 1` patches these names by string, so a rename must not drop one
+    tables = _tracing_tables()
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in tables["LAYERS"].items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"toriq.{mod}"), name, None))
+    ]
+    uncached = [
+        f"{mod}.{name}"
+        for mod, name in tables["CACHED"]
+        if not all(hasattr(getattr(importlib.import_module(f"toriq.{mod}"), name), attr)
+                   for attr in ("cache_info", "cache_clear"))
+    ]
+    assert tables["LAYERS"] and tables["CACHED"] and not missing and not uncached, (
+        missing, uncached)
