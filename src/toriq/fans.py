@@ -21,9 +21,9 @@ from .linalg import (
     ZERO,
     Vec,
     QVec,
+    _vertex_solutions,
     adjugate,
     dot,
-    hull_facets,
     is_primitive,
     lp_min,
     matrix_rank,
@@ -452,16 +452,14 @@ def face_fan(rays: list[Vec]) -> Fan:
 
     This is the standard reconstruction for fans whose rays are the
     vertices of a reflexive-type polytope (all our classification rows).
+    Each cone holds the rays tight at one vertex of the polar
+    {y : <r, y> >= -1}; if the origin is not interior, the cones cannot
+    cover the space.
     """
-    pts = [tuple(Fraction(x) for x in r) for r in rays]
-    facets = hull_facets(pts)
-    cones = []
-    for normal, a in facets:
-        if -a >= 0:
-            raise ReconstructionError("origin is not interior to conv(rays)")
-        on = tuple(i for i, p in enumerate(pts) if dot(normal, p) == -a)
-        cones.append(on)
-    fan = Fan(len(rays[0]), tuple(tuple(r) for r in rays), tuple(cones))
+    rays = [tuple(r) for r in rays]
+    cones = {tuple(i for i, sl in enumerate(slack) if sl == 0)
+             for _, _, slack in _vertex_solutions(rays, [-1] * len(rays))}
+    fan = Fan(len(rays[0]), tuple(rays), tuple(cones))
     rep = validate(fan)
     if not (rep.well_formed and rep.complete):
         raise ReconstructionError("face fan failed validation")

@@ -53,13 +53,20 @@ def _int_vectors(value, field):
     return out
 
 
-def parse_fan(text: str, lenient: bool = False) -> Fan:
-    """Parse a fan file; in strict mode non-primitive rays are rejected,
-    with lenient=True they are primitivized with a warning flag dropped."""
+def _json_object(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object")
+    return data
+
+
+def parse_fan(text: str, lenient: bool = False) -> Fan:
+    """Parse a fan file; in strict mode non-primitive rays are rejected,
+    with lenient=True they are primitivized with a warning flag dropped."""
+    data = _json_object(text)
     for key in ("rank", "rays", "max_cones"):
         if key not in data:
             raise ParseError("missing key", field=key)
@@ -112,10 +119,7 @@ def emit_fan(fan: Fan, canonical: bool = True) -> str:
 
 
 def parse_polytope(text: str) -> FacetPresentation:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    data = _json_object(text)
     for key in ("dim", "normals", "constants"):
         if key not in data:
             raise ParseError("missing key", field=key)

@@ -189,13 +189,16 @@ def nef_threshold(fan: Fan, L: TorusDivisor) -> Fraction:
     negative canonical degree of (L.C) / (-K.C)."""
     if not is_ample(fan, L):
         raise ValueError("divisor is not ample")
-    return _nef_threshold_from(fan, L, ZERO)
+    return _nef_threshold_from(fan, L, ZERO)[0]
 
 
-def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> Fraction:
-    """Nef threshold assuming L + s0*K is already nef (exact, by walls)."""
+def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fraction, list[Wall]]:
+    """Nef threshold lambda assuming L + s0*K is already nef (exact, by
+    walls), and the walls where L + lambda*K vanishes with -K.C > 0, in
+    ``walls`` order."""
     mk = anticanonical(fan)
     best: Optional[Fraction] = None
+    attained: list[Wall] = []
     for w in walls(fan):
         kc = wall_curve_number(fan, mk, w)
         lc = wall_curve_number(fan, L, w)
@@ -204,7 +207,9 @@ def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> Fraction:
         if kc > 0:
             cand = lc / kc
             if best is None or cand < best:
-                best = cand
+                best, attained = cand, [w]
+            elif cand == best:
+                attained.append(w)
     if best is None:
         raise ValueError("no wall meets the canonical divisor negatively")
-    return best
+    return best, attained

@@ -5,7 +5,9 @@ there is no floating point anywhere.  This module provides the shared
 kernels: fraction-free Gauss-Jordan elimination on integers (rational rows
 are scaled to integers first, and a ``Fraction`` is built only for the
 result), Smith normal form, an exact simplex LP solver (Bland's rule, so it
-terminates), and facet enumeration for convex hulls of rational point sets.
+terminates), and one vertex enumeration, ``_vertex_solutions``.  By polarity
+it gives polytope vertices, convex hull facets (``hull_facets``, the
+vertices of the polar) and face fans (the tight sets of the polar).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -471,7 +473,7 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 
 
 # ---------------------------------------------------------------------------
-# convex hull facets
+# vertex enumeration and convex hull facets
 # ---------------------------------------------------------------------------
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
@@ -482,12 +484,31 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     return matrix_rank(diffs)
 
 
+def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
+    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n:
+    one integer adjugate per n-subset of the rows, yielding (y, d, slack) for
+    each invertible, feasible one, with the vertex y / d, d > 0, and
+    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated."""
+    for subset in combinations(range(len(rows)), len(rows[0])):
+        adj, d = adjugate([rows[i] for i in subset])
+        if not d:
+            continue
+        y = [sum(a * rhs[i] for a, i in zip(row, subset)) for row in adj]
+        if d < 0:
+            y, d = [-t for t in y], -d
+        slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
+        if min(slack) >= 0:
+            yield y, d, slack
+
+
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:
     """Facets of conv(points) as (primitive inward normal v, constant a)
-    pairs with conv(points) = {x : <v,x> >= -a}.
+    pairs with conv(points) = {x : <v,x> >= -a}, sorted.
 
-    The points must affinely span their ambient space.  Brute force over
-    d-subsets; intended for the small vertex sets arising here.
+    The points must affinely span their ambient space, so their centroid c
+    is interior.  By polarity the facets are the vertices y of
+    {y : <p - c, y> >= -1 for every point p}: the facet with inward normal
+    y holds the points where equality holds.
     """
     pts = [tuple(frac(a) for a in p) for p in points]
     if not pts:
@@ -497,31 +518,9 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
         return []
     if affine_rank(pts) != d:
         raise ValueError("points do not span the ambient space")
-    found: dict[tuple[Vec, Fraction], None] = {}
-    for subset in combinations(range(len(pts)), d):
-        base = pts[subset[0]]
-        diffs = [vec_sub(pts[i], base) for i in subset[1:]]
-        kern = kernel_basis(diffs) if diffs else [tuple(ONE if j == 0 else ZERO for j in range(d))]
-        if len(kern) != 1:
-            continue
-        normal = scale_to_primitive(kern[0])
-        level = dot(normal, base)
-        lo = hi = False
-        for p in pts:
-            val = dot(normal, p)
-            if val < level:
-                lo = True
-            elif val > level:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if hi:  # points on the >= side: inward normal as is
-            found[(normal, -level)] = None
-        elif lo:
-            neg = tuple(-x for x in normal)
-            found[(neg, level)] = None
-        else:  # all points on the hyperplane: cannot happen, full-dim checked
-            continue
-    return sorted(found.keys())
+    c = [sum(col) / len(pts) for col in zip(*pts)]
+    # D (p - c) is integral; scaling every row by D scales the polar by 1/D
+    D = len(pts) * lcm(*(x.denominator for p in pts for x in p))
+    rows = [[int(D * (a - ci)) for a, ci in zip(p, c)] for p in pts]
+    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * len(rows))}
+    return sorted((u, -min(dot(u, p) for p in pts)) for u in normals)

@@ -29,9 +29,7 @@ from .fans import (
 from .intersection import (
     TorusDivisor,
     _nef_threshold_from,
-    anticanonical,
     is_ample,
-    wall_curve_number,
 )
 from .linalg import (
     Vec,
@@ -290,13 +288,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     while True:
         if len(steps) >= budget:
             raise StepBudgetError("step budget exhausted; runaway program")
-        lam = _nef_threshold_from(fan, L, lam_prev)
-        mk = anticanonical(fan)
-        vanishing = []
-        for w in walls(fan):
-            kc = wall_curve_number(fan, mk, w)
-            if kc > 0 and wall_curve_number(fan, L, w) == lam * kc:
-                vanishing.append(w)
+        lam, vanishing = _nef_threshold_from(fan, L, lam_prev)
         classes: dict[tuple, list[Wall]] = {}
         for w in vanishing:
             classes.setdefault(wall_class_key(w), []).append(w)

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from . import fans
@@ -23,7 +21,7 @@ from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
-    adjugate,
+    _vertex_solutions,
     affine_rank,
     det,
     dot,
@@ -147,8 +145,8 @@ def is_empty(P: FacetPresentation) -> bool:
 
 @lru_cache(maxsize=64)  # a vertex set is reused within one adjoint step only
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
-    """Exact vertex enumeration over all invertible n-subsets of facets, each
-    solved by one integer adjugate.  A bounded presentation with no vertex is
+    """Exact vertex enumeration over all invertible n-subsets of facets
+    (``linalg._vertex_solutions``).  A bounded presentation with no vertex is
     empty; only an unbounded one needs the emptiness LP."""
     n = P.dim
     if n == 0:
@@ -162,16 +160,7 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     c = [-a.numerator * (L // a.denominator) for a in P.constants]
     found: dict[QVec, tuple[int, ...]] = {}
     coords: dict[Fraction, Fraction] = {}
-    for subset in combinations(range(P.nfacets), n):
-        adj, d = adjugate([P.normals[i] for i in subset])
-        if not d:
-            continue
-        y = [sum(a * c[i] for a, i in zip(row, subset)) for row in adj]
-        if d < 0:
-            y, d = [-t for t in y], -d
-        slack = [sum(map(mul, v, y)) - ci * d for v, ci in zip(P.normals, c)]
-        if min(slack) < 0:
-            continue
+    for y, d, slack in _vertex_solutions(P.normals, c):
         x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
         if x not in found:
             found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)

@@ -7,13 +7,20 @@ clear the column), and the Bareiss loop on [M | I] that stops at the first
 column without a pivot.  The reduced row echelon form is unique, so both
 routes must agree exactly.  It builds a ``Fraction`` per entry and step, so
 it is kept for tests only.
+
+``hull_facets`` is the brute-force hull that ``toriq.linalg`` ran before it
+read the facets off the vertices of the polar: one kernel per d-subset of
+the points, then a scan of every point against the hyperplane.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import index
-from typing import Optional
+from typing import Optional, Sequence
+
+from toriq.linalg import Vec, dot, frac, scale_to_primitive, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -103,3 +110,54 @@ def adjugate(M):
                 rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
         prev = pv
     return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def affine_rank(points) -> int:
+    if not points:
+        return -1
+    return matrix_rank([vec_sub(p, points[0]) for p in points[1:]])
+
+
+def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:
+    """Facets of conv(points) as (primitive inward normal v, constant a)
+    pairs with conv(points) = {x : <v,x> >= -a}.
+
+    The points must affinely span their ambient space.  Brute force over
+    d-subsets; intended for the small vertex sets arising here.
+    """
+    pts = [tuple(frac(a) for a in p) for p in points]
+    if not pts:
+        raise ValueError("no points")
+    d = len(pts[0])
+    if d == 0:
+        return []
+    if affine_rank(pts) != d:
+        raise ValueError("points do not span the ambient space")
+    found: dict[tuple[Vec, Fraction], None] = {}
+    for subset in combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        diffs = [vec_sub(pts[i], base) for i in subset[1:]]
+        kern = kernel_basis(diffs) if diffs else [tuple(ONE if j == 0 else ZERO for j in range(d))]
+        if len(kern) != 1:
+            continue
+        normal = scale_to_primitive(kern[0])
+        level = dot(normal, base)
+        lo = hi = False
+        for p in pts:
+            val = dot(normal, p)
+            if val < level:
+                lo = True
+            elif val > level:
+                hi = True
+            if lo and hi:
+                break
+        if lo and hi:
+            continue
+        if hi:  # points on the >= side: inward normal as is
+            found[(normal, -level)] = None
+        elif lo:
+            neg = tuple(-x for x in normal)
+            found[(neg, level)] = None
+        else:  # all points on the hyperplane: cannot happen, full-dim checked
+            continue
+    return sorted(found.keys())

@@ -160,6 +160,15 @@ def test_missing_file():
     assert main(["validate", "/nonexistent/fan.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "thresholds"])
+@pytest.mark.parametrize("text", ["3", "null"])
+def test_non_object_json_exits_2(command, text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def test_bad_surface_flag(p2_file):
     assert main(["ch2", p2_file, "--surface", "x,y"]) == 2
 

@@ -1,11 +1,12 @@
 """The fraction-free elimination behind ``toriq.linalg`` agrees exactly with
-the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, and the hull and
-redundancy code run the elimination only where it is needed."""
+the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, the hull read off
+the polar agrees with the oracle's brute-force hull, and the hull, vertex,
+face-fan and redundancy code run the elimination only where it is needed."""
 
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
@@ -13,15 +14,13 @@ from toriq import linalg
 from toriq.linalg import (
     _eliminate,
     adjugate,
-    dot,
     hull_facets,
     kernel_basis,
     matrix_rank,
-    scale_to_primitive,
     solve_linear,
-    vec_sub,
 )
-from toriq.polytopes import FacetPresentation, remove_redundant
+from toriq.fans import face_fan
+from toriq.polytopes import FacetPresentation, remove_redundant, vertices
 
 F = Fraction
 entries = st.integers(-6, 6)
@@ -87,56 +86,62 @@ def test_rows_are_d_times_rref(M):
     assert all(not any(row) for row in rows[len(pivots):])
 
 
-def reference_hull(pts):
-    """The d-subset hull with the rank test before each kernel, over the
-    oracle's elimination."""
-    d = len(pts[0])
-    found = set()
-    for subset in combinations(range(len(pts)), d):
-        base = pts[subset[0]]
-        diffs = [vec_sub(pts[i], base) for i in subset[1:]]
-        if oracle.matrix_rank(diffs) != d - 1:
-            continue
-        normal = scale_to_primitive(oracle.kernel_basis(diffs)[0])
-        level = dot(normal, base)
-        vals = [dot(normal, p) for p in pts]
-        if all(v >= level for v in vals):
-            found.add((normal, -level))
-        elif all(v <= level for v in vals):
-            found.add((tuple(-x for x in normal), level))
-    return sorted(found)
+@st.composite
+def hull_inputs(draw):
+    """Point sets spanning R^d, d = 1..4, with duplicates, interior points
+    (the centroid, midpoints) and points on a ray from the centroid mixed
+    in, in any order."""
+    d = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    assume(oracle.affine_rank(pts) == d)
+    c = tuple(sum(col) / len(pts) for col in zip(*pts))
+    index = st.integers(0, len(pts) - 1)
+    for kind, i, j, t in draw(st.lists(st.tuples(
+            st.sampled_from(("duplicate", "centroid", "midpoint", "ray")), index, index,
+            st.sampled_from((F(1, 2), F(3, 2), F(2)))), max_size=3)):
+        p, q = pts[i], pts[j]
+        if kind == "duplicate":
+            pts.append(p)
+        elif kind == "centroid":
+            pts.append(c)
+        elif kind == "midpoint":
+            pts.append(tuple((a + b) / 2 for a, b in zip(p, q)))
+        else:
+            pts.append(tuple(ci + t * (pi - ci) for ci, pi in zip(c, p)))
+    return draw(st.permutations(pts))
 
 
-@given(st.integers(2, 3).flatmap(lambda d: st.lists(
-    st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))] * d),
-    min_size=d + 1, max_size=d + 4, unique=True)))
-@settings(max_examples=150)
+@given(hull_inputs())
+@settings(max_examples=300, deadline=None)
 def test_hull_matches_reference(pts):
-    if oracle.matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) == len(pts[0]):
-        assert hull_facets(pts) == reference_hull(pts)
+    assert hull_facets(pts) == oracle.hull_facets(pts)
 
 
-def count_ranks(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    rank = linalg.matrix_rank
+    fn = getattr(linalg, name)
 
-    def counted(M):
-        calls.append(M)
-        return rank(M)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(linalg, "matrix_rank", counted)
+    monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
+def cube_vertices(n):
+    return [tuple(int(c) for c in f"{k:0{n}b}") for k in range(2**n)]
+
+
 def test_hull_runs_one_rank(monkeypatch):
-    calls = count_ranks(monkeypatch)
-    cube = [tuple(int(c) for c in f"{k:03b}") for k in range(8)]
-    assert len(hull_facets(cube)) == 6
+    calls = count_calls(monkeypatch, "matrix_rank")
+    assert len(hull_facets(cube_vertices(3))) == 6
     assert len(calls) == 1  # the full-dimensionality check, none per subset
 
 
 def test_remove_redundant_runs_one_rank(monkeypatch):
-    calls = count_ranks(monkeypatch)
+    calls = count_calls(monkeypatch, "matrix_rank")
     # the unit square, with x + y >= 0 and 2x + y >= 0 both tight at the
     # origin only, and x - y >= -5 tight nowhere
     P = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, 1), (1, -1)),
@@ -144,3 +149,29 @@ def test_remove_redundant_runs_one_rank(monkeypatch):
     Q, removed = remove_redundant(P)
     assert removed == (4, 5, 6) and Q.nfacets == 4
     assert len(calls) == 1
+
+
+def test_hull_work_is_one_adjugate_per_subset(monkeypatch):
+    adjugates = count_calls(monkeypatch, "adjugate")
+    kernels = count_calls(monkeypatch, "kernel_basis")
+    lps = count_calls(monkeypatch, "lp_standard")
+    assert len(hull_facets(cube_vertices(4))) == 8
+    assert (len(adjugates), len(kernels), len(lps)) == (comb(16, 4), 0, 0)
+
+
+def test_vertices_work_is_one_adjugate_per_subset(monkeypatch):
+    adjugates = count_calls(monkeypatch, "adjugate")
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    cube = FacetPresentation(4, tuple(units) + tuple(tuple(-x for x in u) for u in units),
+                             (0,) * 4 + (1,) * 4)
+    vertices.cache_clear()
+    assert len(vertices(cube).vertices) == 16
+    assert len(adjugates) == comb(8, 4)
+
+
+def test_face_fan_work_is_one_adjugate_per_subset(monkeypatch):
+    adjugates = count_calls(monkeypatch, "adjugate")
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    fan = face_fan(units + [tuple(-x for x in u) for u in units])
+    assert len(fan.max_cones) == 16
+    assert len(adjugates) == comb(8, 4)

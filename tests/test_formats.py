@@ -52,6 +52,11 @@ class TestFanFiles:
         with pytest.raises(ParseError):
             parse_fan("{not json")
 
+    @pytest.mark.parametrize("text", ["3", "null", "[]", '"fan"'])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ParseError, match="expected a JSON object"):
+            parse_fan(text)
+
 
 class TestPolytopeFiles:
     def test_roundtrip(self):
@@ -64,6 +69,11 @@ class TestPolytopeFiles:
     def test_rationals_as_strings(self):
         P = FacetPresentation(1, ((1,), (-1,)), (F(1, 3), 1))
         assert '"1/3"' in emit_polytope(P)
+
+    @pytest.mark.parametrize("text", ["3", "null", "[]", '"polytope"'])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ParseError, match="expected a JSON object"):
+            parse_polytope(text)
 
     def test_bad_rational(self):
         with pytest.raises(ParseError, match="constants"):

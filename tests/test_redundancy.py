@@ -1,6 +1,8 @@
 """Redundancy removal read off the vertex-facet incidences agrees exactly with
 the LP oracle in ``polytope_oracle``, and the adjoint path runs no LP.  The
-nef threshold read off the walls agrees with the oracle's vertex tracking."""
+nef threshold read off the walls agrees with the oracle's vertex tracking,
+and the hull of a polytope's vertices gives back its irredundant
+presentation."""
 
 import random
 from fractions import Fraction
@@ -22,6 +24,7 @@ from toriq.polytopes import (
     UnboundedError,
     adjoint,
     effective_threshold,
+    facet_presentation_from_vertices,
     polytope_of_divisor,
     remove_redundant,
     vertices,
@@ -183,6 +186,13 @@ def test_effective_threshold_one_lp_per_polytope(monkeypatch):
     polytopes.effective_threshold.cache_clear()
     run()
     assert len(calls) == 1
+
+
+def test_hull_of_vertices_round_trips(corpus_polytopes):
+    for P in corpus_polytopes:
+        Q, _ = remove_redundant(P)
+        H = facet_presentation_from_vertices(vertices(P).vertices)
+        assert list(zip(H.normals, H.constants)) == sorted(zip(Q.normals, Q.constants))
 
 
 def test_nef_threshold_matches_vertex_tracking(corpus_polytopes):
