@@ -42,12 +42,22 @@ class SvgError(ValueError):
     pass
 
 
-def _int_vectors(value, field):
+def _count(value, field):
+    if type(value) is not int or value < 0:  # bool is a subclass of int
+        raise ParseError("expected a non-negative integer", field=field)
+    return value
+
+
+def _list(value, field):
     if not isinstance(value, list):
-        raise ParseError("expected a list of integer vectors", field=field)
+        raise ParseError("expected a list", field=field)
+    return value
+
+
+def _int_vectors(value, field):
     out = []
-    for item in value:
-        if not isinstance(item, list) or not all(isinstance(x, int) for x in item):
+    for item in _list(value, field):
+        if not isinstance(item, list) or not all(type(x) is int for x in item):
             raise ParseError(f"malformed vector {item!r}", field=field)
         out.append(tuple(item))
     return out
@@ -70,8 +80,7 @@ def parse_fan(text: str, lenient: bool = False) -> Fan:
     for key in ("rank", "rays", "max_cones"):
         if key not in data:
             raise ParseError("missing key", field=key)
-    if not isinstance(data["rank"], int):
-        raise ParseError("rank must be an integer", field="rank")
+    rank = _count(data["rank"], "rank")
     rays = _int_vectors(data["rays"], "rays")
     fixed = []
     for r in rays:
@@ -85,13 +94,9 @@ def parse_fan(text: str, lenient: bool = False) -> Fan:
             warnings.warn(f"primitivized non-primitive ray {r}", stacklevel=2)
             r = primitive_part(r)
         fixed.append(r)
-    cones = []
-    for c in data["max_cones"]:
-        if not isinstance(c, list) or not all(isinstance(i, int) for i in c):
-            raise ParseError(f"malformed cone {c!r}", field="max_cones")
-        cones.append(tuple(c))
+    cones = _int_vectors(data["max_cones"], "max_cones")
     try:
-        return Fan(data["rank"], tuple(fixed), tuple(cones))
+        return Fan(rank, tuple(fixed), tuple(cones))
     except ValueError as exc:
         raise ParseError(str(exc), field="max_cones") from exc
 
@@ -123,17 +128,18 @@ def parse_polytope(text: str) -> FacetPresentation:
     for key in ("dim", "normals", "constants"):
         if key not in data:
             raise ParseError("missing key", field=key)
+    dim = _count(data["dim"], "dim")
     normals = _int_vectors(data["normals"], "normals")
     constants = []
-    for a in data["constants"]:
+    for a in _list(data["constants"], "constants"):
         try:
-            constants.append(frac(a) if isinstance(a, (str, int)) else None)
+            constants.append(frac(a) if type(a) in (str, int) else None)
         except (ValueError, ZeroDivisionError):
             constants.append(None)
         if constants[-1] is None:
             raise ParseError(f"malformed rational {a!r}", field="constants")
     try:
-        return FacetPresentation(data["dim"], tuple(normals), tuple(constants))
+        return FacetPresentation(dim, tuple(normals), tuple(constants))
     except ValueError as exc:
         raise ParseError(str(exc), field="normals") from exc
 

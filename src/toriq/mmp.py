@@ -2,9 +2,10 @@
 
 Extremal walls are selected by the vanishing of (L + lambda*K) on wall
 curves; contractions are classified by the sign pattern of the wall
-relation (fibering / divisorial / flipping) and applied as combinatorial
-operations on the fan.  The run is cross-validated against the adjoint
-polytope family P^(s).
+relation (fibering / divisorial / flipping).  Every birational step is one
+circuit replacement over the walls of the class: a flip is exactly that,
+and a divisorial contraction also drops its one negative ray.  The run is
+cross-validated against the adjoint polytope family P^(s).
 """
 
 from __future__ import annotations
@@ -123,45 +124,49 @@ def class_walls(fan: Fan, wall: Wall) -> list[Wall]:
     return [w for w in walls(fan) if wall_class_key(w) == key]
 
 
+def _replace_circuits(fan: Fan, wall: Wall) -> set[tuple[int, ...]]:
+    """The maximal cones after crossing every wall of the wall's class.
+
+    Over each circuit (wall rays and both opposite rays) the cones that omit
+    a ray with positive relation coefficient give way to the cones that omit
+    one with negative coefficient (Reid 1983; Cox-Little-Schenck 15.3)."""
+    # walls over one circuit have proportional relations, so any one serves
+    circuits = {frozenset(w.wall_rays) | frozenset(w.opposite_rays(fan)): w.relation
+                for w in class_walls(fan, wall)}
+    cones = set(fan.max_cones)
+    for circ, relation in circuits.items():
+        for j in sorted(circ):
+            c = tuple(sorted(circ - {j}))
+            if relation[j] > 0:
+                if c not in cones:
+                    raise MalformedFanError(f"expected cone {c} missing at the wall crossing")
+                cones.remove(c)
+            elif relation[j] < 0:
+                cones.add(c)
+    return cones
+
+
 def contract(fan: Fan, wall: Wall) -> ContractionResult:
     """Contract the extremal class generated by the wall curve.
 
     alpha = 0 gives the fibering data (quotient base fan and fiber fan);
-    alpha = 1 drops the exceptional ray and rebuilds the maximal cones;
-    alpha >= 2 is a flip signal (the image fan is not simplicial), use
-    flip() for the birational modification instead.
+    alpha = 1 crosses the class's circuits, which leaves the exceptional
+    ray (the wall's one negative wall-ray coefficient) in no cone, and
+    drops that ray; alpha >= 2 is a flip signal (the image fan is not
+    simplicial), use flip() for the birational modification instead.
     """
     alpha, _ = wall_classification(fan, wall)
     if alpha == 0:
         return ContractionResult(MORI_FIBER, fiber_data=mori_fiber_data(fan, wall))
     if alpha >= 2:
         return ContractionResult(FLIP)
-    rel_walls = class_walls(fan, wall)
-    exceptional = {
-        next(i for i in w.wall_rays if w.relation[i] < 0) for w in rel_walls
-    }
-    if len(exceptional) != 1:
-        raise MalformedFanError(f"ambiguous exceptional ray among {exceptional}")
-    exc = exceptional.pop()
-    wall_sets = {w.wall_rays for w in rel_walls}
-    new_cones = []
-    for cone in fan.max_cones:
-        if any(set(ws) <= set(cone) for ws in wall_sets):
-            continue
-        new_cones.append(cone)
-    for w in rel_walls:
-        circuit = set(w.wall_rays) | set(w.opposite_rays(fan))
-        circuit.discard(exc)
-        new_cones.append(tuple(sorted(circuit)))
-    old_to_new = {}
-    new_rays = []
-    for i, r in enumerate(fan.rays):
-        if i == exc:
-            continue
-        old_to_new[i] = len(new_rays)
-        new_rays.append(r)
-    remapped = {tuple(sorted(old_to_new[i] for i in cone)) for cone in new_cones}
-    result = Fan(fan.rank, tuple(new_rays), tuple(sorted(remapped)))
+    exc = next(i for i in wall.wall_rays if wall.relation[i] < 0)
+    cones = _replace_circuits(fan, wall)
+    left = sorted(c for c in cones if exc in c)
+    if left:
+        raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
+    rays = fan.rays[:exc] + fan.rays[exc + 1:]
+    result = Fan(fan.rank, rays, tuple(tuple(i - (i > exc) for i in c) for c in cones))
     rep = validate(result)
     if not (rep.well_formed and rep.simplicial and rep.complete):
         raise MalformedFanError("divisorial contraction produced an invalid fan")
@@ -169,29 +174,15 @@ def contract(fan: Fan, wall: Wall) -> ContractionResult:
 
 
 def flip(fan: Fan, wall: Wall) -> Fan:
-    """Replace the triangulation over each wall circuit of the class by the
-    opposite one; the ray set is unchanged (isomorphism in codimension 1)."""
+    """Cross the class's circuits of a flipping wall: over each circuit the
+    triangulation is replaced by the opposite one, and the ray set is
+    unchanged (isomorphism in codimension 1)."""
     alpha, _ = wall_classification(fan, wall)
     if alpha < 2:
         raise ValueError("flips need a wall of flipping type (alpha >= 2)")
-    rel_walls = class_walls(fan, wall)
-    circuits: dict[frozenset, Wall] = {}
-    for w in rel_walls:
-        circ = frozenset(w.wall_rays) | frozenset(w.opposite_rays(fan))
-        circuits.setdefault(circ, w)
-    cones = set(fan.max_cones)
-    for circ, w in circuits.items():
-        pos = [i for i in sorted(circ) if w.relation[i] > 0]
-        neg = [i for i in sorted(circ) if w.relation[i] < 0]
-        for j in pos:
-            c = tuple(sorted(circ - {j}))
-            if c not in cones:
-                raise MalformedFanError(f"expected cone {c} missing while flipping")
-            cones.remove(c)
-        for j in neg:
-            cones.add(tuple(sorted(circ - {j})))
+    cones = _replace_circuits(fan, wall)
     was_complete = validate(fan).complete
-    result = Fan(fan.rank, fan.rays, tuple(sorted(cones)))
+    result = Fan(fan.rank, fan.rays, tuple(cones))
     rep = validate(result)
     if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
         raise MalformedFanError("flip produced an invalid fan")
@@ -300,50 +291,25 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         chosen = min(classes.values(), key=lambda ws: min(w.wall_rays for w in ws))
         wall = min(chosen, key=lambda w: w.wall_rays)
         alpha, beta = wall_classification(fan, wall)
+        data = None
         if alpha == 0:
             data = mori_fiber_data(fan, wall)
-            steps.append(
-                MMPStep(
-                    lam=lam,
-                    kind=MORI_FIBER,
-                    wall_rays=wall.wall_rays,
-                    relation=wall.relation,
-                    alpha=alpha,
-                    beta=beta,
-                    fan_before=fan,
-                    fan_after=data.base_fan,
-                    lost_face_dim=fan.rank,
-                    generality_flag=flagged,
-                    fiber_data=data,
-                )
-            )
-            break
-        if alpha == 1:
+            new_fan = data.base_fan
+        elif alpha == 1:
             res = contract(fan, wall)
-            new_fan = res.fan
-            new_L = TorusDivisor(
-                new_fan,
-                tuple(c for i, c in enumerate(L.coeffs) if i != res.dropped_ray),
-            )
-            lost = fan.rank - 1
+            new_fan, d = res.fan, res.dropped_ray
+            new_L = TorusDivisor(new_fan, L.coeffs[:d] + L.coeffs[d + 1:])
         else:
             new_fan = flip(fan, wall)
             new_L = TorusDivisor(new_fan, L.coeffs)
-            lost = fan.rank - alpha
-        steps.append(
-            MMPStep(
-                lam=lam,
-                kind=DIVISORIAL if alpha == 1 else FLIP,
-                wall_rays=wall.wall_rays,
-                relation=wall.relation,
-                alpha=alpha,
-                beta=beta,
-                fan_before=fan,
-                fan_after=new_fan,
-                lost_face_dim=lost,
-                generality_flag=flagged,
-            )
-        )
+        steps.append(MMPStep(
+            lam=lam, kind=(MORI_FIBER, DIVISORIAL, FLIP)[min(alpha, 2)],
+            wall_rays=wall.wall_rays, relation=wall.relation, alpha=alpha, beta=beta,
+            fan_before=fan, fan_after=new_fan, lost_face_dim=fan.rank - alpha,
+            generality_flag=flagged, fiber_data=data,
+        ))
+        if data is not None:
+            break
         fan, L = new_fan, new_L
         lam_prev = lam
     trace = MMPTrace(
@@ -390,17 +356,16 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
         notes[key] = value
         ok = ok and bool(value)
 
-    lam_prev = ZERO
-    for idx, step in enumerate(trace.steps):
-        mid = (lam_prev + step.lam) / 2
+    def reduced_adjoint(s):
         try:
-            reduced, _ = polytopes.remove_redundant(
-                polytopes.adjoint(P, mid, allow_redundant=True)
-            )
+            return polytopes.remove_redundant(polytopes.adjoint(P, s))[0]
         except (polytopes.DegenerateError, polytopes.EmptyPolytopeError):
-            notes[f"interval_{idx}_fan_matches"] = False
-            ok = False
-            lam_prev = step.lam
+            return None
+
+    for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
+        reduced = reduced_adjoint((lo + step.lam) / 2)
+        if reduced is None:
+            record(f"interval_{idx}_fan_matches", lambda: False)
             continue
         notes[f"interval_{idx}_facets"] = reduced.nfacets
         step.facet_count_before = reduced.nfacets
@@ -408,14 +373,9 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
                lambda: polytopes.normal_fan(reduced) == step.fan_before)
         record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
         if step.kind in (DIVISORIAL, FLIP):
-            try:
-                at, _ = polytopes.remove_redundant(
-                    polytopes.adjoint(P, step.lam, allow_redundant=True)
-                )
-            except (polytopes.DegenerateError, polytopes.EmptyPolytopeError):
-                notes[f"step_{idx}_polytope_at_value"] = False
-                ok = False
-                lam_prev = step.lam
+            at = reduced_adjoint(step.lam)
+            if at is None:
+                record(f"step_{idx}_polytope_at_value", lambda: False)
                 continue
             step.facet_count_after = at.nfacets
             if step.kind == DIVISORIAL:
@@ -432,7 +392,6 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
                    lambda: polytopes.cayley_mori_detect(reduced) is not None)
             record("fiber_polytope_matches",
                    lambda: _fiber_polytope_matches(trace, step.fiber_data))
-        lam_prev = step.lam
     trace.validation = notes
     if not trace.generality_flag and not ok:
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")

@@ -1,0 +1,95 @@
+"""Reference birational steps, for cross-checks.
+
+``contract`` and ``flip`` are the two wall-crossing loops ``toriq.mmp`` had
+before both moved onto one circuit replacement: ``contract`` deletes every
+cone that holds a wall of the class, adds each circuit minus the exceptional
+ray and renumbers the rays by hand; ``flip`` replaces the cones over each
+circuit that omit a positive ray by those that omit a negative one.
+"""
+
+from __future__ import annotations
+
+from toriq.fans import Fan, MalformedFanError, Wall, validate, wall_classification
+from toriq.mmp import (
+    DIVISORIAL,
+    FLIP,
+    MORI_FIBER,
+    ContractionResult,
+    class_walls,
+    mori_fiber_data,
+)
+
+
+def contract(fan: Fan, wall: Wall) -> ContractionResult:
+    """Contract the extremal class generated by the wall curve.
+
+    alpha = 0 gives the fibering data (quotient base fan and fiber fan);
+    alpha = 1 drops the exceptional ray and rebuilds the maximal cones;
+    alpha >= 2 is a flip signal (the image fan is not simplicial), use
+    flip() for the birational modification instead.
+    """
+    alpha, _ = wall_classification(fan, wall)
+    if alpha == 0:
+        return ContractionResult(MORI_FIBER, fiber_data=mori_fiber_data(fan, wall))
+    if alpha >= 2:
+        return ContractionResult(FLIP)
+    rel_walls = class_walls(fan, wall)
+    exceptional = {
+        next(i for i in w.wall_rays if w.relation[i] < 0) for w in rel_walls
+    }
+    if len(exceptional) != 1:
+        raise MalformedFanError(f"ambiguous exceptional ray among {exceptional}")
+    exc = exceptional.pop()
+    wall_sets = {w.wall_rays for w in rel_walls}
+    new_cones = []
+    for cone in fan.max_cones:
+        if any(set(ws) <= set(cone) for ws in wall_sets):
+            continue
+        new_cones.append(cone)
+    for w in rel_walls:
+        circuit = set(w.wall_rays) | set(w.opposite_rays(fan))
+        circuit.discard(exc)
+        new_cones.append(tuple(sorted(circuit)))
+    old_to_new = {}
+    new_rays = []
+    for i, r in enumerate(fan.rays):
+        if i == exc:
+            continue
+        old_to_new[i] = len(new_rays)
+        new_rays.append(r)
+    remapped = {tuple(sorted(old_to_new[i] for i in cone)) for cone in new_cones}
+    result = Fan(fan.rank, tuple(new_rays), tuple(sorted(remapped)))
+    rep = validate(result)
+    if not (rep.well_formed and rep.simplicial and rep.complete):
+        raise MalformedFanError("divisorial contraction produced an invalid fan")
+    return ContractionResult(DIVISORIAL, fan=result, dropped_ray=exc)
+
+
+def flip(fan: Fan, wall: Wall) -> Fan:
+    """Replace the triangulation over each wall circuit of the class by the
+    opposite one; the ray set is unchanged (isomorphism in codimension 1)."""
+    alpha, _ = wall_classification(fan, wall)
+    if alpha < 2:
+        raise ValueError("flips need a wall of flipping type (alpha >= 2)")
+    rel_walls = class_walls(fan, wall)
+    circuits: dict[frozenset, Wall] = {}
+    for w in rel_walls:
+        circ = frozenset(w.wall_rays) | frozenset(w.opposite_rays(fan))
+        circuits.setdefault(circ, w)
+    cones = set(fan.max_cones)
+    for circ, w in circuits.items():
+        pos = [i for i in sorted(circ) if w.relation[i] > 0]
+        neg = [i for i in sorted(circ) if w.relation[i] < 0]
+        for j in pos:
+            c = tuple(sorted(circ - {j}))
+            if c not in cones:
+                raise MalformedFanError(f"expected cone {c} missing while flipping")
+            cones.remove(c)
+        for j in neg:
+            cones.add(tuple(sorted(circ - {j})))
+    was_complete = validate(fan).complete
+    result = Fan(fan.rank, fan.rays, tuple(sorted(cones)))
+    rep = validate(result)
+    if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
+        raise MalformedFanError("flip produced an invalid fan")
+    return result

@@ -169,6 +169,24 @@ def test_non_object_json_exits_2(command, text, tmp_path, capsys):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+TRIANGLE = '"normals": [[1, 0], [0, 1], [-1, -1]]'
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("thresholds", '{"dim": 2, %s, "constants": "003"}' % TRIANGLE, "constants"),
+    ("thresholds", '{"dim": 2, %s, "constants": 5}' % TRIANGLE, "constants"),
+    ("thresholds", '{"dim": 2.0, %s, "constants": [0, 0, 3]}' % TRIANGLE, "dim"),
+    ("thresholds", '{"dim": -1, "normals": [], "constants": []}', "dim"),
+    ("validate", '{"rank": 1, "rays": [[1], [-1]], "max_cones": 5}', "max_cones"),
+    ("validate", '{"rank": -1, "rays": [], "max_cones": []}', "rank"),
+])
+def test_ill_typed_field_exits_2(command, text, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert f"(field {field!r})" in capsys.readouterr().err
+
+
 def test_bad_surface_flag(p2_file):
     assert main(["ch2", p2_file, "--surface", "x,y"]) == 2
 

@@ -57,6 +57,17 @@ class TestFanFiles:
         with pytest.raises(ParseError, match="expected a JSON object"):
             parse_fan(text)
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"rank": -1, "rays": [], "max_cones": []}', "rank"),
+        ('{"rank": true, "rays": [[1], [-1]], "max_cones": [[0], [1]]}', "rank"),
+        ('{"rank": 1, "rays": [[1], [-1]], "max_cones": 5}', "max_cones"),
+        ('{"rank": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}', "rays"),
+    ])
+    def test_ill_typed_field_rejected(self, text, field):
+        with pytest.raises(ParseError) as err:
+            parse_fan(text)
+        assert err.value.field == field
+
 
 class TestPolytopeFiles:
     def test_roundtrip(self):
@@ -78,6 +89,19 @@ class TestPolytopeFiles:
     def test_bad_rational(self):
         with pytest.raises(ParseError, match="constants"):
             parse_polytope('{"dim": 1, "normals": [[1]], "constants": ["x/y"]}')
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]], "constants": "003"}', "constants"),
+        ('{"dim": 1, "normals": [[1]], "constants": 5}', "constants"),
+        ('{"dim": 2.0, "normals": [[1, 0], [0, 1], [-1, -1]], "constants": [0, 0, 3]}', "dim"),
+        ('{"dim": -1, "normals": [], "constants": []}', "dim"),
+        ('{"dim": false, "normals": [], "constants": []}', "dim"),
+        ('{"dim": 1, "normals": [[1], [-1]], "constants": [true, 2]}', "constants"),
+    ])
+    def test_ill_typed_field_rejected(self, text, field):
+        with pytest.raises(ParseError) as err:
+            parse_polytope(text)
+        assert err.value.field == field
 
 
 class TestDataset:
