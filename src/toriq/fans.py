@@ -56,6 +56,8 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise MalformedFanError(f"negative rank {self.rank}")
         rays = tuple(tuple(int(x) for x in r) for r in self.rays)
         cones = tuple(sorted(tuple(sorted(set(c))) for c in self.max_cones))
         object.__setattr__(self, "rays", rays)

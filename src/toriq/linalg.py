@@ -2,12 +2,13 @@
 
 Everything in this package runs on Python ints and ``fractions.Fraction``;
 there is no floating point anywhere.  This module provides the shared
-kernels: fraction-free Gauss-Jordan elimination on integers (rational rows
-are scaled to integers first, and a ``Fraction`` is built only for the
-result), Smith normal form, an exact simplex LP solver (Bland's rule, so it
-terminates), and one vertex enumeration, ``_vertex_solutions``.  By polarity
-it gives polytope vertices, convex hull facets (``hull_facets``, the
-vertices of the polar) and face fans (the tight sets of the polar).
+kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
+both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
+rule, so it terminates), each on an integer tableau (rational rows are
+scaled to integers first, and a ``Fraction`` is built only for the result);
+Smith normal form; and one vertex enumeration, ``_vertex_solutions``.  By
+polarity it gives polytope vertices, convex hull facets (``hull_facets``,
+the vertices of the polar) and face fans (the tight sets of the polar).
 """
 
 from __future__ import annotations
@@ -117,13 +118,27 @@ def _integer_row(row) -> list[int]:
     return [x.numerator * (L // x.denominator) for x in q]
 
 
+def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step (Bareiss 1968) in place: every row
+    but rows[r] becomes (pv * row - f * rows[r]) // prev, with pv = rows[r][col]
+    and f = row[col].  If the rows are prev times a rational tableau, each
+    division is exact and they become pv times the pivoted one; returns pv."""
+    pk = rows[r]
+    pv = pk[col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and (f or prev != pv):
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pk)]
+    return pv
+
+
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
-    ``rows`` in place over their first ``ncols`` columns, skipping columns
-    without a pivot.  Returns the pivot columns (leftmost first), d and the
-    sign of the row swaps: row i below the rank is then d times row i of the
-    reduced row echelon form, and every entry is a minor, so each division
-    is exact.  For a square matrix of full rank, det = sign * d."""
+    """Fraction-free Gauss-Jordan elimination of the integer ``rows`` in
+    place over their first ``ncols`` columns, skipping columns without a
+    pivot.  Returns the pivot columns (leftmost first), d and the sign of the
+    row swaps: row i below the rank is then d times row i of the reduced row
+    echelon form, and every entry is a minor.  For a square matrix of full
+    rank, det = sign * d."""
     m = len(rows)
     pivots: list[int] = []
     sign, prev = 1, 1
@@ -137,13 +152,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        pk = rows[r]
-        pv = pk[col]
-        for i in range(m):
-            f = rows[i][col]
-            if i != r and (f or prev != pv):
-                rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
-        prev = pv
+        prev = _pivot(rows, r, col, prev)
         pivots.append(col)
     return pivots, prev, sign
 
@@ -344,87 +353,76 @@ class LPResult:
     point: Optional[QVec]
 
 
-def _pivot(T, basis, row, col):
-    pv = T[row][col]
-    T[row] = [x / pv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
-    basis[row] = col
-
-
-def _simplex_phase(T, basis, nvars):
-    """Run simplex on tableau T (last row = objective, last col = rhs)
-    with Bland's rule.  Returns 'optimal' or 'unbounded'."""
-    m = len(T) - 1
+def _simplex_phase(T: list[list[int]], basis: list[int], nvars: int, d: int) -> Optional[int]:
+    """Run the simplex with Bland's rule on the integer tableau T, which is
+    d > 0 times the rational one: rows ``range(len(basis))`` are the
+    constraints, the last row is the objective and the last column the
+    right-hand side.  Returns the final d, or None when unbounded."""
+    m = len(basis)
+    obj = T[-1]
     while True:
-        obj = T[m]
         enter = next((j for j in range(nvars) if obj[j] < 0), None)
         if enter is None:
-            return "optimal"
+            return d
         best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][nvars] / T[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+            e = T[i][enter]
+            if e > 0 and (best is None or T[i][nvars] * eb < rb * e
+                          or (T[i][nvars] * eb == rb * e and basis[i] < basis[best])):
+                best, rb, eb = i, T[i][nvars], e
         if best is None:
-            return "unbounded"
-        _pivot(T, basis, best[1], enter)
+            return None
+        d = _pivot(T, best, enter, d)
+        obj = T[-1]
+        basis[best] = enter
 
 
 def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Fraction]) -> LPResult:
-    """Minimize c·y subject to A y = b, y >= 0, exactly."""
-    m = len(A)
-    n = len(c)
-    rows = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(x) for x in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificials
+    """Minimize c·y subject to A y = b, y >= 0, exactly.
+
+    Two-phase simplex on one integer tableau, d times the rational one for
+    d = |det| of the current basis, so each pivot is a ``_pivot`` step.  A,
+    b and c are scaled by one common L, which keeps Bland's pivot path; the
+    cost row is carried through phase 1.
+    """
+    m, n = len(A), len(c)
+    if len(b) != m or any(len(row) != n for row in A):
+        raise DimensionError(f"{m} x {n} constraints against {len(b)} right-hand entries")
+    q = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    q.append([Fraction(x) for x in c])
+    L = lcm(*(x.denominator for row in q for x in row))
+    T = [[x.numerator * (L // x.denominator) for x in row] for row in q]
+    cost = T.pop()
+    T = [[-x for x in row] if row[n] < 0 else row for row in T]
+    # phase 1 minimizes the sum of the artificials; the cost row rides along
+    w = [-sum(row[j] for row in T) for j in range(n + 1)]
+    T = [row[:n] + [int(j == i) for j in range(m)] + row[n:] for i, row in enumerate(T)]
+    T.append(cost + [0] * (m + 1))
+    T.append(w[:n] + [0] * m + w[n:])
     total = n + m
-    T = []
-    for i in range(m):
-        T.append(rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]])
-    objrow = [ZERO] * (total + 1)
-    for i in range(m):
-        objrow = [o - a for o, a in zip(objrow, T[i])]
-    for j in range(n, total):
-        objrow[j] = ZERO
-    T.append(objrow)
-    basis = [n + i for i in range(m)]
-    _simplex_phase(T, basis, total)
-    if -T[m][total] != 0:
+    basis = list(range(n, total))
+    d = _simplex_phase(T, basis, total, 1)
+    if T.pop()[total]:
         return LPResult("infeasible", None, None)
-    # drive artificials out of the basis where possible
+    # drive artificials out of the basis where possible; a row whose
+    # artificial stays is zero on y and never wins a ratio test
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = next((j for j in range(n) if T[i][j]), None)
             if col is not None:
-                _pivot(T, basis, i, col)
-    keep = [i for i in range(m) if basis[i] < n or any(T[i][j] != 0 for j in range(n))]
-    # rows whose basic artificial cannot leave are redundant zero rows
-    rows2 = [T[i][:n] + [T[i][total]] for i in range(m) if i in keep]
-    basis2 = [basis[i] for i in range(m) if i in keep]
-    m2 = len(rows2)
-    obj = [Fraction(x) for x in c] + [ZERO]
-    T2 = [row[:] for row in rows2]
-    T2.append(obj)
-    for i in range(m2):
-        bc = basis2[i]
-        if T2[m2][bc] != 0:
-            f = T2[m2][bc]
-            T2[m2] = [x - f * y for x, y in zip(T2[m2], T2[i])]
-    status = _simplex_phase(T2, basis2, n)
-    if status == "unbounded":
+                if T[i][col] < 0:
+                    T[i] = [-x for x in T[i]]
+                d = _pivot(T, i, col, d)
+                basis[i] = col
+    T = [row[:n] + row[total:] for row in T]
+    d = _simplex_phase(T, basis, n, d)
+    if d is None:
         return LPResult("unbounded", None, None)
     y = [ZERO] * n
-    for i in range(m2):
-        y[basis2[i]] = T2[i][n]
-    return LPResult("optimal", -T2[m2][n], tuple(y))
+    for i, bc in enumerate(basis):
+        if bc < n:
+            y[bc] = Fraction(T[i][n], d)
+    return LPResult("optimal", Fraction(-T[m][n], d * L), tuple(y))
 
 
 def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPResult:
@@ -432,19 +430,13 @@ def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPR
 
     Encodes x = p - q with slack variables and runs two-phase simplex.
     """
-    n = len(c)
+    n, k = len(c), len(normals)
+    if k != len(constants) or any(len(v) != n for v in normals):
+        raise DimensionError(f"{k} normals, {len(constants)} constants, length {n}")
     cq = [frac(x) for x in c]
-    A = []
-    b = []
-    for v, a in zip(normals, constants):
-        row = [Fraction(x) for x in v] + [-Fraction(x) for x in v]
-        row += [ZERO] * len(normals)
-        A.append(row)
-        b.append(-frac(a))
-    for i in range(len(normals)):
-        A[i][2 * n + i] = Fraction(-1)
-    cost = cq + [-x for x in cq] + [ZERO] * len(normals)
-    res = lp_standard(cost, A, b)
+    A = [[Fraction(x) for x in v] + [-Fraction(x) for x in v] + [-int(j == i) for j in range(k)]
+         for i, v in enumerate(normals)]
+    res = lp_standard(cq + [-x for x in cq] + [0] * k, A, [-frac(a) for a in constants])
     if res.status != "optimal":
         return res
     x = tuple(res.point[i] - res.point[n + i] for i in range(n))

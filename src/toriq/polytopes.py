@@ -31,6 +31,7 @@ from .linalg import (
     invert,
     is_primitive,
     lp_min,
+    matrix_rank,
     nonneg_solve,
     saturation_and_projection,
     scale_to_primitive,
@@ -68,6 +69,8 @@ class FacetPresentation:
     irredundant: bool = False
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"negative dimension {self.dim}")
         # int tuples are kept as given, so every P^(s) of a family shares them
         normals = tuple(v if type(v) is tuple and all(type(x) is int for x in v)
                         else tuple(map(int, v)) for v in self.normals)
@@ -126,14 +129,13 @@ class CayleyMoriDecomposition:
 
 @lru_cache(maxsize=fans.CACHE_SIZE)
 def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
-    """Whether every presentation with these normals is bounded; cached per
-    normal list, which a whole adjoint family P^(s) shares."""
-    for k in range(dim):
-        for sign in (1, -1):
-            e = tuple(sign if j == k else 0 for j in range(dim))
-            if nonneg_solve(normals, e) is None:
-                return False
-    return True
+    """Whether every presentation with these normals is bounded, that is,
+    whether they positively span R^dim: they span it and a strictly positive
+    combination 1 + c (c >= 0) of them vanishes (Davis 1954).  One rank and
+    one LP, cached per normal list, which a whole adjoint family P^(s)
+    shares."""
+    minus_sum = [-sum(col) for col in zip(*normals)]
+    return matrix_rank(normals) == dim and nonneg_solve(normals, minus_sum) is not None
 
 
 def is_empty(P: FacetPresentation) -> bool:
@@ -254,8 +256,7 @@ def effective_threshold(P: FacetPresentation) -> Fraction:
     n = P.dim
     normals = [tuple(v) + (-1,) for v in P.normals]
     res = lp_min([0] * n + [-1], normals, list(P.constants))
-    if res.status == "infeasible":
-        raise EmptyPolytopeError("polytope is empty")
+    # x = 0 with s = min a_i is feasible, so the LP is never infeasible
     if res.status == "unbounded":
         raise UnboundedError("presentation is unbounded")
     sigma = -res.value

@@ -11,6 +11,10 @@ it is kept for tests only.
 ``hull_facets`` is the brute-force hull that ``toriq.linalg`` ran before it
 read the facets off the vertices of the polar: one kernel per d-subset of
 the points, then a scan of every point against the hyperplane.
+
+``lp_standard`` is the two-phase simplex that ``toriq.linalg`` ran before it
+pivoted one integer tableau with the elimination step: every pivot divides
+the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import combinations
 from operator import index
 from typing import Optional, Sequence
 
-from toriq.linalg import Vec, dot, frac, scale_to_primitive, vec_sub
+from toriq.linalg import LPResult, Vec, dot, frac, scale_to_primitive, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,3 +165,86 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
         else:  # all points on the hyperplane: cannot happen, full-dim checked
             continue
     return sorted(found.keys())
+
+
+def _pivot(T, basis, row, col):
+    pv = T[row][col]
+    T[row] = [x / pv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+    basis[row] = col
+
+
+def _simplex_phase(T, basis, nvars):
+    """Run simplex on tableau T (last row = objective, last col = rhs)
+    with Bland's rule.  Returns 'optimal' or 'unbounded'."""
+    m = len(T) - 1
+    while True:
+        obj = T[m]
+        enter = next((j for j in range(nvars) if obj[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][nvars] / T[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            return "unbounded"
+        _pivot(T, basis, best[1], enter)
+
+
+def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Fraction]) -> LPResult:
+    """Minimize c·y subject to A y = b, y >= 0, exactly."""
+    m = len(A)
+    n = len(c)
+    rows = [[Fraction(x) for x in row] for row in A]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    # phase 1: artificials
+    total = n + m
+    T = []
+    for i in range(m):
+        T.append(rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]])
+    objrow = [ZERO] * (total + 1)
+    for i in range(m):
+        objrow = [o - a for o, a in zip(objrow, T[i])]
+    for j in range(n, total):
+        objrow[j] = ZERO
+    T.append(objrow)
+    basis = [n + i for i in range(m)]
+    _simplex_phase(T, basis, total)
+    if -T[m][total] != 0:
+        return LPResult("infeasible", None, None)
+    # drive artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is not None:
+                _pivot(T, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n or any(T[i][j] != 0 for j in range(n))]
+    # rows whose basic artificial cannot leave are redundant zero rows
+    rows2 = [T[i][:n] + [T[i][total]] for i in range(m) if i in keep]
+    basis2 = [basis[i] for i in range(m) if i in keep]
+    m2 = len(rows2)
+    obj = [Fraction(x) for x in c] + [ZERO]
+    T2 = [row[:] for row in rows2]
+    T2.append(obj)
+    for i in range(m2):
+        bc = basis2[i]
+        if T2[m2][bc] != 0:
+            f = T2[m2][bc]
+            T2[m2] = [x - f * y for x, y in zip(T2[m2], T2[i])]
+    status = _simplex_phase(T2, basis2, n)
+    if status == "unbounded":
+        return LPResult("unbounded", None, None)
+    y = [ZERO] * n
+    for i in range(m2):
+        y[basis2[i]] = T2[i][n]
+    return LPResult("optimal", -T2[m2][n], tuple(y))

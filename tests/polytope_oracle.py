@@ -9,6 +9,10 @@ runs one LP per inequality, so it is kept for tests only.
 ``nef_threshold_tracking`` finds the nef threshold that
 ``toriq.polytopes.thresholds`` reads off the walls of the normal fan by
 tracking each vertex of P^(s) linearly in s instead.
+
+``_positively_spanning`` is the boundedness test that
+``toriq.polytopes._positively_spanning`` answers with one rank and one LP:
+it runs one LP per signed unit vector, 2n in all.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from toriq.linalg import affine_rank, dot, lp_min, solve_linear
+from toriq.linalg import Vec, affine_rank, dot, lp_min, nonneg_solve, solve_linear
 from toriq.polytopes import (
     DegenerateError,
     EmptyPolytopeError,
@@ -26,6 +30,17 @@ from toriq.polytopes import (
     is_empty,
     vertices,
 )
+
+
+def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
+    """Whether every presentation with these normals is bounded: every
+    signed unit vector is a nonnegative combination of them."""
+    for k in range(dim):
+        for sign in (1, -1):
+            e = tuple(sign if j == k else 0 for j in range(dim))
+            if nonneg_solve(normals, e) is None:
+                return False
+    return True
 
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:

@@ -93,6 +93,13 @@ class TestValidate:
         with pytest.raises(MalformedFanError):
             Fan(2, ((1, 0), (1, 0)), ((0, 1),))
 
+    def test_negative_rank_rejected(self):
+        with pytest.raises(MalformedFanError, match="negative rank"):
+            Fan(-1, (), ((),))
+
+    def test_rank_zero_is_well_formed(self):
+        assert validate(Fan(0, (), ((),))).well_formed
+
     def test_duplicate_cone_rejected(self):
         with pytest.raises(MalformedFanError):
             Fan(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))

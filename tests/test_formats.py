@@ -191,7 +191,7 @@ def test_empty_flagged_polytope_rejected():
 
 
 def test_hexagon_drawing_lp_count(monkeypatch):
-    # four boundedness solves for the hexagon's normals and one effective
+    # one boundedness LP for the hexagon's normals and one effective
     # threshold; emptiness is read off the vertex enumeration
     from toriq import linalg, polytopes
 
@@ -207,4 +207,4 @@ def test_hexagon_drawing_lp_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "lp_standard", counted)
     emit_svg(hexagon())
-    assert len(calls) == 5
+    assert len(calls) == 2

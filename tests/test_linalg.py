@@ -12,6 +12,7 @@ from toriq.linalg import (
     dot,
     hull_facets,
     lp_min,
+    lp_standard,
     matrix_rank,
     nonneg_solve,
     primitive_part,
@@ -207,6 +208,20 @@ class TestLP:
         # minimize x over {2x >= 1} scaled: normals primitive, constants rational
         res = lp_min([1, 0], [(1, 0), (0, 1), (-1, -1)], [F(-1, 2), 0, 2])
         assert res.status == "optimal" and res.value == F(1, 2)
+
+    def test_normal_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            lp_min([1], [(1, 0)], [0])
+
+    def test_constants_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            lp_min([1], [(1,)], [0, 5])
+
+    def test_standard_form_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            lp_standard([1, 1], [[1]], [1])
+        with pytest.raises(DimensionError):
+            lp_standard([1], [[1]], [1, 2])
 
 
 class TestHullFacets:

@@ -164,6 +164,15 @@ class TestAdjoint:
             adjoint(unit_square(), F(-1, 2))
 
 
+class TestFacetPresentation:
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="negative dimension"):
+            FacetPresentation(-1, (), ())
+
+    def test_dimension_zero_allowed(self):
+        assert FacetPresentation(0, (), ()).nfacets == 0
+
+
 class TestThresholds:
     def test_hexagon(self):
         th = thresholds(hexagon())

@@ -1,0 +1,142 @@
+"""The simplex behind ``toriq.linalg`` pivots one integer tableau with the
+elimination step ``_pivot`` and agrees exactly with the ``Fraction`` simplex
+in ``linalg_oracle``; boundedness takes one rank and one LP and agrees with
+the 2n-LP test in ``polytope_oracle``."""
+
+from fractions import Fraction
+from unittest.mock import patch
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import linalg_oracle
+import polytope_oracle
+from toriq import linalg, polytopes
+from toriq.linalg import lp_min, lp_standard, matrix_rank, nonneg_solve
+from conftest import hexagon
+
+entries = st.one_of(st.integers(-4, 4),
+                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4))))
+
+
+@st.composite
+def programs(draw):
+    """(c, A, b) with m = 0-5 rows over n = 1-6 columns.  Some rows are
+    integer combinations of earlier ones, and b is either A times a
+    nonnegative point (consistent) or drawn freely, so dependent rows with
+    inconsistent and negative right-hand sides are common."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    A = []
+    for _ in range(m):
+        if A and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(A), max_size=len(A)))
+            A.append([sum(k * row[j] for k, row in zip(coeffs, A)) for j in range(n)])
+        else:
+            A.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        b = [sum(a * t for a, t in zip(row, y)) for row in A]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    return draw(st.lists(entries, min_size=n, max_size=n)), A, b
+
+
+def same(got, expect):
+    """Equal values and equal types, entry by entry."""
+    assert got == expect
+    if isinstance(expect, (tuple, list)):
+        for g, e in zip(got, expect):
+            same(g, e)
+    else:
+        assert type(got) is type(expect)
+
+
+def outcome(res):
+    return res.status, res.value, res.point
+
+
+@given(programs())
+# a degenerate phase 1 whose ratio test ties: the basis-index tie-break
+# decides which of two feasible points is returned
+@example(([0] * 5, [[0, 2, 1, -1, 0], [0, 0, 1, 2, 0], [2, 1, 2, 2, -1]], [0, 2, 0]))
+@settings(max_examples=400, deadline=None)
+def test_lp_matches_fraction_oracle(program):
+    c, A, b = program
+    columns = [[row[j] for row in A] for j in range(len(c))]
+    got = (outcome(lp_standard(c, A, b)), outcome(lp_min(c, A, b)), nonneg_solve(columns, b))
+    with patch.object(linalg, "lp_standard", linalg_oracle.lp_standard):
+        expect = (outcome(linalg.lp_standard(c, A, b)), outcome(linalg.lp_min(c, A, b)),
+                  linalg.nonneg_solve(columns, b))
+    same(got, expect)
+
+
+vectors = st.integers(1, 4).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any).map(tuple),
+        max_size=7)))
+
+
+@st.composite
+def normal_lists(draw):
+    """Normals that positively span (a list closed by minus its sum), that
+    lie in a closed half-space, that lie in a proper subspace, or any."""
+    dim, vs = draw(vectors)
+    kind = draw(st.sampled_from(("spanning", "half-space", "rank-deficient", "any")))
+    minus_sum = tuple(-sum(col) for col in zip(*vs))
+    if kind == "spanning" and any(minus_sum):
+        vs = vs + [minus_sum]
+    elif kind == "half-space":
+        u = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        vs = [v if linalg.dot(u, v) >= 0 else tuple(-x for x in v) for v in vs]
+    elif kind == "rank-deficient" and vs:
+        k = draw(st.integers(0, dim - 1))
+        vs = [tuple(x if j < k else 0 for j, x in enumerate(v)) for v in vs]
+        vs = [v for v in vs if any(v)]
+    return dim, tuple(vs)
+
+
+@given(normal_lists())
+@settings(max_examples=300, deadline=None)
+def test_positively_spanning_matches_per_direction_oracle(case):
+    dim, normals = case
+    assert (polytopes._positively_spanning.__wrapped__(dim, normals)
+            is polytope_oracle._positively_spanning(dim, normals))
+
+
+def count_lps(monkeypatch) -> list:
+    calls = []
+    solve = linalg.lp_standard
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "lp_standard", counted)
+    return calls
+
+
+def test_cold_boundedness_check_is_one_lp(monkeypatch):
+    P = hexagon()
+    calls = count_lps(monkeypatch)
+    polytopes._positively_spanning.cache_clear()
+    assert polytopes._positively_spanning(P.dim, P.normals)
+    assert len(calls) == 1
+
+
+def test_rank_and_simplex_share_the_pivot_step(monkeypatch):
+    # every step sees an all-integer tableau: no Fraction inside a pivot
+    seen = []
+    step = linalg._pivot
+
+    def counted(rows, r, col, prev):
+        seen.append(all(type(x) is int for row in rows for x in row))
+        return step(rows, r, col, prev)
+
+    monkeypatch.setattr(linalg, "_pivot", counted)
+    assert matrix_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert len(seen) == 2
+    seen.clear()
+    res = lp_standard([-1, -1, 0], [[1, 2, 1], [Fraction(3, 2), 1, 0]], [4, 3])
+    assert (res.status, res.value, res.point) == (
+        "optimal", Fraction(-5, 2), (Fraction(1), Fraction(3, 2), Fraction(0)))
+    assert len(seen) >= 2 and all(seen)
