@@ -141,16 +141,12 @@ def verify_row(row: TableRow) -> RowResult:
         res.global_min = scan.minimum
         res.min_witness = scan.witness
         res.two_fano = scan.is_two_fano
-        if row.expected is not None:
-            if row.expected > 0 and not scan.is_two_fano:
-                res.status = "error"
-                res.reason = "expected a positive scan"
-            if row.expected <= 0 and scan.minimum > 0:
-                res.status = "error"
-                res.reason = "no nonpositive surface found"
-            if scan.minimum > row.expected:
-                res.status = "error"
-                res.reason = "scan minimum exceeds the reference value"
+        if row.expected > 0 and not scan.is_two_fano:
+            res.status = "error"
+            res.reason = "expected a positive scan"
+        if scan.minimum > row.expected:
+            res.status = "error"
+            res.reason = "scan minimum exceeds the reference value"
     except ValueError as exc:  # keep the batch running, record the row
         res.status = "error"
         res.reason = f"{type(exc).__name__}: {exc}"

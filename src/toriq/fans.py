@@ -173,12 +173,6 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
     return solve_linear(cols, x)
 
 
-def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
-    """Exact membership of x in the cone spanned by the given rays."""
-    coords = _cone_coords(fan, cone, x)
-    return coords is not None and all(c >= 0 for c in coords)
-
-
 def cone_multiplicity(fan: Fan, cone: tuple[int, ...]) -> int:
     """Index of the lattice spanned by a simplicial cone's rays in its
     saturation (1 exactly when the cone is smooth)."""
@@ -532,11 +526,3 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     star = [cone for cone in fan.max_cones if set(sigma) <= set(cone)]
     return image_fan(fan, proj, star), proj
 
-
-def fans_equal_up_to_ray_order(f1: Fan, f2: Fan) -> bool:
-    """Equality of fans after matching rays literally by their vectors."""
-    if f1.rank != f2.rank or set(f1.rays) != set(f2.rays):
-        return False
-    perm = {i: f2.rays.index(r) for i, r in enumerate(f1.rays)}
-    cones1 = {tuple(sorted(perm[i] for i in c)) for c in f1.max_cones}
-    return cones1 == set(f2.max_cones)

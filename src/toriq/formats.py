@@ -74,8 +74,8 @@ def _json_object(text: str) -> dict:
 
 
 def parse_fan(text: str, lenient: bool = False) -> Fan:
-    """Parse a fan file; in strict mode non-primitive rays are rejected,
-    with lenient=True they are primitivized with a warning flag dropped."""
+    """Parse a fan file.  Non-primitive rays are rejected, or with
+    lenient=True replaced by their primitive part with a warning."""
     data = _json_object(text)
     for key in ("rank", "rays", "max_cones"):
         if key not in data:
@@ -196,6 +196,10 @@ def parse_dataset(text: str):
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed rational {expected_cell!r}",
                                  field="expected", line=lineno) from exc
+        if rays and not surface:
+            raise ParseError("rays need a witness surface", field="surface", line=lineno)
+        if rays and expected is None:
+            raise ParseError("rays need a reference value", field="expected", line=lineno)
         rows.append(
             TableRow(
                 name=name,

@@ -60,10 +60,6 @@ class TorusDivisor:
             raise ValueError("divisors live on different fans")
         return TorusDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, c) -> "TorusDivisor":
-        c = frac(c)
-        return TorusDivisor(self.fan, tuple(c * a for a in self.coeffs))
-
 
 def div_char(fan: Fan, m: Vec) -> TorusDivisor:
     """Divisor of the character associated to a dual lattice point."""
@@ -74,10 +70,6 @@ def div_char(fan: Fan, m: Vec) -> TorusDivisor:
 
 def anticanonical(fan: Fan) -> TorusDivisor:
     return TorusDivisor(fan, (Fraction(1),) * len(fan.rays))
-
-
-def prime_divisor(fan: Fan, i: int) -> TorusDivisor:
-    return TorusDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(len(fan.rays))))
 
 
 def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
@@ -185,25 +177,26 @@ def is_ample(fan: Fan, D: TorusDivisor) -> bool:
 
 
 def nef_threshold(fan: Fan, L: TorusDivisor) -> Fraction:
-    """Largest s with L + s*K nef, for ample L: the minimum over walls with
-    negative canonical degree of (L.C) / (-K.C)."""
-    if not is_ample(fan, L):
-        raise ValueError("divisor is not ample")
+    """Largest s with L + s*K nef, for ample L (else ValueError): the
+    minimum over walls with negative canonical degree of (L.C) / (-K.C)."""
     return _nef_threshold_from(fan, L, ZERO)[0]
 
 
 def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fraction, list[Wall]]:
-    """Nef threshold lambda assuming L + s0*K is already nef (exact, by
-    walls), and the walls where L + lambda*K vanishes with -K.C > 0, in
-    ``walls`` order."""
+    """Nef threshold lambda of L + s*K from s0 on, and the walls where
+    L + lambda*K vanishes with -K.C > 0, in ``walls`` order.  The same pass
+    checks the start: L ample (L.C > 0 on every wall) at s0 = 0, and
+    L + s0*K nef (>= 0) past it."""
     mk = anticanonical(fan)
     best: Optional[Fraction] = None
     attained: list[Wall] = []
     for w in walls(fan):
         kc = wall_curve_number(fan, mk, w)
         lc = wall_curve_number(fan, L, w)
-        if lc + s0 * (-kc) < 0:
-            raise ValueError(f"divisor is not nef at s={s0} (wall {w.wall_rays})")
+        at_s0 = lc - s0 * kc
+        if at_s0 < 0 or (at_s0 == 0 and not s0):
+            kind = "nef" if s0 else "ample"
+            raise ValueError(f"divisor is not {kind} at s={s0} (wall {w.wall_rays})")
         if kc > 0:
             cand = lc / kc
             if best is None or cand < best:

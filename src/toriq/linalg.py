@@ -101,13 +101,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    cols = list(zip(*B))
-    return [[dot(row, col) for col in cols] for row in A]
-
-
 def _integer_row(row) -> list[int]:
     """The row scaled by the lcm of its denominators, so every entry is an
     int; a row of ints is taken as it is."""

@@ -27,11 +27,7 @@ from .fans import (
     wall_classification,
     walls,
 )
-from .intersection import (
-    TorusDivisor,
-    _nef_threshold_from,
-    is_ample,
-)
+from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
     Vec,
     dot,
@@ -263,14 +259,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     rejected unless force=True, which tie-breaks by the lexicographically
     smallest wall and flags the trace.
     """
-    if not P.irredundant:
-        raise polytopes.RedundantPresentationError("run needs an irredundant presentation")
-    if not polytopes.is_simple(P):
-        raise polytopes.RedundantPresentationError("run needs a simple polytope")
-    fan = polytopes.normal_fan(P)
-    L = TorusDivisor(fan, P.constants)
-    if not is_ample(fan, L):
-        raise ValueError("the polytope's divisor is not ample on its normal fan")
+    fan, L = polytopes.polarization(P)
     sigma_P = polytopes.effective_threshold(P)
     steps: list[MMPStep] = []
     flagged = False

@@ -265,16 +265,20 @@ def effective_threshold(P: FacetPresentation) -> Fraction:
     return sigma
 
 
+def polarization(P: FacetPresentation) -> tuple[Fan, TorusDivisor]:
+    """The normal fan of a simple, irredundant, full-dimensional P and P's
+    own divisor on it (ample there); RedundantPresentationError or
+    DegenerateError otherwise."""
+    fan = normal_fan(P)
+    if any(len(cone) != P.dim for cone in fan.max_cones):
+        raise RedundantPresentationError("polytope is not simple")
+    return fan, TorusDivisor(fan, P.constants)
+
+
 def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
     """sup{s : P^(s) has the same normal fan as P}, read off the walls of
-    the normal fan as the nef threshold of P's divisor.  Needs a simple,
-    irredundant, full-dimensional P."""
-    if not P.irredundant:
-        raise RedundantPresentationError("nef threshold needs an irredundant presentation")
-    if not is_simple(P):
-        raise RedundantPresentationError("polytope is not simple")
-    fan = normal_fan(P)
-    return nef_threshold(fan, TorusDivisor(fan, P.constants))
+    the normal fan as the nef threshold of P's divisor."""
+    return nef_threshold(*polarization(P))
 
 
 def thresholds(P: FacetPresentation) -> Thresholds:

@@ -1,0 +1,33 @@
+"""Small test-side helpers that the package itself has no use for."""
+
+from fractions import Fraction
+
+from toriq.fans import Fan, _cone_coords
+from toriq.intersection import TorusDivisor
+from toriq.linalg import dot
+
+
+def mat_mul(A, B):
+    if not A or not B:
+        return []
+    cols = list(zip(*B))
+    return [[dot(row, col) for col in cols] for row in A]
+
+
+def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
+    """Exact membership of x in the cone spanned by the given rays."""
+    coords = _cone_coords(fan, cone, x)
+    return coords is not None and all(c >= 0 for c in coords)
+
+
+def fans_equal_up_to_ray_order(f1: Fan, f2: Fan) -> bool:
+    """Equality of fans after matching rays literally by their vectors."""
+    if f1.rank != f2.rank or set(f1.rays) != set(f2.rays):
+        return False
+    perm = {i: f2.rays.index(r) for i, r in enumerate(f1.rays)}
+    cones1 = {tuple(sorted(perm[i] for i in c)) for c in f1.max_cones}
+    return cones1 == set(f2.max_cones)
+
+
+def prime_divisor(fan: Fan, i: int) -> TorusDivisor:
+    return TorusDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(len(fan.rays))))

@@ -17,8 +17,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from toriq.fans import Fan, UnsupportedFanError, is_face
-from toriq.intersection import TorusDivisor, prime_divisor
+from toriq.intersection import TorusDivisor
 from toriq.linalg import QVec, dot, invert, smith_normal_form, solve_linear
+from helpers import prime_divisor
 
 ZERO = Fraction(0)
 

@@ -15,11 +15,9 @@ import pytest
 
 from toriq.fans import (
     face_fan,
-    fans_equal_up_to_ray_order,
     star_subdivision,
     validate,
     walls,
-    cone_contains,
 )
 from toriq.intersection import (
     TorusDivisor,
@@ -50,6 +48,7 @@ from toriq.polytopes import (
 )
 from toriq.fano_table import load_builtin_table, verify_table
 from conftest import blowup_polytope, hexagon, pn_fan
+from helpers import cone_contains, fans_equal_up_to_ray_order
 
 F = Fraction
 

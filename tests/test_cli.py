@@ -137,6 +137,8 @@ def test_verify_table_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("surface,expected,field", [
     ("1 x", "-2", "surface"),
     ("1 2", "1/0", "expected"),
+    ("", "-2", "surface"),   # a row with rays needs its witness surface
+    ("1 2", "", "expected"),  # and its reference value
 ])
 def test_verify_table_bad_cell_exits_2(tmp_path, capsys, surface, expected, field):
     bad = tmp_path / "bad.csv"

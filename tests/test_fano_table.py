@@ -147,6 +147,18 @@ class TestVerification:
         assert NEF_CH2_NAMES <= set(by_name)
 
 
+def test_positive_scan_exceeds_nonpositive_reference():
+    # the P4 control row with a reference of -1: its scan minimum is 5/2
+    from toriq.fano_table import verify_row
+    from toriq.formats import parse_dataset
+
+    (row,) = parse_dataset("name,rays,collections,surface,expected,note\n"
+                           "P4,1 0 0 0;0 1 0 0;0 0 1 0;0 0 0 1;-1 -1 -1 -1,0 1 2 3 4,0 1,-1,\n")
+    res = verify_row(row)
+    assert (res.status, res.reason) == ("error", "scan minimum exceeds the reference value")
+    assert res.global_min == F(5, 2)
+
+
 def test_kernel_bug_propagates_out_of_verify_row(by_name, monkeypatch):
     # only the package's ValueError family becomes a row "error"
     from toriq import fano_table

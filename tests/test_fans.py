@@ -9,8 +9,6 @@ from toriq.fans import (
     UnsupportedFanError,
     face_fan,
     fan_from_primitive_data,
-    fans_equal_up_to_ray_order,
-    cone_contains,
     primitive_collections,
     star_quotient,
     star_subdivision,
@@ -22,6 +20,7 @@ from toriq.fans import (
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.mmp import run_mmp_scaling
 from conftest import blowup_polytope, hexagon, hirzebruch_fan
+from helpers import cone_contains, fans_equal_up_to_ray_order
 
 F = Fraction
 

@@ -14,12 +14,30 @@ from toriq.intersection import (
     is_ample,
     is_fano,
     nef_threshold,
-    prime_divisor,
 )
 from intersection_oracle import intersect_once, move_divisor, quotient_index
-from conftest import hirzebruch_fan
+from conftest import hexagon, hirzebruch_fan
+from helpers import prime_divisor
 
 F = Fraction
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of an intersection function, patched in every toriq
+    module that holds it."""
+    from toriq import intersection, mmp, polytopes
+
+    calls = []
+    fn = getattr(intersection, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in (intersection, polytopes, mmp):
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestDivChar:
@@ -252,6 +270,26 @@ class TestNefThreshold:
     def test_not_ample_rejected(self, p2):
         with pytest.raises(ValueError):
             nef_threshold(p2, TorusDivisor(p2, (-1, 0, 0)))
+
+    def test_nef_but_not_ample_rejected(self, p1p1):
+        # D_0 meets the two curves of its own ruling in 0: nef, not ample
+        with pytest.raises(ValueError, match="not ample"):
+            nef_threshold(p1p1, TorusDivisor(p1p1, (1, 0, 0, 0)))
+
+    def test_one_wall_pass(self, monkeypatch):
+        # L and -K meet each of the hexagon's six walls once; no ampleness pass
+        from toriq.polytopes import thresholds
+
+        calls = count_calls(monkeypatch, "wall_curve_number")
+        thresholds(hexagon())
+        assert len(calls) == 12
+
+    def test_mmp_run_makes_no_ampleness_pass(self, monkeypatch):
+        from toriq.mmp import run_mmp_scaling
+
+        calls = count_calls(monkeypatch, "is_ample")
+        run_mmp_scaling(hexagon(), force=True)
+        assert calls == []
 
     def test_matches_polyhedral_thresholds(self, corpus_polytopes):
         from toriq.polytopes import normal_fan, thresholds

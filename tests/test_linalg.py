@@ -107,7 +107,8 @@ class TestSmithNormalForm:
         lambda rows: len({len(r) for r in rows}) == 1))
     @settings(max_examples=150)
     def test_unimodular_and_divisibility(self, M):
-        from toriq.linalg import det, mat_mul
+        from helpers import mat_mul
+        from toriq.linalg import det
 
         U, D, V = smith_normal_form(M)
         assert mat_mul(mat_mul(U, M), V) == D

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.fans import Fan, fans_equal_up_to_ray_order, validate, walls, cone_contains
+from toriq.fans import Fan, validate, walls
 from toriq.mmp import (
     DIVISORIAL,
     FLIP,
@@ -22,6 +22,7 @@ from toriq.polytopes import (
     vertices,
 )
 from conftest import blowup_polytope, hexagon, hirzebruch_fan
+from helpers import cone_contains, fans_equal_up_to_ray_order
 
 F = Fraction
 

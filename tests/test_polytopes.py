@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.fans import fans_equal_up_to_ray_order, validate
+from toriq.fans import validate
 from toriq.polytopes import (
     DegenerateError,
     EmptyPolytopeError,
@@ -26,6 +26,7 @@ from toriq.polytopes import (
     vertices,
 )
 from conftest import hexagon, simplex_polytope, unit_square
+from helpers import fans_equal_up_to_ray_order
 
 F = Fraction
 

@@ -75,3 +75,26 @@ def test_traced_names_resolve():
     ]
     assert tables["LAYERS"] and tables["CACHED"] and not missing and not uncached, (
         missing, uncached)
+
+
+def _referenced(node) -> set:
+    """Every name a node reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_function_has_a_caller():
+    # a module-level function that no other package code, the public API or
+    # the tracer names is dead weight; its tests can keep a test-side copy
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            if own:
+                defined.append((path.stem, own))
+            used |= _referenced(node) - {own}
+    kept = set(toriq.__all__) | {n for names in _tracing_tables()["LAYERS"].values()
+                                 for n in names}
+    uncalled = [f"{mod}.{name}" for mod, name in defined
+                if name not in used and name not in kept]
+    assert defined and not uncalled, uncalled
