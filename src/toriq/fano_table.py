@@ -37,6 +37,11 @@ class TableRow:
     expected: Optional[Fraction]
     note: str = ""
 
+    def __post_init__(self):
+        for name in ("surface", "expected"):  # what an explicit row is verified against
+            if self.rays is not None and getattr(self, name) is None:
+                raise formats.ParseError("rays need this cell", field=name)
+
     @property
     def explicit(self) -> bool:
         return self.rays is not None

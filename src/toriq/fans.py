@@ -24,6 +24,7 @@ from .linalg import (
     _vertex_solutions,
     adjugate,
     dot,
+    int_vec,
     is_primitive,
     lp_min,
     matrix_rank,
@@ -58,7 +59,7 @@ class Fan:
     def __post_init__(self):
         if self.rank < 0:
             raise MalformedFanError(f"negative rank {self.rank}")
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(int_vec(r, MalformedFanError) for r in self.rays)
         cones = tuple(sorted(tuple(sorted(set(c))) for c in self.max_cones))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
@@ -464,7 +465,7 @@ def face_fan(rays: list[Vec]) -> Fan:
 
 def star_subdivision(fan: Fan, v: Vec) -> Fan:
     """Star subdivision at a primitive lattice vector in the fan's support."""
-    v = tuple(int(x) for x in v)
+    v = int_vec(v)
     if all(x == 0 for x in v):
         raise ValueError("cannot subdivide at the zero vector")
     if not is_primitive(v):

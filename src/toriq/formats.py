@@ -28,6 +28,7 @@ from .polytopes import (
 
 class ParseError(ValueError):
     def __init__(self, message, field=None, line=None):
+        self.message = message
         self.field = field
         self.line = line
         where = ""
@@ -196,20 +197,17 @@ def parse_dataset(text: str):
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed rational {expected_cell!r}",
                                  field="expected", line=lineno) from exc
-        if rays and not surface:
-            raise ParseError("rays need a witness surface", field="surface", line=lineno)
-        if rays and expected is None:
-            raise ParseError("rays need a reference value", field="expected", line=lineno)
-        rows.append(
-            TableRow(
+        try:
+            rows.append(TableRow(
                 name=name,
                 rays=rays or None,
                 collections=colls or None,
                 surface=surface[0] if surface else None,
                 expected=expected,
                 note=(rec.get("note") or "").strip(),
-            )
-        )
+            ))
+        except ParseError as exc:
+            raise ParseError(exc.message, field=exc.field, line=lineno) from None
     return rows
 
 

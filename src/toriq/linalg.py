@@ -42,6 +42,16 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def int_vec(v: Sequence, error: type[Exception] = ValueError) -> Vec:
+    """v as a tuple of ints (a tuple of ints is returned as it is); an entry
+    that is not an int or an integral Fraction raises ``error``."""
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v
+    if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1 for x in v):
+        raise error(f"{tuple(v)!r} is not an integer vector")
+    return tuple(int(x) for x in v)
+
+
 def format_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -233,7 +243,7 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     """
     if not M or not M[0]:
         raise ValueError("Smith normal form of an empty matrix")
-    A = [list(map(int, row)) for row in M]
+    A = [list(int_vec(row)) for row in M]
     m, n = len(A), len(A[0])
     U = identity_matrix(m)
     V = identity_matrix(n)

@@ -9,10 +9,10 @@ detection) are all computed in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import fans
@@ -27,6 +27,7 @@ from .linalg import (
     dot,
     frac,
     hull_facets,
+    int_vec,
     integer_kernel_basis,
     invert,
     is_primitive,
@@ -35,7 +36,6 @@ from .linalg import (
     nonneg_solve,
     saturation_and_projection,
     scale_to_primitive,
-    smith_normal_form,
     solve_linear,
     vec_sub,
 )
@@ -61,19 +61,19 @@ class RedundantPresentationError(ValueError):
 
 @dataclass(frozen=True)
 class FacetPresentation:
-    """P = {x : <normals[i], x> >= -constants[i]}."""
+    """P = {x : <normals[i], x> >= -constants[i]}.  ``irredundant`` is a
+    certificate carried alongside, not part of identity: == and hash ignore it."""
 
     dim: int
     normals: tuple[Vec, ...]
     constants: tuple[Fraction, ...]
-    irredundant: bool = False
+    irredundant: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError(f"negative dimension {self.dim}")
         # int tuples are kept as given, so every P^(s) of a family shares them
-        normals = tuple(v if type(v) is tuple and all(type(x) is int for x in v)
-                        else tuple(map(int, v)) for v in self.normals)
+        normals = tuple(int_vec(v) for v in self.normals)
         constants = tuple(frac(a) for a in self.constants)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "constants", constants)
@@ -214,12 +214,10 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
         )
     shifted = FacetPresentation(P.dim, P.normals, tuple(a - s for a in P.constants))
     try:
-        flag = not remove_redundant(shifted)[1]
-    except EmptyPolytopeError:
+        Q, removed = remove_redundant(shifted)
+    except (EmptyPolytopeError, DegenerateError):
         return shifted
-    except DegenerateError:
-        flag = False
-    return FacetPresentation(P.dim, P.normals, shifted.constants, irredundant=flag)
+    return shifted if removed else Q
 
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:
@@ -229,13 +227,10 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     inequality, any smaller face (empty included) lies strictly inside a
     facet, and only P itself strictly contains a facet.  Distinct primitive
     normals define distinct facets, so the kept inequalities are the unique
-    minimal subsystem."""
-    # one cache entry whether or not P carries the irredundance flag
-    base = FacetPresentation(P.dim, P.normals, P.constants) if P.irredundant else P
-    vs = vertices(base, allow_lower_dim=True)
+    minimal subsystem.  The result carries the irredundance flag, which is
+    not part of its identity: it shares P's cached vertex set."""
+    vs = vertices(P)
     n = P.dim
-    if affine_rank(vs.vertices) != n:
-        raise DegenerateError("polytope is not full-dimensional")
     tight: list[set[int]] = [set() for _ in range(P.nfacets)]
     for k, t in enumerate(vs.tight):
         for i in t:
@@ -349,14 +344,13 @@ def cayley_mori_build(bases: Sequence[FacetPresentation], w: Sequence[Vec]) -> F
             raise ValueError("base polytopes must share one normal list")
         if not strictly_equivalent(P0, Pi):
             raise ValueError("base polytopes are not strictly combinatorially equivalent")
-    W = [tuple(int(x) for x in wi) for wi in w]
+    W = [int_vec(wi) for wi in w]
     if len(W) != k or any(len(wi) != k for wi in W):
         raise ValueError(f"need {k} direction vectors of length {k}")
-    Wmat = [[W[j][i] for j in range(k)] for i in range(k)]  # columns w_j
-    if det(Wmat) == 0:
+    if det(W) == 0:
         raise ValueError("direction vectors are linearly dependent")
     n = P0.dim
-    WT_inv = invert([list(row) for row in zip(*Wmat)])  # (W^T)^(-1)
+    WT_inv = invert(W)  # (W^T)^(-1) for the matrix W^T with columns w_j
     normals: list[Vec] = []
     constants: list[Fraction] = []
 
@@ -371,18 +365,15 @@ def cayley_mori_build(bases: Sequence[FacetPresentation], w: Sequence[Vec]) -> F
         tail = [bases[i].constants[j] - P0.constants[j] for i in range(1, k + 1)]
         mapped = [sum(WT_inv[r][c] * tail[c] for c in range(k)) for r in range(k)]
         add(tuple(Fraction(x) for x in vj) + tuple(mapped), P0.constants[j])
-    e0 = [Fraction(-1)] * k
-    add((ZERO,) * n + tuple(sum(WT_inv[r][c] * e0[c] for c in range(k)) for r in range(k)),
-        Fraction(1))
+    # the images of -(e_1 + ... + e_k) >= -1 and e_i >= 0
+    add((ZERO,) * n + tuple(-sum(row) for row in WT_inv), Fraction(1))
     for i in range(k):
-        ei = [Fraction(1) if c == i else ZERO for c in range(k)]
-        add((ZERO,) * n + tuple(sum(WT_inv[r][c] * ei[c] for c in range(k)) for r in range(k)),
-            ZERO)
+        add((ZERO,) * n + tuple(row[i] for row in WT_inv), ZERO)
     built = FacetPresentation(n + k, tuple(normals), tuple(constants))
-    _, removed = remove_redundant(built)
+    Q, removed = remove_redundant(built)
     if removed:
         raise ValueError("Cayley construction produced a redundant inequality; degenerate bases?")
-    return FacetPresentation(n + k, built.normals, built.constants, irredundant=True)
+    return Q
 
 
 def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition]:
@@ -484,26 +475,17 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
 
 def is_cayley_s(P: FacetPresentation, dec: Optional[CayleyMoriDecomposition] = None) -> Optional[int]:
     """The positive integer s such that the simplex image of P equals
-    conv(0, s*e_1, ..., s*e_k) in some lattice basis, certified via the
-    Smith normal form of the direction matrix; None otherwise."""
+    conv(0, s*e_1, ..., s*e_k) in some lattice basis, or None.  That is, all
+    invariant factors of the direction matrix W equal s: the first is gcd(W),
+    each next one a multiple of it, their product |det W|, so exactly when
+    s = gcd(W) > 0 and |det W| = s^k."""
     if dec is None:
         dec = cayley_mori_detect(P)
     if dec is None:
         return None
-    k = len(dec.w)
-    cols = []
-    for wi in dec.w:
-        col = []
-        for x in wi:
-            q = frac(x)
-            if q.denominator != 1:
-                return None
-            col.append(int(q))
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-    _, D, _ = smith_normal_form(mat)
-    diag = [D[i][i] for i in range(k)]
-    s = diag[0]
-    if s > 0 and all(d == s for d in diag):
-        return s
-    return None
+    try:
+        W = [int_vec(wi) for wi in dec.w]
+    except ValueError:
+        return None
+    s = gcd(*(x for row in W for x in row))
+    return s if s > 0 and abs(det(W)) == s ** len(W) else None

@@ -10,6 +10,10 @@ runs one LP per inequality, so it is kept for tests only.
 ``toriq.polytopes.thresholds`` reads off the walls of the normal fan by
 tracking each vertex of P^(s) linearly in s instead.
 
+``is_cayley_s`` asks the Smith normal form of the direction matrix whether
+every invariant factor is the same s, where ``toriq.polytopes.is_cayley_s``
+compares the gcd of its entries with its determinant.
+
 ``_positively_spanning`` is the boundedness test that
 ``toriq.polytopes._positively_spanning`` answers with one rank and one LP:
 it runs one LP per signed unit vector, 2n in all.
@@ -20,7 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from toriq.linalg import Vec, affine_rank, dot, lp_min, nonneg_solve, solve_linear
+from toriq.linalg import (
+    Vec,
+    affine_rank,
+    dot,
+    lp_min,
+    nonneg_solve,
+    smith_normal_form,
+    solve_linear,
+)
 from toriq.polytopes import (
     DegenerateError,
     EmptyPolytopeError,
@@ -101,3 +113,11 @@ def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
     if best is None:
         return effective_threshold(P)
     return best
+
+
+def is_cayley_s(W: list[Vec]) -> Optional[int]:
+    """The common value s > 0 of all invariant factors of the square
+    integer matrix W, or None when they differ or one is 0."""
+    _, D, _ = smith_normal_form(W)
+    diag = [D[i][i] for i in range(len(W))]
+    return diag[0] if diag[0] > 0 and all(d == diag[0] for d in diag) else None

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,12 @@ def test_positive_scan_exceeds_nonpositive_reference():
     res = verify_row(row)
     assert (res.status, res.reason) == ("error", "scan minimum exceeds the reference value")
     assert res.global_min == F(5, 2)
+
+
+@pytest.mark.parametrize("missing", ["surface", "expected"])
+def test_explicit_row_needs_surface_and_reference(by_name, missing):
+    with pytest.raises(ValueError, match=repr(missing)):
+        dataclasses.replace(by_name["P4"], **{missing: None})
 
 
 def test_kernel_bug_propagates_out_of_verify_row(by_name, monkeypatch):

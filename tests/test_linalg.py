@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pn_fan
+from toriq.fans import Fan, MalformedFanError, star_subdivision
 from toriq.linalg import (
     DimensionError,
     adjugate,
     det,
     dot,
     hull_facets,
+    int_vec,
     lp_min,
     lp_standard,
     matrix_rank,
@@ -19,6 +22,7 @@ from toriq.linalg import (
     smith_normal_form,
     solve_linear,
 )
+from toriq.polytopes import FacetPresentation, cayley_mori_build
 
 F = Fraction
 
@@ -243,3 +247,27 @@ class TestHullFacets:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             hull_facets([(0, 0), (1, 1), (2, 2)])
+
+
+SEGMENT = FacetPresentation(1, ((1,), (-1,)), (0, 1), irredundant=True)
+NON_INTEGER_ENTRY_POINTS = {
+    "Fan": (MalformedFanError, lambda x: Fan(2, ((x, 0), (0, 1)), ((0, 1),))),
+    "FacetPresentation": (
+        ValueError, lambda x: FacetPresentation(2, ((x, 1), (0, 1), (-1, -1)), (0, 0, 1))),
+    "cayley_mori_build": (ValueError, lambda x: cayley_mori_build([SEGMENT, SEGMENT], [(x,)])),
+    "star_subdivision": (ValueError, lambda x: star_subdivision(pn_fan(2), (x, 1))),
+    "smith_normal_form": (ValueError, lambda x: smith_normal_form([[x, 0], [0, 1]])),
+}
+
+
+@pytest.mark.parametrize("x", [1.5, F(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("entry", sorted(NON_INTEGER_ENTRY_POINTS))
+def test_non_integer_entry_rejected(entry, x):
+    error, build = NON_INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="is not an integer"):
+        build(x)
+
+
+def test_integral_fractions_accepted():
+    assert int_vec((F(4, 2), -3)) == (2, -3)
+    assert smith_normal_form([[F(2), 0], [0, F(-1)]])[1] == [[1, 0], [0, 2]]

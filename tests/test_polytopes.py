@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polytope_oracle as oracle
 from toriq.fans import validate
 from toriq.polytopes import (
+    CayleyMoriDecomposition,
     DegenerateError,
     EmptyPolytopeError,
     FacetPresentation,
@@ -294,6 +298,25 @@ class TestCayleyMori:
         P = cayley_mori_build(segs, [(0, 1), (-2, 1)])
         # direction matrix has invariant factors 1, 2: not s * identity
         assert is_cayley_s(P) is None
+
+
+@st.composite
+def direction_matrices(draw):
+    """A k x k integer matrix, k = 1..3, times a small scale, so that equal
+    invariant factors s > 1 come up as well."""
+    k = draw(st.integers(1, 3))
+    M = draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                      min_size=k, max_size=k))
+    c = draw(st.integers(1, 3))
+    return [[c * x for x in row] for row in M]
+
+
+@given(direction_matrices())
+@settings(max_examples=400, deadline=None)
+def test_is_cayley_s_matches_smith_form(W):
+    dec = CayleyMoriDecomposition(bases=(), w=tuple(tuple(r) for r in W),
+                                  fiber_projection=(), base_faces=(), simplex_vertices=())
+    assert is_cayley_s(None, dec) == oracle.is_cayley_s(W)
 
 
 def random_simple_polytope(rng, dim):

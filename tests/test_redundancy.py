@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import polytope_oracle as oracle
-from conftest import blowup_polytope, hexagon, simplex_polytope
+from conftest import BLOWUP_RAYS, blowup_polytope, hexagon, simplex_polytope
 from test_acceptance import random_simple_polytope
 from toriq import linalg, polytopes
 from toriq.fans import face_fan
@@ -210,3 +210,47 @@ def test_nef_threshold_needs_simple_irredundant(irredundant):
     for threshold in (polytopes.nef_threshold_tracking, oracle.nef_threshold_tracking):
         with pytest.raises(RedundantPresentationError):
             threshold(octahedron)
+
+
+def count_enumerations(monkeypatch):
+    """Record each vertex enumeration that ``polytopes.vertices`` runs, from
+    cold caches."""
+    calls = []
+    enumerate_ = polytopes._vertex_solutions
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_(*args)
+
+    monkeypatch.setattr(polytopes, "_vertex_solutions", counted)
+    vertices.cache_clear()
+    return calls
+
+
+def test_irredundance_flag_is_not_identity():
+    flagged = hexagon()
+    plain = FacetPresentation(flagged.dim, flagged.normals, flagged.constants)
+    assert flagged.irredundant and not plain.irredundant
+    assert flagged == plain and hash(flagged) == hash(plain)
+
+
+def test_reduced_presentation_shares_its_vertex_set(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    Q, removed = remove_redundant(FacetPresentation(2, BLOWUP_RAYS, (6, 5, 6, 5, 2)))
+    assert removed == () and Q.irredundant
+    polytopes.normal_fan(Q)
+    assert polytopes.is_simple(Q)
+    assert len(calls) == 1
+
+
+def test_forced_run_enumerates_each_presentation_once(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    run_mmp_scaling(blowup_polytope((6, 5, 6, 5, 2)), force=True)
+    assert len(calls) == 12
+
+
+def test_lower_dimensional_presentation_rejected():
+    # the unit square cut down to its bottom edge by y <= 0
+    flat = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 1, 0))
+    with pytest.raises(DegenerateError, match="^polytope is not full-dimensional$"):
+        remove_redundant(flat)
