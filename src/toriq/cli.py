@@ -193,6 +193,8 @@ def _cmd_plot(args) -> int:
     try:
         trace = mmp.run_mmp_scaling(reduced, force=True)
         critical = list(trace.critical_values)
+    except MalformedFanError:
+        raise  # a failed self-check is an error, not a missing trace
     except (ValueError, mmp.StepBudgetError, mmp.GeneralityError):
         pass  # fall back to nef/effective only
     svg = formats.emit_svg(reduced, critical_values=critical)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import polytopes
@@ -31,6 +32,7 @@ from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
     Vec,
     dot,
+    int_vec,
     primitive_part,
     saturation_and_projection,
     solve_linear,
@@ -203,7 +205,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         coords = solve_linear(bmat, fan.rays[i])
         if coords is None:
             raise MalformedFanError(f"ray {i} lies outside the fiber lattice")
-        fiber_rays.append(tuple(int(x) for x in coords))
+        fiber_rays.append(int_vec(coords, MalformedFanError))
     fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
     fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
     base_fan = image_fan(fan, proj, fan.max_cones)
@@ -330,6 +332,36 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     not simple with unchanged facet count; on the last interval it is a
     Cayley sum; and the projected polytope agrees with the fiber fan.
     Violations raise for general runs and are recorded otherwise.
+
+    Each interval (lo, lam) with lo < lam is certified exactly, with no
+    vertex enumeration (``_certified_limits``).  Take the step's fan Sigma,
+    complete and simplicial, whose rays are P's normals v_j in order.  Each
+    maximal cone sigma gives the point x_sigma(s) tight on the inequalities
+    of sigma, <v_j, x> = s - a_j, which is affine in s; so is the slack
+    <v_j, x_sigma(s)> - s + a_j of every other inequality of P, contracted
+    ones included.  If each such slack is >= 0 at both ends and not 0 at
+    both, it is > 0 on the open interval, so for every s there each
+    x_sigma(s) is a vertex of P^(s) whose inequalities tight there are
+    exactly sigma's: its normal cone is sigma.  Those cones already cover
+    the space, and the normal cone of any other vertex would be
+    full-dimensional and meet their interiors; so P^(s) has no other
+    vertex, is simple, has normal fan Sigma and one facet per ray.
+
+    At lam the limit points x_sigma(lam) are feasible and tight on the n
+    independent normals of sigma, so they are vertices of P^(lam).  There
+    is no other vertex: a point y of P^(lam) lies in every P^(s) for s <
+    lam in the interval, so y is a convex combination of the x_sigma(s),
+    and a limit of those combinations writes y as one of the x_sigma(lam).
+    A tight set contains a basis and so fixes its point: distinct tight
+    sets are distinct vertices, and the facet count and simplicity follow
+    from the tight sets by the rule of ``remove_redundant``.  P^(lam) is
+    full-dimensional exactly when lam < sigma_P: a point of P^(sigma_P)
+    has every slack >= sigma_P - lam > 0 in P^(lam), and a full-dimensional
+    P^(lam) has an interior point, which lies in P^(lam + e) for small e.
+
+    A zero-length interval (forced, tied runs) is sampled at its value,
+    and so is an interval whose certificate fails, which fails its
+    fan note whatever the sample shows.
     """
     P = trace.initial_polytope
     notes = {}
@@ -352,30 +384,49 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             return None
 
     for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
-        reduced = reduced_adjoint((lo + step.lam) / 2)
-        if reduced is None:
-            record(f"interval_{idx}_fan_matches", lambda: False)
-            continue
-        notes[f"interval_{idx}_facets"] = reduced.nfacets
+        fan, lam = step.fan_before, step.lam
+        mid = (lo + lam) / 2
+        limits = _certified_limits(P, fan, lo, lam) if lo < lam else None
+        if limits is None:
+            reduced = reduced_adjoint(mid)
+            if reduced is None:
+                record(f"interval_{idx}_fan_matches", lambda: False)
+                continue
+            notes[f"interval_{idx}_facets"] = reduced.nfacets
+            record(f"interval_{idx}_fan_matches",
+                   lambda: lo == lam and polytopes.normal_fan(reduced) == fan)
+            record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
+        else:
+            on = set(fan.rays)
+            reduced = FacetPresentation(
+                P.dim, fan.rays,
+                tuple(a - mid for v, a in zip(P.normals, P.constants) if v in on),
+                irredundant=True,
+            )
+            notes[f"interval_{idx}_facets"] = reduced.nfacets
+            notes[f"interval_{idx}_fan_matches"] = notes[f"interval_{idx}_simple"] = True
         step.facet_count_before = reduced.nfacets
-        record(f"interval_{idx}_fan_matches",
-               lambda: polytopes.normal_fan(reduced) == step.fan_before)
-        record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
         if step.kind in (DIVISORIAL, FLIP):
-            at = reduced_adjoint(step.lam)
-            if at is None:
+            if limits is None:
+                at = reduced_adjoint(lam)
+                value = None if at is None else (at.nfacets, polytopes.is_simple(at))
+            elif lam < trace.effective_threshold:
+                facet = polytopes._facet_flags(P.nfacets, limits)
+                value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in limits)
+            else:
+                value = None
+            if value is None:
                 record(f"step_{idx}_polytope_at_value", lambda: False)
                 continue
-            step.facet_count_after = at.nfacets
+            step.facet_count_after, simple = value
             if step.kind == DIVISORIAL:
                 record(f"step_{idx}_facet_drop_one",
-                       lambda: reduced.nfacets - at.nfacets == 1)
-                record(f"step_{idx}_simple_at_value", lambda: polytopes.is_simple(at))
+                       lambda: reduced.nfacets - step.facet_count_after == 1)
+                record(f"step_{idx}_simple_at_value", lambda: simple)
             else:
                 record(f"step_{idx}_facet_count_constant",
-                       lambda: at.nfacets == reduced.nfacets)
-                record(f"step_{idx}_not_simple_at_value",
-                       lambda: not polytopes.is_simple(at))
+                       lambda: step.facet_count_after == reduced.nfacets)
+                record(f"step_{idx}_not_simple_at_value", lambda: not simple)
         else:  # Mori fiber space: last interval polytope is a Cayley sum
             record("tail_is_cayley",
                    lambda: polytopes.cayley_mori_detect(reduced) is not None)
@@ -384,6 +435,54 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     trace.validation = notes
     if not trace.generality_flag and not ok:
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")
+
+
+def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
+                      lam: Fraction) -> Optional[set[tuple[int, ...]]]:
+    """The tight sets, as indices into P, of the limit points x_sigma(lam)
+    of the fan's cones when the interval certificate holds on (lo, lam),
+    and None when it fails (see ``_adjoint_cross_validation``).
+
+    Integers only: with the constants a_j = A_j / L, an end s = p / q and a
+    cone's cached adjugate adj and determinant d > 0 (signs flipped
+    together), q*d*L*x_sigma(s) = y = p*L*adj^T 1 - q*adj^T A_sigma, and
+    q*d*L times the slack of inequality j is <v_j, y> - d*(p*L - q*A_j)."""
+    where = {v: j for j, v in enumerate(P.normals)}
+    index = [where.get(r) for r in fan.rays]
+    if None in index or index != sorted(index):
+        return None
+    if set().union(*fan.max_cones) != set(range(len(index))):
+        return None
+    try:
+        rep = validate(fan)
+    except MalformedFanError:
+        return None
+    if not (rep.well_formed and rep.complete):
+        return None
+    L = lcm(*(a.denominator for a in P.constants))
+    A = [a.numerator * (L // a.denominator) for a in P.constants]
+    ends = [(s.numerator * L, s.denominator) for s in (lo, lam)]
+    shifts = [[pL - q * Aj for Aj in A] for pL, q in ends]
+    limits = set()
+    for cone, (adj, d) in _inverses(fan).items():
+        rows = [index[i] for i in cone]
+        sign = 1 if d > 0 else -1
+        t = [sign * sum(col) for col in zip(*adj)]
+        w = [sign * sum(A[j] * x for j, x in zip(rows, col)) for col in zip(*adj)]
+        d *= sign
+        y_lo, y_hi = ([pL * tk - q * wk for tk, wk in zip(t, w)] for pL, q in ends)
+        tight = []
+        for j, v in enumerate(P.normals):
+            at_lo = dot(v, y_lo) - d * shifts[0][j]
+            at_hi = dot(v, y_hi) - d * shifts[1][j]
+            if at_lo < 0 or at_hi < 0:
+                return None
+            if at_hi == 0:
+                if at_lo == 0 and j not in rows:
+                    return None
+                tight.append(j)
+        limits.add(tuple(tight))
+    return limits
 
 
 def _fiber_polytope_matches(trace: MMPTrace, data: MoriFiberData) -> bool:

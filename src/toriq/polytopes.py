@@ -145,7 +145,7 @@ def is_empty(P: FacetPresentation) -> bool:
     return res.status == "infeasible"
 
 
-@lru_cache(maxsize=64)  # a vertex set is reused within one adjoint step only
+@lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     """Exact vertex enumeration over all invertible n-subsets of facets
     (``linalg._vertex_solutions``).  A bounded presentation with no vertex is
@@ -229,20 +229,25 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     normals define distinct facets, so the kept inequalities are the unique
     minimal subsystem.  The result carries the irredundance flag, which is
     not part of its identity: it shares P's cached vertex set."""
-    vs = vertices(P)
-    n = P.dim
-    tight: list[set[int]] = [set() for _ in range(P.nfacets)]
-    for k, t in enumerate(vs.tight):
-        for i in t:
-            tight[i].add(k)
-    facet = [not any(T < U for U in tight) for T in tight]
+    facet = _facet_flags(P.nfacets, vertices(P).tight)
     Q = FacetPresentation(
-        n,
+        P.dim,
         tuple(v for v, f in zip(P.normals, facet) if f),
         tuple(a for a, f in zip(P.constants, facet) if f),
         irredundant=True,
     )
     return Q, tuple(i for i, f in enumerate(facet) if not f)
+
+
+def _facet_flags(nfacets: int, tight_sets) -> list[bool]:
+    """For each of ``nfacets`` inequalities, whether it defines a facet,
+    given the tight sets of all vertices (the rule of ``remove_redundant``):
+    its set of tight vertices lies strictly inside no other one's."""
+    tight: list[set[int]] = [set() for _ in range(nfacets)]
+    for k, t in enumerate(tight_sets):
+        for i in t:
+            tight[i].add(k)
+    return [not any(T < U for U in tight) for T in tight]
 
 
 @lru_cache(maxsize=64)  # thresholds, the core and the MMP run each ask for it
@@ -282,7 +287,10 @@ def thresholds(P: FacetPresentation) -> Thresholds:
 
 def core_and_projection(P: FacetPresentation) -> CoreProjection:
     """The core P^(sigma(P)) (possibly lower-dimensional), the lattice
-    projection along its affine span, and the image polytope Q."""
+    projection along its affine span, and the image polytope Q.  When the
+    core is a point the projection is the identity and Q is P: its facets
+    are read off P's cached vertex set, sorted as ``hull_facets`` sorts
+    them, and no hull is run."""
     sigma = effective_threshold(P)
     core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
     cvs = vertices(core, allow_lower_dim=True)
@@ -293,9 +301,14 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
         if any(x != 0 for x in dvec):
             kern_cols.append(scale_to_primitive(dvec))
     kbasis, proj = saturation_and_projection(kern_cols, P.dim)
-    pvs = vertices(P)
-    imgs = sorted({tuple(dot(row, v) for row in proj) for v in pvs.vertices})
-    Q = facet_presentation_from_vertices(imgs)
+    if kbasis:
+        imgs = sorted({tuple(dot(row, v) for row in proj) for v in vertices(P).vertices})
+        Q = facet_presentation_from_vertices(imgs)
+    else:
+        R = remove_redundant(P)[0]
+        facets = sorted(zip(R.normals, R.constants))
+        Q = FacetPresentation(P.dim, tuple(v for v, _ in facets),
+                              tuple(a for _, a in facets), irredundant=True)
     return CoreProjection(core, cvs.vertices, tuple(kbasis), tuple(proj), Q)
 
 

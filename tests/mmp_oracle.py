@@ -1,20 +1,29 @@
-"""Reference birational steps, for cross-checks.
+"""Reference birational steps and adjoint cross-validation, for cross-checks.
 
 ``contract`` and ``flip`` are the two wall-crossing loops ``toriq.mmp`` had
 before both moved onto one circuit replacement: ``contract`` deletes every
 cone that holds a wall of the class, adds each circuit minus the exceptional
 ray and renumbers the rays by hand; ``flip`` replaces the cones over each
 circuit that omit a positive ray by those that omit a negative one.
+
+``_adjoint_cross_validation`` is the sampled check ``toriq.mmp`` had before
+it certified each interval exactly: one reduced adjoint polytope, with a
+full vertex enumeration, at each interval's midpoint and at each critical
+value.
 """
 
 from __future__ import annotations
 
+from toriq import polytopes
 from toriq.fans import Fan, MalformedFanError, Wall, validate, wall_classification
 from toriq.mmp import (
     DIVISORIAL,
     FLIP,
     MORI_FIBER,
+    ZERO,
     ContractionResult,
+    MMPTrace,
+    _fiber_polytope_matches,
     class_walls,
     mori_fiber_data,
 )
@@ -93,3 +102,68 @@ def flip(fan: Fan, wall: Wall) -> Fan:
     if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
         raise MalformedFanError("flip produced an invalid fan")
     return result
+
+
+def _adjoint_cross_validation(trace: MMPTrace) -> None:
+    """Check the run against the adjoint polytope family.
+
+    Between critical values the reduced adjoint polytope must be simple
+    with the tracked normal fan; at a divisorial value the facet count
+    drops by exactly one and the polytope stays simple; at a flip it is
+    not simple with unchanged facet count; on the last interval it is a
+    Cayley sum; and the projected polytope agrees with the fiber fan.
+    Violations raise for general runs and are recorded otherwise.
+    """
+    P = trace.initial_polytope
+    notes = {}
+    ok = True
+
+    def record(key, check):
+        nonlocal ok
+        try:
+            value = check()
+        except (polytopes.DegenerateError, polytopes.EmptyPolytopeError,
+                polytopes.RedundantPresentationError):
+            value = False
+        notes[key] = value
+        ok = ok and bool(value)
+
+    def reduced_adjoint(s):
+        try:
+            return polytopes.remove_redundant(polytopes.adjoint(P, s))[0]
+        except (polytopes.DegenerateError, polytopes.EmptyPolytopeError):
+            return None
+
+    for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
+        reduced = reduced_adjoint((lo + step.lam) / 2)
+        if reduced is None:
+            record(f"interval_{idx}_fan_matches", lambda: False)
+            continue
+        notes[f"interval_{idx}_facets"] = reduced.nfacets
+        step.facet_count_before = reduced.nfacets
+        record(f"interval_{idx}_fan_matches",
+               lambda: polytopes.normal_fan(reduced) == step.fan_before)
+        record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
+        if step.kind in (DIVISORIAL, FLIP):
+            at = reduced_adjoint(step.lam)
+            if at is None:
+                record(f"step_{idx}_polytope_at_value", lambda: False)
+                continue
+            step.facet_count_after = at.nfacets
+            if step.kind == DIVISORIAL:
+                record(f"step_{idx}_facet_drop_one",
+                       lambda: reduced.nfacets - at.nfacets == 1)
+                record(f"step_{idx}_simple_at_value", lambda: polytopes.is_simple(at))
+            else:
+                record(f"step_{idx}_facet_count_constant",
+                       lambda: at.nfacets == reduced.nfacets)
+                record(f"step_{idx}_not_simple_at_value",
+                       lambda: not polytopes.is_simple(at))
+        else:  # Mori fiber space: last interval polytope is a Cayley sum
+            record("tail_is_cayley",
+                   lambda: polytopes.cayley_mori_detect(reduced) is not None)
+            record("fiber_polytope_matches",
+                   lambda: _fiber_polytope_matches(trace, step.fiber_data))
+    trace.validation = notes
+    if not trace.generality_flag and not ok:
+        raise MalformedFanError(f"adjoint cross-validation failed: {notes}")

@@ -204,6 +204,20 @@ def test_plot_propagates_kernel_bug(hexagon_file, tmp_path, monkeypatch):
         main(["plot", hexagon_file, "--svg", str(tmp_path / "hex.svg")])
 
 
+def test_plot_reports_failed_self_check(hexagon_file, tmp_path, monkeypatch, capsys):
+    from toriq import mmp
+    from toriq.fans import MalformedFanError
+
+    def failed(*args, **kwargs):
+        raise MalformedFanError("adjoint cross-validation failed: {}")
+
+    monkeypatch.setattr(mmp, "run_mmp_scaling", failed)
+    svg = tmp_path / "hex.svg"
+    assert main(["plot", hexagon_file, "--svg", str(svg)]) == 2
+    assert "adjoint cross-validation failed" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_plot_falls_back_on_step_budget(hexagon_file, tmp_path, monkeypatch):
     from toriq import mmp
 

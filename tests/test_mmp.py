@@ -148,6 +148,21 @@ class TestMoriFiberData:
         S = facet_presentation_from_vertices(imgs)
         assert fans_equal_up_to_ray_order(normal_fan(S), data.fiber_fan)
 
+    def test_fiber_coordinates_are_not_truncated(self, p1p1, monkeypatch):
+        import toriq.mmp as mmp
+        from toriq.fans import MalformedFanError
+
+        real = mmp.saturation_and_projection
+
+        def doubled(columns, n):
+            basis, proj = real(columns, n)
+            return [tuple(2 * x for x in b) for b in basis], proj
+
+        # the fiber ray (1, 0) has the coordinate 1/2 in the basis (2, 0)
+        monkeypatch.setattr(mmp, "saturation_and_projection", doubled)
+        with pytest.raises(MalformedFanError, match="is not an integer vector"):
+            mori_fiber_data(p1p1, wall_by_rays(p1p1, (0,)))
+
     def test_wrong_wall_rejected(self, bl_p1p1):
         with pytest.raises(ValueError):
             mori_fiber_data(bl_p1p1, wall_by_rays(bl_p1p1, (4,)))

@@ -244,9 +244,14 @@ def test_reduced_presentation_shares_its_vertex_set(monkeypatch):
 
 
 def test_forced_run_enumerates_each_presentation_once(monkeypatch):
+    # P, its core, the Mori interval's polytope and Q; the intervals are
+    # certified without enumeration, and the point core's Q needs no hull
     calls = count_enumerations(monkeypatch)
+    hulls = []
+    monkeypatch.setattr(polytopes, "hull_facets", lambda pts: hulls.append(pts))
     run_mmp_scaling(blowup_polytope((6, 5, 6, 5, 2)), force=True)
-    assert len(calls) == 12
+    assert len(calls) == 4
+    assert hulls == []
 
 
 def test_lower_dimensional_presentation_rejected():
