@@ -70,12 +70,11 @@ def _cmd_check_2fano(args) -> int:
 def _cmd_ch2(args) -> int:
     fan = _load_fan(args.fan)
     try:
-        i, j = (int(x) for x in args.surface.split(","))
+        sigma = tuple(int(x) for x in args.surface.split(",")) if args.surface else ()
     except ValueError:
-        print("--surface expects two comma-separated ray indices", file=sys.stderr)
+        print("--surface expects comma-separated ray indices", file=sys.stderr)
         return 2
-    value = intersection.ch2_dot_surface(fan, (i, j))
-    print(format_frac(value))
+    print(format_frac(intersection.ch2_dot_surface(fan, sigma)))
     return 0
 
 
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ch2", help="pair the squared-divisor sum with one surface")
     p.add_argument("fan")
-    p.add_argument("--surface", required=True, help="two ray indices, e.g. 1,2")
+    p.add_argument("--surface", required=True, help="codim-2 cone, e.g. 1,2 ('' on a surface)")
     p.set_defaults(fn=_cmd_ch2)
 
     p = sub.add_parser("run-mmp", help="run the scaled program on a polytope")

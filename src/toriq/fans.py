@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from .linalg import (
@@ -179,19 +179,7 @@ def cone_multiplicity(fan: Fan, cone: tuple[int, ...]) -> int:
     saturation (1 exactly when the cone is smooth)."""
     if not cone:
         return 1
-    mult = 1
-    for d in snf_diagonal([list(fan.rays[i]) for i in cone]):
-        mult *= d
-    return abs(mult)
-
-
-def faces_of_dim(fan: Fan, k: int) -> list[tuple[int, ...]]:
-    """All k-dimensional cones of a simplicial fan (as ray index tuples)."""
-    out = set()
-    for cone in fan.max_cones:
-        for sub in combinations(cone, k):
-            out.add(sub)
-    return sorted(out)
+    return abs(prod(snf_diagonal([list(fan.rays[i]) for i in cone])))
 
 
 def is_face(fan: Fan, rays: tuple[int, ...]) -> bool:
@@ -317,8 +305,9 @@ def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of a simplicial fan with their exact relations.
 
-    The relation across a wall is read off the inverse of the cone holding
-    the lower-indexed opposite ray: -v_hi in that cone's ray basis."""
+    The relation across a wall is -v_hi in the ray basis of the cone holding
+    the lower-indexed opposite ray, c / d for c = -adj·v_hi; its self-checks,
+    c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers."""
     rep = validate(fan)
     if not rep.simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
@@ -331,19 +320,17 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
         op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
         lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
         lo_cone = fan.max_cones[lo_side]
-        lo = lo_cone[lo_pos]
         adj, d = inverses[lo_cone]
-        rel = [ZERO] * len(fan.rays)
-        for i, row in zip(lo_cone, adj):
-            c = dot(row, fan.rays[hi])
-            if c:
-                rel[i] = Fraction(-c, d)
-        rel[hi] = ONE
-        if rel[lo] <= 0:
-            raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
         support = lo_cone + (hi,)
-        if any(sum(rel[i] * fan.rays[i][k] for i in support) != 0 for k in range(fan.rank)):
+        cs = [-dot(row, fan.rays[hi]) for row in adj] + [d]
+        if cs[lo_pos] * d <= 0:
+            raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
+        if any(sum(c * fan.rays[i][k] for i, c in zip(support, cs)) for k in range(fan.rank)):
             raise MalformedFanError(f"relation across wall {facet} does not vanish")
+        rel = [ZERO] * len(fan.rays)
+        for i, c in zip(lo_cone, cs):
+            rel[i] = Fraction(c, d) if c else ZERO
+        rel[hi] = ONE
         if rep.smooth:
             mult, scale = 1, ONE
         else:
@@ -383,19 +370,13 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
     rep = validate(fan)
     if not (rep.simplicial and rep.complete):
         raise UnsupportedFanError("primitive collections need a complete simplicial fan")
-    faces = set()
-    for cone in fan.max_cones:
-        for k in range(len(cone) + 1):
-            for sub in combinations(cone, k):
-                faces.add(frozenset(sub))
-    r = len(fan.rays)
+    faces = {frozenset(sub) for cone in fan.max_cones
+             for k in range(len(cone) + 1) for sub in combinations(cone, k)}
     out = []
     for d in range(2, fan.rank + 2):
-        for members in combinations(range(r), d):
-            fs = frozenset(members)
-            if fs in faces:
-                continue
-            if not all(frozenset(sub) in faces for sub in combinations(members, d - 1)):
+        for members in combinations(range(len(fan.rays)), d):
+            if frozenset(members) in faces or not all(
+                    frozenset(sub) in faces for sub in combinations(members, d - 1)):
                 continue
             total = tuple(sum(fan.rays[i][k] for i in members) for k in range(fan.rank))
             sigma, coeffs = _minimal_cone_with_coords(fan, total)
@@ -407,7 +388,12 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
 def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], QVec]:
     if all(a == 0 for a in x):
         return (), ()
+    inverses = _inverses(fan)
     for cone in fan.max_cones:
+        adj, d = inverses.get(cone, (None, 0))
+        # coordinate signs in integers; Fractions only for the cone holding x
+        if d and any(dot(row, x) * d < 0 for row in adj):
+            continue
         coords = _cone_coords(fan, cone, x)
         if coords is not None and all(c >= 0 for c in coords):
             support = tuple(i for i, c in zip(cone, coords) if c > 0)

@@ -1,23 +1,24 @@
 """Exact intersection theory on complete simplicial toric data.
 
-Every intersection number is read off the wall relations that
-``fans.walls`` computes once per fan.  For a wall tau between the maximal
-cones sigma_a and sigma_b, with relation r (sum_k r_k v_k = 0, supported on
-tau and the two opposite rays), a divisor D = sum_k d_k D_k meets the curve
-V(tau) in s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a)
-is stored on the wall (Fulton, *Introduction to Toric Varieties*, ch. 5;
-Cox-Little-Schenck, *Toric Varieties*, 6.4).  Products with an invariant
-surface V(sigma) first restrict the divisor to the surface: a prime divisor
-D_j with j not in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for
-the wall tau_j = sigma + {j}, and one on a ray of sigma is first replaced by
-a linearly equivalent divisor off sigma (through a row of the cached
-inverse of a maximal cone over sigma).
+Every intersection number is read off the wall relations that ``fans.walls``
+computes, and checks in integers, once per fan.  For a wall tau between the
+maximal cones sigma_a and sigma_b, with relation r (sum_k r_k v_k = 0, on tau
+and the two opposite rays), a divisor D = sum_k d_k D_k meets V(tau) in
+s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a) is stored
+on the wall (Fulton, *Introduction to Toric Varieties*, ch. 5;
+Cox-Little-Schenck, 6.4).  On an invariant surface V(sigma), D_j with j not in
+sigma restricts to (mult sigma / mult tau_j) V(tau_j) for the wall
+tau_j = sigma + {j}, and D_i on a ray of sigma is first moved off sigma
+(through a row of the cached inverse of a maximal cone over sigma).  One pass
+over the walls indexes every surface to its star of walls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Optional
 
 from .fans import (
@@ -26,8 +27,6 @@ from .fans import (
     Wall,
     _inverses,
     cone_multiplicity,
-    faces_of_dim,
-    is_face,
     primitive_collections,
     validate,
     walls,
@@ -96,30 +95,47 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
     sigma = tuple(sorted(sigma))
     if len(sigma) != fan.rank - 2:
         raise ValueError(f"{sigma} is not a codimension-2 cone")
-    if sigma and not is_face(fan, sigma):
-        raise ValueError(f"{sigma} is not a cone of the fan")
-    inside = set(sigma)
-    mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
-    # D_j . V(sigma) = weight_j * V(tau_j) for the wall tau_j = sigma + {j}
-    star: dict[int, tuple[Wall, Fraction]] = {}
-    for w in walls(fan):
-        if inside.issubset(w.wall_rays):
-            j = next(k for k in w.wall_rays if k not in inside)
-            star[j] = (w, mult * w.scale / w.multiplicity)
+    return _surface_values(fan, [sigma])[0][1]
+
+
+def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(sigma, ``ch2_dot_surface``) for each sorted (rank-2)-tuple in sigmas or,
+    by default, each (rank-2)-face in order, from one pass over the maximal
+    cones and one over the walls: the cones over each face and its star."""
+    over: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cone in fan.max_cones:
-        if inside.issubset(cone) and any(j not in inside and j not in star for j in cone):
+        for face in combinations(cone, fan.rank - 2):
+            over.setdefault(face, []).append(cone)
+    sigmas = sorted(over) if sigmas is None else sigmas
+    for sigma in sigmas:
+        if sigma not in over:
+            raise ValueError(f"{sigma} is not a cone of the fan")
+    # D_j . V(sigma) = mult(sigma) s_tau / mult(tau) V(tau), tau = sigma + {j}; each
+    # wall keeps R = L r in integers and its weight s_tau / (mult(tau) L) as a ratio
+    stars: dict[tuple[int, ...], dict[int, tuple[Vec, tuple[int, int]]]] = {}
+    for w in walls(fan):
+        den = lcm(*[r.denominator for r in w.relation])
+        weight = (w.scale / (w.multiplicity * den)).as_integer_ratio()
+        rel = [r.numerator * (den // r.denominator) for r in w.relation]
+        for p, j in enumerate(w.wall_rays):
+            stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (rel, weight)
+    values = []
+    for sigma in sigmas:
+        star, cones = stars.get(sigma, {}), over[sigma]
+        if any(j not in sigma and j not in star for cone in cones for j in cone):
             raise UnsupportedFanError(f"the surface V{sigma} is not complete")
-    total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
-    # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u the row
-    # adj_i / det of a maximal cone tau over sigma: <u, v_k> = [k = i] on tau
-    tau = next(cone for cone in fan.max_cones if inside.issubset(cone))
-    adj, d = _inverses(fan)[tau]
-    for i in sigma:
-        row = adj[tau.index(i)]
-        for j, (w, weight) in star.items():
-            if w.relation[i]:
-                total -= Fraction(dot(row, fan.rays[j]), d) * weight * w.relation[i]
-    return total / 2
+        mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
+        # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u = adj_i / d
+        # from a maximal cone over sigma, so the wall of j adds d R_j - sum_i <adj_i, v_j> R_i
+        adj, d = _inverses(fan)[cones[0]]
+        rows = [(i, adj[cones[0].index(i)]) for i in sigma]
+        sums: dict[tuple[int, int], int] = {}
+        for j, (rel, weight) in star.items():
+            sums[weight] = sums.get(weight, 0) + rel[j] * d - sum(
+                dot(row, fan.rays[j]) * rel[i] for i, row in rows if rel[i])
+        total = sum((Fraction(p * n, q) for (p, q), n in sums.items()), ZERO)
+        values.append((sigma, mult * total / (2 * d)))
+    return values
 
 
 @dataclass(frozen=True)
@@ -166,8 +182,7 @@ def is_2fano(fan: Fan) -> TwoFanoVerdict:
         raise UnsupportedFanError("2-Fano scan needs a complete simplicial fan")
     if fan.rank < 2:
         raise ValueError("2-Fano scan needs rank >= 2")
-    sigmas = faces_of_dim(fan, fan.rank - 2) if fan.rank > 2 else [()]
-    values = tuple((s, ch2_dot_surface(fan, s)) for s in sigmas)
+    values = tuple(_surface_values(fan))
     witness, minimum = min(values, key=lambda t: (t[1], t[0]))
     return TwoFanoVerdict(minimum > 0, minimum, witness, minimum == 0, values)
 

@@ -1,6 +1,7 @@
 """Small test-side helpers that the package itself has no use for."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
@@ -18,6 +19,11 @@ def cone_contains(fan: Fan, cone: tuple[int, ...], x) -> bool:
     """Exact membership of x in the cone spanned by the given rays."""
     coords = _cone_coords(fan, cone, x)
     return coords is not None and all(c >= 0 for c in coords)
+
+
+def faces_of_dim(fan: Fan, k: int) -> list[tuple[int, ...]]:
+    """All k-dimensional cones of a simplicial fan (as ray index tuples)."""
+    return sorted({sub for cone in fan.max_cones for sub in combinations(cone, k)})
 
 
 def fans_equal_up_to_ray_order(f1: Fan, f2: Fan) -> bool:

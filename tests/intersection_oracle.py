@@ -7,6 +7,10 @@ character), then read off the coefficients over the one-step-larger cones,
 dividing by the index of the ray image in the one-dimensional quotient
 lattice.  It takes a Smith normal form per (sigma, gamma) pair, so it is
 kept for tests only.
+
+``walls_fraction`` and ``ch2_dot_surface_scan`` are the earlier wall-relation
+path: walls self-checked in ``Fraction`` arithmetic, and one scan of every
+wall and maximal cone per surface.
 """
 
 from __future__ import annotations
@@ -14,11 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
-from toriq.fans import Fan, UnsupportedFanError, is_face
+from toriq.fans import (
+    CACHE_SIZE,
+    Fan,
+    MalformedFanError,
+    UnsupportedFanError,
+    Wall,
+    _facets,
+    _inverses,
+    cone_multiplicity,
+    is_face,
+    validate,
+)
 from toriq.intersection import TorusDivisor
-from toriq.linalg import QVec, dot, invert, smith_normal_form, solve_linear
+from toriq.linalg import ONE, QVec, dot, invert, smith_normal_form, solve_linear
 from helpers import prime_divisor
 
 ZERO = Fraction(0)
@@ -156,4 +172,83 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
         once = intersect_once(fan, Di, sigma)
         for tau, b in once.terms:
             total += b * intersect_once(fan, Di, tau).total()
+    return total / 2
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def walls_fraction(fan: Fan) -> tuple[Wall, ...]:
+    """All walls of a simplicial fan with their exact relations.
+
+    The relation across a wall is read off the inverse of the cone holding
+    the lower-indexed opposite ray: -v_hi in that cone's ray basis."""
+    rep = validate(fan)
+    if not rep.simplicial:
+        raise UnsupportedFanError("walls are only computed for simplicial fans")
+    inverses = _inverses(fan)
+    out = []
+    for facet, sides in sorted(_facets(fan).items()):
+        if len(sides) != 2:
+            continue
+        (a, ja), (b, jb) = sides
+        op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
+        lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
+        lo_cone = fan.max_cones[lo_side]
+        lo = lo_cone[lo_pos]
+        adj, d = inverses[lo_cone]
+        rel = [ZERO] * len(fan.rays)
+        for i, row in zip(lo_cone, adj):
+            c = dot(row, fan.rays[hi])
+            if c:
+                rel[i] = Fraction(-c, d)
+        rel[hi] = ONE
+        if rel[lo] <= 0:
+            raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
+        support = lo_cone + (hi,)
+        if any(sum(rel[i] * fan.rays[i][k] for i in support) != 0 for k in range(fan.rank)):
+            raise MalformedFanError(f"relation across wall {facet} does not vanish")
+        if rep.smooth:
+            mult, scale = 1, ONE
+        else:
+            # mult(wall) is the gcd of the wall's maximal minors, which make
+            # up the adjugate row of the ray it omits; r_hi = 1, so
+            # s = mult(wall) / mult(cone holding the ray hi)
+            mult = gcd(*adj[lo_pos])
+            scale = Fraction(mult, abs(inverses[fan.max_cones[hi_side]][1]))
+        out.append(Wall(facet, a, b, tuple(rel), mult, scale))
+    return tuple(out)
+
+
+def ch2_dot_surface_scan(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
+    """Pairing of half the sum of squared prime divisors with the invariant
+    surface V(sigma); sigma must have dimension rank-2.
+
+    For smooth fans this is the second Chern character against the surface;
+    simplicial non-smooth input is evaluated under the same formula.
+    """
+    sigma = tuple(sorted(sigma))
+    if len(sigma) != fan.rank - 2:
+        raise ValueError(f"{sigma} is not a codimension-2 cone")
+    if sigma and not is_face(fan, sigma):
+        raise ValueError(f"{sigma} is not a cone of the fan")
+    inside = set(sigma)
+    mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
+    # D_j . V(sigma) = weight_j * V(tau_j) for the wall tau_j = sigma + {j}
+    star: dict[int, tuple[Wall, Fraction]] = {}
+    for w in walls_fraction(fan):
+        if inside.issubset(w.wall_rays):
+            j = next(k for k in w.wall_rays if k not in inside)
+            star[j] = (w, mult * w.scale / w.multiplicity)
+    for cone in fan.max_cones:
+        if inside.issubset(cone) and any(j not in inside and j not in star for j in cone):
+            raise UnsupportedFanError(f"the surface V{sigma} is not complete")
+    total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
+    # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u the row
+    # adj_i / det of a maximal cone tau over sigma: <u, v_k> = [k = i] on tau
+    tau = next(cone for cone in fan.max_cones if inside.issubset(cone))
+    adj, d = _inverses(fan)[tau]
+    for i in sigma:
+        row = adj[tau.index(i)]
+        for j, (w, weight) in star.items():
+            if w.relation[i]:
+                total -= Fraction(dot(row, fan.rays[j]), d) * weight * w.relation[i]
     return total / 2

@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from toriq.cli import main
 from toriq.fano_table import load_builtin_table, reconstruct_fan
+from toriq.fans import star_subdivision
 from toriq.formats import emit_fan, emit_polytope
 from conftest import hexagon, pn_fan
 
@@ -49,6 +51,31 @@ def test_ch2_prints_value(e1_file, capsys):
     # the witness surface of the first row of the E family
     assert main(["ch2", e1_file, "--surface", "1,2"]) == 0
     assert capsys.readouterr().out.strip() == "-2"
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_ch2_at_the_printed_witness(rank, p2_file, e1_file, tmp_path, capsys):
+    # check-2fano prints its witness in the syntax that ch2 --surface reads
+    if rank == 3:
+        path = tmp_path / "bl.json"
+        path.write_text(emit_fan(star_subdivision(pn_fan(3), (1, 1, 0))))
+    fan_file = {2: p2_file, 3: str(tmp_path / "bl.json"), 4: e1_file}[rank]
+    assert main(["check-2fano", fan_file]) == 0
+    minimum, witness = re.search(r"minimum: (\S+) at surface (\S*)", capsys.readouterr().out).groups()
+    assert len(witness.split(",")) == rank - 2 if witness else rank == 2
+    assert main(["ch2", fan_file, "--surface", witness]) == 0
+    assert capsys.readouterr().out.strip() == minimum
+
+
+def test_ch2_rejects_a_wrong_length(p2_file, capsys):
+    # on a surface the only surface is the zero cone
+    assert main(["ch2", p2_file, "--surface", "0,1"]) == 2
+    assert "(0, 1) is not a codimension-2 cone" in capsys.readouterr().err
+
+
+def test_ch2_rejects_a_repeated_index(e1_file, capsys):
+    assert main(["ch2", e1_file, "--surface", "1,1"]) == 2
+    assert "error: (1, 1) is not a cone of the fan" in capsys.readouterr().err
 
 
 def test_check_2fano_with_report(e1_file, tmp_path, capsys):

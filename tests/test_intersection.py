@@ -17,7 +17,7 @@ from toriq.intersection import (
 )
 from intersection_oracle import intersect_once, move_divisor, quotient_index
 from conftest import hexagon, hirzebruch_fan
-from helpers import prime_divisor
+from helpers import faces_of_dim, prime_divisor
 
 F = Fraction
 
@@ -127,8 +127,6 @@ class TestPrincipalTriviality:
 class TestCh2:
     def test_p4_euler_value(self, p4):
         # Euler-sequence value (n+1)/2 on every invariant surface
-        from toriq.fans import faces_of_dim
-
         for sigma in faces_of_dim(p4, 2):
             assert ch2_dot_surface(p4, sigma) == F(5, 2)
 
@@ -210,6 +208,16 @@ class TestIs2Fano:
     def test_surface_case(self, p2):
         scan = is_2fano(p2)
         assert scan.is_two_fano and scan.witness == ()
+
+    def test_one_wall_pass_per_scan(self, monkeypatch):
+        # all 18 surfaces of a 4-fold row come from one star index
+        from toriq.fano_table import load_builtin_table, reconstruct_fan
+
+        row = next(r for r in load_builtin_table() if r.name == "E_1")
+        fan, _ = reconstruct_fan(row)
+        calls = count_calls(monkeypatch, "walls")
+        scan = is_2fano(fan)
+        assert len(scan.values) == 18 and len(calls) == 1
 
     def test_fibering_walls_positive_anticanonical(self, corpus_fans):
         from toriq.fans import wall_classification

@@ -1,0 +1,154 @@
+"""The surface scan and the integer wall self-checks agree exactly with the
+earlier per-surface scan and the ``Fraction`` self-checks kept in
+``intersection_oracle``: equal values, equal types, equal errors."""
+
+from itertools import combinations
+
+import pytest
+
+import intersection_oracle as oracle
+from conftest import pn_fan, singular_mfs_fan
+from helpers import faces_of_dim
+from toriq import fans
+from toriq.fano_table import load_builtin_table, reconstruct_fan
+from toriq.fans import Fan, MalformedFanError, UnsupportedFanError, star_subdivision, walls
+from toriq.intersection import ch2_dot_surface, is_2fano
+
+
+def weighted_projective(weights) -> Fan:
+    """P(w_0, ..., w_n) for w_0 = 1: rays e_1..e_n and -(w_1, ..., w_n)."""
+    n = len(weights) - 1
+    rays = [tuple(-w for w in weights[1:])]
+    rays += [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return Fan(n, tuple(rays), tuple(combinations(range(n + 1), n)))
+
+
+def singular_fans() -> list[Fan]:
+    p3 = pn_fan(3)
+    p1123 = weighted_projective((1, 1, 2, 3))
+    return [
+        weighted_projective((1, 1, 2)),
+        weighted_projective((1, 2, 3)),
+        p1123,
+        weighted_projective((1, 2, 3, 5)),
+        weighted_projective((1, 2, 2, 3)),
+        weighted_projective((1, 1, 2, 2, 2)),
+        singular_mfs_fan(),
+        # subdivisions at points that are not the sum of their cone's rays
+        star_subdivision(p3, (1, 1, 2)),
+        star_subdivision(p3, (1, 2, 3)),
+        star_subdivision(pn_fan(2), (1, 2)),
+        star_subdivision(p1123, (1, 1, 1)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def table_fans():
+    rows = [r for r in load_builtin_table() if r.explicit]
+    assert len(rows) == 67
+    return {row.name: reconstruct_fan(row)[0] for row in rows}
+
+
+def surfaces(fan):
+    return faces_of_dim(fan, fan.rank - 2) if fan.rank > 2 else [()]
+
+
+def assert_scan_matches_oracle(fan):
+    assert repr(walls(fan)) == repr(oracle.walls_fraction(fan))
+    expected = tuple((s, oracle.ch2_dot_surface_scan(fan, s)) for s in surfaces(fan))
+    scan = is_2fano(fan).values
+    assert repr(scan) == repr(expected)
+    for sigma, value in expected:
+        assert repr(ch2_dot_surface(fan, sigma)) == repr(value)
+    return len(expected)
+
+
+def test_every_table_surface_matches_scan_oracle(table_fans):
+    assert sum(assert_scan_matches_oracle(fan) for fan in table_fans.values()) == 1730
+
+
+def test_singular_fans_match_scan_oracle():
+    for fan in singular_fans():
+        assert not fans.validate(fan).smooth and fans.validate(fan).complete
+        assert_scan_matches_oracle(fan)
+    # the weights scale / mult(wall) and mult(sigma) all leave 1 somewhere
+    found = [w for fan in singular_fans() for w in walls(fan)]
+    assert {w.scale for w in found} > {1} and {w.multiplicity for w in found} > {1}
+    assert any(fans.cone_multiplicity(fan, sigma) > 1
+               for fan in singular_fans() for sigma in surfaces(fan))
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("fan,sigma", [
+    (Fan(2, ((1, 0), (0, 1)), ((0, 1),)), ()),                       # affine plane
+    (Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)), (0,)),  # incomplete
+    (pn_fan(3), (5,)),                                                # not a cone
+    (pn_fan(3), (0, 1)),                                              # a curve
+    (pn_fan(4), (0,)),                                                # a curve
+    (star_subdivision(pn_fan(3), (1, 1, 0)), (1,)),                   # a value
+], ids=["affine-plane", "octant", "out-of-range", "threefold-curve", "fourfold-curve",
+        "value"])
+def test_errors_match_scan_oracle(fan, sigma):
+    try:
+        expected = oracle.ch2_dot_surface_scan(fan, sigma)
+    except ValueError:
+        assert raised(ch2_dot_surface, fan, sigma) == raised(oracle.ch2_dot_surface_scan, fan, sigma)
+    else:
+        assert repr(ch2_dot_surface(fan, sigma)) == repr(expected)
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (0, 9), (-1, 0), (2, 2)])
+def test_tuples_that_are_no_cone(table_fans, sigma):
+    # a repeated, out-of-range or negative index names no cone of P4
+    fan = table_fans["P4"]
+    assert raised(ch2_dot_surface, fan, sigma) == (
+        ValueError, f"{tuple(sorted(sigma))} is not a cone of the fan")
+
+
+def test_repeated_index_was_read_as_an_incomplete_surface(table_fans):
+    # the per-surface scan took (0, 0) for the ray 0 and blamed the surface
+    assert raised(oracle.ch2_dot_surface_scan, table_fans["P4"], (0, 0)) == (
+        UnsupportedFanError, "the surface V(0, 0) is not complete")
+
+
+def corrupted_inverses(fan, mode):
+    """``fans._inverses`` with one adjugate row changed, in the cone that
+    holds the lower opposite ray of the first wall: its own row negated
+    ("nonconvex") or another row shifted along the higher ray ("vanish")."""
+    wall = walls(fan)[0]
+    lo, hi = sorted(wall.opposite_rays(fan))
+    cone = next(c for c in (fan.max_cones[wall.side_a], fan.max_cones[wall.side_b]) if lo in c)
+    table = dict(fans._inverses(fan))
+    adj, d = table[cone]
+    rows = [list(row) for row in adj]
+    if mode == "nonconvex":
+        rows[cone.index(lo)] = [-x for x in rows[cone.index(lo)]]
+    else:
+        p = next(p for p, i in enumerate(cone) if i != lo)
+        k = next(k for k, x in enumerate(fan.rays[hi]) if x)
+        rows[p][k] += 1
+    table[cone] = (tuple(tuple(row) for row in rows), d)
+    intact = fans._inverses
+    return lambda f: table if f == fan else intact(f)
+
+
+@pytest.mark.parametrize("mode,message", [
+    ("nonconvex", "has a nonconvex crossing"), ("vanish", "does not vanish"),
+])
+@pytest.mark.parametrize("name", ["E_1", "117"])
+def test_corrupted_adjugate_raises_like_oracle(table_fans, monkeypatch, name, mode, message):
+    fan = table_fans[name]
+    fans.validate(fan)  # cached from the intact adjugates
+    broken = corrupted_inverses(fan, mode)
+    monkeypatch.setattr(fans, "_inverses", broken)
+    monkeypatch.setattr(oracle, "_inverses", broken)
+    with pytest.raises(MalformedFanError, match=message) as got:
+        walls.__wrapped__(fan)
+    with pytest.raises(MalformedFanError) as want:
+        oracle.walls_fraction.__wrapped__(fan)
+    assert str(got.value) == str(want.value)

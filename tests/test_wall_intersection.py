@@ -9,8 +9,9 @@ import pytest
 
 import intersection_oracle as oracle
 from conftest import blowup_polytope, hexagon, hirzebruch_fan, pn_fan
+from helpers import faces_of_dim
 from toriq.fano_table import load_builtin_table, reconstruct_fan
-from toriq.fans import Fan, faces_of_dim, star_subdivision, validate, walls
+from toriq.fans import Fan, star_subdivision, validate, walls
 from toriq.intersection import TorusDivisor, anticanonical, ch2_dot_surface, curve_number
 from toriq.mmp import run_mmp_scaling
 
