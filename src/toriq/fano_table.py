@@ -24,7 +24,7 @@ from .fans import (
     primitive_collections,
     validate,
 )
-from .intersection import ch2_dot_surface, is_2fano, is_fano
+from .intersection import is_2fano, is_fano, surface_cone
 from .linalg import Vec
 
 
@@ -140,9 +140,12 @@ def verify_row(row: TableRow) -> RowResult:
             res.status = "error"
             res.reason = f"fan is not Fano (witnesses {verdict.witnesses})"
             return res
-        res.computed = ch2_dot_surface(fan, row.surface)
-        res.match = res.computed == row.expected
+        sigma = surface_cone(fan, row.surface)
         scan = is_2fano(fan)
+        res.computed = dict(scan.values).get(sigma)
+        if res.computed is None:
+            raise ValueError(f"{sigma} is not a cone of the fan")
+        res.match = res.computed == row.expected
         res.global_min = scan.minimum
         res.min_witness = scan.witness
         res.two_fano = scan.is_two_fano

@@ -207,8 +207,14 @@ def validate(fan: Fan, deep: bool = False) -> ValidationReport:
     two of its cones meet in their common face.  ``deep=True`` runs that
     pairwise test on the certified fans too.  Overlapping cones raise
     ``MalformedFanError`` naming two of them; non-simplicial fans get no
-    overlap test and are never reported complete.
+    overlap test and are never reported complete.  A maximal cone whose
+    rays lie among another's, which the pairwise test passes, raises too.
     """
+    longest = max(map(len, fan.max_cones), default=0)
+    for small in (c for c in fan.max_cones if len(c) < longest):
+        big = next((c for c in fan.max_cones if set(small) < set(c)), None)
+        if big is not None:
+            raise MalformedFanError(f"maximal cone {small} lies in maximal cone {big}")
     problems: list[str] = []
     simplicial = True
     smooth = True

@@ -92,10 +92,15 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
     For smooth fans this is the second Chern character against the surface;
     simplicial non-smooth input is evaluated under the same formula.
     """
+    return _surface_values(fan, [surface_cone(fan, sigma)])[0][1]
+
+
+def surface_cone(fan: Fan, sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """sigma sorted, once checked to have dimension rank-2."""
     sigma = tuple(sorted(sigma))
     if len(sigma) != fan.rank - 2:
         raise ValueError(f"{sigma} is not a codimension-2 cone")
-    return _surface_values(fan, [sigma])[0][1]
+    return sigma
 
 
 def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -41,6 +41,10 @@ from .polytopes import FacetPresentation
 
 ZERO = Fraction(0)
 
+# what the Cayley and fiber checks of the last interval may raise
+POLYTOPE_ERRORS = (polytopes.DegenerateError, polytopes.EmptyPolytopeError,
+                   polytopes.RedundantPresentationError)
+
 DIVISORIAL = "divisorial"
 FLIP = "flip"
 MORI_FIBER = "mori-fiber-space"
@@ -359,81 +363,60 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     has every slack >= sigma_P - lam > 0 in P^(lam), and a full-dimensional
     P^(lam) has an interior point, which lies in P^(lam + e) for small e.
 
-    A zero-length interval (forced, tied runs) is sampled at its value,
-    and so is an interval whose certificate fails, which fails its
-    fan note whatever the sample shows.
+    A zero-length interval k at lam (forced, tied runs) takes P^(lam)'s
+    facet count and simplicity from the last certificate, which ends at
+    lam.  Its fan note is False by proof: step k's wall curve C has
+    (L_k + lam*K).C = 0 on ``fan_before``, where L_k + lam*K has P^(lam)'s
+    constants; were that fan P^(lam)'s normal fan, the divisor would be
+    ample on it and C.D > 0 (Cox-Little-Schenck 6.1.14, 6.4).  With no such
+    data (lam >= sigma_P, or no certificate), and on an interval whose
+    certificate fails, only the fan note is recorded, as False.
     """
     P = trace.initial_polytope
     notes = {}
-    ok = True
-
-    def record(key, check):
-        nonlocal ok
-        try:
-            value = check()
-        except (polytopes.DegenerateError, polytopes.EmptyPolytopeError,
-                polytopes.RedundantPresentationError):
-            value = False
-        notes[key] = value
-        ok = ok and bool(value)
-
-    def reduced_adjoint(s):
-        try:
-            return polytopes.remove_redundant(polytopes.adjoint(P, s))[0]
-        except (polytopes.DegenerateError, polytopes.EmptyPolytopeError):
-            return None
-
+    at_value = None  # (facet count, simple) of P^(lo), from the last certificate
     for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
         fan, lam = step.fan_before, step.lam
-        mid = (lo + lam) / 2
-        limits = _certified_limits(P, fan, lo, lam) if lo < lam else None
-        if limits is None:
-            reduced = reduced_adjoint(mid)
-            if reduced is None:
-                record(f"interval_{idx}_fan_matches", lambda: False)
-                continue
-            notes[f"interval_{idx}_facets"] = reduced.nfacets
-            record(f"interval_{idx}_fan_matches",
-                   lambda: lo == lam and polytopes.normal_fan(reduced) == fan)
-            record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
+        if lo == lam and at_value is not None:
+            facets, simple = at_value
         else:
-            on = set(fan.rays)
-            reduced = FacetPresentation(
-                P.dim, fan.rays,
-                tuple(a - mid for v, a in zip(P.normals, P.constants) if v in on),
-                irredundant=True,
-            )
-            notes[f"interval_{idx}_facets"] = reduced.nfacets
-            notes[f"interval_{idx}_fan_matches"] = notes[f"interval_{idx}_simple"] = True
-        step.facet_count_before = reduced.nfacets
-        if step.kind in (DIVISORIAL, FLIP):
+            limits = _certified_limits(P, fan, lo, lam) if lo < lam else None
+            at_value = None
             if limits is None:
-                at = reduced_adjoint(lam)
-                value = None if at is None else (at.nfacets, polytopes.is_simple(at))
-            elif lam < trace.effective_threshold:
-                facet = polytopes._facet_flags(P.nfacets, limits)
-                value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in limits)
-            else:
-                value = None
-            if value is None:
-                record(f"step_{idx}_polytope_at_value", lambda: False)
+                notes[f"interval_{idx}_fan_matches"] = False
                 continue
-            step.facet_count_after, simple = value
+            facets, simple = len(fan.rays), True
+            if lam < trace.effective_threshold:
+                facet = polytopes._facet_flags(P.nfacets, limits)
+                at_value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in limits)
+        notes[f"interval_{idx}_facets"] = step.facet_count_before = facets
+        notes[f"interval_{idx}_fan_matches"] = lo < lam  # False by proof at lo == lam
+        notes[f"interval_{idx}_simple"] = simple
+        if step.kind == MORI_FIBER:  # the last interval's polytope is a Cayley sum
+            mid = (lo + lam) / 2
+            reduced = FacetPresentation(P.dim, fan.rays, tuple(
+                a - mid for v, a in zip(P.normals, P.constants) if v in fan.rays), irredundant=True)
+            try:
+                notes["tail_is_cayley"] = polytopes.cayley_mori_detect(reduced) is not None
+            except POLYTOPE_ERRORS:
+                notes["tail_is_cayley"] = False
+            try:
+                notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace, step.fiber_data)
+            except POLYTOPE_ERRORS:
+                notes["fiber_polytope_matches"] = False
+        elif at_value is None:
+            notes[f"step_{idx}_polytope_at_value"] = False
+        else:
+            step.facet_count_after, simple = at_value
             if step.kind == DIVISORIAL:
-                record(f"step_{idx}_facet_drop_one",
-                       lambda: reduced.nfacets - step.facet_count_after == 1)
-                record(f"step_{idx}_simple_at_value", lambda: simple)
+                notes[f"step_{idx}_facet_drop_one"] = facets - step.facet_count_after == 1
+                notes[f"step_{idx}_simple_at_value"] = simple
             else:
-                record(f"step_{idx}_facet_count_constant",
-                       lambda: step.facet_count_after == reduced.nfacets)
-                record(f"step_{idx}_not_simple_at_value", lambda: not simple)
-        else:  # Mori fiber space: last interval polytope is a Cayley sum
-            record("tail_is_cayley",
-                   lambda: polytopes.cayley_mori_detect(reduced) is not None)
-            record("fiber_polytope_matches",
-                   lambda: _fiber_polytope_matches(trace, step.fiber_data))
+                notes[f"step_{idx}_facet_count_constant"] = step.facet_count_after == facets
+                notes[f"step_{idx}_not_simple_at_value"] = not simple
     trace.validation = notes
-    if not trace.generality_flag and not ok:
+    # facet counts are positive, so only a failed check is falsy
+    if not trace.generality_flag and not all(notes.values()):
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")
 
 

@@ -270,7 +270,7 @@ def polarization(P: FacetPresentation) -> tuple[Fan, TorusDivisor]:
     own divisor on it (ample there); RedundantPresentationError or
     DegenerateError otherwise."""
     fan = normal_fan(P)
-    if any(len(cone) != P.dim for cone in fan.max_cones):
+    if not is_simple(P):
         raise RedundantPresentationError("polytope is not simple")
     return fan, TorusDivisor(fan, P.constants)
 
@@ -413,7 +413,7 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
         tried.add(key)
         try:
             data = mmp.mori_fiber_data(fan, wall)
-        except (fans.MalformedFanError, fans.ReconstructionError, ValueError):
+        except fans.MalformedFanError:
             continue
         if not data.split or not data.fiber_rho_one:
             continue

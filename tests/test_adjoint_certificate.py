@@ -82,10 +82,29 @@ def outcome(check, trace):
     return list(trace.validation.items()), counts, error
 
 
+def sampling_fails(*args, **kwargs):
+    raise AssertionError("the cross-validation sampled an adjoint polytope")
+
+
+def zero_length_intervals(trace) -> list[int]:
+    lams = (F(0),) + trace.critical_values
+    return [k for k in range(len(trace.steps)) if lams[k] == lams[k + 1]]
+
+
 def assert_matches_oracle(P):
+    """The package check, run with the sampling routines patched to fail,
+    has the oracle's outcome; every zero-length interval fails its fan note
+    in both."""
     trace = unvalidated(P)
-    got = outcome(mmp._adjoint_cross_validation, trace)
-    assert got == outcome(oracle._adjoint_cross_validation, trace)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "adjoint", sampling_fails)
+        mp.setattr(polytopes, "remove_redundant", sampling_fails)
+        got = outcome(mmp._adjoint_cross_validation, trace)
+    expected = outcome(oracle._adjoint_cross_validation, trace)
+    assert got == expected
+    for notes, _, _ in (got, expected):
+        assert all(dict(notes)[f"interval_{k}_fan_matches"] is False
+                   for k in zero_length_intervals(trace))
     return got
 
 
@@ -126,6 +145,19 @@ def test_zero_length_interval_matches_oracle():
     assert_matches_oracle(P)
 
 
+def test_zero_length_intervals_need_no_sample():
+    # d3-48 and d3-78 carry P^(lam) from the interval before; d2-23 and
+    # d2-43 end on a zero-length Mori step at sigma_P, with no data
+    for key, zero in (("d2-23", [1]), ("d2-43", [1]), ("d3-48", [4]), ("d3-78", [1])):
+        P = pool_polytope(key)
+        assert zero_length_intervals(unvalidated(P)) == zero
+        notes, _, _ = assert_matches_oracle(P)
+        k = zero[0]
+        assert [n for n, _ in notes if n.startswith(f"interval_{k}_")] == (
+            [f"interval_{k}_fan_matches"] if key.startswith("d2") else
+            [f"interval_{k}_facets", f"interval_{k}_fan_matches", f"interval_{k}_simple"])
+
+
 def doctored(trace, k, **changes):
     """A copy of the trace whose step k has the given fields replaced."""
     steps = [dataclasses.replace(s, **changes) if i == k else s
@@ -147,6 +179,17 @@ def test_lambda_too_large_rejected():
     assert "interval_0_fan_matches" in false_notes(mmp._adjoint_cross_validation, bad)
     # the oracle samples 3/8, where the fan is still right
     assert false_notes(oracle._adjoint_cross_validation, bad) == []
+
+
+def test_failed_certificate_records_only_the_fan_note():
+    bad = doctored(unvalidated(FIRST), 0, lam=F(3, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "adjoint", sampling_fails)
+        mp.setattr(polytopes, "remove_redundant", sampling_fails)
+        notes, counts, _ = outcome(mmp._adjoint_cross_validation, bad)
+    assert [(key, value) for key, value in notes if "_0_" in key] == [
+        ("interval_0_fan_matches", False)]
+    assert counts[0] == (None, None)
 
 
 def test_lambda_too_small_rejected():

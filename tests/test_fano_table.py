@@ -188,3 +188,31 @@ def test_package_error_becomes_row_error(by_name, monkeypatch):
     monkeypatch.setattr(fano_table, "is_2fano", unsupported)
     res = fano_table.verify_row(by_name["E_1"])
     assert res.status == "error" and "UnsupportedFanError" in res.reason
+
+
+@pytest.mark.parametrize("surface, reason", [
+    ((6, 0), "ValueError: (0, 6) is not a cone of the fan"),  # a primitive collection
+    ((1,), "ValueError: (1,) is not a codimension-2 cone"),
+    ((1, 2, 3), "ValueError: (1, 2, 3) is not a codimension-2 cone"),
+])
+def test_doctored_surface_is_a_row_error(by_name, surface, reason):
+    from toriq.fano_table import verify_row
+
+    good = verify_row(by_name["E_1"])
+    res = verify_row(dataclasses.replace(by_name["E_1"], surface=surface))
+    # everything before the witness value as in the good row, nothing after
+    assert res == dataclasses.replace(
+        good, status="error", reason=reason, computed=None, match=None,
+        global_min=None, min_witness=None, two_fano=None)
+
+
+def test_one_surface_pass_per_row(by_name, monkeypatch):
+    # the witness value is read off the scan, not computed again
+    from toriq import fano_table, intersection
+
+    calls = []
+    scan = intersection._surface_values
+    monkeypatch.setattr(intersection, "_surface_values",
+                        lambda *args: calls.append(args) or scan(*args))
+    res = fano_table.verify_row(by_name["E_1"])
+    assert (res.status, res.computed, len(calls)) == ("ok", F(-2), 1)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -308,3 +309,17 @@ def test_certificate_agrees_with_pairwise_check(corpus_fans):
     assert len(set(fans)) > 67 + len(corpus_fans)
     for fan in set(fans):
         assert validate(fan) == validate(fan, deep=True)
+
+
+@pytest.mark.parametrize("inner, outer", [((0,), (0, 1)), ((2,), (0, 2))])
+def test_maximal_cone_inside_another_rejected(inner, outer):
+    # the pairwise overlap test passes a cone lying in another; the surface
+    # pass then leaked a KeyError or returned a value for ()
+    from toriq.intersection import ch2_dot_surface
+
+    f = Fan(2, ((1, 0), (0, 1), (-1, -1)), (inner, (0, 1), (1, 2), (0, 2)))
+    message = f"maximal cone {inner} lies in maximal cone {outer}"
+    with pytest.raises(MalformedFanError, match=re.escape(message)):
+        validate(f)
+    with pytest.raises(MalformedFanError, match="lies in maximal cone"):
+        ch2_dot_surface(f, ())

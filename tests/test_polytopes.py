@@ -270,6 +270,18 @@ class TestCayleyMori:
     def test_detect_hexagon_absent(self):
         assert cayley_mori_detect(hexagon()) is None
 
+    def test_detect_lets_a_kernel_error_through(self, monkeypatch):
+        # only "no fibration here" is skipped; a kernel's error is a bug
+        from toriq import mmp
+        from toriq.linalg import DimensionError
+
+        def broken(fan, wall):
+            raise DimensionError("kernel bug")
+
+        monkeypatch.setattr(mmp, "mori_fiber_data", broken)
+        with pytest.raises(DimensionError):
+            cayley_mori_detect(unit_square())
+
     def test_build_detect_roundtrip(self):
         a = FacetPresentation(1, ((1,), (-1,)), (0, 2), irredundant=True)
         b = FacetPresentation(1, ((1,), (-1,)), (1, 4), irredundant=True)

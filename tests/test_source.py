@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -98,3 +99,25 @@ def test_every_function_has_a_caller():
     uncalled = [f"{mod}.{name}" for mod, name in defined
                 if name not in used and name not in kept]
     assert defined and not uncalled, uncalled
+
+
+def _except_tuples(path):
+    """(line, [class, ...]) for each ``except (A, B, ...)`` in a package module,
+    the names resolved in that module."""
+    module = importlib.import_module(f"toriq.{path.stem}")
+    scope = {**vars(builtins), **vars(module)}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            yield node.lineno, [eval(ast.unparse(e), scope) for e in node.type.elts]
+
+
+def test_no_except_tuple_names_a_base_with_a_subclass():
+    # `except (SubError, BaseError)` reads as two cases but is only the base
+    found = [
+        f"{path.name}:{line} {sub.__name__} < {base.__name__}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, classes in _except_tuples(path)
+        for sub in classes for base in classes
+        if sub is not base and issubclass(sub, base)
+    ]
+    assert list(SRC.glob("*.py")) and not found, found
