@@ -18,7 +18,6 @@ from typing import Optional
 
 from .linalg import (
     ONE,
-    ZERO,
     Vec,
     QVec,
     _vertex_solutions,
@@ -88,22 +87,24 @@ class Wall:
     """An (n-1)-dimensional cone shared by exactly two maximal cones,
     together with the exact linear relation among the n+1 rays involved.
 
-    The relation is a rational coefficient vector over *all* rays of the
-    fan, supported on the wall rays and the two opposite rays, normalized
-    so the higher-indexed opposite ray has coefficient 1; both opposite
-    coefficients are positive.
+    The relation is the primitive integer vector r over *all* rays of the
+    fan with sum_k r_k v_k = 0, supported on the wall rays and the two
+    opposite rays, and positive on both opposite rays.  It is its own class
+    key: two walls have proportional curve classes exactly when their
+    relations are equal.
 
     ``multiplicity`` is the lattice index mult(wall) of the wall cone, and
     ``scale`` is s = mult(wall) / (mult(sigma_a) * r_a) for either adjacent
-    maximal cone sigma_a and its opposite-ray coefficient r_a: the divisor
-    sum_k d_k D_k meets the wall curve in s * sum_k d_k * relation_k.  On
-    smooth fans both are 1.
+    maximal cone sigma_a and its opposite-ray coefficient r_a, which is
+    mult(wall) * g / (mult(sigma_a) * mult(sigma_b)) for g the gcd that
+    made the relation primitive: the divisor sum_k d_k D_k meets the wall
+    curve in s * sum_k d_k * r_k.  On smooth fans both are 1.
     """
 
     wall_rays: tuple[int, ...]
     side_a: int
     side_b: int
-    relation: QVec
+    relation: Vec
     multiplicity: int
     scale: Fraction
 
@@ -313,7 +314,8 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
 
     The relation across a wall is -v_hi in the ray basis of the cone holding
     the lower-indexed opposite ray, c / d for c = -adj·v_hi; its self-checks,
-    c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers."""
+    c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers, and the
+    stored relation is (c, d) divided by its gcd with the sign of d."""
     rep = validate(fan)
     if not rep.simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
@@ -333,18 +335,18 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
             raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
         if any(sum(c * fan.rays[i][k] for i, c in zip(support, cs)) for k in range(fan.rank)):
             raise MalformedFanError(f"relation across wall {facet} does not vanish")
-        rel = [ZERO] * len(fan.rays)
-        for i, c in zip(lo_cone, cs):
-            rel[i] = Fraction(c, d) if c else ZERO
-        rel[hi] = ONE
+        g = gcd(*cs) if d > 0 else -gcd(*cs)
+        rel = [0] * len(fan.rays)
+        for i, c in zip(support, cs):
+            rel[i] = c // g
         if rep.smooth:
             mult, scale = 1, ONE
         else:
             # mult(wall) is the gcd of the wall's maximal minors, which make
-            # up the adjugate row of the ray it omits; r_hi = 1, so
-            # s = mult(wall) / mult(cone holding the ray hi)
+            # up the adjugate row of the ray it omits; r_hi = d / g, so
+            # s = mult(wall) * g / (d * mult(cone holding the ray hi))
             mult = gcd(*adj[lo_pos])
-            scale = Fraction(mult, abs(inverses[fan.max_cones[hi_side]][1]))
+            scale = Fraction(mult * g, d * abs(inverses[fan.max_cones[hi_side]][1]))
         out.append(Wall(facet, a, b, tuple(rel), mult, scale))
     return tuple(out)
 
@@ -355,14 +357,6 @@ def wall_classification(fan: Fan, wall: Wall) -> tuple[int, int]:
     alpha = sum(1 for i in wall.wall_rays if wall.relation[i] < 0)
     beta = sum(1 for i in wall.wall_rays if wall.relation[i] <= 0)
     return alpha, beta
-
-
-def wall_class_key(wall: Wall) -> QVec:
-    """Canonical form of the wall's curve class: the relation scaled so its
-    positive entries sum to 1.  Two walls are numerically proportional
-    exactly when their keys agree."""
-    pos = sum(c for c in wall.relation if c > 0)
-    return tuple(c / pos for c in wall.relation)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -2,12 +2,13 @@
 
 Every intersection number is read off the wall relations that ``fans.walls``
 computes, and checks in integers, once per fan.  For a wall tau between the
-maximal cones sigma_a and sigma_b, with relation r (sum_k r_k v_k = 0, on tau
-and the two opposite rays), a divisor D = sum_k d_k D_k meets V(tau) in
+maximal cones sigma_a and sigma_b, with primitive integer relation r
+(sum_k r_k v_k = 0, on tau and the two opposite rays, positive on both
+opposite rays), a divisor D = sum_k d_k D_k meets V(tau) in
 s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a) is stored
-on the wall (Fulton, *Introduction to Toric Varieties*, ch. 5;
-Cox-Little-Schenck, 6.4).  On an invariant surface V(sigma), D_j with j not in
-sigma restricts to (mult sigma / mult tau_j) V(tau_j) for the wall
+on the wall as its ``scale`` (Fulton, *Introduction to Toric Varieties*,
+ch. 5; Cox-Little-Schenck, 6.4).  On an invariant surface V(sigma), D_j with
+j not in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for the wall
 tau_j = sigma + {j}, and D_i on a ray of sigma is first moved off sigma
 (through a row of the cached inverse of a maximal cone over sigma).  One pass
 over the walls indexes every surface to its star of walls.
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Optional
 
 from .fans import (
@@ -81,7 +81,8 @@ def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
 
 
 def wall_curve_number(fan: Fan, D: TorusDivisor, wall: Wall) -> Fraction:
-    """D . V(wall): the wall's scale times the pairing of D with its relation."""
+    """D . V(wall): the wall's scale times the pairing of D with its
+    integer relation."""
     return wall.scale * sum((d * r for d, r in zip(D.coeffs, wall.relation) if r), ZERO)
 
 
@@ -116,22 +117,21 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         if sigma not in over:
             raise ValueError(f"{sigma} is not a cone of the fan")
     # D_j . V(sigma) = mult(sigma) s_tau / mult(tau) V(tau), tau = sigma + {j}; each
-    # wall keeps R = L r in integers and its weight s_tau / (mult(tau) L) as a ratio
+    # wall keeps its weight s_tau / mult(tau) as a ratio
     stars: dict[tuple[int, ...], dict[int, tuple[Vec, tuple[int, int]]]] = {}
     for w in walls(fan):
-        den = lcm(*[r.denominator for r in w.relation])
-        weight = (w.scale / (w.multiplicity * den)).as_integer_ratio()
-        rel = [r.numerator * (den // r.denominator) for r in w.relation]
+        weight = (w.scale / w.multiplicity).as_integer_ratio()
         for p, j in enumerate(w.wall_rays):
-            stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (rel, weight)
+            stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (w.relation, weight)
+    smooth = validate(fan).smooth
     values = []
     for sigma in sigmas:
         star, cones = stars.get(sigma, {}), over[sigma]
         if any(j not in sigma and j not in star for cone in cones for j in cone):
             raise UnsupportedFanError(f"the surface V{sigma} is not complete")
-        mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
+        mult = 1 if smooth else cone_multiplicity(fan, sigma)
         # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u = adj_i / d
-        # from a maximal cone over sigma, so the wall of j adds d R_j - sum_i <adj_i, v_j> R_i
+        # from a maximal cone over sigma, so the wall of j adds d r_j - sum_i <adj_i, v_j> r_i
         adj, d = _inverses(fan)[cones[0]]
         rows = [(i, adj[cones[0].index(i)]) for i in sigma]
         sums: dict[tuple[int, int], int] = {}

@@ -24,7 +24,6 @@ from .fans import (
     image_fan,
     restricted_cones,
     validate,
-    wall_class_key,
     wall_classification,
     walls,
 )
@@ -90,7 +89,7 @@ class MMPStep:
     lam: Fraction
     kind: str
     wall_rays: tuple[int, ...]
-    relation: tuple
+    relation: Vec
     alpha: int
     beta: int
     fan_before: Fan
@@ -121,9 +120,9 @@ class MMPTrace:
 
 
 def class_walls(fan: Fan, wall: Wall) -> list[Wall]:
-    """All walls numerically proportional to the given wall's curve class."""
-    key = wall_class_key(wall)
-    return [w for w in walls(fan) if wall_class_key(w) == key]
+    """All walls numerically proportional to the given wall's curve class:
+    those with the same primitive relation."""
+    return [w for w in walls(fan) if w.relation == wall.relation]
 
 
 def _replace_circuits(fan: Fan, wall: Wall) -> set[tuple[int, ...]]:
@@ -169,8 +168,7 @@ def contract(fan: Fan, wall: Wall) -> ContractionResult:
         raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
     rays = fan.rays[:exc] + fan.rays[exc + 1:]
     result = Fan(fan.rank, rays, tuple(tuple(i - (i > exc) for i in c) for c in cones))
-    rep = validate(result)
-    if not (rep.well_formed and rep.simplicial and rep.complete):
+    if not _complete_simplicial(result):
         raise MalformedFanError("divisorial contraction produced an invalid fan")
     return ContractionResult(DIVISORIAL, fan=result, dropped_ray=exc)
 
@@ -198,6 +196,10 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         raise ValueError("fibering data needs a wall with alpha = 0")
     support = [i for i, c in enumerate(wall.relation) if c > 0]
     basis, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
+    # the base fan first: most walls that do not fibre fail there
+    base_fan = image_fan(fan, proj, fan.max_cones)
+    if not _complete_simplicial(base_fan):
+        raise MalformedFanError("wall does not induce a fibration")
     # fiber fan: cones of the fan lying inside the kernel sublattice
     in_kernel = [
         i for i in range(len(fan.rays))
@@ -212,14 +214,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_rays.append(int_vec(coords, MalformedFanError))
     fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
     fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
-    base_fan = image_fan(fan, proj, fan.max_cones)
-    base_rep = validate(base_fan)
-    fiber_rep = validate(fiber_fan)
-    ok = (
-        base_rep.well_formed and base_rep.simplicial and base_rep.complete
-        and fiber_rep.well_formed and fiber_rep.simplicial and fiber_rep.complete
-    )
-    if not ok:
+    if not _complete_simplicial(fiber_fan):
         raise MalformedFanError("wall does not induce a fibration")
     return MoriFiberData(
         base_fan=base_fan,
@@ -230,6 +225,11 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
         split=weakly_split(fan, proj),
     )
+
+
+def _complete_simplicial(fan: Fan) -> bool:
+    rep = validate(fan)
+    return rep.well_formed and rep.simplicial and rep.complete
 
 
 def weakly_split(fan: Fan, projection) -> bool:
@@ -275,9 +275,9 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         if len(steps) >= budget:
             raise StepBudgetError("step budget exhausted; runaway program")
         lam, vanishing = _nef_threshold_from(fan, L, lam_prev)
-        classes: dict[tuple, list[Wall]] = {}
+        classes: dict[Vec, list[Wall]] = {}
         for w in vanishing:
-            classes.setdefault(wall_class_key(w), []).append(w)
+            classes.setdefault(w.relation, []).append(w)
         if len(classes) > 1:
             wall_sets = tuple(sorted(min(w.wall_rays for w in ws) for ws in classes.values()))
             if not force:

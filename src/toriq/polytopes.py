@@ -407,10 +407,9 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
         alpha, _ = wall_classification(fan, wall)
         if alpha != 0:
             continue
-        key = fans.wall_class_key(wall)
-        if key in tried:
+        if wall.relation in tried:
             continue
-        tried.add(key)
+        tried.add(wall.relation)
         try:
             data = mmp.mori_fiber_data(fan, wall)
         except fans.MalformedFanError:

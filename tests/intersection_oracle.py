@@ -9,8 +9,10 @@ lattice.  It takes a Smith normal form per (sigma, gamma) pair, so it is
 kept for tests only.
 
 ``walls_fraction`` and ``ch2_dot_surface_scan`` are the earlier wall-relation
-path: walls self-checked in ``Fraction`` arithmetic, and one scan of every
-wall and maximal cone per surface.
+path: walls self-checked in ``Fraction`` arithmetic, each relation normalized
+to 1 on the higher-indexed opposite ray, and one scan of every wall and
+maximal cone per surface.  ``wall_class_key`` is the earlier canonical form
+of a wall's curve class.
 """
 
 from __future__ import annotations
@@ -252,3 +254,11 @@ def ch2_dot_surface_scan(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
             if w.relation[i]:
                 total -= Fraction(dot(row, fan.rays[j]), d) * weight * w.relation[i]
     return total / 2
+
+
+def wall_class_key(wall: Wall) -> QVec:
+    """Canonical form of the wall's curve class: the relation scaled so its
+    positive entries sum to 1.  Two walls are numerically proportional
+    exactly when their keys agree."""
+    pos = sum(c for c in wall.relation if c > 0)
+    return tuple(Fraction(c, pos) for c in wall.relation)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import intersection_oracle as oracle
 from toriq.fans import (
     Fan,
     MalformedFanError,
@@ -14,7 +15,6 @@ from toriq.fans import (
     star_quotient,
     star_subdivision,
     validate,
-    wall_class_key,
     wall_classification,
     walls,
 )
@@ -164,7 +164,7 @@ class TestWallClassification:
     def test_class_key_groups_rulings(self, p1p1):
         keys = {}
         for w in walls(p1p1):
-            keys.setdefault(wall_class_key(w), []).append(w.wall_rays)
+            keys.setdefault(oracle.wall_class_key(w), []).append(w.wall_rays)
         assert sorted(keys.values()) == [[(0,), (2,)], [(1,), (3,)]]
 
 

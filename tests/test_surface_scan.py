@@ -1,18 +1,24 @@
 """The surface scan and the integer wall self-checks agree exactly with the
 earlier per-surface scan and the ``Fraction`` self-checks kept in
-``intersection_oracle``: equal values, equal types, equal errors."""
+``intersection_oracle``: equal values, equal types, equal errors.  Each
+primitive integer relation, times its scale, is the oracle's relation times
+its scale, and equal relations are exactly the oracle's equal class keys."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 import intersection_oracle as oracle
 from conftest import pn_fan, singular_mfs_fan
 from helpers import faces_of_dim
-from toriq import fans
+from test_circuit_replacement import _workloads, fourfold_polytopes
+from toriq import fans, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import Fan, MalformedFanError, UnsupportedFanError, star_subdivision, walls
 from toriq.intersection import ch2_dot_surface, is_2fano
+from toriq.mmp import class_walls, run_mmp_scaling
 
 
 def weighted_projective(weights) -> Fan:
@@ -53,8 +59,21 @@ def surfaces(fan):
     return faces_of_dim(fan, fan.rank - 2) if fan.rank > 2 else [()]
 
 
+def assert_walls_match_oracle(fan):
+    """Equal wall cones, sides and multiplicities, equal scale * relation
+    entry by entry, and a primitive integer relation with an exact scale."""
+    got, want = walls(fan), oracle.walls_fraction(fan)
+    assert len(got) == len(want)
+    for w, o in zip(got, want):
+        assert (w.wall_rays, w.side_a, w.side_b, w.multiplicity) == (
+            o.wall_rays, o.side_a, o.side_b, o.multiplicity)
+        assert [w.scale * r for r in w.relation] == [o.scale * r for r in o.relation]
+        assert all(type(r) is int for r in w.relation) and gcd(*w.relation) == 1
+        assert type(w.scale) is Fraction
+
+
 def assert_scan_matches_oracle(fan):
-    assert repr(walls(fan)) == repr(oracle.walls_fraction(fan))
+    assert_walls_match_oracle(fan)
     expected = tuple((s, oracle.ch2_dot_surface_scan(fan, s)) for s in surfaces(fan))
     scan = is_2fano(fan).values
     assert repr(scan) == repr(expected)
@@ -76,6 +95,53 @@ def test_singular_fans_match_scan_oracle():
     assert {w.scale for w in found} > {1} and {w.multiplicity for w in found} > {1}
     assert any(fans.cone_multiplicity(fan, sigma) > 1
                for fan in singular_fans() for sigma in surfaces(fan))
+
+
+@pytest.fixture(scope="module")
+def fourfold_run_fans():
+    """Every fan whose walls the forced seed-1 runs on the 67 rows search
+    (the benchmark's 4-fold rows among them), the runs that fail their
+    cross-validation included."""
+    workloads = _workloads()
+    seen = {}
+    search = mmp._nef_threshold_from
+
+    def recording(fan, L, s0):
+        seen[fan] = None
+        return search(fan, L, s0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmp, "_nef_threshold_from", recording)
+        for P in fourfold_polytopes(workloads).values():
+            try:
+                run_mmp_scaling(P, force=True)
+            except MalformedFanError:
+                pass
+    return list(seen)
+
+
+def all_wall_fans(table_fans, fourfold_run_fans):
+    return list(table_fans.values()) + singular_fans() + fourfold_run_fans
+
+
+def test_class_walls_partition_matches_oracle_keys(table_fans, fourfold_run_fans):
+    for fan in all_wall_fans(table_fans, fourfold_run_fans):
+        key = {w.wall_rays: oracle.wall_class_key(w) for w in oracle.walls_fraction(fan)}
+        for w in walls(fan):
+            expected = [v.wall_rays for v in walls(fan) if key[v.wall_rays] == key[w.wall_rays]]
+            assert [v.wall_rays for v in class_walls(fan, w)] == expected
+
+
+def test_relations_are_primitive_integers(table_fans, fourfold_run_fans):
+    found = [(fan, w) for fan in all_wall_fans(table_fans, fourfold_run_fans)
+             for w in walls(fan)]
+    # 2,346 walls of the rows, 74 of the singular fans and 6,156 of the 212
+    # run fans, 208 of them on the 12 singular ones
+    assert len(found) == 8576
+    assert sum(not fans.validate(fan).smooth for fan in fourfold_run_fans) == 12
+    for fan, w in found:
+        assert all(type(r) is int for r in w.relation) and gcd(*w.relation) == 1
+        assert all(w.relation[i] > 0 for i in w.opposite_rays(fan))
 
 
 def raised(fn, *args):
