@@ -28,7 +28,7 @@ from .polytopes import (
     thresholds,
     vertices,
 )
-from .mmp import run_mmp_scaling
+from .mmp import run_mmp_scaling, weakly_split
 
 __all__ = [
     "Fan",
@@ -55,6 +55,7 @@ __all__ = [
     "validate",
     "vertices",
     "walls",
+    "weakly_split",
 ]
 
 __version__ = "0.1.0"

@@ -163,10 +163,8 @@ def is_fano(fan: Fan) -> FanoVerdict:
     if rep.smooth:
         bad = tuple(c for c in primitive_collections(fan) if c.degree <= 0)
         return FanoVerdict(not bad, "primitive-collections", bad)
-    mk = anticanonical(fan)
-    bad_walls = tuple(
-        w for w in walls(fan) if wall_curve_number(fan, mk, w) <= 0
-    )
+    # -K.C is the wall's positive scale times the sum of its relation
+    bad_walls = tuple(w for w in walls(fan) if sum(w.relation) <= 0)
     return FanoVerdict(not bad_walls, "kleiman", bad_walls)
 
 
@@ -206,13 +204,14 @@ def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fracti
     """Nef threshold lambda of L + s*K from s0 on, and the walls where
     L + lambda*K vanishes with -K.C > 0, in ``walls`` order.  The same pass
     checks the start: L ample (L.C > 0 on every wall) at s0 = 0, and
-    L + s0*K nef (>= 0) past it."""
-    mk = anticanonical(fan)
+    L + s0*K nef (>= 0) past it.  A wall's ``scale`` is positive, so the
+    signs and the ratio of L.C and -K.C are those of sum_k L_k r_k and
+    sum_k r_k over its integer relation r."""
     best: Optional[Fraction] = None
     attained: list[Wall] = []
     for w in walls(fan):
-        kc = wall_curve_number(fan, mk, w)
-        lc = wall_curve_number(fan, L, w)
+        kc = sum(w.relation)
+        lc = sum((d * r for d, r in zip(L.coeffs, w.relation) if r), ZERO)
         at_s0 = lc - s0 * kc
         if at_s0 < 0 or (at_s0 == 0 and not s0):
             kind = "nef" if s0 else "ample"

@@ -223,7 +223,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_basis=tuple(basis),
         fiber_ray_origin=tuple(in_kernel),
         fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
-        split=weakly_split(fan, proj),
+        split=_weakly_split(fan, proj, base_fan),
     )
 
 
@@ -236,12 +236,15 @@ def weakly_split(fan: Fan, projection) -> bool:
     """Whether the fan is weakly split by its kernel subfan and the image
     fan under a surjection N -> N' (rows of ``projection``): a subfan maps
     cone-by-cone bijectively onto the base and every maximal cone
-    decomposes as lifted cone + kernel cone.
+    decomposes as lifted cone + kernel cone."""
+    return _weakly_split(fan, projection, image_fan(fan, projection, fan.max_cones))
 
-    That holds exactly when the image fan is simplicial with rank-many rays
-    per maximal cone, every blade (the non-kernel rays of a maximal cone)
-    has rank-many rays, and distinct blades have distinct images."""
-    base = image_fan(fan, projection, fan.max_cones)
+
+def _weakly_split(fan: Fan, projection, base: Fan) -> bool:
+    """``weakly_split`` given the image fan ``base`` of all maximal cones:
+    it is simplicial with rank-many rays per maximal cone, every blade (the
+    non-kernel rays of a maximal cone) has rank-many rays, and distinct
+    blades have distinct images."""
     blades = {
         tuple(i for i in cone if any(dot(row, fan.rays[i]) for row in projection))
         for cone in fan.max_cones
@@ -334,8 +337,9 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     with the tracked normal fan; at a divisorial value the facet count
     drops by exactly one and the polytope stays simple; at a flip it is
     not simple with unchanged facet count; on the last interval it is a
-    Cayley sum; and the projected polytope agrees with the fiber fan.
-    Violations raise for general runs and are recorded otherwise.
+    Cayley sum along the step's own fiber, its bases read off its tight
+    sets; and the projected polytope agrees with the fiber fan.  Violations
+    raise for general runs and are recorded otherwise.
 
     Each interval (lo, lam) with lo < lam is certified exactly, with no
     vertex enumeration (``_certified_limits``).  Take the step's fan Sigma,
@@ -397,7 +401,8 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             reduced = FacetPresentation(P.dim, fan.rays, tuple(
                 a - mid for v, a in zip(P.normals, P.constants) if v in fan.rays), irredundant=True)
             try:
-                notes["tail_is_cayley"] = polytopes.cayley_mori_detect(reduced) is not None
+                notes["tail_is_cayley"] = polytopes._decompose_along_fiber(
+                    reduced, polytopes.vertices(reduced), step.fiber_data) is not None
             except POLYTOPE_ERRORS:
                 notes["tail_is_cayley"] = False
             try:

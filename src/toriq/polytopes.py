@@ -36,7 +36,6 @@ from .linalg import (
     nonneg_solve,
     saturation_and_projection,
     scale_to_primitive,
-    solve_linear,
     vec_sub,
 )
 
@@ -391,7 +390,8 @@ def cayley_mori_build(bases: Sequence[FacetPresentation], w: Sequence[Vec]) -> F
 
 def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition]:
     """Detect a Cayley sum structure on P by searching its normal fan for a
-    fibering-type wall.
+    fibering-type wall and decomposing along each, the bases read off P's
+    tight sets, as the scaled program does along its own Mori fiber.
 
     On success the base polytopes are returned in coordinates on the kernel
     of the fiber projection, together with the simplex directions w and the
@@ -414,8 +414,6 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
             data = mmp.mori_fiber_data(fan, wall)
         except fans.MalformedFanError:
             continue
-        if not data.split or not data.fiber_rho_one:
-            continue
         dec = _decompose_along_fiber(P, pvs, data)
         if dec is not None:
             return dec
@@ -423,65 +421,61 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
 
 
 def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
-    k = data.fiber_fan.rank
+    """P (vertex set ``pvs``) as a Cayley sum along the split fibration
+    ``data`` of its normal fan, whose fiber has Picard rank one, or None.
+    The bases are read off P's tight sets: a facet of a face F is F cut by
+    a facet of P (Ziegler, *Lectures on Polytopes*, 2.3), an inequality j
+    whose tight vertices on F are a nonempty, proper and maximal set (as in
+    ``_facet_flags``); on x = origin + kern c it is <u, c> >= -(a_j +
+    <v_j, origin>) / g for kern^T v_j = g u, u primitive.  The bases' fans
+    are compared as tight sets; a face not spanning the kernel gives None."""
+    if not (data.split and data.fiber_rho_one):
+        return None
     pi_rows = [tuple(b) for b in data.fiber_basis]
     simplex_pts = sorted({tuple(dot(row, v) for row in pi_rows) for v in pvs.vertices})
-    if len(simplex_pts) != k + 1:
-        return None
-    # one invariant-section face of P per maximal fiber-fan cone
-    base_faces = []
-    ws = []
+    # per maximal fiber cone: (simplex vertex, section face as (vertex, tight set)s)
+    sections = []
     for fcone in data.fiber_fan.max_cones:
-        facet_idx = [data.fiber_ray_origin[i] for i in fcone]
-        face_verts = [
-            v for v, t in zip(pvs.vertices, pvs.tight) if set(facet_idx) <= set(t)
-        ]
-        if not face_verts:
-            return None
-        imgs = {tuple(dot(row, v) for row in pi_rows) for v in face_verts}
+        on = {data.fiber_ray_origin[i] for i in fcone}
+        face = sorted((v, t) for v, t in zip(pvs.vertices, pvs.tight) if on <= set(t))
+        imgs = {tuple(dot(row, v) for row in pi_rows) for v, _ in face}
         if len(imgs) != 1:
             return None
-        ws.append(next(iter(imgs)))
-        base_faces.append(tuple(sorted(face_verts)))
-    if sorted(ws) != simplex_pts:
+        sections.append((imgs.pop(), face))
+    sections.sort()
+    ws = [w for w, _ in sections]
+    if ws != simplex_pts:  # k + 1 fiber rays make k + 1 sections
         return None
-    order = sorted(range(len(ws)), key=lambda i: ws[i])
-    ws = [ws[i] for i in order]
-    base_faces = [base_faces[i] for i in order]
-    # coordinates on ker(pi) via its saturated integer basis
-    kern = integer_kernel_basis([tuple(r) for r in pi_rows])
-    mat = [[kern[c][r] for c in range(len(kern))] for r in range(P.dim)]
-    bases = []
-    for face in base_faces:
-        origin = face[0]
-        coords = []
-        for v in face:
-            sol = solve_linear(mat, vec_sub(v, origin))
-            if sol is None:
-                return None
-            coords.append(sol)
-        try:
-            bases.append(facet_presentation_from_vertices(coords))
-        except ValueError:
+    kern = integer_kernel_basis(pi_rows)
+    bases, base_fans = [], set()
+    for _, face in sections:
+        if affine_rank([v for v, _ in face]) != len(kern):
             return None
-    first_fan = None
-    for b in bases:
-        try:
-            f = normal_fan(b)
-        except (DegenerateError, RedundantPresentationError, EmptyPolytopeError):
-            return None
-        if first_fan is None:
-            first_fan = f
-        elif f != first_fan:
-            return None
-    w0 = ws[0]
-    wrel = [vec_sub(wi, w0) for wi in ws[1:]]
+        tight: dict[int, set[int]] = {}
+        for p, (_, t) in enumerate(face):
+            for j in t:
+                tight.setdefault(j, set()).add(p)
+        proper = [(j, T) for j, T in tight.items() if len(T) < len(face)]
+        facets: dict[Vec, tuple[Fraction, set[int]]] = {}
+        for j, T in proper:
+            if not any(T < U for _, U in proper):
+                gu = [dot(col, P.normals[j]) for col in kern]
+                g = gcd(*gu)
+                b = (P.constants[j] + dot(P.normals[j], face[0][0])) / g
+                facets[tuple(x // g for x in gu)] = (b, T)
+        normals = sorted(facets)
+        bases.append(FacetPresentation(len(kern), tuple(normals),
+                                       tuple(facets[u][0] for u in normals), irredundant=True))
+        base_fans.add(frozenset(frozenset(u for u in normals if p in facets[u][1])
+                                for p in range(len(face))))
+    if len(base_fans) != 1:
+        return None
     return CayleyMoriDecomposition(
         bases=tuple(bases),
-        w=tuple(wrel),
+        w=tuple(vec_sub(wi, ws[0]) for wi in ws[1:]),
         fiber_projection=tuple(pi_rows),
-        base_faces=tuple(base_faces),
-        simplex_vertices=tuple(tuple(x) for x in ws),
+        base_faces=tuple(tuple(v for v, _ in face) for _, face in sections),
+        simplex_vertices=tuple(ws),
     )
 
 

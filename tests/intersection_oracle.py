@@ -13,6 +13,11 @@ path: walls self-checked in ``Fraction`` arithmetic, each relation normalized
 to 1 on the higher-indexed opposite ray, and one scan of every wall and
 maximal cone per surface.  ``wall_class_key`` is the earlier canonical form
 of a wall's curve class.
+
+``nef_threshold_from`` and ``kleiman_walls`` are the earlier nef threshold
+and Kleiman test: two curve numbers per wall, each the wall's scale times
+a ``Fraction`` pairing, where ``toriq.intersection`` reads the signs and
+the ratio off the integer relation alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from toriq.fans import (
     CACHE_SIZE,
@@ -34,8 +39,9 @@ from toriq.fans import (
     cone_multiplicity,
     is_face,
     validate,
+    walls,
 )
-from toriq.intersection import TorusDivisor
+from toriq.intersection import TorusDivisor, anticanonical, wall_curve_number
 from toriq.linalg import ONE, QVec, dot, invert, smith_normal_form, solve_linear
 from helpers import prime_divisor
 
@@ -262,3 +268,33 @@ def wall_class_key(wall: Wall) -> QVec:
     exactly when their keys agree."""
     pos = sum(c for c in wall.relation if c > 0)
     return tuple(Fraction(c, pos) for c in wall.relation)
+
+
+def kleiman_walls(fan: Fan) -> tuple[Wall, ...]:
+    """The walls whose curve meets the anticanonical divisor in <= 0."""
+    mk = anticanonical(fan)
+    return tuple(w for w in walls(fan) if wall_curve_number(fan, mk, w) <= 0)
+
+
+def nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fraction, list[Wall]]:
+    """Nef threshold lambda of L + s*K from s0 on and the walls attaining
+    it, from the curve numbers L.C and -K.C of every wall."""
+    mk = anticanonical(fan)
+    best: Optional[Fraction] = None
+    attained: list[Wall] = []
+    for w in walls(fan):
+        kc = wall_curve_number(fan, mk, w)
+        lc = wall_curve_number(fan, L, w)
+        at_s0 = lc - s0 * kc
+        if at_s0 < 0 or (at_s0 == 0 and not s0):
+            kind = "nef" if s0 else "ample"
+            raise ValueError(f"divisor is not {kind} at s={s0} (wall {w.wall_rays})")
+        if kc > 0:
+            cand = lc / kc
+            if best is None or cand < best:
+                best, attained = cand, [w]
+            elif cand == best:
+                attained.append(w)
+    if best is None:
+        raise ValueError("no wall meets the canonical divisor negatively")
+    return best, attained

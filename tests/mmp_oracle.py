@@ -9,11 +9,13 @@ circuit that omit a positive ray by those that omit a negative one.
 ``_adjoint_cross_validation`` is the sampled check ``toriq.mmp`` had before
 it certified each interval exactly: one reduced adjoint polytope, with a
 full vertex enumeration, at each interval's midpoint and at each critical
-value.
+value.  Its Cayley tail check decomposes along the step's own fiber with
+``polytope_oracle.decompose_along_fiber``, the hull-based decomposition.
 """
 
 from __future__ import annotations
 
+import polytope_oracle
 from toriq import polytopes
 from toriq.fans import Fan, MalformedFanError, Wall, validate, wall_classification
 from toriq.mmp import (
@@ -111,8 +113,9 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     with the tracked normal fan; at a divisorial value the facet count
     drops by exactly one and the polytope stays simple; at a flip it is
     not simple with unchanged facet count; on the last interval it is a
-    Cayley sum; and the projected polytope agrees with the fiber fan.
-    Violations raise for general runs and are recorded otherwise.
+    Cayley sum along the step's own fiber, with hulls for the bases; and
+    the projected polytope agrees with the fiber fan.  Violations raise for
+    general runs and are recorded otherwise.
     """
     P = trace.initial_polytope
     notes = {}
@@ -159,9 +162,11 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
                        lambda: at.nfacets == reduced.nfacets)
                 record(f"step_{idx}_not_simple_at_value",
                        lambda: not polytopes.is_simple(at))
-        else:  # Mori fiber space: last interval polytope is a Cayley sum
-            record("tail_is_cayley",
-                   lambda: polytopes.cayley_mori_detect(reduced) is not None)
+        else:  # Mori fiber space: last interval polytope is a Cayley sum along its fiber
+            data = step.fiber_data
+            record("tail_is_cayley", lambda: data.split and data.fiber_rho_one and (
+                polytope_oracle.decompose_along_fiber(
+                    reduced, polytopes.vertices(reduced), data) is not None))
             record("fiber_polytope_matches",
                    lambda: _fiber_polytope_matches(trace, step.fiber_data))
     trace.validation = notes

@@ -17,6 +17,11 @@ compares the gcd of its entries with its determinant.
 ``_positively_spanning`` is the boundedness test that
 ``toriq.polytopes._positively_spanning`` answers with one rank and one LP:
 it runs one LP per signed unit vector, 2n in all.
+
+``decompose_along_fiber`` is the Cayley decomposition that
+``toriq.polytopes._decompose_along_fiber`` reads off P's tight sets: it
+solves for each base vertex's kernel coordinates, takes each base's hull
+and compares the bases' normal fans.
 """
 
 from __future__ import annotations
@@ -28,18 +33,23 @@ from toriq.linalg import (
     Vec,
     affine_rank,
     dot,
+    integer_kernel_basis,
     lp_min,
     nonneg_solve,
     smith_normal_form,
     solve_linear,
+    vec_sub,
 )
 from toriq.polytopes import (
+    CayleyMoriDecomposition,
     DegenerateError,
     EmptyPolytopeError,
     FacetPresentation,
     RedundantPresentationError,
     effective_threshold,
+    facet_presentation_from_vertices,
     is_empty,
+    normal_fan,
     vertices,
 )
 
@@ -121,3 +131,68 @@ def is_cayley_s(W: list[Vec]) -> Optional[int]:
     _, D, _ = smith_normal_form(W)
     diag = [D[i][i] for i in range(len(W))]
     return diag[0] if diag[0] > 0 and all(d == diag[0] for d in diag) else None
+
+
+def decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
+    """P as a Cayley sum along the fibration ``data``, or None; each base is
+    the hull of its section face in coordinates on the projection's kernel."""
+    k = data.fiber_fan.rank
+    pi_rows = [tuple(b) for b in data.fiber_basis]
+    simplex_pts = sorted({tuple(dot(row, v) for row in pi_rows) for v in pvs.vertices})
+    if len(simplex_pts) != k + 1:
+        return None
+    # one invariant-section face of P per maximal fiber-fan cone
+    base_faces = []
+    ws = []
+    for fcone in data.fiber_fan.max_cones:
+        facet_idx = [data.fiber_ray_origin[i] for i in fcone]
+        face_verts = [
+            v for v, t in zip(pvs.vertices, pvs.tight) if set(facet_idx) <= set(t)
+        ]
+        if not face_verts:
+            return None
+        imgs = {tuple(dot(row, v) for row in pi_rows) for v in face_verts}
+        if len(imgs) != 1:
+            return None
+        ws.append(next(iter(imgs)))
+        base_faces.append(tuple(sorted(face_verts)))
+    if sorted(ws) != simplex_pts:
+        return None
+    order = sorted(range(len(ws)), key=lambda i: ws[i])
+    ws = [ws[i] for i in order]
+    base_faces = [base_faces[i] for i in order]
+    # coordinates on ker(pi) via its saturated integer basis
+    kern = integer_kernel_basis([tuple(r) for r in pi_rows])
+    mat = [[kern[c][r] for c in range(len(kern))] for r in range(P.dim)]
+    bases = []
+    for face in base_faces:
+        origin = face[0]
+        coords = []
+        for v in face:
+            sol = solve_linear(mat, vec_sub(v, origin))
+            if sol is None:
+                return None
+            coords.append(sol)
+        try:
+            bases.append(facet_presentation_from_vertices(coords))
+        except ValueError:
+            return None
+    first_fan = None
+    for b in bases:
+        try:
+            f = normal_fan(b)
+        except (DegenerateError, RedundantPresentationError, EmptyPolytopeError):
+            return None
+        if first_fan is None:
+            first_fan = f
+        elif f != first_fan:
+            return None
+    w0 = ws[0]
+    wrel = [vec_sub(wi, w0) for wi in ws[1:]]
+    return CayleyMoriDecomposition(
+        bases=tuple(bases),
+        w=tuple(wrel),
+        fiber_projection=tuple(pi_rows),
+        base_faces=tuple(base_faces),
+        simplex_vertices=tuple(tuple(x) for x in ws),
+    )

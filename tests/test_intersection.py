@@ -285,12 +285,14 @@ class TestNefThreshold:
             nef_threshold(p1p1, TorusDivisor(p1p1, (1, 0, 0, 0)))
 
     def test_one_wall_pass(self, monkeypatch):
-        # L and -K meet each of the hexagon's six walls once; no ampleness pass
+        # one pass over the hexagon's walls, read off their integer relations:
+        # no curve number and no ampleness pass
         from toriq.polytopes import thresholds
 
-        calls = count_calls(monkeypatch, "wall_curve_number")
+        curve_numbers = count_calls(monkeypatch, "wall_curve_number")
+        passes = count_calls(monkeypatch, "walls")
         thresholds(hexagon())
-        assert len(calls) == 12
+        assert curve_numbers == [] and len(passes) == 1
 
     def test_mmp_run_makes_no_ampleness_pass(self, monkeypatch):
         from toriq.mmp import run_mmp_scaling

@@ -80,6 +80,21 @@ def test_mori_fiber_data_matches_oracle(mmp_fans):
     assert built >= 40, built
 
 
+def test_one_image_fan_per_fiber_data(mmp_fans, monkeypatch):
+    # the base fan serves both the fibration test and weak splitting
+    from toriq import mmp
+
+    calls = []
+    monkeypatch.setattr(mmp, "image_fan", lambda *args: calls.append(args) or image_fan(*args))
+    built = 0
+    for fan in mmp_fans:
+        for wall in fibering_walls(fan):
+            before = len(calls)
+            built += outcome(mori_fiber_data, fan, wall) is not MalformedFanError
+            assert len(calls) == before + 1
+    assert built >= 40, built
+
+
 def random_projection(rng, k, n):
     while True:
         rows = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(k)]

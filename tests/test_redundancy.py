@@ -254,6 +254,19 @@ def test_forced_run_enumerates_each_presentation_once(monkeypatch):
     assert hulls == []
 
 
+def test_forced_run_takes_one_hull(monkeypatch):
+    # the 2 x 1 rectangle's core is a segment: Q is a hull, and the Cayley
+    # bases of its tail are read off P's tight sets
+    hulls = []
+    hull = polytopes.hull_facets
+    monkeypatch.setattr(polytopes, "hull_facets", lambda pts: hulls.append(pts) or hull(pts))
+    rectangle = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 2, 1),
+                                  irredundant=True)
+    trace = run_mmp_scaling(rectangle, force=True)
+    assert trace.core_projection.kernel_basis and trace.validation["tail_is_cayley"]
+    assert len(hulls) == 1
+
+
 def test_lower_dimensional_presentation_rejected():
     # the unit square cut down to its bottom edge by y <= 0
     flat = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 1, 0))

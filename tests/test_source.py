@@ -121,3 +121,23 @@ def test_no_except_tuple_names_a_base_with_a_subclass():
         if sub is not base and issubclass(sub, base)
     ]
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_no_unused_imports():
+    # every name a package module imports is read in that module; the
+    # package's __init__ imports names to re-export them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert list(SRC.glob("*.py")) and not found, found

@@ -2,8 +2,11 @@
 earlier per-surface scan and the ``Fraction`` self-checks kept in
 ``intersection_oracle``: equal values, equal types, equal errors.  Each
 primitive integer relation, times its scale, is the oracle's relation times
-its scale, and equal relations are exactly the oracle's equal class keys."""
+its scale, and equal relations are exactly the oracle's equal class keys.
+The nef threshold and the Kleiman test read off the integer relations agree
+with the oracle's curve numbers."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -17,7 +20,7 @@ from test_circuit_replacement import _workloads, fourfold_polytopes
 from toriq import fans, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import Fan, MalformedFanError, UnsupportedFanError, star_subdivision, walls
-from toriq.intersection import ch2_dot_surface, is_2fano
+from toriq.intersection import ZERO, TorusDivisor, ch2_dot_surface, is_2fano, is_fano
 from toriq.mmp import class_walls, run_mmp_scaling
 
 
@@ -101,13 +104,13 @@ def test_singular_fans_match_scan_oracle():
 def fourfold_run_fans():
     """Every fan whose walls the forced seed-1 runs on the 67 rows search
     (the benchmark's 4-fold rows among them), the runs that fail their
-    cross-validation included."""
+    cross-validation included, with the (L, s0) of each search on it."""
     workloads = _workloads()
     seen = {}
     search = mmp._nef_threshold_from
 
     def recording(fan, L, s0):
-        seen[fan] = None
+        seen.setdefault(fan, []).append((L, s0))
         return search(fan, L, s0)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -117,11 +120,11 @@ def fourfold_run_fans():
                 run_mmp_scaling(P, force=True)
             except MalformedFanError:
                 pass
-    return list(seen)
+    return seen
 
 
 def all_wall_fans(table_fans, fourfold_run_fans):
-    return list(table_fans.values()) + singular_fans() + fourfold_run_fans
+    return list(table_fans.values()) + singular_fans() + list(fourfold_run_fans)
 
 
 def test_class_walls_partition_matches_oracle_keys(table_fans, fourfold_run_fans):
@@ -142,6 +145,42 @@ def test_relations_are_primitive_integers(table_fans, fourfold_run_fans):
     for fan, w in found:
         assert all(type(r) is int for r in w.relation) and gcd(*w.relation) == 1
         assert all(w.relation[i] > 0 for i in w.opposite_rays(fan))
+
+
+def threshold_outcome(search, fan, L, s0):
+    """lambda and the attained walls, or the error message."""
+    try:
+        lam, attained = search(fan, L, s0)
+    except ValueError as err:
+        return str(err)
+    return repr(lam), [w.wall_rays for w in attained]
+
+
+def test_nef_threshold_matches_curve_number_oracle(table_fans, fourfold_run_fans):
+    # -K, a perturbation of it and one prime divisor, at s0 = 0 and 1/3, on
+    # the rows and the singular fans; each run's own (L, s0) on its fans
+    searches = [(fan, L, s0) for fan, calls in fourfold_run_fans.items() for L, s0 in calls]
+    for fan in list(table_fans.values()) + singular_fans():
+        n = len(fan.rays)
+        for coeffs in ((1,) * n, tuple(1 + Fraction(i % 3, 5) for i in range(n)),
+                       (1,) + (0,) * (n - 1)):
+            searches += [(fan, TorusDivisor(fan, coeffs), s0) for s0 in (ZERO, Fraction(1, 3))]
+    seen = Counter()
+    for fan, L, s0 in searches:
+        got = threshold_outcome(mmp._nef_threshold_from, fan, L, s0)
+        assert got == threshold_outcome(oracle.nef_threshold_from, fan, L, s0)
+        seen[type(got)] += 1
+    assert min(seen[tuple], seen[str]) >= 100, seen
+
+
+def test_kleiman_walls_match_curve_number_oracle(fourfold_run_fans):
+    found = [fan for fan in singular_fans() + list(fourfold_run_fans)
+             if not fans.validate(fan).smooth]
+    assert len(found) == 23
+    for fan in found:
+        verdict = is_fano(fan)
+        assert verdict.method == "kleiman"
+        assert verdict.witnesses == oracle.kleiman_walls(fan)
 
 
 def raised(fn, *args):
