@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import index, mul
 from typing import Optional, Sequence
@@ -480,20 +479,47 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
-    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n:
-    one integer adjugate per n-subset of the rows, yielding (y, d, slack) for
-    each invertible, feasible one, with the vertex y / d, d > 0, and
-    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated."""
-    for subset in combinations(range(len(rows)), len(rows[0])):
-        adj, d = adjugate([rows[i] for i in subset])
-        if not d:
-            continue
-        y = [sum(a * rhs[i] for a, i in zip(row, subset)) for row in adj]
-        if d < 0:
-            y, d = [-t for t in y], -d
-        slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
-        if min(slack) >= 0:
-            yield y, d, slack
+    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
+    yielding (y, d, slack) for each invertible n-subset of the rows whose
+    solution is feasible, with the vertex y / d, d > 0, and
+    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated.
+
+    One fraction-free Gauss-Jordan elimination of [rows | rhs] is shared
+    along the tree of subsets in lexicographic order: a node holds its
+    prefix's rows as d times their reduced row echelon form, and a child
+    reduces its new row r against them without division, d * r minus r[c]
+    times the row of each pivot column c, and takes one ``_pivot`` step.  A
+    dependent prefix prunes its subtree; at a leaf the rows read [d I | y]
+    up to the order of the pivot columns."""
+    m, n = len(rows), len(rows[0])
+    aug = [list(v) + [b] for v, b in zip(rows, rhs)]
+
+    def walk(tab, pivots, d, start):
+        k = len(pivots)
+        if k == n:
+            y = [0] * n
+            for row, c in zip(tab, pivots):
+                y[c] = row[n]
+            if d < 0:
+                y, d = [-t for t in y], -d
+            slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
+            if min(slack) >= 0:
+                yield y, d, slack
+            return
+        for j in range(start, m - n + k + 1):  # leaves n - k - 1 rows after j
+            r = aug[j]
+            new = [d * a for a in r]
+            for row, c in zip(tab, pivots):
+                f = r[c]
+                if f:
+                    new = [a - f * b for a, b in zip(new, row)]
+            col = next((c for c in range(n) if new[c]), None)
+            if col is None:
+                continue  # every subset through this prefix is singular
+            child = tab + [new]
+            yield from walk(child, pivots + [col], _pivot(child, k, col, d), j + 1)
+
+    yield from walk([], [], 1, 0)
 
 
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:

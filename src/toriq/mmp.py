@@ -406,7 +406,7 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             except POLYTOPE_ERRORS:
                 notes["tail_is_cayley"] = False
             try:
-                notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace, step.fiber_data)
+                notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace)
             except POLYTOPE_ERRORS:
                 notes["fiber_polytope_matches"] = False
         elif at_value is None:
@@ -473,7 +473,7 @@ def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
     return limits
 
 
-def _fiber_polytope_matches(trace: MMPTrace, data: MoriFiberData) -> bool:
+def _fiber_polytope_matches(trace: MMPTrace) -> bool:
     """Item check for the projected polytope Q: its normal fan, pulled back
     through the core projection, must be exactly the subfan of the original
     fan annihilating the core direction (the fan of the general fiber of

@@ -146,7 +146,8 @@ def is_empty(P: FacetPresentation) -> bool:
 
 @lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
-    """Exact vertex enumeration over all invertible n-subsets of facets
+    """Exact vertex enumeration over the invertible n-subsets of facets, one
+    elimination shared along the tree of subsets
     (``linalg._vertex_solutions``).  A bounded presentation with no vertex is
     empty; only an unbounded one needs the emptiness LP."""
     n = P.dim

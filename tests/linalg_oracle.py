@@ -12,6 +12,10 @@ it is kept for tests only.
 read the facets off the vertices of the polar: one kernel per d-subset of
 the points, then a scan of every point against the hyperplane.
 
+``_vertex_solutions`` is the vertex enumeration that ``toriq.linalg`` ran
+before it shared one elimination along the tree of subsets: one adjugate of
+[M | I] per n-subset of the rows, and the solution as adj times rhs.
+
 ``lp_standard`` is the two-phase simplex that ``toriq.linalg`` ran before it
 pivoted one integer tableau with the elimination step: every pivot divides
 the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import index
+from operator import index, mul
 from typing import Optional, Sequence
 
 from toriq.linalg import LPResult, Vec, dot, frac, scale_to_primitive, vec_sub
@@ -114,6 +118,23 @@ def adjugate(M):
                 rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
         prev = pv
     return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
+    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n:
+    one integer adjugate per n-subset of the rows, yielding (y, d, slack) for
+    each invertible, feasible one, with the vertex y / d, d > 0, and
+    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated."""
+    for subset in combinations(range(len(rows)), len(rows[0])):
+        adj, d = adjugate([rows[i] for i in subset])
+        if not d:
+            continue
+        y = [sum(a * rhs[i] for a, i in zip(row, subset)) for row in adj]
+        if d < 0:
+            y, d = [-t for t in y], -d
+        slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
+        if min(slack) >= 0:
+            yield y, d, slack
 
 
 def affine_rank(points) -> int:

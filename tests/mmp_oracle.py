@@ -168,7 +168,7 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
                 polytope_oracle.decompose_along_fiber(
                     reduced, polytopes.vertices(reduced), data) is not None))
             record("fiber_polytope_matches",
-                   lambda: _fiber_polytope_matches(trace, step.fiber_data))
+                   lambda: _fiber_polytope_matches(trace))
     trace.validation = notes
     if not trace.generality_flag and not ok:
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")

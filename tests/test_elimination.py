@@ -1,16 +1,21 @@
 """The fraction-free elimination behind ``toriq.linalg`` agrees exactly with
 the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, the hull read off
-the polar agrees with the oracle's brute-force hull, and the hull, vertex,
-face-fan and redundancy code run the elimination only where it is needed."""
+the polar agrees with the oracle's brute-force hull, the vertex enumeration
+shared along the tree of subsets agrees with the oracle's one adjugate per
+subset, and the hull, vertex, face-fan and redundancy code run the
+elimination only where it is needed."""
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from toriq import linalg
+from test_adjoint_certificate import sweep_polytopes
+from test_circuit_replacement import _workloads
+from toriq import fans, linalg, polytopes
+from toriq.fano_table import load_builtin_table
 from toriq.linalg import (
     _eliminate,
     adjugate,
@@ -19,7 +24,8 @@ from toriq.linalg import (
     matrix_rank,
     solve_linear,
 )
-from toriq.fans import face_fan
+from toriq.fans import MalformedFanError, face_fan
+from toriq.mmp import run_mmp_scaling
 from toriq.polytopes import FacetPresentation, remove_redundant, vertices
 
 F = Fraction
@@ -151,27 +157,130 @@ def test_remove_redundant_runs_one_rank(monkeypatch):
     assert len(calls) == 1
 
 
-def test_hull_work_is_one_adjugate_per_subset(monkeypatch):
+def cube_facets(n):
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return units + [tuple(-x for x in u) for u in units]
+
+
+# One elimination shared along the tree of subsets: a node's _pivot step is
+# paid once for every subset through it, and a dependent prefix prunes its
+# subtree.
+
+def test_hull_work_is_one_shared_elimination(monkeypatch):
+    pivots = count_calls(monkeypatch, "_pivot")
     adjugates = count_calls(monkeypatch, "adjugate")
     kernels = count_calls(monkeypatch, "kernel_basis")
     lps = count_calls(monkeypatch, "lp_standard")
     assert len(hull_facets(cube_vertices(4))) == 8
-    assert (len(adjugates), len(kernels), len(lps)) == (comb(16, 4), 0, 0)
+    # 4 for the rank, 1390 for the tree over the 16 rows of the polar
+    assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (1394, 0, 0, 0)
 
 
-def test_vertices_work_is_one_adjugate_per_subset(monkeypatch):
+def test_vertices_work_is_one_shared_elimination(monkeypatch):
+    pivots = count_calls(monkeypatch, "_pivot")
     adjugates = count_calls(monkeypatch, "adjugate")
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    cube = FacetPresentation(4, tuple(units) + tuple(tuple(-x for x in u) for u in units),
-                             (0,) * 4 + (1,) * 4)
+    cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
     vertices.cache_clear()
+    polytopes._positively_spanning.cache_clear()
     assert len(vertices(cube).vertices) == 16
-    assert len(adjugates) == comb(8, 4)
+    # 8 for boundedness (a rank and an LP), 54 for the tree over the 8
+    # facets, 4 for the rank of the vertices
+    assert (len(pivots), len(adjugates)) == (66, 0)
 
 
-def test_face_fan_work_is_one_adjugate_per_subset(monkeypatch):
+def test_face_fan_work_is_one_shared_elimination(monkeypatch):
+    pivots = count_calls(monkeypatch, "_pivot")
     adjugates = count_calls(monkeypatch, "adjugate")
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    fan = face_fan(units + [tuple(-x for x in u) for u in units])
+    fans.validate.cache_clear()
+    fans._inverses.cache_clear()
+    fan = face_fan(cube_facets(4))
     assert len(fan.max_cones) == 16
-    assert len(adjugates) == comb(8, 4)
+    # 54 for the tree over the 8 rays, 64 for the adjugates of the 16 cones
+    # that validate reads through its own import
+    assert (len(pivots), len(adjugates)) == (118, 0)
+
+
+@st.composite
+def systems(draw):
+    """Integer systems rows·y >= rhs with n <= 4 unknowns and m <= 9 rows.
+    Rows repeat, negate or combine earlier ones, so prefixes are often
+    dependent; many rows are tight at a drawn point x, so vertices are often
+    degenerate, and a row tight at x next to its negation makes the feasible
+    set lower-dimensional."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("new", "repeat", "negate", "combine"))) if rows else "new"
+        if kind == "new":
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+        elif kind == "combine":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)))
+        else:
+            r = draw(st.sampled_from(rows))
+            rows.append(r if kind == "repeat" else tuple(-a for a in r))
+    x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    slack = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, -1)), min_size=m, max_size=m))
+    return rows, [sum(a * b for a, b in zip(r, x)) - s for r, s in zip(rows, slack)]
+
+
+def solutions(kernel, rows, rhs):
+    """The kernel's (y, d, slack) as a multiset; both kernels give d = |det|
+    of the subset, so equal vertices come with equal integers."""
+    return Counter((tuple(y), d, tuple(slack)) for y, d, slack in kernel(rows, rhs))
+
+
+@given(systems())
+@settings(max_examples=500, deadline=None)
+def test_vertex_solutions_match_adjugate_oracle(system):
+    assert solutions(linalg._vertex_solutions, *system) == solutions(
+        oracle._vertex_solutions, *system)
+
+
+def test_pruned_prefix_and_unordered_pivots(monkeypatch):
+    # rows 0 and 1 are dependent, so the pair is pruned; the vertex (1, 1)
+    # is read off the leaf (2, 3), which pivots on column 1 before column 0
+    pivots = count_calls(monkeypatch, "_pivot")
+    rows, rhs = [(1, 2), (2, 4), (0, 1), (1, 0), (-1, -1)], [0, 0, 1, 1, -5]
+    got = solutions(linalg._vertex_solutions, rows, rhs)
+    assert got == solutions(oracle._vertex_solutions, rows, rhs)
+    assert ((1, 1), 1, (3, 6, 0, 0, 3)) in got
+    assert len(pivots) == 4 + 9  # the one-row prefixes and 9 of the 10 pairs
+
+
+def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
+    """Every system the kernel receives in the forced seed-1 sweep of the 67
+    explicit 4-fold rows (cores, tails and Q's hull included), in the
+    adjoint-family pool's items and in the face fans of the table rows."""
+    kernel = linalg._vertex_solutions
+    inputs = {}  # system -> the consumer that enumerated it first
+
+    def recorder(consumer):
+        def recorded(rows, rhs):
+            inputs.setdefault((tuple(map(tuple, rows)), tuple(rhs)), consumer)
+            return kernel(rows, rhs)
+        return recorded
+
+    for module in (linalg, polytopes, fans):
+        monkeypatch.setattr(module, "_vertex_solutions", recorder(module.__name__))
+    vertices.cache_clear()
+    workloads = _workloads()
+    runs = [(name, lambda P=P: run_mmp_scaling(P, force=True))
+            for name, P in sweep_polytopes().items()]
+    runs += [(key, lambda key=key: workloads.run_adjoint_item(workloads.adjoint_polytope(key)))
+             for key in workloads.ADJOINT_KEYS]
+    failed = []
+    for name, run in runs:
+        try:
+            run()
+        except MalformedFanError:  # the known failures, pinned elsewhere
+            failed.append(name)
+    rows = [row for row in load_builtin_table() if row.explicit]
+    for row in rows:
+        face_fan(list(row.rays))
+    assert failed == ["G_1", "G_4", "J_1", "Z_1", "d3-76"]
+    # 621 vertex sets, 87 hulls and the 67 face fans
+    assert Counter(inputs.values()) == {"toriq.polytopes": 621, "toriq.linalg": 87,
+                                        "toriq.fans": len(rows)}
+    for system in inputs:
+        assert solutions(kernel, *system) == solutions(oracle._vertex_solutions, *system)
