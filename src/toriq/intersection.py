@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .fans import (
@@ -206,22 +208,30 @@ def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fracti
     checks the start: L ample (L.C > 0 on every wall) at s0 = 0, and
     L + s0*K nef (>= 0) past it.  A wall's ``scale`` is positive, so the
     signs and the ratio of L.C and -K.C are those of sum_k L_k r_k and
-    sum_k r_k over its integer relation r."""
-    best: Optional[Fraction] = None
+    sum_k r_k over its integer relation r.
+
+    Integers only: with L_k = c_k / D over one common denominator D and
+    s0 = p0 / q0, the wall has lc = sum_k c_k r_k and kc = sum_k r_k, so
+    (L + s0*K).C has the sign of q0*lc - p0*D*kc, its ratio is lc / (D*kc),
+    and two ratios compare cross-multiplied."""
+    D = lcm(*(c.denominator for c in L.coeffs))
+    coeffs = [c.numerator * (D // c.denominator) for c in L.coeffs]
+    p0D, q0 = s0.numerator * D, s0.denominator
+    best: Optional[tuple[int, int]] = None  # (lc, kc) of the least ratio so far
     attained: list[Wall] = []
     for w in walls(fan):
         kc = sum(w.relation)
-        lc = sum((d * r for d, r in zip(L.coeffs, w.relation) if r), ZERO)
-        at_s0 = lc - s0 * kc
-        if at_s0 < 0 or (at_s0 == 0 and not s0):
+        lc = sum(map(mul, coeffs, w.relation))
+        at_s0 = q0 * lc - p0D * kc
+        if at_s0 < 0 or (at_s0 == 0 and not p0D):
             kind = "nef" if s0 else "ample"
             raise ValueError(f"divisor is not {kind} at s={s0} (wall {w.wall_rays})")
         if kc > 0:
-            cand = lc / kc
-            if best is None or cand < best:
-                best, attained = cand, [w]
-            elif cand == best:
+            order = -1 if best is None else lc * best[1] - best[0] * kc
+            if order < 0:
+                best, attained = (lc, kc), [w]
+            elif order == 0:
                 attained.append(w)
     if best is None:
         raise ValueError("no wall meets the canonical divisor negatively")
-    return best, attained
+    return Fraction(best[0], D * best[1]), attained

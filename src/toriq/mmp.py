@@ -29,6 +29,7 @@ from .fans import (
 )
 from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
+    QVec,
     Vec,
     dot,
     int_vec,
@@ -106,7 +107,7 @@ class MMPTrace:
     initial_polytope: FacetPresentation
     steps: list[MMPStep]
     effective_threshold: Fraction
-    core_projection: polytopes.CoreProjection
+    core_projection: Optional[polytopes.CoreProjection]  # set by the cross-validation
     generality_flag: bool
     validation: dict = field(default_factory=dict)
 
@@ -314,7 +315,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         initial_polytope=P,
         steps=steps,
         effective_threshold=sigma_P,
-        core_projection=polytopes.core_and_projection(P),
+        core_projection=None,
         generality_flag=flagged,
     )
     if not flagged:
@@ -331,7 +332,8 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
 
 
 def _adjoint_cross_validation(trace: MMPTrace) -> None:
-    """Check the run against the adjoint polytope family.
+    """Check the run against the adjoint polytope family, and set the
+    trace's core and projection.
 
     Between critical values the reduced adjoint polytope must be simple
     with the tracked normal fan; at a divisorial value the facet count
@@ -367,6 +369,14 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     has every slack >= sigma_P - lam > 0 in P^(lam), and a full-dimensional
     P^(lam) has an interior point, which lies in P^(lam + e) for small e.
 
+    So the certificates also give the vertices the run reads, with no
+    enumeration: the tail's Cayley check takes P^(mid) of the last interval
+    as the x_sigma(mid), each with tight set sigma, and the core P^(sigma_P)
+    has as vertices the distinct x_sigma(sigma_P) of the certificate that
+    ends at sigma_P, from which ``trace.core_projection`` is built.  Where
+    there is no such certificate (a zero-length or failed last interval, or
+    none ending at sigma_P) those vertices are enumerated.
+
     A zero-length interval k at lam (forced, tied runs) takes P^(lam)'s
     facet count and simplicity from the last certificate, which ends at
     lam.  Its fan note is False by proof: step k's wall curve C has
@@ -376,39 +386,32 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     data (lam >= sigma_P, or no certificate), and on an interval whose
     certificate fails, only the fan note is recorded, as False.
     """
-    P = trace.initial_polytope
+    P, sigma_P = trace.initial_polytope, trace.effective_threshold
     notes = {}
     at_value = None  # (facet count, simple) of P^(lo), from the last certificate
+    core_vertices = tail = None  # tail: the last interval's (step, lo, certificate)
     for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
         fan, lam = step.fan_before, step.lam
+        cert = None
         if lo == lam and at_value is not None:
             facets, simple = at_value
         else:
-            limits = _certified_limits(P, fan, lo, lam) if lo < lam else None
+            cert = _certified_limits(P, fan, lo, lam) if lo < lam else None
             at_value = None
-            if limits is None:
+            if cert is None:
                 notes[f"interval_{idx}_fan_matches"] = False
                 continue
             facets, simple = len(fan.rays), True
-            if lam < trace.effective_threshold:
-                facet = polytopes._facet_flags(P.nfacets, limits)
-                at_value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in limits)
+            if lam < sigma_P:
+                facet = polytopes._facet_flags(P.nfacets, cert.limits)
+                at_value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in cert.limits)
+            elif lam == sigma_P:
+                core_vertices = tuple(sorted({x for x, _ in cert.points(lam)}))
         notes[f"interval_{idx}_facets"] = step.facet_count_before = facets
         notes[f"interval_{idx}_fan_matches"] = lo < lam  # False by proof at lo == lam
         notes[f"interval_{idx}_simple"] = simple
-        if step.kind == MORI_FIBER:  # the last interval's polytope is a Cayley sum
-            mid = (lo + lam) / 2
-            reduced = FacetPresentation(P.dim, fan.rays, tuple(
-                a - mid for v, a in zip(P.normals, P.constants) if v in fan.rays), irredundant=True)
-            try:
-                notes["tail_is_cayley"] = polytopes._decompose_along_fiber(
-                    reduced, polytopes.vertices(reduced), step.fiber_data) is not None
-            except POLYTOPE_ERRORS:
-                notes["tail_is_cayley"] = False
-            try:
-                notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace)
-            except POLYTOPE_ERRORS:
-                notes["fiber_polytope_matches"] = False
+        if step.kind == MORI_FIBER:
+            tail = step, lo, cert
         elif at_value is None:
             notes[f"step_{idx}_polytope_at_value"] = False
         else:
@@ -419,22 +422,59 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             else:
                 notes[f"step_{idx}_facet_count_constant"] = step.facet_count_after == facets
                 notes[f"step_{idx}_not_simple_at_value"] = not simple
+    trace.core_projection = polytopes._core_and_projection(P, core_vertices)
+    if tail is not None:  # the last interval's polytope is a Cayley sum
+        step, lo, cert = tail
+        mid = (lo + step.lam) / 2
+        rays = step.fan_before.rays
+        reduced = FacetPresentation(P.dim, rays, tuple(
+            a - mid for v, a in zip(P.normals, P.constants) if v in rays), irredundant=True)
+        try:
+            # sorted (x_sigma(mid), sigma) pairs, split into vertices and tight sets
+            pvs = (polytopes.vertices(reduced) if cert is None
+                   else polytopes.VertexSet(*zip(*sorted(cert.points(mid)))))
+            notes["tail_is_cayley"] = polytopes._decompose_along_fiber(
+                reduced, pvs, step.fiber_data) is not None
+        except POLYTOPE_ERRORS:
+            notes["tail_is_cayley"] = False
+        try:
+            notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace)
+        except POLYTOPE_ERRORS:
+            notes["fiber_polytope_matches"] = False
     trace.validation = notes
     # facet counts are positive, so only a failed check is falsy
     if not trace.generality_flag and not all(notes.values()):
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")
 
 
+@dataclass(frozen=True)
+class _Certificate:
+    """An interval certificate of ``_certified_limits``: the tight sets of
+    the limit points x_sigma(lam), as indices into P, and per maximal cone
+    sigma the integers (t, w, d), d > 0, with q*d*L*x_sigma(p/q) =
+    p*L*t - q*w for the common denominator L of P's constants."""
+
+    limits: set[tuple[int, ...]]
+    L: int
+    cones: list[tuple[tuple[int, ...], Vec, Vec, int]]
+
+    def points(self, s: Fraction) -> list[tuple[QVec, tuple[int, ...]]]:
+        """(x_sigma(s), sigma) for every maximal cone sigma, for s in [lo, lam]."""
+        pL, q = s.numerator * self.L, s.denominator
+        return [(tuple(Fraction(pL * tk - q * wk, q * d * self.L) for tk, wk in zip(t, w)), cone)
+                for cone, t, w, d in self.cones]
+
+
 def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
-                      lam: Fraction) -> Optional[set[tuple[int, ...]]]:
-    """The tight sets, as indices into P, of the limit points x_sigma(lam)
-    of the fan's cones when the interval certificate holds on (lo, lam),
-    and None when it fails (see ``_adjoint_cross_validation``).
+                      lam: Fraction) -> Optional[_Certificate]:
+    """The certificate of the fan's cones on (lo, lam), or None when it
+    fails (see ``_adjoint_cross_validation``).
 
     Integers only: with the constants a_j = A_j / L, an end s = p / q and a
     cone's cached adjugate adj and determinant d > 0 (signs flipped
-    together), q*d*L*x_sigma(s) = y = p*L*adj^T 1 - q*adj^T A_sigma, and
-    q*d*L times the slack of inequality j is <v_j, y> - d*(p*L - q*A_j)."""
+    together), q*d*L*x_sigma(s) = y = p*L*t - q*w for t = adj^T 1 and
+    w = adj^T A_sigma, and q*d*L times the slack of inequality j is
+    <v_j, y> - d*(p*L - q*A_j)."""
     where = {v: j for j, v in enumerate(P.normals)}
     index = [where.get(r) for r in fan.rays]
     if None in index or index != sorted(index):
@@ -451,7 +491,7 @@ def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
     A = [a.numerator * (L // a.denominator) for a in P.constants]
     ends = [(s.numerator * L, s.denominator) for s in (lo, lam)]
     shifts = [[pL - q * Aj for Aj in A] for pL, q in ends]
-    limits = set()
+    limits, cones = set(), []
     for cone, (adj, d) in _inverses(fan).items():
         rows = [index[i] for i in cone]
         sign = 1 if d > 0 else -1
@@ -470,7 +510,8 @@ def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
                     return None
                 tight.append(j)
         limits.add(tuple(tight))
-    return limits
+        cones.append((cone, t, w, d))
+    return _Certificate(limits, L, cones)
 
 
 def _fiber_polytope_matches(trace: MMPTrace) -> bool:
@@ -487,7 +528,10 @@ def _fiber_polytope_matches(trace: MMPTrace) -> bool:
     sub_max = set(restricted_cones(fanX, inside))
     if cp.Q.dim == 0:
         return not inside and sub_max == {()}
-    fq = polytopes.normal_fan(cp.Q)
+    if cp.kernel_basis:
+        fq = polytopes.normal_fan(cp.Q)
+    else:
+        fq = _point_core_fan(trace.initial_polytope, cp.Q)
     # pull the Q-fan rays back to the ambient lattice through the projection
     pulled = []
     for u in fq.rays:
@@ -502,3 +546,14 @@ def _fiber_polytope_matches(trace: MMPTrace) -> bool:
         return False
     mapped = {tuple(sorted(ray_of[j] for j in cone)) for cone in fq.max_cones}
     return mapped == sub_max
+
+
+def _point_core_fan(P: FacetPresentation, Q: FacetPresentation) -> Fan:
+    """The normal fan of a point core's Q, which is P's irredundant part
+    with its facets sorted: read off P's cached vertex set, each tight set
+    restricted to Q's facets and re-indexed into Q's order, where
+    ``normal_fan(Q)`` would enumerate the same polytope again."""
+    at = {v: i for i, v in enumerate(Q.normals)}
+    return Fan(Q.dim, Q.normals, tuple(
+        tuple(at[P.normals[j]] for j in t if P.normals[j] in at)
+        for t in polytopes.vertices(P).tight))

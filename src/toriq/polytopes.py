@@ -290,13 +290,23 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
     projection along its affine span, and the image polytope Q.  When the
     core is a point the projection is the identity and Q is P: its facets
     are read off P's cached vertex set, sorted as ``hull_facets`` sorts
-    them, and no hull is run."""
+    them, and no hull is run.  The core's vertices are enumerated; the
+    scaled program reads them off its last interval certificate instead and
+    enumerates only when it has none (``mmp._adjoint_cross_validation``)."""
+    return _core_and_projection(P, None)
+
+
+def _core_and_projection(P: FacetPresentation,
+                         core_vertices: Optional[tuple[QVec, ...]]) -> CoreProjection:
+    """``core_and_projection`` given the core's vertices, sorted and
+    distinct, or None to enumerate them."""
     sigma = effective_threshold(P)
     core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
-    cvs = vertices(core, allow_lower_dim=True)
-    base = cvs.vertices[0]
+    if core_vertices is None:
+        core_vertices = vertices(core, allow_lower_dim=True).vertices
+    base = core_vertices[0]
     kern_cols = []
-    for v in cvs.vertices[1:]:
+    for v in core_vertices[1:]:
         dvec = vec_sub(v, base)
         if any(x != 0 for x in dvec):
             kern_cols.append(scale_to_primitive(dvec))
@@ -309,7 +319,7 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
         facets = sorted(zip(R.normals, R.constants))
         Q = FacetPresentation(P.dim, tuple(v for v, _ in facets),
                               tuple(a for _, a in facets), irredundant=True)
-    return CoreProjection(core, cvs.vertices, tuple(kbasis), tuple(proj), Q)
+    return CoreProjection(core, core_vertices, tuple(kbasis), tuple(proj), Q)
 
 
 def facet_presentation_from_vertices(points: Sequence[QVec]) -> FacetPresentation:

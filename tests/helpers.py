@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+from toriq import polytopes
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
 from toriq.linalg import dot
@@ -33,6 +34,32 @@ def fans_equal_up_to_ray_order(f1: Fan, f2: Fan) -> bool:
     perm = {i: f2.rays.index(r) for i, r in enumerate(f1.rays)}
     cones1 = {tuple(sorted(perm[i] for i in c)) for c in f1.max_cones}
     return cones1 == set(f2.max_cones)
+
+
+def count_calls(monkeypatch, name, *modules) -> list:
+    """Record the arguments of every call of the function ``name`` of
+    ``modules[0]``, patched into each of the modules that holds it (``from
+    .linalg import f`` copies the name); the calls still run.  Deterministic
+    work counts for pinning, independent of load."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def count_enumerations(monkeypatch) -> list:
+    """Record each vertex enumeration that ``polytopes.vertices`` runs, from
+    cold caches."""
+    calls = count_calls(monkeypatch, "_vertex_solutions", polytopes)
+    polytopes.vertices.cache_clear()
+    return calls
 
 
 def prime_divisor(fan: Fan, i: int) -> TorusDivisor:

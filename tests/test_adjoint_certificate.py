@@ -62,10 +62,14 @@ def flip_polytope(coeffs) -> FacetPresentation:
 
 
 def unvalidated(P) -> mmp.MMPTrace:
-    """The forced run's trace before its cross-validation."""
+    """The forced run's trace before its cross-validation, with the core
+    and projection that ``core_and_projection`` enumerates (the
+    cross-validation sets its own)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mmp, "_adjoint_cross_validation", lambda trace: None)
-        return mmp.run_mmp_scaling(P, force=True)
+        trace = mmp.run_mmp_scaling(P, force=True)
+    trace.core_projection = core_and_projection(P)
+    return trace
 
 
 def outcome(check, trace):
@@ -86,6 +90,15 @@ def sampling_fails(*args, **kwargs):
     raise AssertionError("the cross-validation sampled an adjoint polytope")
 
 
+def forbid_sampling(mp, P):
+    """Patch ``adjoint``, and ``remove_redundant`` on anything but P itself
+    (a point core's Q is P's irredundant part), to fail."""
+    remove = polytopes.remove_redundant
+    mp.setattr(polytopes, "adjoint", sampling_fails)
+    mp.setattr(polytopes, "remove_redundant",
+               lambda Q: remove(Q) if Q == P else sampling_fails())
+
+
 def zero_length_intervals(trace) -> list[int]:
     lams = (F(0),) + trace.critical_values
     return [k for k in range(len(trace.steps)) if lams[k] == lams[k + 1]]
@@ -97,8 +110,7 @@ def assert_matches_oracle(P):
     in both."""
     trace = unvalidated(P)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytopes, "adjoint", sampling_fails)
-        mp.setattr(polytopes, "remove_redundant", sampling_fails)
+        forbid_sampling(mp, P)
         got = outcome(mmp._adjoint_cross_validation, trace)
     expected = outcome(oracle._adjoint_cross_validation, trace)
     assert got == expected
@@ -184,8 +196,7 @@ def test_lambda_too_large_rejected():
 def test_failed_certificate_records_only_the_fan_note():
     bad = doctored(unvalidated(FIRST), 0, lam=F(3, 4))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytopes, "adjoint", sampling_fails)
-        mp.setattr(polytopes, "remove_redundant", sampling_fails)
+        forbid_sampling(mp, bad.initial_polytope)
         notes, counts, _ = outcome(mmp._adjoint_cross_validation, bad)
     assert [(key, value) for key, value in notes if "_0_" in key] == [
         ("interval_0_fan_matches", False)]

@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+from helpers import count_calls
 from test_adjoint_certificate import sweep_polytopes
 from test_circuit_replacement import _workloads
-from toriq import fans, linalg, polytopes
+from toriq import fans, linalg, mmp, polytopes
 from toriq.fano_table import load_builtin_table
 from toriq.linalg import (
     _eliminate,
@@ -124,30 +125,18 @@ def test_hull_matches_reference(pts):
     assert hull_facets(pts) == oracle.hull_facets(pts)
 
 
-def count_calls(monkeypatch, name):
-    calls = []
-    fn = getattr(linalg, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(linalg, name, counted)
-    return calls
-
-
 def cube_vertices(n):
     return [tuple(int(c) for c in f"{k:0{n}b}") for k in range(2**n)]
 
 
 def test_hull_runs_one_rank(monkeypatch):
-    calls = count_calls(monkeypatch, "matrix_rank")
+    calls = count_calls(monkeypatch, "matrix_rank", linalg)
     assert len(hull_facets(cube_vertices(3))) == 6
     assert len(calls) == 1  # the full-dimensionality check, none per subset
 
 
 def test_remove_redundant_runs_one_rank(monkeypatch):
-    calls = count_calls(monkeypatch, "matrix_rank")
+    calls = count_calls(monkeypatch, "matrix_rank", linalg)
     # the unit square, with x + y >= 0 and 2x + y >= 0 both tight at the
     # origin only, and x - y >= -5 tight nowhere
     P = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, 1), (1, -1)),
@@ -167,18 +156,18 @@ def cube_facets(n):
 # subtree.
 
 def test_hull_work_is_one_shared_elimination(monkeypatch):
-    pivots = count_calls(monkeypatch, "_pivot")
-    adjugates = count_calls(monkeypatch, "adjugate")
-    kernels = count_calls(monkeypatch, "kernel_basis")
-    lps = count_calls(monkeypatch, "lp_standard")
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    adjugates = count_calls(monkeypatch, "adjugate", linalg)
+    kernels = count_calls(monkeypatch, "kernel_basis", linalg)
+    lps = count_calls(monkeypatch, "lp_standard", linalg)
     assert len(hull_facets(cube_vertices(4))) == 8
     # 4 for the rank, 1390 for the tree over the 16 rows of the polar
     assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (1394, 0, 0, 0)
 
 
 def test_vertices_work_is_one_shared_elimination(monkeypatch):
-    pivots = count_calls(monkeypatch, "_pivot")
-    adjugates = count_calls(monkeypatch, "adjugate")
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    adjugates = count_calls(monkeypatch, "adjugate", linalg)
     cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
     vertices.cache_clear()
     polytopes._positively_spanning.cache_clear()
@@ -189,8 +178,8 @@ def test_vertices_work_is_one_shared_elimination(monkeypatch):
 
 
 def test_face_fan_work_is_one_shared_elimination(monkeypatch):
-    pivots = count_calls(monkeypatch, "_pivot")
-    adjugates = count_calls(monkeypatch, "adjugate")
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    adjugates = count_calls(monkeypatch, "adjugate", linalg)
     fans.validate.cache_clear()
     fans._inverses.cache_clear()
     fan = face_fan(cube_facets(4))
@@ -240,7 +229,7 @@ def test_vertex_solutions_match_adjugate_oracle(system):
 def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     # rows 0 and 1 are dependent, so the pair is pruned; the vertex (1, 1)
     # is read off the leaf (2, 3), which pivots on column 1 before column 0
-    pivots = count_calls(monkeypatch, "_pivot")
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
     rows, rhs = [(1, 2), (2, 4), (0, 1), (1, 0), (-1, -1)], [0, 0, 1, 1, -5]
     got = solutions(linalg._vertex_solutions, rows, rhs)
     assert got == solutions(oracle._vertex_solutions, rows, rhs)
@@ -248,10 +237,27 @@ def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     assert len(pivots) == 4 + 9  # the one-row prefixes and 9 of the 10 pairs
 
 
+def enumerate_certified(trace):
+    """Enumerate what the run reads off its interval certificates instead:
+    the core, the last interval's polytope P^(mid) and a point core's Q."""
+    P, steps = trace.initial_polytope, trace.steps
+    sigma = trace.effective_threshold
+    vertices(FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants)),
+             allow_lower_dim=True)
+    lo = steps[-2].lam if len(steps) > 1 else F(0)
+    if lo < steps[-1].lam:
+        mid, rays = (lo + steps[-1].lam) / 2, steps[-1].fan_before.rays
+        vertices(FacetPresentation(P.dim, rays, tuple(
+            a - mid for v, a in zip(P.normals, P.constants) if v in rays)))
+    if not trace.core_projection.kernel_basis:
+        vertices(trace.core_projection.Q)
+
+
 def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     """Every system the kernel receives in the forced seed-1 sweep of the 67
-    explicit 4-fold rows (cores, tails and Q's hull included), in the
-    adjoint-family pool's items and in the face fans of the table rows."""
+    explicit 4-fold rows (with the cores, tails and point cores' Q that the
+    runs read off their certificates), in the adjoint-family pool's items
+    and in the face fans of the table rows."""
     kernel = linalg._vertex_solutions
     inputs = {}  # system -> the consumer that enumerated it first
 
@@ -263,6 +269,14 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
 
     for module in (linalg, polytopes, fans):
         monkeypatch.setattr(module, "_vertex_solutions", recorder(module.__name__))
+    traces = []
+    validate = mmp._adjoint_cross_validation
+
+    def recorded_validation(trace):
+        traces.append(trace)
+        validate(trace)
+
+    monkeypatch.setattr(mmp, "_adjoint_cross_validation", recorded_validation)
     vertices.cache_clear()
     workloads = _workloads()
     runs = [(name, lambda P=P: run_mmp_scaling(P, force=True))
@@ -275,6 +289,8 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
             run()
         except MalformedFanError:  # the known failures, pinned elsewhere
             failed.append(name)
+    for trace in traces:
+        enumerate_certified(trace)
     rows = [row for row in load_builtin_table() if row.explicit]
     for row in rows:
         face_fan(list(row.rays))

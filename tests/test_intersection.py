@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriq import intersection, mmp, polytopes
 from toriq.fans import Fan, star_subdivision, validate, walls
 from toriq.intersection import (
     TorusDivisor,
@@ -17,27 +18,9 @@ from toriq.intersection import (
 )
 from intersection_oracle import intersect_once, move_divisor, quotient_index
 from conftest import hexagon, hirzebruch_fan
-from helpers import faces_of_dim, prime_divisor
+from helpers import count_calls, faces_of_dim, prime_divisor
 
 F = Fraction
-
-
-def count_calls(monkeypatch, name):
-    """Count the calls of an intersection function, patched in every toriq
-    module that holds it."""
-    from toriq import intersection, mmp, polytopes
-
-    calls = []
-    fn = getattr(intersection, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    for mod in (intersection, polytopes, mmp):
-        if getattr(mod, name, None) is fn:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 class TestDivChar:
@@ -215,7 +198,7 @@ class TestIs2Fano:
 
         row = next(r for r in load_builtin_table() if r.name == "E_1")
         fan, _ = reconstruct_fan(row)
-        calls = count_calls(monkeypatch, "walls")
+        calls = count_calls(monkeypatch, "walls", intersection, polytopes, mmp)
         scan = is_2fano(fan)
         assert len(scan.values) == 18 and len(calls) == 1
 
@@ -289,15 +272,16 @@ class TestNefThreshold:
         # no curve number and no ampleness pass
         from toriq.polytopes import thresholds
 
-        curve_numbers = count_calls(monkeypatch, "wall_curve_number")
-        passes = count_calls(monkeypatch, "walls")
+        curve_numbers = count_calls(monkeypatch, "wall_curve_number",
+                                    intersection, polytopes, mmp)
+        passes = count_calls(monkeypatch, "walls", intersection, polytopes, mmp)
         thresholds(hexagon())
         assert curve_numbers == [] and len(passes) == 1
 
     def test_mmp_run_makes_no_ampleness_pass(self, monkeypatch):
         from toriq.mmp import run_mmp_scaling
 
-        calls = count_calls(monkeypatch, "is_ample")
+        calls = count_calls(monkeypatch, "is_ample", intersection, polytopes, mmp)
         run_mmp_scaling(hexagon(), force=True)
         assert calls == []
 

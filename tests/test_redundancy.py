@@ -11,7 +11,9 @@ import pytest
 
 import polytope_oracle as oracle
 from conftest import BLOWUP_RAYS, blowup_polytope, hexagon, simplex_polytope
+from helpers import count_calls, count_enumerations
 from test_acceptance import random_simple_polytope
+from test_adjoint_certificate import sweep_polytopes
 from toriq import linalg, polytopes
 from toriq.fans import face_fan
 from toriq.linalg import dot, primitive_part
@@ -212,21 +214,6 @@ def test_nef_threshold_needs_simple_irredundant(irredundant):
             threshold(octahedron)
 
 
-def count_enumerations(monkeypatch):
-    """Record each vertex enumeration that ``polytopes.vertices`` runs, from
-    cold caches."""
-    calls = []
-    enumerate_ = polytopes._vertex_solutions
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_(*args)
-
-    monkeypatch.setattr(polytopes, "_vertex_solutions", counted)
-    vertices.cache_clear()
-    return calls
-
-
 def test_irredundance_flag_is_not_identity():
     flagged = hexagon()
     plain = FacetPresentation(flagged.dim, flagged.normals, flagged.constants)
@@ -244,14 +231,27 @@ def test_reduced_presentation_shares_its_vertex_set(monkeypatch):
 
 
 def test_forced_run_enumerates_each_presentation_once(monkeypatch):
-    # P, its core, the Mori interval's polytope and Q; the intervals are
-    # certified without enumeration, and the point core's Q needs no hull
+    # P only: the intervals are certified without enumeration, the core and
+    # the Mori interval's polytope are read off the certificates, and the
+    # point core's Q is P sorted, its fan read off P's vertex set, no hull
     calls = count_enumerations(monkeypatch)
     hulls = []
     monkeypatch.setattr(polytopes, "hull_facets", lambda pts: hulls.append(pts))
     run_mmp_scaling(blowup_polytope((6, 5, 6, 5, 2)), force=True)
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert hulls == []
+
+
+def test_forced_fourfold_run_enumerates_P_and_Q(monkeypatch):
+    # row 117 (seed-1 perturbation), whose core is not a point: P, and Q
+    # from its one hull; the core and the tail come from the certificates
+    calls = count_enumerations(monkeypatch)
+    hulls = count_calls(monkeypatch, "hull_facets", polytopes)
+    P = sweep_polytopes()["117"]
+    Q = run_mmp_scaling(P, force=True).core_projection.Q
+    assert Q.dim < P.dim
+    assert [tuple(rows) for rows, _ in calls] == [P.normals, Q.normals]
+    assert len(hulls) == 1
 
 
 def test_forced_run_takes_one_hull(monkeypatch):
