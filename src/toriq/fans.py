@@ -140,14 +140,25 @@ class ValidationReport:
 CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=4 * CACHE_SIZE)
+def _cone_inverse(rays: tuple[Vec, ...]) -> tuple[Optional[tuple[Vec, ...]], int]:
+    """Integer adjugate and determinant of the square matrix whose columns
+    are the given rays, in order: the coordinates of x in their basis are
+    adj·x / det, so row j of adj pairs with rays[j].  The adjugate is None
+    when the rays are dependent.  The key is the rays themselves, not a fan,
+    so every fan of a run or a table that holds a cone shares its entry: a
+    flip or a contraction recomputes only the cones over its circuit.  A
+    forced sweep of the 67 explicit table rows meets about 1,200 distinct
+    cones, well inside the bound."""
+    return adjugate(list(zip(*rays)))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _inverses(fan: Fan) -> dict[tuple[int, ...], tuple[Optional[tuple[Vec, ...]], int]]:
-    """Integer adjugate and determinant of each maximal cone with ``rank``
-    rays, taking the rays as matrix columns: the coordinates of x in the
-    cone's ray basis are adj·x / det, so row j of adj pairs with the ray
-    cone[j].  The adjugate is None when the rays are dependent."""
+    """``_cone_inverse`` of each maximal cone with ``rank`` rays, by cone:
+    row j of the adjugate pairs with the ray cone[j]."""
     return {
-        cone: adjugate([[fan.rays[i][k] for i in cone] for k in range(fan.rank)])
+        cone: _cone_inverse(tuple(fan.rays[i] for i in cone))
         for cone in fan.max_cones
         if cone and len(cone) == fan.rank
     }
@@ -405,7 +416,9 @@ def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], QVec]:
 def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]]) -> Fan:
     """Rebuild a complete simplicial fan from its rays and the list of its
     primitive collections: maximal cones are the full-rank ray subsets
-    containing no collection."""
+    containing no collection.  The rank test reads the shared cone cache,
+    whose determinant is that of the rows' transpose, so ``validate`` finds
+    every kept cone's adjugate there."""
     rays = [tuple(r) for r in rays]
     n = len(rays[0])
     colls = [frozenset(c) for c in collections]
@@ -414,7 +427,7 @@ def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]])
         s = frozenset(sub)
         if any(c <= s for c in colls):
             continue
-        if not adjugate([rays[i] for i in sub])[1]:
+        if not _cone_inverse(tuple(rays[i] for i in sub))[1]:
             continue
         cones.append(sub)
     try:

@@ -58,7 +58,7 @@ def format_frac(x: Fraction) -> str:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionError(f"dot of length {len(u)} against {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):

@@ -1,5 +1,6 @@
 """Small test-side helpers that the package itself has no use for."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,6 +53,25 @@ def count_calls(monkeypatch, name, *modules) -> list:
         if getattr(mod, name, None) is fn:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def toriq_caches() -> dict:
+    """Every functools cache in the loaded toriq modules, by qualified name,
+    found as the benchmark's tracer finds them."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "toriq" or name.startswith("toriq."):
+            for val in vars(mod).values():
+                if hasattr(val, "cache_info") and hasattr(val, "cache_clear"):
+                    found.setdefault(f"{val.__module__}.{val.__qualname__}", val)
+    return found
+
+
+def cold_caches() -> None:
+    """Clear every toriq cache, so a work count does not depend on which
+    tests ran before it."""
+    for fn in toriq_caches().values():
+        fn.cache_clear()
 
 
 def count_enumerations(monkeypatch) -> list:

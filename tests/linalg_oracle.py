@@ -16,6 +16,10 @@ the points, then a scan of every point against the hyperplane.
 before it shared one elimination along the tree of subsets: one adjugate of
 [M | I] per n-subset of the rows, and the solution as adj times rhs.
 
+``cone_inverses`` and ``primitive_data_cones`` are the per-fan adjugates and
+the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
+per cone's ray vectors, shared by every fan that holds the cone.
+
 ``lp_standard`` is the two-phase simplex that ``toriq.linalg`` ran before it
 pivoted one integer tableau with the elimination step: every pivot divides
 the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
@@ -118,6 +122,26 @@ def adjugate(M):
                 rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pk)]
         prev = pv
     return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def cone_inverses(fan):
+    """Adjugate and determinant of each maximal cone with ``rank`` rays of
+    the fan, the rays as matrix columns, computed for this fan alone."""
+    return {
+        cone: adjugate([[fan.rays[i][k] for i in cone] for k in range(fan.rank)])
+        for cone in fan.max_cones
+        if cone and len(cone) == fan.rank
+    }
+
+
+def primitive_data_cones(rays, collections) -> list[tuple[int, ...]]:
+    """The n-subsets of the rays that contain no collection and whose rays,
+    as matrix rows, have a nonzero determinant."""
+    n = len(rays[0])
+    colls = [frozenset(c) for c in collections]
+    return [sub for sub in combinations(range(len(rays)), n)
+            if not any(c <= frozenset(sub) for c in colls)
+            and adjugate([rays[i] for i in sub])[1]]
 
 
 def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from helpers import count_calls
+from helpers import cold_caches, count_calls
 from test_adjoint_certificate import sweep_polytopes
 from test_circuit_replacement import _workloads
 from toriq import fans, linalg, mmp, polytopes
@@ -160,6 +160,7 @@ def test_hull_work_is_one_shared_elimination(monkeypatch):
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
     kernels = count_calls(monkeypatch, "kernel_basis", linalg)
     lps = count_calls(monkeypatch, "lp_standard", linalg)
+    cold_caches()
     assert len(hull_facets(cube_vertices(4))) == 8
     # 4 for the rank, 1390 for the tree over the 16 rows of the polar
     assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (1394, 0, 0, 0)
@@ -169,8 +170,7 @@ def test_vertices_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
     cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
-    vertices.cache_clear()
-    polytopes._positively_spanning.cache_clear()
+    cold_caches()
     assert len(vertices(cube).vertices) == 16
     # 8 for boundedness (a rank and an LP), 54 for the tree over the 8
     # facets, 4 for the rank of the vertices
@@ -180,8 +180,7 @@ def test_vertices_work_is_one_shared_elimination(monkeypatch):
 def test_face_fan_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
-    fans.validate.cache_clear()
-    fans._inverses.cache_clear()
+    cold_caches()
     fan = face_fan(cube_facets(4))
     assert len(fan.max_cones) == 16
     # 54 for the tree over the 8 rays, 64 for the adjugates of the 16 cones

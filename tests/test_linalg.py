@@ -229,6 +229,26 @@ class TestLP:
             lp_standard([1], [[1]], [1, 2])
 
 
+dot_entries = st.one_of(st.integers(-10**12, 10**12),
+                        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(dot_entries, min_size=n, max_size=n)] * 2)))
+@settings(max_examples=300)
+def test_dot_matches_generator_form(uv):
+    u, v = uv
+    expected = sum(a * b for a, b in zip(u, v))
+    got = dot(u, v)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((), (F(1),)), ((F(1, 2),), ())])
+def test_dot_length_mismatch(u, v):
+    with pytest.raises(DimensionError, match=f"^dot of length {len(u)} against {len(v)}$"):
+        dot(u, v)
+
+
 class TestHullFacets:
     def test_square(self):
         fs = hull_facets([(0, 0), (1, 0), (0, 1), (1, 1)])

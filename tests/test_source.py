@@ -6,6 +6,7 @@ import importlib
 from pathlib import Path
 
 import toriq
+from helpers import toriq_caches
 
 SRC = Path(toriq.__file__).parent
 
@@ -46,6 +47,16 @@ def test_no_unbounded_caches():
             if any(_unbounded_cache(n) for n in calls + decorators):
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_every_cache_is_bounded():
+    # the loaded caches themselves, whatever expression gave their size
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"toriq.{path.stem}")
+    sizes = {name: fn.cache_parameters()["maxsize"] for name, fn in toriq_caches().items()}
+    assert "toriq.fans._cone_inverse" in sizes, sorted(sizes)
+    assert all(isinstance(size, int) and size > 0 for size in sizes.values()), sizes
 
 
 def _tracing_tables() -> dict:

@@ -4,7 +4,9 @@ earlier per-surface scan and the ``Fraction`` self-checks kept in
 primitive integer relation, times its scale, is the oracle's relation times
 its scale, and equal relations are exactly the oracle's equal class keys.
 The nef threshold and the Kleiman test read off the integer relations agree
-with the oracle's curve numbers."""
+with the oracle's curve numbers.  The cone adjugates, cached by each cone's
+rays and shared by the fans of a run, equal the per-fan ones of
+``linalg_oracle``."""
 
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +16,7 @@ from math import gcd
 import pytest
 
 import intersection_oracle as oracle
+import linalg_oracle
 from conftest import pn_fan, singular_mfs_fan
 from helpers import faces_of_dim
 from test_circuit_replacement import _workloads, fourfold_polytopes
@@ -125,6 +128,14 @@ def fourfold_run_fans():
 
 def all_wall_fans(table_fans, fourfold_run_fans):
     return list(table_fans.values()) + singular_fans() + list(fourfold_run_fans)
+
+
+def test_cone_inverses_match_per_fan_oracle(table_fans, fourfold_run_fans):
+    # each cone's adjugate is cached by its rays, whichever fan met it first
+    found = all_wall_fans(table_fans, fourfold_run_fans)
+    assert len(found) == 67 + 11 + 212
+    for fan in found:
+        assert fans._inverses(fan) == linalg_oracle.cone_inverses(fan)
 
 
 def test_class_walls_partition_matches_oracle_keys(table_fans, fourfold_run_fans):
