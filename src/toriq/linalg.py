@@ -470,14 +470,6 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 # vertex enumeration and convex hull facets
 # ---------------------------------------------------------------------------
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    if not points:
-        return -1
-    p0 = points[0]
-    diffs = [vec_sub(p, p0) for p in points[1:]]
-    return matrix_rank(diffs)
-
-
 def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
     """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
     yielding (y, d, slack) for each invertible n-subset of the rows whose
@@ -529,7 +521,9 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     The points must affinely span their ambient space, so their centroid c
     is interior.  By polarity the facets are the vertices y of
     {y : <p - c, y> >= -1 for every point p}: the facet with inward normal
-    y holds the points where equality holds.
+    y holds the points where equality holds.  The polar has a vertex
+    exactly when some d of the p - c are independent, that is, when the
+    points span.
     """
     pts = [tuple(frac(a) for a in p) for p in points]
     if not pts:
@@ -537,11 +531,11 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     d = len(pts[0])
     if d == 0:
         return []
-    if affine_rank(pts) != d:
-        raise ValueError("points do not span the ambient space")
     c = [sum(col) / len(pts) for col in zip(*pts)]
     # D (p - c) is integral; scaling every row by D scales the polar by 1/D
     D = len(pts) * lcm(*(x.denominator for p in pts for x in p))
     rows = [[int(D * (a - ci)) for a, ci in zip(p, c)] for p in pts]
     normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * len(rows))}
+    if not normals:
+        raise ValueError("points do not span the ambient space")
     return sorted((u, -min(dot(u, p) for p in pts)) for u in normals)

@@ -403,8 +403,8 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
                 continue
             facets, simple = len(fan.rays), True
             if lam < sigma_P:
-                facet = polytopes._facet_flags(P.nfacets, cert.limits)
-                at_value = sum(facet), all(sum(facet[j] for j in t) == P.dim for t in cert.limits)
+                kept = polytopes._faces(cert.limits)[1]
+                at_value = len(kept), all(sum(j in kept for j in t) == P.dim for t in cert.limits)
             elif lam == sigma_P:
                 core_vertices = tuple(sorted({x for x, _ in cert.points(lam)}))
         notes[f"interval_{idx}_facets"] = step.facet_count_before = facets

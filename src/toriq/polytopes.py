@@ -22,7 +22,6 @@ from .linalg import (
     QVec,
     Vec,
     _vertex_solutions,
-    affine_rank,
     det,
     dot,
     frac,
@@ -149,7 +148,9 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     """Exact vertex enumeration over the invertible n-subsets of facets, one
     elimination shared along the tree of subsets
     (``linalg._vertex_solutions``).  A bounded presentation with no vertex is
-    empty; only an unbounded one needs the emptiness LP."""
+    empty; only an unbounded one needs the emptiness LP.  P is
+    full-dimensional exactly when no inequality is tight at every vertex
+    (``_faces``), which ``allow_lower_dim`` does not ask."""
     n = P.dim
     if n == 0:
         return VertexSet(((),), ((),))
@@ -169,9 +170,10 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     if not found:
         raise EmptyPolytopeError("polytope is empty")
     verts = tuple(sorted(found))
-    if not allow_lower_dim and affine_rank(verts) != n:
+    tight = tuple(found[x] for x in verts)
+    if not allow_lower_dim and _faces(tight)[0]:
         raise DegenerateError("polytope is not full-dimensional")
-    return VertexSet(verts, tuple(found[x] for x in verts))
+    return VertexSet(verts, tight)
 
 
 def is_simple(P: FacetPresentation) -> bool:
@@ -222,32 +224,40 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:
     """Minimal sub-presentation of a bounded full-dimensional polytope and
-    the indices it drops.  Inequality i is kept exactly when its set T_i of
-    tight vertices lies strictly inside no T_j: every facet has an
-    inequality, any smaller face (empty included) lies strictly inside a
-    facet, and only P itself strictly contains a facet.  Distinct primitive
-    normals define distinct facets, so the kept inequalities are the unique
-    minimal subsystem.  The result carries the irredundance flag, which is
-    not part of its identity: it shares P's cached vertex set."""
-    facet = _facet_flags(P.nfacets, vertices(P).tight)
+    the indices it drops.  Inequality i is kept exactly when it defines a
+    facet, read off the tight sets of P's vertices (``_faces``).  Distinct
+    primitive normals define distinct facets, so the kept inequalities are
+    the unique minimal subsystem.  The result carries the irredundance
+    flag, which is not part of its identity: it shares P's cached vertex
+    set."""
+    facets = _faces(vertices(P).tight)[1]
     Q = FacetPresentation(
         P.dim,
-        tuple(v for v, f in zip(P.normals, facet) if f),
-        tuple(a for a, f in zip(P.constants, facet) if f),
+        tuple(v for i, v in enumerate(P.normals) if i in facets),
+        tuple(a for i, a in enumerate(P.constants) if i in facets),
         irredundant=True,
     )
-    return Q, tuple(i for i, f in enumerate(facet) if not f)
+    return Q, tuple(i for i in range(P.nfacets) if i not in facets)
 
 
-def _facet_flags(nfacets: int, tight_sets) -> list[bool]:
-    """For each of ``nfacets`` inequalities, whether it defines a facet,
-    given the tight sets of all vertices (the rule of ``remove_redundant``):
-    its set of tight vertices lies strictly inside no other one's."""
-    tight: list[set[int]] = [set() for _ in range(nfacets)]
+def _faces(tight_sets) -> tuple[list[int], dict[int, set[int]]]:
+    """The implicit equalities and the facets of a polytope F, a face of P
+    or P itself, given the tight sets of all of F's vertices: the
+    inequalities tight at every vertex, which cut out F's affine hull
+    (Schrijver, *Theory of Linear and Integer Programming*, 8.2), and the
+    set T_j of tight vertices of each inequality j that defines a facet of
+    F.  A facet of F is F cut by a facet of P (Ziegler, *Lectures on
+    Polytopes*, 2.3), and every other proper face of F lies strictly inside
+    one, so j defines a facet exactly when T_j is nonempty and proper and
+    lies strictly inside no other proper T_i."""
+    tight: dict[int, set[int]] = {}
     for k, t in enumerate(tight_sets):
-        for i in t:
-            tight[i].add(k)
-    return [not any(T < U for U in tight) for T in tight]
+        for j in t:
+            tight.setdefault(j, set()).add(k)
+    everywhere = len(tight_sets)
+    proper = {j: T for j, T in tight.items() if len(T) < everywhere}
+    facets = {j: T for j, T in proper.items() if not any(T < U for U in proper.values())}
+    return [j for j in tight if j not in proper], facets
 
 
 @lru_cache(maxsize=64)  # thresholds, the core and the MMP run each ask for it
@@ -304,12 +314,7 @@ def _core_and_projection(P: FacetPresentation,
     core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
     if core_vertices is None:
         core_vertices = vertices(core, allow_lower_dim=True).vertices
-    base = core_vertices[0]
-    kern_cols = []
-    for v in core_vertices[1:]:
-        dvec = vec_sub(v, base)
-        if any(x != 0 for x in dvec):
-            kern_cols.append(scale_to_primitive(dvec))
+    kern_cols = [scale_to_primitive(vec_sub(v, core_vertices[0])) for v in core_vertices[1:]]
     kbasis, proj = saturation_and_projection(kern_cols, P.dim)
     if kbasis:
         imgs = sorted({tuple(dot(row, v) for row in proj) for v in vertices(P).vertices})
@@ -324,11 +329,10 @@ def _core_and_projection(P: FacetPresentation,
 
 def facet_presentation_from_vertices(points: Sequence[QVec]) -> FacetPresentation:
     """Irredundant facet presentation of conv(points) (full-dimensional)."""
-    pts = [tuple(frac(a) for a in p) for p in points]
-    d = len(pts[0]) if pts else 0
+    d = len(points[0]) if points else 0
     if d == 0:
         return FacetPresentation(0, (), (), irredundant=True)
-    facets = hull_facets(pts)
+    facets = hull_facets(points)
     return FacetPresentation(
         d,
         tuple(v for v, _ in facets),
@@ -434,10 +438,10 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
 def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
     """P (vertex set ``pvs``) as a Cayley sum along the split fibration
     ``data`` of its normal fan, whose fiber has Picard rank one, or None.
-    The bases are read off P's tight sets: a facet of a face F is F cut by
-    a facet of P (Ziegler, *Lectures on Polytopes*, 2.3), an inequality j
-    whose tight vertices on F are a nonempty, proper and maximal set (as in
-    ``_facet_flags``); on x = origin + kern c it is <u, c> >= -(a_j +
+    The bases are read off P's tight sets (``_faces``): a section face F
+    spans the kernel of the projection when its dimension, dim P minus the
+    rank of the normals of its implicit equalities, is the kernel's; a
+    facet j of F on x = origin + kern c is <u, c> >= -(a_j +
     <v_j, origin>) / g for kern^T v_j = g u, u primitive.  The bases' fans
     are compared as tight sets; a face not spanning the kernel gives None."""
     if not (data.split and data.fiber_rho_one):
@@ -460,20 +464,15 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
     kern = integer_kernel_basis(pi_rows)
     bases, base_fans = [], set()
     for _, face in sections:
-        if affine_rank([v for v, _ in face]) != len(kern):
+        equalities, face_facets = _faces([t for _, t in face])
+        if P.dim - matrix_rank([P.normals[j] for j in equalities]) != len(kern):
             return None
-        tight: dict[int, set[int]] = {}
-        for p, (_, t) in enumerate(face):
-            for j in t:
-                tight.setdefault(j, set()).add(p)
-        proper = [(j, T) for j, T in tight.items() if len(T) < len(face)]
         facets: dict[Vec, tuple[Fraction, set[int]]] = {}
-        for j, T in proper:
-            if not any(T < U for _, U in proper):
-                gu = [dot(col, P.normals[j]) for col in kern]
-                g = gcd(*gu)
-                b = (P.constants[j] + dot(P.normals[j], face[0][0])) / g
-                facets[tuple(x // g for x in gu)] = (b, T)
+        for j, T in face_facets.items():
+            gu = [dot(col, P.normals[j]) for col in kern]
+            g = gcd(*gu)
+            b = (P.constants[j] + dot(P.normals[j], face[0][0])) / g
+            facets[tuple(x // g for x in gu)] = (b, T)
         normals = sorted(facets)
         bases.append(FacetPresentation(len(kern), tuple(normals),
                                        tuple(facets[u][0] for u in normals), irredundant=True))

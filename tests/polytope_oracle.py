@@ -18,6 +18,10 @@ compares the gcd of its entries with its determinant.
 ``toriq.polytopes._positively_spanning`` answers with one rank and one LP:
 it runs one LP per signed unit vector, 2n in all.
 
+``faces`` finds the implicit equalities and the facets that
+``toriq.polytopes._faces`` reads off the vertices' tight sets from the
+vertices' coordinates and the affine ranks of their subsets instead.
+
 ``decompose_along_fiber`` is the Cayley decomposition that
 ``toriq.polytopes._decompose_along_fiber`` reads off P's tight sets: it
 solves for each base vertex's kernel coordinates, takes each base's hull
@@ -29,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from linalg_oracle import affine_rank
 from toriq.linalg import (
     Vec,
-    affine_rank,
     dot,
     integer_kernel_basis,
     lp_min,
@@ -93,6 +97,21 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     if affine_rank(vertices(Q, allow_lower_dim=True).vertices) != P.dim:
         raise DegenerateError("polytope is not full-dimensional")
     return Q, tuple(removed)
+
+
+def faces(P: FacetPresentation, points) -> tuple[list[int], dict[int, set[int]]]:
+    """For F = conv(points), P itself or a face of P given by its vertices:
+    the inequalities of P that hold with equality at every point, and, for
+    each inequality that defines a facet of F, the indices of the points on
+    it.  An inequality defines a facet when the points on its hyperplane
+    are nonempty and of affine rank one less than all of them."""
+    dim = affine_rank(points)
+    on = [{k for k, x in enumerate(points) if dot(v, x) == -a}
+          for v, a in zip(P.normals, P.constants)]
+    equalities = [j for j, T in enumerate(on) if len(T) == len(points)]
+    facets = {j: T for j, T in enumerate(on)
+              if T and affine_rank([points[k] for k in T]) == dim - 1}
+    return equalities, facets
 
 
 def nef_threshold_tracking(P: FacetPresentation) -> Fraction:

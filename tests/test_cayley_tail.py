@@ -188,6 +188,26 @@ def test_vertices_off_the_sections_give_none():
     assert assert_matches_oracle(P, data) is None
 
 
+def test_sections_on_a_smaller_flat_give_none():
+    # the unit cube's vertices on one facet x_a = 0 only: along each
+    # fibration the two section faces are then parallel edges, whose tight
+    # sets give the same fan, but they lie on lines, not on planes spanning
+    # the kernel
+    P = FacetPresentation(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+                              (0, 0, -1)), (0, 0, 0, 1, 1, 1), irredundant=True)
+    pvs = vertices(P)
+    found = 0
+    for data in fibrations(P):
+        c = next(i for i, x in enumerate(data.fiber_basis[0]) if x)
+        a = min({0, 1, 2} - {c})
+        edges = polytopes.VertexSet(*zip(*[(v, t) for v, t in zip(pvs.vertices, pvs.tight)
+                                           if v[a] == 0]))
+        assert polytopes._decompose_along_fiber(P, edges, data) is None
+        assert oracle.decompose_along_fiber(P, edges, data) is None
+        found += 1
+    assert found == 3
+
+
 def cut_cube(size, cut) -> tuple:
     """The vertices of [0, size]^3 cut by x + y + z >= cut."""
     P = FacetPresentation(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),

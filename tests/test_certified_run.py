@@ -1,10 +1,12 @@
 """The scaled program reads the core's and the last interval's vertices off
 its interval certificates and finds each critical value in integers.  On
 the forced seed-1 sweep of the 67 rows and on all 240 pool entries the
-certified vertex sets equal the enumerated ones and every threshold search
-equals the curve-number oracle; with no certificate the run enumerates and
-records what it did before; a certified point moved by one unit of its
-denominator fails the comparison."""
+certified vertex sets equal the enumerated ones, every threshold search
+equals the curve-number oracle, and the equalities, facets and dimensions
+read off the tight sets of every vertex set and section face agree with
+the affine ranks of their coordinates; with no certificate the run
+enumerates and records what it did before; a certified point moved by one
+unit of its denominator fails the comparison."""
 
 import dataclasses
 from fractions import Fraction
@@ -12,11 +14,21 @@ from fractions import Fraction
 import pytest
 
 import intersection_oracle as oracle
+import linalg_oracle
+import polytope_oracle
 from helpers import prime_divisor
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
 from toriq import mmp, polytopes
 from toriq.fans import MalformedFanError
-from toriq.polytopes import FacetPresentation, core_and_projection, normal_fan, vertices
+from toriq.linalg import matrix_rank
+from toriq.polytopes import (
+    DegenerateError,
+    FacetPresentation,
+    VertexSet,
+    core_and_projection,
+    normal_fan,
+    vertices,
+)
 
 F = Fraction
 POOL_KEYS = tuple(f"d{dim}-{i}" for dim in (2, 3) for i in range(120))
@@ -30,10 +42,12 @@ def core_presentation(trace) -> FacetPresentation:
 def record(monkeypatch) -> dict:
     """Record, from here on, each trace the cross-validation receives, each
     threshold search's (fan, L, s0), each tail's (P^(mid), vertex set) that
-    the Cayley check reads, and each presentation asked of ``vertices``."""
-    seen = dict(traces=[], searches=[], tails=[], asked=[])
+    the Cayley check reads and its fiber data, each presentation asked of
+    ``vertices`` and each point set asked of ``hull_facets``."""
+    seen = dict(traces=[], searches=[], tails=[], fibers=[], asked=[], hulls=[])
     validate, search = mmp._adjoint_cross_validation, mmp._nef_threshold_from
     decompose, enumerate_ = polytopes._decompose_along_fiber, polytopes.vertices
+    hull = polytopes.hull_facets
 
     def validating(trace):
         seen["traces"].append(trace)
@@ -45,16 +59,22 @@ def record(monkeypatch) -> dict:
 
     def decomposing(P, pvs, data):
         seen["tails"].append((P, pvs))
+        seen["fibers"].append(data)
         return decompose(P, pvs, data)
 
     def asking(P, allow_lower_dim=False):
         seen["asked"].append((P, allow_lower_dim))
         return enumerate_(P, allow_lower_dim)
 
+    def hulling(points):
+        seen["hulls"].append(points)
+        return hull(points)
+
     monkeypatch.setattr(mmp, "_adjoint_cross_validation", validating)
     monkeypatch.setattr(mmp, "_nef_threshold_from", searching)
     monkeypatch.setattr(polytopes, "_decompose_along_fiber", decomposing)
     monkeypatch.setattr(polytopes, "vertices", asking)
+    monkeypatch.setattr(polytopes, "hull_facets", hulling)
     return seen
 
 
@@ -99,6 +119,45 @@ def test_certified_core_and_tail_equal_the_enumerated(runs):
     # no run asked for its core's or its tail's enumeration
     tails = {reduced for reduced, _ in runs["tails"]}
     assert not [P for P, lower in runs["asked"] if lower or P in tails]
+
+
+def section_faces(pvs, data):
+    """The vertex sets of the section faces that ``_decompose_along_fiber``
+    reads, one per maximal cone of the fiber fan."""
+    for fcone in data.fiber_fan.max_cones:
+        on = {data.fiber_ray_origin[i] for i in fcone}
+        face = [(v, t) for v, t in zip(pvs.vertices, pvs.tight) if on <= set(t)]
+        if face:
+            yield VertexSet(*zip(*face))
+
+
+def test_faces_and_dimensions_agree_with_oracle_rank(runs):
+    # every vertex set the runs enumerate or certify, every core (all
+    # lower-dimensional) and every section face of a tail
+    asked = {P for P, _ in runs["asked"]}
+    cores = {core_presentation(trace) for trace in runs["traces"]}
+    faces = [(P, vertices(P, allow_lower_dim=True)) for P in asked | cores] + runs["tails"]
+    for (P, pvs), data in zip(runs["tails"], runs["fibers"]):
+        faces += [(P, face) for face in section_faces(pvs, data)]
+    low = 0
+    for P, face in faces:
+        equalities, facets = polytopes._faces(face.tight)
+        assert (sorted(equalities), facets) == polytope_oracle.faces(P, face.vertices)
+        rank = linalg_oracle.affine_rank(face.vertices)
+        # the rule of _decompose_along_fiber
+        assert P.dim - matrix_rank([P.normals[j] for j in equalities]) == rank
+        low += rank < P.dim
+    # the rule of vertices: full-dimensional exactly when the rank is full
+    for P in asked | cores:
+        if linalg_oracle.affine_rank(vertices(P, allow_lower_dim=True).vertices) < P.dim:
+            with pytest.raises(DegenerateError, match="^polytope is not full-dimensional$"):
+                vertices(P)
+        else:
+            assert vertices(P) == vertices(P, allow_lower_dim=True)
+    # the rule of hull_facets: every point set it was given spans
+    assert all(linalg_oracle.affine_rank(pts) == len(pts[0]) for pts in runs["hulls"])
+    assert (len(asked), len(cores), len(faces), low, len(runs["hulls"])) == (
+        511, 307, 1891, 1075, 244)
 
 
 def outcome(search, fan, L, s0):

@@ -200,7 +200,7 @@ class TestThresholds:
         sigma = effective_threshold(P)
         core = adjoint(P, sigma, allow_redundant=True)
         vs = vertices(core, allow_lower_dim=True)
-        from toriq.linalg import affine_rank
+        from linalg_oracle import affine_rank
 
         assert affine_rank(vs.vertices) < P.dim
         mid = adjoint(P, sigma / 2)

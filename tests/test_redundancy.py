@@ -2,13 +2,18 @@
 the LP oracle in ``polytope_oracle``, and the adjoint path runs no LP.  The
 nef threshold read off the walls agrees with the oracle's vertex tracking,
 and the hull of a polytope's vertices gives back its irredundant
-presentation."""
+presentation.  The equalities and facets read off the tight sets agree with
+the vertices' coordinates, and a presentation is refused as
+lower-dimensional exactly when its vertices' affine rank is low."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linalg_oracle
 import polytope_oracle as oracle
 from conftest import BLOWUP_RAYS, blowup_polytope, hexagon, simplex_polytope
 from helpers import count_calls, count_enumerations
@@ -109,6 +114,49 @@ def test_random_presentations_match_oracle():
     # the corpus reaches every outcome
     assert min(seen.values()) >= 40 and reduced >= 20 and touching >= 40, (
         seen, reduced, touching)
+
+
+@st.composite
+def presentations(draw):
+    """Presentations in dimension 1-3: the box x_i >= -a_i, x_i <= b_i, with
+    b_i = -a_i (flat along x_i) a quarter of the time, and up to three more
+    primitive normals, each with its opposite at the opposite constant a
+    quarter of the time, so lower-dimensional polytopes, points among them,
+    are common."""
+    flat = st.sampled_from((True, False, False, False))
+    dim = draw(st.integers(1, 3))
+    const = st.builds(Fraction, st.integers(-2, 3), st.sampled_from((1, 2)))
+    ineqs = {}
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        ineqs[e] = a = draw(const)
+        ineqs[tuple(-x for x in e)] = -a if draw(flat) else draw(const)
+    for v in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=3)):
+        if any(v) and primitive_part(v) not in ineqs:
+            v = primitive_part(v)
+            ineqs[v] = a = draw(const)
+            w = tuple(-x for x in v)
+            if w not in ineqs and draw(flat):
+                ineqs[w] = -a
+    return FacetPresentation(dim, tuple(ineqs), tuple(ineqs.values()))
+
+
+@given(presentations())
+@settings(max_examples=400, deadline=None)
+def test_degenerate_exactly_when_oracle_rank_is_low(P):
+    try:
+        vs = vertices(P, allow_lower_dim=True)
+    except (EmptyPolytopeError, UnboundedError) as err:
+        with pytest.raises(type(err)):
+            vertices(P)
+        return
+    equalities, facets = polytopes._faces(vs.tight)
+    assert (sorted(equalities), facets) == oracle.faces(P, vs.vertices)
+    if linalg_oracle.affine_rank(vs.vertices) < P.dim:
+        with pytest.raises(DegenerateError, match="^polytope is not full-dimensional$"):
+            vertices(P)
+    else:
+        assert vertices(P) == vs
 
 
 def acceptance_corpus(count):
