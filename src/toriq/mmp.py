@@ -20,6 +20,7 @@ from .fans import (
     Fan,
     MalformedFanError,
     Wall,
+    _cone_inverse,
     _inverses,
     image_fan,
     restricted_cones,
@@ -265,12 +266,14 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     At each critical value the vanishing extremal class is contracted or
     flipped and the polarization is pushed forward; the run terminates at a
     fibering contraction, whose critical value must equal the effective
-    threshold.  Non-general inputs (several classes vanishing at once) are
-    rejected unless force=True, which tie-breaks by the lexicographically
-    smallest wall and flags the trace.
+    threshold sigma_P.  That holds by proof where the run's own duality
+    certificate gives sigma_P (``_certified_threshold``); where one of its
+    checks fails, sigma_P is the LP of ``effective_threshold`` and the
+    equality is checked.  Non-general inputs (several classes vanishing at
+    once) are rejected unless force=True, which tie-breaks by the
+    lexicographically smallest wall and flags the trace.
     """
     fan, L = polytopes.polarization(P)
-    sigma_P = polytopes.effective_threshold(P)
     steps: list[MMPStep] = []
     flagged = False
     lam_prev = ZERO
@@ -311,6 +314,10 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
             break
         fan, L = new_fan, new_L
         lam_prev = lam
+    slacks = _SlackRows(P)
+    sigma_P = _certified_threshold(slacks, steps)
+    if sigma_P is None:
+        sigma_P = polytopes.effective_threshold(P)
     trace = MMPTrace(
         initial_polytope=P,
         steps=steps,
@@ -327,13 +334,43 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         lams = [s.lam for s in steps]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise MalformedFanError("critical values are not strictly increasing")
-    _adjoint_cross_validation(trace)
+    _adjoint_cross_validation(trace, slacks)
     return trace
 
 
-def _adjoint_cross_validation(trace: MMPTrace) -> None:
+def _certified_threshold(slacks: _SlackRows, steps: list[MMPStep]) -> Optional[Fraction]:
+    """The effective threshold sigma_P, proved equal to the final critical
+    value lam by LP duality from the run's own data, or None when a check
+    fails (the caller then solves the LP).
+
+    Upper bound: the last step's relation r over its fan's rays v_k, which
+    are normals of P with constants a_k, has r >= 0, sum r > 0 and
+    sum r_k v_k = 0.  Every x in P^(s) has <v_k, x> + a_k - s >= 0, and
+    summing r_k times these gives s <= sum r_k a_k / sum r_k, which must
+    be lam.  Lower bound: the certificate of the last interval of positive
+    length ends at lam, and its limit points are feasible in P^(lam), so
+    P^(lam) is not empty (Schrijver, *Theory of Linear and Integer
+    Programming*, ch. 7)."""
+    last = steps[-1]
+    rays, r, lam = last.fan_before.rays, last.relation, last.lam
+    at = [slacks.index.get(v) for v in rays]
+    if None in at or min(r) < 0 or sum(r) <= 0 or any(dot(r, col) for col in zip(*rays)):
+        return None
+    # sum r_k a_k / sum r_k = lam, over the common denominator L of the a_k
+    if dot(r, [slacks.A[j] for j in at]) * lam.denominator != lam.numerator * slacks.L * sum(r):
+        return None
+    lams = (ZERO,) + tuple(s.lam for s in steps)
+    k = next((k for k in reversed(range(len(steps))) if lams[k] < lams[k + 1]), None)
+    if k is None or lams[k + 1] != lam or _certified_limits(
+            slacks, steps[k].fan_before, lams[k], lam) is None:
+        return None
+    return lam
+
+
+def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = None) -> None:
     """Check the run against the adjoint polytope family, and set the
-    trace's core and projection.
+    trace's core and projection.  ``slacks`` holds the slack rows the run
+    built for P (``_SlackRows``); without it the check builds its own.
 
     Between critical values the reduced adjoint polytope must be simple
     with the tracked normal fan; at a divisorial value the facet count
@@ -369,13 +406,14 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     has every slack >= sigma_P - lam > 0 in P^(lam), and a full-dimensional
     P^(lam) has an interior point, which lies in P^(lam + e) for small e.
 
-    So the certificates also give the vertices the run reads, with no
-    enumeration: the tail's Cayley check takes P^(mid) of the last interval
-    as the x_sigma(mid), each with tight set sigma, and the core P^(sigma_P)
-    has as vertices the distinct x_sigma(sigma_P) of the certificate that
-    ends at sigma_P, from which ``trace.core_projection`` is built.  Where
-    there is no such certificate (a zero-length or failed last interval, or
-    none ending at sigma_P) those vertices are enumerated.
+    So the certificates also give sigma_P (``_certified_threshold``) and
+    the vertices the run reads, with no LP and no enumeration: the tail's
+    Cayley check takes P^(mid) of the last interval as the x_sigma(mid),
+    each with tight set sigma, and the core P^(sigma_P) has as vertices the
+    distinct x_sigma(sigma_P) of the certificate that ends at sigma_P, from
+    which ``trace.core_projection`` is built.  Where there is no such
+    certificate (a zero-length or failed last interval, or none ending at
+    sigma_P) those vertices are enumerated.
 
     A zero-length interval k at lam (forced, tied runs) takes P^(lam)'s
     facet count and simplicity from the last certificate, which ends at
@@ -387,6 +425,8 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     certificate fails, only the fan note is recorded, as False.
     """
     P, sigma_P = trace.initial_polytope, trace.effective_threshold
+    if slacks is None:
+        slacks = _SlackRows(P)
     notes = {}
     at_value = None  # (facet count, simple) of P^(lo), from the last certificate
     core_vertices = tail = None  # tail: the last interval's (step, lo, certificate)
@@ -396,7 +436,7 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
         if lo == lam and at_value is not None:
             facets, simple = at_value
         else:
-            cert = _certified_limits(P, fan, lo, lam) if lo < lam else None
+            cert = _certified_limits(slacks, fan, lo, lam) if lo < lam else None
             at_value = None
             if cert is None:
                 notes[f"interval_{idx}_fan_matches"] = False
@@ -422,7 +462,7 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             else:
                 notes[f"step_{idx}_facet_count_constant"] = step.facet_count_after == facets
                 notes[f"step_{idx}_not_simple_at_value"] = not simple
-    trace.core_projection = polytopes._core_and_projection(P, core_vertices)
+    trace.core_projection = polytopes._core_and_projection(P, sigma_P, core_vertices)
     if tail is not None:  # the last interval's polytope is a Cayley sum
         step, lo, cert = tail
         mid = (lo + step.lam) / 2
@@ -465,18 +505,58 @@ class _Certificate:
                 for cone, t, w, d in self.cones]
 
 
-def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
+class _SlackRows(dict):
+    """P's scaled slack rows per maximal cone, shared by every interval
+    certificate of one run.
+
+    With the constants a_j = A_j / L, a cone sigma of P's normals with
+    adjugate adj and determinant d > 0 (signs flipped together), and an end
+    s = p / q, q*d*L*x_sigma(s) = p*L*t - q*w for t = adj^T 1 and
+    w = adj^T A_sigma; q*d*L times the slack <v_j, x_sigma(s)> - s + a_j of
+    inequality j is then p*L*alpha_j - q*beta_j, with alpha_j = <v_j, t> - d
+    and beta_j = <v_j, w> - d*A_j.  None of these depends on the interval,
+    so each cone's row (t, w, d, alpha, beta) is built once, on first use,
+    keyed by the cone's indices into P, from the cone's cached adjugate.
+    ``certificates`` holds each interval's certificate, so the one that
+    gives sigma_P is the cross-validation's own."""
+
+    def __init__(self, P: FacetPresentation):
+        super().__init__()
+        self.P = P
+        self.index = {v: j for j, v in enumerate(P.normals)}
+        self.L = lcm(*(a.denominator for a in P.constants))
+        self.A = [a.numerator * (self.L // a.denominator) for a in P.constants]
+        self.certificates: dict[tuple, Optional[_Certificate]] = {}
+
+    def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:
+        adj, d = _cone_inverse(tuple(self.P.normals[j] for j in key))
+        sign = 1 if d > 0 else -1
+        t = [sign * sum(col) for col in zip(*adj)]
+        w = [sign * sum(self.A[j] * x for j, x in zip(key, col)) for col in zip(*adj)]
+        d *= sign
+        alpha = [dot(v, t) - d for v in self.P.normals]
+        beta = [dot(v, w) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
+        self[key] = row = t, w, d, alpha, beta
+        return row
+
+
+def _certified_limits(slacks: _SlackRows, fan: Fan, lo: Fraction,
                       lam: Fraction) -> Optional[_Certificate]:
     """The certificate of the fan's cones on (lo, lam), or None when it
-    fails (see ``_adjoint_cross_validation``).
+    fails (see ``_adjoint_cross_validation``), for the P of ``slacks``:
+    built once per run, keyed by integers (hashing a ``Fraction`` costs a
+    modular inverse)."""
+    key = fan, lo.numerator, lo.denominator, lam.numerator, lam.denominator
+    if key not in slacks.certificates:
+        slacks.certificates[key] = _certify(slacks, fan, lo, lam)
+    return slacks.certificates[key]
 
-    Integers only: with the constants a_j = A_j / L, an end s = p / q and a
-    cone's cached adjugate adj and determinant d > 0 (signs flipped
-    together), q*d*L*x_sigma(s) = y = p*L*t - q*w for t = adj^T 1 and
-    w = adj^T A_sigma, and q*d*L times the slack of inequality j is
-    <v_j, y> - d*(p*L - q*A_j)."""
-    where = {v: j for j, v in enumerate(P.normals)}
-    index = [where.get(r) for r in fan.rays]
+
+def _certify(slacks: _SlackRows, fan: Fan, lo: Fraction, lam: Fraction) -> Optional[_Certificate]:
+    """Build the certificate of ``_certified_limits``: two integer products
+    per cone and inequality of P, the scaled slacks at both ends, from the
+    cone's shared row."""
+    index = [slacks.index.get(r) for r in fan.rays]
     if None in index or index != sorted(index):
         return None
     if set().union(*fan.max_cones) != set(range(len(index))):
@@ -487,31 +567,26 @@ def _certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
         return None
     if not (rep.well_formed and rep.complete):
         return None
-    L = lcm(*(a.denominator for a in P.constants))
-    A = [a.numerator * (L // a.denominator) for a in P.constants]
-    ends = [(s.numerator * L, s.denominator) for s in (lo, lam)]
-    shifts = [[pL - q * Aj for Aj in A] for pL, q in ends]
+    (pL_lo, q_lo), (pL_hi, q_hi) = ((s.numerator * slacks.L, s.denominator) for s in (lo, lam))
     limits, cones = set(), []
-    for cone, (adj, d) in _inverses(fan).items():
-        rows = [index[i] for i in cone]
-        sign = 1 if d > 0 else -1
-        t = [sign * sum(col) for col in zip(*adj)]
-        w = [sign * sum(A[j] * x for j, x in zip(rows, col)) for col in zip(*adj)]
-        d *= sign
-        y_lo, y_hi = ([pL * tk - q * wk for tk, wk in zip(t, w)] for pL, q in ends)
+    for cone in fan.max_cones:
+        if not cone or len(cone) != fan.rank:  # the cones of ``_inverses``
+            continue
+        key = tuple(index[i] for i in cone)
+        t, w, d, alpha, beta = slacks[key]
         tight = []
-        for j, v in enumerate(P.normals):
-            at_lo = dot(v, y_lo) - d * shifts[0][j]
-            at_hi = dot(v, y_hi) - d * shifts[1][j]
+        for j, (a, b) in enumerate(zip(alpha, beta)):
+            at_lo = pL_lo * a - q_lo * b
+            at_hi = pL_hi * a - q_hi * b
             if at_lo < 0 or at_hi < 0:
                 return None
             if at_hi == 0:
-                if at_lo == 0 and j not in rows:
+                if at_lo == 0 and j not in key:
                     return None
                 tight.append(j)
         limits.add(tuple(tight))
         cones.append((cone, t, w, d))
-    return _Certificate(limits, L, cones)
+    return _Certificate(limits, slacks.L, cones)
 
 
 def _fiber_polytope_matches(trace: MMPTrace) -> bool:

@@ -260,7 +260,7 @@ def _faces(tight_sets) -> tuple[list[int], dict[int, set[int]]]:
     return [j for j in tight if j not in proper], facets
 
 
-@lru_cache(maxsize=64)  # thresholds, the core and the MMP run each ask for it
+@lru_cache(maxsize=64)  # thresholds and the public core each ask for it
 def effective_threshold(P: FacetPresentation) -> Fraction:
     """sup{s : P^(s) nonempty}, by exact LP over (x, s)."""
     n = P.dim
@@ -300,17 +300,17 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
     projection along its affine span, and the image polytope Q.  When the
     core is a point the projection is the identity and Q is P: its facets
     are read off P's cached vertex set, sorted as ``hull_facets`` sorts
-    them, and no hull is run.  The core's vertices are enumerated; the
-    scaled program reads them off its last interval certificate instead and
-    enumerates only when it has none (``mmp._adjoint_cross_validation``)."""
-    return _core_and_projection(P, None)
+    them, and no hull is run.  sigma(P) is the LP of ``effective_threshold``
+    and the core's vertices are enumerated; the scaled program reads both
+    off its own certificates instead, and enumerates the vertices only when
+    it has none (``mmp._adjoint_cross_validation``)."""
+    return _core_and_projection(P, effective_threshold(P), None)
 
 
-def _core_and_projection(P: FacetPresentation,
+def _core_and_projection(P: FacetPresentation, sigma: Fraction,
                          core_vertices: Optional[tuple[QVec, ...]]) -> CoreProjection:
-    """``core_and_projection`` given the core's vertices, sorted and
-    distinct, or None to enumerate them."""
-    sigma = effective_threshold(P)
+    """``core_and_projection`` given sigma(P) and the core's vertices,
+    sorted and distinct, or None to enumerate them."""
     core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
     if core_vertices is None:
         core_vertices = vertices(core, allow_lower_dim=True).vertices

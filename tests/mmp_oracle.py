@@ -11,13 +11,23 @@ it certified each interval exactly: one reduced adjoint polytope, with a
 full vertex enumeration, at each interval's midpoint and at each critical
 value.  Its Cayley tail check decomposes along the step's own fiber with
 ``polytope_oracle.decompose_along_fiber``, the hull-based decomposition.
+
+``certified_limits`` is the interval certificate as ``toriq.mmp`` built it
+before each cone's slack rows were shared across a run's intervals: every
+interval recomputes each cone's point and the dot products of all of P's
+normals with it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from typing import Optional
+
 import polytope_oracle
 from toriq import polytopes
-from toriq.fans import Fan, MalformedFanError, Wall, validate, wall_classification
+from toriq.fans import Fan, MalformedFanError, Wall, _inverses, validate, wall_classification
+from toriq.linalg import dot
 from toriq.mmp import (
     DIVISORIAL,
     FLIP,
@@ -25,10 +35,12 @@ from toriq.mmp import (
     ZERO,
     ContractionResult,
     MMPTrace,
+    _Certificate,
     _fiber_polytope_matches,
     class_walls,
     mori_fiber_data,
 )
+from toriq.polytopes import FacetPresentation
 
 
 def contract(fan: Fan, wall: Wall) -> ContractionResult:
@@ -172,3 +184,52 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
     trace.validation = notes
     if not trace.generality_flag and not ok:
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")
+
+
+def certified_limits(P: FacetPresentation, fan: Fan, lo: Fraction,
+                     lam: Fraction) -> Optional[_Certificate]:
+    """The certificate of the fan's cones on (lo, lam), or None when it
+    fails (see ``toriq.mmp._adjoint_cross_validation``).
+
+    Integers only: with the constants a_j = A_j / L, an end s = p / q and a
+    cone's cached adjugate adj and determinant d > 0 (signs flipped
+    together), q*d*L*x_sigma(s) = y = p*L*t - q*w for t = adj^T 1 and
+    w = adj^T A_sigma, and q*d*L times the slack of inequality j is
+    <v_j, y> - d*(p*L - q*A_j)."""
+    where = {v: j for j, v in enumerate(P.normals)}
+    index = [where.get(r) for r in fan.rays]
+    if None in index or index != sorted(index):
+        return None
+    if set().union(*fan.max_cones) != set(range(len(index))):
+        return None
+    try:
+        rep = validate(fan)
+    except MalformedFanError:
+        return None
+    if not (rep.well_formed and rep.complete):
+        return None
+    L = lcm(*(a.denominator for a in P.constants))
+    A = [a.numerator * (L // a.denominator) for a in P.constants]
+    ends = [(s.numerator * L, s.denominator) for s in (lo, lam)]
+    shifts = [[pL - q * Aj for Aj in A] for pL, q in ends]
+    limits, cones = set(), []
+    for cone, (adj, d) in _inverses(fan).items():
+        rows = [index[i] for i in cone]
+        sign = 1 if d > 0 else -1
+        t = [sign * sum(col) for col in zip(*adj)]
+        w = [sign * sum(A[j] * x for j, x in zip(rows, col)) for col in zip(*adj)]
+        d *= sign
+        y_lo, y_hi = ([pL * tk - q * wk for tk, wk in zip(t, w)] for pL, q in ends)
+        tight = []
+        for j, v in enumerate(P.normals):
+            at_lo = dot(v, y_lo) - d * shifts[0][j]
+            at_hi = dot(v, y_hi) - d * shifts[1][j]
+            if at_lo < 0 or at_hi < 0:
+                return None
+            if at_hi == 0:
+                if at_lo == 0 and j not in rows:
+                    return None
+                tight.append(j)
+        limits.add(tuple(tight))
+        cones.append((cone, t, w, d))
+    return _Certificate(limits, L, cones)

@@ -66,7 +66,7 @@ def unvalidated(P) -> mmp.MMPTrace:
     and projection that ``core_and_projection`` enumerates (the
     cross-validation sets its own)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace: None)
+        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace, slacks=None: None)
         trace = mmp.run_mmp_scaling(P, force=True)
     trace.core_projection = core_and_projection(P)
     return trace

@@ -49,9 +49,9 @@ def record(monkeypatch) -> dict:
     decompose, enumerate_ = polytopes._decompose_along_fiber, polytopes.vertices
     hull = polytopes.hull_facets
 
-    def validating(trace):
+    def validating(trace, slacks=None):
         seen["traces"].append(trace)
-        validate(trace)
+        validate(trace, slacks)
 
     def searching(fan, L, s0):
         seen["searches"].append((fan, L, s0))

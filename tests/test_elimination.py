@@ -332,9 +332,9 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     traces = []
     validate = mmp._adjoint_cross_validation
 
-    def recorded_validation(trace):
+    def recorded_validation(trace, slacks=None):
         traces.append(trace)
-        validate(trace)
+        validate(trace, slacks)
 
     monkeypatch.setattr(mmp, "_adjoint_cross_validation", recorded_validation)
     vertices.cache_clear()

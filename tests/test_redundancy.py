@@ -215,7 +215,8 @@ def test_adjoint_path_runs_no_lp(monkeypatch):
 
 
 def test_effective_threshold_one_lp_per_polytope(monkeypatch):
-    # thresholds, the core and the MMP run all ask for sigma(P)
+    # thresholds and the core ask for sigma(P); the MMP run proves it from
+    # its own certificates and solves no LP
     P = acceptance_corpus(1)[0]
 
     def run():
