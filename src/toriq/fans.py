@@ -200,7 +200,7 @@ def is_face(fan: Fan, rays: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def validate(fan: Fan, deep: bool = False) -> ValidationReport:
+def validate(fan: Fan) -> ValidationReport:
     """Validate a fan and report simplicial / smooth / complete flags.
 
     A cone with ``rank`` rays is simplicial when its determinant is nonzero
@@ -216,8 +216,7 @@ def validate(fan: Fan, deep: bool = False) -> ValidationReport:
     for all points off the codimension-2 faces; the point shows it is 1,
     i.e. the cones cover the space and meet in faces.  Any other simplicial
     fan is not complete, and the exact pairwise LP test checks that every
-    two of its cones meet in their common face.  ``deep=True`` runs that
-    pairwise test on the certified fans too.  Overlapping cones raise
+    two of its cones meet in their common face.  Overlapping cones raise
     ``MalformedFanError`` naming two of them; non-simplicial fans get no
     overlap test and are never reported complete.  A maximal cone whose
     rays lie among another's, which the pairwise test passes, raises too.
@@ -258,7 +257,7 @@ def validate(fan: Fan, deep: bool = False) -> ValidationReport:
         )
         if complete:
             _certify_cover(fan, inverses, facets)
-        if deep or not complete:
+        else:
             for c1, c2 in combinations(fan.max_cones, 2):
                 if _pair_overlaps(fan, c1, c2):
                     raise MalformedFanError(

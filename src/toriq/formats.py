@@ -12,10 +12,11 @@ import csv
 import io as _stdio
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .fans import Fan
-from .linalg import format_frac, frac, gcd_vec, primitive_part
+from .linalg import format_frac, frac, primitive_part
 from .polytopes import (
     EmptyPolytopeError,
     FacetPresentation,
@@ -85,9 +86,9 @@ def parse_fan(text: str, lenient: bool = False) -> Fan:
     rays = _int_vectors(data["rays"], "rays")
     fixed = []
     for r in rays:
-        if gcd_vec(r) == 0:
+        if gcd(*r) == 0:
             raise ParseError(f"zero ray {r}", field="rays")
-        if gcd_vec(r) != 1:
+        if gcd(*r) != 1:
             if not lenient:
                 raise ParseError(f"non-primitive ray {r}", field="rays")
             import warnings

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -33,7 +32,7 @@ from .fans import (
     validate,
     walls,
 )
-from .linalg import QVec, Vec, dot, frac
+from .linalg import QVec, Vec, _scaled, dot, frac
 
 ZERO = Fraction(0)
 
@@ -214,8 +213,7 @@ def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fracti
     s0 = p0 / q0, the wall has lc = sum_k c_k r_k and kc = sum_k r_k, so
     (L + s0*K).C has the sign of q0*lc - p0*D*kc, its ratio is lc / (D*kc),
     and two ratios compare cross-multiplied."""
-    D = lcm(*(c.denominator for c in L.coeffs))
-    coeffs = [c.numerator * (D // c.denominator) for c in L.coeffs]
+    D, coeffs = _scaled(L.coeffs)
     p0D, q0 = s0.numerator * D, s0.denominator
     best: Optional[tuple[int, int]] = None  # (lc, kc) of the least ratio so far
     attained: list[Wall] = []

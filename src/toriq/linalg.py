@@ -65,15 +65,11 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def is_zero_vec(v) -> bool:
-    return all(a == 0 for a in v)
-
-
-def gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+def _scaled(xs) -> tuple[int, list[int]]:
+    """(L, L * xs) for L the lcm of the denominators of the ints and
+    ``Fraction``s xs: the one integer scaling of every rational layer."""
+    L = lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
 def primitive_part(v: Sequence[int]) -> Vec:
@@ -82,42 +78,37 @@ def primitive_part(v: Sequence[int]) -> Vec:
     The direction is preserved: (-3, 0) -> (-1, 0).  Raises on the zero
     vector, which has no primitive representative.
     """
-    g = gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(a // g for a in v)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    return gcd_vec(v) == 1
+    return gcd(*v) == 1
 
 
 def scale_to_primitive(v: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector by a positive rational so it becomes
     a primitive integer vector."""
-    denoms = 1
-    for a in v:
-        denoms = denoms * a.denominator // gcd(denoms, a.denominator)
-    ints = [int(a * denoms) for a in v]
-    return primitive_part(ints)
+    return primitive_part(_scaled(v)[1])
 
 
 # ---------------------------------------------------------------------------
 # dense exact matrices (lists of row tuples)
 # ---------------------------------------------------------------------------
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _rectangular(M, n: int):
+    """M, whose rows must all have length n (else ``DimensionError``)."""
+    if any(len(row) != n for row in M):
+        raise DimensionError(f"row lengths {[len(row) for row in M]} are not all {n}")
+    return M
 
 
 def _integer_row(row) -> list[int]:
     """The row scaled by the lcm of its denominators, so every entry is an
     int; a row of ints is taken as it is."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    q = [Fraction(x) for x in row]
-    L = lcm(*(x.denominator for x in q))
-    return [x.numerator * (L // x.denominator) for x in q]
+    return list(row) if all(type(x) is int for x in row) else _scaled(row)[1]
 
 
 def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
@@ -160,8 +151,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 
 def matrix_rank(M) -> int:
-    rows = [_integer_row(row) for row in M]
-    return len(_eliminate(rows, len(rows[0]))[0]) if rows else 0
+    n = len(M[0]) if M else 0
+    return len(_eliminate([_integer_row(row) for row in _rectangular(M, n)], n)[0])
 
 
 def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
@@ -169,7 +160,8 @@ def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
     M^-1 = adj / det, from one elimination of [M | I].  The adjugate is None
     when the determinant is 0."""
     n = len(M)
-    rows = [[index(x) for x in row] + [int(j == i) for j in range(n)] for i, row in enumerate(M)]
+    rows = [[index(x) for x in row] + [int(j == i) for j in range(n)]
+            for i, row in enumerate(_rectangular(M, n))]
     pivots, d, sign = _eliminate(rows, n)
     if len(pivots) < n:
         return None, 0
@@ -202,7 +194,7 @@ def solve_linear(M, b) -> Optional[QVec]:
     if m == 0:
         return ()
     n = len(M[0])
-    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(M, b)]
+    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(_rectangular(M, n), b)]
     pivots, d, _ = _eliminate(rows, n)
     if any(rows[i][n] for i in range(len(pivots), m)):
         return None
@@ -217,7 +209,7 @@ def kernel_basis(M) -> list[QVec]:
     if not M:
         return []
     n = len(M[0])
-    rows = [_integer_row(row) for row in M]
+    rows = [_integer_row(row) for row in _rectangular(M, n)]
     pivots, d, _ = _eliminate(rows, n)
     basis = []
     free = [c for c in range(n) if c not in pivots]
@@ -242,10 +234,10 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     """
     if not M or not M[0]:
         raise ValueError("Smith normal form of an empty matrix")
-    A = [list(int_vec(row)) for row in M]
+    A = [list(int_vec(row)) for row in _rectangular(M, len(M[0]))]
     m, n = len(A), len(A[0])
-    U = identity_matrix(m)
-    V = identity_matrix(n)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row i -= q * row j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
@@ -457,7 +449,7 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
         if len(g) != len(target):
             raise DimensionError("generator length differs from target length")
     if not gens:
-        return () if is_zero_vec(target) else None
+        return None if any(target) else ()
     m = len(target)
     A = [[g[i] for g in gens] for i in range(m)]
     res = lp_standard([ZERO] * len(gens), A, target)

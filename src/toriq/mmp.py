@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import polytopes
@@ -32,6 +31,7 @@ from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
     QVec,
     Vec,
+    _scaled,
     dot,
     int_vec,
     primitive_part,
@@ -524,8 +524,7 @@ class _SlackRows(dict):
         super().__init__()
         self.P = P
         self.index = {v: j for j, v in enumerate(P.normals)}
-        self.L = lcm(*(a.denominator for a in P.constants))
-        self.A = [a.numerator * (self.L // a.denominator) for a in P.constants]
+        self.L, self.A = _scaled(P.constants)
         self.certificates: dict[tuple, Optional[_Certificate]] = {}
 
     def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from . import fans
@@ -21,6 +21,7 @@ from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
+    _scaled,
     _vertex_solutions,
     det,
     dot,
@@ -158,12 +159,11 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
         if is_empty(P):
             raise EmptyPolytopeError("polytope is empty")
         raise UnboundedError("presentation is unbounded")
-    # <v_i, x> >= c_i / L with integers c_i; a vertex is x = y / (d L)
-    L = lcm(*(a.denominator for a in P.constants))
-    c = [-a.numerator * (L // a.denominator) for a in P.constants]
+    # <v_i, x> >= -A_i / L with integers A_i; a vertex is x = y / (d L)
+    L, A = _scaled(P.constants)
     found: dict[QVec, tuple[int, ...]] = {}
     coords: dict[Fraction, Fraction] = {}
-    for y, d, slack in _vertex_solutions(P.normals, c):
+    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A]):
         x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
         if x not in found:
             found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)

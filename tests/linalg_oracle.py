@@ -23,19 +23,48 @@ per cone's ray vectors, shared by every fan that holds the cone.
 ``lp_standard`` is the two-phase simplex that ``toriq.linalg`` ran before it
 pivoted one integer tableau with the elimination step: every pivot divides
 the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
+
+``scale_to_primitive`` and ``lcm_scaled`` are the integer scalings that were
+written out by hand before ``toriq.linalg._scaled`` took them over: a running
+lcm of the denominators and a running gcd of the entries, and the one-line
+lcm scaling that ``linalg._integer_row``, ``polytopes.vertices``,
+``mmp._SlackRows`` and ``intersection._nef_threshold_from`` each repeated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import index, mul
 from typing import Optional, Sequence
 
-from toriq.linalg import LPResult, Vec, dot, frac, scale_to_primitive, vec_sub
+from toriq.linalg import LPResult, Vec, dot, frac, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def lcm_scaled(xs) -> tuple[int, list[int]]:
+    """(L, L * xs) for L the lcm of the denominators of the ints and
+    ``Fraction``s xs."""
+    q = [Fraction(x) for x in xs]
+    L = lcm(*(x.denominator for x in q))
+    return L, [x.numerator * (L // x.denominator) for x in q]
+
+
+def scale_to_primitive(v: Sequence[Fraction]) -> Vec:
+    """The primitive integer vector on the ray of a nonzero rational v."""
+    denoms = 1
+    for a in v:
+        denoms = denoms * a.denominator // gcd(denoms, a.denominator)
+    ints = [int(a * denoms) for a in v]
+    g = 0
+    for a in ints:
+        g = gcd(g, abs(a))
+    if g == 0:
+        raise ValueError("zero vector has no primitive part")
+    return tuple(a // g for a in ints)
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:

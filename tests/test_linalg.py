@@ -2,23 +2,27 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle as oracle
 from conftest import pn_fan
 from toriq.fans import Fan, MalformedFanError, star_subdivision
 from toriq.linalg import (
     DimensionError,
+    _scaled,
     adjugate,
     det,
     dot,
     hull_facets,
     int_vec,
+    kernel_basis,
     lp_min,
     lp_standard,
     matrix_rank,
     nonneg_solve,
     primitive_part,
+    scale_to_primitive,
     smith_normal_form,
     solve_linear,
 )
@@ -141,6 +145,33 @@ class TestPrimitivePart:
             primitive_part((0, 0))
 
 
+scalars = st.one_of(st.just(0), st.integers(-60, 60),
+                    st.builds(F, st.integers(-60, 60), st.integers(1, 36)))
+
+
+class TestScaled:
+    @given(st.lists(scalars, max_size=6))
+    @example([])
+    @example([F(1, 2), F(-1, 3), 0, 5])
+    @settings(max_examples=300)
+    def test_matches_the_hand_scaling(self, xs):
+        L, ints = _scaled(xs)
+        assert (L, ints) == oracle.lcm_scaled(xs)
+        assert all(type(a) is int for a in [L] + ints)
+
+    @given(st.lists(scalars, max_size=6))
+    @example([0, F(0), 0])
+    @example([F(-4, 6), 0, F(2, 9)])
+    @settings(max_examples=300)
+    def test_scale_to_primitive_matches_the_old_loop(self, xs):
+        if any(xs):
+            assert scale_to_primitive(xs) == oracle.scale_to_primitive(xs)
+        else:
+            for scale in (scale_to_primitive, oracle.scale_to_primitive):
+                with pytest.raises(ValueError, match="zero vector has no primitive part"):
+                    scale(xs)
+
+
 def brute_force_in_cone(generators, x):
     """Independent membership oracle: by Caratheodory, x lies in the cone
     iff some linearly independent subset of size <= dim carries it with
@@ -247,6 +278,24 @@ def test_dot_matches_generator_form(uv):
 def test_dot_length_mismatch(u, v):
     with pytest.raises(DimensionError, match=f"^dot of length {len(u)} against {len(v)}$"):
         dot(u, v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: det([[1, 2, 3], [4, 5, 6]]),
+    lambda: adjugate([[1, 2], [3]]),
+    lambda: matrix_rank([[1], [3, 4]]),
+    lambda: matrix_rank([[1, 2], [3]]),
+    lambda: solve_linear([[1], [0, 1]], [1, 5]),
+    lambda: solve_linear([[1, 0], [0]], [1, 5]),
+    lambda: kernel_basis([[1, 2, 3], [1]]),
+    lambda: smith_normal_form([[2], [6, 4]]),
+    lambda: smith_normal_form([[2, 4], [6]]),
+], ids=["det-not-square", "adjugate-ragged", "rank-long-row", "rank-short-row",
+        "solve-long-row", "solve-short-row", "kernel-short-row", "snf-long-row",
+        "snf-short-row"])
+def test_ragged_or_non_square_matrix_rejected(call):
+    with pytest.raises(DimensionError, match="^row lengths .* are not all"):
+        call()
 
 
 class TestHullFacets:

@@ -49,6 +49,44 @@ def test_no_unbounded_caches():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def _gcd_or_lcm(node) -> bool:
+    """A call of ``gcd`` or ``lcm``, with or without the ``math.`` prefix."""
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) in ("gcd", "lcm")
+
+
+def _folds_gcd_or_lcm(loop) -> bool:
+    """A loop that reassigns a name from a gcd or lcm of that name, as a
+    running gcd or common denominator does."""
+    for node in ast.walk(loop):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = {t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                       if isinstance(t, ast.Name)}
+            calls = [c for c in ast.walk(node.value) if _gcd_or_lcm(c)]
+            if any(isinstance(n, ast.Name) and n.id in targets for c in calls for n in ast.walk(c)):
+                return True
+    return False
+
+
+def test_one_integer_scaling():
+    # rationals go over one common denominator only in linalg._scaled: no
+    # other module imports lcm, and no module defines its own gcd or lcm or
+    # folds one over a vector by hand (math.gcd(*v) takes a whole vector)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imports = isinstance(node, (ast.Import, ast.ImportFrom))
+            names = [a.name for a in node.names] if imports else [getattr(node, "attr", None)]
+            if path.stem != "linalg" and "lcm" in names:
+                found.append(f"{path.name}:{node.lineno} uses lcm")
+            if isinstance(node, ast.FunctionDef) and ("gcd" in node.name or "lcm" in node.name):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if isinstance(node, (ast.For, ast.While)) and _folds_gcd_or_lcm(node):
+                found.append(f"{path.name}:{node.lineno} folds gcd or lcm in a loop")
+    assert list(SRC.glob("*.py")) and not found, found
+
+
 def test_every_cache_is_bounded():
     # the loaded caches themselves, whatever expression gave their size
     for path in SRC.glob("*.py"):
