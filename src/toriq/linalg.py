@@ -72,6 +72,21 @@ def _scaled(xs) -> tuple[int, list[int]]:
     return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
+def _lowest_terms(y: Sequence[int], d: int) -> tuple[Vec, int]:
+    """The rational point y / d, d > 0, as (y', d') with gcd(*y', d') = 1:
+    one representation per point, so equal points are equal pairs."""
+    g = gcd(d, *y)
+    return tuple(a // g for a in y), d // g
+
+
+def _common_denominator(points) -> tuple[int, list[Vec]]:
+    """(D, [D * y / d]) for the rational points y / d given as pairs (y, d),
+    d > 0, and D the lcm of their denominators: integer vectors that
+    compare and sort as the points do."""
+    D = lcm(*(d for _, d in points))
+    return D, [tuple(a * (D // d) for a in y) for y, d in points]
+
+
 def primitive_part(v: Sequence[int]) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 
@@ -317,7 +332,7 @@ def saturation_and_projection(columns: list[Vec], n: int) -> tuple[list[Vec], li
     projection Z^n -> Z^(n-k) whose kernel is that saturation."""
     if not columns:
         return [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    A = [[col[i] for col in columns] for i in range(n)]
+    A = [list(row) for row in zip(*_rectangular(columns, n))]
     U, D, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
     adj, d = adjugate(U)  # U is unimodular, so U^-1 = d * adj
@@ -515,19 +530,21 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     {y : <p - c, y> >= -1 for every point p}: the facet with inward normal
     y holds the points where equality holds.  The polar has a vertex
     exactly when some d of the p - c are independent, that is, when the
-    points span.
+    points span.  On the m points scaled to integers P = L p, the rows
+    m P - sum P are m L (p - c), and each constant is one ``Fraction``.
     """
-    pts = [tuple(frac(a) for a in p) for p in points]
-    if not pts:
+    if not points:
         raise ValueError("no points")
-    d = len(pts[0])
+    d = len(points[0])
     if d == 0:
         return []
-    c = [sum(col) / len(pts) for col in zip(*pts)]
-    # D (p - c) is integral; scaling every row by D scales the polar by 1/D
-    D = len(pts) * lcm(*(x.denominator for p in pts for x in p))
-    rows = [[int(D * (a - ci)) for a, ci in zip(p, c)] for p in pts]
-    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * len(rows))}
+    L, flat = _scaled([a if type(a) is int else frac(a)
+                       for p in _rectangular(points, d) for a in p])
+    pts = [flat[i:i + d] for i in range(0, len(flat), d)]
+    m = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    rows = [[m * a - s for a, s in zip(p, total)] for p in pts]
+    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * m)}
     if not normals:
         raise ValueError("points do not span the ambient space")
-    return sorted((u, -min(dot(u, p) for p in pts)) for u in normals)
+    return sorted((u, Fraction(-min(dot(u, p) for p in pts), L)) for u in normals)

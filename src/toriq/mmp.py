@@ -29,8 +29,8 @@ from .fans import (
 )
 from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
-    QVec,
     Vec,
+    _lowest_terms,
     _scaled,
     dot,
     int_vec,
@@ -429,7 +429,7 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
         slacks = _SlackRows(P)
     notes = {}
     at_value = None  # (facet count, simple) of P^(lo), from the last certificate
-    core_vertices = tail = None  # tail: the last interval's (step, lo, certificate)
+    core_points = tail = None  # tail: the last interval's (step, lo, certificate)
     for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
         fan, lam = step.fan_before, step.lam
         cert = None
@@ -446,7 +446,7 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
                 kept = polytopes._faces(cert.limits)[1]
                 at_value = len(kept), all(sum(j in kept for j in t) == P.dim for t in cert.limits)
             elif lam == sigma_P:
-                core_vertices = tuple(sorted({x for x, _ in cert.points(lam)}))
+                core_points = polytopes._sorted_points(x for x, _ in cert.points(lam))
         notes[f"interval_{idx}_facets"] = step.facet_count_before = facets
         notes[f"interval_{idx}_fan_matches"] = lo < lam  # False by proof at lo == lam
         notes[f"interval_{idx}_simple"] = simple
@@ -462,7 +462,7 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
             else:
                 notes[f"step_{idx}_facet_count_constant"] = step.facet_count_after == facets
                 notes[f"step_{idx}_not_simple_at_value"] = not simple
-    trace.core_projection = polytopes._core_and_projection(P, sigma_P, core_vertices)
+    trace.core_projection = polytopes._core_and_projection(P, sigma_P, core_points)
     if tail is not None:  # the last interval's polytope is a Cayley sum
         step, lo, cert = tail
         mid = (lo + step.lam) / 2
@@ -470,9 +470,9 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
         reduced = FacetPresentation(P.dim, rays, tuple(
             a - mid for v, a in zip(P.normals, P.constants) if v in rays), irredundant=True)
         try:
-            # sorted (x_sigma(mid), sigma) pairs, split into vertices and tight sets
+            # the x_sigma(mid), each with tight set sigma
             pvs = (polytopes.vertices(reduced) if cert is None
-                   else polytopes.VertexSet(*zip(*sorted(cert.points(mid)))))
+                   else polytopes._vertex_set(dict(cert.points(mid))))
             notes["tail_is_cayley"] = polytopes._decompose_along_fiber(
                 reduced, pvs, step.fiber_data) is not None
         except POLYTOPE_ERRORS:
@@ -498,10 +498,11 @@ class _Certificate:
     L: int
     cones: list[tuple[tuple[int, ...], Vec, Vec, int]]
 
-    def points(self, s: Fraction) -> list[tuple[QVec, tuple[int, ...]]]:
-        """(x_sigma(s), sigma) for every maximal cone sigma, for s in [lo, lam]."""
+    def points(self, s: Fraction) -> list[tuple[polytopes.Point, tuple[int, ...]]]:
+        """(x_sigma(s), sigma) for every maximal cone sigma, for s in [lo, lam],
+        each point in lowest terms (``polytopes.Point``)."""
         pL, q = s.numerator * self.L, s.denominator
-        return [(tuple(Fraction(pL * tk - q * wk, q * d * self.L) for tk, wk in zip(t, w)), cone)
+        return [(_lowest_terms([pL * tk - q * wk for tk, wk in zip(t, w)], q * d * self.L), cone)
                 for cone, t, w, d in self.cones]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -21,6 +21,8 @@ from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
+    _common_denominator,
+    _lowest_terms,
     _scaled,
     _vertex_solutions,
     det,
@@ -34,6 +36,7 @@ from .linalg import (
     lp_min,
     matrix_rank,
     nonneg_solve,
+    primitive_part,
     saturation_and_projection,
     scale_to_primitive,
     vec_sub,
@@ -96,10 +99,41 @@ class FacetPresentation:
         return all(dot(v, x) >= -a for v, a in zip(self.normals, self.constants))
 
 
+Point = tuple[Vec, int]  # the rational point y / d as (y, d), d > 0, gcd(*y, d) = 1
+
+
 @dataclass(frozen=True)
 class VertexSet:
-    vertices: tuple[QVec, ...]
-    tight: tuple[tuple[int, ...], ...]   # per vertex, all facet indices met with equality
+    """The vertices of a polytope, sorted by value, and per vertex the
+    indices of all inequalities met with equality there.  A vertex is held
+    as a ``Point``: gcd-reduced integer numerators over one positive
+    denominator, so equal vertex sets are equal tuples of integers, however
+    they were found.  ``vertices``, the same points as tuples of
+    ``Fraction``s, is built on demand, once."""
+
+    points: tuple[Point, ...]
+    tight: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[QVec, ...]:
+        return tuple(map(_rational, self.points))
+
+
+def _rational(point: Point) -> QVec:
+    y, d = point
+    return tuple(Fraction(a, d) for a in y)
+
+
+def _sorted_points(points) -> tuple[Point, ...]:
+    """The distinct points, sorted by value over their common denominator."""
+    points = set(points)
+    return tuple(x for _, x in sorted(zip(_common_denominator(points)[1], points)))
+
+
+def _vertex_set(tight: dict[Point, tuple[int, ...]]) -> VertexSet:
+    """The ``VertexSet`` of the points with these tight sets."""
+    points = _sorted_points(tight)
+    return VertexSet(points, tuple(tight[x] for x in points))
 
 
 @dataclass(frozen=True)
@@ -154,26 +188,24 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     (``_faces``), which ``allow_lower_dim`` does not ask."""
     n = P.dim
     if n == 0:
-        return VertexSet(((),), ((),))
+        return VertexSet((((), 1),), ((),))
     if not _positively_spanning(n, P.normals):
         if is_empty(P):
             raise EmptyPolytopeError("polytope is empty")
         raise UnboundedError("presentation is unbounded")
     # <v_i, x> >= -A_i / L with integers A_i; a vertex is x = y / (d L)
     L, A = _scaled(P.constants)
-    found: dict[QVec, tuple[int, ...]] = {}
-    coords: dict[Fraction, Fraction] = {}
+    found: dict[Point, tuple[int, ...]] = {}
     for y, d, slack in _vertex_solutions(P.normals, [-a for a in A]):
-        x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
+        x = _lowest_terms(y, d * L)
         if x not in found:
             found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)
     if not found:
         raise EmptyPolytopeError("polytope is empty")
-    verts = tuple(sorted(found))
-    tight = tuple(found[x] for x in verts)
-    if not allow_lower_dim and _faces(tight)[0]:
+    vs = _vertex_set(found)
+    if not allow_lower_dim and _faces(vs.tight)[0]:
         raise DegenerateError("polytope is not full-dimensional")
-    return VertexSet(verts, tight)
+    return vs
 
 
 def is_simple(P: FacetPresentation) -> bool:
@@ -308,23 +340,31 @@ def core_and_projection(P: FacetPresentation) -> CoreProjection:
 
 
 def _core_and_projection(P: FacetPresentation, sigma: Fraction,
-                         core_vertices: Optional[tuple[QVec, ...]]) -> CoreProjection:
+                         core_points: Optional[tuple[Point, ...]]) -> CoreProjection:
     """``core_and_projection`` given sigma(P) and the core's vertices,
-    sorted and distinct, or None to enumerate them."""
+    sorted and distinct, or None to enumerate them.  The differences of
+    the core's vertices and P's projected vertices are integers over each
+    point's denominator, and Q is 1/D times the hull of the images scaled
+    to integers by their common denominator D."""
     core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
-    if core_vertices is None:
-        core_vertices = vertices(core, allow_lower_dim=True).vertices
-    kern_cols = [scale_to_primitive(vec_sub(v, core_vertices[0])) for v in core_vertices[1:]]
+    if core_points is None:
+        core_points = vertices(core, allow_lower_dim=True).points
+    (y0, d0), *rest = core_points
+    kern_cols = [primitive_part([a * d0 - b * d for a, b in zip(y, y0)]) for y, d in rest]
     kbasis, proj = saturation_and_projection(kern_cols, P.dim)
     if kbasis:
-        imgs = sorted({tuple(dot(row, v) for row in proj) for v in vertices(P).vertices})
-        Q = facet_presentation_from_vertices(imgs)
+        D, imgs = _common_denominator({_lowest_terms([dot(row, y) for row in proj], d)
+                                       for y, d in vertices(P).points})
+        DQ = facet_presentation_from_vertices(sorted(imgs))
+        Q = FacetPresentation(DQ.dim, DQ.normals, tuple(a / D for a in DQ.constants),
+                              irredundant=True)
     else:
         R = remove_redundant(P)[0]
         facets = sorted(zip(R.normals, R.constants))
         Q = FacetPresentation(P.dim, tuple(v for v, _ in facets),
                               tuple(a for _, a in facets), irredundant=True)
-    return CoreProjection(core, core_vertices, tuple(kbasis), tuple(proj), Q)
+    return CoreProjection(core, tuple(map(_rational, core_points)), tuple(kbasis),
+                          tuple(proj), Q)
 
 
 def facet_presentation_from_vertices(points: Sequence[QVec]) -> FacetPresentation:
@@ -443,35 +483,41 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
     rank of the normals of its implicit equalities, is the kernel's; a
     facet j of F on x = origin + kern c is <u, c> >= -(a_j +
     <v_j, origin>) / g for kern^T v_j = g u, u primitive.  The bases' fans
-    are compared as tight sets; a face not spanning the kernel gives None."""
+    are compared as tight sets; a face not spanning the kernel gives None.
+    Every vertex's image, and the bases' constants up to one ``Fraction``
+    each, are integers over the vertex's denominator."""
     if not (data.split and data.fiber_rho_one):
         return None
     pi_rows = [tuple(b) for b in data.fiber_basis]
-    simplex_pts = sorted({tuple(dot(row, v) for row in pi_rows) for v in pvs.vertices})
-    # per maximal fiber cone: (simplex vertex, section face as (vertex, tight set)s)
-    sections = []
+    images = [_lowest_terms([dot(row, y) for row in pi_rows], d) for y, d in pvs.points]
+    # simplex vertex -> its section face, as indices into pvs
+    sections = {}
     for fcone in data.fiber_fan.max_cones:
         on = {data.fiber_ray_origin[i] for i in fcone}
-        face = sorted((v, t) for v, t in zip(pvs.vertices, pvs.tight) if on <= set(t))
-        imgs = {tuple(dot(row, v) for row in pi_rows) for v, _ in face}
+        face = [k for k, t in enumerate(pvs.tight) if on <= set(t)]
+        imgs = {images[k] for k in face}
         if len(imgs) != 1:
             return None
-        sections.append((imgs.pop(), face))
-    sections.sort()
-    ws = [w for w, _ in sections]
-    if ws != simplex_pts:  # k + 1 fiber rays make k + 1 sections
+        sections[imgs.pop()] = face
+    # k + 1 fiber rays make k + 1 sections, one over each simplex vertex
+    if len(sections) != len(data.fiber_fan.max_cones) or sections.keys() != set(images):
         return None
+    ws = _sorted_points(sections)
     kern = integer_kernel_basis(pi_rows)
     bases, base_fans = [], set()
-    for _, face in sections:
-        equalities, face_facets = _faces([t for _, t in face])
+    for w in ws:
+        face = sections[w]
+        equalities, face_facets = _faces([pvs.tight[k] for k in face])
         if P.dim - matrix_rank([P.normals[j] for j in equalities]) != len(kern):
             return None
+        y0, d0 = pvs.points[face[0]]
         facets: dict[Vec, tuple[Fraction, set[int]]] = {}
         for j, T in face_facets.items():
             gu = [dot(col, P.normals[j]) for col in kern]
             g = gcd(*gu)
-            b = (P.constants[j] + dot(P.normals[j], face[0][0])) / g
+            a = P.constants[j]
+            b = Fraction(a.numerator * d0 + a.denominator * dot(P.normals[j], y0),
+                         a.denominator * d0 * g)
             facets[tuple(x // g for x in gu)] = (b, T)
         normals = sorted(facets)
         bases.append(FacetPresentation(len(kern), tuple(normals),
@@ -480,12 +526,13 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
                                 for p in range(len(face))))
     if len(base_fans) != 1:
         return None
+    simplex = tuple(map(_rational, ws))
     return CayleyMoriDecomposition(
         bases=tuple(bases),
-        w=tuple(vec_sub(wi, ws[0]) for wi in ws[1:]),
+        w=tuple(vec_sub(wi, simplex[0]) for wi in simplex[1:]),
         fiber_projection=tuple(pi_rows),
-        base_faces=tuple(tuple(v for v, _ in face) for _, face in sections),
-        simplex_vertices=tuple(ws),
+        base_faces=tuple(tuple(pvs.vertices[k] for k in sections[w]) for w in ws),
+        simplex_vertices=simplex,
     )
 
 

@@ -1,6 +1,7 @@
 """Small test-side helpers that the package itself has no use for."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,6 +81,27 @@ def count_enumerations(monkeypatch) -> list:
     calls = count_calls(monkeypatch, "_vertex_solutions", polytopes)
     polytopes.vertices.cache_clear()
     return calls
+
+
+def count_fractions(monkeypatch) -> Counter:
+    """Count, by module, every ``Fraction`` that toriq's modules construct
+    from here on: each one they build and each result of their arithmetic
+    on ``Fraction``s, credited to the nearest caller outside ``fractions``.
+    A deterministic work count, independent of load."""
+    counts = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "fractions":
+            frame = frame.f_back
+        module = frame.f_globals.get("__name__", "")
+        if module.split(".")[0] == "toriq":
+            counts[module] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return counts
 
 
 def prime_divisor(fan: Fan, i: int) -> TorusDivisor:

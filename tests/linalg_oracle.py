@@ -24,6 +24,11 @@ per cone's ray vectors, shared by every fan that holds the cone.
 pivoted one integer tableau with the elimination step: every pivot divides
 the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
 
+``hull_facets_over_fractions`` is the polar hull that ``toriq.linalg.hull_facets``
+ran before it scaled the points to integers once: a ``Fraction`` centroid,
+rows scaled back to integers by m times the lcm of the denominators, and a
+``Fraction`` dot product per point and facet for the constants.
+
 ``scale_to_primitive`` and ``lcm_scaled`` are the integer scalings that were
 written out by hand before ``toriq.linalg._scaled`` took them over: a running
 lcm of the denominators and a running gcd of the entries, and the one-line
@@ -40,6 +45,7 @@ from operator import index, mul
 from typing import Optional, Sequence
 
 from toriq.linalg import LPResult, Vec, dot, frac, vec_sub
+from toriq.linalg import _vertex_solutions as toriq_vertex_solutions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,6 +200,24 @@ def affine_rank(points) -> int:
     if not points:
         return -1
     return matrix_rank([vec_sub(p, points[0]) for p in points[1:]])
+
+
+def hull_facets_over_fractions(points) -> list[tuple[Vec, Fraction]]:
+    """``toriq.linalg.hull_facets`` by polarity, on ``Fraction`` points."""
+    pts = [tuple(frac(a) for a in p) for p in points]
+    if not pts:
+        raise ValueError("no points")
+    d = len(pts[0])
+    if d == 0:
+        return []
+    c = [sum(col) / len(pts) for col in zip(*pts)]
+    # D (p - c) is integral; scaling every row by D scales the polar by 1/D
+    D = len(pts) * lcm(*(x.denominator for p in pts for x in p))
+    rows = [[int(D * (a - ci)) for a, ci in zip(p, c)] for p in pts]
+    normals = {scale_to_primitive(y) for y, _, _ in toriq_vertex_solutions(rows, [-1] * len(rows))}
+    if not normals:
+        raise ValueError("points do not span the ambient space")
+    return sorted((u, -min(dot(u, p) for p in pts)) for u in normals)
 
 
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:

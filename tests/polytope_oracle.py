@@ -26,6 +26,14 @@ vertices' coordinates and the affine ranks of their subsets instead.
 ``toriq.polytopes._decompose_along_fiber`` reads off P's tight sets: it
 solves for each base vertex's kernel coordinates, takes each base's hull
 and compares the bases' normal fans.
+
+``vertices_over_fractions``, ``core_over_fractions`` and
+``decompose_over_fractions`` are ``toriq.polytopes.vertices``,
+``_core_and_projection`` and ``_decompose_along_fiber`` as they ran before
+vertex sets held integer points: every vertex coordinate a ``Fraction``,
+deduplicated and sorted as tuples of ``Fraction``s, and the projected
+images, the core's edge directions, the hull and the bases' constants
+computed on them.
 """
 
 from __future__ import annotations
@@ -33,27 +41,40 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from linalg_oracle import affine_rank
+from math import gcd
+
+from linalg_oracle import affine_rank, hull_facets_over_fractions
 from toriq.linalg import (
+    QVec,
     Vec,
+    _scaled,
+    _vertex_solutions,
     dot,
     integer_kernel_basis,
     lp_min,
+    matrix_rank,
     nonneg_solve,
+    saturation_and_projection,
+    scale_to_primitive,
     smith_normal_form,
     solve_linear,
     vec_sub,
 )
 from toriq.polytopes import (
     CayleyMoriDecomposition,
+    CoreProjection,
     DegenerateError,
     EmptyPolytopeError,
     FacetPresentation,
     RedundantPresentationError,
+    UnboundedError,
+    _faces,
+    _positively_spanning,
     effective_threshold,
     facet_presentation_from_vertices,
     is_empty,
     normal_fan,
+    remove_redundant as toriq_remove_redundant,
     vertices,
 )
 
@@ -214,4 +235,100 @@ def decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
         fiber_projection=tuple(pi_rows),
         base_faces=tuple(base_faces),
         simplex_vertices=tuple(tuple(x) for x in ws),
+    )
+
+
+def vertices_over_fractions(P: FacetPresentation, allow_lower_dim: bool = False
+                            ) -> tuple[tuple[QVec, ...], tuple[tuple[int, ...], ...]]:
+    """The vertices, as ``Fraction`` tuples, and their tight sets."""
+    n = P.dim
+    if n == 0:
+        return ((),), ((),)
+    if not _positively_spanning(n, P.normals):
+        if is_empty(P):
+            raise EmptyPolytopeError("polytope is empty")
+        raise UnboundedError("presentation is unbounded")
+    L, A = _scaled(P.constants)
+    found: dict[QVec, tuple[int, ...]] = {}
+    coords: dict[Fraction, Fraction] = {}
+    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A]):
+        x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
+        if x not in found:
+            found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)
+    if not found:
+        raise EmptyPolytopeError("polytope is empty")
+    verts = tuple(sorted(found))
+    tight = tuple(found[x] for x in verts)
+    if not allow_lower_dim and _faces(tight)[0]:
+        raise DegenerateError("polytope is not full-dimensional")
+    return verts, tight
+
+
+def core_over_fractions(P: FacetPresentation, sigma: Fraction,
+                        core_vertices: Optional[tuple[QVec, ...]]) -> CoreProjection:
+    """The core at sigma, its projection and Q; the core's vertices are
+    enumerated when None is given."""
+    core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
+    if core_vertices is None:
+        core_vertices = vertices_over_fractions(core, allow_lower_dim=True)[0]
+    kern_cols = [scale_to_primitive(vec_sub(v, core_vertices[0])) for v in core_vertices[1:]]
+    kbasis, proj = saturation_and_projection(kern_cols, P.dim)
+    if kbasis:
+        imgs = sorted({tuple(dot(row, v) for row in proj) for v in vertices_over_fractions(P)[0]})
+        facets = hull_facets_over_fractions(imgs)
+        Q = FacetPresentation(len(imgs[0]), tuple(v for v, _ in facets),
+                              tuple(a for _, a in facets), irredundant=True)
+    else:
+        R = toriq_remove_redundant(P)[0]
+        facets = sorted(zip(R.normals, R.constants))
+        Q = FacetPresentation(P.dim, tuple(v for v, _ in facets),
+                              tuple(a for _, a in facets), irredundant=True)
+    return CoreProjection(core, core_vertices, tuple(kbasis), tuple(proj), Q)
+
+
+def decompose_over_fractions(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
+    """The decomposition read off the tight sets of ``pvs``, on its
+    ``Fraction`` vertices."""
+    if not (data.split and data.fiber_rho_one):
+        return None
+    pi_rows = [tuple(b) for b in data.fiber_basis]
+    simplex_pts = sorted({tuple(dot(row, v) for row in pi_rows) for v in pvs.vertices})
+    # per maximal fiber cone: (simplex vertex, section face as (vertex, tight set)s)
+    sections = []
+    for fcone in data.fiber_fan.max_cones:
+        on = {data.fiber_ray_origin[i] for i in fcone}
+        face = sorted((v, t) for v, t in zip(pvs.vertices, pvs.tight) if on <= set(t))
+        imgs = {tuple(dot(row, v) for row in pi_rows) for v, _ in face}
+        if len(imgs) != 1:
+            return None
+        sections.append((imgs.pop(), face))
+    sections.sort()
+    ws = [w for w, _ in sections]
+    if ws != simplex_pts:  # k + 1 fiber rays make k + 1 sections
+        return None
+    kern = integer_kernel_basis(pi_rows)
+    bases, base_fans = [], set()
+    for _, face in sections:
+        equalities, face_facets = _faces([t for _, t in face])
+        if P.dim - matrix_rank([P.normals[j] for j in equalities]) != len(kern):
+            return None
+        facets: dict[Vec, tuple[Fraction, set[int]]] = {}
+        for j, T in face_facets.items():
+            gu = [dot(col, P.normals[j]) for col in kern]
+            g = gcd(*gu)
+            b = (P.constants[j] + dot(P.normals[j], face[0][0])) / g
+            facets[tuple(x // g for x in gu)] = (b, T)
+        normals = sorted(facets)
+        bases.append(FacetPresentation(len(kern), tuple(normals),
+                                       tuple(facets[u][0] for u in normals), irredundant=True))
+        base_fans.add(frozenset(frozenset(u for u in normals if p in facets[u][1])
+                                for p in range(len(face))))
+    if len(base_fans) != 1:
+        return None
+    return CayleyMoriDecomposition(
+        bases=tuple(bases),
+        w=tuple(vec_sub(wi, ws[0]) for wi in ws[1:]),
+        fiber_projection=tuple(pi_rows),
+        base_faces=tuple(tuple(v for v, _ in face) for _, face in sections),
+        simplex_vertices=tuple(ws),
     )

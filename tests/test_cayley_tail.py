@@ -200,8 +200,8 @@ def test_sections_on_a_smaller_flat_give_none():
     for data in fibrations(P):
         c = next(i for i, x in enumerate(data.fiber_basis[0]) if x)
         a = min({0, 1, 2} - {c})
-        edges = polytopes.VertexSet(*zip(*[(v, t) for v, t in zip(pvs.vertices, pvs.tight)
-                                           if v[a] == 0]))
+        edges = polytopes.VertexSet(*zip(*[((y, d), t) for (y, d), t in zip(pvs.points, pvs.tight)
+                                           if y[a] == 0]))
         assert polytopes._decompose_along_fiber(P, edges, data) is None
         assert oracle.decompose_along_fiber(P, edges, data) is None
         found += 1

@@ -20,7 +20,7 @@ from helpers import prime_divisor
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
 from toriq import mmp, polytopes
 from toriq.fans import MalformedFanError
-from toriq.linalg import matrix_rank
+from toriq.linalg import _lowest_terms, matrix_rank
 from toriq.polytopes import (
     DegenerateError,
     FacetPresentation,
@@ -126,7 +126,7 @@ def section_faces(pvs, data):
     reads, one per maximal cone of the fiber fan."""
     for fcone in data.fiber_fan.max_cones:
         on = {data.fiber_ray_origin[i] for i in fcone}
-        face = [(v, t) for v, t in zip(pvs.vertices, pvs.tight) if on <= set(t)]
+        face = [(x, t) for x, t in zip(pvs.points, pvs.tight) if on <= set(t)]
         if face:
             yield VertexSet(*zip(*face))
 
@@ -253,10 +253,14 @@ CERTIFIED_POINTS = mmp._Certificate.points
 
 def moved_points(self, s):
     """``_Certificate.points`` with the first cone's point moved by
-    1 / (q*d*L) in its first coordinate, for s = p / q."""
+    1 / (q*d*L) in its first coordinate, for s = p / q: one more in the
+    first of its integer numerators over q*d*L."""
     points = CERTIFIED_POINTS(self, s)
-    (x, cone), d = points[0], self.cones[0][3]
-    return [((x[0] + F(1, s.denominator * d * self.L),) + x[1:], cone)] + points[1:]
+    ((y, den), cone), d = points[0], self.cones[0][3]
+    D = s.denominator * d * self.L
+    numerators = [a * (D // den) for a in y]
+    numerators[0] += 1
+    return [(_lowest_terms(numerators, D), cone)] + points[1:]
 
 
 @pytest.mark.parametrize("name", ["FIRST", "117", "H_4"])

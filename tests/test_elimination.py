@@ -1,6 +1,7 @@
 """The fraction-free elimination behind ``toriq.linalg`` agrees exactly with
 the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, the hull read off
-the polar agrees with the oracle's brute-force hull, the vertex enumeration
+the polar agrees with the oracle's brute-force hull and with the polar hull
+it ran over ``Fraction``s before it scaled the points once, the vertex enumeration
 shared along the tree of subsets agrees with the oracle's one adjugate per
 subset, and the hull, vertex, face-fan and redundancy code run the
 elimination only where it is needed."""
@@ -122,7 +123,7 @@ def hull_inputs(draw):
 @given(hull_inputs())
 @settings(max_examples=300, deadline=None)
 def test_hull_matches_reference(pts):
-    assert hull_facets(pts) == oracle.hull_facets(pts)
+    assert hull_facets(pts) == oracle.hull_facets(pts) == oracle.hull_facets_over_fractions(pts)
 
 
 @st.composite
@@ -159,6 +160,7 @@ def hull_outcome(hull, pts):
 def test_hull_refuses_exactly_when_oracle_rank_is_low(pts):
     got = hull_outcome(hull_facets, pts)
     assert got == hull_outcome(oracle.hull_facets, pts)
+    assert got == hull_outcome(oracle.hull_facets_over_fractions, pts)
     spans = oracle.affine_rank(pts) == len(pts[0])
     assert (got == "points do not span the ambient space") is not spans
 

@@ -22,6 +22,7 @@ from toriq.linalg import (
     matrix_rank,
     nonneg_solve,
     primitive_part,
+    saturation_and_projection,
     scale_to_primitive,
     smith_normal_form,
     solve_linear,
@@ -290,9 +291,14 @@ def test_dot_length_mismatch(u, v):
     lambda: kernel_basis([[1, 2, 3], [1]]),
     lambda: smith_normal_form([[2], [6, 4]]),
     lambda: smith_normal_form([[2, 4], [6]]),
+    lambda: saturation_and_projection([(1, 0), (1,)], 2),
+    lambda: saturation_and_projection([(1, 0, 5), (0, 1, 7)], 2),
+    lambda: hull_facets([(0, 0), (1,), (0, 1)]),
+    lambda: hull_facets([(0, 0), (1, 0, 4), (0, 1)]),
 ], ids=["det-not-square", "adjugate-ragged", "rank-long-row", "rank-short-row",
         "solve-long-row", "solve-short-row", "kernel-short-row", "snf-long-row",
-        "snf-short-row"])
+        "snf-short-row", "saturation-short-column", "saturation-long-column",
+        "hull-short-point", "hull-long-point"])
 def test_ragged_or_non_square_matrix_rejected(call):
     with pytest.raises(DimensionError, match="^row lengths .* are not all"):
         call()

@@ -4,7 +4,9 @@ nef threshold read off the walls agrees with the oracle's vertex tracking,
 and the hull of a polytope's vertices gives back its irredundant
 presentation.  The equalities and facets read off the tight sets agree with
 the vertices' coordinates, and a presentation is refused as
-lower-dimensional exactly when its vertices' affine rank is low."""
+lower-dimensional exactly when its vertices' affine rank is low.  On the
+same presentations the integer vertex sets equal the ``Fraction``
+enumeration kept in ``polytope_oracle``, errors included."""
 
 import random
 from fractions import Fraction
@@ -141,9 +143,26 @@ def presentations(draw):
     return FacetPresentation(dim, tuple(ineqs), tuple(ineqs.values()))
 
 
+def vertex_outcome(enumerate_, P, allow_lower_dim):
+    """The vertices and tight sets, or the error's type and message."""
+    try:
+        vs = enumerate_(P, allow_lower_dim)
+    except ValueError as err:
+        return type(err), str(err)
+    return (vs.vertices, vs.tight) if isinstance(vs, polytopes.VertexSet) else vs
+
+
+def assert_vertices_match(P):
+    # the integer points equal the Fraction body's vertices, errors included
+    for lower in (False, True):
+        assert vertex_outcome(vertices, P, lower) == vertex_outcome(
+            oracle.vertices_over_fractions, P, lower)
+
+
 @given(presentations())
 @settings(max_examples=400, deadline=None)
 def test_degenerate_exactly_when_oracle_rank_is_low(P):
+    assert_vertices_match(P)
     try:
         vs = vertices(P, allow_lower_dim=True)
     except (EmptyPolytopeError, UnboundedError) as err:
