@@ -41,6 +41,13 @@ class TableRow:
         for name in ("surface", "expected"):  # what an explicit row is verified against
             if self.rays is not None and getattr(self, name) is None:
                 raise formats.ParseError("rays need this cell", field=name)
+        for c in self.collections or ():
+            if len(set(c)) < 2:
+                raise formats.ParseError(f"collection {c} has fewer than two members",
+                                         field="collections")
+            if self.rays is not None and not all(0 <= i < len(self.rays) for i in c):
+                raise formats.ParseError(f"collection {c} names a ray outside the rays",
+                                         field="collections")
 
     @property
     def explicit(self) -> bool:

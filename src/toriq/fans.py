@@ -371,64 +371,78 @@ def wall_classification(fan: Fan, wall: Wall) -> tuple[int, int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
-    """Exhaustive list of primitive collections of a complete simplicial fan.
+    """Exhaustive list of primitive collections of a complete simplicial fan,
+    by size, then members.
 
-    Each collection carries the minimal cone containing the sum of its
-    members, the positive coefficients of the relation, and the degree
-    (member count minus coefficient sum).
+    The collections are the minimal non-faces.  With the faces held as
+    bitmasks (every nonempty submask of every maximal cone), each is
+    S = F + {j} for the face F = S - {j}, j the highest ray of S, so it is
+    found once among the sets F + {j} with j above F's rays that are no
+    face while every S - {i} is one.  Each collection carries the minimal
+    cone containing the sum of its members, the positive coefficients of
+    the relation, and the degree (member count minus coefficient sum).
     """
     rep = validate(fan)
     if not (rep.simplicial and rep.complete):
         raise UnsupportedFanError("primitive collections need a complete simplicial fan")
-    faces = {frozenset(sub) for cone in fan.max_cones
-             for k in range(len(cone) + 1) for sub in combinations(cone, k)}
+    bits = [1 << i for i in range(len(fan.rays))]
+    faces: dict[int, tuple[int, ...]] = {}
+    for cone in fan.max_cones:
+        subs = [(0, ())]
+        for i in cone:
+            subs += [(m | bits[i], sub + (i,)) for m, sub in subs]
+        faces.update(subs[1:])
+    found = []
+    for f, face in faces.items():
+        for j in range(face[-1] + 1, len(bits)):
+            s = f | bits[j]
+            if s not in faces and all(s ^ bits[i] in faces for i in face):
+                found.append(face + (j,))
     out = []
-    for d in range(2, fan.rank + 2):
-        for members in combinations(range(len(fan.rays)), d):
-            if frozenset(members) in faces or not all(
-                    frozenset(sub) in faces for sub in combinations(members, d - 1)):
-                continue
-            total = tuple(sum(fan.rays[i][k] for i in members) for k in range(fan.rank))
-            sigma, coeffs = _minimal_cone_with_coords(fan, total)
-            degree = Fraction(d) - sum(coeffs, Fraction(0))
-            out.append(PrimitiveCollection(members, sigma, coeffs, degree))
+    for members in sorted(found, key=lambda m: (len(m), m)):
+        total = tuple(sum(fan.rays[i][k] for i in members) for k in range(fan.rank))
+        sigma, cs, d = _minimal_cone_with_coords(fan, total)
+        degree = Fraction(len(members) * d - sum(cs), d)
+        out.append(PrimitiveCollection(members, sigma, tuple(Fraction(c, d) for c in cs), degree))
     return tuple(out)
 
 
-def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], QVec]:
-    if all(a == 0 for a in x):
-        return (), ()
+def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], Vec, int]:
+    """The rays of the minimal cone of a complete simplicial fan holding x,
+    with x's positive coordinates on them as integers c over one positive
+    denominator d: the cone's determinant, up to sign."""
     inverses = _inverses(fan)
     for cone in fan.max_cones:
-        adj, d = inverses.get(cone, (None, 0))
-        # coordinate signs in integers; Fractions only for the cone holding x
-        if d and any(dot(row, x) * d < 0 for row in adj):
-            continue
-        coords = _cone_coords(fan, cone, x)
-        if coords is not None and all(c >= 0 for c in coords):
-            support = tuple(i for i, c in zip(cone, coords) if c > 0)
-            cf = tuple(c for c in coords if c > 0)
-            return support, cf
+        adj, d = inverses[cone]
+        cs = [dot(row, x) for row in adj] if d > 0 else [-dot(row, x) for row in adj]
+        if all(c >= 0 for c in cs):
+            return tuple(i for i, c in zip(cone, cs) if c), tuple(c for c in cs if c), abs(d)
     raise MalformedFanError(f"{x} lies outside the fan support")
 
 
 def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]]) -> Fan:
     """Rebuild a complete simplicial fan from its rays and the list of its
     primitive collections: maximal cones are the full-rank ray subsets
-    containing no collection.  The rank test reads the shared cone cache,
-    whose determinant is that of the rows' transpose, so ``validate`` finds
-    every kept cone's adjugate there."""
+    containing no collection, tested as bitmasks.  The rank test reads the
+    shared cone cache, whose determinant is that of the rows' transpose, so
+    ``validate`` finds every kept cone's adjugate there."""
+    if not rays:
+        raise ReconstructionError("no rays to rebuild a fan from")
     rays = [tuple(r) for r in rays]
     n = len(rays[0])
-    colls = [frozenset(c) for c in collections]
+    for c in collections:
+        if any(not 0 <= i < len(rays) for i in c):
+            raise ReconstructionError(
+                f"collection {tuple(c)} names a ray outside 0..{len(rays) - 1}")
+    colls = [sum(1 << i for i in set(c)) for c in collections]
     cones = []
-    for sub in combinations(range(len(rays)), n):
-        s = frozenset(sub)
-        if any(c <= s for c in colls):
+    for sub in combinations([1 << i for i in range(len(rays))], n):
+        s = sum(sub)
+        if any(c & s == c for c in colls):
             continue
-        if not _cone_inverse(tuple(rays[i] for i in sub))[1]:
-            continue
-        cones.append(sub)
+        cone = tuple(b.bit_length() - 1 for b in sub)
+        if _cone_inverse(tuple(rays[i] for i in cone))[1]:
+            cones.append(cone)
     try:
         fan = Fan(n, tuple(rays), tuple(cones))
         rep = validate(fan)
@@ -451,6 +465,8 @@ def face_fan(rays: list[Vec]) -> Fan:
     {y : <r, y> >= -1}; if the origin is not interior, the cones cannot
     cover the space.
     """
+    if not rays:
+        raise ReconstructionError("no rays to take the face fan of")
     rays = [tuple(r) for r in rays]
     cones = {tuple(i for i, sl in enumerate(slack) if sl == 0)
              for _, _, slack in _vertex_solutions(rays, [-1] * len(rays))}

@@ -118,10 +118,10 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         if sigma not in over:
             raise ValueError(f"{sigma} is not a cone of the fan")
     # D_j . V(sigma) = mult(sigma) s_tau / mult(tau) V(tau), tau = sigma + {j}; each
-    # wall keeps its weight s_tau / mult(tau) as a ratio
+    # wall keeps its weight s_tau / mult(tau) as an integer pair
     stars: dict[tuple[int, ...], dict[int, tuple[Vec, tuple[int, int]]]] = {}
     for w in walls(fan):
-        weight = (w.scale / w.multiplicity).as_integer_ratio()
+        weight = (w.scale.numerator, w.scale.denominator * w.multiplicity)
         for p, j in enumerate(w.wall_rays):
             stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (w.relation, weight)
     smooth = validate(fan).smooth
@@ -135,12 +135,11 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         # from a maximal cone over sigma, so the wall of j adds d r_j - sum_i <adj_i, v_j> r_i
         adj, d = _inverses(fan)[cones[0]]
         rows = [(i, adj[cones[0].index(i)]) for i in sigma]
-        sums: dict[tuple[int, int], int] = {}
-        for j, (rel, weight) in star.items():
-            sums[weight] = sums.get(weight, 0) + rel[j] * d - sum(
-                dot(row, fan.rays[j]) * rel[i] for i, row in rows if rel[i])
-        total = sum((Fraction(p * n, q) for (p, q), n in sums.items()), ZERO)
-        values.append((sigma, mult * total / (2 * d)))
+        num, den = 0, 1  # the walls' terms summed in integers, num / den
+        for j, (rel, (p, q)) in star.items():
+            n = rel[j] * d - sum(dot(row, fan.rays[j]) * rel[i] for i, row in rows if rel[i])
+            num, den = num * q + n * p * den, den * q
+        values.append((sigma, Fraction(mult * num, 2 * d * den)))
     return values
 
 

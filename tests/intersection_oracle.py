@@ -14,6 +14,11 @@ to 1 on the higher-indexed opposite ray, and one scan of every wall and
 maximal cone per surface.  ``wall_class_key`` is the earlier canonical form
 of a wall's curve class.
 
+``primitive_collections_over_subsets`` is the earlier search for primitive
+collections: every ray subset of size 2 to rank + 1 tested as a
+``frozenset`` against the faces, and each relation's coordinates taken as
+``Fraction``s in the first maximal cone holding the members' sum.
+
 ``nef_threshold_from`` and ``kleiman_walls`` are the earlier nef threshold
 and Kleiman test: two curve numbers per wall, each the wall's scale times
 a ``Fraction`` pairing, where ``toriq.intersection`` reads the signs and
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -32,8 +38,10 @@ from toriq.fans import (
     CACHE_SIZE,
     Fan,
     MalformedFanError,
+    PrimitiveCollection,
     UnsupportedFanError,
     Wall,
+    _cone_coords,
     _facets,
     _inverses,
     cone_multiplicity,
@@ -298,3 +306,37 @@ def nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fractio
     if best is None:
         raise ValueError("no wall meets the canonical divisor negatively")
     return best, attained
+
+
+def primitive_collections_over_subsets(fan: Fan) -> tuple[PrimitiveCollection, ...]:
+    """Primitive collections of a complete simplicial fan, by size, then
+    members: the ray subsets that are no face while each of their maximal
+    proper subsets is one."""
+    rep = validate(fan)
+    if not (rep.simplicial and rep.complete):
+        raise UnsupportedFanError("primitive collections need a complete simplicial fan")
+    faces = {frozenset(sub) for cone in fan.max_cones
+             for k in range(len(cone) + 1) for sub in combinations(cone, k)}
+    out = []
+    for d in range(2, fan.rank + 2):
+        for members in combinations(range(len(fan.rays)), d):
+            if frozenset(members) in faces or not all(
+                    frozenset(sub) in faces for sub in combinations(members, d - 1)):
+                continue
+            total = tuple(sum(fan.rays[i][k] for i in members) for k in range(fan.rank))
+            sigma, coeffs = _minimal_cone_with_coords(fan, total)
+            degree = Fraction(d) - sum(coeffs, Fraction(0))
+            out.append(PrimitiveCollection(members, sigma, coeffs, degree))
+    return tuple(out)
+
+
+def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], QVec]:
+    if all(a == 0 for a in x):
+        return (), ()
+    for cone in fan.max_cones:
+        coords = _cone_coords(fan, cone, x)
+        if coords is not None and all(c >= 0 for c in coords):
+            support = tuple(i for i, c in zip(cone, coords) if c > 0)
+            cf = tuple(c for c in coords if c > 0)
+            return support, cf
+    raise MalformedFanError(f"{x} lies outside the fan support")

@@ -10,6 +10,7 @@ from toriq.fano_table import (
     verify_table,
 )
 from toriq.fans import face_fan
+from toriq.formats import ParseError
 
 F = Fraction
 
@@ -164,6 +165,14 @@ def test_positive_scan_exceeds_nonpositive_reference():
 def test_explicit_row_needs_surface_and_reference(by_name, missing):
     with pytest.raises(ValueError, match=repr(missing)):
         dataclasses.replace(by_name["P4"], **{missing: None})
+
+
+@pytest.mark.parametrize("collections", [((0, 6), (0, 7)), ((0, 6), (-1, 2)), ((3,),)])
+def test_collection_outside_the_rays_or_too_small_is_rejected(by_name, collections):
+    # E_1 has rays 0..6
+    with pytest.raises(ParseError) as err:
+        dataclasses.replace(by_name["E_1"], collections=collections)
+    assert err.value.field == "collections"
 
 
 def test_kernel_bug_propagates_out_of_verify_row(by_name, monkeypatch):

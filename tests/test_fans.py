@@ -239,6 +239,15 @@ class TestFanFromPrimitiveData:
         with pytest.raises(ReconstructionError):
             fan_from_primitive_data([(1, 0), (0, 1), (-1, -1)], [(0, 1)])
 
+    def test_no_rays_raises(self):
+        with pytest.raises(ReconstructionError, match="no rays"):
+            fan_from_primitive_data([], [])
+
+    @pytest.mark.parametrize("bad", [(0, 7), (-1, 2), (3, 0, 1)])
+    def test_collection_outside_the_rays_raises(self, bad):
+        with pytest.raises(ReconstructionError, match=re.escape(f"collection {bad} names a ray")):
+            fan_from_primitive_data([(1, 0), (0, 1), (-1, -1)], [bad])
+
 
 class TestFaceFan:
     def test_p2(self, p2):
@@ -247,6 +256,10 @@ class TestFaceFan:
     def test_origin_not_interior(self):
         with pytest.raises(ReconstructionError):
             face_fan([(1, 0), (0, 1), (1, 1)])
+
+    def test_no_rays_raises(self):
+        with pytest.raises(ReconstructionError, match="no rays"):
+            face_fan([])
 
 
 class TestStarSubdivision:

@@ -140,6 +140,19 @@ class TestDataset:
             parse_dataset(text)
         assert (err.value.field, err.value.line) == (field, 3)
 
+    @pytest.mark.parametrize("collections,message", [
+        ("0 7", "collection (0, 7) names a ray outside the rays"),
+        ("0 -1", "collection (0, -1) names a ray outside the rays"),
+        ("1 2;2", "collection (2,) has fewer than two members"),
+        ("1 1", "collection (1, 1) has fewer than two members"),
+    ])
+    def test_bad_collection_names_field_and_line(self, collections, message):
+        text = ("name,rays,collections,surface,expected,note\n"
+                f"E_1,1 0,,1 2,1,\nX,1 0;0 1;-1 -1,{collections},0 1,1,\n")
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert (err.value.message, err.value.field, err.value.line) == (message, "collections", 3)
+
 
 class TestReport:
     def test_emit_csv(self):
