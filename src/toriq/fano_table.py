@@ -112,16 +112,20 @@ class VerificationReport:
 
 
 def reconstruct_fan(row: TableRow) -> tuple[Fan, str]:
-    """Fan of a table row: from its primitive collections when given (and
-    consistent), else as the face fan over the convex hull of the rays."""
+    """Fan of a table row: from its primitive collections when given, else
+    as the face fan over the convex hull of the rays.  Collections that do
+    not rebuild a fan raise ``ReconstructionError`` naming them: they are
+    reported, not replaced by the hull."""
     if row.rays is None:
         raise ReconstructionError(f"row {row.name} has no ray data")
-    if row.collections:
-        try:
-            return fan_from_primitive_data(list(row.rays), list(row.collections)), "collections"
-        except ReconstructionError:
-            pass
-    return face_fan(list(row.rays)), "hull"
+    if not row.collections:
+        return face_fan(list(row.rays)), "hull"
+    try:
+        return fan_from_primitive_data(list(row.rays), list(row.collections)), "collections"
+    except ReconstructionError as exc:
+        raise ReconstructionError(
+            f"row {row.name}: collections {tuple(row.collections)} do not rebuild a fan: {exc}"
+        ) from exc
 
 
 def verify_row(row: TableRow) -> RowResult:

@@ -4,11 +4,15 @@ Everything in this package runs on Python ints and ``fractions.Fraction``;
 there is no floating point anywhere.  This module provides the shared
 kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
 both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
-rule, so it terminates), each on an integer tableau (rational rows are
-scaled to integers first, and a ``Fraction`` is built only for the result);
-Smith normal form; and one vertex enumeration, ``_vertex_solutions``.  By
-polarity it gives polytope vertices, convex hull facets (``hull_facets``,
-the vertices of the polar) and face fans (the tight sets of the polar).
+rule, so it terminates), each on an integer tableau (int and ``Fraction``
+entries are scaled to integers first, and a ``Fraction`` is built only for
+the result); Smith normal form; and one vertex enumeration,
+``_vertex_solutions``.  Its walk over the n-subsets of the rows
+(``_bases``) can keep a table of d B^-1 for every basis B, against which
+any later right-hand side is solved without a walk: every P^(s) of an
+adjoint family has P's normals.  By polarity it gives polytope vertices,
+convex hull facets (``hull_facets``, the vertices of the polar) and face
+fans (the tight sets of the polar).
 """
 
 from __future__ import annotations
@@ -355,6 +359,12 @@ def integer_kernel_basis(rows: list[Vec]) -> list[Vec]:
 # exact simplex
 # ---------------------------------------------------------------------------
 
+def _rationals(xs) -> list:
+    """xs as exact rationals: ints as they are, anything else through
+    ``frac``."""
+    return [x if type(x) is int else frac(x) for x in xs]
+
+
 @dataclass
 class LPResult:
     status: str            # "optimal" | "unbounded" | "infeasible"
@@ -390,18 +400,17 @@ def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Frac
     """Minimize c·y subject to A y = b, y >= 0, exactly.
 
     Two-phase simplex on one integer tableau, d times the rational one for
-    d = |det| of the current basis, so each pivot is a ``_pivot`` step.  A,
-    b and c are scaled by one common L, which keeps Bland's pivot path; the
-    cost row is carried through phase 1.
+    d = |det| of the current basis, so each pivot is a ``_pivot`` step.  The
+    int and ``Fraction`` entries of A, b and c are scaled by one common L
+    (``_scaled``), which keeps Bland's pivot path; the cost row is carried
+    through phase 1.
     """
     m, n = len(A), len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise DimensionError(f"{m} x {n} constraints against {len(b)} right-hand entries")
-    q = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    q.append([Fraction(x) for x in c])
-    L = lcm(*(x.denominator for row in q for x in row))
-    T = [[x.numerator * (L // x.denominator) for x in row] for row in q]
-    cost = T.pop()
+    L, flat = _scaled(_rationals([x for row, bi in zip(A, b) for x in (*row, bi)] + list(c)))
+    T = [flat[i:i + n + 1] for i in range(0, m * (n + 1), n + 1)]
+    cost = flat[m * (n + 1):]
     T = [[-x for x in row] if row[n] < 0 else row for row in T]
     # phase 1 minimizes the sum of the artificials; the cost row rides along
     w = [-sum(row[j] for row in T) for j in range(n + 1)]
@@ -442,10 +451,10 @@ def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPR
     n, k = len(c), len(normals)
     if k != len(constants) or any(len(v) != n for v in normals):
         raise DimensionError(f"{k} normals, {len(constants)} constants, length {n}")
-    cq = [frac(x) for x in c]
-    A = [[Fraction(x) for x in v] + [-Fraction(x) for x in v] + [-int(j == i) for j in range(k)]
-         for i, v in enumerate(normals)]
-    res = lp_standard(cq + [-x for x in cq] + [0] * k, A, [-frac(a) for a in constants])
+    cq = _rationals(c)
+    A = [[*v, *(-x for x in v), *(-int(j == i) for j in range(k))]
+         for i, v in enumerate(map(_rationals, normals))]
+    res = lp_standard(cq + [-x for x in cq] + [0] * k, A, [-a for a in _rationals(constants)])
     if res.status != "optimal":
         return res
     x = tuple(res.point[i] - res.point[n + i] for i in range(n))
@@ -458,16 +467,14 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
     Exact phase-one simplex; the returned witness is one valid certificate,
     not a canonical one.
     """
-    gens = [tuple(frac(a) for a in g) for g in generators]
-    target = tuple(frac(a) for a in x)
+    gens = [_rationals(g) for g in generators]
+    target = _rationals(x)
     for g in gens:
         if len(g) != len(target):
             raise DimensionError("generator length differs from target length")
     if not gens:
         return None if any(target) else ()
-    m = len(target)
-    A = [[g[i] for g in gens] for i in range(m)]
-    res = lp_standard([ZERO] * len(gens), A, target)
+    res = lp_standard([0] * len(gens), list(zip(*gens)), target)
     if res.status != "optimal":
         return None
     return res.point
@@ -477,48 +484,99 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 # vertex enumeration and convex hull facets
 # ---------------------------------------------------------------------------
 
-def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
-    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
-    yielding (y, d, slack) for each invertible n-subset of the rows whose
-    solution is feasible, with the vertex y / d, d > 0, and
-    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated.
+def _bases(rows: Sequence[Vec], rhs: Sequence[int],
+           table: Optional[list] = None) -> list[tuple[list[int], int]]:
+    """(y, d) for each invertible n-subset S of the nonempty integer rows of
+    length n, in lexicographic order: d = |det B_S| > 0 for the matrix B_S
+    of S's rows, and y = d B_S^-1 rhs_S.  Given a list ``table``, the walk
+    also fills it, once it is done, with each basis for ``_solved``: the
+    rows of d B_S^-1 by coordinate, and per column the row of S it takes.
 
-    One fraction-free Gauss-Jordan elimination of [rows | rhs] is shared
-    along the tree of subsets in lexicographic order: a node holds its
-    prefix's rows as d times their reduced row echelon form, and a child
-    reduces its new row r against them without division, d * r minus r[c]
-    times the row of each pivot column c, and takes one ``_pivot`` step.  A
-    dependent prefix prunes its subtree; at a leaf the rows read [d I | y]
-    up to the order of the pivot columns."""
+    One fraction-free Gauss-Jordan elimination of [rows | rhs | I] is
+    shared along the tree of subsets: a node holds its prefix's rows as d
+    times their reduced row echelon form, and a child reduces its new row r
+    against them without division, d * r minus r[c] times the row of each
+    pivot column c, and takes one ``_pivot`` step.  A dependent prefix
+    prunes its subtree.  The rows are kept in exchange form (Stiefel's
+    exchange step): a pivot column is d times a unit vector, so its slot
+    holds instead the column of I of the row that took it, and every row
+    has n + 1 entries.  At a leaf the first n slots are the columns of
+    d B_S^-1 and the last is y, up to the order of the pivot columns and
+    the sign of d."""
     m, n = len(rows), len(rows[0])
-    aug = [list(v) + [b] for v, b in zip(rows, rhs)]
+    aug = [[*v, b] for v, b in zip(rows, rhs)]
+    solutions, found = [], []
 
-    def walk(tab, pivots, d, start):
+    def walk(tab, pivots, free, subset, d):
         k = len(pivots)
         if k == n:
-            y = [0] * n
+            sign = 1 if d > 0 else -1
+            inverse = [None] * n
             for row, c in zip(tab, pivots):
-                y[c] = row[n]
-            if d < 0:
-                y, d = [-t for t in y], -d
-            slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
-            if min(slack) >= 0:
-                yield y, d, slack
+                inverse[c] = row
+            if table is not None:
+                order = [None] * n
+                for j, c in zip(subset, pivots):
+                    order[c] = j
+                found.append((order, sign, sign * d, inverse))
+            solutions.append(([sign * row[n] for row in inverse], sign * d))
             return
-        for j in range(start, m - n + k + 1):  # leaves n - k - 1 rows after j
+        # leaves n - k - 1 rows after j
+        for j in range(subset[-1] + 1 if subset else 0, m - n + k + 1):
             r = aug[j]
             new = [d * a for a in r]
+            for c in pivots:
+                new[c] = 0
             for row, c in zip(tab, pivots):
                 f = r[c]
                 if f:
                     new = [a - f * b for a, b in zip(new, row)]
-            col = next((c for c in range(n) if new[c]), None)
+            col = next((c for c in free if new[c]), None)
             if col is None:
                 continue  # every subset through this prefix is singular
             child = tab + [new]
-            yield from walk(child, pivots + [col], _pivot(child, k, col, d), j + 1)
+            pv = _pivot(child, k, col, d)
+            # the exchange: slot col takes column k of I, which the step
+            # made -tab[i][col] in the rows above and left d in the new row
+            for row, old in zip(child, tab):
+                if old[col]:
+                    row[col] = -old[col]
+            new[col] = d
+            walk(child, pivots + [col], [c for c in free if c != col], subset + (j,), pv)
 
-    yield from walk([], [], 1, 0)
+    walk([], [], list(range(n)), (), 1)
+    if table is not None:
+        table.extend(found)
+    return solutions
+
+
+def _solved(rhs: Sequence[int], table: list):
+    """``_bases``' (y, d) for the right-hand side rhs, from its table."""
+    for order, sign, d, inverse in table:
+        b = [sign * rhs[j] for j in order]
+        yield [sum(map(mul, row, b)) for row in inverse], d
+
+
+def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int], table: Optional[list] = None):
+    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
+    yielding (y, d, slack) for each basis of ``_bases`` whose solution is
+    feasible, in its order, with the vertex y / d, d > 0, and
+    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated.
+    The slacks are taken row by row up to the first negative one.  A
+    ``table`` that ``_bases`` filled for these rows, for any rhs, is solved
+    against instead of walking; an empty one is filled by the walk."""
+    ext = [[*v, -b] for v, b in zip(rows, rhs)]
+    for y, d in _solved(rhs, table) if table else _bases(rows, rhs, table):
+        y.append(d)
+        slack = []
+        for v in ext:
+            s = sum(map(mul, v, y))
+            if s < 0:
+                break
+            slack.append(s)
+        else:
+            y.pop()
+            yield y, d, slack
 
 
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:

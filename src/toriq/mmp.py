@@ -10,6 +10,7 @@ cross-validated against the adjoint polytope family P^(s).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -481,7 +482,8 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
             notes["fiber_polytope_matches"] = _fiber_polytope_matches(trace)
         except POLYTOPE_ERRORS:
             notes["fiber_polytope_matches"] = False
-    trace.validation = notes
+    # one copy of each key for every trace that a caller keeps
+    trace.validation = {sys.intern(key): ok for key, ok in notes.items()}
     # facet counts are positive, so only a failed check is falsy
     if not trace.generality_flag and not all(notes.values()):
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")

@@ -109,7 +109,8 @@ class VertexSet:
     as a ``Point``: gcd-reduced integer numerators over one positive
     denominator, so equal vertex sets are equal tuples of integers, however
     they were found.  ``vertices``, the same points as tuples of
-    ``Fraction``s, is built on demand, once."""
+    ``Fraction``s, and ``faces``, ``_faces`` of the tight sets, are built on
+    demand, once."""
 
     points: tuple[Point, ...]
     tight: tuple[tuple[int, ...], ...]
@@ -117,6 +118,10 @@ class VertexSet:
     @cached_property
     def vertices(self) -> tuple[QVec, ...]:
         return tuple(map(_rational, self.points))
+
+    @cached_property
+    def faces(self) -> tuple[list[int], dict[int, set[int]]]:
+        return _faces(self.tight)
 
 
 def _rational(point: Point) -> QVec:
@@ -178,14 +183,24 @@ def is_empty(P: FacetPresentation) -> bool:
     return res.status == "infeasible"
 
 
+@lru_cache(maxsize=4)  # one adjoint family's life
+def _basis_table(normals: tuple[Vec, ...]) -> list:
+    """The table of bases of ``normals``: empty until the first vertex
+    enumeration over them fills it (``linalg._bases``), then solved against
+    by every later one."""
+    return []
+
+
 @lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
-    """Exact vertex enumeration over the invertible n-subsets of facets, one
-    elimination shared along the tree of subsets
-    (``linalg._vertex_solutions``).  A bounded presentation with no vertex is
-    empty; only an unbounded one needs the emptiness LP.  P is
+    """Exact vertex enumeration over the invertible n-subsets of facets
+    (``linalg._vertex_solutions``).  The first enumeration over a normal
+    list shares one elimination along the tree of subsets and keeps d B^-1
+    for every basis B (``_basis_table``), so every later P^(s) of the same
+    adjoint family costs one solve per basis.  A bounded presentation with
+    no vertex is empty; only an unbounded one needs the emptiness LP.  P is
     full-dimensional exactly when no inequality is tight at every vertex
-    (``_faces``), which ``allow_lower_dim`` does not ask."""
+    (``VertexSet.faces``), which ``allow_lower_dim`` does not ask."""
     n = P.dim
     if n == 0:
         return VertexSet((((), 1),), ((),))
@@ -196,14 +211,14 @@ def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     # <v_i, x> >= -A_i / L with integers A_i; a vertex is x = y / (d L)
     L, A = _scaled(P.constants)
     found: dict[Point, tuple[int, ...]] = {}
-    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A]):
+    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A], _basis_table(P.normals)):
         x = _lowest_terms(y, d * L)
         if x not in found:
             found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)
     if not found:
         raise EmptyPolytopeError("polytope is empty")
     vs = _vertex_set(found)
-    if not allow_lower_dim and _faces(vs.tight)[0]:
+    if not allow_lower_dim and vs.faces[0]:
         raise DegenerateError("polytope is not full-dimensional")
     return vs
 
@@ -257,12 +272,12 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:
     """Minimal sub-presentation of a bounded full-dimensional polytope and
     the indices it drops.  Inequality i is kept exactly when it defines a
-    facet, read off the tight sets of P's vertices (``_faces``).  Distinct
-    primitive normals define distinct facets, so the kept inequalities are
-    the unique minimal subsystem.  The result carries the irredundance
-    flag, which is not part of its identity: it shares P's cached vertex
-    set."""
-    facets = _faces(vertices(P).tight)[1]
+    facet, read off the tight sets of P's vertices (``VertexSet.faces``).
+    Distinct primitive normals define distinct facets, so the kept
+    inequalities are the unique minimal subsystem.  The result carries the
+    irredundance flag, which is not part of its identity: it shares P's
+    cached vertex set."""
+    facets = vertices(P).faces[1]
     Q = FacetPresentation(
         P.dim,
         tuple(v for i, v in enumerate(P.normals) if i in facets),

@@ -76,10 +76,10 @@ def cold_caches() -> None:
 
 
 def count_enumerations(monkeypatch) -> list:
-    """Record each vertex enumeration that ``polytopes.vertices`` runs, from
-    cold caches."""
+    """Record the (normals, right-hand side, table of bases) of each vertex
+    enumeration that ``polytopes.vertices`` runs, from cold caches."""
     calls = count_calls(monkeypatch, "_vertex_solutions", polytopes)
-    polytopes.vertices.cache_clear()
+    cold_caches()
     return calls
 
 

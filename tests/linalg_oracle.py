@@ -16,6 +16,12 @@ the points, then a scan of every point against the hyperplane.
 before it shared one elimination along the tree of subsets: one adjugate of
 [M | I] per n-subset of the rows, and the solution as adj times rhs.
 
+``tree_vertex_solutions`` is that shared walk as ``toriq.linalg`` ran it
+before it kept a table of bases per normal list: one elimination of
+[rows | rhs] along the tree for every right-hand side, the pivot columns
+carried as d times unit vectors, and every slack taken before the check.
+``hull_facets_over_fractions`` and ``polytope_oracle`` run on it.
+
 ``cone_inverses`` and ``primitive_data_cones`` are the per-fan adjugates and
 the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
 per cone's ray vectors, shared by every fan that holds the cone.
@@ -45,7 +51,7 @@ from operator import index, mul
 from typing import Optional, Sequence
 
 from toriq.linalg import LPResult, Vec, dot, frac, vec_sub
-from toriq.linalg import _vertex_solutions as toriq_vertex_solutions
+from toriq.linalg import _pivot as bareiss_step
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -196,6 +202,44 @@ def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
             yield y, d, slack
 
 
+def tree_vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
+    """``_vertex_solutions``' (y, d, slack), in lexicographic order of the
+    subsets, from one fraction-free elimination of [rows | rhs] shared along
+    the tree of subsets: a child reduces its new row against its prefix's
+    rows, d * r minus r[c] times the row of each pivot column c, and takes
+    one ``linalg._pivot`` step; a dependent prefix prunes its subtree, and a
+    leaf reads [d I | y] up to the order of the pivot columns."""
+    m, n = len(rows), len(rows[0])
+    aug = [list(v) + [b] for v, b in zip(rows, rhs)]
+
+    def walk(tab, pivots, d, start):
+        k = len(pivots)
+        if k == n:
+            y = [0] * n
+            for row, c in zip(tab, pivots):
+                y[c] = row[n]
+            if d < 0:
+                y, d = [-t for t in y], -d
+            slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
+            if min(slack) >= 0:
+                yield y, d, slack
+            return
+        for j in range(start, m - n + k + 1):
+            r = aug[j]
+            new = [d * a for a in r]
+            for row, c in zip(tab, pivots):
+                f = r[c]
+                if f:
+                    new = [a - f * b for a, b in zip(new, row)]
+            col = next((c for c in range(n) if new[c]), None)
+            if col is None:
+                continue
+            child = tab + [new]
+            yield from walk(child, pivots + [col], bareiss_step(child, k, col, d), j + 1)
+
+    yield from walk([], [], 1, 0)
+
+
 def affine_rank(points) -> int:
     if not points:
         return -1
@@ -214,7 +258,7 @@ def hull_facets_over_fractions(points) -> list[tuple[Vec, Fraction]]:
     # D (p - c) is integral; scaling every row by D scales the polar by 1/D
     D = len(pts) * lcm(*(x.denominator for p in pts for x in p))
     rows = [[int(D * (a - ci)) for a, ci in zip(p, c)] for p in pts]
-    normals = {scale_to_primitive(y) for y, _, _ in toriq_vertex_solutions(rows, [-1] * len(rows))}
+    normals = {scale_to_primitive(y) for y, _, _ in tree_vertex_solutions(rows, [-1] * len(rows))}
     if not normals:
         raise ValueError("points do not span the ambient space")
     return sorted((u, -min(dot(u, p) for p in pts)) for u in normals)

@@ -33,7 +33,8 @@ and compares the bases' normal fans.
 vertex sets held integer points: every vertex coordinate a ``Fraction``,
 deduplicated and sorted as tuples of ``Fraction``s, and the projected
 images, the core's edge directions, the hull and the bases' constants
-computed on them.
+computed on them.  ``vertices_over_fractions`` walks the tree of subsets
+afresh for every presentation (``linalg_oracle.tree_vertex_solutions``).
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from typing import Optional
 
 from math import gcd
 
-from linalg_oracle import affine_rank, hull_facets_over_fractions
+from linalg_oracle import affine_rank, hull_facets_over_fractions, tree_vertex_solutions
 from toriq.linalg import (
     QVec,
     Vec,
     _scaled,
-    _vertex_solutions,
     dot,
     integer_kernel_basis,
     lp_min,
@@ -251,7 +251,7 @@ def vertices_over_fractions(P: FacetPresentation, allow_lower_dim: bool = False
     L, A = _scaled(P.constants)
     found: dict[QVec, tuple[int, ...]] = {}
     coords: dict[Fraction, Fraction] = {}
-    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A]):
+    for y, d, slack in tree_vertex_solutions(P.normals, [-a for a in A]):
         x = tuple(coords.setdefault(q, q) for q in (Fraction(yk, d * L) for yk in y))
         if x not in found:
             found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)

@@ -8,6 +8,7 @@ elimination only where it is needed."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -288,6 +289,26 @@ def test_vertex_solutions_match_adjugate_oracle(system):
         oracle._vertex_solutions, *system)
 
 
+@given(systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_solutions_match_the_tree_walk(system, data):
+    # the walk and a table filled by it for another right-hand side give
+    # the same sequence as the walk over [rows | rhs]
+    rows, rhs = system
+    other = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    expect = list(oracle.tree_vertex_solutions(rows, rhs))
+    table = []
+    assert list(linalg._vertex_solutions(rows, rhs)) == expect
+    assert list(linalg._vertex_solutions(rows, other, table)) == list(
+        oracle.tree_vertex_solutions(rows, other))
+    assert list(linalg._vertex_solutions(rows, rhs, table)) == expect
+    # every invertible subset is in the table, once, in lexicographic order
+    subsets = [tuple(sorted(order)) for order, *_ in table]
+    assert subsets == sorted(set(subsets)) == [
+        S for S in combinations(range(len(rows)), len(rows[0]))
+        if oracle.adjugate([rows[i] for i in S])[1]]
+
+
 def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     # rows 0 and 1 are dependent, so the pair is pruned; the vertex (1, 1)
     # is read off the leaf (2, 3), which pivots on column 1 before column 0
@@ -324,9 +345,9 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     inputs = {}  # system -> the consumer that enumerated it first
 
     def recorder(consumer):
-        def recorded(rows, rhs):
+        def recorded(rows, rhs, *table):
             inputs.setdefault((tuple(map(tuple, rows)), tuple(rhs)), consumer)
-            return kernel(rows, rhs)
+            return kernel(rows, rhs, *table)
         return recorded
 
     for module in (linalg, polytopes, fans):
@@ -339,7 +360,7 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
         validate(trace, slacks)
 
     monkeypatch.setattr(mmp, "_adjoint_cross_validation", recorded_validation)
-    vertices.cache_clear()
+    cold_caches()
     workloads = _workloads()
     runs = [(name, lambda P=P: run_mmp_scaling(P, force=True))
             for name, P in sweep_polytopes().items()]
@@ -360,5 +381,13 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     # 621 vertex sets, 87 hulls and the 67 face fans
     assert Counter(inputs.values()) == {"toriq.polytopes": 621, "toriq.linalg": 87,
                                         "toriq.fans": len(rows)}
-    for system in inputs:
-        assert solutions(kernel, *system) == solutions(oracle._vertex_solutions, *system)
+    tables = {}  # rows -> the table of the first system over them
+    for (rows, rhs), consumer in inputs.items():
+        # the same sequence as the walk over [rows | rhs], from a walk and,
+        # for vertex sets, from the table another right-hand side filled
+        expect = list(oracle.tree_vertex_solutions(rows, rhs))
+        assert list(kernel(rows, rhs)) == expect
+        if consumer == "toriq.polytopes":
+            assert list(kernel(rows, rhs, tables.setdefault(rows, []))) == expect
+        assert solutions(kernel, rows, rhs) == solutions(oracle._vertex_solutions, rows, rhs)
+    assert len(tables) < Counter(inputs.values())["toriq.polytopes"]

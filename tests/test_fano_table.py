@@ -7,9 +7,10 @@ from toriq.fano_table import (
     NEF_CH2_NAMES,
     load_builtin_table,
     reconstruct_fan,
+    verify_row,
     verify_table,
 )
-from toriq.fans import face_fan
+from toriq.fans import ReconstructionError, face_fan
 from toriq.formats import ParseError
 
 F = Fraction
@@ -74,8 +75,19 @@ class TestReconstruction:
         rows = [r for r in table if r.explicit and r.collections]
         assert len(rows) == 66  # every explicit row but the control M_5
         for row in rows:
-            fan, _ = reconstruct_fan(row)
-            assert fan == face_fan(list(row.rays)), row.name
+            fan, method = reconstruct_fan(row)
+            assert method == "collections" and fan == face_fan(list(row.rays)), row.name
+
+    def test_bad_collections_are_reported_not_replaced(self, by_name):
+        # in range, but no fan: the hull used to stand in and the row passed
+        row = dataclasses.replace(by_name["E_1"], collections=((0, 1), (2, 3)))
+        with pytest.raises(ReconstructionError, match=r"^row E_1: collections \(\(0, 1\), "
+                           r"\(2, 3\)\) do not rebuild a fan: maximal cones"):
+            reconstruct_fan(row)
+        res = verify_row(row)
+        assert (res.status, res.method, res.collections_roundtrip) == ("error", "", None)
+        assert res.reason.startswith(
+            "ReconstructionError: row E_1: collections ((0, 1), (2, 3)) do not rebuild a fan")
 
 
 class TestVerification:

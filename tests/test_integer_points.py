@@ -115,7 +115,9 @@ def test_vertex_sets_sort_and_compare_by_value():
 
 def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # from cold caches, a seed-1 pass of mmp-4fold and one of adjoint-family;
-    # with a Fraction per vertex coordinate they built 10613 and 26445
+    # with a Fraction per vertex coordinate they built 10613 and 26445, and
+    # with a Fraction per LP tableau entry 2215 and 13239 (linalg 1214 and
+    # 9709)
     workloads = _workloads()
     counts = count_fractions(monkeypatch)
     passes = []
@@ -131,8 +133,8 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
                 pass
         passes.append(dict(counts))
     assert passes == [
-        {"toriq.linalg": 1214, "toriq.intersection": 38, "toriq.polytopes": 877,
+        {"toriq.linalg": 238, "toriq.intersection": 38, "toriq.polytopes": 877,
          "toriq.mmp": 86},
-        {"toriq.linalg": 9709, "toriq.fans": 212, "toriq.intersection": 125,
+        {"toriq.linalg": 1339, "toriq.fans": 212, "toriq.intersection": 125,
          "toriq.polytopes": 2924, "toriq.mmp": 269},
     ]

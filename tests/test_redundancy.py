@@ -318,7 +318,7 @@ def test_forced_fourfold_run_enumerates_P_and_Q(monkeypatch):
     P = sweep_polytopes()["117"]
     Q = run_mmp_scaling(P, force=True).core_projection.Q
     assert Q.dim < P.dim
-    assert [tuple(rows) for rows, _ in calls] == [P.normals, Q.normals]
+    assert [tuple(rows) for rows, _, _ in calls] == [P.normals, Q.normals]
     assert len(hulls) == 1
 
 
