@@ -20,6 +20,7 @@ from .linalg import (
     ONE,
     Vec,
     QVec,
+    _bases,
     _vertex_solutions,
     adjugate,
     dot,
@@ -469,7 +470,7 @@ def face_fan(rays: list[Vec]) -> Fan:
         raise ReconstructionError("no rays to take the face fan of")
     rays = [tuple(r) for r in rays]
     cones = {tuple(i for i, sl in enumerate(slack) if sl == 0)
-             for _, _, slack in _vertex_solutions(rays, [-1] * len(rays))}
+             for _, _, slack in _vertex_solutions(rays, [-1] * len(rays), _bases(rays))}
     fan = Fan(len(rays[0]), tuple(rays), tuple(cones))
     rep = validate(fan)
     if not (rep.well_formed and rep.complete):

@@ -7,12 +7,12 @@ both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
 rule, so it terminates), each on an integer tableau (int and ``Fraction``
 entries are scaled to integers first, and a ``Fraction`` is built only for
 the result); Smith normal form; and one vertex enumeration,
-``_vertex_solutions``.  Its walk over the n-subsets of the rows
-(``_bases``) can keep a table of d B^-1 for every basis B, against which
-any later right-hand side is solved without a walk: every P^(s) of an
-adjoint family has P's normals.  By polarity it gives polytope vertices,
-convex hull facets (``hull_facets``, the vertices of the polar) and face
-fans (the tight sets of the polar).
+``_vertex_solutions``, which solves a right-hand side against d B^-1 for
+every basis B of the rows, streamed by one walk over their n-subsets
+(``_bases``) that needs no right-hand side: every P^(s) of an adjoint
+family has P's normals, so one walk can serve them all.  By polarity it
+gives polytope vertices, convex hull facets (``hull_facets``, the vertices
+of the polar) and face fans (the tight sets of the polar).
 """
 
 from __future__ import annotations
@@ -484,46 +484,34 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 # vertex enumeration and convex hull facets
 # ---------------------------------------------------------------------------
 
-def _bases(rows: Sequence[Vec], rhs: Sequence[int],
-           table: Optional[list] = None) -> list[tuple[list[int], int]]:
-    """(y, d) for each invertible n-subset S of the nonempty integer rows of
-    length n, in lexicographic order: d = |det B_S| > 0 for the matrix B_S
-    of S's rows, and y = d B_S^-1 rhs_S.  Given a list ``table``, the walk
-    also fills it, once it is done, with each basis for ``_solved``: the
-    rows of d B_S^-1 by coordinate, and per column the row of S it takes.
+def _bases(rows: Sequence[Vec]):
+    """(order, d, inverse) for each invertible n-subset of the nonempty
+    integer rows of length n, in lexicographic order: the matrix B whose
+    row c is rows[order[c]] has d = |det B| > 0, and inverse = d B^-1.
 
-    One fraction-free Gauss-Jordan elimination of [rows | rhs | I] is
-    shared along the tree of subsets: a node holds its prefix's rows as d
-    times their reduced row echelon form, and a child reduces its new row r
-    against them without division, d * r minus r[c] times the row of each
-    pivot column c, and takes one ``_pivot`` step.  A dependent prefix
-    prunes its subtree.  The rows are kept in exchange form (Stiefel's
-    exchange step): a pivot column is d times a unit vector, so its slot
-    holds instead the column of I of the row that took it, and every row
-    has n + 1 entries.  At a leaf the first n slots are the columns of
-    d B_S^-1 and the last is y, up to the order of the pivot columns and
-    the sign of d."""
+    One fraction-free Gauss-Jordan elimination of the rows is shared along
+    the tree of subsets: a node holds its prefix's rows as d times their
+    reduced row echelon form, and a child reduces its new row r against
+    them without division, d * r minus r[c] times the row of each pivot
+    column c, and takes one ``_pivot`` step.  A dependent prefix prunes its
+    subtree.  The rows are kept in exchange form (Stiefel's exchange step):
+    a pivot column is d times a unit vector, so its slot holds instead the
+    column of I of the row that took it, and every row has n entries.  At a
+    leaf the row of pivot column c is row c of d B^-1, up to the sign of d,
+    which the leaf folds in."""
     m, n = len(rows), len(rows[0])
-    aug = [[*v, b] for v, b in zip(rows, rhs)]
-    solutions, found = [], []
 
     def walk(tab, pivots, free, subset, d):
         k = len(pivots)
         if k == n:
-            sign = 1 if d > 0 else -1
-            inverse = [None] * n
-            for row, c in zip(tab, pivots):
-                inverse[c] = row
-            if table is not None:
-                order = [None] * n
-                for j, c in zip(subset, pivots):
-                    order[c] = j
-                found.append((order, sign, sign * d, inverse))
-            solutions.append(([sign * row[n] for row in inverse], sign * d))
+            order, inverse = [None] * n, [None] * n
+            for row, c, j in zip(tab, pivots, subset):
+                order[c], inverse[c] = j, row if d > 0 else [-a for a in row]
+            yield order, abs(d), inverse
             return
         # leaves n - k - 1 rows after j
         for j in range(subset[-1] + 1 if subset else 0, m - n + k + 1):
-            r = aug[j]
+            r = rows[j]
             new = [d * a for a in r]
             for c in pivots:
                 new[c] = 0
@@ -542,31 +530,23 @@ def _bases(rows: Sequence[Vec], rhs: Sequence[int],
                 if old[col]:
                     row[col] = -old[col]
             new[col] = d
-            walk(child, pivots + [col], [c for c in free if c != col], subset + (j,), pv)
+            yield from walk(child, pivots + [col], [c for c in free if c != col],
+                            subset + (j,), pv)
 
-    walk([], [], list(range(n)), (), 1)
-    if table is not None:
-        table.extend(found)
-    return solutions
+    return walk([], [], list(range(n)), (), 1)
 
 
-def _solved(rhs: Sequence[int], table: list):
-    """``_bases``' (y, d) for the right-hand side rhs, from its table."""
-    for order, sign, d, inverse in table:
-        b = [sign * rhs[j] for j in order]
-        yield [sum(map(mul, row, b)) for row in inverse], d
-
-
-def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int], table: Optional[list] = None):
+def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int], bases):
     """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
-    yielding (y, d, slack) for each basis of ``_bases`` whose solution is
-    feasible, in its order, with the vertex y / d, d > 0, and
-    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated.
-    The slacks are taken row by row up to the first negative one.  A
-    ``table`` that ``_bases`` filled for these rows, for any rhs, is solved
-    against instead of walking; an empty one is filled by the walk."""
+    solved against the ``bases`` of the rows (``_bases``): yields (y, d,
+    slack) for each basis whose solution y = inverse rhs_order is feasible,
+    in their order, with the vertex y / d and slack = rows·y - rhs·d >= 0;
+    once per such basis, so possibly repeated.  The slacks are taken row by
+    row up to the first negative one."""
     ext = [[*v, -b] for v, b in zip(rows, rhs)]
-    for y, d in _solved(rhs, table) if table else _bases(rows, rhs, table):
+    for order, d, inverse in bases:
+        b = [rhs[j] for j in order]
+        y = [sum(map(mul, row, b)) for row in inverse]
         y.append(d)
         slack = []
         for v in ext:
@@ -602,7 +582,7 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     m = len(pts)
     total = [sum(col) for col in zip(*pts)]
     rows = [[m * a - s for a, s in zip(p, total)] for p in pts]
-    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * m)}
+    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * m, _bases(rows))}
     if not normals:
         raise ValueError("points do not span the ambient space")
     return sorted((u, Fraction(-min(dot(u, p) for p in pts), L)) for u in normals)

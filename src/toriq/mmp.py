@@ -368,10 +368,10 @@ def _certified_threshold(slacks: _SlackRows, steps: list[MMPStep]) -> Optional[F
     return lam
 
 
-def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = None) -> None:
+def _adjoint_cross_validation(trace: MMPTrace, slacks: _SlackRows) -> None:
     """Check the run against the adjoint polytope family, and set the
     trace's core and projection.  ``slacks`` holds the slack rows the run
-    built for P (``_SlackRows``); without it the check builds its own.
+    built for P (``_SlackRows``).
 
     Between critical values the reduced adjoint polytope must be simple
     with the tracked normal fan; at a divisorial value the facet count
@@ -426,8 +426,6 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: Optional[_SlackRows] = No
     certificate fails, only the fan note is recorded, as False.
     """
     P, sigma_P = trace.initial_polytope, trace.effective_threshold
-    if slacks is None:
-        slacks = _SlackRows(P)
     notes = {}
     at_value = None  # (facet count, simple) of P^(lo), from the last certificate
     core_points = tail = None  # tail: the last interval's (step, lo, certificate)

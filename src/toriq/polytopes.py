@@ -21,6 +21,7 @@ from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
+    _bases,
     _common_denominator,
     _lowest_terms,
     _scaled,
@@ -184,23 +185,22 @@ def is_empty(P: FacetPresentation) -> bool:
 
 
 @lru_cache(maxsize=4)  # one adjoint family's life
-def _basis_table(normals: tuple[Vec, ...]) -> list:
-    """The table of bases of ``normals``: empty until the first vertex
-    enumeration over them fills it (``linalg._bases``), then solved against
-    by every later one."""
-    return []
+def _basis_table(normals: tuple[Vec, ...]) -> tuple:
+    """Every basis of ``normals`` with its d B^-1 (``linalg._bases``), from
+    one walk, which every vertex enumeration over them solves against."""
+    return tuple(_bases(normals))
 
 
 @lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     """Exact vertex enumeration over the invertible n-subsets of facets
-    (``linalg._vertex_solutions``).  The first enumeration over a normal
-    list shares one elimination along the tree of subsets and keeps d B^-1
-    for every basis B (``_basis_table``), so every later P^(s) of the same
-    adjoint family costs one solve per basis.  A bounded presentation with
-    no vertex is empty; only an unbounded one needs the emptiness LP.  P is
-    full-dimensional exactly when no inequality is tight at every vertex
-    (``VertexSet.faces``), which ``allow_lower_dim`` does not ask."""
+    (``linalg._vertex_solutions``), solved against the table of bases of
+    the normals (``_basis_table``): one walk along the tree of subsets per
+    normal list, so every P^(s) of an adjoint family after the first costs
+    one solve per basis.  A bounded presentation with no vertex is empty;
+    only an unbounded one needs the emptiness LP.  P is full-dimensional
+    exactly when no inequality is tight at every vertex (``VertexSet.faces``),
+    which ``allow_lower_dim`` does not ask."""
     n = P.dim
     if n == 0:
         return VertexSet((((), 1),), ((),))

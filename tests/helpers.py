@@ -76,8 +76,9 @@ def cold_caches() -> None:
 
 
 def count_enumerations(monkeypatch) -> list:
-    """Record the (normals, right-hand side, table of bases) of each vertex
-    enumeration that ``polytopes.vertices`` runs, from cold caches."""
+    """Record the (normals, right-hand side, bases) of each vertex
+    enumeration that ``polytopes.vertices`` runs, from cold caches; the
+    bases are the normals' table (``polytopes._basis_table``)."""
     calls = count_calls(monkeypatch, "_vertex_solutions", polytopes)
     cold_caches()
     return calls

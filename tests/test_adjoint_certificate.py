@@ -66,10 +66,15 @@ def unvalidated(P) -> mmp.MMPTrace:
     and projection that ``core_and_projection`` enumerates (the
     cross-validation sets its own)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace, slacks=None: None)
+        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace, slacks: None)
         trace = mmp.run_mmp_scaling(P, force=True)
     trace.core_projection = core_and_projection(P)
     return trace
+
+
+def cross_validation(trace):
+    """The package's check, on the slack rows the run builds for P."""
+    mmp._adjoint_cross_validation(trace, mmp._SlackRows(trace.initial_polytope))
 
 
 def outcome(check, trace):
@@ -111,7 +116,7 @@ def assert_matches_oracle(P):
     trace = unvalidated(P)
     with pytest.MonkeyPatch.context() as mp:
         forbid_sampling(mp, P)
-        got = outcome(mmp._adjoint_cross_validation, trace)
+        got = outcome(cross_validation, trace)
     expected = outcome(oracle._adjoint_cross_validation, trace)
     assert got == expected
     for notes, _, _ in (got, expected):
@@ -188,7 +193,7 @@ FIRST = blowup_polytope((2, 1, 2, 1, F(5, 2)))   # divisorial at 1/2, fibering a
 def test_lambda_too_large_rejected():
     bad = doctored(unvalidated(FIRST), 0, lam=F(3, 4))
     # a slack turns negative inside (0, 3/4): the certificate fails
-    assert "interval_0_fan_matches" in false_notes(mmp._adjoint_cross_validation, bad)
+    assert "interval_0_fan_matches" in false_notes(cross_validation, bad)
     # the oracle samples 3/8, where the fan is still right
     assert false_notes(oracle._adjoint_cross_validation, bad) == []
 
@@ -197,7 +202,7 @@ def test_failed_certificate_records_only_the_fan_note():
     bad = doctored(unvalidated(FIRST), 0, lam=F(3, 4))
     with pytest.MonkeyPatch.context() as mp:
         forbid_sampling(mp, bad.initial_polytope)
-        notes, counts, _ = outcome(mmp._adjoint_cross_validation, bad)
+        notes, counts, _ = outcome(cross_validation, bad)
     assert [(key, value) for key, value in notes if "_0_" in key] == [
         ("interval_0_fan_matches", False)]
     assert counts[0] == (None, None)
@@ -206,14 +211,14 @@ def test_failed_certificate_records_only_the_fan_note():
 def test_lambda_too_small_rejected():
     bad = doctored(unvalidated(FIRST), 0, lam=F(1, 4))
     # no further slack vanishes at 1/4, so no facet drops there
-    assert "step_0_facet_drop_one" in false_notes(mmp._adjoint_cross_validation, bad)
+    assert "step_0_facet_drop_one" in false_notes(cross_validation, bad)
 
 
 def test_flip_lambda_too_small_rejected():
     trace = unvalidated(flip_polytope((3, 5, 3, 5, 5, 8, 6)))
     assert trace.kinds[0] == mmp.FLIP
     bad = doctored(trace, 0, lam=trace.steps[0].lam - F(1, 10))
-    assert "step_0_not_simple_at_value" in false_notes(mmp._adjoint_cross_validation, bad)
+    assert "step_0_not_simple_at_value" in false_notes(cross_validation, bad)
 
 
 def flip_one_circuit(fan, wall):
@@ -235,7 +240,7 @@ def test_flipped_circuit_rejected():
     wall = next(w for w in walls(fan) if w.wall_rays == trace.steps[0].wall_rays)
     bad = doctored(trace, 0, fan_before=flip_one_circuit(fan, wall))
     assert bad.steps[0].fan_before != fan
-    assert "interval_0_fan_matches" in false_notes(mmp._adjoint_cross_validation, bad)
+    assert "interval_0_fan_matches" in false_notes(cross_validation, bad)
 
 
 def test_reentering_contracted_inequality_rejected():
@@ -244,7 +249,7 @@ def test_reentering_contracted_inequality_rejected():
     # (1/2, 5/8) and positive at the interval's midpoint 3/4.
     trace = unvalidated(FIRST)
     bad = dataclasses.replace(trace, initial_polytope=blowup_polytope((2, 1, 2, 1, F(19, 8))))
-    assert "interval_1_fan_matches" in false_notes(mmp._adjoint_cross_validation, bad)
+    assert "interval_1_fan_matches" in false_notes(cross_validation, bad)
     # The oracle's midpoint sample accepts the interval, so the certificate
     # is the stronger check here.
     assert "interval_1_fan_matches" not in false_notes(oracle._adjoint_cross_validation, bad)

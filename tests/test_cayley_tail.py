@@ -15,7 +15,8 @@ import pytest
 import mmp_oracle
 import polytope_oracle as oracle
 from conftest import blowup_polytope, hexagon, simplex_polytope, unit_square
-from test_adjoint_certificate import MMP_ROWS, outcome, pool_polytope, sweep_polytopes, unvalidated
+from test_adjoint_certificate import (
+    MMP_ROWS, cross_validation, outcome, pool_polytope, sweep_polytopes, unvalidated)
 from test_circuit_replacement import _workloads
 from toriq import mmp, polytopes
 from toriq.fans import Fan, MalformedFanError, wall_classification, walls
@@ -99,7 +100,7 @@ def validated(P):
     where a general run would raise."""
     trace = unvalidated(P)
     try:
-        mmp._adjoint_cross_validation(trace)
+        mmp._adjoint_cross_validation(trace, mmp._SlackRows(trace.initial_polytope))
     except MalformedFanError:
         pass
     return trace
@@ -173,7 +174,7 @@ def test_doctored_fiber_data_fails_the_tail(change):
     assert (step.fiber_data.fiber_basis, step.fiber_data.fiber_ray_origin) == (((0, 1),), (1, 3))
     bad = dataclasses.replace(trace, steps=trace.steps[:-1] + [
         dataclasses.replace(step, fiber_data=dataclasses.replace(step.fiber_data, **change))])
-    for check in (mmp._adjoint_cross_validation, mmp_oracle._adjoint_cross_validation):
+    for check in (cross_validation, mmp_oracle._adjoint_cross_validation):
         assert dict(outcome(check, trace)[0])["tail_is_cayley"] is True
         assert dict(outcome(check, bad)[0])["tail_is_cayley"] is False
 

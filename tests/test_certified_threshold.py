@@ -46,7 +46,7 @@ def runs():
             seen["builds"][name].append(key)
             return super().__missing__(key)
 
-    def validating(trace, slacks=None):
+    def validating(trace, slacks):
         seen["traces"][name] = trace
         validate(trace, slacks)
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from helpers import cold_caches, count_calls
+from helpers import cold_caches, count_calls, mat_mul
 from test_adjoint_certificate import sweep_polytopes
 from test_circuit_replacement import _workloads
 from toriq import fans, linalg, mmp, polytopes
@@ -276,6 +276,11 @@ def systems(draw):
     return rows, [sum(a * b for a, b in zip(r, x)) - s for r, s in zip(rows, slack)]
 
 
+def vertex_solutions(rows, rhs):
+    """``linalg._vertex_solutions`` on a walk of its own over the rows."""
+    return linalg._vertex_solutions(rows, rhs, linalg._bases(rows))
+
+
 def solutions(kernel, rows, rhs):
     """The kernel's (y, d, slack) as a multiset; both kernels give d = |det|
     of the subset, so equal vertices come with equal integers."""
@@ -285,28 +290,35 @@ def solutions(kernel, rows, rhs):
 @given(systems())
 @settings(max_examples=500, deadline=None)
 def test_vertex_solutions_match_adjugate_oracle(system):
-    assert solutions(linalg._vertex_solutions, *system) == solutions(
-        oracle._vertex_solutions, *system)
+    assert solutions(vertex_solutions, *system) == solutions(oracle._vertex_solutions, *system)
 
 
 @given(systems(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_table_solutions_match_the_tree_walk(system, data):
-    # the walk and a table filled by it for another right-hand side give
-    # the same sequence as the walk over [rows | rhs]
+    # one list of bases serves two right-hand sides, each with the sequence
+    # of the walk over [rows | rhs]
     rows, rhs = system
     other = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
-    expect = list(oracle.tree_vertex_solutions(rows, rhs))
-    table = []
-    assert list(linalg._vertex_solutions(rows, rhs)) == expect
-    assert list(linalg._vertex_solutions(rows, other, table)) == list(
-        oracle.tree_vertex_solutions(rows, other))
-    assert list(linalg._vertex_solutions(rows, rhs, table)) == expect
-    # every invertible subset is in the table, once, in lexicographic order
-    subsets = [tuple(sorted(order)) for order, *_ in table]
-    assert subsets == sorted(set(subsets)) == [
-        S for S in combinations(range(len(rows)), len(rows[0]))
-        if oracle.adjugate([rows[i] for i in S])[1]]
+    bases = list(linalg._bases(rows))
+    for b in (rhs, other):
+        assert list(linalg._vertex_solutions(rows, b, bases)) == list(
+            oracle.tree_vertex_solutions(rows, b))
+
+
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_bases_are_the_invertible_subsets_with_their_inverses(system):
+    # exactly the invertible n-subsets, in lexicographic order, each with
+    # B inverse = d I for B = [rows[j] for j in order] and d = |det B|
+    rows, n = system[0], len(system[0][0])
+    bases = list(linalg._bases(rows))
+    assert [tuple(sorted(order)) for order, _, _ in bases] == [
+        S for S in combinations(range(len(rows)), n) if oracle.adjugate([rows[i] for i in S])[1]]
+    for order, d, inverse in bases:
+        B = [rows[j] for j in order]
+        assert d == abs(oracle.adjugate(B)[1])
+        assert mat_mul(B, inverse) == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_pruned_prefix_and_unordered_pivots(monkeypatch):
@@ -314,7 +326,7 @@ def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     # is read off the leaf (2, 3), which pivots on column 1 before column 0
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     rows, rhs = [(1, 2), (2, 4), (0, 1), (1, 0), (-1, -1)], [0, 0, 1, 1, -5]
-    got = solutions(linalg._vertex_solutions, rows, rhs)
+    got = solutions(vertex_solutions, rows, rhs)
     assert got == solutions(oracle._vertex_solutions, rows, rhs)
     assert ((1, 1), 1, (3, 6, 0, 0, 3)) in got
     assert len(pivots) == 4 + 9  # the one-row prefixes and 9 of the 10 pairs
@@ -345,9 +357,9 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     inputs = {}  # system -> the consumer that enumerated it first
 
     def recorder(consumer):
-        def recorded(rows, rhs, *table):
+        def recorded(rows, rhs, bases):
             inputs.setdefault((tuple(map(tuple, rows)), tuple(rhs)), consumer)
-            return kernel(rows, rhs, *table)
+            return kernel(rows, rhs, bases)
         return recorded
 
     for module in (linalg, polytopes, fans):
@@ -355,7 +367,7 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     traces = []
     validate = mmp._adjoint_cross_validation
 
-    def recorded_validation(trace, slacks=None):
+    def recorded_validation(trace, slacks):
         traces.append(trace)
         validate(trace, slacks)
 
@@ -381,13 +393,14 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
     # 621 vertex sets, 87 hulls and the 67 face fans
     assert Counter(inputs.values()) == {"toriq.polytopes": 621, "toriq.linalg": 87,
                                         "toriq.fans": len(rows)}
-    tables = {}  # rows -> the table of the first system over them
-    for (rows, rhs), consumer in inputs.items():
-        # the same sequence as the walk over [rows | rhs], from a walk and,
-        # for vertex sets, from the table another right-hand side filled
-        expect = list(oracle.tree_vertex_solutions(rows, rhs))
-        assert list(kernel(rows, rhs)) == expect
-        if consumer == "toriq.polytopes":
-            assert list(kernel(rows, rhs, tables.setdefault(rows, []))) == expect
-        assert solutions(kernel, rows, rhs) == solutions(oracle._vertex_solutions, rows, rhs)
-    assert len(tables) < Counter(inputs.values())["toriq.polytopes"]
+    monkeypatch.undo()
+    shared = {}  # rows -> one list of their bases, for every system over them
+    for rows, rhs in inputs:
+        # the same sequence as the walk over [rows | rhs]
+        if rows not in shared:
+            shared[rows] = list(linalg._bases(rows))
+        assert list(kernel(rows, rhs, shared[rows])) == list(
+            oracle.tree_vertex_solutions(rows, rhs))
+        assert solutions(vertex_solutions, rows, rhs) == solutions(
+            oracle._vertex_solutions, rows, rhs)
+    assert len(shared) < len(inputs)

@@ -133,21 +133,38 @@ def _referenced(node) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_function_has_a_caller():
-    # a module-level function that no other package code, the public API or
-    # the tracer names is dead weight; its tests can keep a test-side copy
+def _definitions() -> tuple[list, set]:
+    """(module, name, node) for each module-level function and class of the
+    package, and every name the package reads outside the definition of
+    that name."""
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = node.name if isinstance(node, ast.FunctionDef) else None
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             if own:
-                defined.append((path.stem, own))
+                defined.append((path.stem, own, node))
             used |= _referenced(node) - {own}
+    return defined, used
+
+
+def test_every_function_has_a_caller():
+    # a module-level function that no other package code, the public API or
+    # the tracer names is dead weight; its tests can keep a test-side copy
+    defined, used = _definitions()
     kept = set(toriq.__all__) | {n for names in _tracing_tables()["LAYERS"].values()
                                  for n in names}
-    uncalled = [f"{mod}.{name}" for mod, name in defined
-                if name not in used and name not in kept]
+    uncalled = [f"{mod}.{name}" for mod, name, node in defined
+                if isinstance(node, ast.FunctionDef) and name not in used | kept]
     assert defined and not uncalled, uncalled
+
+
+def test_every_private_name_is_used():
+    # a module-level _private function or class serves the package alone,
+    # so some other package code must name it; tests are no reason to keep it
+    defined, used = _definitions()
+    unused = [f"{mod}.{name}" for mod, name, _ in defined
+              if name.startswith("_") and name not in used]
+    assert defined and not unused, unused
 
 
 def _except_tuples(path):
