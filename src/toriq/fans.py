@@ -20,8 +20,7 @@ from .linalg import (
     ONE,
     Vec,
     QVec,
-    _bases,
-    _vertex_solutions,
+    _extreme_rays,
     adjugate,
     dot,
     int_vec,
@@ -469,9 +468,11 @@ def face_fan(rays: list[Vec]) -> Fan:
     if not rays:
         raise ReconstructionError("no rays to take the face fan of")
     rays = [tuple(r) for r in rays]
-    cones = {tuple(i for i, sl in enumerate(slack) if sl == 0)
-             for _, _, slack in _vertex_solutions(rays, [-1] * len(rays), _bases(rays))}
-    fan = Fan(len(rays[0]), tuple(rays), tuple(cones))
+    n, m = len(rays[0]), len(rays)
+    # the polar's vertices: the rays (y, t > 0) of the cone over (r, 1) and t >= 0
+    polar = _extreme_rays([(*r, 1) for r in rays] + [(0,) * n + (1,)]) or ()
+    cones = [tuple(i for i in range(m) if mask >> i & 1) for z, mask in polar if z[n]]
+    fan = Fan(n, tuple(rays), tuple(cones))
     rep = validate(fan)
     if not (rep.well_formed and rep.complete):
         raise ReconstructionError("face fan failed validation")
@@ -511,16 +512,23 @@ def image_fan(fan: Fan, projection, cones) -> Fan:
     """The fan of the images of the given cones under a lattice projection
     (rows of N -> N').  Rays mapping to zero are dropped, the others go to
     their primitive images, numbered in order of first appearance."""
+    return _image_fan(len(projection), _ray_images(fan, projection), cones)
+
+
+def _ray_images(fan: Fan, projection) -> list[Optional[Vec]]:
+    """The primitive image of each ray of the fan under a lattice
+    projection (rows of N -> N'), None for a ray that maps to zero: one
+    projection per ray, which every cone through it reads."""
+    images = [tuple(dot(row, r) for row in projection) for r in fan.rays]
+    return [primitive_part(img) if any(img) else None for img in images]
+
+
+def _image_fan(rank: int, images: list[Optional[Vec]], cones) -> Fan:
+    """``image_fan`` given the rays' images (``_ray_images``)."""
     index: dict[Vec, int] = {}
-    images = set()
-    for cone in cones:
-        idxs = set()
-        for i in cone:
-            img = tuple(dot(row, fan.rays[i]) for row in projection)
-            if any(img):
-                idxs.add(index.setdefault(primitive_part(img), len(index)))
-        images.add(tuple(sorted(idxs)))
-    return Fan(len(projection), tuple(index), tuple(images))
+    cone_images = {tuple(sorted({index.setdefault(images[i], len(index))
+                                 for i in cone if images[i] is not None})) for cone in cones}
+    return Fan(rank, tuple(index), tuple(cone_images))
 
 
 def restricted_cones(fan: Fan, rays) -> list[tuple[int, ...]]:

@@ -6,13 +6,10 @@ kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
 both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
 rule, so it terminates), each on an integer tableau (int and ``Fraction``
 entries are scaled to integers first, and a ``Fraction`` is built only for
-the result); Smith normal form; and one vertex enumeration,
-``_vertex_solutions``, which solves a right-hand side against d B^-1 for
-every basis B of the rows, streamed by one walk over their n-subsets
-(``_bases``) that needs no right-hand side: every P^(s) of an adjoint
-family has P's normals, so one walk can serve them all.  By polarity it
-gives polytope vertices, convex hull facets (``hull_facets``, the vertices
-of the polar) and face fans (the tight sets of the polar).
+the result); Smith normal form; and the extreme rays of a pointed cone by
+the double description method, ``_extreme_rays``.  On homogenized rows
+those give polytope vertices, convex hull facets (``hull_facets``, the
+vertices of the polar) and face fans (the tight sets of the polar).
 """
 
 from __future__ import annotations
@@ -481,82 +478,59 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration and convex hull facets
+# extreme rays (double description) and convex hull facets
 # ---------------------------------------------------------------------------
 
-def _bases(rows: Sequence[Vec]):
-    """(order, d, inverse) for each invertible n-subset of the nonempty
-    integer rows of length n, in lexicographic order: the matrix B whose
-    row c is rows[order[c]] has d = |det B| > 0, and inverse = d B^-1.
+def _extreme_rays(rows: Sequence[Vec]) -> Optional[list[tuple[Vec, int]]]:
+    """The extreme rays of the cone {z : rows·z >= 0} for nonempty integer
+    rows of length k, each as (primitive ray, bitmask of the rows that
+    vanish on it), in no particular order; None when the rows have rank
+    below k, so that the cone is not pointed.
 
-    One fraction-free Gauss-Jordan elimination of the rows is shared along
-    the tree of subsets: a node holds its prefix's rows as d times their
-    reduced row echelon form, and a child reduces its new row r against
-    them without division, d * r minus r[c] times the row of each pivot
-    column c, and takes one ``_pivot`` step.  A dependent prefix prunes its
-    subtree.  The rows are kept in exchange form (Stiefel's exchange step):
-    a pivot column is d times a unit vector, so its slot holds instead the
-    column of I of the row that took it, and every row has n entries.  At a
-    leaf the row of pivot column c is row c of d B^-1, up to the sign of d,
-    which the leaf folds in."""
-    m, n = len(rows), len(rows[0])
-
-    def walk(tab, pivots, free, subset, d):
-        k = len(pivots)
-        if k == n:
-            order, inverse = [None] * n, [None] * n
-            for row, c, j in zip(tab, pivots, subset):
-                order[c], inverse[c] = j, row if d > 0 else [-a for a in row]
-            yield order, abs(d), inverse
-            return
-        # leaves n - k - 1 rows after j
-        for j in range(subset[-1] + 1 if subset else 0, m - n + k + 1):
-            r = rows[j]
-            new = [d * a for a in r]
-            for c in pivots:
-                new[c] = 0
-            for row, c in zip(tab, pivots):
-                f = r[c]
-                if f:
-                    new = [a - f * b for a, b in zip(new, row)]
-            col = next((c for c in free if new[c]), None)
-            if col is None:
-                continue  # every subset through this prefix is singular
-            child = tab + [new]
-            pv = _pivot(child, k, col, d)
-            # the exchange: slot col takes column k of I, which the step
-            # made -tab[i][col] in the rows above and left d in the new row
-            for row, old in zip(child, tab):
-                if old[col]:
-                    row[col] = -old[col]
-            new[col] = d
-            yield from walk(child, pivots + [col], [c for c in free if c != col],
-                            subset + (j,), pv)
-
-    return walk([], [], list(range(n)), (), 1)
-
-
-def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int], bases):
-    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
-    solved against the ``bases`` of the rows (``_bases``): yields (y, d,
-    slack) for each basis whose solution y = inverse rhs_order is feasible,
-    in their order, with the vertex y / d and slack = rows·y - rhs·d >= 0;
-    once per such basis, so possibly repeated.  The slacks are taken row by
-    row up to the first negative one."""
-    ext = [[*v, -b] for v, b in zip(rows, rhs)]
-    for order, d, inverse in bases:
-        b = [rhs[j] for j in order]
-        y = [sum(map(mul, row, b)) for row in inverse]
-        y.append(d)
-        slack = []
-        for v in ext:
-            s = sum(map(mul, v, y))
-            if s < 0:
-                break
-            slack.append(s)
-        else:
-            y.pop()
-            yield y, d, slack
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953): the leftmost k independent rows cut out a simplicial cone, whose
+    rays are the columns of their inverse.  Each further row keeps the
+    rays where it is >= 0 and joins each adjacent pair of a ray where it is
+    positive and one where it is negative: two extreme rays of a pointed
+    cone are adjacent exactly when no third one vanishes on every row that
+    both vanish on (Fukuda and Prodon, "Double description method
+    revisited", 1996)."""
+    m, k = len(rows), len(rows[0])
+    T = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*rows))]
+    pivots, d, _ = _eliminate(T, m)
+    if len(pivots) < k:
+        return None
+    # one elimination of [rows^T | I] picks the rows B and gives T = d [R | E]
+    # with E B^T = I: rows[pivots[c]] · T[c][m:] = d, the other rows of B vanish
+    seen = sum(1 << j for j in pivots)
+    rays = [(primitive_part(t[m:] if d > 0 else [-x for x in t[m:]]), seen & ~(1 << j))
+            for t, j in zip(T, pivots)]
+    for j, row in enumerate(rows):
+        if seen >> j & 1:
+            continue
+        bit = 1 << j
+        pos, neg, kept = [], [], []
+        for z, mask in rays:
+            s = sum(map(mul, row, z))
+            if s > 0:
+                pos.append((z, mask, s))
+                kept.append((z, mask))
+            elif s < 0:
+                neg.append((z, mask, s))
+            else:
+                kept.append((z, mask | bit))
+        masks = [mask for _, mask in rays]
+        for zp, mp, sp in pos:
+            for zn, mn, sn in neg:
+                common = mp & mn
+                # a 2-face has k - 2 independent rows that vanish on it
+                if common.bit_count() < k - 2 or any(
+                        c & common == common and c != mp and c != mn for c in masks):
+                    continue
+                kept.append((primitive_part([sp * b - sn * a for a, b in zip(zp, zn)]),
+                             common | bit))
+        rays = kept
+    return rays
 
 
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:
@@ -566,10 +540,11 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     The points must affinely span their ambient space, so their centroid c
     is interior.  By polarity the facets are the vertices y of
     {y : <p - c, y> >= -1 for every point p}: the facet with inward normal
-    y holds the points where equality holds.  The polar has a vertex
-    exactly when some d of the p - c are independent, that is, when the
-    points span.  On the m points scaled to integers P = L p, the rows
-    m P - sum P are m L (p - c), and each constant is one ``Fraction``.
+    y holds the points where equality holds.  With P = L p the points
+    scaled to integers, these are the extreme rays (y, t) of the cone over
+    the rows (m P - sum P, 1) = (m L (p - c), 1) (``_extreme_rays``), which
+    sum to (0, m), so t > 0 on every ray, and span exactly when the points
+    do.  Each constant is one ``Fraction``.
     """
     if not points:
         raise ValueError("no points")
@@ -581,8 +556,8 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     pts = [flat[i:i + d] for i in range(0, len(flat), d)]
     m = len(pts)
     total = [sum(col) for col in zip(*pts)]
-    rows = [[m * a - s for a, s in zip(p, total)] for p in pts]
-    normals = {primitive_part(y) for y, _, _ in _vertex_solutions(rows, [-1] * m, _bases(rows))}
-    if not normals:
+    rays = _extreme_rays([(*(m * a - s for a, s in zip(p, total)), 1) for p in pts])
+    if rays is None:
         raise ValueError("points do not span the ambient space")
+    normals = [primitive_part(z[:d]) for z, _ in rays]
     return sorted((u, Fraction(-min(dot(u, p) for p in pts), L)) for u in normals)

@@ -21,8 +21,9 @@ from .fans import (
     MalformedFanError,
     Wall,
     _cone_inverse,
+    _image_fan,
     _inverses,
-    image_fan,
+    _ray_images,
     restricted_cones,
     validate,
     wall_classification,
@@ -199,15 +200,13 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         raise ValueError("fibering data needs a wall with alpha = 0")
     support = [i for i, c in enumerate(wall.relation) if c > 0]
     basis, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
+    images = _ray_images(fan, proj)
     # the base fan first: most walls that do not fibre fail there
-    base_fan = image_fan(fan, proj, fan.max_cones)
+    base_fan = _image_fan(len(proj), images, fan.max_cones)
     if not _complete_simplicial(base_fan):
         raise MalformedFanError("wall does not induce a fibration")
     # fiber fan: cones of the fan lying inside the kernel sublattice
-    in_kernel = [
-        i for i in range(len(fan.rays))
-        if all(dot(row, fan.rays[i]) == 0 for row in proj)
-    ]
+    in_kernel = [i for i, img in enumerate(images) if img is None]
     bmat = [[b[r] for b in basis] for r in range(fan.rank)]
     fiber_rays = []
     for i in in_kernel:
@@ -226,7 +225,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_basis=tuple(basis),
         fiber_ray_origin=tuple(in_kernel),
         fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
-        split=_weakly_split(fan, proj, base_fan),
+        split=_weakly_split(fan, images, base_fan),
     )
 
 
@@ -240,18 +239,17 @@ def weakly_split(fan: Fan, projection) -> bool:
     fan under a surjection N -> N' (rows of ``projection``): a subfan maps
     cone-by-cone bijectively onto the base and every maximal cone
     decomposes as lifted cone + kernel cone."""
-    return _weakly_split(fan, projection, image_fan(fan, projection, fan.max_cones))
+    images = _ray_images(fan, projection)
+    return _weakly_split(fan, images, _image_fan(len(projection), images, fan.max_cones))
 
 
-def _weakly_split(fan: Fan, projection, base: Fan) -> bool:
-    """``weakly_split`` given the image fan ``base`` of all maximal cones:
-    it is simplicial with rank-many rays per maximal cone, every blade (the
-    non-kernel rays of a maximal cone) has rank-many rays, and distinct
-    blades have distinct images."""
-    blades = {
-        tuple(i for i in cone if any(dot(row, fan.rays[i]) for row in projection))
-        for cone in fan.max_cones
-    }
+def _weakly_split(fan: Fan, images, base: Fan) -> bool:
+    """``weakly_split`` given the rays' images (``fans._ray_images``) and
+    the image fan ``base`` of all maximal cones: it is simplicial with
+    rank-many rays per maximal cone, every blade (the non-kernel rays of a
+    maximal cone) has rank-many rays, and distinct blades have distinct
+    images."""
+    blades = {tuple(i for i in cone if images[i] is not None) for cone in fan.max_cones}
     # determinants only: validate would add an LP per non-simplicial image cone
     return (
         all(len(c) == base.rank for c in base.max_cones)

@@ -21,11 +21,10 @@ from .intersection import TorusDivisor, nef_threshold
 from .linalg import (
     QVec,
     Vec,
-    _bases,
     _common_denominator,
+    _extreme_rays,
     _lowest_terms,
     _scaled,
-    _vertex_solutions,
     det,
     dot,
     frac,
@@ -36,7 +35,6 @@ from .linalg import (
     is_primitive,
     lp_min,
     matrix_rank,
-    nonneg_solve,
     primitive_part,
     saturation_and_projection,
     scale_to_primitive,
@@ -166,17 +164,6 @@ class CayleyMoriDecomposition:
     simplex_vertices: tuple[QVec, ...]
 
 
-@lru_cache(maxsize=fans.CACHE_SIZE)
-def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
-    """Whether every presentation with these normals is bounded, that is,
-    whether they positively span R^dim: they span it and a strictly positive
-    combination 1 + c (c >= 0) of them vanishes (Davis 1954).  One rank and
-    one LP, cached per normal list, which a whole adjoint family P^(s)
-    shares."""
-    minus_sum = [-sum(col) for col in zip(*normals)]
-    return matrix_rank(normals) == dim and nonneg_solve(normals, minus_sum) is not None
-
-
 def is_empty(P: FacetPresentation) -> bool:
     if P.dim == 0:
         return False
@@ -184,39 +171,32 @@ def is_empty(P: FacetPresentation) -> bool:
     return res.status == "infeasible"
 
 
-@lru_cache(maxsize=4)  # one adjoint family's life
-def _basis_table(normals: tuple[Vec, ...]) -> tuple:
-    """Every basis of ``normals`` with its d B^-1 (``linalg._bases``), from
-    one walk, which every vertex enumeration over them solves against."""
-    return tuple(_bases(normals))
-
-
 @lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
-    """Exact vertex enumeration over the invertible n-subsets of facets
-    (``linalg._vertex_solutions``), solved against the table of bases of
-    the normals (``_basis_table``): one walk along the tree of subsets per
-    normal list, so every P^(s) of an adjoint family after the first costs
-    one solve per basis.  A bounded presentation with no vertex is empty;
-    only an unbounded one needs the emptiness LP.  P is full-dimensional
-    exactly when no inequality is tight at every vertex (``VertexSet.faces``),
-    which ``allow_lower_dim`` does not ask."""
+    """Exact vertex enumeration by polarity: with integers A_i = L a_i, the
+    vertices are the extreme rays (y, t), t > 0, of the cone over the rows
+    (v_i, A_i) and t >= 0 (``linalg._extreme_rays``), each the vertex
+    y / (t L), tight where its rows vanish.  P is empty when no ray has
+    t > 0, and unbounded when a ray has t = 0, a recession direction; only
+    normals that do not span, leaving P no vertex, need the emptiness LP.
+    P is full-dimensional exactly when no inequality is tight at every
+    vertex (``VertexSet.faces``), which ``allow_lower_dim`` does not ask."""
     n = P.dim
     if n == 0:
         return VertexSet((((), 1),), ((),))
-    if not _positively_spanning(n, P.normals):
+    L, A = _scaled(P.constants)
+    m = P.nfacets
+    rays = _extreme_rays([(*v, a) for v, a in zip(P.normals, A)] + [(0,) * n + (1,)])
+    if rays is None:
         if is_empty(P):
             raise EmptyPolytopeError("polytope is empty")
         raise UnboundedError("presentation is unbounded")
-    # <v_i, x> >= -A_i / L with integers A_i; a vertex is x = y / (d L)
-    L, A = _scaled(P.constants)
-    found: dict[Point, tuple[int, ...]] = {}
-    for y, d, slack in _vertex_solutions(P.normals, [-a for a in A], _basis_table(P.normals)):
-        x = _lowest_terms(y, d * L)
-        if x not in found:
-            found[x] = tuple(i for i, sl in enumerate(slack) if sl == 0)
+    found = {_lowest_terms(z[:n], z[n] * L): tuple(i for i in range(m) if mask >> i & 1)
+             for z, mask in rays if z[n]}
     if not found:
         raise EmptyPolytopeError("polytope is empty")
+    if len(found) < len(rays):
+        raise UnboundedError("presentation is unbounded")
     vs = _vertex_set(found)
     if not allow_lower_dim and vs.faces[0]:
         raise DegenerateError("polytope is not full-dimensional")
@@ -484,15 +464,30 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
             data = mmp.mori_fiber_data(fan, wall)
         except fans.MalformedFanError:
             continue
-        dec = _decompose_along_fiber(P, pvs, data)
-        if dec is not None:
-            return dec
+        found = _decompose_along_fiber(P, pvs, data)
+        if found is not None:
+            return _rational_decomposition(found, data)
     return None
 
 
-def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
+def _rational_decomposition(found, data) -> CayleyMoriDecomposition:
+    """``_decompose_along_fiber``'s result as the public record, in ``Fraction``s."""
+    bases, ws, faces = found
+    simplex = tuple(map(_rational, ws))
+    return CayleyMoriDecomposition(
+        bases=bases,
+        w=tuple(vec_sub(wi, simplex[0]) for wi in simplex[1:]),
+        fiber_projection=tuple(map(tuple, data.fiber_basis)),
+        base_faces=tuple(tuple(map(_rational, face)) for face in faces),
+        simplex_vertices=simplex,
+    )
+
+
+def _decompose_along_fiber(P, pvs, data) -> Optional[tuple]:
     """P (vertex set ``pvs``) as a Cayley sum along the split fibration
-    ``data`` of its normal fan, whose fiber has Picard rank one, or None.
+    ``data`` of its normal fan, whose fiber has Picard rank one: its bases,
+    the simplex vertices sorted and each one's section face, as integer
+    points (``_rational_decomposition`` builds the public record), or None.
     The bases are read off P's tight sets (``_faces``): a section face F
     spans the kernel of the projection when its dimension, dim P minus the
     rank of the normals of its implicit equalities, is the kernel's; a
@@ -541,14 +536,7 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:
                                 for p in range(len(face))))
     if len(base_fans) != 1:
         return None
-    simplex = tuple(map(_rational, ws))
-    return CayleyMoriDecomposition(
-        bases=tuple(bases),
-        w=tuple(vec_sub(wi, simplex[0]) for wi in simplex[1:]),
-        fiber_projection=tuple(pi_rows),
-        base_faces=tuple(tuple(pvs.vertices[k] for k in sections[w]) for w in ws),
-        simplex_vertices=simplex,
-    )
+    return tuple(bases), ws, tuple(tuple(pvs.points[k] for k in sections[w]) for w in ws)
 
 
 def is_cayley_s(P: FacetPresentation, dec: Optional[CayleyMoriDecomposition] = None) -> Optional[int]:

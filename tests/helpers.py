@@ -76,10 +76,11 @@ def cold_caches() -> None:
 
 
 def count_enumerations(monkeypatch) -> list:
-    """Record the (normals, right-hand side, bases) of each vertex
-    enumeration that ``polytopes.vertices`` runs, from cold caches; the
-    bases are the normals' table (``polytopes._basis_table``)."""
-    calls = count_calls(monkeypatch, "_vertex_solutions", polytopes)
+    """Record, from cold caches, the rows of the homogenized cone of each
+    vertex enumeration that ``polytopes.vertices`` runs
+    (``linalg._extreme_rays``): (v_i, L a_i) per inequality, then the row
+    of t >= 0."""
+    calls = count_calls(monkeypatch, "_extreme_rays", polytopes)
     cold_caches()
     return calls
 
@@ -103,6 +104,13 @@ def count_fractions(monkeypatch) -> Counter:
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return counts
+
+
+def decomposition(P, pvs, data):
+    """``polytopes._decompose_along_fiber`` as the public record, its points
+    ``Fraction``s, or None."""
+    found = polytopes._decompose_along_fiber(P, pvs, data)
+    return found and polytopes._rational_decomposition(found, data)
 
 
 def prime_divisor(fan: Fan, i: int) -> TorusDivisor:

@@ -22,6 +22,13 @@ before it kept a table of bases per normal list: one elimination of
 carried as d times unit vectors, and every slack taken before the check.
 ``hull_facets_over_fractions`` and ``polytope_oracle`` run on it.
 
+``bases`` and ``basis_solutions`` are the walk as ``toriq.linalg`` ran it
+before the double description: d B^-1 for every basis B of the rows from
+one walk of the tree of subsets, and a right-hand side solved against each.
+``walk_hull_facets`` and ``walk_face_fan`` are ``toriq.linalg.hull_facets``
+and ``toriq.fans.face_fan`` on that walk, and ``extreme_rays`` finds the
+extreme rays of a cone by brute force, one kernel per k - 1 of its rows.
+
 ``cone_inverses`` and ``primitive_data_cones`` are the per-fan adjugates and
 the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
 per cone's ray vectors, shared by every fan that holds the cone.
@@ -50,7 +57,8 @@ from math import gcd, lcm
 from operator import index, mul
 from typing import Optional, Sequence
 
-from toriq.linalg import LPResult, Vec, dot, frac, vec_sub
+from toriq.fans import Fan, ReconstructionError, validate
+from toriq.linalg import LPResult, Vec, _scaled, dot, frac, primitive_part, vec_sub
 from toriq.linalg import _pivot as bareiss_step
 
 ZERO = Fraction(0)
@@ -238,6 +246,135 @@ def tree_vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
             yield from walk(child, pivots + [col], bareiss_step(child, k, col, d), j + 1)
 
     yield from walk([], [], 1, 0)
+
+
+def bases(rows: Sequence[Vec]):
+    """(order, d, inverse) for each invertible n-subset of the nonempty
+    integer rows of length n, in lexicographic order: the matrix B whose
+    row c is rows[order[c]] has d = |det B| > 0, and inverse = d B^-1.
+
+    One fraction-free Gauss-Jordan elimination of the rows is shared along
+    the tree of subsets: a node holds its prefix's rows as d times their
+    reduced row echelon form, and a child reduces its new row r against
+    them without division, d * r minus r[c] times the row of each pivot
+    column c, and takes one ``linalg._pivot`` step.  A dependent prefix prunes its
+    subtree.  The rows are kept in exchange form (Stiefel's exchange step):
+    a pivot column is d times a unit vector, so its slot holds instead the
+    column of I of the row that took it, and every row has n entries.  At a
+    leaf the row of pivot column c is row c of d B^-1, up to the sign of d,
+    which the leaf folds in."""
+    m, n = len(rows), len(rows[0])
+
+    def walk(tab, pivots, free, subset, d):
+        k = len(pivots)
+        if k == n:
+            order, inverse = [None] * n, [None] * n
+            for row, c, j in zip(tab, pivots, subset):
+                order[c], inverse[c] = j, row if d > 0 else [-a for a in row]
+            yield order, abs(d), inverse
+            return
+        # leaves n - k - 1 rows after j
+        for j in range(subset[-1] + 1 if subset else 0, m - n + k + 1):
+            r = rows[j]
+            new = [d * a for a in r]
+            for c in pivots:
+                new[c] = 0
+            for row, c in zip(tab, pivots):
+                f = r[c]
+                if f:
+                    new = [a - f * b for a, b in zip(new, row)]
+            col = next((c for c in free if new[c]), None)
+            if col is None:
+                continue  # every subset through this prefix is singular
+            child = tab + [new]
+            pv = bareiss_step(child, k, col, d)
+            # the exchange: slot col takes column k of I, which the step
+            # made -tab[i][col] in the rows above and left d in the new row
+            for row, old in zip(child, tab):
+                if old[col]:
+                    row[col] = -old[col]
+            new[col] = d
+            yield from walk(child, pivots + [col], [c for c in free if c != col],
+                            subset + (j,), pv)
+
+    return walk([], [], list(range(n)), (), 1)
+
+
+def basis_solutions(rows: Sequence[Vec], rhs: Sequence[int], bases):
+    """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n,
+    solved against the ``bases`` of the rows (``bases``): yields (y, d,
+    slack) for each basis whose solution y = inverse rhs_order is feasible,
+    in their order, with the vertex y / d and slack = rows·y - rhs·d >= 0;
+    once per such basis, so possibly repeated.  The slacks are taken row by
+    row up to the first negative one."""
+    ext = [[*v, -b] for v, b in zip(rows, rhs)]
+    for order, d, inverse in bases:
+        b = [rhs[j] for j in order]
+        y = [sum(map(mul, row, b)) for row in inverse]
+        y.append(d)
+        slack = []
+        for v in ext:
+            s = sum(map(mul, v, y))
+            if s < 0:
+                break
+            slack.append(s)
+        else:
+            y.pop()
+            yield y, d, slack
+
+
+def walk_hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:
+    """``toriq.linalg.hull_facets`` as it ran on the walk: the vertices of
+    the polar {y : <m L (p - c), y> >= -1} from ``basis_solutions``."""
+    if not points:
+        raise ValueError("no points")
+    d = len(points[0])
+    if d == 0:
+        return []
+    L, flat = _scaled([a if type(a) is int else frac(a) for p in points for a in p])
+    pts = [flat[i:i + d] for i in range(0, len(flat), d)]
+    m = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    rows = [[m * a - s for a, s in zip(p, total)] for p in pts]
+    normals = {primitive_part(y) for y, _, _ in basis_solutions(rows, [-1] * m, bases(rows))}
+    if not normals:
+        raise ValueError("points do not span the ambient space")
+    return sorted((u, Fraction(-min(dot(u, p) for p in pts), L)) for u in normals)
+
+
+def walk_face_fan(rays: list[Vec]) -> Fan:
+    """``toriq.fans.face_fan`` as it ran on the walk: a cone per vertex of
+    the polar {y : <r, y> >= -1} from ``basis_solutions``."""
+    if not rays:
+        raise ReconstructionError("no rays to take the face fan of")
+    rays = [tuple(r) for r in rays]
+    cones = {tuple(i for i, sl in enumerate(slack) if sl == 0)
+             for _, _, slack in basis_solutions(rays, [-1] * len(rays), bases(rays))}
+    fan = Fan(len(rays[0]), tuple(rays), tuple(cones))
+    rep = validate(fan)
+    if not (rep.well_formed and rep.complete):
+        raise ReconstructionError("face fan failed validation")
+    return fan
+
+
+def extreme_rays(rows: Sequence[Vec]) -> Optional[set[tuple[Vec, int]]]:
+    """``toriq.linalg._extreme_rays`` as a set, by brute force: a ray of the
+    pointed cone {z : rows·z >= 0} spans the kernel of some k - 1 of the
+    rows, and one of its two primitive directions satisfies every row."""
+    k = len(rows[0])
+    if matrix_rank(rows) < k:
+        return None
+    found = set()
+    for subset in combinations(range(len(rows)), k - 1):
+        kern = kernel_basis([rows[i] for i in subset]) if subset else [
+            tuple(ONE if j == 0 else ZERO for j in range(k))]
+        if len(kern) != 1:
+            continue
+        for z in (scale_to_primitive(kern[0]), scale_to_primitive([-x for x in kern[0]])):
+            values = [dot(row, z) for row in rows]
+            if min(values) >= 0:
+                found.add((z, sum(1 << i for i, s in enumerate(values) if s == 0)))
+    return found
 
 
 def affine_rank(points) -> int:

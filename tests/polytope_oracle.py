@@ -14,9 +14,16 @@ tracking each vertex of P^(s) linearly in s instead.
 every invariant factor is the same s, where ``toriq.polytopes.is_cayley_s``
 compares the gcd of its entries with its determinant.
 
-``_positively_spanning`` is the boundedness test that
-``toriq.polytopes._positively_spanning`` answers with one rank and one LP:
-it runs one LP per signed unit vector, 2n in all.
+``_positively_spanning`` is a boundedness test with one LP per signed
+unit vector, 2n in all; ``positively_spanning`` is the one rank and one LP
+(Davis 1954) that ``toriq.polytopes`` asked before it read boundedness off
+the extreme rays of the homogenized cone.
+
+``walk_vertices`` is ``toriq.polytopes.vertices`` as it ran before the
+double description: boundedness from ``positively_spanning``, the vertices
+solved against every basis of the normals from the walk over their
+n-subsets (``linalg_oracle.bases``), and the emptiness LP for every
+presentation that is not positively spanned.
 
 ``faces`` finds the implicit equalities and the facets that
 ``toriq.polytopes._faces`` reads off the vertices' tight sets from the
@@ -44,10 +51,17 @@ from typing import Optional
 
 from math import gcd
 
-from linalg_oracle import affine_rank, hull_facets_over_fractions, tree_vertex_solutions
+from linalg_oracle import (
+    affine_rank,
+    bases,
+    basis_solutions,
+    hull_facets_over_fractions,
+    tree_vertex_solutions,
+)
 from toriq.linalg import (
     QVec,
     Vec,
+    _lowest_terms,
     _scaled,
     dot,
     integer_kernel_basis,
@@ -68,8 +82,9 @@ from toriq.polytopes import (
     FacetPresentation,
     RedundantPresentationError,
     UnboundedError,
+    VertexSet,
     _faces,
-    _positively_spanning,
+    _vertex_set,
     effective_threshold,
     facet_presentation_from_vertices,
     is_empty,
@@ -88,6 +103,34 @@ def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
             if nonneg_solve(normals, e) is None:
                 return False
     return True
+
+
+def positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:
+    """Whether the normals positively span R^dim: they span it and a
+    strictly positive combination 1 + c (c >= 0) of them vanishes."""
+    minus_sum = [-sum(col) for col in zip(*normals)]
+    return matrix_rank(normals) == dim and nonneg_solve(normals, minus_sum) is not None
+
+
+def walk_vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
+    """The vertices of P solved against every basis of its normals."""
+    n = P.dim
+    if n == 0:
+        return VertexSet((((), 1),), ((),))
+    if not positively_spanning(n, P.normals):
+        if is_empty(P):
+            raise EmptyPolytopeError("polytope is empty")
+        raise UnboundedError("presentation is unbounded")
+    L, A = _scaled(P.constants)
+    found = {}
+    for y, d, slack in basis_solutions(P.normals, [-a for a in A], bases(P.normals)):
+        found.setdefault(_lowest_terms(y, d * L), tuple(i for i, sl in enumerate(slack) if sl == 0))
+    if not found:
+        raise EmptyPolytopeError("polytope is empty")
+    vs = _vertex_set(found)
+    if not allow_lower_dim and vs.faces[0]:
+        raise DegenerateError("polytope is not full-dimensional")
+    return vs
 
 
 def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int, ...]]:

@@ -1,11 +1,12 @@
-"""Every member P^(s) of an adjoint family has P's facet normals, so
-``polytopes.vertices`` keeps one table of bases per normal list
-(``_basis_table``): one walk of the tree of subsets gives d B^-1 for every
-basis B, and every enumeration over those normals solves against it.  The
-vertex sets, tight sets and errors equal the ``Fraction`` oracle's, which
-walks afresh, across whole families; the work is pinned from cold caches:
-one walk per normal list and item of a benchmark pass, ``_faces`` once per
-vertex set, and one copy of each note key of the cross-validation."""
+"""Every member P^(s) of an adjoint family has P's facet normals.
+``polytopes.vertices`` once kept a table of bases per normal list, from one
+walk of the tree of subsets; it now runs one double description per
+presentation (``linalg._extreme_rays``), on the normals with that member's
+constants, and keeps no table.  The vertex sets, tight sets and errors
+equal the ``Fraction`` oracle's, which walks afresh, across whole families;
+the work is pinned from cold caches: one double description per
+enumeration of a benchmark pass, ``_faces`` once per vertex set, and one
+copy of each note key of the cross-validation."""
 
 from fractions import Fraction
 
@@ -56,27 +57,20 @@ def test_non_simple_families_match_oracle(P, shifts):
 
 def test_one_walk_per_normal_list_of_a_family(monkeypatch):
     # the seed-1 adjoint-family pass: 232 enumerations over 46 normal
-    # lists, which each took a walk of their own before.  A table lives for
-    # 4 normal lists, so the segment and triangle fibers that items share
-    # are walked again after other items: 51 walks through the table, and
-    # none repeated within one item
+    # lists, each one double description.  With a table of bases that
+    # lived for 4 normal lists they took 51 walks, the segment and triangle
+    # fibers that items share walked again after other items
     workloads = _workloads()
     items = workloads.adjoint_items(1)
-    enumerations = count_calls(monkeypatch, "_vertex_solutions", polytopes)
-    walks = count_calls(monkeypatch, "_bases", polytopes)
+    enumerations = count_calls(monkeypatch, "_extreme_rays", polytopes)
     cold_caches()
-    per_item = []
     for _, P in items:
-        start = len(walks)
         try:
             workloads.run_adjoint_item(P)
         except MalformedFanError:  # the pinned failure
             pass
-        per_item.append([args[0] for args in walks[start:]])
-    built = sum(per_item, [])
-    assert (len(enumerations), len(built), len(set(built))) == (232, 51, 46)
-    assert {rows for rows, _, _ in enumerations} == set(built)
-    assert all(len(rows) == len(set(rows)) for rows in per_item)
+    normal_lists = {tuple(row[:-1] for row in rows[:-1]) for rows, in enumerations}
+    assert (len(enumerations), len(normal_lists)) == (232, 46)
 
 
 def test_faces_once_per_vertex_set(monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 import mmp_oracle
 import polytope_oracle as oracle
 from conftest import blowup_polytope, hexagon, simplex_polytope, unit_square
+from helpers import decomposition
 from test_adjoint_certificate import (
     MMP_ROWS, cross_validation, outcome, pool_polytope, sweep_polytopes, unvalidated)
 from test_circuit_replacement import _workloads
@@ -80,7 +81,7 @@ def encoded(dec):
 
 def assert_matches_oracle(P, data):
     pvs = vertices(P)
-    got = encoded(polytopes._decompose_along_fiber(P, pvs, data))
+    got = encoded(decomposition(P, pvs, data))
     assert got == encoded(oracle.decompose_along_fiber(P, pvs, data)), (P, data)
     return got
 

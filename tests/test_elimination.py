@@ -1,10 +1,12 @@
 """The fraction-free elimination behind ``toriq.linalg`` agrees exactly with
 the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, the hull read off
 the polar agrees with the oracle's brute-force hull and with the polar hull
-it ran over ``Fraction``s before it scaled the points once, the vertex enumeration
-shared along the tree of subsets agrees with the oracle's one adjugate per
-subset, and the hull, vertex, face-fan and redundancy code run the
-elimination only where it is needed."""
+it ran over ``Fraction``s before it scaled the points once, the double
+description's extreme rays agree with a brute-force search, and vertices,
+hull facets and face fans agree with the walk over the n-subsets of the
+rows kept in the oracles, which itself agrees with one adjugate per subset;
+the hull, vertex, face-fan and redundancy code run the elimination only
+where it is needed."""
 
 from collections import Counter
 from fractions import Fraction
@@ -14,10 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+import polytope_oracle
 from helpers import cold_caches, count_calls, mat_mul
 from test_adjoint_certificate import sweep_polytopes
 from test_circuit_replacement import _workloads
-from toriq import fans, linalg, mmp, polytopes
+from test_integer_points import non_simple
+from test_redundancy import presentations, vertex_outcome
+from toriq import linalg, mmp, polytopes
 from toriq.fano_table import load_builtin_table
 from toriq.linalg import (
     _eliminate,
@@ -25,6 +30,7 @@ from toriq.linalg import (
     hull_facets,
     kernel_basis,
     matrix_rank,
+    primitive_part,
     solve_linear,
 )
 from toriq.fans import MalformedFanError, face_fan
@@ -192,9 +198,9 @@ def cube_facets(n):
     return units + [tuple(-x for x in u) for u in units]
 
 
-# One elimination shared along the tree of subsets: a node's _pivot step is
-# paid once for every subset through it, and a dependent prefix prunes its
-# subtree.
+# The double description starts from one elimination of the transposed rows
+# next to I, which picks k independent rows and inverts them; every further
+# row costs dot products and bitmask tests, and no _pivot step.
 
 def test_hull_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
@@ -203,19 +209,21 @@ def test_hull_work_is_one_shared_elimination(monkeypatch):
     lps = count_calls(monkeypatch, "lp_standard", linalg)
     cold_caches()
     assert len(hull_facets(cube_vertices(4))) == 8
-    # 1390 for the tree over the 16 rows of the polar
-    assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (1390, 0, 0, 0)
+    # 5 for the transposed rows (1390 for the walk over the 16 rows of the
+    # polar)
+    assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (5, 0, 0, 0)
 
 
 def test_vertices_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
+    lps = count_calls(monkeypatch, "lp_standard", linalg)
     cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
     cold_caches()
     assert len(vertices(cube).vertices) == 16
-    # 8 for boundedness (a rank and an LP), 54 for the tree over the 8
-    # facets
-    assert (len(pivots), len(adjugates)) == (62, 0)
+    # 5 for the transposed rows and no boundedness LP (62: 8 for a rank and
+    # an LP, 54 for the walk over the 8 facets)
+    assert (len(pivots), len(adjugates), len(lps)) == (5, 0, 0)
 
 
 def test_face_fan_work_is_one_shared_elimination(monkeypatch):
@@ -224,9 +232,9 @@ def test_face_fan_work_is_one_shared_elimination(monkeypatch):
     cold_caches()
     fan = face_fan(cube_facets(4))
     assert len(fan.max_cones) == 16
-    # 54 for the tree over the 8 rays, 64 for the adjugates of the 16 cones
-    # that validate reads through its own import
-    assert (len(pivots), len(adjugates)) == (118, 0)
+    # 5 for the double description, 64 for the adjugates of the 16 cones
+    # that validate reads through its own import (118: 54 for the walk)
+    assert (len(pivots), len(adjugates)) == (69, 0)
 
 
 def test_no_fraction_row_is_reintegerised(monkeypatch):
@@ -277,8 +285,8 @@ def systems(draw):
 
 
 def vertex_solutions(rows, rhs):
-    """``linalg._vertex_solutions`` on a walk of its own over the rows."""
-    return linalg._vertex_solutions(rows, rhs, linalg._bases(rows))
+    """The walk oracle's solutions on a walk of its own over the rows."""
+    return oracle.basis_solutions(rows, rhs, oracle.bases(rows))
 
 
 def solutions(kernel, rows, rhs):
@@ -300,9 +308,9 @@ def test_table_solutions_match_the_tree_walk(system, data):
     # of the walk over [rows | rhs]
     rows, rhs = system
     other = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
-    bases = list(linalg._bases(rows))
+    bases = list(oracle.bases(rows))
     for b in (rhs, other):
-        assert list(linalg._vertex_solutions(rows, b, bases)) == list(
+        assert list(oracle.basis_solutions(rows, b, bases)) == list(
             oracle.tree_vertex_solutions(rows, b))
 
 
@@ -312,7 +320,7 @@ def test_bases_are_the_invertible_subsets_with_their_inverses(system):
     # exactly the invertible n-subsets, in lexicographic order, each with
     # B inverse = d I for B = [rows[j] for j in order] and d = |det B|
     rows, n = system[0], len(system[0][0])
-    bases = list(linalg._bases(rows))
+    bases = list(oracle.bases(rows))
     assert [tuple(sorted(order)) for order, _, _ in bases] == [
         S for S in combinations(range(len(rows)), n) if oracle.adjugate([rows[i] for i in S])[1]]
     for order, d, inverse in bases:
@@ -324,7 +332,7 @@ def test_bases_are_the_invertible_subsets_with_their_inverses(system):
 def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     # rows 0 and 1 are dependent, so the pair is pruned; the vertex (1, 1)
     # is read off the leaf (2, 3), which pivots on column 1 before column 0
-    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    pivots = count_calls(monkeypatch, "bareiss_step", oracle)
     rows, rhs = [(1, 2), (2, 4), (0, 1), (1, 0), (-1, -1)], [0, 0, 1, 1, -5]
     got = solutions(vertex_solutions, rows, rhs)
     assert got == solutions(oracle._vertex_solutions, rows, rhs)
@@ -332,38 +340,108 @@ def test_pruned_prefix_and_unordered_pivots(monkeypatch):
     assert len(pivots) == 4 + 9  # the one-row prefixes and 9 of the 10 pairs
 
 
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_extreme_rays_are_the_rays_of_the_cone(system):
+    # the homogenized rows (r, -b) of rows·y >= rhs, with and without the
+    # row t >= 0: each ray satisfies every row, its mask is exactly the
+    # rows that vanish on it, those have rank k - 1, and the rays are the
+    # brute-force oracle's; None exactly when the rows do not have rank k
+    rows, rhs = system
+    cone = [(*r, -b) for r, b in zip(rows, rhs)]
+    for M in (cone, cone + [(0,) * len(rows[0]) + (1,)]):
+        k = len(M[0])
+        rays = linalg._extreme_rays(M)
+        assert (rays is None) is (oracle.matrix_rank(M) < k)
+        if rays is None:
+            continue
+        for z, mask in rays:
+            values = [linalg.dot(row, z) for row in M]
+            assert min(values) >= 0 and linalg.is_primitive(z)
+            assert mask == sum(1 << i for i, s in enumerate(values) if s == 0)
+            assert oracle.matrix_rank([row for i, row in enumerate(M) if mask >> i & 1]) == k - 1
+        assert len(rays) == len(set(rays)) and set(rays) == oracle.extreme_rays(M)
+
+
+@st.composite
+def spanless_presentations(draw):
+    """Presentations in dimension 1-3 that are unbounded or empty: normals
+    in the half-space u_0 >= 0, which leaves P the direction e_0 when it is
+    not empty, or in the hyperplane u_last = 0, which puts a line inside P
+    or leaves it empty, so that P has no vertex."""
+    dim = draw(st.integers(1, 3))
+    hyperplane = draw(st.booleans())
+    const = st.builds(Fraction, st.integers(-2, 3), st.sampled_from((1, 2)))
+    ineqs = {}
+    for v in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=5)):
+        v = v[:-1] + (0,) if hyperplane else v if v[0] >= 0 else tuple(-x for x in v)
+        if any(v):
+            ineqs.setdefault(primitive_part(v), draw(const))
+    return FacetPresentation(dim, tuple(ineqs), tuple(ineqs.values()))
+
+
+@given(st.one_of(presentations(), non_simple(), spanless_presentations()))
+@settings(max_examples=400, deadline=None)
+def test_vertices_match_the_walk(P):
+    # non-simple, lower-dimensional, empty, unbounded and lineality inputs,
+    # errors by type and message
+    for lower in (False, True):
+        assert vertex_outcome(vertices, P, lower) == vertex_outcome(
+            polytope_oracle.walk_vertices, P, lower)
+
+
+def fan_outcome(build, rays):
+    try:
+        return build(rays)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive_part),
+    min_size=1, max_size=7, unique=True)))
+@settings(max_examples=300, deadline=None)
+def test_face_fan_matches_the_walk(rays):
+    # origins inside, on the boundary of and outside the hull, and rays
+    # that do not span
+    assert fan_outcome(face_fan, rays) == fan_outcome(oracle.walk_face_fan, rays)
+
+
 def enumerate_certified(trace):
     """Enumerate what the run reads off its interval certificates instead:
     the core, the last interval's polytope P^(mid) and a point core's Q."""
     P, steps = trace.initial_polytope, trace.steps
     sigma = trace.effective_threshold
-    vertices(FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants)),
+    polytopes.vertices(FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants)),
              allow_lower_dim=True)
     lo = steps[-2].lam if len(steps) > 1 else F(0)
     if lo < steps[-1].lam:
         mid, rays = (lo + steps[-1].lam) / 2, steps[-1].fan_before.rays
-        vertices(FacetPresentation(P.dim, rays, tuple(
+        polytopes.vertices(FacetPresentation(P.dim, rays, tuple(
             a - mid for v, a in zip(P.normals, P.constants) if v in rays)))
     if not trace.core_projection.kernel_basis:
-        vertices(trace.core_projection.Q)
+        polytopes.vertices(trace.core_projection.Q)
 
 
 def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
-    """Every system the kernel receives in the forced seed-1 sweep of the 67
-    explicit 4-fold rows (with the cores, tails and point cores' Q that the
-    runs read off their certificates), in the adjoint-family pool's items
-    and in the face fans of the table rows."""
-    kernel = linalg._vertex_solutions
-    inputs = {}  # system -> the consumer that enumerated it first
+    """Every presentation asked of ``vertices`` and every point set asked of
+    ``hull_facets`` in the forced seed-1 sweep of the 67 explicit 4-fold
+    rows and in the 40 adjoint-family items, with the cores, tails and
+    point cores' Q that the runs read off their certificates, and the face
+    fans of the 67 rows, each against the walk oracle."""
+    asked, hulls = {}, {}
+    enumerate_, hull = polytopes.vertices, polytopes.hull_facets
 
-    def recorder(consumer):
-        def recorded(rows, rhs, bases):
-            inputs.setdefault((tuple(map(tuple, rows)), tuple(rhs)), consumer)
-            return kernel(rows, rhs, bases)
-        return recorded
+    def asking(P, allow_lower_dim=False):
+        asked[P, allow_lower_dim] = None
+        return enumerate_(P, allow_lower_dim)
 
-    for module in (linalg, polytopes, fans):
-        monkeypatch.setattr(module, "_vertex_solutions", recorder(module.__name__))
+    def hulling(points):
+        hulls[tuple(map(tuple, points))] = None
+        return hull(points)
+
+    monkeypatch.setattr(polytopes, "vertices", asking)
+    monkeypatch.setattr(polytopes, "hull_facets", hulling)
     traces = []
     validate = mmp._adjoint_cross_validation
 
@@ -386,21 +464,14 @@ def test_enumerations_of_the_benchmark_inputs_match_oracle(monkeypatch):
             failed.append(name)
     for trace in traces:
         enumerate_certified(trace)
-    rows = [row for row in load_builtin_table() if row.explicit]
-    for row in rows:
-        face_fan(list(row.rays))
-    assert failed == ["G_1", "G_4", "J_1", "Z_1", "d3-76"]
-    # 621 vertex sets, 87 hulls and the 67 face fans
-    assert Counter(inputs.values()) == {"toriq.polytopes": 621, "toriq.linalg": 87,
-                                        "toriq.fans": len(rows)}
     monkeypatch.undo()
-    shared = {}  # rows -> one list of their bases, for every system over them
-    for rows, rhs in inputs:
-        # the same sequence as the walk over [rows | rhs]
-        if rows not in shared:
-            shared[rows] = list(linalg._bases(rows))
-        assert list(kernel(rows, rhs, shared[rows])) == list(
-            oracle.tree_vertex_solutions(rows, rhs))
-        assert solutions(vertex_solutions, rows, rhs) == solutions(
-            oracle._vertex_solutions, rows, rhs)
-    assert len(shared) < len(inputs)
+    assert failed == ["G_1", "G_4", "J_1", "Z_1", "d3-76"]
+    rows = [row for row in load_builtin_table() if row.explicit]
+    assert (len(asked), len(hulls), len(rows)) == (621, 89, 67)
+    for P, lower in asked:
+        assert vertex_outcome(vertices, P, lower) == vertex_outcome(
+            polytope_oracle.walk_vertices, P, lower)
+    for points in hulls:
+        assert hull_facets(points) == oracle.walk_hull_facets(points)
+    for row in rows:
+        assert face_fan(list(row.rays)) == oracle.walk_face_fan(list(row.rays))

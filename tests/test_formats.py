@@ -204,12 +204,11 @@ def test_empty_flagged_polytope_rejected():
 
 
 def test_hexagon_drawing_lp_count(monkeypatch):
-    # one boundedness LP for the hexagon's normals and one effective
-    # threshold; emptiness is read off the vertex enumeration
+    # one effective threshold; boundedness and emptiness are read off the
+    # vertex enumeration (a boundedness LP for the normals was the second)
     from toriq import linalg, polytopes
 
-    for cached in (polytopes.vertices, polytopes._positively_spanning,
-                   polytopes.effective_threshold):
+    for cached in (polytopes.vertices, polytopes.effective_threshold):
         cached.cache_clear()
     calls = []
     lp_standard = linalg.lp_standard
@@ -220,4 +219,4 @@ def test_hexagon_drawing_lp_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "lp_standard", counted)
     emit_svg(hexagon())
-    assert len(calls) == 2
+    assert len(calls) == 1

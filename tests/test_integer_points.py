@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 import polytope_oracle as oracle
-from helpers import cold_caches, count_calls, count_fractions
+from helpers import cold_caches, count_calls, count_fractions, decomposition
 from test_adjoint_certificate import pool_polytope
 from test_certified_run import POOL_KEYS, runs  # noqa: F401 (the fixture)
 from test_circuit_replacement import _workloads
@@ -60,7 +60,7 @@ def test_decompositions_equal_the_fraction_oracle(runs, monkeypatch):
     tails = [(P, pvs, data) for (P, pvs), data in zip(runs["tails"], runs["fibers"])]
     found = 0
     for P, pvs, data in tails + asked:
-        got = polytopes._decompose_along_fiber(P, pvs, data)
+        got = decomposition(P, pvs, data)
         assert got == oracle.decompose_over_fractions(P, pvs, data)
         found += got is not None
     assert (len(tails), len(asked), found) == (305, 289, 391)
@@ -115,9 +115,11 @@ def test_vertex_sets_sort_and_compare_by_value():
 
 def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # from cold caches, a seed-1 pass of mmp-4fold and one of adjoint-family;
-    # with a Fraction per vertex coordinate they built 10613 and 26445, and
-    # with a Fraction per LP tableau entry 2215 and 13239 (linalg 1214 and
-    # 9709)
+    # with a Fraction per vertex coordinate they built 10613 and 26445, with
+    # a Fraction per LP tableau entry 2215 and 13239 (linalg 1214 and 9709),
+    # and with a boundedness LP per normal list and Fraction points in the
+    # tail's decomposition 1239 and 4869 (linalg 238 and 1339, polytopes 877
+    # and 2924)
     workloads = _workloads()
     counts = count_fractions(monkeypatch)
     passes = []
@@ -133,8 +135,8 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
                 pass
         passes.append(dict(counts))
     assert passes == [
-        {"toriq.linalg": 238, "toriq.intersection": 38, "toriq.polytopes": 877,
+        {"toriq.linalg": 110, "toriq.intersection": 38, "toriq.polytopes": 365,
          "toriq.mmp": 86},
-        {"toriq.linalg": 1339, "toriq.fans": 212, "toriq.intersection": 125,
-         "toriq.polytopes": 2924, "toriq.mmp": 269},
+        {"toriq.linalg": 1095, "toriq.fans": 212, "toriq.intersection": 125,
+         "toriq.polytopes": 2176, "toriq.mmp": 269},
     ]

@@ -82,10 +82,11 @@ def test_mori_fiber_data_matches_oracle(mmp_fans):
 
 def test_one_image_fan_per_fiber_data(mmp_fans, monkeypatch):
     # the base fan serves both the fibration test and weak splitting
-    from toriq import mmp
+    from toriq import fans, mmp
 
     calls = []
-    monkeypatch.setattr(mmp, "image_fan", lambda *args: calls.append(args) or image_fan(*args))
+    monkeypatch.setattr(mmp, "_image_fan",
+                        lambda *args: calls.append(args) or fans._image_fan(*args))
     built = 0
     for fan in mmp_fans:
         for wall in fibering_walls(fan):

@@ -1,18 +1,21 @@
 """The simplex behind ``toriq.linalg`` pivots one integer tableau with the
 elimination step ``_pivot`` and agrees exactly with the ``Fraction`` simplex
-in ``linalg_oracle``; boundedness takes one rank and one LP and agrees with
-the 2n-LP test in ``polytope_oracle``."""
+in ``linalg_oracle``; boundedness, read off the extreme rays of the
+homogenized cone without an LP, agrees with the 2n-LP test in
+``polytope_oracle``."""
 
 from fractions import Fraction
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
 import polytope_oracle
 from toriq import linalg, polytopes
-from toriq.linalg import lp_min, lp_standard, matrix_rank, nonneg_solve
+from toriq.linalg import lp_min, lp_standard, matrix_rank, nonneg_solve, primitive_part
+from toriq.polytopes import FacetPresentation, UnboundedError
 from conftest import hexagon
 
 entries = st.one_of(st.integers(-4, 4),
@@ -98,9 +101,16 @@ def normal_lists(draw):
 @given(normal_lists())
 @settings(max_examples=300, deadline=None)
 def test_positively_spanning_matches_per_direction_oracle(case):
+    # with every constant 1 the origin is interior, so P is bounded exactly
+    # when its normals positively span
     dim, normals = case
-    assert (polytopes._positively_spanning.__wrapped__(dim, normals)
-            is polytope_oracle._positively_spanning(dim, normals))
+    normals = tuple(dict.fromkeys(map(primitive_part, normals)))
+    try:
+        bounded = bool(polytopes.vertices.__wrapped__(
+            FacetPresentation(dim, normals, (1,) * len(normals))))
+    except UnboundedError:
+        bounded = False
+    assert bounded is polytope_oracle._positively_spanning(dim, normals)
 
 
 def count_lps(monkeypatch) -> list:
@@ -115,12 +125,16 @@ def count_lps(monkeypatch) -> list:
     return calls
 
 
-def test_cold_boundedness_check_is_one_lp(monkeypatch):
+def test_cold_boundedness_check_solves_no_lp(monkeypatch):
+    # bounded or not, normals that span decide it from the extreme rays
+    # (one rank and one LP per normal list before)
     P = hexagon()
     calls = count_lps(monkeypatch)
-    polytopes._positively_spanning.cache_clear()
-    assert polytopes._positively_spanning(P.dim, P.normals)
-    assert len(calls) == 1
+    polytopes.vertices.cache_clear()
+    assert len(polytopes.vertices(P).points) == 6
+    with pytest.raises(UnboundedError):
+        polytopes.vertices(FacetPresentation(2, P.normals[:3], P.constants[:3]))
+    assert len(calls) == 0
 
 
 def test_rank_and_simplex_share_the_pivot_step(monkeypatch):
