@@ -164,9 +164,12 @@ def _inverses(fan: Fan) -> dict[tuple[int, ...], tuple[Optional[tuple[Vec, ...]]
     }
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _facets(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """Each (n-1)-face of the maximal cones with n rays, mapped to the
-    (cone index, position of the opposite ray) of every cone holding it."""
+    (cone index, position of the opposite ray) of every cone holding it.
+    Cached like ``_inverses``: ``validate``, ``walls`` and the scaled
+    program's threshold scan share one copy, which none of them changes."""
     out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
         if cone and len(cone) == fan.rank:
@@ -320,45 +323,49 @@ def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def walls(fan: Fan) -> tuple[Wall, ...]:
-    """All walls of a simplicial fan with their exact relations.
+    """All walls of a simplicial fan with their exact relations, in the
+    order of their sorted wall rays (``_wall``)."""
+    rep = validate(fan)
+    if not rep.simplicial:
+        raise UnsupportedFanError("walls are only computed for simplicial fans")
+    inverses = _inverses(fan)
+    return tuple(_wall(fan, inverses, rep.smooth, facet, sides)
+                 for facet, sides in sorted(_facets(fan).items()) if len(sides) == 2)
+
+
+def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
+          sides: list[tuple[int, int]]) -> Wall:
+    """The wall on the facet between its two sides (``_facets``), given the
+    fan's ``_inverses`` and whether it is smooth.
 
     The relation across a wall is -v_hi in the ray basis of the cone holding
     the lower-indexed opposite ray, c / d for c = -adj·v_hi; its self-checks,
     c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers, and the
     stored relation is (c, d) divided by its gcd with the sign of d."""
-    rep = validate(fan)
-    if not rep.simplicial:
-        raise UnsupportedFanError("walls are only computed for simplicial fans")
-    inverses = _inverses(fan)
-    out = []
-    for facet, sides in sorted(_facets(fan).items()):
-        if len(sides) != 2:
-            continue
-        (a, ja), (b, jb) = sides
-        op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
-        lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
-        lo_cone = fan.max_cones[lo_side]
-        adj, d = inverses[lo_cone]
-        support = lo_cone + (hi,)
-        cs = [-dot(row, fan.rays[hi]) for row in adj] + [d]
-        if cs[lo_pos] * d <= 0:
-            raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-        if any(sum(c * fan.rays[i][k] for i, c in zip(support, cs)) for k in range(fan.rank)):
-            raise MalformedFanError(f"relation across wall {facet} does not vanish")
-        g = gcd(*cs) if d > 0 else -gcd(*cs)
-        rel = [0] * len(fan.rays)
-        for i, c in zip(support, cs):
-            rel[i] = c // g
-        if rep.smooth:
-            mult, scale = 1, ONE
-        else:
-            # mult(wall) is the gcd of the wall's maximal minors, which make
-            # up the adjugate row of the ray it omits; r_hi = d / g, so
-            # s = mult(wall) * g / (d * mult(cone holding the ray hi))
-            mult = gcd(*adj[lo_pos])
-            scale = Fraction(mult * g, d * abs(inverses[fan.max_cones[hi_side]][1]))
-        out.append(Wall(facet, a, b, tuple(rel), mult, scale))
-    return tuple(out)
+    (a, ja), (b, jb) = sides
+    op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
+    lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
+    lo_cone = fan.max_cones[lo_side]
+    adj, d = inverses[lo_cone]
+    support = lo_cone + (hi,)
+    cs = [-dot(row, fan.rays[hi]) for row in adj] + [d]
+    if cs[lo_pos] * d <= 0:
+        raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
+    if any(sum(c * fan.rays[i][k] for i, c in zip(support, cs)) for k in range(fan.rank)):
+        raise MalformedFanError(f"relation across wall {facet} does not vanish")
+    g = gcd(*cs) if d > 0 else -gcd(*cs)
+    rel = [0] * len(fan.rays)
+    for i, c in zip(support, cs):
+        rel[i] = c // g
+    if smooth:
+        mult, scale = 1, ONE
+    else:
+        # mult(wall) is the gcd of the wall's maximal minors, which make
+        # up the adjugate row of the ray it omits; r_hi = d / g, so
+        # s = mult(wall) * g / (d * mult(cone holding the ray hi))
+        mult = gcd(*adj[lo_pos])
+        scale = Fraction(mult * g, d * abs(inverses[fan.max_cones[hi_side]][1]))
+    return Wall(facet, a, b, tuple(rel), mult, scale)
 
 
 def wall_classification(fan: Fan, wall: Wall) -> tuple[int, int]:

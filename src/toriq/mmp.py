@@ -1,11 +1,16 @@
 """The minimal model program with scaling, as exact fan and polytope surgery.
 
 Extremal walls are selected by the vanishing of (L + lambda*K) on wall
-curves; contractions are classified by the sign pattern of the wall
-relation (fibering / divisorial / flipping).  Every birational step is one
-circuit replacement over the walls of the class: a flip is exactly that,
-and a divisorial contraction also drops its one negative ray.  The run is
-cross-validated against the adjoint polytope family P^(s).
+curves, read off the run's integer slack rows of P (``_SlackRows``): each
+wall curve number is a positive multiple of the slack of the wall's far
+ray at the near cone's point of P^(s), an affine function of s, so each
+critical value is the least root of a decreasing slack and only the walls
+that vanish there are built (``_critical_value``).  Contractions are
+classified by the sign pattern of the wall relation (fibering / divisorial
+/ flipping).  Every birational step is one circuit replacement over the
+walls of the class: a flip is exactly that, and a divisorial contraction
+also drops its one negative ray.  The run is cross-validated against the
+adjoint polytope family P^(s), from the same slack rows.
 """
 
 from __future__ import annotations
@@ -19,17 +24,19 @@ from . import polytopes
 from .fans import (
     Fan,
     MalformedFanError,
+    UnsupportedFanError,
     Wall,
     _cone_inverse,
+    _facets,
     _image_fan,
     _inverses,
     _ray_images,
+    _wall,
     restricted_cones,
     validate,
     wall_classification,
     walls,
 )
-from .intersection import TorusDivisor, _nef_threshold_from
 from .linalg import (
     Vec,
     _lowest_terms,
@@ -129,15 +136,16 @@ def class_walls(fan: Fan, wall: Wall) -> list[Wall]:
     return [w for w in walls(fan) if w.relation == wall.relation]
 
 
-def _replace_circuits(fan: Fan, wall: Wall) -> set[tuple[int, ...]]:
-    """The maximal cones after crossing every wall of the wall's class.
+def _replace_circuits(fan: Fan, cls: list[Wall]) -> set[tuple[int, ...]]:
+    """The maximal cones after crossing every wall of one class, given as
+    ``class_walls`` gives it.
 
     Over each circuit (wall rays and both opposite rays) the cones that omit
     a ray with positive relation coefficient give way to the cones that omit
     one with negative coefficient (Reid 1983; Cox-Little-Schenck 15.3)."""
     # walls over one circuit have proportional relations, so any one serves
     circuits = {frozenset(w.wall_rays) | frozenset(w.opposite_rays(fan)): w.relation
-                for w in class_walls(fan, wall)}
+                for w in cls}
     cones = set(fan.max_cones)
     for circ, relation in circuits.items():
         for j in sorted(circ):
@@ -160,13 +168,18 @@ def contract(fan: Fan, wall: Wall) -> ContractionResult:
     drops that ray; alpha >= 2 is a flip signal (the image fan is not
     simplicial), use flip() for the birational modification instead.
     """
+    return _contract(fan, wall, class_walls(fan, wall))
+
+
+def _contract(fan: Fan, wall: Wall, cls: list[Wall]) -> ContractionResult:
+    """``contract`` given the wall's class (``class_walls``)."""
     alpha, _ = wall_classification(fan, wall)
     if alpha == 0:
         return ContractionResult(MORI_FIBER, fiber_data=mori_fiber_data(fan, wall))
     if alpha >= 2:
         return ContractionResult(FLIP)
     exc = next(i for i in wall.wall_rays if wall.relation[i] < 0)
-    cones = _replace_circuits(fan, wall)
+    cones = _replace_circuits(fan, cls)
     left = sorted(c for c in cones if exc in c)
     if left:
         raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
@@ -181,10 +194,15 @@ def flip(fan: Fan, wall: Wall) -> Fan:
     """Cross the class's circuits of a flipping wall: over each circuit the
     triangulation is replaced by the opposite one, and the ray set is
     unchanged (isomorphism in codimension 1)."""
+    return _flip(fan, wall, class_walls(fan, wall))
+
+
+def _flip(fan: Fan, wall: Wall, cls: list[Wall]) -> Fan:
+    """``flip`` given the wall's class (``class_walls``)."""
     alpha, _ = wall_classification(fan, wall)
     if alpha < 2:
         raise ValueError("flips need a wall of flipping type (alpha >= 2)")
-    cones = _replace_circuits(fan, wall)
+    cones = _replace_circuits(fan, cls)
     was_complete = validate(fan).complete
     result = Fan(fan.rank, fan.rays, tuple(cones))
     rep = validate(result)
@@ -271,8 +289,15 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     equality is checked.  Non-general inputs (several classes vanishing at
     once) are rejected unless force=True, which tie-breaks by the
     lexicographically smallest wall and flags the trace.
+
+    The rays of every fan of the run are normals of P, and the pushed-forward
+    polarization gives each its constant in P, so each critical value is
+    read off P's slack rows (``_critical_value``), built once per run and
+    shared with the interval certificates; it is the wall ratio of
+    ``intersection.nef_threshold``, with no wall list built.
     """
-    fan, L = polytopes.polarization(P)
+    fan = polytopes.polarization(P)[0]
+    slacks = _SlackRows(P)
     steps: list[MMPStep] = []
     flagged = False
     lam_prev = ZERO
@@ -280,7 +305,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     while True:
         if len(steps) >= budget:
             raise StepBudgetError("step budget exhausted; runaway program")
-        lam, vanishing = _nef_threshold_from(fan, L, lam_prev)
+        lam, vanishing = _critical_value(slacks, fan, lam_prev)
         classes: dict[Vec, list[Wall]] = {}
         for w in vanishing:
             classes.setdefault(w.relation, []).append(w)
@@ -297,12 +322,10 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
             data = mori_fiber_data(fan, wall)
             new_fan = data.base_fan
         elif alpha == 1:
-            res = contract(fan, wall)
-            new_fan, d = res.fan, res.dropped_ray
-            new_L = TorusDivisor(new_fan, L.coeffs[:d] + L.coeffs[d + 1:])
+            # walls of one class share their slack, so the chosen ones are the class
+            new_fan = _contract(fan, wall, chosen).fan
         else:
-            new_fan = flip(fan, wall)
-            new_L = TorusDivisor(new_fan, L.coeffs)
+            new_fan = _flip(fan, wall, chosen)
         steps.append(MMPStep(
             lam=lam, kind=(MORI_FIBER, DIVISORIAL, FLIP)[min(alpha, 2)],
             wall_rays=wall.wall_rays, relation=wall.relation, alpha=alpha, beta=beta,
@@ -311,9 +334,8 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         ))
         if data is not None:
             break
-        fan, L = new_fan, new_L
+        fan = new_fan
         lam_prev = lam
-    slacks = _SlackRows(P)
     sigma_P = _certified_threshold(slacks, steps)
     if sigma_P is None:
         sigma_P = polytopes.effective_threshold(P)
@@ -505,17 +527,20 @@ class _Certificate:
 
 
 class _SlackRows(dict):
-    """P's scaled slack rows per maximal cone, shared by every interval
-    certificate of one run.
+    """P's scaled slack rows per maximal cone, shared by every critical
+    value search and every interval certificate of one run.
 
     With the constants a_j = A_j / L, a cone sigma of P's normals with
     adjugate adj and determinant d > 0 (signs flipped together), and an end
     s = p / q, q*d*L*x_sigma(s) = p*L*t - q*w for t = adj^T 1 and
     w = adj^T A_sigma; q*d*L times the slack <v_j, x_sigma(s)> - s + a_j of
     inequality j is then p*L*alpha_j - q*beta_j, with alpha_j = <v_j, t> - d
-    and beta_j = <v_j, w> - d*A_j.  None of these depends on the interval,
-    so each cone's row (t, w, d, alpha, beta) is built once, on first use,
-    keyed by the cone's indices into P, from the cone's cached adjugate.
+    and beta_j = <v_j, w> - d*A_j.  None of these depends on s, so each
+    cone's row (t, w, d, alpha, beta) is built once, on first use, keyed by
+    the cone's indices into P, from the cone's cached adjugate.  The row is
+    checked on its own cone: x_sigma(s) is tight on sigma's inequalities,
+    alpha_i = beta_i = 0 for i in sigma, which fixes t and w since sigma's
+    normals are independent, or ``MalformedFanError`` names the cone.
     ``certificates`` holds each interval's certificate, so the one that
     gives sigma_P is the cross-validation's own."""
 
@@ -534,8 +559,60 @@ class _SlackRows(dict):
         d *= sign
         alpha = [dot(v, t) - d for v in self.P.normals]
         beta = [dot(v, w) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
+        if any(alpha[i] or beta[i] for i in key):
+            raise MalformedFanError(f"cone {key} of P's normals is not tight at its own point")
         self[key] = row = t, w, d, alpha, beta
         return row
+
+
+def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[Fraction, list[Wall]]:
+    """The nef threshold lambda of the run's polarization L + s*K on the
+    fan, from s0 on, and the walls where L + lambda*K vanishes with
+    -K.C > 0, in ``walls`` order: ``intersection._nef_threshold_from``
+    evaluated through the slack rows of P (``slacks``), whose normals hold
+    the fan's rays and whose constants are L's.
+
+    Across the wall between sigma_a and sigma_b, the slack at x_a(s) of the
+    ray j of sigma_b outside the wall is (L + s*K).C over a positive number
+    (Cox-Little-Schenck 6.1, 6.4): with the relation sum_k r_k v_k = 0,
+    r_j > 0, it is sum_k r_k (a_k - s) / r_j.  So, scaled, it is
+    p*L*alpha_j - q*beta_j at s = p / q, read from sigma_a's row.  The same
+    pass checks the start wall by wall, as the walls' curve numbers do: the
+    slack at s0 must be >= 0, and > 0 when s0 = 0 (ampleness), or
+    ``ValueError`` names the first failing wall.  A slack that decreases,
+    alpha_j < 0, vanishes at beta_j / (L*alpha_j); lambda is the least such
+    root, compared cross-multiplied, and only the walls attaining it are
+    built (``fans._wall``)."""
+    rep = validate(fan)
+    if not rep.simplicial:
+        raise UnsupportedFanError("walls are only computed for simplicial fans")
+    index = [slacks.index[v] for v in fan.rays]
+    keys = [tuple(index[i] for i in cone) for cone in fan.max_cones]
+    pL, q = s0.numerator * slacks.L, s0.denominator
+    best: Optional[tuple[int, int]] = None  # (alpha_j, beta_j) of the least root so far
+    attained = []
+    for facet, sides in sorted(_facets(fan).items()):
+        if len(sides) != 2:
+            continue
+        (a, _), (b, jb) = sides
+        j = index[fan.max_cones[b][jb]]
+        alpha, beta = slacks[keys[a]][3:]
+        at_s0 = pL * alpha[j] - q * beta[j]
+        if at_s0 < 0 or (at_s0 == 0 and not pL):
+            kind = "nef" if s0 else "ample"
+            raise ValueError(f"divisor is not {kind} at s={s0} (wall {facet})")
+        if alpha[j] < 0:
+            # both alphas < 0: beta / alpha < beta' / alpha' iff beta * alpha' < beta' * alpha
+            order = -1 if best is None else beta[j] * best[0] - best[1] * alpha[j]
+            if order < 0:
+                best, attained = (alpha[j], beta[j]), [(facet, sides)]
+            elif order == 0:
+                attained.append((facet, sides))
+    if best is None:
+        raise ValueError("no wall meets the canonical divisor negatively")
+    inverses = _inverses(fan)
+    return Fraction(best[1], slacks.L * best[0]), [
+        _wall(fan, inverses, rep.smooth, facet, sides) for facet, sides in attained]
 
 
 def _certified_limits(slacks: _SlackRows, fan: Fan, lo: Fraction,

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from toriq import polytopes
+from toriq import mmp, polytopes
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
 from toriq.linalg import dot
@@ -115,3 +115,16 @@ def decomposition(P, pvs, data):
 
 def prime_divisor(fan: Fan, i: int) -> TorusDivisor:
     return TorusDivisor(fan, tuple(Fraction(1 if j == i else 0) for j in range(len(fan.rays))))
+
+
+def run_divisor(slacks, fan: Fan) -> TorusDivisor:
+    """The polarization a scaled run holds on one of its fans: the
+    constants of P, whose slack rows are ``slacks``, on the fan's rays."""
+    return TorusDivisor(fan, tuple(slacks.P.constants[slacks.index[v]] for v in fan.rays))
+
+
+def divisor_slacks(fan: Fan, L: TorusDivisor):
+    """The slack rows (``mmp._SlackRows``) of the polytope that L gives on
+    the fan's rays, {x : <v_k, x> + L_k >= 0}, whose polarization on the
+    fan is L."""
+    return mmp._SlackRows(polytopes.FacetPresentation(fan.rank, fan.rays, L.coeffs))

@@ -1,8 +1,9 @@
 """The scaled program reads the core's and the last interval's vertices off
 its interval certificates and finds each critical value in integers.  On
 the forced seed-1 sweep of the 67 rows and on all 240 pool entries the
-certified vertex sets equal the enumerated ones, every threshold search
-equals the curve-number oracle, and the equalities, facets and dimensions
+certified vertex sets equal the enumerated ones, every critical value
+that the runs read off their slack rows equals the wall ratio and the
+curve-number oracle, and the equalities, facets and dimensions
 read off the tight sets of every vertex set and section face agree with
 the affine ranks of their coordinates; with no certificate the run
 enumerates and records what it did before; a certified point moved by one
@@ -16,10 +17,11 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 import polytope_oracle
-from helpers import prime_divisor
+from helpers import divisor_slacks, prime_divisor, run_divisor
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
-from toriq import mmp, polytopes
-from toriq.fans import MalformedFanError
+from toriq import intersection, mmp, polytopes
+from toriq.fans import Fan, MalformedFanError, walls
+from toriq.intersection import TorusDivisor
 from toriq.linalg import _lowest_terms, matrix_rank
 from toriq.polytopes import (
     DegenerateError,
@@ -41,11 +43,12 @@ def core_presentation(trace) -> FacetPresentation:
 
 def record(monkeypatch) -> dict:
     """Record, from here on, each trace the cross-validation receives, each
-    threshold search's (fan, L, s0), each tail's (P^(mid), vertex set) that
-    the Cayley check reads and its fiber data, each presentation asked of
-    ``vertices`` and each point set asked of ``hull_facets``."""
+    critical value search's (slack rows, fan, s0), each tail's (P^(mid),
+    vertex set) that the Cayley check reads and its fiber data, each
+    presentation asked of ``vertices`` and each point set asked of
+    ``hull_facets``."""
     seen = dict(traces=[], searches=[], tails=[], fibers=[], asked=[], hulls=[])
-    validate, search = mmp._adjoint_cross_validation, mmp._nef_threshold_from
+    validate, search = mmp._adjoint_cross_validation, mmp._critical_value
     decompose, enumerate_ = polytopes._decompose_along_fiber, polytopes.vertices
     hull = polytopes.hull_facets
 
@@ -53,9 +56,9 @@ def record(monkeypatch) -> dict:
         seen["traces"].append(trace)
         validate(trace, slacks)
 
-    def searching(fan, L, s0):
-        seen["searches"].append((fan, L, s0))
-        return search(fan, L, s0)
+    def searching(slacks, fan, s0):
+        seen["searches"].append((slacks, fan, s0))
+        return search(slacks, fan, s0)
 
     def decomposing(P, pvs, data):
         seen["tails"].append((P, pvs))
@@ -71,7 +74,7 @@ def record(monkeypatch) -> dict:
         return hull(points)
 
     monkeypatch.setattr(mmp, "_adjoint_cross_validation", validating)
-    monkeypatch.setattr(mmp, "_nef_threshold_from", searching)
+    monkeypatch.setattr(mmp, "_critical_value", searching)
     monkeypatch.setattr(polytopes, "_decompose_along_fiber", decomposing)
     monkeypatch.setattr(polytopes, "vertices", asking)
     monkeypatch.setattr(polytopes, "hull_facets", hulling)
@@ -160,25 +163,35 @@ def test_faces_and_dimensions_agree_with_oracle_rank(runs):
         511, 307, 1891, 1075, 244)
 
 
-def outcome(search, fan, L, s0):
+def outcome(search, *args):
     """lambda and the attained walls, or the error's type and message."""
     try:
-        lam, attained = search(fan, L, s0)
+        return search(*args)
     except ValueError as err:
         return type(err), str(err)
-    return lam, [w.wall_rays for w in attained]
+
+
+def scan(fan, L, s0):
+    """``mmp._critical_value`` for any divisor L on the fan, through the
+    slack rows of the polytope that L gives on the fan's rays."""
+    return mmp._critical_value(divisor_slacks(fan, L), fan, s0)
 
 
 def test_integer_threshold_equals_oracle_on_every_visited_search(runs):
-    # each search the runs make, the same L past its threshold (not nef)
-    # and a prime divisor at 0 (not ample on most fans)
+    # each search the forced runs make (an unforced run makes the same ones
+    # up to its first tie), then the same L past its threshold (not nef)
+    # and a prime divisor at 0 (not ample on most fans); the scan of the
+    # slack rows, the wall ratio and the curve numbers give equal walls
     searches = []
-    for fan, L, s0 in runs["searches"]:
-        lam, _ = mmp._nef_threshold_from(fan, L, s0)
+    for slacks, fan, s0 in runs["searches"]:
+        L = run_divisor(slacks, fan)
+        lam, attained = mmp._critical_value(slacks, fan, s0)
+        assert (lam, attained) == intersection._nef_threshold_from(fan, L, s0)
         searches += [(fan, L, s0), (fan, L, lam + F(1, 7)), (fan, prime_divisor(fan, 0), F(0))]
     kinds = {"tie": 0, "past_zero": 0, "not nef": 0, "not ample": 0}
     for fan, L, s0 in searches:
-        got = outcome(mmp._nef_threshold_from, fan, L, s0)
+        got = outcome(scan, fan, L, s0)
+        assert got == outcome(intersection._nef_threshold_from, fan, L, s0)
         assert got == outcome(oracle.nef_threshold_from, fan, L, s0)
         if got[0] is ValueError:
             kinds["not nef" if "not nef" in got[1] else "not ample"] += 1
@@ -186,6 +199,30 @@ def test_integer_threshold_equals_oracle_on_every_visited_search(runs):
             kinds["tie"] += len(got[1]) > 1
             kinds["past_zero"] += s0 > 0
     assert kinds == {"tie": 662, "past_zero": 412, "not nef": 719, "not ample": 657}
+
+
+# two cones meeting in one wall, whose curve has -K.C = 2 - a (2 - a - b
+# in rank 3): the scan does not rely on completeness, and where no wall
+# meets K negatively it says so rather than take a root of a slack that
+# does not decrease
+CHARTS = [Fan(2, ((1, 0), (0, 1), (-1, a)), ((0, 1), (1, 2))) for a in range(4)] + [
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (a, b, -1)), ((0, 1, 2), (0, 1, 3)))
+    for a, b in ((-1, -1), (0, 0), (1, 0), (1, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("fan", CHARTS, ids=lambda fan: str(fan.rays[-1]))
+def test_scan_equals_the_wall_ratio_on_incomplete_fans(fan):
+    n = len(fan.rays)
+    outcomes = []
+    for coeffs in ((1,) * n, (1,) + (0,) * (n - 2) + (1,), (0,) * (n - 1) + (2,)):
+        L = TorusDivisor(fan, coeffs)
+        for s0 in (F(0), F(1, 3)):
+            got = outcome(scan, fan, L, s0)
+            assert got == outcome(intersection._nef_threshold_from, fan, L, s0)
+            assert got == outcome(oracle.nef_threshold_from, fan, L, s0)
+            outcomes.append(got[1] if got[0] is ValueError else "lambda")
+    kc = sum(walls(fan)[0].relation)
+    assert ("no wall meets the canonical divisor negatively" in outcomes) is (kc <= 0)
 
 
 def validated(trace, monkeypatch, **patches):

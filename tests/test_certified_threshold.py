@@ -1,13 +1,15 @@
 """The scaled program takes the effective threshold sigma_P from its own
 duality certificate, not from an LP, and builds each cone's slack rows once
-per run.  On the forced seed-1 sweep of the 67 rows and on all 240 pool
-entries the certified sigma_P equals the LP's and the runs solve no LP;
-every interval certificate equals the one of ``mmp_oracle``, which
-recomputes each cone's slacks per interval; a doctored relation, constant
-or certificate falls back to the LP; and bad inputs raise what they did
+per run, each checked on its own cone.  On the forced seed-1 sweep of the
+67 rows and on all 240 pool entries the certified sigma_P equals the LP's
+and the runs solve no LP; every interval certificate equals the one of
+``mmp_oracle``, which recomputes each cone's slacks per interval; a
+doctored relation, constant or certificate falls back to the LP; a
+corrupted adjugate fails its slack row; and bad inputs raise what they did
 when the LP came first."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ import mmp_oracle as oracle
 from helpers import cold_caches, count_calls
 from test_adjoint_certificate import FIRST, pool_polytope, sweep_polytopes, unvalidated
 from test_certified_run import POOL_KEYS
-from toriq import linalg, mmp, polytopes
+from toriq import fans, linalg, mmp, polytopes
 from toriq.fans import MalformedFanError
 from toriq.linalg import dot
 from toriq.polytopes import (
@@ -117,12 +119,19 @@ def test_one_slack_row_per_distinct_cone(runs):
         where = {v: j for j, v in enumerate(P.normals)}
         met = {tuple(where[fan.rays[i]] for i in cone)
                for fan, _, _ in certified for cone in fan.max_cones}
-        assert sorted(builds) == sorted(met)
+        # each step's critical value search reads, across every wall, the
+        # row of the wall's first cone: new rows only on the fans of
+        # zero-length steps, which no interval certifies
+        searched = {tuple(where[fan.rays[i]] for i in fan.max_cones[sides[0][0]])
+                    for fan in (step.fan_before for step in trace.steps)
+                    for sides in fans._facets(fan).values() if len(sides) == 2}
+        assert sorted(builds) == sorted(met | searched)
         pairs[name] = sum(len(fan.max_cones) for fan, _, _ in certified)
         rows[name] = len(builds)
     sweep = sweep_polytopes()
     assert (sum(pairs[name] for name in sweep), sum(rows[name] for name in sweep),
-            sum(pairs.values()), sum(rows.values())) == (3078, 1583, 6374, 3651)
+            sum(pairs.values()), sum(rows.values())) == (3078, 1583, 6374, 3655)
+    # 3651 rows when only the certificates built them
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +227,13 @@ def test_doctored_certificate_falls_back_to_the_lp(mutation, monkeypatch):
 def test_doctored_final_value_still_raises(monkeypatch):
     # the Mori step's value moved from sigma_P = 1 to 4/3: the relation's
     # bound is 1, so the LP decides, and the general run raises as before
-    search = mmp._nef_threshold_from
+    search = mmp._critical_value
 
-    def shifted(fan, L, s0):
-        lam, attained = search(fan, L, s0)
+    def shifted(slacks, fan, s0):
+        lam, attained = search(slacks, fan, s0)
         return (lam + F(1, 3) if lam == 1 else lam), attained
 
-    monkeypatch.setattr(mmp, "_nef_threshold_from", shifted)
+    monkeypatch.setattr(mmp, "_critical_value", shifted)
     with pytest.raises(MalformedFanError) as err:
         mmp.run_mmp_scaling(FIRST)
     assert str(err.value) == "final critical value 4/3 differs from effective threshold 1"
@@ -257,3 +266,37 @@ def test_bad_inputs_raise_as_before(name, force):
     with pytest.raises(error) as err:
         mmp.run_mmp_scaling(P, force=force)
     assert type(err.value) is error and str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# a corrupted adjugate fails its own slack row
+# ---------------------------------------------------------------------------
+
+def corrupted_cone_inverse(rays, mode):
+    """``fans._cone_inverse`` with one row of the given cone's adjugate
+    changed: negated ("negated") or shifted by one in its first entry
+    ("shifted")."""
+    intact = fans._cone_inverse
+    adj, d = intact(rays)
+    rows = [list(row) for row in adj]
+    if mode == "negated":
+        rows[0] = [-x for x in rows[0]]
+    else:
+        rows[0][0] += 1
+    broken = tuple(tuple(row) for row in rows), d
+    return lambda key: broken if key == rays else intact(key)
+
+
+@pytest.mark.parametrize("mode", ["negated", "shifted"])
+@pytest.mark.parametrize("name", ["FIRST", "117"])
+def test_corrupted_adjugate_fails_its_slack_row(name, mode, monkeypatch):
+    # only the slack rows read the corrupted adjugate, so ``validate`` and
+    # the walls' own checks pass; the row of the first cone of P's normal
+    # fan, which the first critical value search reads, refuses it
+    P = FIRST if name == "FIRST" else sweep_polytopes()[name]
+    cone = polytopes.normal_fan(P).max_cones[0]
+    rays = tuple(P.normals[j] for j in cone)
+    monkeypatch.setattr(mmp, "_cone_inverse", corrupted_cone_inverse(rays, mode))
+    message = f"cone {cone} of P's normals is not tight at its own point"
+    with pytest.raises(MalformedFanError, match=f"^{re.escape(message)}$"):
+        mmp.run_mmp_scaling(P, force=True)

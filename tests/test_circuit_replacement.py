@@ -1,7 +1,8 @@
 """Birational steps from one circuit replacement: on every divisorial
-contraction and flip of forced runs, ``contract`` and ``flip`` give exactly
-the fans and dropped rays of the two loops in ``mmp_oracle``, and every step
-record follows from alpha."""
+contraction and flip of forced runs, the class of walls the run passes is
+the wall's whole class, ``contract`` and ``flip`` give exactly the fans and
+dropped rays of the two loops in ``mmp_oracle``, and every step record
+follows from alpha."""
 
 import importlib.util
 import re
@@ -45,14 +46,15 @@ def test_steps_match_oracle(corpus_polytopes, monkeypatch):
     crossings = []
 
     def recording(step):
-        def wrapped(fan, wall):
-            out = step(fan, wall)
+        def wrapped(fan, wall, cls):
+            out = step(fan, wall, cls)
             crossings.append((step, fan, wall, out))
+            assert cls == mmp.class_walls(fan, wall)
             return out
         return wrapped
 
-    monkeypatch.setattr(mmp, "contract", recording(mmp.contract))
-    monkeypatch.setattr(mmp, "flip", recording(mmp.flip))
+    monkeypatch.setattr(mmp, "_contract", recording(mmp._contract))
+    monkeypatch.setattr(mmp, "_flip", recording(mmp._flip))
     steps = []
     for P in polys:
         try:
@@ -61,13 +63,13 @@ def test_steps_match_oracle(corpus_polytopes, monkeypatch):
             continue  # the fiber-polytope check fails after the last step (d3-76)
     compared = Counter()
     for step, fan, wall, out in crossings:
-        if step.__name__ == "contract":
+        if step.__name__ == "_contract":
             ref = oracle.contract(fan, wall)
             assert (out.kind, out.fan, out.dropped_ray) == (ref.kind, ref.fan, ref.dropped_ray)
         else:
             assert out == oracle.flip(fan, wall)
         compared[step.__name__] += 1
-    assert compared["contract"] >= 80 and compared["flip"] >= 8, compared
+    assert compared["_contract"] >= 80 and compared["_flip"] >= 8, compared
     for step in steps:
         assert step.kind == {0: MORI_FIBER, 1: DIVISORIAL}.get(step.alpha, FLIP)
         assert step.lost_face_dim == step.fan_before.rank - step.alpha
@@ -99,6 +101,7 @@ def test_leftover_exceptional_cone_rejected(bl_p1p1, monkeypatch):
     """A cone that still holds the exceptional ray after the crossing
     cannot be renumbered; contract names it instead of dropping the ray."""
     replace = mmp._replace_circuits
-    monkeypatch.setattr(mmp, "_replace_circuits", lambda fan, wall: replace(fan, wall) | {(0, 4)})
+    monkeypatch.setattr(mmp, "_replace_circuits",
+                        lambda fan, cls: replace(fan, cls) | {(0, 4)})
     with pytest.raises(MalformedFanError, match=re.escape("[(0, 4)] still hold the exceptional ray 4")):
         mmp.contract(bl_p1p1, wall_of(bl_p1p1, (4,)))

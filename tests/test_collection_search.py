@@ -58,7 +58,7 @@ def test_singular_fans_match_oracle():
 
 
 def test_run_fans_match_oracle(runs):  # noqa: F811
-    found = list(dict.fromkeys(fan for fan, _, _ in runs["searches"]))
+    found = list(dict.fromkeys(fan for _, fan, _ in runs["searches"]))
     assert len(found) == 512
     assert sum(not validate(fan).smooth for fan in found) > 0
     for fan in found:

@@ -6,7 +6,8 @@ the ``Fraction`` bodies they replaced (kept in ``polytope_oracle`` and
 and all 240 pool entries ask, in dimension 0, and on Hypothesis
 presentations that are non-simple (here) or lower-dimensional, empty or
 unbounded (those of ``test_redundancy``), errors included.  The
-``Fraction``s a benchmark pass builds are pinned as work counts."""
+``Fraction``s a benchmark pass builds, and the wall lists it computes, are
+pinned as work counts."""
 
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from test_adjoint_certificate import pool_polytope
 from test_certified_run import POOL_KEYS, runs  # noqa: F401 (the fixture)
 from test_circuit_replacement import _workloads
 from test_redundancy import assert_vertices_match
-from toriq import polytopes
+from toriq import fans, intersection, polytopes
 from toriq.fans import MalformedFanError
 from toriq.linalg import hull_facets, primitive_part
 from toriq.polytopes import FacetPresentation, VertexSet, effective_threshold, vertices
@@ -122,21 +123,30 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # and 2924)
     workloads = _workloads()
     counts = count_fractions(monkeypatch)
-    passes = []
+    searches = count_calls(monkeypatch, "_nef_threshold_from", intersection)
+    passes, work = [], []
     for name in ("mmp-4fold", "adjoint-family"):
         make_items, run_item, _ = workloads.WORKLOADS[name]
         items = make_items(1)
         cold_caches()
         counts.clear()
+        searches.clear()
         for _, item in items:
             try:
                 run_item(item)
             except MalformedFanError:  # the pinned failures
                 pass
         passes.append(dict(counts))
+        work.append((fans.walls.cache_info().misses, len(searches)))
+    # with each critical value from the wall ratio of every wall, not the
+    # slack rows, intersection 38 and mmp 86 on mmp-4fold, and fans 212,
+    # intersection 125 and mmp 269 on adjoint-family (3877 in all)
     assert passes == [
-        {"toriq.linalg": 110, "toriq.intersection": 38, "toriq.polytopes": 365,
-         "toriq.mmp": 86},
-        {"toriq.linalg": 1095, "toriq.fans": 212, "toriq.intersection": 125,
-         "toriq.polytopes": 2176, "toriq.mmp": 269},
+        {"toriq.linalg": 110, "toriq.polytopes": 365, "toriq.mmp": 124},
+        {"toriq.linalg": 1095, "toriq.fans": 168, "toriq.intersection": 40,
+         "toriq.polytopes": 2176, "toriq.mmp": 354},
     ]
+    # walls computed and wall-ratio searches: no run searches the walls,
+    # and adjoint-family's are one ``thresholds`` per polytope (38 and 75
+    # walls computed when each run step searched them)
+    assert work == [(0, 0), (39, 40)]
