@@ -12,8 +12,12 @@ it is kept for tests only.
 read the facets off the vertices of the polar: one kernel per d-subset of
 the points, then a scan of every point against the hyperplane.
 
-``tree_vertex_solutions`` is the vertex enumeration as ``toriq.linalg`` ran
-it before it kept a table of bases per normal list: one elimination of
+``_vertex_solutions`` is the vertex enumeration that ``toriq.linalg`` ran
+before it shared one elimination along the tree of subsets: one adjugate of
+[M | I] per n-subset of the rows, and the solution as adj times rhs.
+
+``tree_vertex_solutions`` is that shared walk as ``toriq.linalg`` ran it
+before it kept a table of bases per normal list: one elimination of
 [rows | rhs] along the tree for every right-hand side, the pivot columns
 carried as d times unit vectors, and every slack taken before the check.
 ``hull_facets_over_fractions`` and ``polytope_oracle`` run on it.
@@ -189,16 +193,30 @@ def primitive_data_cones(rays, collections) -> list[tuple[int, ...]]:
             and adjugate([rays[i] for i in sub])[1]]
 
 
-def tree_vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
+def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
     """Vertices of {y : rows·y >= rhs} for nonempty integer rows of length n:
-    (y, d, slack) for each invertible, feasible n-subset of the rows, with
-    the vertex y / d, d > 0, and slack = rows·y - rhs·d >= 0, in
-    lexicographic order of the subsets, from one fraction-free elimination
-    of [rows | rhs] shared along the tree of subsets: a child reduces its
-    new row against its prefix's rows, d * r minus r[c] times the row of
-    each pivot column c, and takes one ``linalg._pivot`` step; a dependent
-    prefix prunes its subtree, and a leaf reads [d I | y] up to the order of
-    the pivot columns."""
+    one integer adjugate per n-subset of the rows, yielding (y, d, slack) for
+    each invertible, feasible one, with the vertex y / d, d > 0, and
+    slack = rows·y - rhs·d >= 0; once per such subset, so possibly repeated."""
+    for subset in combinations(range(len(rows)), len(rows[0])):
+        adj, d = adjugate([rows[i] for i in subset])
+        if not d:
+            continue
+        y = [sum(a * rhs[i] for a, i in zip(row, subset)) for row in adj]
+        if d < 0:
+            y, d = [-t for t in y], -d
+        slack = [sum(map(mul, v, y)) - b * d for v, b in zip(rows, rhs)]
+        if min(slack) >= 0:
+            yield y, d, slack
+
+
+def tree_vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):
+    """``_vertex_solutions``' (y, d, slack), in lexicographic order of the
+    subsets, from one fraction-free elimination of [rows | rhs] shared along
+    the tree of subsets: a child reduces its new row against its prefix's
+    rows, d * r minus r[c] times the row of each pivot column c, and takes
+    one ``linalg._pivot`` step; a dependent prefix prunes its subtree, and a
+    leaf reads [d I | y] up to the order of the pivot columns."""
     m, n = len(rows), len(rows[0])
     aug = [list(v) + [b] for v, b in zip(rows, rhs)]
 

@@ -4,11 +4,14 @@ the polar agrees with the oracle's brute-force hull and with the polar hull
 it ran over ``Fraction``s before it scaled the points once, the double
 description's extreme rays agree with a brute-force search, and vertices,
 hull facets and face fans agree with the walk over the n-subsets of the
-rows kept in the oracles, which itself finds the brute-force extreme rays;
+rows kept in the oracles, which itself agrees with one adjugate per subset
+and finds the brute-force extreme rays;
 the hull, vertex, face-fan and redundancy code run the elimination only
 where it is needed."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -280,6 +283,62 @@ def systems(draw):
     x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     slack = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, -1)), min_size=m, max_size=m))
     return rows, [sum(a * b for a, b in zip(r, x)) - s for r, s in zip(rows, slack)]
+
+
+def vertex_solutions(rows, rhs):
+    """The walk oracle's solutions on a walk of its own over the rows."""
+    return oracle.basis_solutions(rows, rhs, oracle.bases(rows))
+
+
+def solutions(kernel, rows, rhs):
+    """The kernel's (y, d, slack) as a multiset; both kernels give d = |det|
+    of the subset, so equal vertices come with equal integers."""
+    return Counter((tuple(y), d, tuple(slack)) for y, d, slack in kernel(rows, rhs))
+
+
+@given(systems())
+@settings(max_examples=500, deadline=None)
+def test_vertex_solutions_match_adjugate_oracle(system):
+    assert solutions(vertex_solutions, *system) == solutions(oracle._vertex_solutions, *system)
+
+
+@given(systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_solutions_match_the_tree_walk(system, data):
+    # one list of bases serves two right-hand sides, each with the sequence
+    # of the walk over [rows | rhs]
+    rows, rhs = system
+    other = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    bases = list(oracle.bases(rows))
+    for b in (rhs, other):
+        assert list(oracle.basis_solutions(rows, b, bases)) == list(
+            oracle.tree_vertex_solutions(rows, b))
+
+
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_bases_are_the_invertible_subsets_with_their_inverses(system):
+    # exactly the invertible n-subsets, in lexicographic order, each with
+    # B inverse = d I for B = [rows[j] for j in order] and d = |det B|
+    rows, n = system[0], len(system[0][0])
+    bases = list(oracle.bases(rows))
+    assert [tuple(sorted(order)) for order, _, _ in bases] == [
+        S for S in combinations(range(len(rows)), n) if oracle.adjugate([rows[i] for i in S])[1]]
+    for order, d, inverse in bases:
+        B = [rows[j] for j in order]
+        assert d == abs(oracle.adjugate(B)[1])
+        assert mat_mul(B, inverse) == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_pruned_prefix_and_unordered_pivots(monkeypatch):
+    # rows 0 and 1 are dependent, so the pair is pruned; the vertex (1, 1)
+    # is read off the leaf (2, 3), which pivots on column 1 before column 0
+    pivots = count_calls(monkeypatch, "bareiss_step", oracle)
+    rows, rhs = [(1, 2), (2, 4), (0, 1), (1, 0), (-1, -1)], [0, 0, 1, 1, -5]
+    got = solutions(vertex_solutions, rows, rhs)
+    assert got == solutions(oracle._vertex_solutions, rows, rhs)
+    assert ((1, 1), 1, (3, 6, 0, 0, 3)) in got
+    assert len(pivots) == 4 + 9  # the one-row prefixes and 9 of the 10 pairs
 
 
 @given(systems())
