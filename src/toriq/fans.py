@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 from typing import Optional
 
 from .linalg import (
@@ -164,12 +165,9 @@ def _inverses(fan: Fan) -> dict[tuple[int, ...], tuple[Optional[tuple[Vec, ...]]
     }
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _facets(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     """Each (n-1)-face of the maximal cones with n rays, mapped to the
-    (cone index, position of the opposite ray) of every cone holding it.
-    Cached like ``_inverses``: ``validate``, ``walls`` and the scaled
-    program's threshold scan share one copy, which none of them changes."""
+    (cone index, position of the opposite ray) of every cone holding it."""
     out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
         if cone and len(cone) == fan.rank:
@@ -348,10 +346,11 @@ def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
     lo_cone = fan.max_cones[lo_side]
     adj, d = inverses[lo_cone]
     support = lo_cone + (hi,)
-    cs = [-dot(row, fan.rays[hi]) for row in adj] + [d]
+    v_hi = fan.rays[hi]
+    cs = [-sum(map(mul, row, v_hi)) for row in adj] + [d]
     if cs[lo_pos] * d <= 0:
         raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-    if any(sum(c * fan.rays[i][k] for i, c in zip(support, cs)) for k in range(fan.rank)):
+    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in support))):
         raise MalformedFanError(f"relation across wall {facet} does not vanish")
     g = gcd(*cs) if d > 0 else -gcd(*cs)
     rel = [0] * len(fan.rays)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
-from typing import Optional
 
 from .fans import (
     Fan,
@@ -32,7 +30,7 @@ from .fans import (
     validate,
     walls,
 )
-from .linalg import QVec, Vec, _scaled, dot, frac
+from .linalg import QVec, Vec, dot, frac
 
 ZERO = Fraction(0)
 
@@ -195,40 +193,11 @@ def is_ample(fan: Fan, D: TorusDivisor) -> bool:
 
 
 def nef_threshold(fan: Fan, L: TorusDivisor) -> Fraction:
-    """Largest s with L + s*K nef, for ample L (else ValueError): the
-    minimum over walls with negative canonical degree of (L.C) / (-K.C)."""
-    return _nef_threshold_from(fan, L, ZERO)[0]
+    """Largest s with L + s*K nef, for ample L (else ValueError): the least
+    s at which a wall curve C with -K.C > 0 has (L + s*K).C = 0, read off
+    the slack rows of the polytope {x : <v_k, x> + L_k >= 0} that L gives on
+    the fan's rays (``polytopes._critical_value``)."""
+    from .polytopes import FacetPresentation, _critical_value, _slack_rows
 
-
-def _nef_threshold_from(fan: Fan, L: TorusDivisor, s0: Fraction) -> tuple[Fraction, list[Wall]]:
-    """Nef threshold lambda of L + s*K from s0 on, and the walls where
-    L + lambda*K vanishes with -K.C > 0, in ``walls`` order.  The same pass
-    checks the start: L ample (L.C > 0 on every wall) at s0 = 0, and
-    L + s0*K nef (>= 0) past it.  A wall's ``scale`` is positive, so the
-    signs and the ratio of L.C and -K.C are those of sum_k L_k r_k and
-    sum_k r_k over its integer relation r.
-
-    Integers only: with L_k = c_k / D over one common denominator D and
-    s0 = p0 / q0, the wall has lc = sum_k c_k r_k and kc = sum_k r_k, so
-    (L + s0*K).C has the sign of q0*lc - p0*D*kc, its ratio is lc / (D*kc),
-    and two ratios compare cross-multiplied."""
-    D, coeffs = _scaled(L.coeffs)
-    p0D, q0 = s0.numerator * D, s0.denominator
-    best: Optional[tuple[int, int]] = None  # (lc, kc) of the least ratio so far
-    attained: list[Wall] = []
-    for w in walls(fan):
-        kc = sum(w.relation)
-        lc = sum(map(mul, coeffs, w.relation))
-        at_s0 = q0 * lc - p0D * kc
-        if at_s0 < 0 or (at_s0 == 0 and not p0D):
-            kind = "nef" if s0 else "ample"
-            raise ValueError(f"divisor is not {kind} at s={s0} (wall {w.wall_rays})")
-        if kc > 0:
-            order = -1 if best is None else lc * best[1] - best[0] * kc
-            if order < 0:
-                best, attained = (lc, kc), [w]
-            elif order == 0:
-                attained.append(w)
-    if best is None:
-        raise ValueError("no wall meets the canonical divisor negatively")
-    return Fraction(best[0], D * best[1]), attained
+    slacks = _slack_rows(FacetPresentation(fan.rank, fan.rays, L.coeffs))
+    return _critical_value(slacks, fan, ZERO)[0]

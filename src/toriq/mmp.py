@@ -1,16 +1,17 @@
 """The minimal model program with scaling, as exact fan and polytope surgery.
 
 Extremal walls are selected by the vanishing of (L + lambda*K) on wall
-curves, read off the run's integer slack rows of P (``_SlackRows``): each
-wall curve number is a positive multiple of the slack of the wall's far
-ray at the near cone's point of P^(s), an affine function of s, so each
-critical value is the least root of a decreasing slack and only the walls
-that vanish there are built (``_critical_value``).  Contractions are
-classified by the sign pattern of the wall relation (fibering / divisorial
-/ flipping).  Every birational step is one circuit replacement over the
-walls of the class: a flip is exactly that, and a divisorial contraction
-also drops its one negative ray.  The run is cross-validated against the
-adjoint polytope family P^(s), from the same slack rows.
+curves, read off the run's integer slack rows of P
+(``polytopes._SlackRows``): each wall curve number is a positive multiple
+of the slack of the wall's far ray at the near cone's point of P^(s), an
+affine function of s, so each critical value is the least root of a
+decreasing slack (``polytopes._critical_value``) and only the walls that
+vanish there are built.  Contractions are classified by the sign pattern of
+the wall relation (fibering / divisorial / flipping).  Every birational
+step is one circuit replacement over the walls of the class: a flip is
+exactly that, and a divisorial contraction also drops its one negative ray.
+The run is cross-validated against the adjoint polytope family P^(s), from
+the same slack rows.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from . import polytopes
 from .fans import (
     Fan,
     MalformedFanError,
-    UnsupportedFanError,
     Wall,
-    _cone_inverse,
-    _facets,
     _image_fan,
     _inverses,
     _ray_images,
@@ -40,14 +38,13 @@ from .fans import (
 from .linalg import (
     Vec,
     _lowest_terms,
-    _scaled,
     dot,
     int_vec,
     primitive_part,
     saturation_and_projection,
     solve_linear,
 )
-from .polytopes import FacetPresentation
+from .polytopes import FacetPresentation, _critical_value, _SlackRows
 
 ZERO = Fraction(0)
 
@@ -159,7 +156,7 @@ def _replace_circuits(fan: Fan, cls: list[Wall]) -> set[tuple[int, ...]]:
     return cones
 
 
-def contract(fan: Fan, wall: Wall) -> ContractionResult:
+def contract(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> ContractionResult:
     """Contract the extremal class generated by the wall curve.
 
     alpha = 0 gives the fibering data (quotient base fan and fiber fan);
@@ -167,19 +164,15 @@ def contract(fan: Fan, wall: Wall) -> ContractionResult:
     ray (the wall's one negative wall-ray coefficient) in no cone, and
     drops that ray; alpha >= 2 is a flip signal (the image fan is not
     simplicial), use flip() for the birational modification instead.
+    ``cls`` is the wall's class, ``class_walls(fan, wall)`` when not given.
     """
-    return _contract(fan, wall, class_walls(fan, wall))
-
-
-def _contract(fan: Fan, wall: Wall, cls: list[Wall]) -> ContractionResult:
-    """``contract`` given the wall's class (``class_walls``)."""
     alpha, _ = wall_classification(fan, wall)
     if alpha == 0:
         return ContractionResult(MORI_FIBER, fiber_data=mori_fiber_data(fan, wall))
     if alpha >= 2:
         return ContractionResult(FLIP)
     exc = next(i for i in wall.wall_rays if wall.relation[i] < 0)
-    cones = _replace_circuits(fan, cls)
+    cones = _replace_circuits(fan, class_walls(fan, wall) if cls is None else cls)
     left = sorted(c for c in cones if exc in c)
     if left:
         raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
@@ -190,19 +183,15 @@ def _contract(fan: Fan, wall: Wall, cls: list[Wall]) -> ContractionResult:
     return ContractionResult(DIVISORIAL, fan=result, dropped_ray=exc)
 
 
-def flip(fan: Fan, wall: Wall) -> Fan:
+def flip(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Fan:
     """Cross the class's circuits of a flipping wall: over each circuit the
     triangulation is replaced by the opposite one, and the ray set is
-    unchanged (isomorphism in codimension 1)."""
-    return _flip(fan, wall, class_walls(fan, wall))
-
-
-def _flip(fan: Fan, wall: Wall, cls: list[Wall]) -> Fan:
-    """``flip`` given the wall's class (``class_walls``)."""
+    unchanged (isomorphism in codimension 1).  ``cls`` is the wall's class,
+    ``class_walls(fan, wall)`` when not given."""
     alpha, _ = wall_classification(fan, wall)
     if alpha < 2:
         raise ValueError("flips need a wall of flipping type (alpha >= 2)")
-    cones = _replace_circuits(fan, cls)
+    cones = _replace_circuits(fan, class_walls(fan, wall) if cls is None else cls)
     was_complete = validate(fan).complete
     result = Fan(fan.rank, fan.rays, tuple(cones))
     rep = validate(result)
@@ -292,12 +281,13 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
 
     The rays of every fan of the run are normals of P, and the pushed-forward
     polarization gives each its constant in P, so each critical value is
-    read off P's slack rows (``_critical_value``), built once per run and
-    shared with the interval certificates; it is the wall ratio of
-    ``intersection.nef_threshold``, with no wall list built.
+    read off P's slack rows (``polytopes._critical_value``), which the
+    interval certificates share and P's nef threshold may already have
+    built (``polytopes._slack_rows``); only the walls that vanish there are
+    built.
     """
     fan = polytopes.polarization(P)[0]
-    slacks = _SlackRows(P)
+    slacks = polytopes._slack_rows(P)
     steps: list[MMPStep] = []
     flagged = False
     lam_prev = ZERO
@@ -305,9 +295,11 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     while True:
         if len(steps) >= budget:
             raise StepBudgetError("step budget exhausted; runaway program")
-        lam, vanishing = _critical_value(slacks, fan, lam_prev)
+        lam, attained = _critical_value(slacks, fan, lam_prev)
+        inverses, smooth = _inverses(fan), validate(fan).smooth
         classes: dict[Vec, list[Wall]] = {}
-        for w in vanishing:
+        for facet, sides in attained:
+            w = _wall(fan, inverses, smooth, facet, sides)
             classes.setdefault(w.relation, []).append(w)
         if len(classes) > 1:
             wall_sets = tuple(sorted(min(w.wall_rays for w in ws) for ws in classes.values()))
@@ -323,9 +315,9 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
             new_fan = data.base_fan
         elif alpha == 1:
             # walls of one class share their slack, so the chosen ones are the class
-            new_fan = _contract(fan, wall, chosen).fan
+            new_fan = contract(fan, wall, chosen).fan
         else:
-            new_fan = _flip(fan, wall, chosen)
+            new_fan = flip(fan, wall, chosen)
         steps.append(MMPStep(
             lam=lam, kind=(MORI_FIBER, DIVISORIAL, FLIP)[min(alpha, 2)],
             wall_rays=wall.wall_rays, relation=wall.relation, alpha=alpha, beta=beta,
@@ -524,95 +516,6 @@ class _Certificate:
         pL, q = s.numerator * self.L, s.denominator
         return [(_lowest_terms([pL * tk - q * wk for tk, wk in zip(t, w)], q * d * self.L), cone)
                 for cone, t, w, d in self.cones]
-
-
-class _SlackRows(dict):
-    """P's scaled slack rows per maximal cone, shared by every critical
-    value search and every interval certificate of one run.
-
-    With the constants a_j = A_j / L, a cone sigma of P's normals with
-    adjugate adj and determinant d > 0 (signs flipped together), and an end
-    s = p / q, q*d*L*x_sigma(s) = p*L*t - q*w for t = adj^T 1 and
-    w = adj^T A_sigma; q*d*L times the slack <v_j, x_sigma(s)> - s + a_j of
-    inequality j is then p*L*alpha_j - q*beta_j, with alpha_j = <v_j, t> - d
-    and beta_j = <v_j, w> - d*A_j.  None of these depends on s, so each
-    cone's row (t, w, d, alpha, beta) is built once, on first use, keyed by
-    the cone's indices into P, from the cone's cached adjugate.  The row is
-    checked on its own cone: x_sigma(s) is tight on sigma's inequalities,
-    alpha_i = beta_i = 0 for i in sigma, which fixes t and w since sigma's
-    normals are independent, or ``MalformedFanError`` names the cone.
-    ``certificates`` holds each interval's certificate, so the one that
-    gives sigma_P is the cross-validation's own."""
-
-    def __init__(self, P: FacetPresentation):
-        super().__init__()
-        self.P = P
-        self.index = {v: j for j, v in enumerate(P.normals)}
-        self.L, self.A = _scaled(P.constants)
-        self.certificates: dict[tuple, Optional[_Certificate]] = {}
-
-    def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:
-        adj, d = _cone_inverse(tuple(self.P.normals[j] for j in key))
-        sign = 1 if d > 0 else -1
-        t = [sign * sum(col) for col in zip(*adj)]
-        w = [sign * sum(self.A[j] * x for j, x in zip(key, col)) for col in zip(*adj)]
-        d *= sign
-        alpha = [dot(v, t) - d for v in self.P.normals]
-        beta = [dot(v, w) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
-        if any(alpha[i] or beta[i] for i in key):
-            raise MalformedFanError(f"cone {key} of P's normals is not tight at its own point")
-        self[key] = row = t, w, d, alpha, beta
-        return row
-
-
-def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[Fraction, list[Wall]]:
-    """The nef threshold lambda of the run's polarization L + s*K on the
-    fan, from s0 on, and the walls where L + lambda*K vanishes with
-    -K.C > 0, in ``walls`` order: ``intersection._nef_threshold_from``
-    evaluated through the slack rows of P (``slacks``), whose normals hold
-    the fan's rays and whose constants are L's.
-
-    Across the wall between sigma_a and sigma_b, the slack at x_a(s) of the
-    ray j of sigma_b outside the wall is (L + s*K).C over a positive number
-    (Cox-Little-Schenck 6.1, 6.4): with the relation sum_k r_k v_k = 0,
-    r_j > 0, it is sum_k r_k (a_k - s) / r_j.  So, scaled, it is
-    p*L*alpha_j - q*beta_j at s = p / q, read from sigma_a's row.  The same
-    pass checks the start wall by wall, as the walls' curve numbers do: the
-    slack at s0 must be >= 0, and > 0 when s0 = 0 (ampleness), or
-    ``ValueError`` names the first failing wall.  A slack that decreases,
-    alpha_j < 0, vanishes at beta_j / (L*alpha_j); lambda is the least such
-    root, compared cross-multiplied, and only the walls attaining it are
-    built (``fans._wall``)."""
-    rep = validate(fan)
-    if not rep.simplicial:
-        raise UnsupportedFanError("walls are only computed for simplicial fans")
-    index = [slacks.index[v] for v in fan.rays]
-    keys = [tuple(index[i] for i in cone) for cone in fan.max_cones]
-    pL, q = s0.numerator * slacks.L, s0.denominator
-    best: Optional[tuple[int, int]] = None  # (alpha_j, beta_j) of the least root so far
-    attained = []
-    for facet, sides in sorted(_facets(fan).items()):
-        if len(sides) != 2:
-            continue
-        (a, _), (b, jb) = sides
-        j = index[fan.max_cones[b][jb]]
-        alpha, beta = slacks[keys[a]][3:]
-        at_s0 = pL * alpha[j] - q * beta[j]
-        if at_s0 < 0 or (at_s0 == 0 and not pL):
-            kind = "nef" if s0 else "ample"
-            raise ValueError(f"divisor is not {kind} at s={s0} (wall {facet})")
-        if alpha[j] < 0:
-            # both alphas < 0: beta / alpha < beta' / alpha' iff beta * alpha' < beta' * alpha
-            order = -1 if best is None else beta[j] * best[0] - best[1] * alpha[j]
-            if order < 0:
-                best, attained = (alpha[j], beta[j]), [(facet, sides)]
-            elif order == 0:
-                attained.append((facet, sides))
-    if best is None:
-        raise ValueError("no wall meets the canonical divisor negatively")
-    inverses = _inverses(fan)
-    return Fraction(best[1], slacks.L * best[0]), [
-        _wall(fan, inverses, rep.smooth, facet, sides) for facet, sides in attained]
 
 
 def _certified_limits(slacks: _SlackRows, fan: Fan, lo: Fraction,

@@ -2,9 +2,10 @@
 
 A polytope is stored as P = {x : <v_i, x> >= -a_i} with primitive integer
 inward normals v_i and rational constants a_i.  Vertex enumeration, normal
-fans, adjoint families P^(s), nef/effective thresholds, the core and its
-quotient projection, and Cayley sums over an arbitrary basis (with their
-detection) are all computed in exact arithmetic.
+fans, adjoint families P^(s) and their integer slack rows, nef/effective
+thresholds, the core and its quotient projection, and Cayley sums over an
+arbitrary basis (with their detection) are all computed in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from . import fans
-from .fans import Fan, wall_classification, walls
-from .intersection import TorusDivisor, nef_threshold
+from .fans import Fan, _cone_inverse, wall_classification, walls
+from .intersection import TorusDivisor
 from .linalg import (
     QVec,
     Vec,
@@ -313,13 +315,108 @@ def polarization(P: FacetPresentation) -> tuple[Fan, TorusDivisor]:
 
 
 def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
-    """sup{s : P^(s) has the same normal fan as P}, read off the walls of
-    the normal fan as the nef threshold of P's divisor."""
-    return nef_threshold(*polarization(P))
+    """sup{s : P^(s) has the same normal fan as P}: the nef threshold of
+    P's divisor on its normal fan (``intersection.nef_threshold``), read
+    off P's own slack rows, which its scaled run shares."""
+    return _critical_value(_slack_rows(P), polarization(P)[0], ZERO)[0]
 
 
 def thresholds(P: FacetPresentation) -> Thresholds:
     return Thresholds(nef=nef_threshold_tracking(P), effective=effective_threshold(P))
+
+
+class _SlackRows(dict):
+    """P's scaled slack rows per maximal cone, shared by P's nef threshold
+    and by every critical value search and interval certificate of its
+    scaled run (``_slack_rows``).
+
+    With the constants a_j = A_j / L, a cone sigma of P's normals with
+    adjugate adj and determinant d > 0 (signs flipped together), and an end
+    s = p / q, q*d*L*x_sigma(s) = p*L*t - q*w for t = adj^T 1 and
+    w = adj^T A_sigma; q*d*L times the slack <v_j, x_sigma(s)> - s + a_j of
+    inequality j is then p*L*alpha_j - q*beta_j, with alpha_j = <v_j, t> - d
+    and beta_j = <v_j, w> - d*A_j.  None of these depends on s, so each
+    cone's row (t, w, d, alpha, beta) is built once, on first use, keyed by
+    the cone's indices into P, from the cone's cached adjugate.  The row is
+    checked on its own cone: x_sigma(s) is tight on sigma's inequalities,
+    alpha_i = beta_i = 0 for i in sigma, which fixes t and w since sigma's
+    normals are independent, or ``MalformedFanError`` names the cone.
+    ``certificates`` holds a scaled run's interval certificates
+    (``mmp._certified_limits``), so the one that gives sigma_P is the
+    cross-validation's own."""
+
+    def __init__(self, P: FacetPresentation):
+        super().__init__()
+        self.P = P
+        self.index = {v: j for j, v in enumerate(P.normals)}
+        self.L, self.A = _scaled(P.constants)
+        self.certificates: dict[tuple, object] = {}
+
+    def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:
+        adj, d = _cone_inverse(tuple(self.P.normals[j] for j in key))
+        sign = 1 if d > 0 else -1
+        t = [sign * sum(col) for col in zip(*adj)]
+        w = [sign * sum(self.A[j] * x for j, x in zip(key, col)) for col in zip(*adj)]
+        d *= sign
+        alpha = [sum(map(mul, v, t)) - d for v in self.P.normals]
+        beta = [sum(map(mul, v, w)) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
+        if any(alpha[i] or beta[i] for i in key):
+            raise fans.MalformedFanError(f"cone {key} of P's normals is not tight at its own point")
+        self[key] = row = t, w, d, alpha, beta
+        return row
+
+
+@lru_cache(maxsize=1)  # P's nef threshold and the scaled run that follows share them
+def _slack_rows(P: FacetPresentation) -> _SlackRows:
+    """The ``_SlackRows`` of the last presentation asked."""
+    return _SlackRows(P)
+
+
+def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
+        Fraction, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]:
+    """The nef threshold lambda of L + s*K from s0 on, where the fan's rays
+    are normals of the P of ``slacks`` and L is the divisor of P's constants
+    on them, and the walls where L + lambda*K vanishes with -K.C > 0, as
+    (facet, sides) of ``fans._facets`` in ``walls`` order.
+
+    Across the wall between sigma_a and sigma_b, the slack at x_a(s) of the
+    ray j of sigma_b outside the wall is (L + s*K).C over a positive number
+    (Cox-Little-Schenck 6.1, 6.4): with the relation sum_k r_k v_k = 0,
+    r_j > 0, it is sum_k r_k (a_k - s) / r_j.  So, scaled, it is
+    p*L*alpha_j - q*beta_j at s = p / q, read from sigma_a's row.  The same
+    pass checks the start wall by wall: the slack at s0 must be >= 0, and
+    > 0 when s0 = 0 (ampleness), or ``ValueError`` names the first failing
+    wall.  A slack that decreases, alpha_j < 0, vanishes at
+    beta_j / (L*alpha_j); lambda is the least such root, compared
+    cross-multiplied.  No wall relation is built, and completeness is not
+    assumed."""
+    if not fans.validate(fan).simplicial:
+        raise fans.UnsupportedFanError("walls are only computed for simplicial fans")
+    index = [slacks.index[v] for v in fan.rays]
+    keys = [tuple(index[i] for i in cone) for cone in fan.max_cones]
+    pL, q = s0.numerator * slacks.L, s0.denominator
+    best: Optional[tuple[int, int]] = None  # (alpha_j, beta_j) of the least root so far
+    attained = []
+    for facet, sides in sorted(fans._facets(fan).items()):
+        if len(sides) != 2:
+            continue
+        (a, _), (b, jb) = sides
+        j = index[fan.max_cones[b][jb]]
+        alpha, beta = slacks[keys[a]][3:]
+        at_s0 = pL * alpha[j] - q * beta[j]
+        if at_s0 < 0 or (at_s0 == 0 and not pL):
+            kind = "nef" if s0 else "ample"
+            raise ValueError(f"divisor is not {kind} at s={s0} (wall {facet})")
+        if alpha[j] < 0:
+            # both alphas < 0: beta / alpha < beta' / alpha' iff beta * alpha' < beta' * alpha
+            order = -1 if best is None else beta[j] * best[0] - best[1] * alpha[j]
+            if order < 0:
+                best, attained = (alpha[j], beta[j]), [(facet, sides)]
+            elif order == 0:
+                attained.append((facet, sides))
+    if best is None:
+        raise ValueError("no wall meets the canonical divisor negatively")
+    return Fraction(best[1], slacks.L * best[0]), attained
 
 
 def core_and_projection(P: FacetPresentation) -> CoreProjection:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from toriq import mmp, polytopes
+from toriq import fans, polytopes
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
 from toriq.linalg import dot
@@ -124,7 +124,20 @@ def run_divisor(slacks, fan: Fan) -> TorusDivisor:
 
 
 def divisor_slacks(fan: Fan, L: TorusDivisor):
-    """The slack rows (``mmp._SlackRows``) of the polytope that L gives on
-    the fan's rays, {x : <v_k, x> + L_k >= 0}, whose polarization on the
-    fan is L."""
-    return mmp._SlackRows(polytopes.FacetPresentation(fan.rank, fan.rays, L.coeffs))
+    """The slack rows (``polytopes._SlackRows``) of the polytope that L
+    gives on the fan's rays, {x : <v_k, x> + L_k >= 0}, whose polarization
+    on the fan is L."""
+    return polytopes._SlackRows(polytopes.FacetPresentation(fan.rank, fan.rays, L.coeffs))
+
+
+def with_walls(fan: Fan, lam, attained):
+    """A ``polytopes._critical_value`` result with its attained (facet,
+    sides) pairs built into walls, as ``fans.walls`` builds them."""
+    inverses, smooth = fans._inverses(fan), fans.validate(fan).smooth
+    return lam, [fans._wall(fan, inverses, smooth, facet, sides) for facet, sides in attained]
+
+
+def scan(fan: Fan, L: TorusDivisor, s0):
+    """The slack-row nef threshold of L on the fan from s0 on, and the
+    walls that attain it (``with_walls``)."""
+    return with_walls(fan, *polytopes._critical_value(divisor_slacks(fan, L), fan, s0))

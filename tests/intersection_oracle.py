@@ -21,8 +21,9 @@ collections: every ray subset of size 2 to rank + 1 tested as a
 
 ``nef_threshold_from`` and ``kleiman_walls`` are the earlier nef threshold
 and Kleiman test: two curve numbers per wall, each the wall's scale times
-a ``Fraction`` pairing, where ``toriq.intersection`` reads the signs and
-the ratio off the integer relation alone.
+a ``Fraction`` pairing, where ``toriq.intersection`` reads the Kleiman signs
+off the integer relation alone and ``toriq.polytopes._critical_value`` reads
+the nef threshold off the slack rows of the polytope the divisor gives.
 """
 
 from __future__ import annotations

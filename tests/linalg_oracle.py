@@ -46,7 +46,7 @@ rows scaled back to integers by m times the lcm of the denominators, and a
 written out by hand before ``toriq.linalg._scaled`` took them over: a running
 lcm of the denominators and a running gcd of the entries, and the one-line
 lcm scaling that ``linalg._integer_row``, ``polytopes.vertices``,
-``mmp._SlackRows`` and ``intersection._nef_threshold_from`` each repeated.
+``polytopes._SlackRows`` and the nef threshold each repeated.
 """
 
 from __future__ import annotations

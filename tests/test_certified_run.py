@@ -2,9 +2,8 @@
 its interval certificates and finds each critical value in integers.  On
 the forced seed-1 sweep of the 67 rows and on all 240 pool entries the
 certified vertex sets equal the enumerated ones, every critical value
-that the runs read off their slack rows equals the wall ratio and the
-curve-number oracle, and the equalities, facets and dimensions
-read off the tight sets of every vertex set and section face agree with
+that the runs read off their slack rows equals the curve-number oracle,
+and the equalities, facets and dimensions read off the tight sets of every vertex set and section face agree with
 the affine ranks of their coordinates; with no certificate the run
 enumerates and records what it did before; a certified point moved by one
 unit of its denominator fails the comparison."""
@@ -17,7 +16,7 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 import polytope_oracle
-from helpers import divisor_slacks, prime_divisor, run_divisor
+from helpers import prime_divisor, run_divisor, scan, with_walls
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
 from toriq import intersection, mmp, polytopes
 from toriq.fans import Fan, MalformedFanError, walls
@@ -171,28 +170,25 @@ def outcome(search, *args):
         return type(err), str(err)
 
 
-def scan(fan, L, s0):
-    """``mmp._critical_value`` for any divisor L on the fan, through the
-    slack rows of the polytope that L gives on the fan's rays."""
-    return mmp._critical_value(divisor_slacks(fan, L), fan, s0)
-
-
 def test_integer_threshold_equals_oracle_on_every_visited_search(runs):
     # each search the forced runs make (an unforced run makes the same ones
     # up to its first tie), then the same L past its threshold (not nef)
     # and a prime divisor at 0 (not ample on most fans); the scan of the
-    # slack rows, the wall ratio and the curve numbers give equal walls
+    # slack rows and the curve numbers give equal walls, and the public
+    # nef_threshold the same lambda at 0
     searches = []
     for slacks, fan, s0 in runs["searches"]:
         L = run_divisor(slacks, fan)
-        lam, attained = mmp._critical_value(slacks, fan, s0)
-        assert (lam, attained) == intersection._nef_threshold_from(fan, L, s0)
+        lam, attained = with_walls(fan, *mmp._critical_value(slacks, fan, s0))
+        assert (lam, attained) == oracle.nef_threshold_from(fan, L, s0)
         searches += [(fan, L, s0), (fan, L, lam + F(1, 7)), (fan, prime_divisor(fan, 0), F(0))]
     kinds = {"tie": 0, "past_zero": 0, "not nef": 0, "not ample": 0}
     for fan, L, s0 in searches:
         got = outcome(scan, fan, L, s0)
-        assert got == outcome(intersection._nef_threshold_from, fan, L, s0)
         assert got == outcome(oracle.nef_threshold_from, fan, L, s0)
+        if not s0:
+            assert outcome(intersection.nef_threshold, fan, L) == (
+                got if got[0] is ValueError else got[0])
         if got[0] is ValueError:
             kinds["not nef" if "not nef" in got[1] else "not ample"] += 1
         else:
@@ -211,14 +207,13 @@ CHARTS = [Fan(2, ((1, 0), (0, 1), (-1, a)), ((0, 1), (1, 2))) for a in range(4)]
 
 
 @pytest.mark.parametrize("fan", CHARTS, ids=lambda fan: str(fan.rays[-1]))
-def test_scan_equals_the_wall_ratio_on_incomplete_fans(fan):
+def test_scan_equals_the_curve_numbers_on_incomplete_fans(fan):
     n = len(fan.rays)
     outcomes = []
     for coeffs in ((1,) * n, (1,) + (0,) * (n - 2) + (1,), (0,) * (n - 1) + (2,)):
         L = TorusDivisor(fan, coeffs)
         for s0 in (F(0), F(1, 3)):
             got = outcome(scan, fan, L, s0)
-            assert got == outcome(intersection._nef_threshold_from, fan, L, s0)
             assert got == outcome(oracle.nef_threshold_from, fan, L, s0)
             outcomes.append(got[1] if got[0] is ValueError else "lambda")
     kc = sum(walls(fan)[0].relation)

@@ -43,7 +43,7 @@ def runs():
     validate, certify = mmp._adjoint_cross_validation, mmp._certify
     name = None
 
-    class Counted(mmp._SlackRows):
+    class Counted(polytopes._SlackRows):
         def __missing__(self, key):
             seen["builds"][name].append(key)
             return super().__missing__(key)
@@ -60,7 +60,7 @@ def runs():
         cold_caches()
         lps = count_calls(mp, "lp_min", linalg, polytopes)
         bounded = count_calls(mp, "nonneg_solve", linalg, polytopes)
-        mp.setattr(mmp, "_SlackRows", Counted)
+        mp.setattr(polytopes, "_SlackRows", Counted)
         mp.setattr(mmp, "_adjoint_cross_validation", validating)
         mp.setattr(mmp, "_certify", certifying)
         for name, P in polys:
@@ -70,6 +70,7 @@ def runs():
             except MalformedFanError:  # the known failures, pinned elsewhere
                 seen["failed"].append(name)
         seen["lps"], seen["bounded"] = len(lps), len(bounded)
+        cold_caches()  # keep no counted rows for later tests
     return seen
 
 
@@ -296,7 +297,8 @@ def test_corrupted_adjugate_fails_its_slack_row(name, mode, monkeypatch):
     P = FIRST if name == "FIRST" else sweep_polytopes()[name]
     cone = polytopes.normal_fan(P).max_cones[0]
     rays = tuple(P.normals[j] for j in cone)
-    monkeypatch.setattr(mmp, "_cone_inverse", corrupted_cone_inverse(rays, mode))
+    cold_caches()  # no rows of P kept from an earlier run
+    monkeypatch.setattr(polytopes, "_cone_inverse", corrupted_cone_inverse(rays, mode))
     message = f"cone {cone} of P's normals is not tight at its own point"
     with pytest.raises(MalformedFanError, match=f"^{re.escape(message)}$"):
         mmp.run_mmp_scaling(P, force=True)

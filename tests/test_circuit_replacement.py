@@ -46,15 +46,15 @@ def test_steps_match_oracle(corpus_polytopes, monkeypatch):
     crossings = []
 
     def recording(step):
-        def wrapped(fan, wall, cls):
+        def wrapped(fan, wall, cls=None):
             out = step(fan, wall, cls)
             crossings.append((step, fan, wall, out))
             assert cls == mmp.class_walls(fan, wall)
             return out
         return wrapped
 
-    monkeypatch.setattr(mmp, "_contract", recording(mmp._contract))
-    monkeypatch.setattr(mmp, "_flip", recording(mmp._flip))
+    monkeypatch.setattr(mmp, "contract", recording(mmp.contract))
+    monkeypatch.setattr(mmp, "flip", recording(mmp.flip))
     steps = []
     for P in polys:
         try:
@@ -63,13 +63,13 @@ def test_steps_match_oracle(corpus_polytopes, monkeypatch):
             continue  # the fiber-polytope check fails after the last step (d3-76)
     compared = Counter()
     for step, fan, wall, out in crossings:
-        if step.__name__ == "_contract":
+        if step.__name__ == "contract":
             ref = oracle.contract(fan, wall)
             assert (out.kind, out.fan, out.dropped_ray) == (ref.kind, ref.fan, ref.dropped_ray)
         else:
             assert out == oracle.flip(fan, wall)
         compared[step.__name__] += 1
-    assert compared["_contract"] >= 80 and compared["_flip"] >= 8, compared
+    assert compared["contract"] >= 80 and compared["flip"] >= 8, compared
     for step in steps:
         assert step.kind == {0: MORI_FIBER, 1: DIVISORIAL}.get(step.alpha, FLIP)
         assert step.lost_face_dim == step.fan_before.rank - step.alpha

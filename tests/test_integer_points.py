@@ -22,7 +22,7 @@ from test_adjoint_certificate import pool_polytope
 from test_certified_run import POOL_KEYS, runs  # noqa: F401 (the fixture)
 from test_circuit_replacement import _workloads
 from test_redundancy import assert_vertices_match
-from toriq import fans, intersection, polytopes
+from toriq import fans, polytopes
 from toriq.fans import MalformedFanError
 from toriq.linalg import hull_facets, primitive_part
 from toriq.polytopes import FacetPresentation, VertexSet, effective_threshold, vertices
@@ -123,30 +123,28 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # and 2924)
     workloads = _workloads()
     counts = count_fractions(monkeypatch)
-    searches = count_calls(monkeypatch, "_nef_threshold_from", intersection)
     passes, work = [], []
     for name in ("mmp-4fold", "adjoint-family"):
         make_items, run_item, _ = workloads.WORKLOADS[name]
         items = make_items(1)
         cold_caches()
         counts.clear()
-        searches.clear()
         for _, item in items:
             try:
                 run_item(item)
             except MalformedFanError:  # the pinned failures
                 pass
         passes.append(dict(counts))
-        work.append((fans.walls.cache_info().misses, len(searches)))
+        work.append(fans.walls.cache_info().misses)
     # with each critical value from the wall ratio of every wall, not the
-    # slack rows, intersection 38 and mmp 86 on mmp-4fold, and fans 212,
-    # intersection 125 and mmp 269 on adjoint-family (3877 in all)
+    # slack rows, intersection 38, polytopes 365 and mmp 86 on mmp-4fold,
+    # and fans 212, intersection 125, polytopes 2176 and mmp 269 on
+    # adjoint-family (3877 in all); the slack-row scan lives in polytopes
     assert passes == [
-        {"toriq.linalg": 110, "toriq.polytopes": 365, "toriq.mmp": 124},
-        {"toriq.linalg": 1095, "toriq.fans": 168, "toriq.intersection": 40,
-         "toriq.polytopes": 2176, "toriq.mmp": 354},
+        {"toriq.linalg": 110, "toriq.polytopes": 403, "toriq.mmp": 86},
+        {"toriq.linalg": 1095, "toriq.fans": 168, "toriq.polytopes": 2301, "toriq.mmp": 269},
     ]
-    # walls computed and wall-ratio searches: no run searches the walls,
-    # and adjoint-family's are one ``thresholds`` per polytope (38 and 75
-    # walls computed when each run step searched them)
-    assert work == [(0, 0), (39, 40)]
+    # walls computed: no critical value search computes them, and
+    # adjoint-family's are those of ``cayley_mori_detect`` (38 and 75 when
+    # each run step searched them)
+    assert work == [0, 39]

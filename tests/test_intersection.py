@@ -268,15 +268,17 @@ class TestNefThreshold:
             nef_threshold(p1p1, TorusDivisor(p1p1, (1, 0, 0, 0)))
 
     def test_one_wall_pass(self, monkeypatch):
-        # one pass over the hexagon's walls, read off their integer relations:
-        # no curve number and no ampleness pass
+        # one pass over the hexagon's walls, read off the slack rows of P: no
+        # wall list (one before the slack rows), no curve number and no
+        # ampleness pass
         from toriq.polytopes import thresholds
 
         curve_numbers = count_calls(monkeypatch, "wall_curve_number",
                                     intersection, polytopes, mmp)
-        passes = count_calls(monkeypatch, "walls", intersection, polytopes, mmp)
+        walls_ = count_calls(monkeypatch, "walls", intersection, polytopes, mmp)
+        scans = count_calls(monkeypatch, "_critical_value", polytopes, mmp)
         thresholds(hexagon())
-        assert curve_numbers == [] and len(passes) == 1
+        assert curve_numbers == walls_ == [] and len(scans) == 1
 
     def test_mmp_run_makes_no_ampleness_pass(self, monkeypatch):
         from toriq.mmp import run_mmp_scaling

@@ -18,9 +18,9 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 from conftest import pn_fan, singular_mfs_fan
-from helpers import faces_of_dim, run_divisor
+from helpers import faces_of_dim, run_divisor, scan
 from test_circuit_replacement import _workloads, fourfold_polytopes
-from toriq import fans, intersection, mmp
+from toriq import fans, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import Fan, MalformedFanError, UnsupportedFanError, star_subdivision, walls
 from toriq.intersection import ZERO, TorusDivisor, ch2_dot_surface, is_2fano, is_fano
@@ -178,7 +178,7 @@ def test_nef_threshold_matches_curve_number_oracle(table_fans, fourfold_run_fans
             searches += [(fan, TorusDivisor(fan, coeffs), s0) for s0 in (ZERO, Fraction(1, 3))]
     seen = Counter()
     for fan, L, s0 in searches:
-        got = threshold_outcome(intersection._nef_threshold_from, fan, L, s0)
+        got = threshold_outcome(scan, fan, L, s0)
         assert got == threshold_outcome(oracle.nef_threshold_from, fan, L, s0)
         seen[type(got)] += 1
     assert min(seen[tuple], seen[str]) >= 100, seen
