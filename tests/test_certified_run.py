@@ -3,10 +3,11 @@ its interval certificates and finds each critical value in integers.  On
 the forced seed-1 sweep of the 67 rows and on all 240 pool entries the
 certified vertex sets equal the enumerated ones, every critical value
 that the runs read off their slack rows equals the curve-number oracle,
-and the equalities, facets and dimensions read off the tight sets of every vertex set and section face agree with
-the affine ranks of their coordinates; with no certificate the run
-enumerates and records what it did before; a certified point moved by one
-unit of its denominator fails the comparison."""
+and the equalities, facets and dimensions read off the tight sets of every
+vertex set and section face agree with the affine ranks of their
+coordinates; with no certificate the run enumerates and records what it
+did before; a certified point moved by one unit of its denominator fails
+the comparison."""
 
 import dataclasses
 from fractions import Fraction

@@ -269,8 +269,7 @@ class TestNefThreshold:
 
     def test_one_wall_pass(self, monkeypatch):
         # one pass over the hexagon's walls, read off the slack rows of P: no
-        # wall list (one before the slack rows), no curve number and no
-        # ampleness pass
+        # wall list, no curve number and no ampleness pass
         from toriq.polytopes import thresholds
 
         curve_numbers = count_calls(monkeypatch, "wall_curve_number",
