@@ -6,8 +6,9 @@ kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
 both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
 rule, so it terminates), each on an integer tableau (int and ``Fraction``
 entries are scaled to integers first, and a ``Fraction`` is built only for
-the result); Smith normal form; and the extreme rays of a pointed cone by
-the double description method, ``_extreme_rays``.  On homogenized rows
+the result); the integer adjugate, by cofactors up to 4 x 4 and by that
+elimination beyond; Smith normal form; and the extreme rays of a pointed
+cone by the double description method, ``_extreme_rays``.  On homogenized rows
 those give polytope vertices, convex hull facets (``hull_facets``, the
 vertices of the polar) and face fans (the tight sets of the polar).
 """
@@ -116,8 +117,9 @@ def scale_to_primitive(v: Sequence[Fraction]) -> Vec:
 
 def _rectangular(M, n: int):
     """M, whose rows must all have length n (else ``DimensionError``)."""
-    if any(len(row) != n for row in M):
-        raise DimensionError(f"row lengths {[len(row) for row in M]} are not all {n}")
+    for row in M:
+        if len(row) != n:
+            raise DimensionError(f"row lengths {[len(r) for r in M]} are not all {n}")
     return M
 
 
@@ -171,13 +173,73 @@ def matrix_rank(M) -> int:
     return len(_eliminate([_integer_row(row) for row in _rectangular(M, n)], n)[0])
 
 
+def _adjugate1(r0):
+    a, = map(index, r0)
+    if not a:
+        return None, 0
+    return ((1,),), a
+
+
+def _adjugate2(r0, r1):
+    a, b = map(index, r0)
+    c, d = map(index, r1)
+    det = a * d - b * c
+    if not det:
+        return None, 0
+    return ((d, -b), (-c, a)), det
+
+
+def _adjugate3(r0, r1, r2):
+    a, b, c = map(index, r0)
+    d, e, f = map(index, r1)
+    g, h, i = map(index, r2)
+    c00, c10, c20 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c00 + b * c10 + c * c20
+    if not det:
+        return None, 0
+    return ((c00, c * h - b * i, b * f - c * e),
+            (c10, a * i - c * g, c * d - a * f),
+            (c20, b * g - a * h, a * e - b * d)), det
+
+
+def _adjugate4(r0, r1, r2, r3):
+    # Laplace expansion along rows {0, 1}: s_k and c_k are the 2x2 minors
+    # of rows {0, 1} and of rows {2, 3} on the column pairs 01, 02, 03, 12,
+    # 13, 23; each adjugate entry is three products of a minor and an entry.
+    a00, a01, a02, a03 = map(index, r0)
+    a10, a11, a12, a13 = map(index, r1)
+    a20, a21, a22, a23 = map(index, r2)
+    a30, a31, a32, a33 = map(index, r3)
+    s0, s1, s2 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    s3, s4, s5 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    c0, c1, c2 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    c3, c4, c5 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    if not det:
+        return None, 0
+    return ((a11 * c5 - a12 * c4 + a13 * c3, a02 * c4 - a01 * c5 - a03 * c3,
+             a31 * s5 - a32 * s4 + a33 * s3, a22 * s4 - a21 * s5 - a23 * s3),
+            (a12 * c2 - a10 * c5 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+             a32 * s2 - a30 * s5 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1),
+            (a10 * c4 - a11 * c2 + a13 * c0, a01 * c2 - a00 * c4 - a03 * c0,
+             a30 * s4 - a31 * s2 + a33 * s0, a21 * s2 - a20 * s4 - a23 * s0),
+            (a11 * c1 - a10 * c3 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+             a31 * s1 - a30 * s3 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0)), det
+
+
+_COFACTORS = (lambda: ((), 1), _adjugate1, _adjugate2, _adjugate3, _adjugate4)
+
+
 def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
     """Adjugate and determinant of a square integer matrix, so that
-    M^-1 = adj / det, from one elimination of [M | I].  The adjugate is None
-    when the determinant is 0."""
+    M^-1 = adj / det: by cofactors up to 4 x 4 (every cone of a fan of
+    dimension at most 4), from one elimination of [M | I] beyond.  The
+    adjugate is None when the determinant is 0."""
     n = len(M)
-    rows = [[index(x) for x in row] + [int(j == i) for j in range(n)]
-            for i, row in enumerate(_rectangular(M, n))]
+    _rectangular(M, n)
+    if n < len(_COFACTORS):
+        return _COFACTORS[n](*M)
+    rows = [[index(x) for x in row] + [int(j == i) for j in range(n)] for i, row in enumerate(M)]
     pivots, d, sign = _eliminate(rows, n)
     if len(pivots) < n:
         return None, 0

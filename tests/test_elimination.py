@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from test_redundancy import presentations, vertex_outcome
 from toriq import linalg, mmp, polytopes
 from toriq.fano_table import load_builtin_table
 from toriq.linalg import (
+    DimensionError,
     _eliminate,
     adjugate,
     hull_facets,
@@ -44,10 +46,14 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4,
 
 
 @st.composite
-def matrices(draw, entry):
-    """Rectangular matrices, some of whose rows are integer combinations of
-    earlier ones, so rank-deficient inputs are common."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+def matrices(draw, entry, square=False):
+    """Rectangular matrices (n x n ones, n = 1..6, when ``square``), some of
+    whose rows are integer combinations of earlier ones, so rank-deficient
+    inputs are common."""
+    if square:
+        m = n = draw(st.integers(1, 6))
+    else:
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rows = []
     for _ in range(m):
         if rows and draw(st.booleans()):
@@ -81,11 +87,33 @@ def test_matches_fraction_oracle(M, data):
         same(solve_linear(M, b), oracle.solve_linear(M, b))
 
 
-@given(st.integers(1, 5).flatmap(lambda n: matrices(entries).filter(
-    lambda M: len(M) == len(M[0]))))
-@settings(max_examples=300)
+# n = 1..6 falls on both sides of the switch from cofactors (n <= 4) to
+# elimination; entries up to 2^64 in size
+@given(st.sampled_from((entries, st.integers(-2 ** 64, 2 ** 64))).flatmap(
+    lambda entry: matrices(entry, square=True)))
+@settings(max_examples=600)
 def test_adjugate_matches_bareiss_oracle(M):
     same(adjugate(M), oracle.adjugate(M))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_adjugate_edge_cases(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    same(adjugate(identity), (tuple(map(tuple, identity)), 1))
+    if n > 1:
+        same(adjugate([[(i + 1) * (j + 2) for j in range(n)] for i in range(n)]), (None, 0))
+    if n:
+        same(adjugate([row[:-1] + [0] for row in identity]), (None, 0))
+        with pytest.raises(DimensionError):
+            adjugate(identity[:-1] + [identity[-1] + [0]])
+        with pytest.raises(DimensionError):
+            adjugate([row + [0] for row in identity])
+        with pytest.raises(TypeError):
+            adjugate(identity[:-1] + [identity[-1][:-1] + [1.0]])
+    else:
+        assert adjugate([]) == ((), 1)
+    with pytest.raises(DimensionError):
+        adjugate(identity + [[0] * n])
 
 
 @given(matrices(entries))
@@ -233,9 +261,10 @@ def test_face_fan_work_is_one_shared_elimination(monkeypatch):
     cold_caches()
     fan = face_fan(cube_facets(4))
     assert len(fan.max_cones) == 16
-    # 5 for the double description, 64 for the adjugates of the 16 cones
-    # that validate reads through its own import (118: 54 for the walk)
-    assert (len(pivots), len(adjugates)) == (69, 0)
+    # 5 for the double description; the 16 cones' adjugates that validate
+    # reads through its own import are 4 x 4 cofactors, with no _pivot step
+    # (69 when they took 4 each, 118 with 54 for the walk)
+    assert (len(pivots), len(adjugates)) == (5, 0)
 
 
 def test_no_fraction_row_is_reintegerised(monkeypatch):
