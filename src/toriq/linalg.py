@@ -3,14 +3,15 @@
 Everything in this package runs on Python ints and ``fractions.Fraction``;
 there is no floating point anywhere.  This module provides the shared
 kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
-both Gauss-Jordan elimination and a two-phase simplex LP solver (Bland's
-rule, so it terminates), each on an integer tableau (int and ``Fraction``
-entries are scaled to integers first, and a ``Fraction`` is built only for
-the result); the integer adjugate, by cofactors up to 4 x 4 and by that
-elimination beyond; Smith normal form; and the extreme rays of a pointed
-cone by the double description method, ``_extreme_rays``.  On homogenized rows
-those give polytope vertices, convex hull facets (``hull_facets``, the
-vertices of the polar) and face fans (the tight sets of the polar).
+Gauss-Jordan elimination on integer rows (int and ``Fraction`` entries are
+scaled to integers first, and a ``Fraction`` is built only for the result);
+the integer adjugate, by cofactors up to 4 x 4 and by that elimination
+beyond; Smith normal form; and the extreme rays of a pointed cone by the
+double description method, ``_extreme_rays``.  On homogenized rows those
+give polytope vertices, convex hull facets (``hull_facets``, the vertices of
+the polar), face fans (the tight sets of the polar) and the optimum of a
+linear program (``lp_standard``, ``lp_min``), whose vertices and recession
+directions are the rays.
 """
 
 from __future__ import annotations
@@ -415,7 +416,7 @@ def integer_kernel_basis(rows: list[Vec]) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex
+# linear programs on the extreme rays
 # ---------------------------------------------------------------------------
 
 def _rationals(xs) -> list:
@@ -431,100 +432,72 @@ class LPResult:
     point: Optional[QVec]
 
 
-def _simplex_phase(T: list[list[int]], basis: list[int], nvars: int, d: int) -> Optional[int]:
-    """Run the simplex with Bland's rule on the integer tableau T, which is
-    d > 0 times the rational one: rows ``range(len(basis))`` are the
-    constraints, the last row is the objective and the last column the
-    right-hand side.  Returns the final d, or None when unbounded."""
-    m = len(basis)
-    obj = T[-1]
-    while True:
-        enter = next((j for j in range(nvars) if obj[j] < 0), None)
-        if enter is None:
-            return d
-        best = None
-        for i in range(m):
-            e = T[i][enter]
-            if e > 0 and (best is None or T[i][nvars] * eb < rb * e
-                          or (T[i][nvars] * eb == rb * e and basis[i] < basis[best])):
-                best, rb, eb = i, T[i][nvars], e
-        if best is None:
-            return None
-        d = _pivot(T, best, enter, d)
-        obj = T[-1]
-        basis[best] = enter
+def _ray_optimum(c: Sequence, rays: list[tuple[Vec, int]], kernel: Sequence[Vec] = ()) -> LPResult:
+    """Minimize c·x over P + span(kernel), for the polyhedron P whose
+    homogenization, a pointed cone in t >= 0, has the extreme rays (x, t):
+    the rays with t > 0 are P's vertices x / t and those with t = 0 its
+    recession directions.  P is empty when no ray has t > 0; c·x is
+    unbounded below when it is negative on a recession direction or nonzero
+    on the kernel; otherwise its minimum is at a vertex.  With c = C / L for
+    integers C, vertices compare by C·x / t cross-multiplied, the first of
+    equal ones winning, and only the winner becomes ``Fraction``s."""
+    L, C = _scaled(_rationals(c))
+    best = None
+    for z, _ in rays:
+        t, v = z[-1], sum(map(mul, C, z))
+        if t > 0 and (best is None or v * bt < bv * t):
+            best, bv, bt = z, v, t
+    if best is None:
+        return LPResult("infeasible", None, None)
+    recedes = any(z[-1] == 0 and sum(map(mul, C, z)) < 0 for z, _ in rays)
+    if recedes or any(sum(map(mul, C, k)) for k in kernel):
+        return LPResult("unbounded", None, None)
+    return LPResult("optimal", Fraction(bv, L * bt), tuple(Fraction(a, bt) for a in best[:-1]))
 
 
 def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Fraction]) -> LPResult:
     """Minimize c·y subject to A y = b, y >= 0, exactly.
 
-    Two-phase simplex on one integer tableau, d times the rational one for
-    d = |det| of the current basis, so each pivot is a ``_pivot`` step.  The
-    int and ``Fraction`` entries of A, b and c are scaled by one common L
-    (``_scaled``), which keeps Bland's pivot path; the cost row is carried
-    through phase 1.
-    """
+    Read off the extreme rays (y, t) of the cone over the unit rows (y >= 0
+    and t >= 0) and the rows ±(L A_i, -L b_i), with one common L scaling A
+    and b to integers (``_scaled``); the unit rows make it pointed."""
     m, n = len(A), len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise DimensionError(f"{m} x {n} constraints against {len(b)} right-hand entries")
-    L, flat = _scaled(_rationals([x for row, bi in zip(A, b) for x in (*row, bi)] + list(c)))
-    T = [flat[i:i + n + 1] for i in range(0, m * (n + 1), n + 1)]
-    cost = flat[m * (n + 1):]
-    T = [[-x for x in row] if row[n] < 0 else row for row in T]
-    # phase 1 minimizes the sum of the artificials; the cost row rides along
-    w = [-sum(row[j] for row in T) for j in range(n + 1)]
-    T = [row[:n] + [int(j == i) for j in range(m)] + row[n:] for i, row in enumerate(T)]
-    T.append(cost + [0] * (m + 1))
-    T.append(w[:n] + [0] * m + w[n:])
-    total = n + m
-    basis = list(range(n, total))
-    d = _simplex_phase(T, basis, total, 1)
-    if T.pop()[total]:
-        return LPResult("infeasible", None, None)
-    # drive artificials out of the basis where possible; a row whose
-    # artificial stays is zero on y and never wins a ratio test
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j]), None)
-            if col is not None:
-                if T[i][col] < 0:
-                    T[i] = [-x for x in T[i]]
-                d = _pivot(T, i, col, d)
-                basis[i] = col
-    T = [row[:n] + row[total:] for row in T]
-    d = _simplex_phase(T, basis, n, d)
-    if d is None:
-        return LPResult("unbounded", None, None)
-    y = [ZERO] * n
-    for i, bc in enumerate(basis):
-        if bc < n:
-            y[bc] = Fraction(T[i][n], d)
-    return LPResult("optimal", Fraction(-T[m][n], d * L), tuple(y))
+    _, flat = _scaled(_rationals([x for row, bi in zip(A, b) for x in (*row, bi)]))
+    eqs = [[*flat[i:i + n], -flat[i + n]] for i in range(0, m * (n + 1), n + 1)]
+    units = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return _ray_optimum(c, _extreme_rays(units + eqs + [[-x for x in row] for row in eqs]))
 
 
 def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPResult:
     """Minimize c·x over {x : <v_i, x> >= -a_i} with free x, exactly.
 
-    Encodes x = p - q with slack variables and runs two-phase simplex.
-    """
-    n, k = len(c), len(normals)
-    if k != len(constants) or any(len(v) != n for v in normals):
-        raise DimensionError(f"{k} normals, {len(constants)} constants, length {n}")
-    cq = _rationals(c)
-    A = [[*v, *(-x for x in v), *(-int(j == i) for j in range(k))]
-         for i, v in enumerate(map(_rationals, normals))]
-    res = lp_standard(cq + [-x for x in cq] + [0] * k, A, [-a for a in _rationals(constants)])
-    if res.status != "optimal":
-        return res
-    x = tuple(res.point[i] - res.point[n + i] for i in range(n))
-    return LPResult("optimal", res.value, x)
+    Read off the extreme rays (x, t) of the cone over the rows (L v_i, L a_i)
+    and t >= 0, with one common L scaling the normals and constants to
+    integers (``_scaled``).  When the normals have a kernel K (all of R^n
+    when there are none), the cone is not pointed: the polyhedron is its
+    part orthogonal to K plus K, and the rows ±(k, 0) for an integer basis
+    k of K cut out that part."""
+    n, m = len(c), len(normals)
+    if m != len(constants) or any(len(v) != n for v in normals):
+        raise DimensionError(f"{m} normals, {len(constants)} constants, length {n}")
+    _, flat = _scaled(_rationals([x for v, a in zip(normals, constants) for x in (*v, a)]))
+    rows = [flat[i:i + n + 1] for i in range(0, m * (n + 1), n + 1)]
+    rows.append([0] * n + [1])
+    rays, kernel = _extreme_rays(rows), []
+    if rays is None:
+        kernel = (integer_kernel_basis([row[:n] for row in rows[:m]]) if m
+                  else [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        rays = _extreme_rays(rows + [[s * x for x in (*k, 0)] for k in kernel for s in (1, -1)])
+    return _ray_optimum(c, rays, kernel)
 
 
 def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
     """Coefficients c >= 0 with sum(c_i * g_i) = x, or None.
 
-    Exact phase-one simplex; the returned witness is one valid certificate,
-    not a canonical one.
+    The feasibility problem of ``lp_standard``; the returned witness is one
+    valid certificate, not a canonical one.
     """
     gens = [_rationals(g) for g in generators]
     target = _rationals(x)
@@ -533,10 +506,8 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
             raise DimensionError("generator length differs from target length")
     if not gens:
         return None if any(target) else ()
-    res = lp_standard([0] * len(gens), list(zip(*gens)), target)
-    if res.status != "optimal":
-        return None
-    return res.point
+    # with c = 0 nothing is unbounded, and only an optimum has a point
+    return lp_standard([0] * len(gens), list(zip(*gens)), target).point
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from toriq import fans, polytopes
+from toriq import fans, linalg, polytopes
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
 from toriq.linalg import dot
@@ -53,6 +53,22 @@ def count_calls(monkeypatch, name, *modules) -> list:
     for mod in modules:
         if getattr(mod, name, None) is fn:
             monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def count_lps(monkeypatch) -> list:
+    """Record the arguments of every LP solved from here on: each call of
+    ``linalg.lp_min`` (which ``polytopes`` and ``fans`` import) and of
+    ``linalg.lp_standard`` (behind ``nonneg_solve``); neither calls the
+    other."""
+    calls = count_calls(monkeypatch, "lp_min", linalg, polytopes, fans)
+    standard = linalg.lp_standard
+
+    def counted(*args):
+        calls.append(args)
+        return standard(*args)
+
+    monkeypatch.setattr(linalg, "lp_standard", counted)
     return calls
 
 

@@ -33,9 +33,13 @@ extreme rays of a cone by brute force, one kernel per k - 1 of its rows.
 the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
 per cone's ray vectors, shared by every fan that holds the cone.
 
-``lp_standard`` is the two-phase simplex that ``toriq.linalg`` ran before it
-pivoted one integer tableau with the elimination step: every pivot divides
-the tableau by a ``Fraction``, and phase 2 starts from a rebuilt tableau.
+``lp_standard`` is the two-phase simplex (Bland's rule) that ``toriq.linalg``
+ran before it pivoted one integer tableau with the elimination step: every
+pivot divides the tableau by a ``Fraction``, and phase 2 starts from a
+rebuilt tableau.  ``lp_min`` and ``nonneg_solve`` are the standard-form
+encodings on it that ``toriq.linalg`` ran before it read every LP off the
+extreme rays of a homogenized cone: x = p - q with slacks, and a phase-one
+solve.  They share no code with the package's LPs.
 
 ``hull_facets_over_fractions`` is the polar hull that ``toriq.linalg.hull_facets``
 ran before it scaled the points to integers once: a ``Fraction`` centroid,
@@ -527,3 +531,24 @@ def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Frac
     for i in range(m2):
         y[basis2[i]] = T2[i][n]
     return LPResult("optimal", -T2[m2][n], tuple(y))
+
+
+def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPResult:
+    """Minimize c·x over {x : <v_i, x> >= -a_i} with free x: x = p - q with
+    a slack per inequality, in the standard form of ``lp_standard``."""
+    n, k = len(c), len(normals)
+    cq = [Fraction(x) for x in c]
+    A = [[*v, *(-x for x in v), *(-int(j == i) for j in range(k))] for i, v in enumerate(normals)]
+    res = lp_standard(cq + [-x for x in cq] + [0] * k, A, [-Fraction(a) for a in constants])
+    if res.status != "optimal":
+        return res
+    return LPResult("optimal", res.value, tuple(res.point[i] - res.point[n + i] for i in range(n)))
+
+
+def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """Coefficients c >= 0 with sum(c_i * g_i) = x, or None: phase one of
+    ``lp_standard`` on the generators as columns."""
+    if not generators:
+        return None if any(x) else ()
+    res = lp_standard([0] * len(generators), list(zip(*generators)), x)
+    return res.point if res.status == "optimal" else None

@@ -56,6 +56,8 @@ from linalg_oracle import (
     bases,
     basis_solutions,
     hull_facets_over_fractions,
+    lp_min,
+    nonneg_solve,
     tree_vertex_solutions,
 )
 from toriq.linalg import (
@@ -65,9 +67,7 @@ from toriq.linalg import (
     _scaled,
     dot,
     integer_kernel_basis,
-    lp_min,
     matrix_rank,
-    nonneg_solve,
     saturation_and_projection,
     scale_to_primitive,
     smith_normal_form,

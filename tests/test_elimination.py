@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 import polytope_oracle
-from helpers import cold_caches, count_calls, mat_mul
+from helpers import cold_caches, count_calls, count_lps, mat_mul
 from test_adjoint_certificate import sweep_polytopes
 from test_circuit_replacement import _workloads
 from test_integer_points import non_simple
@@ -235,7 +235,7 @@ def test_hull_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
     kernels = count_calls(monkeypatch, "kernel_basis", linalg)
-    lps = count_calls(monkeypatch, "lp_standard", linalg)
+    lps = count_lps(monkeypatch)
     cold_caches()
     assert len(hull_facets(cube_vertices(4))) == 8
     # 5 for the transposed rows (1390 for the walk over the 16 rows of the
@@ -246,7 +246,7 @@ def test_hull_work_is_one_shared_elimination(monkeypatch):
 def test_vertices_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     adjugates = count_calls(monkeypatch, "adjugate", linalg)
-    lps = count_calls(monkeypatch, "lp_standard", linalg)
+    lps = count_lps(monkeypatch)
     cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
     cold_caches()
     assert len(vertices(cube).vertices) == 16

@@ -16,6 +16,7 @@ from toriq.formats import (
 )
 from toriq.polytopes import FacetPresentation
 from conftest import hexagon
+from helpers import count_lps
 
 F = Fraction
 
@@ -206,17 +207,10 @@ def test_empty_flagged_polytope_rejected():
 def test_hexagon_drawing_lp_count(monkeypatch):
     # one effective threshold; boundedness and emptiness are read off the
     # vertex enumeration (a boundedness LP for the normals was the second)
-    from toriq import linalg, polytopes
+    from toriq import polytopes
 
     for cached in (polytopes.vertices, polytopes.effective_threshold):
         cached.cache_clear()
-    calls = []
-    lp_standard = linalg.lp_standard
-
-    def counted(*args):
-        calls.append(args)
-        return lp_standard(*args)
-
-    monkeypatch.setattr(linalg, "lp_standard", counted)
+    calls = count_lps(monkeypatch)
     emit_svg(hexagon())
     assert len(calls) == 1

@@ -139,10 +139,12 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # with each critical value from the wall ratio of every wall, not the
     # slack rows, intersection 38, polytopes 365 and mmp 86 on mmp-4fold,
     # and fans 212, intersection 125, polytopes 2176 and mmp 269 on
-    # adjoint-family (3877 in all); the slack-row scan lives in polytopes
+    # adjoint-family (3877 in all); the slack-row scan lives in polytopes.
+    # linalg built 1095 on adjoint-family when its 40 LPs ran the simplex,
+    # and builds each optimum's value and point only now
     assert passes == [
         {"toriq.linalg": 110, "toriq.polytopes": 403, "toriq.mmp": 86},
-        {"toriq.linalg": 1095, "toriq.fans": 168, "toriq.polytopes": 2301, "toriq.mmp": 269},
+        {"toriq.linalg": 633, "toriq.fans": 168, "toriq.polytopes": 2301, "toriq.mmp": 269},
     ]
     # walls computed: no critical value search computes them, and
     # adjoint-family's are those of ``cayley_mori_detect`` (38 and 75 when

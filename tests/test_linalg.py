@@ -195,6 +195,10 @@ def brute_force_in_cone(generators, x):
 
 
 class TestNonnegSolve:
+    def test_no_generators(self):
+        assert nonneg_solve([], (0, 0)) == ()
+        assert nonneg_solve([], (1,)) is None
+
     def test_coordinate_cone(self):
         assert nonneg_solve([(1, 0), (0, 1)], (2, 3)) == (F(2), F(3))
 
@@ -229,6 +233,22 @@ class TestNonnegSolve:
 
 
 class TestLP:
+    # the empty and all-zero normal lists, whose kernel is everything, as
+    # the simplex solved them
+    @pytest.mark.parametrize("program, outcome", [
+        (([1], [], []), ("unbounded", None, None)),
+        (([0, 0], [], []), ("optimal", 0, (0, 0))),
+        (([0], [(0,)], [1]), ("optimal", 0, (0,))),
+        (([0], [(0,)], [-1]), ("infeasible", None, None)),
+    ])
+    def test_no_normals(self, program, outcome):
+        res = lp_min(*program)
+        assert (res.status, res.value, res.point) == outcome
+
+    def test_standard_form_without_constraints(self):
+        res = lp_standard([1], [], [])
+        assert (res.status, res.value, res.point) == ("optimal", 0, (F(0),))
+
     def test_min_on_square(self):
         res = lp_min([1, 1], [(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
         assert res.status == "optimal" and res.value == 0 and res.point == (F(0), F(0))

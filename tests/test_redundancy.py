@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import linalg_oracle
 import polytope_oracle as oracle
 from conftest import BLOWUP_RAYS, blowup_polytope, hexagon, simplex_polytope
-from helpers import count_calls, count_enumerations
+from helpers import count_calls, count_enumerations, count_lps
 from test_acceptance import random_simple_polytope
 from test_adjoint_certificate import sweep_polytopes
-from toriq import linalg, polytopes
+from toriq import polytopes
 from toriq.fans import face_fan
 from toriq.linalg import dot, primitive_part
 from toriq.mmp import run_mmp_scaling
@@ -212,14 +212,7 @@ def test_critical_values_match_oracle(P):
 def test_adjoint_path_runs_no_lp(monkeypatch):
     P = acceptance_corpus(1)[0]
     sigma = effective_threshold(P)
-    calls = []
-    lp_standard = linalg.lp_standard
-
-    def counted(*args):
-        calls.append(args)
-        return lp_standard(*args)
-
-    monkeypatch.setattr(linalg, "lp_standard", counted)
+    calls = count_lps(monkeypatch)
 
     def adjoint_path_lps():
         polytopes.vertices.cache_clear()
@@ -247,14 +240,7 @@ def test_effective_threshold_one_lp_per_polytope(monkeypatch):
         run_mmp_scaling(P)
 
     run()  # warms every other cache, boundedness included
-    calls = []
-    lp_standard = linalg.lp_standard
-
-    def counted(*args):
-        calls.append(args)
-        return lp_standard(*args)
-
-    monkeypatch.setattr(linalg, "lp_standard", counted)
+    calls = count_lps(monkeypatch)
     polytopes.vertices.cache_clear()
     polytopes.effective_threshold.cache_clear()
     run()

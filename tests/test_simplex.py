@@ -1,11 +1,10 @@
-"""The simplex behind ``toriq.linalg`` pivots one integer tableau with the
-elimination step ``_pivot`` and agrees exactly with the ``Fraction`` simplex
-in ``linalg_oracle``; boundedness, read off the extreme rays of the
-homogenized cone without an LP, agrees with the 2n-LP test in
-``polytope_oracle``."""
+"""The LPs of ``toriq.linalg``, read off the extreme rays of a homogenized
+cone, agree in status and value with the ``Fraction`` simplex and its
+standard-form encodings in ``linalg_oracle``, and return points that certify
+their values; boundedness, read off the extreme rays of the homogenized cone
+without an LP, agrees with the 2n-LP test in ``polytope_oracle``."""
 
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +13,10 @@ from hypothesis import strategies as st
 import linalg_oracle
 import polytope_oracle
 from toriq import linalg, polytopes
-from toriq.linalg import lp_min, lp_standard, matrix_rank, nonneg_solve, primitive_part
+from toriq.linalg import dot, lp_min, lp_standard, matrix_rank, nonneg_solve, primitive_part
 from toriq.polytopes import FacetPresentation, UnboundedError
 from conftest import hexagon
+from helpers import count_lps
 
 entries = st.one_of(st.integers(-4, 4),
                     st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4))))
@@ -54,23 +54,37 @@ def same(got, expect):
         assert type(got) is type(expect)
 
 
-def outcome(res):
-    return res.status, res.value, res.point
+def exact(point) -> bool:
+    return type(point) is tuple and all(type(x) is Fraction for x in point)
 
 
 @given(programs())
-# a degenerate phase 1 whose ratio test ties: the basis-index tie-break
-# decides which of two feasible points is returned
+# a degenerate phase 1 whose ratio test ties: the oracle's Bland's rule and
+# the extreme rays may reach different points of the same optimal value
 @example(([0] * 5, [[0, 2, 1, -1, 0], [0, 0, 1, 2, 0], [2, 1, 2, 2, -1]], [0, 2, 0]))
 @settings(max_examples=400, deadline=None)
 def test_lp_matches_fraction_oracle(program):
+    # status and value are exact; an optimal point certifies the value:
+    # it satisfies every constraint exactly and attains the value
     c, A, b = program
+    res, expect = lp_standard(c, A, b), linalg_oracle.lp_standard(c, A, b)
+    same((res.status, res.value), (expect.status, expect.value))
+    if res.status == "optimal":
+        y = res.point
+        assert exact(y) and all(x >= 0 for x in y)
+        assert all(dot(row, y) == bi for row, bi in zip(A, b)) and dot(c, y) == res.value
+    res, expect = lp_min(c, A, b), linalg_oracle.lp_min(c, A, b)
+    same((res.status, res.value), (expect.status, expect.value))
+    if res.status == "optimal":
+        x = res.point
+        assert exact(x) and all(dot(row, x) >= -bi for row, bi in zip(A, b))
+        assert dot(c, x) == res.value
     columns = [[row[j] for row in A] for j in range(len(c))]
-    got = (outcome(lp_standard(c, A, b)), outcome(lp_min(c, A, b)), nonneg_solve(columns, b))
-    with patch.object(linalg, "lp_standard", linalg_oracle.lp_standard):
-        expect = (outcome(linalg.lp_standard(c, A, b)), outcome(linalg.lp_min(c, A, b)),
-                  linalg.nonneg_solve(columns, b))
-    same(got, expect)
+    got, expect = nonneg_solve(columns, b), linalg_oracle.nonneg_solve(columns, b)
+    assert (got is None) is (expect is None)
+    if got is not None:
+        assert exact(got) and all(x >= 0 for x in got)
+        assert all(sum(x * col[i] for x, col in zip(got, columns)) == bi for i, bi in enumerate(b))
 
 
 vectors = st.integers(1, 4).flatmap(
@@ -111,18 +125,6 @@ def test_positively_spanning_matches_per_direction_oracle(case):
     except UnboundedError:
         bounded = False
     assert bounded is polytope_oracle._positively_spanning(dim, normals)
-
-
-def count_lps(monkeypatch) -> list:
-    calls = []
-    solve = linalg.lp_standard
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(linalg, "lp_standard", counted)
-    return calls
 
 
 def test_cold_boundedness_check_solves_no_lp(monkeypatch):
