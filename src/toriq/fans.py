@@ -476,7 +476,9 @@ def face_fan(rays: list[Vec]) -> Fan:
     rays = [tuple(r) for r in rays]
     n, m = len(rays[0]), len(rays)
     # the polar's vertices: the rays (y, t > 0) of the cone over (r, 1) and t >= 0
-    polar = _extreme_rays([(*r, 1) for r in rays] + [(0,) * n + (1,)]) or ()
+    polar, lineality = _extreme_rays([(*r, 1) for r in rays] + [(0,) * n + (1,)])
+    if lineality:  # rays that do not span leave the polar no vertex, so no cone
+        raise ReconstructionError("face fan failed validation")
     cones = [tuple(i for i in range(m) if mask >> i & 1) for z, mask in polar if z[n]]
     fan = Fan(n, tuple(rays), tuple(cones))
     rep = validate(fan)

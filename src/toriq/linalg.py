@@ -6,12 +6,12 @@ kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
 Gauss-Jordan elimination on integer rows (int and ``Fraction`` entries are
 scaled to integers first, and a ``Fraction`` is built only for the result);
 the integer adjugate, by cofactors up to 4 x 4 and by that elimination
-beyond; Smith normal form; and the extreme rays of a pointed cone by the
-double description method, ``_extreme_rays``.  On homogenized rows those
-give polytope vertices, convex hull facets (``hull_facets``, the vertices of
-the polar), face fans (the tight sets of the polar) and the optimum of a
-linear program (``lp_standard``, ``lp_min``), whose vertices and recession
-directions are the rays.
+beyond; Smith normal form; and a cone's lineality space and the extreme
+rays of its pointed part by the double description method, ``_extreme_rays``.
+On homogenized rows those give polytope vertices, convex hull facets
+(``hull_facets``, the vertices of the polar), face fans (the tight sets of
+the polar) and the optimum of a linear program (``lp_standard``,
+``lp_min``), whose vertices and recession directions are the rays.
 """
 
 from __future__ import annotations
@@ -432,15 +432,16 @@ class LPResult:
     point: Optional[QVec]
 
 
-def _ray_optimum(c: Sequence, rays: list[tuple[Vec, int]], kernel: Sequence[Vec] = ()) -> LPResult:
-    """Minimize c·x over P + span(kernel), for the polyhedron P whose
-    homogenization, a pointed cone in t >= 0, has the extreme rays (x, t):
-    the rays with t > 0 are P's vertices x / t and those with t = 0 its
-    recession directions.  P is empty when no ray has t > 0; c·x is
-    unbounded below when it is negative on a recession direction or nonzero
-    on the kernel; otherwise its minimum is at a vertex.  With c = C / L for
-    integers C, vertices compare by C·x / t cross-multiplied, the first of
-    equal ones winning, and only the winner becomes ``Fraction``s."""
+def _ray_optimum(c: Sequence, rays: list[tuple[Vec, int]], kernel: Sequence[Vec]) -> LPResult:
+    """Minimize c·x over P + span(kernel), for kernel vectors (k, 0) and
+    the polyhedron P whose homogenization, a pointed cone in t >= 0, has the
+    extreme rays (x, t): the rays with t > 0 are P's vertices x / t and
+    those with t = 0 its recession directions.  P is empty when no ray has
+    t > 0; c·x is unbounded below when it is negative on a recession
+    direction or nonzero on the kernel; otherwise its minimum is at a
+    vertex.  With c = C / L for integers C, vertices compare by C·x / t
+    cross-multiplied, the first of equal ones winning, and only the winner
+    becomes ``Fraction``s."""
     L, C = _scaled(_rationals(c))
     best = None
     for z, _ in rays:
@@ -467,7 +468,7 @@ def lp_standard(c: Sequence[Fraction], A: list[list[Fraction]], b: Sequence[Frac
     _, flat = _scaled(_rationals([x for row, bi in zip(A, b) for x in (*row, bi)]))
     eqs = [[*flat[i:i + n], -flat[i + n]] for i in range(0, m * (n + 1), n + 1)]
     units = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    return _ray_optimum(c, _extreme_rays(units + eqs + [[-x for x in row] for row in eqs]))
+    return _ray_optimum(c, *_extreme_rays(units + eqs + [[-x for x in row] for row in eqs]))
 
 
 def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPResult:
@@ -475,22 +476,15 @@ def lp_min(c: Sequence, normals: Sequence[Sequence], constants: Sequence) -> LPR
 
     Read off the extreme rays (x, t) of the cone over the rows (L v_i, L a_i)
     and t >= 0, with one common L scaling the normals and constants to
-    integers (``_scaled``).  When the normals have a kernel K (all of R^n
-    when there are none), the cone is not pointed: the polyhedron is its
-    part orthogonal to K plus K, and the rows ±(k, 0) for an integer basis
-    k of K cut out that part."""
+    integers (``_scaled``), and its lineality space (k, 0), k in the kernel
+    of the normals (all of R^n when there are none)."""
     n, m = len(c), len(normals)
     if m != len(constants) or any(len(v) != n for v in normals):
         raise DimensionError(f"{m} normals, {len(constants)} constants, length {n}")
     _, flat = _scaled(_rationals([x for v, a in zip(normals, constants) for x in (*v, a)]))
     rows = [flat[i:i + n + 1] for i in range(0, m * (n + 1), n + 1)]
     rows.append([0] * n + [1])
-    rays, kernel = _extreme_rays(rows), []
-    if rays is None:
-        kernel = (integer_kernel_basis([row[:n] for row in rows[:m]]) if m
-                  else [tuple(int(i == j) for j in range(n)) for i in range(n)])
-        rays = _extreme_rays(rows + [[s * x for x in (*k, 0)] for k in kernel for s in (1, -1)])
-    return _ray_optimum(c, rays, kernel)
+    return _ray_optimum(c, *_extreme_rays(rows))
 
 
 def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
@@ -514,11 +508,12 @@ def nonneg_solve(generators: Sequence[Sequence], x: Sequence) -> Optional[QVec]:
 # extreme rays (double description) and convex hull facets
 # ---------------------------------------------------------------------------
 
-def _extreme_rays(rows: Sequence[Vec]) -> Optional[list[tuple[Vec, int]]]:
-    """The extreme rays of the cone {z : rows·z >= 0} for nonempty integer
-    rows of length k, each as (primitive ray, bitmask of the rows that
-    vanish on it), in no particular order; None when the rows have rank
-    below k, so that the cone is not pointed.
+def _extreme_rays(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]]:
+    """The cone {z : rows·z >= 0} for nonempty integer rows of length k, as
+    (rays, lineality): the extreme rays of its part orthogonal to the
+    lineality space {z : rows·z = 0}, a pointed cone, each as (primitive
+    ray, bitmask of the rows that vanish on it), in no particular order,
+    and a primitive basis of that space.
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
     1953): the leftmost k independent rows cut out a simplicial cone, whose
@@ -527,12 +522,18 @@ def _extreme_rays(rows: Sequence[Vec]) -> Optional[list[tuple[Vec, int]]]:
     positive and one where it is negative: two extreme rays of a pointed
     cone are adjacent exactly when no third one vanishes on every row that
     both vanish on (Fukuda and Prodon, "Double description method
-    revisited", 1996)."""
+    revisited", 1996).  Rows of rank below k leave a lineality space; the
+    pointed part is then the cone of the rows and ±e for its basis e
+    (Schrijver, "Theory of Linear and Integer Programming", ch. 8)."""
     m, k = len(rows), len(rows[0])
     T = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*rows))]
     pivots, d, _ = _eliminate(T, m)
-    if len(pivots) < k:
-        return None
+    # the rows of T below the rank vanish on the first m columns, so their
+    # identity part e has rows·e = 0
+    lineality = [primitive_part(t[m:]) for t in T[len(pivots):]]
+    if lineality:
+        rays, _ = _extreme_rays([*rows, *([s * x for x in e] for e in lineality for s in (1, -1))])
+        return [(z, mask & (1 << m) - 1) for z, mask in rays], lineality
     # one elimination of [rows^T | I] picks the rows B and gives T = d [R | E]
     # with E B^T = I: rows[pivots[c]] · T[c][m:] = d, the other rows of B vanish
     seen = sum(1 << j for j in pivots)
@@ -563,7 +564,7 @@ def _extreme_rays(rows: Sequence[Vec]) -> Optional[list[tuple[Vec, int]]]:
                 kept.append((primitive_part([sp * b - sn * a for a, b in zip(zp, zn)]),
                              common | bit))
         rays = kept
-    return rays
+    return rays, []
 
 
 def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fraction]]:
@@ -589,8 +590,8 @@ def hull_facets(points: Sequence[Sequence[Fraction]]) -> list[tuple[Vec, Fractio
     pts = [flat[i:i + d] for i in range(0, len(flat), d)]
     m = len(pts)
     total = [sum(col) for col in zip(*pts)]
-    rays = _extreme_rays([(*(m * a - s for a, s in zip(p, total)), 1) for p in pts])
-    if rays is None:
+    rays, lineality = _extreme_rays([(*(m * a - s for a, s in zip(p, total)), 1) for p in pts])
+    if lineality:
         raise ValueError("points do not span the ambient space")
     normals = [primitive_part(z[:d]) for z, _ in rays]
     return sorted((u, Fraction(-min(dot(u, p) for p in pts), L)) for u in normals)

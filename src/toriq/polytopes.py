@@ -166,38 +166,25 @@ class CayleyMoriDecomposition:
     simplex_vertices: tuple[QVec, ...]
 
 
-def is_empty(P: FacetPresentation) -> bool:
-    if P.dim == 0:
-        return False
-    res = lp_min([0] * P.dim, P.normals, P.constants)
-    return res.status == "infeasible"
-
-
 @lru_cache(maxsize=64)  # one entry per presentation, read by all its callers
 def vertices(P: FacetPresentation, allow_lower_dim: bool = False) -> VertexSet:
     """Exact vertex enumeration by polarity: with integers A_i = L a_i, the
     vertices are the extreme rays (y, t), t > 0, of the cone over the rows
     (v_i, A_i) and t >= 0 (``linalg._extreme_rays``), each the vertex
     y / (t L), tight where its rows vanish.  P is empty when no ray has
-    t > 0, and unbounded when a ray has t = 0, a recession direction; only
-    normals that do not span, leaving P no vertex, need the emptiness LP.
+    t > 0, and unbounded when a ray has t = 0, a recession direction, or
+    the normals do not span, leaving lines in P (the cone's lineality).
     P is full-dimensional exactly when no inequality is tight at every
     vertex (``VertexSet.faces``), which ``allow_lower_dim`` does not ask."""
     n = P.dim
-    if n == 0:
-        return VertexSet((((), 1),), ((),))
     L, A = _scaled(P.constants)
     m = P.nfacets
-    rays = _extreme_rays([(*v, a) for v, a in zip(P.normals, A)] + [(0,) * n + (1,)])
-    if rays is None:
-        if is_empty(P):
-            raise EmptyPolytopeError("polytope is empty")
-        raise UnboundedError("presentation is unbounded")
+    rays, lineality = _extreme_rays([(*v, a) for v, a in zip(P.normals, A)] + [(0,) * n + (1,)])
     found = {_lowest_terms(z[:n], z[n] * L): tuple(i for i in range(m) if mask >> i & 1)
              for z, mask in rays if z[n]}
     if not found:
         raise EmptyPolytopeError("polytope is empty")
-    if len(found) < len(rays):
+    if lineality or len(found) < len(rays):
         raise UnboundedError("presentation is unbounded")
     vs = _vertex_set(found)
     if not allow_lower_dim and vs.faces[0]:

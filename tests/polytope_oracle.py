@@ -14,6 +14,11 @@ tracking each vertex of P^(s) linearly in s instead.
 every invariant factor is the same s, where ``toriq.polytopes.is_cayley_s``
 compares the gcd of its entries with its determinant.
 
+``is_empty`` is the emptiness LP that ``toriq.polytopes`` solved for
+normals that do not span, before it read emptiness off the extreme rays
+of the pointed part of the homogenized cone; it runs on the ``Fraction``
+simplex, independent of the double description.
+
 ``_positively_spanning`` is a boundedness test with one LP per signed
 unit vector, 2n in all; ``positively_spanning`` is the one rank and one LP
 (Davis 1954) that ``toriq.polytopes`` asked before it read boundedness off
@@ -87,11 +92,14 @@ from toriq.polytopes import (
     _vertex_set,
     effective_threshold,
     facet_presentation_from_vertices,
-    is_empty,
     normal_fan,
     remove_redundant as toriq_remove_redundant,
     vertices,
 )
+
+
+def is_empty(P: FacetPresentation) -> bool:
+    return lp_min([0] * P.dim, P.normals, P.constants).status == "infeasible"
 
 
 def _positively_spanning(dim: int, normals: tuple[Vec, ...]) -> bool:

@@ -400,23 +400,27 @@ def test_walk_oracle_finds_the_extreme_rays(system):
 @settings(max_examples=300, deadline=None)
 def test_extreme_rays_are_the_rays_of_the_cone(system):
     # the homogenized rows (r, -b) of rows·y >= rhs, with and without the
-    # row t >= 0: each ray satisfies every row, its mask is exactly the
-    # rows that vanish on it, those have rank k - 1, and the rays are the
-    # brute-force oracle's; None exactly when the rows do not have rank k
+    # row t >= 0: the lineality is k - rank primitive, independent vectors
+    # on which every row vanishes; each ray satisfies every row, its mask is
+    # exactly the rows that vanish on it, those have rank one below the
+    # rows', and the rays are the brute-force oracle's for the rows and
+    # ±lineality, masked to the rows
     rows, rhs = system
     cone = [(*r, -b) for r, b in zip(rows, rhs)]
     for M in (cone, cone + [(0,) * len(rows[0]) + (1,)]):
-        k = len(M[0])
-        rays = linalg._extreme_rays(M)
-        assert (rays is None) is (oracle.matrix_rank(M) < k)
-        if rays is None:
-            continue
+        k, rank = len(M[0]), oracle.matrix_rank(M)
+        rays, lineality = linalg._extreme_rays(M)
+        assert len(lineality) == k - rank == oracle.matrix_rank(lineality)
+        for e in lineality:
+            assert linalg.is_primitive(e) and not any(linalg.dot(row, e) for row in M)
         for z, mask in rays:
             values = [linalg.dot(row, z) for row in M]
             assert min(values) >= 0 and linalg.is_primitive(z)
             assert mask == sum(1 << i for i, s in enumerate(values) if s == 0)
-            assert oracle.matrix_rank([row for i, row in enumerate(M) if mask >> i & 1]) == k - 1
-        assert len(rays) == len(set(rays)) and set(rays) == oracle.extreme_rays(M)
+            assert oracle.matrix_rank([row for i, row in enumerate(M) if mask >> i & 1]) == rank - 1
+        pointed = M + [tuple(s * x for x in e) for e in lineality for s in (1, -1)]
+        expect = {(z, mask & (1 << len(M)) - 1) for z, mask in oracle.extreme_rays(pointed)}
+        assert len(rays) == len(set(rays)) and set(rays) == expect
 
 
 @st.composite

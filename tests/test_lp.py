@@ -44,6 +44,26 @@ def programs(draw):
     return draw(st.lists(entries, min_size=n, max_size=n)), A, b
 
 
+@st.composite
+def spanless_programs(draw):
+    """(c, A, b) whose rows have rank below n = 1-4, so ``lp_min``'s normals
+    do not span: m = 0-5 integer combinations of r < n drawn vectors, so
+    no rows at all is common, and c either such a combination (orthogonal
+    to the kernel, so ``lp_min`` can have a finite optimum) or drawn
+    freely."""
+    n = draw(st.integers(1, 4))
+    basis = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n - 1))
+
+    def combination():
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        return [sum((k * v[j] for k, v in zip(coeffs, basis)), Fraction(0)) for j in range(n)]
+
+    A = [combination() for _ in range(draw(st.integers(0, 5)))]
+    b = draw(st.lists(entries, min_size=len(A), max_size=len(A)))
+    c = combination() if draw(st.booleans()) else draw(st.lists(entries, min_size=n, max_size=n))
+    return c, A, b
+
+
 def same(got, expect):
     """Equal values and equal types, entry by entry."""
     assert got == expect
@@ -58,7 +78,9 @@ def exact(point) -> bool:
     return type(point) is tuple and all(type(x) is Fraction for x in point)
 
 
-@given(programs())
+@given(st.one_of(programs(), spanless_programs()))
+@example(([1], [], []))
+@example(([0, 0], [[1, 0], [-1, 0]], [-1, 0]))
 # a degenerate phase 1 whose ratio test ties: the oracle's Bland's rule and
 # the extreme rays may reach different points of the same optimal value
 @example(([0] * 5, [[0, 2, 1, -1, 0], [0, 0, 1, 2, 0], [2, 1, 2, 2, -1]], [0, 2, 0]))
@@ -139,8 +161,9 @@ def test_cold_boundedness_check_solves_no_lp(monkeypatch):
     assert len(calls) == 0
 
 
-def test_rank_and_simplex_share_the_pivot_step(monkeypatch):
-    # every step sees an all-integer tableau: no Fraction inside a pivot
+def test_double_description_pivots_only_integer_rows(monkeypatch):
+    # rank and LP share the pivot step, and every step sees all-integer
+    # rows: no Fraction inside a pivot
     seen = []
     step = linalg._pivot
 

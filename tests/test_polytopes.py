@@ -21,7 +21,6 @@ from toriq.polytopes import (
     effective_threshold,
     facet_presentation_from_vertices,
     is_cayley_s,
-    is_empty,
     is_simple,
     normal_fan,
     polytope_of_divisor,
@@ -79,6 +78,27 @@ class TestVertices:
         with pytest.raises(EmptyPolytopeError):
             vertices(FacetPresentation(1, ((1,), (-1,)), (0, -1)))
 
+    @pytest.mark.parametrize("P", [
+        FacetPresentation(2, ((1, 0), (-1, 0)), (0, 1)),                  # strip
+        FacetPresentation(2, ((1, 0), (-1, 0)), (-1, 0)),                 # empty strip
+        FacetPresentation(3, ((0, 1, 0), (0, -1, 0)), (F(-1, 2), 0)),     # empty slab
+        FacetPresentation(2, ((1, 0),), (3,)),                            # half-plane
+        FacetPresentation(2, (), ()),                                     # the plane
+    ])
+    def test_normals_that_do_not_span(self, P):
+        # the cone's lineality space: empty exactly when the emptiness LP
+        # on the Fraction simplex says so, otherwise unbounded
+        error = EmptyPolytopeError if oracle.is_empty(P) else UnboundedError
+        with pytest.raises(error):
+            vertices.__wrapped__(P)
+
+    def test_dimension_zero(self):
+        # no normal is possible, and R^0 is the single vertex ()
+        P = FacetPresentation(0, (), ())
+        assert not oracle.is_empty(P)
+        vs = vertices.__wrapped__(P)
+        assert (vs.points, vs.tight) == ((((), 1),), ((),))
+
 
 class TestNormalFan:
     def test_simplex_gives_p2(self, p2):
@@ -116,7 +136,7 @@ class TestPolytopeOfDivisor:
 
     def test_empty_flagged(self, p2):
         P = polytope_of_divisor(p2, (-1, 0, 0))
-        assert is_empty(P)
+        assert oracle.is_empty(P)
 
     def test_character_twist_translates(self, p2):
         # adding div(chi^m) to the divisor translates the polytope by -m

@@ -220,12 +220,16 @@ def test_adjoint_path_runs_no_lp(monkeypatch):
         remove_redundant(adjoint(P, sigma / 2))
         return len(calls)
 
-    # normals that do not span leave no vertex, and only the emptiness LP
-    # tells an empty strip from a full one, so the count is live
-    strip = FacetPresentation(2, ((1, 0), (-1, 0)), (0, 1))
+    # normals that do not span leave the cone a lineality space, and the
+    # rays of its pointed part tell an empty strip from a full one without
+    # an LP; sigma(P) from a cold cache is one LP, so the count is live
     with pytest.raises(UnboundedError):
-        vertices(strip)
-    assert len(calls) == 1
+        vertices(FacetPresentation(2, ((1, 0), (-1, 0)), (0, 1)))
+    with pytest.raises(EmptyPolytopeError):
+        vertices(FacetPresentation(2, ((1, 0), (-1, 0)), (-1, 0)))
+    assert len(calls) == 0
+    effective_threshold.cache_clear()
+    assert effective_threshold(P) == sigma and len(calls) == 1
     assert adjoint_path_lps() == 0
 
 
