@@ -331,6 +331,13 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
                  for facet, sides in sorted(_facets(fan).items()) if len(sides) == 2)
 
 
+def _lower_side(fan: Fan, sides: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """(lo_side, lo_pos, hi_side, hi): a wall's sides, lower opposite ray first."""
+    (a, ja), (b, jb) = sides
+    op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
+    return (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
+
+
 def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
           sides: list[tuple[int, int]]) -> Wall:
     """The wall on the facet between its two sides (``_facets``), given the
@@ -340,9 +347,7 @@ def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
     the lower-indexed opposite ray, c / d for c = -adj·v_hi; its self-checks,
     c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers, and the
     stored relation is (c, d) divided by its gcd with the sign of d."""
-    (a, ja), (b, jb) = sides
-    op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
-    lo_side, lo_pos, hi_side, hi = (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
+    lo_side, lo_pos, hi_side, hi = _lower_side(fan, sides)
     lo_cone = fan.max_cones[lo_side]
     adj, d = inverses[lo_cone]
     support = lo_cone + (hi,)
@@ -364,7 +369,7 @@ def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
         # s = mult(wall) * g / (d * mult(cone holding the ray hi))
         mult = gcd(*adj[lo_pos])
         scale = Fraction(mult * g, d * abs(inverses[fan.max_cones[hi_side]][1]))
-    return Wall(facet, a, b, tuple(rel), mult, scale)
+    return Wall(facet, sides[0][0], sides[1][0], tuple(rel), mult, scale)
 
 
 def wall_classification(fan: Fan, wall: Wall) -> tuple[int, int]:

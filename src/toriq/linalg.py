@@ -516,29 +516,36 @@ def _extreme_rays(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]
     and a primitive basis of that space.
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
-    1953): the leftmost k independent rows cut out a simplicial cone, whose
-    rays are the columns of their inverse.  Each further row keeps the
-    rays where it is >= 0 and joins each adjacent pair of a ray where it is
-    positive and one where it is negative: two extreme rays of a pointed
-    cone are adjacent exactly when no third one vanishes on every row that
-    both vanish on (Fukuda and Prodon, "Double description method
-    revisited", 1996).  Rows of rank below k leave a lineality space; the
-    pointed part is then the cone of the rows and ±e for its basis e
-    (Schrijver, "Theory of Linear and Integer Programming", ch. 8)."""
+    1953): k independent rows cut out a simplicial cone, whose rays are the
+    columns of their inverse: the ``adjugate`` of the leading k rows, or,
+    when those are dependent, one elimination of [rows^T | I], which picks
+    the leftmost independent rows, so the same rays in the same order when
+    the leading ones are.  Each further row keeps the rays where it is >= 0
+    and joins each adjacent pair of a ray where it is positive and one where
+    it is negative: two extreme rays of a pointed cone are adjacent exactly
+    when no third one vanishes on every row that both vanish on (Fukuda and
+    Prodon, "Double description method revisited", 1996).  Rows of rank
+    below k leave a lineality space; the pointed part is then the cone of
+    the rows and ±e for its basis e (Schrijver, "Theory of Linear and
+    Integer Programming", ch. 8)."""
     m, k = len(rows), len(rows[0])
-    T = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*rows))]
-    pivots, d, _ = _eliminate(T, m)
-    # the rows of T below the rank vanish on the first m columns, so their
-    # identity part e has rows·e = 0
-    lineality = [primitive_part(t[m:]) for t in T[len(pivots):]]
-    if lineality:
-        rays, _ = _extreme_rays([*rows, *([s * x for x in e] for e in lineality for s in (1, -1))])
-        return [(z, mask & (1 << m) - 1) for z, mask in rays], lineality
-    # one elimination of [rows^T | I] picks the rows B and gives T = d [R | E]
-    # with E B^T = I: rows[pivots[c]] · T[c][m:] = d, the other rows of B vanish
+    adj, d = adjugate(rows[:k]) if m >= k else (None, 0)
+    # ray c is row c of E, for B E^T = d I and the rows B = rows[pivots]
+    if d:
+        pivots, E = range(k), zip(*adj)
+    else:
+        T = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*rows))]
+        pivots, d, _ = _eliminate(T, m)
+        # T = d [R | E], and the rows of T below the rank vanish on the
+        # first m columns, so their identity part e has rows·e = 0
+        lineality = [primitive_part(t[m:]) for t in T[len(pivots):]]
+        if lineality:
+            rays, _ = _extreme_rays([*rows, *([s * x for x in e] for e in lineality for s in (1, -1))])
+            return [(z, mask & (1 << m) - 1) for z, mask in rays], lineality
+        E = [t[m:] for t in T]
     seen = sum(1 << j for j in pivots)
-    rays = [(primitive_part(t[m:] if d > 0 else [-x for x in t[m:]]), seen & ~(1 << j))
-            for t, j in zip(T, pivots)]
+    rays = [(primitive_part(e if d > 0 else [-x for x in e]), seen & ~(1 << j))
+            for e, j in zip(E, pivots)]
     for j, row in enumerate(rows):
         if seen >> j & 1:
             continue

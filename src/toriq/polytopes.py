@@ -18,7 +18,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import fans
-from .fans import Fan, _cone_inverse, wall_classification, walls
+from .fans import Fan, _cone_inverse
 from .intersection import TorusDivisor
 from .linalg import (
     QVec,
@@ -527,6 +527,13 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     fibering-type wall and decomposing along each, the bases read off P's
     tight sets, as the scaled program does along its own Mori fiber.
 
+    Walls are met in ``fans.walls`` order and built only where they fibre
+    with a Picard-rank-one fiber, as the decomposition needs: for
+    cs = adj·v_hi in the cone (adj, d) of the lower opposite ray, no wall
+    ray has cs·d > 0 (alpha = 0), and no ray but the support's has adj·v
+    vanish where cs does.  That drops no check: ``fans.validate`` rejects
+    a nonconvex crossing, and adj·V = d·I makes every relation vanish.
+
     On success the base polytopes are returned in coordinates on the kernel
     of the fiber projection, together with the simplex directions w and the
     projection itself.  Returns None when no fibering contraction exists or
@@ -536,11 +543,23 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
 
     fan = normal_fan(P)
     pvs = vertices(P)
+    rep = fans.validate(fan)
+    if not rep.simplicial:
+        raise fans.UnsupportedFanError("walls are only computed for simplicial fans")
+    inverses = fans._inverses(fan)
     tried = set()
-    for wall in walls(fan):
-        alpha, _ = wall_classification(fan, wall)
-        if alpha != 0:
+    for facet, sides in sorted(fans._facets(fan).items()):
+        if len(sides) != 2:
             continue
+        lo_side, lo_pos, _, hi = fans._lower_side(fan, sides)
+        adj, d = inverses[fan.max_cones[lo_side]]
+        cs = [sum(map(mul, row, fan.rays[hi])) for row in adj]
+        if any(c * d > 0 for p, c in enumerate(cs) if p != lo_pos):
+            continue
+        zero = [row for row, c in zip(adj, cs) if not c]
+        if sum(not any(sum(map(mul, r, v)) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
+            continue
+        wall = fans._wall(fan, inverses, rep.smooth, facet, sides)
         if wall.relation in tried:
             continue
         tried.add(wall.relation)

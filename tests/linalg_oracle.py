@@ -29,6 +29,10 @@ one walk of the tree of subsets, and a right-hand side solved against each.
 and ``toriq.fans.face_fan`` on that walk, and ``extreme_rays`` finds the
 extreme rays of a cone by brute force, one kernel per k - 1 of its rows.
 
+``extreme_rays_by_elimination`` is ``toriq.linalg._extreme_rays`` as it ran
+before it seeded the double description with the adjugate of the leading
+rows: every start, one elimination of [rows^T | I].
+
 ``cone_inverses`` and ``primitive_data_cones`` are the per-fan adjugates and
 the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
 per cone's ray vectors, shared by every fan that holds the cone.
@@ -62,7 +66,7 @@ from operator import index, mul
 from typing import Optional, Sequence
 
 from toriq.fans import Fan, ReconstructionError, validate
-from toriq.linalg import LPResult, Vec, _scaled, dot, frac, primitive_part, vec_sub
+from toriq.linalg import LPResult, Vec, _eliminate, _scaled, dot, frac, primitive_part, vec_sub
 from toriq.linalg import _pivot as bareiss_step
 
 ZERO = Fraction(0)
@@ -379,6 +383,49 @@ def extreme_rays(rows: Sequence[Vec]) -> Optional[set[tuple[Vec, int]]]:
             if min(values) >= 0:
                 found.add((z, sum(1 << i for i, s in enumerate(values) if s == 0)))
     return found
+
+
+def extreme_rays_by_elimination(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]]:
+    """(rays, lineality) of the cone {z : rows·z >= 0}, in the order of
+    ``toriq.linalg._extreme_rays``, the start always read off one
+    elimination of [rows^T | I]: its pivots pick the leftmost k independent
+    rows B and give d [R | E] with E B^T = I, or leave a lineality space."""
+    m, k = len(rows), len(rows[0])
+    T = [[*col, *(int(i == j) for j in range(k))] for i, col in enumerate(zip(*rows))]
+    pivots, d, _ = _eliminate(T, m)
+    lineality = [primitive_part(t[m:]) for t in T[len(pivots):]]
+    if lineality:
+        rays, _ = extreme_rays_by_elimination(
+            [*rows, *([s * x for x in e] for e in lineality for s in (1, -1))])
+        return [(z, mask & (1 << m) - 1) for z, mask in rays], lineality
+    seen = sum(1 << j for j in pivots)
+    rays = [(primitive_part(t[m:] if d > 0 else [-x for x in t[m:]]), seen & ~(1 << j))
+            for t, j in zip(T, pivots)]
+    for j, row in enumerate(rows):
+        if seen >> j & 1:
+            continue
+        bit = 1 << j
+        pos, neg, kept = [], [], []
+        for z, mask in rays:
+            s = dot(row, z)
+            if s > 0:
+                pos.append((z, mask, s))
+                kept.append((z, mask))
+            elif s < 0:
+                neg.append((z, mask, s))
+            else:
+                kept.append((z, mask | bit))
+        masks = [mask for _, mask in rays]
+        for zp, mp, sp in pos:
+            for zn, mn, sn in neg:
+                common = mp & mn
+                if common.bit_count() < k - 2 or any(
+                        c & common == common and c != mp and c != mn for c in masks):
+                    continue
+                kept.append((primitive_part([sp * b - sn * a for a, b in zip(zp, zn)]),
+                             common | bit))
+        rays = kept
+    return rays, []
 
 
 def affine_rank(points) -> int:

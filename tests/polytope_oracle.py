@@ -39,6 +39,11 @@ vertices' coordinates and the affine ranks of their subsets instead.
 solves for each base vertex's kernel coordinates, takes each base's hull
 and compares the bases' normal fans.
 
+``cayley_mori_detect`` is ``toriq.polytopes.cayley_mori_detect`` as it ran
+before it sign-tested each wall from its cone's adjugate: every wall of the
+normal fan built by ``fans.walls``, classified by ``wall_classification``,
+and ``mmp.mori_fiber_data`` run on every fibering class.
+
 ``vertices_over_fractions``, ``core_over_fractions`` and
 ``decompose_over_fractions`` are ``toriq.polytopes.vertices``,
 ``_core_and_projection`` and ``_decompose_along_fiber`` as they ran before
@@ -65,6 +70,8 @@ from linalg_oracle import (
     nonneg_solve,
     tree_vertex_solutions,
 )
+from toriq import mmp
+from toriq.fans import MalformedFanError, wall_classification, walls
 from toriq.linalg import (
     QVec,
     Vec,
@@ -88,7 +95,9 @@ from toriq.polytopes import (
     RedundantPresentationError,
     UnboundedError,
     VertexSet,
+    _decompose_along_fiber,
     _faces,
+    _rational_decomposition,
     _vertex_set,
     effective_threshold,
     facet_presentation_from_vertices,
@@ -222,6 +231,26 @@ def is_cayley_s(W: list[Vec]) -> Optional[int]:
     _, D, _ = smith_normal_form(W)
     diag = [D[i][i] for i in range(len(W))]
     return diag[0] if diag[0] > 0 and all(d == diag[0] for d in diag) else None
+
+
+def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition]:
+    """The decomposition along the first fibering class of P's normal fan,
+    in the order of its walls, that decomposes, or None."""
+    fan = normal_fan(P)
+    pvs = vertices(P)
+    tried = set()
+    for wall in walls(fan):
+        if wall_classification(fan, wall)[0] != 0 or wall.relation in tried:
+            continue
+        tried.add(wall.relation)
+        try:
+            data = mmp.mori_fiber_data(fan, wall)
+        except MalformedFanError:
+            continue
+        found = _decompose_along_fiber(P, pvs, data)
+        if found is not None:
+            return _rational_decomposition(found, data)
+    return None
 
 
 def decompose_along_fiber(P, pvs, data) -> Optional[CayleyMoriDecomposition]:

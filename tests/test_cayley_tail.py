@@ -4,7 +4,9 @@ sets and agrees exactly with the hull-based one kept in ``polytope_oracle``
 on every split fibration with a Picard-rank-one fiber; its verdict on a
 run's tail agrees with the wall search of ``cayley_mori_detect`` except
 where the run's own fiber is not of Picard rank one; and doctored fiber
-data fails the tail check."""
+data fails the tail check.  The search sign-tests each wall from its cone's
+adjugate and finds what the search over ``fans.walls`` kept in
+``polytope_oracle`` finds, with the work of a benchmark pass pinned."""
 
 import dataclasses
 from fractions import Fraction
@@ -15,11 +17,12 @@ import pytest
 import mmp_oracle
 import polytope_oracle as oracle
 from conftest import blowup_polytope, hexagon, simplex_polytope, unit_square
-from helpers import decomposition
+from helpers import cold_caches, count_calls, decomposition
 from test_adjoint_certificate import (
     MMP_ROWS, cross_validation, outcome, pool_polytope, sweep_polytopes, unvalidated)
+from test_certified_run import POOL_KEYS
 from test_circuit_replacement import _workloads
-from toriq import mmp, polytopes
+from toriq import fans, linalg, mmp, polytopes
 from toriq.fans import Fan, MalformedFanError, wall_classification, walls
 from toriq.polytopes import (
     FacetPresentation,
@@ -145,6 +148,38 @@ def test_own_fiber_verdict_matches_wall_search(runs):
         if "tail_is_cayley" in trace.validation:
             searched = cayley_mori_detect(tail_polytope(trace)) is not None
             assert trace.validation["tail_is_cayley"] is searched
+
+
+def test_sign_tested_search_matches_the_wall_search(runs, corpus_polytopes):
+    # the benchmark's 40 items, the pool they are drawn from, the corpus,
+    # the Cayley inputs and the tails of their forced runs
+    workloads = _workloads()
+    polys = [workloads.adjoint_polytope(key) for key in workloads.ADJOINT_KEYS]
+    polys += [pool_polytope(key) for key in POOL_KEYS] + corpus_polytopes + cayley_inputs()
+    polys += [tail_polytope(t) for t in runs if "tail_is_cayley" in t.validation]
+    found = [encoded(cayley_mori_detect(P)) for P in polys]
+    assert found == [encoded(oracle.cayley_mori_detect(P)) for P in polys]
+    assert (len(polys), sum(dec is not None for dec in found)) == (352, 169)
+
+
+def test_work_of_an_adjoint_family_pass(monkeypatch):
+    # from cold caches, a seed-1 pass of adjoint-family: 1562 _pivot steps,
+    # 605 walls, 111 mori_fiber_data and 39 walls lists when every double
+    # description started from an elimination and cayley_mori_detect built
+    # every wall of the normal fan
+    make_items, run_item, _ = _workloads().WORKLOADS["adjoint-family"]
+    items = make_items(1)
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    built = count_calls(monkeypatch, "_wall", fans, mmp)
+    fibers = count_calls(monkeypatch, "mori_fiber_data", mmp)
+    cold_caches()
+    for _, P in items:
+        try:
+            run_item(P)
+        except MalformedFanError:  # d3-76, pinned in the benchmark's reference
+            pass
+    work = (len(pivots), len(built), len(fibers), fans.walls.cache_info().misses)
+    assert work == (561, 314, 98, 0)
 
 
 def test_tail_with_a_fiber_of_picard_rank_two():

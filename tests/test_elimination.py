@@ -2,7 +2,8 @@
 the ``Fraction`` Gauss-Jordan oracle in ``linalg_oracle``, the hull read off
 the polar agrees with the oracle's brute-force hull and with the polar hull
 it ran over ``Fraction``s before it scaled the points once, the double
-description's extreme rays agree with a brute-force search, and vertices,
+description's extreme rays agree with a brute-force search and, in order,
+with its elimination-only start in the oracle, and vertices,
 hull facets and face fans agree with the walk over the n-subsets of the
 rows kept in the oracles, which itself agrees with one adjugate per subset
 and finds the brute-force extreme rays;
@@ -227,9 +228,12 @@ def cube_facets(n):
     return units + [tuple(-x for x in u) for u in units]
 
 
-# The double description starts from one elimination of the transposed rows
-# next to I, which picks k independent rows and inverts them; every further
-# row costs dot products and bitmask tests, and no _pivot step.
+# The double description starts from the adjugate of the leading k rows,
+# one call of ``adjugate`` (for k = 5, here, the elimination of [B | I], 5
+# _pivot steps); only when those rows are dependent does it run one
+# elimination of the transposed rows next to I, which picks k independent
+# rows and inverts them.  Every further row costs dot products and bitmask
+# tests, and no _pivot step.
 
 def test_hull_work_is_one_shared_elimination(monkeypatch):
     pivots = count_calls(monkeypatch, "_pivot", linalg)
@@ -238,9 +242,12 @@ def test_hull_work_is_one_shared_elimination(monkeypatch):
     lps = count_lps(monkeypatch)
     cold_caches()
     assert len(hull_facets(cube_vertices(4))) == 8
-    # 5 for the transposed rows (1390 for the walk over the 16 rows of the
-    # polar)
-    assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (5, 0, 0, 0)
+    # the leading rows are the first five vertices, four of them on the
+    # face x_1 = x_2 = 0, so dependent: 4 for the adjugate that finds them
+    # singular and 5 for the transposed rows (5 and no adjugate when the
+    # start was always the elimination, 1390 for the walk over the 16 rows
+    # of the polar)
+    assert (len(pivots), len(adjugates), len(kernels), len(lps)) == (9, 1, 0, 0)
 
 
 def test_vertices_work_is_one_shared_elimination(monkeypatch):
@@ -250,9 +257,10 @@ def test_vertices_work_is_one_shared_elimination(monkeypatch):
     cube = FacetPresentation(4, tuple(cube_facets(4)), (0,) * 4 + (1,) * 4)
     cold_caches()
     assert len(vertices(cube).vertices) == 16
-    # 5 for the transposed rows and no boundedness LP (62: 8 for a rank and
-    # an LP, 54 for the walk over the 8 facets)
-    assert (len(pivots), len(adjugates), len(lps)) == (5, 0, 0)
+    # 5 for the adjugate of the leading rows and no boundedness LP (5 and
+    # no adjugate for the transposed rows before the start was seeded; 62:
+    # 8 for a rank and an LP, 54 for the walk over the 8 facets)
+    assert (len(pivots), len(adjugates), len(lps)) == (5, 1, 0)
 
 
 def test_face_fan_work_is_one_shared_elimination(monkeypatch):
@@ -261,10 +269,11 @@ def test_face_fan_work_is_one_shared_elimination(monkeypatch):
     cold_caches()
     fan = face_fan(cube_facets(4))
     assert len(fan.max_cones) == 16
-    # 5 for the double description; the 16 cones' adjugates that validate
-    # reads through its own import are 4 x 4 cofactors, with no _pivot step
-    # (69 when they took 4 each, 118 with 54 for the walk)
-    assert (len(pivots), len(adjugates)) == (5, 0)
+    # 5 for the adjugate that seeds the double description (5 and no
+    # adjugate for the transposed rows before); the 16 cones' adjugates that
+    # validate reads through its own import are 4 x 4 cofactors, with no
+    # _pivot step (69 when they took 4 each, 118 with 54 for the walk)
+    assert (len(pivots), len(adjugates)) == (5, 1)
 
 
 def test_no_fraction_row_is_reintegerised(monkeypatch):
@@ -421,6 +430,52 @@ def test_extreme_rays_are_the_rays_of_the_cone(system):
         pointed = M + [tuple(s * x for x in e) for e in lineality for s in (1, -1)]
         expect = {(z, mask & (1 << len(M)) - 1) for z, mask in oracle.extreme_rays(pointed)}
         assert len(rays) == len(set(rays)) and set(rays) == expect
+
+
+@st.composite
+def cone_rows(draw):
+    """Integer rows of length k = 2-6, one to nine of them, entries -3..3;
+    after the first, a row may repeat, negate or combine earlier ones, so
+    the leading k rows are often dependent and the rows often of rank
+    below k."""
+    k, m = draw(st.integers(2, 6)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("new", "new", "repeat", "negate", "combine"))) if rows else "new"
+        if kind == "new":
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))))
+        elif kind == "combine":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(k)))
+        else:
+            r = draw(st.sampled_from(rows))
+            rows.append(r if kind == "repeat" else tuple(-a for a in r))
+    return rows
+
+
+@given(cone_rows())
+@settings(max_examples=500, deadline=None)
+def test_seeded_start_matches_the_elimination(rows):
+    # the adjugate of independent leading rows starts from the rays and
+    # masks that the elimination of [rows^T | I] picks, in the same order,
+    # so the whole ordered result is the same
+    assert linalg._extreme_rays(rows) == oracle.extreme_rays_by_elimination(rows)
+
+
+@pytest.mark.parametrize("rows, nlineality", [
+    ([(1, 2), (2, 4), (0, 1), (-1, -1)], 0),                   # pivots on rows 0 and 2
+    ([(1, 0, 1), (2, 0, 2), (0, 1, 0), (-1, -1, 3), (0, 0, 1)], 0),
+    ([(1, 1, 0), (-1, 2, 0), (0, -1, 0), (1, 0, 0)], 1),     # the line through e_2
+    ([(1, 2, 3), (0, 1, -1)], 1),                              # m < k
+    ([(0, 0, 0, 1), (1, 0, 0, 0)], 2),
+])
+def test_dependent_leading_rows_run_the_elimination(rows, nlineality, monkeypatch):
+    k = len(rows[0])
+    assert len(rows) < k or not linalg.adjugate(rows[:k])[1]
+    pivots = count_calls(monkeypatch, "_pivot", linalg)
+    rays, lineality = linalg._extreme_rays(rows)
+    assert pivots and len(lineality) == nlineality
+    assert (rays, lineality) == oracle.extreme_rays_by_elimination(rows)
 
 
 @st.composite

@@ -64,7 +64,9 @@ def test_decompositions_equal_the_fraction_oracle(runs, monkeypatch):
         got = decomposition(P, pvs, data)
         assert got == oracle.decompose_over_fractions(P, pvs, data)
         found += got is not None
-    assert (len(tails), len(asked), found) == (305, 289, 391)
+    # 289 asked when every fibering class reached the decomposition; 71
+    # of them had a fiber of Picard rank above one, which gives None at once
+    assert (len(tails), len(asked), found) == (305, 218, 391)
 
 
 @st.composite
@@ -141,12 +143,15 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # and fans 212, intersection 125, polytopes 2176 and mmp 269 on
     # adjoint-family (3877 in all); the slack-row scan lives in polytopes.
     # linalg built 1095 on adjoint-family when its 40 LPs ran the simplex,
-    # and builds each optimum's value and point only now
+    # and builds each optimum's value and point only now.  linalg 633 and
+    # fans 168 on adjoint-family when ``cayley_mori_detect`` built every
+    # wall and ran ``mori_fiber_data`` on every fibering class
     assert passes == [
         {"toriq.linalg": 110, "toriq.polytopes": 403, "toriq.mmp": 86},
-        {"toriq.linalg": 633, "toriq.fans": 168, "toriq.polytopes": 2301, "toriq.mmp": 269},
+        {"toriq.linalg": 507, "toriq.fans": 70, "toriq.polytopes": 2301, "toriq.mmp": 269},
     ]
-    # walls computed: no critical value search computes them, and
-    # adjoint-family's are those of ``cayley_mori_detect`` (38 and 75 when
-    # each run step searched them)
-    assert work == [0, 39]
+    # walls lists computed: no critical value search computes them, and
+    # ``cayley_mori_detect`` sign-tests each wall from its cone's adjugate
+    # (0 and 39 when it searched ``fans.walls``, 38 and 75 when each run
+    # step searched them too)
+    assert work == [0, 0]

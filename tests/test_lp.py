@@ -162,20 +162,29 @@ def test_cold_boundedness_check_solves_no_lp(monkeypatch):
 
 
 def test_double_description_pivots_only_integer_rows(monkeypatch):
-    # rank and LP share the pivot step, and every step sees all-integer
-    # rows: no Fraction inside a pivot
+    # rank and LP share the pivot step, and every step, like the adjugate
+    # that seeds the double description, sees all-integer rows: no Fraction
+    # inside a pivot
     seen = []
-    step = linalg._pivot
+    step, seed = linalg._pivot, linalg.adjugate
 
     def counted(rows, r, col, prev):
-        seen.append(all(type(x) is int for row in rows for x in row))
+        seen.append(("pivot", all(type(x) is int for row in rows for x in row)))
         return step(rows, r, col, prev)
 
+    def seeded(M):
+        seen.append(("adjugate", all(type(x) is int for row in M for x in row)))
+        return seed(M)
+
     monkeypatch.setattr(linalg, "_pivot", counted)
+    monkeypatch.setattr(linalg, "adjugate", seeded)
     assert matrix_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-    assert len(seen) == 2
+    assert seen == [("pivot", True)] * 2
     seen.clear()
-    res = lp_standard([-1, -1, 0], [[1, 2, 1], [Fraction(3, 2), 1, 0]], [4, 3])
+    # x >= -1/2 and 2x >= -1 scale to the rows (2, 0, 1) and (4, 0, 2): the
+    # leading 3 rows are dependent, so the 3 x 3 cofactor adjugate finds
+    # them singular and the elimination of the transposed rows runs
+    res = lp_min([1, 1], [(1, 0), (2, 0), (0, 1), (-1, -1)], [Fraction(1, 2), 1, 0, 3])
     assert (res.status, res.value, res.point) == (
-        "optimal", Fraction(-5, 2), (Fraction(1), Fraction(3, 2), Fraction(0)))
-    assert len(seen) >= 2 and all(seen)
+        "optimal", Fraction(-1, 2), (Fraction(-1, 2), Fraction(0)))
+    assert seen == [("adjugate", True)] + [("pivot", True)] * 3
