@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import Optional
 
@@ -23,15 +23,14 @@ from .linalg import (
     QVec,
     _extreme_rays,
     adjugate,
+    det,
     dot,
     int_vec,
     is_primitive,
     lp_min,
-    matrix_rank,
     nonneg_solve,
     primitive_part,
     saturation_and_projection,
-    snf_diagonal,
     solve_linear,
 )
 
@@ -188,11 +187,13 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
 
 
 def cone_multiplicity(fan: Fan, cone: tuple[int, ...]) -> int:
-    """Index of the lattice spanned by a simplicial cone's rays in its
-    saturation (1 exactly when the cone is smooth)."""
-    if not cone:
-        return 1
-    return abs(prod(snf_diagonal([list(fan.rays[i]) for i in cone])))
+    """Index of the lattice spanned by a cone's k rays in its saturation: the
+    gcd of their k x k minors, which is the product of their invariant
+    factors (Smith 1861).  It is 1 exactly when the cone is smooth, and 0
+    when the rays are dependent, k > rank included."""
+    rows = fan.ray_matrix(cone)
+    return gcd(*(det([[r[j] for j in cols] for r in rows])
+                 for cols in combinations(range(fan.rank), len(cone))))
 
 
 def is_face(fan: Fan, rays: tuple[int, ...]) -> bool:
@@ -204,9 +205,10 @@ def is_face(fan: Fan, rays: tuple[int, ...]) -> bool:
 def validate(fan: Fan) -> ValidationReport:
     """Validate a fan and report simplicial / smooth / complete flags.
 
-    A cone with ``rank`` rays is simplicial when its determinant is nonzero
-    and smooth when it is +-1; simplicial cones are strongly convex, and
-    any other cone is checked for strong convexity by an LP.
+    A cone is simplicial when its multiplicity d (the determinant of a cone
+    with ``rank`` rays, else ``cone_multiplicity``) is nonzero and smooth
+    when |d| = 1; simplicial cones are strongly convex, and any other cone
+    is checked for strong convexity by an LP.
 
     A simplicial fan whose maximal cones all have ``rank`` rays and whose
     (n-1)-faces each lie in exactly two of them is certified complete, or
@@ -232,19 +234,11 @@ def validate(fan: Fan) -> ValidationReport:
     smooth = True
     inverses = _inverses(fan)
     for cone in fan.max_cones:
-        if not cone:
-            continue
-        if cone in inverses:
-            d = inverses[cone][1]
-            cone_simplicial, cone_smooth = d != 0, abs(d) == 1
-        else:
-            cone_simplicial = matrix_rank(fan.ray_matrix(cone)) == len(cone)
-            cone_smooth = cone_simplicial and cone_multiplicity(fan, cone) == 1
-        simplicial = simplicial and cone_simplicial
-        smooth = smooth and cone_smooth
-        if not cone_simplicial and not _strongly_convex(fan, cone):
+        d = inverses[cone][1] if cone in inverses else cone_multiplicity(fan, cone)
+        simplicial = simplicial and d != 0
+        smooth = smooth and abs(d) == 1
+        if not d and not _strongly_convex(fan, cone):
             problems.append(f"cone {cone} is not strongly convex")
-    smooth = smooth and simplicial
 
     complete = False
     if fan.rank == 0:
@@ -559,7 +553,7 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     sigma = tuple(sorted(sigma))
     if not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
-    _, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
+    *_, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
     star = [cone for cone in fan.max_cones if set(sigma) <= set(cone)]
     return image_fan(fan, proj, star), proj
 

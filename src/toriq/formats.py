@@ -111,10 +111,9 @@ def canonical_fan(fan: Fan) -> Fan:
     return Fan(fan.rank, rays, cones)
 
 
-def emit_fan(fan: Fan, canonical: bool = True) -> str:
-    """Serialize a fan; by default in canonical form (rays sorted
-    lexicographically), with canonical=False preserving the ray order."""
-    c = canonical_fan(fan) if canonical else fan
+def emit_fan(fan: Fan) -> str:
+    """Serialize a fan in canonical form (rays sorted lexicographically)."""
+    c = canonical_fan(fan)
     return json.dumps(
         {
             "rank": c.rank,

@@ -6,8 +6,10 @@ kernels: one fraction-free pivot step, ``_pivot`` (Bareiss 1968), behind
 Gauss-Jordan elimination on integer rows (int and ``Fraction`` entries are
 scaled to integers first, and a ``Fraction`` is built only for the result);
 the integer adjugate, by cofactors up to 4 x 4 and by that elimination
-beyond; Smith normal form; and a cone's lineality space and the extreme
-rays of its pointed part by the double description method, ``_extreme_rays``.
+beyond; Smith normal form, which gives a sublattice's saturation, the
+coordinates in it and its annihilator (``saturation_and_projection``); and
+a cone's lineality space and the extreme rays of its pointed part by the
+double description method, ``_extreme_rays``.
 On homogenized rows those give polytope vertices, convex hull facets
 (``hull_facets``, the vertices of the polar), face fans (the tight sets of
 the polar) and the optimum of a linear program (``lp_standard``,
@@ -385,34 +387,22 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     return U, A, V
 
 
-def snf_diagonal(M) -> list[int]:
-    _, D, _ = smith_normal_form(M)
-    return [D[i][i] for i in range(min(len(D), len(D[0])))]
-
-
-def saturation_and_projection(columns: list[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
-    """From one Smith normal form of the integer columns in Z^n: a basis of
-    the saturation (span ∩ Z^n) of their lattice, and the rows of the
-    projection Z^n -> Z^(n-k) whose kernel is that saturation."""
+def saturation_and_projection(columns: list[Vec],
+                              n: int) -> tuple[list[Vec], list[Vec], list[Vec]]:
+    """From one Smith normal form U A V = D of the integer columns A in Z^n,
+    r of whose invariant factors are nonzero: the first r columns of U^-1, a
+    basis of the saturation (span ∩ Z^n) of their lattice; the rows U[:r],
+    which give a vector of the saturation its coordinates in that basis;
+    and the rows U[r:], the projection Z^n -> Z^(n-r) whose kernel is the
+    saturation, which are also a basis of the forms that vanish on it."""
     if not columns:
-        return [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        return [], [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     A = [list(row) for row in zip(*_rectangular(columns, n))]
     U, D, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
     adj, d = adjugate(U)  # U is unimodular, so U^-1 = d * adj
     basis = [tuple(d * adj[i][j] for i in range(n)) for j in range(r)]
-    return basis, [tuple(U[i]) for i in range(r, n)]
-
-
-def integer_kernel_basis(rows: list[Vec]) -> list[Vec]:
-    """Basis of the integer kernel lattice {x : rows·x = 0} (saturated)."""
-    if not rows:
-        raise ValueError("need at least one row")
-    n = len(rows[0])
-    A = [list(r) for r in rows]
-    _, D, V = smith_normal_form(A)
-    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    return [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
+    return basis, [tuple(row) for row in U[:r]], [tuple(row) for row in U[r:]]
 
 
 # ---------------------------------------------------------------------------

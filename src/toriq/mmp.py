@@ -39,10 +39,8 @@ from .linalg import (
     Vec,
     _lowest_terms,
     dot,
-    int_vec,
     primitive_part,
     saturation_and_projection,
-    solve_linear,
 )
 from .polytopes import FacetPresentation, _critical_value, _SlackRows
 
@@ -206,21 +204,16 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     if alpha != 0:
         raise ValueError("fibering data needs a wall with alpha = 0")
     support = [i for i, c in enumerate(wall.relation) if c > 0]
-    basis, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
+    basis, coords, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
     images = _ray_images(fan, proj)
     # the base fan first: most walls that do not fibre fail there
     base_fan = _image_fan(len(proj), images, fan.max_cones)
     if not _complete_simplicial(base_fan):
         raise MalformedFanError("wall does not induce a fibration")
-    # fiber fan: cones of the fan lying inside the kernel sublattice
+    # fiber fan: cones of the fan lying inside the kernel sublattice, each
+    # ray by its coordinates in the saturation's basis
     in_kernel = [i for i, img in enumerate(images) if img is None]
-    bmat = [[b[r] for b in basis] for r in range(fan.rank)]
-    fiber_rays = []
-    for i in in_kernel:
-        coords = solve_linear(bmat, fan.rays[i])
-        if coords is None:
-            raise MalformedFanError(f"ray {i} lies outside the fiber lattice")
-        fiber_rays.append(int_vec(coords, MalformedFanError))
+    fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
     fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
     fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
     if not _complete_simplicial(fiber_fan):

@@ -32,7 +32,6 @@ from .linalg import (
     frac,
     hull_facets,
     int_vec,
-    integer_kernel_basis,
     invert,
     is_primitive,
     lp_min,
@@ -430,7 +429,7 @@ def _core_and_projection(P: FacetPresentation, sigma: Fraction,
         core_points = vertices(core, allow_lower_dim=True).points
     (y0, d0), *rest = core_points
     kern_cols = [primitive_part([a * d0 - b * d for a, b in zip(y, y0)]) for y, d in rest]
-    kbasis, proj = saturation_and_projection(kern_cols, P.dim)
+    kbasis, _, proj = saturation_and_projection(kern_cols, P.dim)
     if kbasis:
         D, imgs = _common_denominator({_lowest_terms([dot(row, y) for row in proj], d)
                                        for y, d in vertices(P).points})
@@ -595,14 +594,15 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[tuple]:
     spans the kernel of the projection when its dimension, dim P minus the
     rank of the normals of its implicit equalities, is the kernel's; a
     facet j of F on x = origin + kern c is <u, c> >= -(a_j +
-    <v_j, origin>) / g for kern^T v_j = g u, u primitive.  The bases' fans
+    <v_j, origin>) / g for kern^T v_j = g u, u primitive, where kern is the
+    fibration's projection, a basis of the forms that vanish on the fiber:
+    u is v_j's primitive image in the base fan's lattice.  The bases' fans
     are compared as tight sets; a face not spanning the kernel gives None.
     Every vertex's image, and the bases' constants up to one ``Fraction``
     each, are integers over the vertex's denominator."""
     if not (data.split and data.fiber_rho_one):
         return None
-    pi_rows = [tuple(b) for b in data.fiber_basis]
-    images = [_lowest_terms([dot(row, y) for row in pi_rows], d) for y, d in pvs.points]
+    images = [_lowest_terms([dot(row, y) for row in data.fiber_basis], d) for y, d in pvs.points]
     # simplex vertex -> its section face, as indices into pvs
     sections = {}
     for fcone in data.fiber_fan.max_cones:
@@ -616,7 +616,7 @@ def _decompose_along_fiber(P, pvs, data) -> Optional[tuple]:
     if len(sections) != len(data.fiber_fan.max_cones) or sections.keys() != set(images):
         return None
     ws = _sorted_points(sections)
-    kern = integer_kernel_basis(pi_rows)
+    kern = data.projection
     bases, base_fans = [], set()
     for w in ws:
         face = sections[w]

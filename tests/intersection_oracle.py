@@ -6,7 +6,8 @@ whose support misses the subvariety (subtracting the divisor of a
 character), then read off the coefficients over the one-step-larger cones,
 dividing by the index of the ray image in the one-dimensional quotient
 lattice.  It takes a Smith normal form per (sigma, gamma) pair, so it is
-kept for tests only.
+kept for tests only; a singular surface's multiplicity is the product of
+its cone's invariant factors (``linalg_oracle.snf_multiplicity``).
 
 ``walls_fraction`` and ``ch2_dot_surface_scan`` are the earlier wall-relation
 path: walls self-checked in ``Fraction`` arithmetic, each relation normalized
@@ -45,7 +46,6 @@ from toriq.fans import (
     _cone_coords,
     _facets,
     _inverses,
-    cone_multiplicity,
     is_face,
     validate,
     walls,
@@ -53,6 +53,7 @@ from toriq.fans import (
 from toriq.intersection import TorusDivisor, anticanonical, wall_curve_number
 from toriq.linalg import ONE, QVec, dot, invert, smith_normal_form, solve_linear
 from helpers import prime_divisor
+from linalg_oracle import snf_multiplicity
 
 ZERO = Fraction(0)
 
@@ -248,7 +249,7 @@ def ch2_dot_surface_scan(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
     if sigma and not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
     inside = set(sigma)
-    mult = 1 if validate(fan).smooth else cone_multiplicity(fan, sigma)
+    mult = 1 if validate(fan).smooth else snf_multiplicity([fan.rays[i] for i in sigma])
     # D_j . V(sigma) = weight_j * V(tau_j) for the wall tau_j = sigma + {j}
     star: dict[int, tuple[Wall, Fraction]] = {}
     for w in walls_fraction(fan):

@@ -55,18 +55,27 @@ written out by hand before ``toriq.linalg._scaled`` took them over: a running
 lcm of the denominators and a running gcd of the entries, and the one-line
 lcm scaling that ``linalg._integer_row``, ``polytopes.vertices``,
 ``polytopes._SlackRows`` and the nef threshold each repeated.
+
+``integer_kernel_basis`` is the second Smith form that
+``toriq.polytopes`` took of a fiber basis for the forms vanishing on it,
+before it read them off the projection rows of
+``linalg.saturation_and_projection``; ``snf_multiplicity`` is the index of
+a lattice in its saturation as the product of its Smith invariant factors,
+the route of ``fans.cone_multiplicity`` before it took the gcd of the
+maximal minors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Optional, Sequence
 
 from toriq.fans import Fan, ReconstructionError, validate
-from toriq.linalg import LPResult, Vec, _eliminate, _scaled, dot, frac, primitive_part, vec_sub
+from toriq.linalg import (
+    LPResult, Vec, _eliminate, _scaled, dot, frac, primitive_part, smith_normal_form, vec_sub)
 from toriq.linalg import _pivot as bareiss_step
 
 ZERO = Fraction(0)
@@ -156,6 +165,31 @@ def kernel_basis(M) -> list[tuple[Fraction, ...]]:
             v[pc] = -rows[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+def integer_kernel_basis(rows: list[Vec]) -> list[Vec]:
+    """Basis of the integer kernel lattice {x : rows·x = 0} (saturated): the
+    last columns of V in the Smith form U rows V = D.  It spans the same
+    lattice as the projection rows of ``linalg.saturation_and_projection``
+    of the rows as columns, but is not always the same ordered basis."""
+    if not rows:
+        raise ValueError("need at least one row")
+    n = len(rows[0])
+    _, D, V = smith_normal_form([list(r) for r in rows])
+    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
+    return [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
+
+
+def snf_multiplicity(rows: list[Vec]) -> int:
+    """The index of the lattice spanned by the k rows in its saturation, as
+    the product of the k invariant factors of their Smith form: 0 when the
+    rows are dependent, and when k exceeds their length, since only that
+    many factors can be nonzero."""
+    if not rows:
+        return 1
+    _, D, _ = smith_normal_form([list(r) for r in rows])
+    n = len(rows[0])
+    return abs(prod(D[i][i] if i < n else 0 for i in range(len(rows))))
 
 
 def adjugate(M):

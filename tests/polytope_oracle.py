@@ -66,6 +66,7 @@ from linalg_oracle import (
     bases,
     basis_solutions,
     hull_facets_over_fractions,
+    integer_kernel_basis,
     lp_min,
     nonneg_solve,
     tree_vertex_solutions,
@@ -78,7 +79,6 @@ from toriq.linalg import (
     _lowest_terms,
     _scaled,
     dot,
-    integer_kernel_basis,
     matrix_rank,
     saturation_and_projection,
     scale_to_primitive,
@@ -352,7 +352,7 @@ def core_over_fractions(P: FacetPresentation, sigma: Fraction,
     if core_vertices is None:
         core_vertices = vertices_over_fractions(core, allow_lower_dim=True)[0]
     kern_cols = [scale_to_primitive(vec_sub(v, core_vertices[0])) for v in core_vertices[1:]]
-    kbasis, proj = saturation_and_projection(kern_cols, P.dim)
+    kbasis, _, proj = saturation_and_projection(kern_cols, P.dim)
     if kbasis:
         imgs = sorted({tuple(dot(row, v) for row in proj) for v in vertices_over_fractions(P)[0]})
         facets = hull_facets_over_fractions(imgs)

@@ -30,7 +30,7 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     sigma = tuple(sorted(sigma))
     if not is_face(fan, sigma):
         raise ValueError(f"{sigma} is not a cone of the fan")
-    _, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
+    *_, proj = saturation_and_projection([fan.rays[i] for i in sigma], fan.rank)
     qrank = len(proj)
     ray_map: dict[Vec, int] = {}
     qrays: list[Vec] = []
@@ -58,7 +58,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     if alpha != 0:
         raise ValueError("fibering data needs a wall with alpha = 0")
     support = [i for i, c in enumerate(wall.relation) if c > 0]
-    basis, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
+    basis, _, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
     # fiber fan: cones of the fan lying inside the kernel sublattice
     in_kernel = [
         i for i in range(len(fan.rays))

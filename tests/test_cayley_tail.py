@@ -18,6 +18,7 @@ import mmp_oracle
 import polytope_oracle as oracle
 from conftest import blowup_polytope, hexagon, simplex_polytope, unit_square
 from helpers import cold_caches, count_calls, decomposition
+from linalg_oracle import integer_kernel_basis
 from test_adjoint_certificate import (
     MMP_ROWS, cross_validation, outcome, pool_polytope, sweep_polytopes, unvalidated)
 from test_certified_run import POOL_KEYS
@@ -166,7 +167,8 @@ def test_work_of_an_adjoint_family_pass(monkeypatch):
     # from cold caches, a seed-1 pass of adjoint-family: 1562 _pivot steps,
     # 605 walls, 111 mori_fiber_data and 39 walls lists when every double
     # description started from an elimination and cayley_mori_detect built
-    # every wall of the normal fan
+    # every wall of the normal fan, and 561 _pivot steps while each fiber
+    # ray's coordinates took a solve_linear (the Smith form's rows give them)
     make_items, run_item, _ = _workloads().WORKLOADS["adjoint-family"]
     items = make_items(1)
     pivots = count_calls(monkeypatch, "_pivot", linalg)
@@ -179,7 +181,7 @@ def test_work_of_an_adjoint_family_pass(monkeypatch):
         except MalformedFanError:  # d3-76, pinned in the benchmark's reference
             pass
     work = (len(pivots), len(built), len(fibers), fans.walls.cache_info().misses)
-    assert work == (561, 314, 98, 0)
+    assert work == (333, 314, 98, 0)
 
 
 def test_tail_with_a_fiber_of_picard_rank_two():
@@ -220,6 +222,7 @@ def test_vertices_off_the_sections_give_none():
     # but two vertices lie at y = 0, off the simplex's vertices
     P = hexagon()
     data = SimpleNamespace(split=True, fiber_rho_one=True, fiber_basis=((0, 1),),
+                           projection=((1, 0),),
                            fiber_fan=Fan(1, ((1,), (-1,)), ((0,), (1,))),
                            fiber_ray_origin=(P.normals.index((0, 1)), P.normals.index((0, -1))))
     assert assert_matches_oracle(P, data) is None
@@ -260,9 +263,10 @@ def test_bases_with_different_fans_give_none(top, same_fan):
     bottom = [v + (0,) for v in cut_cube(2, 1)]
     upper = [v + (1,) for v in cut_cube(*top)]
     P = facet_presentation_from_vertices(bottom + upper)
+    basis = ((0, 0, 0, 1),)
     data = SimpleNamespace(
-        split=True, fiber_rho_one=True,
-        fiber_fan=Fan(1, ((1,), (-1,)), ((0,), (1,))), fiber_basis=((0, 0, 0, 1),),
+        split=True, fiber_rho_one=True, projection=tuple(integer_kernel_basis(basis)),
+        fiber_fan=Fan(1, ((1,), (-1,)), ((0,), (1,))), fiber_basis=basis,
         fiber_ray_origin=(P.normals.index((0, 0, 0, 1)), P.normals.index((0, 0, 0, -1))))
     dec = assert_matches_oracle(P, data)
     assert (dec is not None) is same_fan

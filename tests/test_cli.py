@@ -25,7 +25,9 @@ def e1_file(tmp_path):
     rows = {r.name: r for r in load_builtin_table()}
     fan, _ = reconstruct_fan(rows["E_1"])
     path = tmp_path / "e1fan.json"
-    path.write_text(emit_fan(fan, canonical=False))  # keep table ray order
+    # in table ray order, which emit_fan would sort
+    path.write_text(json.dumps({"rank": fan.rank, "rays": [list(r) for r in fan.rays],
+                                "max_cones": [list(c) for c in fan.max_cones]}))
     return str(path)
 
 

@@ -45,6 +45,19 @@ class TestValidate:
         assert rep.simplicial and rep.complete
         assert not rep.smooth
 
+    @pytest.mark.parametrize("rays, simplicial, smooth", [
+        # the cone over a square: four rays in rank 3, multiplicity 0
+        (((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), False, False),
+        # three coplanar rays in rank 3: determinant 0
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0)), False, False),
+        # two rays in rank 3, of index 2 and 1 in their saturation
+        (((1, 0, 0), (1, 0, 2)), True, False),
+        (((1, 0, 0), (0, 1, 0)), True, True),
+    ])
+    def test_one_cone_multiplicity_decides(self, rays, simplicial, smooth):
+        rep = validate(Fan(3, rays, (tuple(range(len(rays))),)))
+        assert (rep.well_formed, rep.simplicial, rep.smooth) == (True, simplicial, smooth)
+
     def test_single_cone_not_complete(self):
         f = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
         rep = validate(f)

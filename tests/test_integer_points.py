@@ -145,10 +145,11 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # linalg built 1095 on adjoint-family when its 40 LPs ran the simplex,
     # and builds each optimum's value and point only now.  linalg 633 and
     # fans 168 on adjoint-family when ``cayley_mori_detect`` built every
-    # wall and ran ``mori_fiber_data`` on every fibering class
+    # wall and ran ``mori_fiber_data`` on every fibering class; linalg 110
+    # and 507 when each fiber ray's coordinates took a ``solve_linear``
     assert passes == [
-        {"toriq.linalg": 110, "toriq.polytopes": 403, "toriq.mmp": 86},
-        {"toriq.linalg": 507, "toriq.fans": 70, "toriq.polytopes": 2301, "toriq.mmp": 269},
+        {"toriq.linalg": 26, "toriq.polytopes": 403, "toriq.mmp": 86},
+        {"toriq.linalg": 279, "toriq.fans": 70, "toriq.polytopes": 2301, "toriq.mmp": 269},
     ]
     # walls lists computed: no critical value search computes them, and
     # ``cayley_mori_detect`` sign-tests each wall from its cone's adjugate

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from conftest import pn_fan
-from toriq.fans import Fan, MalformedFanError, star_subdivision
+from toriq.fans import Fan, MalformedFanError, cone_multiplicity, star_subdivision
 from toriq.linalg import (
     DimensionError,
     _scaled,
@@ -129,6 +129,66 @@ class TestSmithNormalForm:
                 assert b % a == 0
             else:
                 assert b == 0
+
+
+@st.composite
+def column_sets(draw, max_n=7):
+    """(n, k columns in Z^n), k <= n + 1, each column a small combination of
+    at most n generators, so that dependent columns are common."""
+    n = draw(st.integers(1, max_n))
+    vectors = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    gens = draw(st.lists(vectors, min_size=1, max_size=n))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)),
+                           max_size=n + 1))
+    return n, [tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(n))
+               for combo in combos]
+
+
+def mat_vec(rows, v) -> tuple:
+    return tuple(dot(row, v) for row in rows)
+
+
+class TestSaturationAndProjection:
+    @given(column_sets(), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @example((6, [(2, 0, 0, 0, 0, 4), (0, 3, 0, 0, 6, 0), (1, 1, 1, 1, 1, 1)]), [1] * 7)
+    @settings(max_examples=200)
+    def test_one_smith_form_gives_basis_coordinates_and_annihilator(self, cols, c):
+        # n >= 5 runs the Bareiss branch of adjugate(U)
+        n, columns = cols
+        basis, coords, proj = saturation_and_projection(columns, n)
+        r = oracle.matrix_rank(columns) if columns else 0
+        assert (len(basis), len(coords), len(proj)) == (r, r, n - r)
+        assert [mat_vec(coords, b) for b in basis] == [
+            tuple(int(i == j) for i in range(r)) for j in range(r)]
+        assert all(mat_vec(proj, v) == (0,) * (n - r) for v in basis + columns)
+        # both lattices saturated: the kernel of proj is exactly the span of
+        # the basis, which holds every column
+        assert oracle.snf_multiplicity(basis) == 1
+        assert not proj or oracle.snf_multiplicity(proj) == 1
+        # the vector of the saturation with coordinates c is basis . c
+        x = [sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(n)]
+        assert mat_vec(coords, x) == tuple(c[:r])
+
+
+class TestConeMultiplicity:
+    @pytest.mark.parametrize("rays, index", [
+        (((1, 1), (1, -1)), 2),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0)), 0),   # dependent
+        (((1, 0), (0, 1), (1, 1)), 0),             # more rays than the rank
+        (((1, 0, 0), (1, 0, 2)), 2),
+        ((), 1),
+    ])
+    def test_hand_cones(self, rays, index):
+        fan = Fan(len(rays[0]) if rays else 2, rays, (tuple(range(len(rays))),))
+        assert cone_multiplicity(fan, tuple(range(len(rays)))) == index
+
+    @given(column_sets(max_n=6))
+    @settings(max_examples=200)
+    def test_gcd_of_minors_is_the_invariant_factor_product(self, cols):
+        n, columns = cols
+        rays = list(dict.fromkeys(primitive_part(v) for v in columns if any(v)))
+        fan = Fan(n, tuple(rays), (tuple(range(len(rays))),))
+        assert cone_multiplicity(fan, tuple(range(len(rays)))) == oracle.snf_multiplicity(rays)
 
 
 class TestPrimitivePart:

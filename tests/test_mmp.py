@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.fans import Fan, validate, walls
+from toriq.fans import Fan, MalformedFanError, validate, wall_classification, walls
 from toriq.mmp import (
     DIVISORIAL,
     FLIP,
@@ -123,7 +123,6 @@ class TestMoriFiberData:
         assert len(data.fiber_fan.rays) == data.fiber_fan.rank + 1  # Picard rank one
 
     def test_singular_example(self, singular_fan):
-        from toriq.fans import wall_classification
 
         w = next(
             w for w in walls(singular_fan)
@@ -148,20 +147,24 @@ class TestMoriFiberData:
         S = facet_presentation_from_vertices(imgs)
         assert fans_equal_up_to_ray_order(normal_fan(S), data.fiber_fan)
 
-    def test_fiber_coordinates_are_not_truncated(self, p1p1, monkeypatch):
-        import toriq.mmp as mmp
-        from toriq.fans import MalformedFanError
-
-        real = mmp.saturation_and_projection
-
-        def doubled(columns, n):
-            basis, proj = real(columns, n)
-            return [tuple(2 * x for x in b) for b in basis], proj
-
-        # the fiber ray (1, 0) has the coordinate 1/2 in the basis (2, 0)
-        monkeypatch.setattr(mmp, "saturation_and_projection", doubled)
-        with pytest.raises(MalformedFanError, match="is not an integer vector"):
-            mori_fiber_data(p1p1, wall_by_rays(p1p1, (0,)))
+    def test_fiber_rays_are_the_basis_at_their_coordinates(self, corpus_fans, corpus_polytopes):
+        # each fiber ray's coordinates, read off the Smith form's rows,
+        # give back its ray of the fan in the fiber's saturated basis
+        fibrations = 0
+        for fan in corpus_fans + [normal_fan(P) for P in corpus_polytopes]:
+            for wall in {w.relation: w for w in walls(fan)}.values():
+                if wall_classification(fan, wall)[0] != 0:
+                    continue
+                try:
+                    data = mori_fiber_data(fan, wall)
+                except MalformedFanError:
+                    continue
+                for c, i in zip(data.fiber_fan.rays, data.fiber_ray_origin):
+                    ray = [sum(x * b[r] for x, b in zip(c, data.fiber_basis))
+                           for r in range(fan.rank)]
+                    assert tuple(ray) == fan.rays[i]
+                fibrations += 1
+        assert fibrations == 19
 
     def test_wrong_wall_rejected(self, bl_p1p1):
         with pytest.raises(ValueError):
@@ -261,7 +264,6 @@ class TestFlipInsideProgram:
         return face_fan(list(self.RAYS))
 
     def test_fan_has_flipping_wall(self):
-        from toriq.fans import wall_classification
 
         fan = self._fan()
         w = wall_by_rays(fan, (0, 1))

@@ -207,3 +207,16 @@ def test_no_unused_imports():
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_one_smith_form():
+    # a sublattice's saturation, coordinates and annihilator all come from
+    # the one Smith form of linalg.saturation_and_projection
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "smith_normal_form" in _referenced(node.func)
+                        and getattr(top, "name", None) != "saturation_and_projection"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert list(SRC.glob("*.py")) and not found, found
