@@ -31,6 +31,7 @@ from .fans import (
     walls,
 )
 from .linalg import QVec, Vec, dot, frac
+from .polytopes import FacetPresentation, _critical_value, _slack_rows
 
 ZERO = Fraction(0)
 
@@ -197,7 +198,5 @@ def nef_threshold(fan: Fan, L: TorusDivisor) -> Fraction:
     s at which a wall curve C with -K.C > 0 has (L + s*K).C = 0, read off
     the slack rows of the polytope {x : <v_k, x> + L_k >= 0} that L gives on
     the fan's rays (``polytopes._critical_value``)."""
-    from .polytopes import FacetPresentation, _critical_value, _slack_rows
-
     slacks = _slack_rows(FacetPresentation(fan.rank, fan.rays, L.coeffs))
     return _critical_value(slacks, fan, ZERO)[0]

@@ -279,7 +279,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     built (``polytopes._slack_rows``); only the walls that vanish there are
     built.
     """
-    fan = polytopes.polarization(P)[0]
+    fan = polytopes.polarization(P)
     slacks = polytopes._slack_rows(P)
     steps: list[MMPStep] = []
     flagged = False
@@ -294,13 +294,15 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         for facet, sides in attained:
             w = _wall(fan, inverses, smooth, facet, sides)
             classes.setdefault(w.relation, []).append(w)
+        # walls arrive sorted, so each class's first wall is its least and
+        # the first class holds the least wall of all
         if len(classes) > 1:
-            wall_sets = tuple(sorted(min(w.wall_rays for w in ws) for ws in classes.values()))
+            wall_sets = tuple(ws[0].wall_rays for ws in classes.values())
             if not force:
                 raise GeneralityError(lam, wall_sets)
             flagged = True
-        chosen = min(classes.values(), key=lambda ws: min(w.wall_rays for w in ws))
-        wall = min(chosen, key=lambda w: w.wall_rays)
+        chosen = next(iter(classes.values()))
+        wall = chosen[0]
         alpha, beta = wall_classification(fan, wall)
         data = None
         if alpha == 0:
@@ -321,7 +323,8 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
             break
         fan = new_fan
         lam_prev = lam
-    sigma_P = _certified_threshold(slacks, steps)
+    certs = _interval_certificates(slacks, steps)
+    sigma_P = _certified_threshold(slacks, steps, certs)
     if sigma_P is None:
         sigma_P = polytopes.effective_threshold(P)
     trace = MMPTrace(
@@ -340,11 +343,22 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         lams = [s.lam for s in steps]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise MalformedFanError("critical values are not strictly increasing")
-    _adjoint_cross_validation(trace, slacks)
+    _adjoint_cross_validation(trace, certs)
     return trace
 
 
-def _certified_threshold(slacks: _SlackRows, steps: list[MMPStep]) -> Optional[Fraction]:
+def _interval_certificates(slacks: _SlackRows,
+                           steps: list[MMPStep]) -> list[Optional[_Certificate]]:
+    """Per step, the certificate of its interval (lo, lam) on its fan
+    (``_certify``), or None for a zero-length interval: each built once,
+    for the threshold and the cross-validation to read."""
+    lams = (ZERO,) + tuple(s.lam for s in steps)
+    return [_certify(slacks, s.fan_before, lo, s.lam) if lo < s.lam else None
+            for s, lo in zip(steps, lams)]
+
+
+def _certified_threshold(slacks: _SlackRows, steps: list[MMPStep],
+                         certs: list[Optional[_Certificate]]) -> Optional[Fraction]:
     """The effective threshold sigma_P, proved equal to the final critical
     value lam by LP duality from the run's own data, or None when a check
     fails (the caller then solves the LP).
@@ -367,16 +381,15 @@ def _certified_threshold(slacks: _SlackRows, steps: list[MMPStep]) -> Optional[F
         return None
     lams = (ZERO,) + tuple(s.lam for s in steps)
     k = next((k for k in reversed(range(len(steps))) if lams[k] < lams[k + 1]), None)
-    if k is None or lams[k + 1] != lam or _certified_limits(
-            slacks, steps[k].fan_before, lams[k], lam) is None:
+    if k is None or lams[k + 1] != lam or certs[k] is None:
         return None
     return lam
 
 
-def _adjoint_cross_validation(trace: MMPTrace, slacks: _SlackRows) -> None:
+def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate]]) -> None:
     """Check the run against the adjoint polytope family, and set the
-    trace's core and projection.  ``slacks`` holds the slack rows the run
-    built for P (``_SlackRows``).
+    trace's core and projection.  ``certs`` holds the run's interval
+    certificates, one per step (``_interval_certificates``).
 
     Between critical values the reduced adjoint polytope must be simple
     with the tracked normal fan; at a divisorial value the facet count
@@ -387,7 +400,7 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: _SlackRows) -> None:
     raise for general runs and are recorded otherwise.
 
     Each interval (lo, lam) with lo < lam is certified exactly, with no
-    vertex enumeration (``_certified_limits``).  Take the step's fan Sigma,
+    vertex enumeration (``_certify``).  Take the step's fan Sigma,
     complete and simplicial, whose rays are P's normals v_j in order.  Each
     maximal cone sigma gives the point x_sigma(s) tight on the inequalities
     of sigma, <v_j, x> = s - a_j, which is affine in s; so is the slack
@@ -436,11 +449,10 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: _SlackRows) -> None:
     core_points = tail = None  # tail: the last interval's (step, lo, certificate)
     for idx, (step, lo) in enumerate(zip(trace.steps, (ZERO,) + trace.critical_values)):
         fan, lam = step.fan_before, step.lam
-        cert = None
+        cert = certs[idx]  # None at lo == lam
         if lo == lam and at_value is not None:
             facets, simple = at_value
         else:
-            cert = _certified_limits(slacks, fan, lo, lam) if lo < lam else None
             at_value = None
             if cert is None:
                 notes[f"interval_{idx}_fan_matches"] = False
@@ -494,7 +506,7 @@ def _adjoint_cross_validation(trace: MMPTrace, slacks: _SlackRows) -> None:
 
 @dataclass(frozen=True)
 class _Certificate:
-    """An interval certificate of ``_certified_limits``: the tight sets of
+    """An interval certificate of ``_certify``: the tight sets of
     the limit points x_sigma(lam), as indices into P, and per maximal cone
     sigma the integers (t, w, d), d > 0, with q*d*L*x_sigma(p/q) =
     p*L*t - q*w for the common denominator L of P's constants."""
@@ -511,22 +523,11 @@ class _Certificate:
                 for cone, t, w, d in self.cones]
 
 
-def _certified_limits(slacks: _SlackRows, fan: Fan, lo: Fraction,
-                      lam: Fraction) -> Optional[_Certificate]:
-    """The certificate of the fan's cones on (lo, lam), or None when it
-    fails (see ``_adjoint_cross_validation``), for the P of ``slacks``:
-    built once per run, keyed by integers (hashing a ``Fraction`` costs a
-    modular inverse)."""
-    key = fan, lo.numerator, lo.denominator, lam.numerator, lam.denominator
-    if key not in slacks.certificates:
-        slacks.certificates[key] = _certify(slacks, fan, lo, lam)
-    return slacks.certificates[key]
-
-
 def _certify(slacks: _SlackRows, fan: Fan, lo: Fraction, lam: Fraction) -> Optional[_Certificate]:
-    """Build the certificate of ``_certified_limits``: two integer products
-    per cone and inequality of P, the scaled slacks at both ends, from the
-    cone's shared row."""
+    """The certificate of the fan's cones on (lo, lam), or None when it
+    fails (see ``_adjoint_cross_validation``), for the P of ``slacks``: two
+    integer products per cone and inequality of P, the scaled slacks at
+    both ends, from the cone's shared row."""
     index = [slacks.index.get(r) for r in fan.rays]
     if None in index or index != sorted(index):
         return None

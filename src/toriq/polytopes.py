@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from . import fans
 from .fans import Fan, _cone_inverse
-from .intersection import TorusDivisor
 from .linalg import (
     QVec,
     Vec,
@@ -290,21 +289,21 @@ def effective_threshold(P: FacetPresentation) -> Fraction:
     return sigma
 
 
-def polarization(P: FacetPresentation) -> tuple[Fan, TorusDivisor]:
-    """The normal fan of a simple, irredundant, full-dimensional P and P's
-    own divisor on it (ample there); RedundantPresentationError or
-    DegenerateError otherwise."""
+def polarization(P: FacetPresentation) -> Fan:
+    """The normal fan of a simple, irredundant, full-dimensional P, on
+    which P's constants give an ample divisor; RedundantPresentationError
+    or DegenerateError otherwise."""
     fan = normal_fan(P)
     if not is_simple(P):
         raise RedundantPresentationError("polytope is not simple")
-    return fan, TorusDivisor(fan, P.constants)
+    return fan
 
 
 def nef_threshold_tracking(P: FacetPresentation) -> Fraction:
     """sup{s : P^(s) has the same normal fan as P}: the nef threshold of
     P's divisor on its normal fan (``intersection.nef_threshold``), read
     off P's own slack rows, which its scaled run shares."""
-    return _critical_value(_slack_rows(P), polarization(P)[0], ZERO)[0]
+    return _critical_value(_slack_rows(P), polarization(P), ZERO)[0]
 
 
 def thresholds(P: FacetPresentation) -> Thresholds:
@@ -326,17 +325,13 @@ class _SlackRows(dict):
     the cone's indices into P, from the cone's cached adjugate.  The row is
     checked on its own cone: x_sigma(s) is tight on sigma's inequalities,
     alpha_i = beta_i = 0 for i in sigma, which fixes t and w since sigma's
-    normals are independent, or ``MalformedFanError`` names the cone.
-    ``certificates`` holds a scaled run's interval certificates
-    (``mmp._certified_limits``), so the one that gives sigma_P is the
-    cross-validation's own."""
+    normals are independent, or ``MalformedFanError`` names the cone."""
 
     def __init__(self, P: FacetPresentation):
         super().__init__()
         self.P = P
         self.index = {v: j for j, v in enumerate(P.normals)}
         self.L, self.A = _scaled(P.constants)
-        self.certificates: dict[tuple, object] = {}
 
     def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:
         adj, d = _cone_inverse(tuple(self.P.normals[j] for j in key))

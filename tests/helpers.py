@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from toriq import fans, linalg, polytopes
+from toriq import fans, linalg, mmp, polytopes
 from toriq.fans import Fan, _cone_coords
 from toriq.intersection import TorusDivisor
 from toriq.linalg import dot
@@ -127,6 +127,12 @@ def decomposition(P, pvs, data):
     ``Fraction``s, or None."""
     found = polytopes._decompose_along_fiber(P, pvs, data)
     return found and polytopes._rational_decomposition(found, data)
+
+
+def certificates(trace) -> list:
+    """The interval certificates of the trace's steps, one per step, as its
+    run builds them for the checks (``mmp._interval_certificates``)."""
+    return mmp._interval_certificates(polytopes._SlackRows(trace.initial_polytope), trace.steps)
 
 
 def prime_divisor(fan: Fan, i: int) -> TorusDivisor:

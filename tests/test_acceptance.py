@@ -164,6 +164,67 @@ def test_criterion_4_companion_computed_trace():
     assert alt.kinds == (DIVISORIAL, DIVISORIAL, MORI_FIBER)
 
 
+def polygon_corners(normals, constants, s):
+    """The corners of the polygon {x : <v, x> >= s - a} whose inward
+    primitive normals v are listed counterclockwise, one per edge: corner i
+    meets edges i - 1 and i (Cramer's rule)."""
+    corners = []
+    for (a, b), (c, d), e, f in zip(normals[-1:] + normals[:-1], normals,
+                                    constants[-1:] + constants[:-1], constants):
+        det = a * d - b * c
+        corners.append((F((s - e) * d - b * (s - f), det), F(a * (s - f) - (s - e) * c, det)))
+    return corners
+
+
+def polygon_lengths(normals, constants, s):
+    """Signed lattice lengths of the edges of ``polygon_corners``: edge i
+    runs from corner i to corner i + 1 along (b, -a) for v = (a, b)."""
+    pts = polygon_corners(normals, constants, s)
+    return [(q[0] - p[0]) / b if b else (p[1] - q[1]) / a
+            for (a, b), p, q in zip(normals, pts, pts[1:] + pts[:1])]
+
+
+def test_criterion_4_values_by_hand():
+    """Independent evidence for acceptance 4: the critical values of
+    (6,5,6,5,2) from the edges of P^(s), with no wall relation and no run.
+    P^(s) is x >= -6+s, y >= -5+s, x <= 6-s, y <= 5-s, x+y <= 2-s, and each
+    edge's lattice length is affine in s.  The edge with normal (-1, 0)
+    (x = 6-s, -5+s <= y <= -4) has length 1 - s and is the first to
+    collapse, at 1; with it contracted, the edge with normal (0, -1)
+    (y = 5-s, -6+s <= x <= -3) has length 3 - s and collapses at 3; the
+    triangle left, with vertices (-6+s, -5+s), (-6+s, 8-2s) and
+    (7-2s, -5+s), collapses to a point at 13/3.  The run agrees, so the
+    recorded (1/2, 3/2, 5/2) are not the critical values of these
+    constants."""
+    # counterclockwise: (1,0), (0,1), (-1,0), (-1,-1), (0,-1)
+    facets = dict(zip(((1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)), (6, 5, 6, 2, 5)))
+    derived, lo = [], F(0)
+    for contracted, lam, length in (((-1, 0), F(1), (1, -1)), ((0, -1), F(3), (3, -1)),
+                                    (None, F(13, 3), None)):
+        normals, constants = list(facets), list(facets.values())
+        at0, at1 = polygon_lengths(normals, constants, 0), polygon_lengths(normals, constants, 1)
+        roots = {v: l0 / (l0 - l1) for v, l0, l1 in zip(normals, at0, at1) if l1 < l0}
+        # a polygon on the open interval, with no edge collapsing before lam
+        assert all(l > 0 for l in polygon_lengths(normals, constants, (lo + lam) / 2))
+        assert min(roots.values()) == lam
+        collapsing = [v for v, root in roots.items() if root == lam]
+        if contracted is None:  # every edge of the triangle at once
+            assert collapsing == normals and len(normals) == 3
+            for s in (F(0), F(1, 2), lam):
+                assert sorted(polygon_corners(normals, constants, s)) == sorted(
+                    [(-6 + s, -5 + s), (-6 + s, 8 - 2 * s), (7 - 2 * s, -5 + s)])
+            assert polygon_lengths(normals, constants, lam) == [0, 0, 0]
+        else:  # one edge alone, of the stated length
+            assert collapsing == [contracted]
+            i = normals.index(contracted)
+            assert (at0[i], at1[i] - at0[i]) == length
+            del facets[contracted]
+        derived.append(lam)
+        lo = lam
+    assert derived == [1, 3, F(13, 3)]
+    assert run_mmp_scaling(blowup_polytope((6, 5, 6, 5, 2))).critical_values == tuple(derived)
+
+
 def test_criterion_5_singular_fiber_space(singular_fan):
     mk = anticanonical(singular_fan)
     # rays 3, 4 span the fiber curve; ray 4 the singular surface

@@ -10,6 +10,7 @@ import pytest
 
 import mmp_oracle as oracle
 from conftest import blowup_polytope, hexagon
+from helpers import certificates
 from test_acceptance import random_simple_polytope
 from toriq import mmp, polytopes
 from toriq.fano_table import load_builtin_table
@@ -66,15 +67,15 @@ def unvalidated(P) -> mmp.MMPTrace:
     and projection that ``core_and_projection`` enumerates (the
     cross-validation sets its own)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace, slacks: None)
+        mp.setattr(mmp, "_adjoint_cross_validation", lambda trace, certs: None)
         trace = mmp.run_mmp_scaling(P, force=True)
     trace.core_projection = core_and_projection(P)
     return trace
 
 
 def cross_validation(trace):
-    """The package's check, on the slack rows the run builds for P."""
-    mmp._adjoint_cross_validation(trace, mmp._SlackRows(trace.initial_polytope))
+    """The package's check, on the certificates the run builds for P."""
+    mmp._adjoint_cross_validation(trace, certificates(trace))
 
 
 def outcome(check, trace):

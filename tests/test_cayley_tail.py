@@ -17,7 +17,7 @@ import pytest
 import mmp_oracle
 import polytope_oracle as oracle
 from conftest import blowup_polytope, hexagon, simplex_polytope, unit_square
-from helpers import cold_caches, count_calls, decomposition
+from helpers import certificates, cold_caches, count_calls, decomposition
 from linalg_oracle import integer_kernel_basis
 from test_adjoint_certificate import (
     MMP_ROWS, cross_validation, outcome, pool_polytope, sweep_polytopes, unvalidated)
@@ -105,7 +105,7 @@ def validated(P):
     where a general run would raise."""
     trace = unvalidated(P)
     try:
-        mmp._adjoint_cross_validation(trace, mmp._SlackRows(trace.initial_polytope))
+        mmp._adjoint_cross_validation(trace, certificates(trace))
     except MalformedFanError:
         pass
     return trace

@@ -18,7 +18,7 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 import polytope_oracle
-from helpers import prime_divisor, run_divisor, scan, with_walls
+from helpers import certificates, prime_divisor, run_divisor, scan, with_walls
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
 from toriq import intersection, mmp, polytopes
 from toriq.fans import Fan, MalformedFanError, walls
@@ -53,9 +53,9 @@ def record(monkeypatch) -> dict:
     decompose, enumerate_ = polytopes._decompose_along_fiber, polytopes.vertices
     hull = polytopes.hull_facets
 
-    def validating(trace, slacks):
+    def validating(trace, certs):
         seen["traces"].append(trace)
-        validate(trace, slacks)
+        validate(trace, certs)
 
     def searching(slacks, fan, s0):
         seen["searches"].append((slacks, fan, s0))
@@ -255,7 +255,7 @@ def validated(trace, monkeypatch, **patches):
         for name, value in patches.items():
             mp.setattr(mmp, name, value)
         try:
-            mmp._adjoint_cross_validation(trace, mmp._SlackRows(trace.initial_polytope))
+            mmp._adjoint_cross_validation(trace, certificates(trace))
         except MalformedFanError:
             pass
     return trace
@@ -269,9 +269,9 @@ def test_no_last_certificate_enumerates_the_core(name, monkeypatch):
     P = FIRST if name == "FIRST" else sweep_polytopes()[name]
     run = unvalidated(P)
     certified = validated(run, monkeypatch).validation
-    certify = mmp._certified_limits
-    trace = validated(run, monkeypatch, _certified_limits=lambda P, fan, lo, lam: (
-        None if fan == run.steps[-1].fan_before else certify(P, fan, lo, lam)))
+    certify = mmp._certify
+    trace = validated(run, monkeypatch, _certify=lambda slacks, fan, lo, lam: (
+        None if fan == run.steps[-1].fan_before else certify(slacks, fan, lo, lam)))
     last = f"interval_{len(trace.steps) - 1}_"
     kept = list(certified.items())
     kept = kept[:next(i for i, (key, _) in enumerate(kept) if key.startswith(last))]

@@ -48,9 +48,9 @@ def runs():
             seen["builds"][name].append(key)
             return super().__missing__(key)
 
-    def validating(trace, slacks):
+    def validating(trace, certs):
         seen["traces"][name] = trace
-        validate(trace, slacks)
+        validate(trace, certs)
 
     def certifying(slacks, fan, lo, lam):
         seen["certified"][name].append((fan, lo, lam))
@@ -83,7 +83,8 @@ def test_certified_threshold_equals_the_lp_and_no_lp_is_solved(runs):
     for trace in runs["traces"].values():
         P = trace.initial_polytope
         assert trace.effective_threshold == trace.critical_values[-1] == effective_threshold(P)
-        assert mmp._certified_threshold(mmp._SlackRows(P), trace.steps) == effective_threshold(P)
+        assert mmp._certified_threshold(*certified(mmp._SlackRows(P), trace.steps)) == (
+            effective_threshold(P))
 
 
 def test_certificates_equal_the_oracle_on_every_interval(runs):
@@ -95,7 +96,7 @@ def test_certificates_equal_the_oracle_on_every_interval(runs):
         slacks = mmp._SlackRows(P)
         for fan, lo, lam in certified:
             for end in (lam, (lo + lam) / 2, lam + F(1, 7)):
-                got = mmp._certified_limits(slacks, fan, lo, end)
+                got = mmp._certify(slacks, fan, lo, end)
                 expected = oracle.certified_limits(P, fan, lo, end)
                 if expected is None:
                     assert got is None
@@ -138,6 +139,12 @@ def test_one_slack_row_per_distinct_cone(runs):
 # ---------------------------------------------------------------------------
 # doctored certificates fall back to the LP
 # ---------------------------------------------------------------------------
+
+def certified(slacks, steps):
+    """The arguments of ``_certified_threshold``: the slack rows, the steps
+    and the certificates the run builds from them."""
+    return slacks, steps, mmp._interval_certificates(slacks, steps)
+
 
 def last_steps():
     """FIRST's run: divisorial at 1/2, fibering at 1 = sigma_P."""
@@ -188,7 +195,7 @@ def moved_limit_point(P, steps):
 
 
 def refused(P, steps):
-    # with ``_certified_limits`` patched to refuse, as ``doctor`` does
+    # with ``_certify`` patched to refuse, as ``doctor`` does
     return mmp._SlackRows(P), steps
 
 
@@ -200,14 +207,14 @@ MUTATIONS = {"negative entry": negative_entry, "not vanishing": not_vanishing,
 def doctor(mp, mutation, P, steps):
     """The arguments of ``_certified_threshold`` for the mutated run."""
     if mutation == "refused":
-        mp.setattr(mmp, "_certified_limits", lambda slacks, fan, lo, lam: None)
-    return MUTATIONS[mutation](P, steps)
+        mp.setattr(mmp, "_certify", lambda slacks, fan, lo, lam: None)
+    return certified(*MUTATIONS[mutation](P, steps))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_doctored_certificate_falls_back_to_the_lp(mutation, monkeypatch):
     steps, threshold = last_steps(), mmp._certified_threshold
-    assert threshold(mmp._SlackRows(FIRST), steps) == 1
+    assert threshold(*certified(mmp._SlackRows(FIRST), steps)) == 1
     with monkeypatch.context() as mp:
         assert threshold(*doctor(mp, mutation, FIRST, steps)) is None
     # the run with its certificate doctored the same way solves the LP once
@@ -215,7 +222,8 @@ def test_doctored_certificate_falls_back_to_the_lp(mutation, monkeypatch):
     polytopes.effective_threshold.cache_clear()
     lps = count_calls(monkeypatch, "lp_min", linalg, polytopes)
 
-    def doctored(slacks, run_steps):
+    def doctored(slacks, run_steps, certs):
+        # the run's certificates are rebuilt from the doctored rows
         with monkeypatch.context() as mp:
             return threshold(*doctor(mp, mutation, slacks.P, run_steps))
 

@@ -206,6 +206,9 @@ class TestRunMMP:
             run_mmp_scaling(hexagon())
         assert err.value.critical_value == 1
         assert len(err.value.wall_sets) == 6
+        # six classes of one wall each, their walls in sorted order
+        fan = normal_fan(hexagon())
+        assert err.value.wall_sets == tuple(sorted(w.wall_rays for w in walls(fan)))
 
     def test_hexagon_forced(self):
         trace = run_mmp_scaling(hexagon(), force=True)

@@ -220,3 +220,12 @@ def test_one_smith_form():
                         and getattr(top, "name", None) != "saturation_and_projection"):
                     found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_polytopes_imports_nothing_of_intersection():
+    # intersection reads its nef threshold off polytopes' slack rows at
+    # module level, so the two modules import in one direction only
+    tree = ast.parse((SRC / "polytopes.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and (
+        node.module == "intersection" or any(a.name == "intersection" for a in node.names))]
+    assert not found, found
