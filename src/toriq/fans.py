@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import and_, mul
 from typing import Optional
 
 from .linalg import (
@@ -213,16 +213,20 @@ def validate(fan: Fan) -> ValidationReport:
     A simplicial fan whose maximal cones all have ``rank`` rays and whose
     (n-1)-faces each lie in exactly two of them is certified complete, or
     rejected, by two checks: across every wall the two opposite rays lie
-    strictly on opposite sides, and one generic point, off every cone's
-    boundary hyperplanes, lies in exactly one cone.  Across a wall the
-    number of cones holding a point is then unchanged, so it is the same
-    for all points off the codimension-2 faces; the point shows it is 1,
-    i.e. the cones cover the space and meet in faces.  Any other simplicial
-    fan is not complete, and the exact pairwise LP test checks that every
-    two of its cones meet in their common face.  Overlapping cones raise
-    ``MalformedFanError`` naming two of them; non-simplicial fans get no
-    overlap test and are never reported complete.  A maximal cone whose
-    rays lie among another's, which the pairwise test passes, raises too.
+    strictly on opposite sides, and one point p on no cone's boundary lies
+    in exactly one cone.  Across a wall the number of cones holding a point
+    is then unchanged, so it is the same for all points off the
+    codimension-2 faces, and so off the union of the walls; p shows it is
+    1, i.e. the cones cover the space and meet in faces.  Each cone reads
+    p = (1, m, m^2, ...) up to its first negative coordinate: a cone with
+    one does not hold p, so p is not on its boundary, and a new m is tried
+    only when a cone with no negative coordinate has a zero one.  Any
+    other simplicial fan is not complete, and the exact pairwise LP test
+    checks that every two of its cones meet in their common face.
+    Overlapping cones raise ``MalformedFanError`` naming two of them;
+    non-simplicial fans get no overlap test and are never reported
+    complete.  A maximal cone whose rays lie among another's, which the
+    pairwise test passes, raises too.
     """
     longest = max(map(len, fan.max_cones), default=0)
     for small in (c for c in fan.max_cones if len(c) < longest):
@@ -273,19 +277,28 @@ def _certify_cover(fan: Fan, inverses, facets) -> None:
             raise MalformedFanError(
                 f"maximal cones {cones[a]} and {cones[b]} lie on the same side of their wall"
             )
-    rows = [(cone, row, d) for cone, (adj, d) in inverses.items() for row in adj]
     m = 2
     while True:
-        # (1, m, m^2, ...) lies on a boundary hyperplane for finitely many m
+        # (1, m, m^2, ...) lies on a boundary hyperplane for finitely many m;
+        # a cone is left at its first negative sign (see ``validate``)
         p = tuple(m**k for k in range(fan.rank))
-        signs = [(cone, dot(row, p) * d) for cone, row, d in rows]
-        if all(s for _, s in signs):
+        hits = []
+        for cone, (adj, d) in inverses.items():
+            zero = False
+            for row in adj:
+                s = sum(map(mul, row, p)) * d
+                if s < 0:
+                    break
+                zero = zero or not s
+            else:
+                if zero:
+                    break  # p is on this cone's boundary: next m
+                hits.append(cone)
+        else:
             break
         m += 1
-    outside = {cone for cone, s in signs if s < 0}
     # at least one cone holds p: the count is the same everywhere off the
-    # codimension-2 faces, and every cone holds such points
-    hits = [cone for cone in cones if cone not in outside]
+    # walls, and every cone holds such points
     if len(hits) > 1:
         raise MalformedFanError(
             f"maximal cones {hits[0]} and {hits[1]} overlap without meeting in a face"
@@ -379,29 +392,41 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
     """Exhaustive list of primitive collections of a complete simplicial fan,
     by size, then members.
 
-    The collections are the minimal non-faces.  With the faces held as
-    bitmasks (every nonempty submask of every maximal cone), each is
-    S = F + {j} for the face F = S - {j}, j the highest ray of S, so it is
-    found once among the sets F + {j} with j above F's rays that are no
-    face while every S - {i} is one.  Each collection carries the minimal
-    cone containing the sum of its members, the positive coefficients of
-    the relation, and the degree (member count minus coefficient sum).
+    The collections are the minimal non-faces.  A set of rays is a face
+    exactly when the bitmasks of the cones holding each of its rays meet.
+    Each collection S is F + {j} for the face F = S - {j}, j the highest
+    ray of S, so the faces are grown depth-first from single rays, each by
+    rays above its highest, and S is found once: as the F + {j} that is no
+    face while every S - {i} is one.  For |F| >= 2 each {i, j} with i in F
+    is a proper subset of S, so a face: j is taken among the neighbours
+    (the rays sharing a cone) of every ray of F, held as bitmasks.  Each
+    collection carries the minimal cone containing the sum of its members,
+    the positive coefficients of the relation, and the degree (member
+    count minus coefficient sum).
     """
     rep = validate(fan)
     if not (rep.simplicial and rep.complete):
         raise UnsupportedFanError("primitive collections need a complete simplicial fan")
-    bits = [1 << i for i in range(len(fan.rays))]
-    faces: dict[int, tuple[int, ...]] = {}
-    for cone in fan.max_cones:
-        subs = [(0, ())]
+    m = len(fan.rays)
+    holding, near = [0] * m, [0] * m  # per ray: the cones holding it, its neighbours
+    for k, cone in enumerate(fan.max_cones):
+        rays = sum(1 << i for i in cone)
         for i in cone:
-            subs += [(m | bits[i], sub + (i,)) for m, sub in subs]
-        faces.update(subs[1:])
-    found = []
-    for f, face in faces.items():
-        for j in range(face[-1] + 1, len(bits)):
-            s = f | bits[j]
-            if s not in faces and all(s ^ bits[i] in faces for i in face):
+            holding[i] |= 1 << k
+            near[i] |= rays
+    found = []  # faces to extend: (rays, the cones holding them, common neighbours)
+    faces = [((i,), holding[i], near[i]) for i in range(m) if holding[i]]
+    while faces:
+        face, cones, common = faces.pop()
+        above = (common if len(face) > 1 else (1 << m) - 1) & -(2 << face[-1])
+        while above:
+            b = above & -above
+            above ^= b
+            j = b.bit_length() - 1
+            if cones & holding[j]:
+                faces.append((face + (j,), cones & holding[j], common & near[j]))
+            elif all(reduce(and_, (holding[k] for k in face if k != i), holding[j])
+                     for i in face):
                 found.append(face + (j,))
     out = []
     for members in sorted(found, key=lambda m: (len(m), m)):
@@ -419,8 +444,13 @@ def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], Vec, int]:
     inverses = _inverses(fan)
     for cone in fan.max_cones:
         adj, d = inverses[cone]
-        cs = [dot(row, x) for row in adj] if d > 0 else [-dot(row, x) for row in adj]
-        if all(c >= 0 for c in cs):
+        sign, cs = (1 if d > 0 else -1), []
+        for row in adj:
+            c = sign * sum(map(mul, row, x))
+            if c < 0:
+                break
+            cs.append(c)
+        else:
             return tuple(i for i, c in zip(cone, cs) if c), tuple(c for c in cs if c), abs(d)
     raise MalformedFanError(f"{x} lies outside the fan support")
 
@@ -428,26 +458,34 @@ def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], Vec, int]:
 def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]]) -> Fan:
     """Rebuild a complete simplicial fan from its rays and the list of its
     primitive collections: maximal cones are the full-rank ray subsets
-    containing no collection, tested as bitmasks.  The rank test reads the
-    shared cone cache, whose determinant is that of the rows' transpose, so
-    ``validate`` finds every kept cone's adjugate there."""
+    containing no collection, grown as bitmasks one ray at a time in
+    increasing order.  Adding ray i tests the collections whose highest ray
+    is i, and drops a prefix that holds one with every subset it starts
+    (the empty collection is filed in the last slot, -1).  The rank test
+    reads the shared cone cache, whose determinant is that of the rows'
+    transpose, so ``validate`` finds every kept cone's adjugate there."""
     if not rays:
         raise ReconstructionError("no rays to rebuild a fan from")
     rays = [tuple(r) for r in rays]
-    n = len(rays[0])
+    n, m = len(rays[0]), len(rays)
+    tops: list[list[int]] = [[] for _ in range(m + 1)]
     for c in collections:
-        if any(not 0 <= i < len(rays) for i in c):
-            raise ReconstructionError(
-                f"collection {tuple(c)} names a ray outside 0..{len(rays) - 1}")
-    colls = [sum(1 << i for i in set(c)) for c in collections]
-    cones = []
-    for sub in combinations([1 << i for i in range(len(rays))], n):
-        s = sum(sub)
-        if any(c & s == c for c in colls):
-            continue
-        cone = tuple(b.bit_length() - 1 for b in sub)
-        if _cone_inverse(tuple(rays[i] for i in cone))[1]:
-            cones.append(cone)
+        if any(not 0 <= i < m for i in c):
+            raise ReconstructionError(f"collection {tuple(c)} names a ray outside 0..{m - 1}")
+        tops[max(c, default=-1)].append(sum(1 << i for i in set(c)))
+    prefixes = [((), 0)] if not tops[-1] else []
+    for k in range(n):
+        grown = []
+        for prefix, f in prefixes:
+            for i in range(prefix[-1] + 1 if prefix else 0, m - n + k + 1):
+                s = f | 1 << i
+                for c in tops[i]:
+                    if c & s == c:
+                        break
+                else:
+                    grown.append((prefix + (i,), s))
+        prefixes = grown
+    cones = [cone for cone, _ in prefixes if _cone_inverse(tuple(rays[i] for i in cone))[1]]
     try:
         fan = Fan(n, tuple(rays), tuple(cones))
         rep = validate(fan)

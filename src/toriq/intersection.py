@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .fans import (
     Fan,
@@ -124,6 +125,7 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         for p, j in enumerate(w.wall_rays):
             stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (w.relation, weight)
     smooth = validate(fan).smooth
+    inverses = _inverses(fan)
     values = []
     for sigma in sigmas:
         star, cones = stars.get(sigma, {}), over[sigma]
@@ -132,12 +134,18 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         mult = 1 if smooth else cone_multiplicity(fan, sigma)
         # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u = adj_i / d
         # from a maximal cone over sigma, so the wall of j adds d r_j - sum_i <adj_i, v_j> r_i
-        adj, d = _inverses(fan)[cones[0]]
+        adj, d = inverses[cones[0]]
         rows = [(i, adj[cones[0].index(i)]) for i in sigma]
         num, den = 0, 1  # the walls' terms summed in integers, num / den
         for j, (rel, (p, q)) in star.items():
-            n = rel[j] * d - sum(dot(row, fan.rays[j]) * rel[i] for i, row in rows if rel[i])
-            num, den = num * q + n * p * den, den * q
+            v, n = fan.rays[j], rel[j] * d
+            for i, row in rows:
+                if rel[i]:
+                    n -= sum(map(mul, row, v)) * rel[i]
+            if p == q == 1:
+                num += n * den
+            else:
+                num, den = num * q + n * p * den, den * q
         values.append((sigma, Fraction(mult * num, 2 * d * den)))
     return values
 

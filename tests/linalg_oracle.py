@@ -35,7 +35,12 @@ rows: every start, one elimination of [rows^T | I].
 
 ``cone_inverses`` and ``primitive_data_cones`` are the per-fan adjugates and
 the row-wise rank test that ``toriq.fans`` ran before it kept one adjugate
-per cone's ray vectors, shared by every fan that holds the cone.
+per cone's ray vectors, shared by every fan that holds the cone; the rank
+test runs on every ray subset of the rank's size.
+
+``certify_cover_all_signs`` is the cover certificate of ``toriq.fans.validate``
+as it ran before it read each cone only up to its first negative sign: every
+sign of every cone at each trial point, and a new point while any is zero.
 
 ``lp_standard`` is the two-phase simplex (Bland's rule) that ``toriq.linalg``
 ran before it pivoted one integer tableau with the elimination step: every
@@ -73,7 +78,7 @@ from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Optional, Sequence
 
-from toriq.fans import Fan, ReconstructionError, validate
+from toriq.fans import Fan, MalformedFanError, ReconstructionError, validate
 from toriq.linalg import (
     LPResult, Vec, _eliminate, _scaled, dot, frac, primitive_part, smith_normal_form, vec_sub)
 from toriq.linalg import _pivot as bareiss_step
@@ -233,6 +238,34 @@ def primitive_data_cones(rays, collections) -> list[tuple[int, ...]]:
     return [sub for sub in combinations(range(len(rays)), n)
             if not any(c <= frozenset(sub) for c in colls)
             and adjugate([rays[i] for i in sub])[1]]
+
+
+def certify_cover_all_signs(fan: Fan, inverses, facets) -> None:
+    """Raise unless the pseudo-manifold of full cones covers the space
+    exactly once, from a point (1, m, m^2, ...) off every boundary
+    hyperplane of every cone."""
+    cones = fan.max_cones
+    for sides in facets.values():
+        (a, ja), (b, jb) = sides
+        adj, d = inverses[cones[a]]
+        if dot(adj[ja], fan.rays[cones[b][jb]]) * d >= 0:
+            raise MalformedFanError(
+                f"maximal cones {cones[a]} and {cones[b]} lie on the same side of their wall"
+            )
+    rows = [(cone, row, d) for cone, (adj, d) in inverses.items() for row in adj]
+    m = 2
+    while True:
+        p = tuple(m**k for k in range(fan.rank))
+        signs = [(cone, dot(row, p) * d) for cone, row, d in rows]
+        if all(s for _, s in signs):
+            break
+        m += 1
+    outside = {cone for cone, s in signs if s < 0}
+    hits = [cone for cone in cones if cone not in outside]
+    if len(hits) > 1:
+        raise MalformedFanError(
+            f"maximal cones {hits[0]} and {hits[1]} overlap without meeting in a face"
+        )
 
 
 def _vertex_solutions(rows: Sequence[Vec], rhs: Sequence[int]):

@@ -1,13 +1,16 @@
-"""Primitive collections are found as the minimal non-faces over bitmask
-faces, and agree exactly with the earlier search over every ray subset
-kept in ``intersection_oracle``: the same collections, cones, coefficients
-and degrees in the same order, errors included.  They are compared on the
-fans of the 67 explicit table rows (rebuilt from their collections and as
-hulls), the singular fans of ``test_surface_scan``, every fan that the
-forced seed-1 sweep and the 240 pool runs search, a few edge cases, and
-Hypothesis star subdivisions of simplex fans, which are not smooth.  The
-``Fraction``s a seed-1 table-verify pass builds are pinned as work counts."""
+"""Primitive collections are found as the minimal non-faces, grown from the
+faces over cone bitmasks, and agree exactly with the earlier search over
+every ray subset kept in ``intersection_oracle``: the same collections,
+cones, coefficients and degrees in the same order, errors included.  They
+are compared on the fans of the 67 explicit table rows (rebuilt from their
+collections and as hulls), the singular fans of ``test_surface_scan``,
+every fan that the forced seed-1 sweep and the 240 pool runs search, the
+normal fans of the 40 adjoint-family polytopes of the benchmark, a few edge
+cases, and Hypothesis star subdivisions of simplex fans, which are not
+smooth.  The ``Fraction``s a seed-1 table-verify pass builds are pinned as
+work counts."""
 
+from collections import Counter
 from math import gcd
 
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from toriq.fans import (
     validate,
 )
 from toriq.linalg import primitive_part
+from toriq.polytopes import normal_fan
 
 
 def outcome(search, fan):
@@ -63,6 +67,17 @@ def test_run_fans_match_oracle(runs):  # noqa: F811
     assert sum(not validate(fan).smooth for fan in found) > 0
     for fan in found:
         assert_collections_match(fan)
+
+
+def test_adjoint_family_fans_match_oracle():
+    # the normal fans of the adjoint-family pool: singular, some with
+    # collections of more than two rays
+    workloads = _workloads()
+    normal_fans = [normal_fan(workloads.adjoint_polytope(key)) for key in workloads.ADJOINT_KEYS]
+    found = [assert_collections_match(fan) for fan in normal_fans]
+    assert sum(not validate(fan).smooth for fan in normal_fans) == 15
+    sizes = Counter(len(c.members) for cs in found for c in cs)
+    assert sizes == {2: 200, 3: 15}
 
 
 def test_edge_cases_match_oracle():
