@@ -6,7 +6,8 @@ program with scaling run as an operation on adjoint polytopes.  Every
 computation is exact: integers and fractions only.
 """
 
-from .fans import Fan, fan_from_primitive_data, star_quotient, star_subdivision, validate, walls
+from .fans import (Fan, fan_from_primitive_data, star_quotient, star_subdivision, validate,
+                   walls, weakly_split)
 from .intersection import (
     TorusDivisor,
     anticanonical,
@@ -28,7 +29,7 @@ from .polytopes import (
     thresholds,
     vertices,
 )
-from .mmp import run_mmp_scaling, weakly_split
+from .mmp import run_mmp_scaling
 
 __all__ = [
     "Fan",

@@ -8,6 +8,7 @@ files, bad flags, non-general programs without --force).
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from . import fano_table, formats, intersection, mmp, polytopes
@@ -57,8 +58,6 @@ def _cmd_check_2fano(args) -> int:
     if scan.nef_but_not_positive:
         print("note: minimum is exactly zero (nef, not positive)")
     if args.report:
-        import csv
-
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["surface", "value"])
@@ -169,7 +168,7 @@ def _cmd_detect_cayley(args) -> int:
 
 def _cmd_verify_table(args) -> int:
     if args.dataset:
-        rows = formats.parse_dataset(_read(args.dataset))
+        rows = fano_table.parse_dataset(_read(args.dataset))
     else:
         rows = fano_table.load_builtin_table()
     report = fano_table.verify_table(rows)

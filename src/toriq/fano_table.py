@@ -1,5 +1,5 @@
-"""The builtin classification table of smooth toric Fano 4-folds and its
-batch verification.
+"""The builtin classification table of smooth toric Fano 4-folds, its CSV
+dataset format and its batch verification.
 
 Each explicit row carries the primitive ray generators, the primitive
 collections where the family has them, a witness surface and the reference
@@ -10,12 +10,13 @@ character, so they are tagged rather than recomputed.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from . import formats
 from .fans import (
     Fan,
     ReconstructionError,
@@ -24,8 +25,9 @@ from .fans import (
     primitive_collections,
     validate,
 )
+from .formats import ParseError
 from .intersection import is_2fano, is_fano, surface_cone
-from .linalg import Vec
+from .linalg import Vec, frac
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,13 @@ class TableRow:
     def __post_init__(self):
         for name in ("surface", "expected"):  # what an explicit row is verified against
             if self.rays is not None and getattr(self, name) is None:
-                raise formats.ParseError("rays need this cell", field=name)
+                raise ParseError("rays need this cell", field=name)
         for c in self.collections or ():
             if len(set(c)) < 2:
-                raise formats.ParseError(f"collection {c} has fewer than two members",
-                                         field="collections")
+                raise ParseError(f"collection {c} has fewer than two members", field="collections")
             if self.rays is not None and not all(0 <= i < len(self.rays) for i in c):
-                raise formats.ParseError(f"collection {c} names a ray outside the rays",
-                                         field="collections")
+                raise ParseError(f"collection {c} names a ray outside the rays",
+                                 field="collections")
 
     @property
     def explicit(self) -> bool:
@@ -62,9 +63,57 @@ NEF_CH2_NAMES = frozenset(
 )
 
 
+def _parse_vec_list(cell: str, field, line):
+    out = []
+    for part in cell.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            out.append(tuple(int(x) for x in part.split()))
+        except ValueError as exc:
+            raise ParseError(f"malformed vector {part!r}", field=field, line=line) from exc
+    return tuple(out)
+
+
+def parse_dataset(text: str):
+    """Rows of a classification dataset CSV; see the README for columns."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    for lineno, rec in enumerate(reader, start=2):
+        name = (rec.get("name") or "").strip()
+        if not name:
+            raise ParseError("missing row name", field="name", line=lineno)
+        rays = _parse_vec_list(rec.get("rays") or "", "rays", lineno)
+        colls = _parse_vec_list(rec.get("collections") or "", "collections", lineno)
+        surface = _parse_vec_list(rec.get("surface") or "", "surface", lineno)
+        if surface and (len(surface) != 1 or len(surface[0]) != 2):
+            raise ParseError("surface needs two indices", field="surface", line=lineno)
+        expected_cell = (rec.get("expected") or "").strip()
+        expected = None
+        if expected_cell:
+            try:
+                expected = frac(expected_cell)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"malformed rational {expected_cell!r}",
+                                 field="expected", line=lineno) from exc
+        try:
+            rows.append(TableRow(
+                name=name,
+                rays=rays or None,
+                collections=colls or None,
+                surface=surface[0] if surface else None,
+                expected=expected,
+                note=(rec.get("note") or "").strip(),
+            ))
+        except ParseError as exc:
+            raise ParseError(exc.message, field=exc.field, line=lineno) from None
+    return rows
+
+
 def load_builtin_table() -> list[TableRow]:
     text = resources.files("toriq.data").joinpath("fano4.csv").read_text()
-    return formats.parse_dataset(text)
+    return parse_dataset(text)
 
 
 @dataclass

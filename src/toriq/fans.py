@@ -2,9 +2,9 @@
 
 A fan is stored combinatorially: the lattice rank, an ordered list of
 primitive ray generators, and the maximal cones as sorted tuples of ray
-indices.  Walls, primitive collections, star subdivisions and images under
-lattice projections (quotient and star fans among them) are computed
-exactly.
+indices.  Walls, primitive collections, star subdivisions, images under
+lattice projections (quotient and star fans among them) and the base and
+fiber fans of a fibering wall are computed exactly.
 """
 
 from __future__ import annotations
@@ -595,3 +595,74 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     star = [cone for cone in fan.max_cones if set(sigma) <= set(cone)]
     return image_fan(fan, proj, star), proj
 
+
+@dataclass(frozen=True)
+class MoriFiberData:
+    base_fan: Fan
+    fiber_fan: Fan
+    projection: tuple[Vec, ...]       # rows of N -> N/N0
+    fiber_basis: tuple[Vec, ...]      # integer basis of the fiber sublattice N0
+    fiber_ray_origin: tuple[int, ...] # fiber-fan ray index -> ambient ray index
+    fiber_rho_one: bool
+    split: bool
+
+
+def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
+    """Quotient base fan, fiber fan and the projection for a fibering wall."""
+    alpha, _ = wall_classification(fan, wall)
+    if alpha != 0:
+        raise ValueError("fibering data needs a wall with alpha = 0")
+    support = [i for i, c in enumerate(wall.relation) if c > 0]
+    basis, coords, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
+    images = _ray_images(fan, proj)
+    # the base fan first: most walls that do not fibre fail there
+    base_fan = _image_fan(len(proj), images, fan.max_cones)
+    if not _complete_simplicial(base_fan):
+        raise MalformedFanError("wall does not induce a fibration")
+    # fiber fan: cones of the fan lying inside the kernel sublattice, each
+    # ray by its coordinates in the saturation's basis
+    in_kernel = [i for i, img in enumerate(images) if img is None]
+    fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
+    fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
+    fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
+    if not _complete_simplicial(fiber_fan):
+        raise MalformedFanError("wall does not induce a fibration")
+    return MoriFiberData(
+        base_fan=base_fan,
+        fiber_fan=fiber_fan,
+        projection=tuple(proj),
+        fiber_basis=tuple(basis),
+        fiber_ray_origin=tuple(in_kernel),
+        fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
+        split=_weakly_split(fan, images, base_fan),
+    )
+
+
+def _complete_simplicial(fan: Fan) -> bool:
+    rep = validate(fan)
+    return rep.well_formed and rep.simplicial and rep.complete
+
+
+def weakly_split(fan: Fan, projection) -> bool:
+    """Whether the fan is weakly split by its kernel subfan and the image
+    fan under a surjection N -> N' (rows of ``projection``): a subfan maps
+    cone-by-cone bijectively onto the base and every maximal cone
+    decomposes as lifted cone + kernel cone."""
+    images = _ray_images(fan, projection)
+    return _weakly_split(fan, images, _image_fan(len(projection), images, fan.max_cones))
+
+
+def _weakly_split(fan: Fan, images, base: Fan) -> bool:
+    """``weakly_split`` given the rays' images (``fans._ray_images``) and
+    the image fan ``base`` of all maximal cones: it is simplicial with
+    rank-many rays per maximal cone, every blade (the non-kernel rays of a
+    maximal cone) has rank-many rays, and distinct blades have distinct
+    images."""
+    blades = {tuple(i for i in cone if images[i] is not None) for cone in fan.max_cones}
+    # determinants only: validate would add an LP per non-simplicial image cone
+    return (
+        all(len(c) == base.rank for c in base.max_cones)
+        and all(d for _, d in _inverses(base).values())
+        and all(len(b) == base.rank for b in blades)
+        and len(blades) == len(base.max_cones)
+    )

@@ -1,4 +1,4 @@
-"""File formats: fans and polytopes as JSON, datasets and reports as CSV,
+"""File formats: fans and polytopes as JSON, verification reports as CSV,
 and SVG rendering of 2D adjoint families.
 
 Rationals travel as "p/q" strings so no binary float ever enters a file.
@@ -9,8 +9,10 @@ and therefore stable under diffing.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
 import json
+import warnings
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -91,8 +93,6 @@ def parse_fan(text: str, lenient: bool = False) -> Fan:
         if gcd(*r) != 1:
             if not lenient:
                 raise ParseError(f"non-primitive ray {r}", field="rays")
-            import warnings
-
             warnings.warn(f"primitivized non-primitive ray {r}", stacklevel=2)
             r = primitive_part(r)
         fixed.append(r)
@@ -158,58 +158,8 @@ def emit_polytope(P: FacetPresentation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# datasets and reports
+# reports
 # ---------------------------------------------------------------------------
-
-def _parse_vec_list(cell: str, field, line):
-    out = []
-    for part in cell.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(tuple(int(x) for x in part.split()))
-        except ValueError as exc:
-            raise ParseError(f"malformed vector {part!r}", field=field, line=line) from exc
-    return tuple(out)
-
-
-def parse_dataset(text: str):
-    """Rows of a classification dataset CSV; see the README for columns."""
-    from .fano_table import TableRow
-
-    reader = csv.DictReader(_stdio.StringIO(text))
-    rows = []
-    for lineno, rec in enumerate(reader, start=2):
-        name = (rec.get("name") or "").strip()
-        if not name:
-            raise ParseError("missing row name", field="name", line=lineno)
-        rays = _parse_vec_list(rec.get("rays") or "", "rays", lineno)
-        colls = _parse_vec_list(rec.get("collections") or "", "collections", lineno)
-        surface = _parse_vec_list(rec.get("surface") or "", "surface", lineno)
-        if surface and (len(surface) != 1 or len(surface[0]) != 2):
-            raise ParseError("surface needs two indices", field="surface", line=lineno)
-        expected_cell = (rec.get("expected") or "").strip()
-        expected = None
-        if expected_cell:
-            try:
-                expected = frac(expected_cell)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"malformed rational {expected_cell!r}",
-                                 field="expected", line=lineno) from exc
-        try:
-            rows.append(TableRow(
-                name=name,
-                rays=rays or None,
-                collections=colls or None,
-                surface=surface[0] if surface else None,
-                expected=expected,
-                note=(rec.get("note") or "").strip(),
-            ))
-        except ParseError as exc:
-            raise ParseError(exc.message, field=exc.field, line=lineno) from None
-    return rows
-
 
 def emit_report(report) -> str:
     """Verification report as CSV."""
@@ -271,8 +221,6 @@ def _ordered_cycle(points: Sequence[tuple[Fraction, Fraction]]):
     def half(p):
         dx, dy = p[0] - cx, p[1] - cy
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
 
     def cmp(p, q):
         hp, hq = half(p), half(q)

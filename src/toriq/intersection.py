@@ -129,7 +129,7 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
     values = []
     for sigma in sigmas:
         star, cones = stars.get(sigma, {}), over[sigma]
-        if any(j not in sigma and j not in star for cone in cones for j in cone):
+        if len(star) != len(cones):
             raise UnsupportedFanError(f"the surface V{sigma} is not complete")
         mult = 1 if smooth else cone_multiplicity(fan, sigma)
         # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u = adj_i / d

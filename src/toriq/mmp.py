@@ -25,23 +25,18 @@ from . import polytopes
 from .fans import (
     Fan,
     MalformedFanError,
+    MoriFiberData,
     Wall,
-    _image_fan,
+    _complete_simplicial,
     _inverses,
-    _ray_images,
     _wall,
+    mori_fiber_data,
     restricted_cones,
     validate,
     wall_classification,
     walls,
 )
-from .linalg import (
-    Vec,
-    _lowest_terms,
-    dot,
-    primitive_part,
-    saturation_and_projection,
-)
+from .linalg import Vec, _lowest_terms, dot, primitive_part
 from .polytopes import FacetPresentation, _critical_value, _SlackRows
 
 ZERO = Fraction(0)
@@ -69,17 +64,6 @@ class GeneralityError(RuntimeError):
 
 class StepBudgetError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class MoriFiberData:
-    base_fan: Fan
-    fiber_fan: Fan
-    projection: tuple[Vec, ...]       # rows of N -> N/N0
-    fiber_basis: tuple[Vec, ...]      # integer basis of the fiber sublattice N0
-    fiber_ray_origin: tuple[int, ...] # fiber-fan ray index -> ambient ray index
-    fiber_rho_one: bool
-    split: bool
 
 
 @dataclass(frozen=True)
@@ -196,67 +180,6 @@ def flip(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Fan:
     if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
         raise MalformedFanError("flip produced an invalid fan")
     return result
-
-
-def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
-    """Quotient base fan, fiber fan and the projection for a fibering wall."""
-    alpha, _ = wall_classification(fan, wall)
-    if alpha != 0:
-        raise ValueError("fibering data needs a wall with alpha = 0")
-    support = [i for i, c in enumerate(wall.relation) if c > 0]
-    basis, coords, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
-    images = _ray_images(fan, proj)
-    # the base fan first: most walls that do not fibre fail there
-    base_fan = _image_fan(len(proj), images, fan.max_cones)
-    if not _complete_simplicial(base_fan):
-        raise MalformedFanError("wall does not induce a fibration")
-    # fiber fan: cones of the fan lying inside the kernel sublattice, each
-    # ray by its coordinates in the saturation's basis
-    in_kernel = [i for i, img in enumerate(images) if img is None]
-    fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
-    fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
-    fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
-    if not _complete_simplicial(fiber_fan):
-        raise MalformedFanError("wall does not induce a fibration")
-    return MoriFiberData(
-        base_fan=base_fan,
-        fiber_fan=fiber_fan,
-        projection=tuple(proj),
-        fiber_basis=tuple(basis),
-        fiber_ray_origin=tuple(in_kernel),
-        fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
-        split=_weakly_split(fan, images, base_fan),
-    )
-
-
-def _complete_simplicial(fan: Fan) -> bool:
-    rep = validate(fan)
-    return rep.well_formed and rep.simplicial and rep.complete
-
-
-def weakly_split(fan: Fan, projection) -> bool:
-    """Whether the fan is weakly split by its kernel subfan and the image
-    fan under a surjection N -> N' (rows of ``projection``): a subfan maps
-    cone-by-cone bijectively onto the base and every maximal cone
-    decomposes as lifted cone + kernel cone."""
-    images = _ray_images(fan, projection)
-    return _weakly_split(fan, images, _image_fan(len(projection), images, fan.max_cones))
-
-
-def _weakly_split(fan: Fan, images, base: Fan) -> bool:
-    """``weakly_split`` given the rays' images (``fans._ray_images``) and
-    the image fan ``base`` of all maximal cones: it is simplicial with
-    rank-many rays per maximal cone, every blade (the non-kernel rays of a
-    maximal cone) has rank-many rays, and distinct blades have distinct
-    images."""
-    blades = {tuple(i for i in cone if images[i] is not None) for cone in fan.max_cones}
-    # determinants only: validate would add an LP per non-simplicial image cone
-    return (
-        all(len(c) == base.rank for c in base.max_cones)
-        and all(d for _, d in _inverses(base).values())
-        and all(len(b) == base.rank for b in blades)
-        and len(blades) == len(base.max_cones)
-    )
 
 
 def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
@@ -419,8 +342,8 @@ def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate
     lam in the interval, so y is a convex combination of the x_sigma(s),
     and a limit of those combinations writes y as one of the x_sigma(lam).
     A tight set contains a basis and so fixes its point: distinct tight
-    sets are distinct vertices, and the facet count and simplicity follow
-    from the tight sets by the rule of ``remove_redundant``.  P^(lam) is
+    sets are distinct vertices, and the tight sets give the facet count
+    and simplicity by the rule of ``remove_redundant``.  P^(lam) is
     full-dimensional exactly when lam < sigma_P: a point of P^(sigma_P)
     has every slack >= sigma_P - lam > 0 in P^(lam), and a full-dimensional
     P^(lam) has an interior point, which lies in P^(lam + e) for small e.

@@ -533,8 +533,6 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     projection itself.  Returns None when no fibering contraction exists or
     the candidate section faces fail strict combinatorial equivalence.
     """
-    from . import mmp
-
     fan = normal_fan(P)
     pvs = vertices(P)
     rep = fans.validate(fan)
@@ -558,7 +556,7 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
             continue
         tried.add(wall.relation)
         try:
-            data = mmp.mori_fiber_data(fan, wall)
+            data = fans.mori_fiber_data(fan, wall)
         except fans.MalformedFanError:
             continue
         found = _decompose_along_fiber(P, pvs, data)

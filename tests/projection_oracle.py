@@ -1,10 +1,10 @@
 """Reference fan projections, for cross-checks.
 
 Each construction builds its image fan with its own loop, the way
-``toriq.fans.star_quotient`` and ``toriq.mmp.mori_fiber_data`` did before
+``toriq.fans.star_quotient`` and ``toriq.fans.mori_fiber_data`` did before
 both moved onto ``toriq.fans.image_fan`` and ``restricted_cones``.
 ``weakly_split`` decides weak splitting with one rank test per maximal cone,
-where ``toriq.mmp.weakly_split`` counts rays of the image fan and of the
+where ``toriq.fans.weakly_split`` counts rays of the image fan and of the
 blades instead.
 """
 
@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from toriq.fans import Fan, MalformedFanError, Wall, is_face, validate, wall_classification
+from toriq.fans import (
+    Fan,
+    MalformedFanError,
+    MoriFiberData,
+    Wall,
+    is_face,
+    validate,
+    wall_classification,
+)
 from toriq.linalg import (
     Vec,
     dot,
@@ -21,7 +29,6 @@ from toriq.linalg import (
     saturation_and_projection,
     solve_linear,
 )
-from toriq.mmp import MoriFiberData
 
 
 def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:

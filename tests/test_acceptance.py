@@ -18,6 +18,7 @@ from toriq.fans import (
     star_subdivision,
     validate,
     walls,
+    weakly_split,
 )
 from toriq.intersection import (
     TorusDivisor,
@@ -34,7 +35,6 @@ from toriq.mmp import (
     GeneralityError,
     flip,
     run_mmp_scaling,
-    weakly_split,
 )
 from toriq.polytopes import (
     FacetPresentation,

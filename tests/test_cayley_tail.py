@@ -173,7 +173,7 @@ def test_work_of_an_adjoint_family_pass(monkeypatch):
     items = make_items(1)
     pivots = count_calls(monkeypatch, "_pivot", linalg)
     built = count_calls(monkeypatch, "_wall", fans, mmp)
-    fibers = count_calls(monkeypatch, "mori_fiber_data", mmp)
+    fibers = count_calls(monkeypatch, "mori_fiber_data", fans, mmp)
     cold_caches()
     for _, P in items:
         try:

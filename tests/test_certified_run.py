@@ -20,7 +20,7 @@ import linalg_oracle
 import polytope_oracle
 from helpers import certificates, prime_divisor, run_divisor, scan, with_walls
 from test_adjoint_certificate import FIRST, doctored, pool_polytope, sweep_polytopes, unvalidated
-from toriq import intersection, mmp, polytopes
+from toriq import fans, intersection, mmp, polytopes
 from toriq.fans import Fan, MalformedFanError, walls
 from toriq.intersection import TorusDivisor
 from toriq.linalg import _lowest_terms, matrix_rank
@@ -134,13 +134,13 @@ def test_projection_is_the_fiber_basis_integer_kernel(runs, monkeypatch):
     # entries in [-4, 4], give another ordered basis of the same lattice
     found = [step.fiber_data for trace in runs["traces"] for step in trace.steps
              if step.fiber_data]
-    fiber_data = mmp.mori_fiber_data
+    fiber_data = fans.mori_fiber_data
 
     def recording(fan, wall):
         found.append(fiber_data(fan, wall))
         return found[-1]
 
-    monkeypatch.setattr(mmp, "mori_fiber_data", recording)
+    monkeypatch.setattr(fans, "mori_fiber_data", recording)
     for trace in runs["traces"]:
         polytopes.cayley_mori_detect(trace.initial_polytope)
     assert all(data.projection == tuple(linalg_oracle.integer_kernel_basis(data.fiber_basis))

@@ -80,6 +80,15 @@ def test_ch2_rejects_a_repeated_index(e1_file, capsys):
     assert "error: (1, 1) is not a cone of the fan" in capsys.readouterr().err
 
 
+def test_ch2_rejects_a_maximal_cone_as_surface(tmp_path, capsys):
+    # the ray 3 is a maximal cone of its own: an input error, not a traceback
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                                "max_cones": [[0, 1, 2], [3]]}))
+    assert main(["ch2", str(path), "--surface", "3"]) == 2
+    assert "error: the surface V(3,) is not complete" in capsys.readouterr().err
+
+
 def test_check_2fano_with_report(e1_file, tmp_path, capsys):
     report = tmp_path / "scan.csv"
     assert main(["check-2fano", e1_file, "--report", str(report)]) == 0

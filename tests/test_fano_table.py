@@ -163,8 +163,7 @@ class TestVerification:
 
 def test_positive_scan_exceeds_nonpositive_reference():
     # the P4 control row with a reference of -1: its scan minimum is 5/2
-    from toriq.fano_table import verify_row
-    from toriq.formats import parse_dataset
+    from toriq.fano_table import parse_dataset, verify_row
 
     (row,) = parse_dataset("name,rays,collections,surface,expected,note\n"
                            "P4,1 0 0 0;0 1 0 0;0 0 1 0;0 0 0 1;-1 -1 -1 -1,0 1 2 3 4,0 1,-1,\n")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriq.fano_table import parse_dataset
 from toriq.formats import (
     ParseError,
     SvgError,
@@ -10,7 +11,6 @@ from toriq.formats import (
     emit_polytope,
     emit_report,
     emit_svg,
-    parse_dataset,
     parse_fan,
     parse_polytope,
 )

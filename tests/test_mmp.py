@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from toriq.fans import Fan, MalformedFanError, validate, wall_classification, walls
+from toriq.fans import (
+    Fan,
+    MalformedFanError,
+    validate,
+    wall_classification,
+    walls,
+    weakly_split,
+)
 from toriq.mmp import (
     DIVISORIAL,
     FLIP,
@@ -12,7 +19,6 @@ from toriq.mmp import (
     flip,
     mori_fiber_data,
     run_mmp_scaling,
-    weakly_split,
 )
 from toriq.polytopes import (
     FacetPresentation,

@@ -292,13 +292,13 @@ class TestCayleyMori:
 
     def test_detect_lets_a_kernel_error_through(self, monkeypatch):
         # only "no fibration here" is skipped; a kernel's error is a bug
-        from toriq import mmp
+        from toriq import fans
         from toriq.linalg import DimensionError
 
         def broken(fan, wall):
             raise DimensionError("kernel bug")
 
-        monkeypatch.setattr(mmp, "mori_fiber_data", broken)
+        monkeypatch.setattr(fans, "mori_fiber_data", broken)
         with pytest.raises(DimensionError):
             cayley_mori_detect(unit_square())
 

@@ -19,9 +19,10 @@ from toriq.fans import (
     star_quotient,
     wall_classification,
     walls,
+    weakly_split,
 )
 from toriq.linalg import matrix_rank
-from toriq.mmp import GeneralityError, mori_fiber_data, run_mmp_scaling, weakly_split
+from toriq.mmp import GeneralityError, mori_fiber_data, run_mmp_scaling
 from toriq.polytopes import FacetPresentation, cayley_mori_build, normal_fan
 
 
@@ -82,11 +83,10 @@ def test_mori_fiber_data_matches_oracle(mmp_fans):
 
 def test_one_image_fan_per_fiber_data(mmp_fans, monkeypatch):
     # the base fan serves both the fibration test and weak splitting
-    from toriq import fans, mmp
+    from toriq import fans
 
-    calls = []
-    monkeypatch.setattr(mmp, "_image_fan",
-                        lambda *args: calls.append(args) or fans._image_fan(*args))
+    calls, image_fan = [], fans._image_fan
+    monkeypatch.setattr(fans, "_image_fan", lambda *args: calls.append(args) or image_fan(*args))
     built = 0
     for fan in mmp_fans:
         for wall in fibering_walls(fan):

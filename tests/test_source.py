@@ -7,6 +7,7 @@ from pathlib import Path
 
 import toriq
 from helpers import toriq_caches
+from toriq import fans, mmp
 
 SRC = Path(toriq.__file__).parent
 
@@ -127,6 +128,13 @@ def test_traced_names_resolve():
         missing, uncached)
 
 
+def test_traced_fiber_data_is_one_function():
+    # the tracer patches every namespace holding mmp.mori_fiber_data, so the
+    # calls of the run (through mmp) and of the Cayley search (through fans)
+    # count as one only while both names hold the same function
+    assert mmp.mori_fiber_data is fans.mori_fiber_data
+
+
 def _referenced(node) -> set:
     """Every name a node reads, as a bare name or as an attribute."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -222,10 +230,45 @@ def test_one_smith_form():
     assert list(SRC.glob("*.py")) and not found, found
 
 
-def test_polytopes_imports_nothing_of_intersection():
-    # intersection reads its nef threshold off polytopes' slack rows at
-    # module level, so the two modules import in one direction only
-    tree = ast.parse((SRC / "polytopes.py").read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and (
-        node.module == "intersection" or any(a.name == "intersection" for a in node.names))]
+# each module imports only modules of lower rank, so the package imports one
+# way: linalg -> fans -> polytopes -> {intersection, mmp, formats} -> fano_table -> cli
+LAYERS = {"linalg": 0, "fans": 1, "polytopes": 2, "intersection": 3, "mmp": 3, "formats": 3,
+          "fano_table": 4, "cli": 5}
+
+
+def _package_imports(node) -> list:
+    """The package modules an import statement names: ``from . import m``,
+    ``from .m import x``, ``import toriq.m`` and their absolute forms."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("toriq.")]
+    parts = (("toriq." if node.level else "") + (node.module or "")).rstrip(".").split(".")
+    if parts[0] != "toriq":
+        return []
+    return parts[1:2] or [a.name for a in node.names]
+
+
+def _import_faults(path) -> list:
+    """Each import inside a ``def`` or a ``class``, and each package import
+    of a module that is unranked or not ranked below the importer."""
+    rank, found = LAYERS[path.stem], []
+
+    def visit(node, nested):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if nested:
+                found.append(f"{path.name}:{node.lineno} imports inside a definition")
+            found.extend(f"{path.name}:{node.lineno} imports {name}"
+                         for name in _package_imports(node) if LAYERS.get(name, rank) >= rank)
+        inner = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_modules_import_one_way():
+    # no cycle, hidden in a function or not; __init__ re-exports every layer
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    assert sorted(p.stem for p in paths) == sorted(LAYERS)
+    found = [fault for path in paths for fault in _import_faults(path)]
     assert not found, found

@@ -226,6 +226,14 @@ def test_tuples_that_are_no_cone(table_fans, sigma):
         ValueError, f"{tuple(sorted(sigma))} is not a cone of the fan")
 
 
+def test_a_maximal_cone_is_no_complete_surface():
+    # the ray 3 is a maximal cone of its own, so no wall holds (3,) and its
+    # cone has no inverse: the lookup raised KeyError where the star is short
+    fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (3,)))
+    assert raised(ch2_dot_surface, fan, (3,)) == (
+        UnsupportedFanError, "the surface V(3,) is not complete")
+
+
 def test_repeated_index_was_read_as_an_incomplete_surface(table_fans):
     # the per-surface scan took (0, 0) for the ray 0 and blamed the surface
     assert raised(oracle.ch2_dot_surface_scan, table_fans["P4"], (0, 0)) == (
