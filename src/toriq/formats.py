@@ -96,6 +96,10 @@ def parse_fan(text: str, lenient: bool = False) -> Fan:
             warnings.warn(f"primitivized non-primitive ray {r}", stacklevel=2)
             r = primitive_part(r)
         fixed.append(r)
+    try:
+        Fan(rank, tuple(fixed), ())  # the rays' own checks, before any cone's
+    except ValueError as exc:
+        raise ParseError(str(exc), field="rays") from exc
     cones = _int_vectors(data["max_cones"], "max_cones")
     try:
         return Fan(rank, tuple(fixed), tuple(cones))

@@ -108,12 +108,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*v) == 1
 
 
-def scale_to_primitive(v: Sequence[Fraction]) -> Vec:
-    """Scale a nonzero rational vector by a positive rational so it becomes
-    a primitive integer vector."""
-    return primitive_part(_scaled(v)[1])
-
-
 # ---------------------------------------------------------------------------
 # dense exact matrices (lists of row tuples)
 # ---------------------------------------------------------------------------
@@ -253,13 +247,6 @@ def adjugate(M) -> tuple[Optional[tuple[Vec, ...]], int]:
 def det(M) -> int:
     """Determinant of a square integer matrix."""
     return adjugate(M)[1]
-
-
-def invert(M) -> list[list[Fraction]]:
-    adj, d = adjugate(M)
-    if not d:
-        raise ValueError("matrix is singular")
-    return [[Fraction(a, d) for a in row] for row in adj]
 
 
 def solve_linear(M, b) -> Optional[QVec]:

@@ -85,8 +85,6 @@ class MMPStep:
     fan_before: Fan
     fan_after: Fan
     lost_face_dim: int
-    facet_count_before: Optional[int] = None
-    facet_count_after: Optional[int] = None
     generality_flag: bool = False
     fiber_data: Optional[MoriFiberData] = None
 
@@ -386,7 +384,7 @@ def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate
                 at_value = len(kept), all(sum(j in kept for j in t) == P.dim for t in cert.limits)
             elif lam == sigma_P:
                 core_points = polytopes._sorted_points(x for x, _ in cert.points(lam))
-        notes[f"interval_{idx}_facets"] = step.facet_count_before = facets
+        notes[f"interval_{idx}_facets"] = facets
         notes[f"interval_{idx}_fan_matches"] = lo < lam  # False by proof at lo == lam
         notes[f"interval_{idx}_simple"] = simple
         if step.kind == MORI_FIBER:
@@ -394,12 +392,12 @@ def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate
         elif at_value is None:
             notes[f"step_{idx}_polytope_at_value"] = False
         else:
-            step.facet_count_after, simple = at_value
+            after, simple = at_value
             if step.kind == DIVISORIAL:
-                notes[f"step_{idx}_facet_drop_one"] = facets - step.facet_count_after == 1
+                notes[f"step_{idx}_facet_drop_one"] = facets - after == 1
                 notes[f"step_{idx}_simple_at_value"] = simple
             else:
-                notes[f"step_{idx}_facet_count_constant"] = step.facet_count_after == facets
+                notes[f"step_{idx}_facet_count_constant"] = after == facets
                 notes[f"step_{idx}_not_simple_at_value"] = not simple
     trace.core_projection = polytopes._core_and_projection(P, sigma_P, core_points)
     if tail is not None:  # the last interval's polytope is a Cayley sum

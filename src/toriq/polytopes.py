@@ -31,13 +31,11 @@ from .linalg import (
     frac,
     hull_facets,
     int_vec,
-    invert,
     is_primitive,
     lp_min,
     matrix_rank,
     primitive_part,
     saturation_and_projection,
-    scale_to_primitive,
     vec_sub,
 )
 
@@ -471,9 +469,9 @@ def cayley_mori_build(bases: Sequence[FacetPresentation], w: Sequence[Vec]) -> F
 
     The bases must be strictly combinatorially equivalent presentations in
     a common R^n (same normals in the same order); w_1..w_k must be
-    linearly independent integer vectors in R^k.  The inequality system of
-    the standard Cayley sum is transported through the linear map sending
-    e_i to w_i and every normal is rescaled to a primitive vector.
+    linearly independent integer vectors in R^k.  The sum is the hull of
+    the placed base vertices, its facets sorted as ``hull_facets`` sorts
+    them.
     """
     k = len(bases) - 1
     if k < 1:
@@ -489,31 +487,8 @@ def cayley_mori_build(bases: Sequence[FacetPresentation], w: Sequence[Vec]) -> F
         raise ValueError(f"need {k} direction vectors of length {k}")
     if det(W) == 0:
         raise ValueError("direction vectors are linearly dependent")
-    n = P0.dim
-    WT_inv = invert(W)  # (W^T)^(-1) for the matrix W^T with columns w_j
-    normals: list[Vec] = []
-    constants: list[Fraction] = []
-
-    def add(raw: tuple[Fraction, ...], const: Fraction):
-        prim = scale_to_primitive(raw)
-        idx = next(i for i, x in enumerate(raw) if x != 0)
-        scale = Fraction(prim[idx]) / raw[idx]
-        normals.append(prim)
-        constants.append(const * scale)
-
-    for j, vj in enumerate(P0.normals):
-        tail = [bases[i].constants[j] - P0.constants[j] for i in range(1, k + 1)]
-        mapped = [sum(WT_inv[r][c] * tail[c] for c in range(k)) for r in range(k)]
-        add(tuple(Fraction(x) for x in vj) + tuple(mapped), P0.constants[j])
-    # the images of -(e_1 + ... + e_k) >= -1 and e_i >= 0
-    add((ZERO,) * n + tuple(-sum(row) for row in WT_inv), Fraction(1))
-    for i in range(k):
-        add((ZERO,) * n + tuple(row[i] for row in WT_inv), ZERO)
-    built = FacetPresentation(n + k, tuple(normals), tuple(constants))
-    Q, removed = remove_redundant(built)
-    if removed:
-        raise ValueError("Cayley construction produced a redundant inequality; degenerate bases?")
-    return Q
+    placed = [(*x, *wi) for Pi, wi in zip(bases, [(0,) * k, *W]) for x in vertices(Pi).vertices]
+    return facet_presentation_from_vertices(placed)
 
 
 def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition]:

@@ -29,6 +29,7 @@ the nef threshold off the slack rows of the polytope the divisor gives.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +52,7 @@ from toriq.fans import (
     walls,
 )
 from toriq.intersection import TorusDivisor, anticanonical, wall_curve_number
-from toriq.linalg import ONE, QVec, dot, invert, smith_normal_form, solve_linear
+from toriq.linalg import ONE, QVec, adjugate, dot, smith_normal_form, solve_linear
 from helpers import prime_divisor
 from linalg_oracle import snf_multiplicity
 
@@ -114,8 +115,8 @@ def _quotient_data(fan: Fan, sigma: tuple[int, ...], gamma: tuple[int, ...]):
     A = [[c[r] for c in cols] for r in range(n)]
     U, _, _ = smith_normal_form(A)
     k1 = len(gamma)
-    Uinv = invert(U)
-    mat = [[Uinv[r][j] for j in range(k1)] for r in range(n)]  # basis columns
+    adj, d = adjugate(U)  # U is unimodular, so U^-1 = d * adj
+    mat = [[d * adj[r][j] for j in range(k1)] for r in range(n)]  # basis columns
     scoords = []
     for i in sigma:
         sol = solve_linear(mat, fan.rays[i])
@@ -180,10 +181,16 @@ def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
 
 
 def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
-    """Half the sum of D_i^2 . V(sigma), each square taken as two moves."""
+    """Half the sum of D_i^2 . V(sigma), each square taken as two moves.
+    The surface is complete when every maximal cone over sigma has rank
+    rays and each of their facets over sigma lies in exactly two of them."""
     sigma = tuple(sorted(sigma))
     if len(sigma) != fan.rank - 2:
         raise ValueError(f"{sigma} is not a codimension-2 cone")
+    over = [c for c in fan.max_cones if set(sigma) <= set(c)]
+    facets = Counter(tuple(i for i in c if i != j) for c in over for j in c if j not in sigma)
+    if any(len(c) < fan.rank for c in over) or any(n != 2 for n in facets.values()):
+        raise UnsupportedFanError(f"the surface V{sigma} is not complete")
     total = ZERO
     for i in range(len(fan.rays)):
         Di = prime_divisor(fan, i)
@@ -257,7 +264,8 @@ def ch2_dot_surface_scan(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
             j = next(k for k in w.wall_rays if k not in inside)
             star[j] = (w, mult * w.scale / w.multiplicity)
     for cone in fan.max_cones:
-        if inside.issubset(cone) and any(j not in inside and j not in star for j in cone):
+        if inside.issubset(cone) and (len(cone) < fan.rank
+                                      or any(j not in inside and j not in star for j in cone)):
             raise UnsupportedFanError(f"the surface V{sigma} is not complete")
     total = sum((weight * w.relation[j] for j, (w, weight) in star.items()), ZERO)
     # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u the row

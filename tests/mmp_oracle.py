@@ -155,7 +155,6 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             record(f"interval_{idx}_fan_matches", lambda: False)
             continue
         notes[f"interval_{idx}_facets"] = reduced.nfacets
-        step.facet_count_before = reduced.nfacets
         record(f"interval_{idx}_fan_matches",
                lambda: polytopes.normal_fan(reduced) == step.fan_before)
         record(f"interval_{idx}_simple", lambda: polytopes.is_simple(reduced))
@@ -164,7 +163,6 @@ def _adjoint_cross_validation(trace: MMPTrace) -> None:
             if at is None:
                 record(f"step_{idx}_polytope_at_value", lambda: False)
                 continue
-            step.facet_count_after = at.nfacets
             if step.kind == DIVISORIAL:
                 record(f"step_{idx}_facet_drop_one",
                        lambda: reduced.nfacets - at.nfacets == 1)

@@ -69,6 +69,7 @@ from linalg_oracle import (
     integer_kernel_basis,
     lp_min,
     nonneg_solve,
+    scale_to_primitive,
     tree_vertex_solutions,
 )
 from toriq import mmp
@@ -81,7 +82,6 @@ from toriq.linalg import (
     dot,
     matrix_rank,
     saturation_and_projection,
-    scale_to_primitive,
     smith_normal_form,
     solve_linear,
     vec_sub,

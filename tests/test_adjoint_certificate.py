@@ -79,17 +79,15 @@ def cross_validation(trace):
 
 
 def outcome(check, trace):
-    """The notes (in order), the facet counts and the error message of one
-    cross-validation, run on a fresh copy of the trace."""
-    trace = dataclasses.replace(
-        trace, steps=[dataclasses.replace(s) for s in trace.steps], validation={})
+    """The notes (in order) and the error message of one cross-validation,
+    run on a fresh copy of the trace."""
+    trace = dataclasses.replace(trace, validation={})
     try:
         check(trace)
         error = None
     except MalformedFanError as exc:
         error = str(exc)
-    counts = [(s.facet_count_before, s.facet_count_after) for s in trace.steps]
-    return list(trace.validation.items()), counts, error
+    return list(trace.validation.items()), error
 
 
 def sampling_fails(*args, **kwargs):
@@ -120,7 +118,7 @@ def assert_matches_oracle(P):
         got = outcome(cross_validation, trace)
     expected = outcome(oracle._adjoint_cross_validation, trace)
     assert got == expected
-    for notes, _, _ in (got, expected):
+    for notes, _ in (got, expected):
         assert all(dict(notes)[f"interval_{k}_fan_matches"] is False
                    for k in zero_length_intervals(trace))
     return got
@@ -149,7 +147,7 @@ def test_four_fold_rows_match_oracle():
     polys = sweep_polytopes()
     failed = []
     for name in MMP_ROWS:
-        _, _, error = assert_matches_oracle(polys[name])
+        _, error = assert_matches_oracle(polys[name])
         if error is not None:
             failed.append(name)
     # G_4's fiber-polytope check is a known failure, in both versions
@@ -169,7 +167,7 @@ def test_zero_length_intervals_need_no_sample():
     for key, zero in (("d2-23", [1]), ("d2-43", [1]), ("d3-48", [4]), ("d3-78", [1])):
         P = pool_polytope(key)
         assert zero_length_intervals(unvalidated(P)) == zero
-        notes, _, _ = assert_matches_oracle(P)
+        notes, _ = assert_matches_oracle(P)
         k = zero[0]
         assert [n for n, _ in notes if n.startswith(f"interval_{k}_")] == (
             [f"interval_{k}_fan_matches"] if key.startswith("d2") else
@@ -184,7 +182,7 @@ def doctored(trace, k, **changes):
 
 
 def false_notes(check, trace):
-    notes, _, _ = outcome(check, trace)
+    notes, _ = outcome(check, trace)
     return [key for key, value in notes if not value]
 
 
@@ -203,10 +201,9 @@ def test_failed_certificate_records_only_the_fan_note():
     bad = doctored(unvalidated(FIRST), 0, lam=F(3, 4))
     with pytest.MonkeyPatch.context() as mp:
         forbid_sampling(mp, bad.initial_polytope)
-        notes, counts, _ = outcome(cross_validation, bad)
+        notes, _ = outcome(cross_validation, bad)
     assert [(key, value) for key, value in notes if "_0_" in key] == [
         ("interval_0_fan_matches", False)]
-    assert counts[0] == (None, None)
 
 
 def test_lambda_too_small_rejected():

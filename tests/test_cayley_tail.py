@@ -138,9 +138,10 @@ def test_tight_set_bases_match_hull_oracle(runs):
 
 
 def test_no_hull_in_detection(monkeypatch):
+    inputs = cayley_inputs()  # built as hulls, before the hull is patched out
     hulls = []
     monkeypatch.setattr(polytopes, "hull_facets", lambda pts: hulls.append(pts))
-    found = [cayley_mori_detect(P) for P in cayley_inputs()]
+    found = [cayley_mori_detect(P) for P in inputs]
     assert hulls == [] and [dec is None for dec in found] == [False, True] + [False] * 6
 
 

@@ -63,6 +63,9 @@ class TestFanFiles:
         ('{"rank": true, "rays": [[1], [-1]], "max_cones": [[0], [1]]}', "rank"),
         ('{"rank": 1, "rays": [[1], [-1]], "max_cones": 5}', "max_cones"),
         ('{"rank": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}', "rays"),
+        ('{"rank": 2, "rays": [[1, 0], [1, 0]], "max_cones": []}', "rays"),
+        ('{"rank": 2, "rays": [[1, 0], [1]], "max_cones": [[0], [1]]}', "rays"),
+        ('{"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [2]]}', "max_cones"),
     ])
     def test_ill_typed_field_rejected(self, text, field):
         with pytest.raises(ParseError) as err:

@@ -23,7 +23,6 @@ from toriq.linalg import (
     nonneg_solve,
     primitive_part,
     saturation_and_projection,
-    scale_to_primitive,
     smith_normal_form,
     solve_linear,
 )
@@ -219,18 +218,6 @@ class TestScaled:
         L, ints = _scaled(xs)
         assert (L, ints) == oracle.lcm_scaled(xs)
         assert all(type(a) is int for a in [L] + ints)
-
-    @given(st.lists(scalars, max_size=6))
-    @example([0, F(0), 0])
-    @example([F(-4, 6), 0, F(2, 9)])
-    @settings(max_examples=300)
-    def test_scale_to_primitive_matches_the_old_loop(self, xs):
-        if any(xs):
-            assert scale_to_primitive(xs) == oracle.scale_to_primitive(xs)
-        else:
-            for scale in (scale_to_primitive, oracle.scale_to_primitive):
-                with pytest.raises(ValueError, match="zero vector has no primitive part"):
-                    scale(xs)
 
 
 def brute_force_in_cone(generators, x):

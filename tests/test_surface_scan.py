@@ -200,6 +200,10 @@ def raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+# the ray 3 is a maximal cone of its own, so no wall holds (3,)
+LONE_RAY_FAN = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (3,)))
+
+
 @pytest.mark.parametrize("fan,sigma", [
     (Fan(2, ((1, 0), (0, 1)), ((0, 1),)), ()),                       # affine plane
     (Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)), (0,)),  # incomplete
@@ -207,15 +211,18 @@ def raised(fn, *args):
     (pn_fan(3), (0, 1)),                                              # a curve
     (pn_fan(4), (0,)),                                                # a curve
     (star_subdivision(pn_fan(3), (1, 1, 0)), (1,)),                   # a value
+    (LONE_RAY_FAN, (3,)),                                             # a lone ray
 ], ids=["affine-plane", "octant", "out-of-range", "threefold-curve", "fourfold-curve",
-        "value"])
+        "value", "lone-ray"])
 def test_errors_match_scan_oracle(fan, sigma):
-    try:
-        expected = oracle.ch2_dot_surface_scan(fan, sigma)
-    except ValueError:
-        assert raised(ch2_dot_surface, fan, sigma) == raised(oracle.ch2_dot_surface_scan, fan, sigma)
-    else:
-        assert repr(ch2_dot_surface(fan, sigma)) == repr(expected)
+    # the package and the moving oracle each against the scan oracle
+    for fn in (ch2_dot_surface, oracle.ch2_dot_surface):
+        try:
+            expected = oracle.ch2_dot_surface_scan(fan, sigma)
+        except ValueError:
+            assert raised(fn, fan, sigma) == raised(oracle.ch2_dot_surface_scan, fan, sigma)
+        else:
+            assert repr(fn(fan, sigma)) == repr(expected)
 
 
 @pytest.mark.parametrize("sigma", [(0, 0), (0, 9), (-1, 0), (2, 2)])
@@ -227,11 +234,11 @@ def test_tuples_that_are_no_cone(table_fans, sigma):
 
 
 def test_a_maximal_cone_is_no_complete_surface():
-    # the ray 3 is a maximal cone of its own, so no wall holds (3,) and its
-    # cone has no inverse: the lookup raised KeyError where the star is short
-    fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (3,)))
-    assert raised(ch2_dot_surface, fan, (3,)) == (
-        UnsupportedFanError, "the surface V(3,) is not complete")
+    # (3,) is a maximal cone with no inverse and no ray to move along, so
+    # each routine must name the surface incomplete before it reads either
+    for fn in (ch2_dot_surface, oracle.ch2_dot_surface_scan, oracle.ch2_dot_surface):
+        assert raised(fn, LONE_RAY_FAN, (3,)) == (
+            UnsupportedFanError, "the surface V(3,) is not complete")
 
 
 def test_repeated_index_was_read_as_an_incomplete_surface(table_fans):
