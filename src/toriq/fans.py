@@ -330,12 +330,15 @@ def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of a simplicial fan with their exact relations, in the
     order of their sorted wall rays (``_wall``)."""
-    rep = validate(fan)
-    if not rep.simplicial:
+    smooth, inverses = validate(fan).smooth, _inverses(fan)
+    return tuple(_wall(fan, inverses, smooth, facet, sides) for facet, sides in _wall_facets(fan))
+
+
+def _wall_facets(fan: Fan) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """The (facet, sides) of ``_facets`` of each wall of a simplicial fan, sorted."""
+    if not validate(fan).simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
-    inverses = _inverses(fan)
-    return tuple(_wall(fan, inverses, rep.smooth, facet, sides)
-                 for facet, sides in sorted(_facets(fan).items()) if len(sides) == 2)
+    return [(facet, sides) for facet, sides in sorted(_facets(fan).items()) if len(sides) == 2]
 
 
 def _lower_side(fan: Fan, sides: list[tuple[int, int]]) -> tuple[int, int, int, int]:
@@ -345,37 +348,41 @@ def _lower_side(fan: Fan, sides: list[tuple[int, int]]) -> tuple[int, int, int, 
     return (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
 
 
-def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
-          sides: list[tuple[int, int]]) -> Wall:
-    """The wall on the facet between its two sides (``_facets``), given the
-    fan's ``_inverses`` and whether it is smooth.
-
-    The relation across a wall is -v_hi in the ray basis of the cone holding
-    the lower-indexed opposite ray, c / d for c = -adj·v_hi; its self-checks,
-    c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers, and the
-    stored relation is (c, d) divided by its gcd with the sign of d."""
+def _relation(fan: Fan, inverses, facet: tuple[int, ...],
+              sides: list[tuple[int, int]]) -> tuple[int, int, int, int, Vec]:
+    """``_lower_side`` of the wall on a facet with two sides (``_facets``) and
+    its primitive integer relation on the lower side's cone, then on hi: -v_hi
+    in that cone's ray basis is c / d for c = -adj·v_hi (``_inverses``); its
+    self-checks, c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers,
+    and (c, d) is divided by its gcd with the sign of d."""
     lo_side, lo_pos, hi_side, hi = _lower_side(fan, sides)
     lo_cone = fan.max_cones[lo_side]
     adj, d = inverses[lo_cone]
-    support = lo_cone + (hi,)
     v_hi = fan.rays[hi]
     cs = [-sum(map(mul, row, v_hi)) for row in adj] + [d]
     if cs[lo_pos] * d <= 0:
         raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in support))):
+    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in lo_cone + (hi,)))):
         raise MalformedFanError(f"relation across wall {facet} does not vanish")
     g = gcd(*cs) if d > 0 else -gcd(*cs)
+    return lo_side, lo_pos, hi_side, hi, tuple(cs) if g == 1 else tuple([c // g for c in cs])
+
+
+def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
+          sides: list[tuple[int, int]]) -> Wall:
+    """The ``Wall`` of ``_relation``, given whether the fan is smooth."""
+    lo_side, lo_pos, hi_side, hi, cs = _relation(fan, inverses, facet, sides)
+    lo_cone = fan.max_cones[lo_side]
     rel = [0] * len(fan.rays)
-    for i, c in zip(support, cs):
-        rel[i] = c // g
+    for i, c in zip(lo_cone + (hi,), cs):
+        rel[i] = c
     if smooth:
         mult, scale = 1, ONE
     else:
-        # mult(wall) is the gcd of the wall's maximal minors, which make
-        # up the adjugate row of the ray it omits; r_hi = d / g, so
-        # s = mult(wall) * g / (d * mult(cone holding the ray hi))
-        mult = gcd(*adj[lo_pos])
-        scale = Fraction(mult * g, d * abs(inverses[fan.max_cones[hi_side]][1]))
+        # mult(wall) is the gcd of the wall's maximal minors, which make up the
+        # adjugate row of the ray it omits; s = mult(wall) / (r_hi mult(sigma_hi))
+        mult = gcd(*inverses[lo_cone][0][lo_pos])
+        scale = Fraction(mult, cs[-1] * abs(inverses[fan.max_cones[hi_side]][1]))
     return Wall(facet, sides[0][0], sides[1][0], tuple(rel), mult, scale)
 
 

@@ -1,17 +1,17 @@
 """Exact intersection theory on complete simplicial toric data.
 
-Every intersection number is read off the wall relations that ``fans.walls``
-computes, and checks in integers, once per fan.  For a wall tau between the
-maximal cones sigma_a and sigma_b, with primitive integer relation r
-(sum_k r_k v_k = 0, on tau and the two opposite rays, positive on both
-opposite rays), a divisor D = sum_k d_k D_k meets V(tau) in
-s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a) is stored
-on the wall as its ``scale`` (Fulton, *Introduction to Toric Varieties*,
-ch. 5; Cox-Little-Schenck, 6.4).  On an invariant surface V(sigma), D_j with
-j not in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for the wall
+Every intersection number is read off the primitive integer wall relations
+that ``fans._relation`` reads off the cached cone adjugates and checks in
+integers.  For a wall tau between the maximal cones sigma_a and sigma_b, with
+relation r (sum_k r_k v_k = 0, on tau and the two opposite rays, positive on
+both opposite rays), a divisor D = sum_k d_k D_k meets V(tau) in
+s_tau * sum_k d_k r_k, where s_tau = mult(tau) / (mult(sigma_a) r_a) is the
+``scale`` of ``fans.Wall`` (Fulton, *Introduction to Toric Varieties*, ch. 5;
+Cox-Little-Schenck, 6.4).  On an invariant surface V(sigma), D_j with j not
+in sigma restricts to (mult sigma / mult tau_j) V(tau_j) for the wall
 tau_j = sigma + {j}, and D_i on a ray of sigma is first moved off sigma
 (through a row of the cached inverse of a maximal cone over sigma).  One pass
-over the walls indexes every surface to its star of walls.
+over the relations, with no ``Wall`` built, indexes every surface to its star.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 from .fans import (
@@ -26,6 +27,8 @@ from .fans import (
     UnsupportedFanError,
     Wall,
     _inverses,
+    _relation,
+    _wall_facets,
     cone_multiplicity,
     primitive_collections,
     validate,
@@ -94,7 +97,7 @@ def ch2_dot_surface(fan: Fan, sigma: tuple[int, ...]) -> Fraction:
     For smooth fans this is the second Chern character against the surface;
     simplicial non-smooth input is evaluated under the same formula.
     """
-    return _surface_values(fan, [surface_cone(fan, sigma)])[0][1]
+    return _surface_values(fan, [surface_cone(fan, sigma)])[1][0]
 
 
 def surface_cone(fan: Fan, sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -105,10 +108,12 @@ def surface_cone(fan: Fan, sigma: tuple[int, ...]) -> tuple[int, ...]:
     return sigma
 
 
-def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fraction]]:
+def _surface_values(fan: Fan, sigmas=None) -> tuple[
+        list[tuple[tuple[int, ...], Fraction]], list[Fraction]]:
     """(sigma, ``ch2_dot_surface``) for each sorted (rank-2)-tuple in sigmas or,
     by default, each (rank-2)-face in order, from one pass over the maximal
-    cones and one over the walls: the cones over each face and its star."""
+    cones and one over the walls in ``walls`` order: the cones over each face
+    and its star.  Then the distinct values, which equal values share."""
     over: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cone in fan.max_cones:
         for face in combinations(cone, fan.rank - 2):
@@ -117,16 +122,18 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
     for sigma in sigmas:
         if sigma not in over:
             raise ValueError(f"{sigma} is not a cone of the fan")
-    # D_j . V(sigma) = mult(sigma) s_tau / mult(tau) V(tau), tau = sigma + {j}; each
-    # wall keeps its weight s_tau / mult(tau) as an integer pair
-    stars: dict[tuple[int, ...], dict[int, tuple[Vec, tuple[int, int]]]] = {}
-    for w in walls(fan):
-        weight = (w.scale.numerator, w.scale.denominator * w.multiplicity)
-        for p, j in enumerate(w.wall_rays):
-            stars.setdefault(w.wall_rays[:p] + w.wall_rays[p + 1:], {})[j] = (w.relation, weight)
     smooth = validate(fan).smooth
+    # D_j . V(sigma) = mult(sigma) / mult(tau) V(tau) for tau = sigma + {j}, and s_tau =
+    # mult(tau) / q for q = r_hi mult(sigma_hi): each wall keeps q and r on its rays
     inverses = _inverses(fan)
-    values = []
+    stars: dict[tuple[int, ...], dict[int, tuple[int, Vec, int]]] = {}
+    for facet, sides in _wall_facets(fan):
+        _, lo_pos, hi_side, _, rel = _relation(fan, inverses, facet, sides)
+        q = 1 if smooth else rel[-1] * abs(inverses[fan.max_cones[hi_side]][1])
+        on = rel[:lo_pos] + rel[lo_pos + 1:-1]  # on the wall rays, in order
+        for p, j in enumerate(facet):
+            stars.setdefault(facet[:p] + facet[p + 1:], {})[j] = (on[p], on[:p] + on[p + 1:], q)
+    keys = []  # each value's num / den in lowest terms
     for sigma in sigmas:
         star, cones = stars.get(sigma, {}), over[sigma]
         if len(star) != len(cones):
@@ -135,19 +142,22 @@ def _surface_values(fan: Fan, sigmas=None) -> list[tuple[tuple[int, ...], Fracti
         # D_i ~ D_i - div(u) = -sum_{j not in sigma} <u, v_j> D_j for u = adj_i / d
         # from a maximal cone over sigma, so the wall of j adds d r_j - sum_i <adj_i, v_j> r_i
         adj, d = inverses[cones[0]]
-        rows = [(i, adj[cones[0].index(i)]) for i in sigma]
+        rows = [adj[cones[0].index(i)] for i in sigma]
         num, den = 0, 1  # the walls' terms summed in integers, num / den
-        for j, (rel, (p, q)) in star.items():
-            v, n = fan.rays[j], rel[j] * d
-            for i, row in rows:
-                if rel[i]:
-                    n -= sum(map(mul, row, v)) * rel[i]
-            if p == q == 1:
+        for j, (r_j, r_sigma, q) in star.items():
+            v, n = fan.rays[j], r_j * d
+            for row, r in zip(rows, r_sigma):
+                if r:
+                    n -= sum(map(mul, row, v)) * r
+            if q == 1:
                 num += n * den
             else:
-                num, den = num * q + n * p * den, den * q
-        values.append((sigma, Fraction(mult * num, 2 * d * den)))
-    return values
+                num, den = num * q + n * den, den * q
+        num, den = mult * num, 2 * d * den
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        keys.append((num // g, den // g))
+    distinct = {key: Fraction(*key) for key in dict.fromkeys(keys)}
+    return [(sigma, distinct[key]) for sigma, key in zip(sigmas, keys)], list(distinct.values())
 
 
 @dataclass(frozen=True)
@@ -192,9 +202,10 @@ def is_2fano(fan: Fan) -> TwoFanoVerdict:
         raise UnsupportedFanError("2-Fano scan needs a complete simplicial fan")
     if fan.rank < 2:
         raise ValueError("2-Fano scan needs rank >= 2")
-    values = tuple(_surface_values(fan))
-    witness, minimum = min(values, key=lambda t: (t[1], t[0]))
-    return TwoFanoVerdict(minimum > 0, minimum, witness, minimum == 0, values)
+    values, distinct = _surface_values(fan)
+    minimum = min(distinct)  # shared, so its first sigma is the least minimiser
+    witness = next(sigma for sigma, v in values if v is minimum)
+    return TwoFanoVerdict(minimum > 0, minimum, witness, minimum == 0, tuple(values))
 
 
 def is_ample(fan: Fan, D: TorusDivisor) -> bool:

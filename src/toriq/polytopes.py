@@ -356,7 +356,7 @@ def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
     """The nef threshold lambda of L + s*K from s0 on, where the fan's rays
     are normals of the P of ``slacks`` and L is the divisor of P's constants
     on them, and the walls where L + lambda*K vanishes with -K.C > 0, as
-    (facet, sides) of ``fans._facets`` in ``walls`` order.
+    (facet, sides) of ``fans._wall_facets``.
 
     Across the wall between sigma_a and sigma_b, the slack at x_a(s) of the
     ray j of sigma_b outside the wall is (L + s*K).C over a positive number
@@ -369,16 +369,13 @@ def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
     beta_j / (L*alpha_j); lambda is the least such root, compared
     cross-multiplied.  No wall relation is built, and completeness is not
     assumed."""
-    if not fans.validate(fan).simplicial:
-        raise fans.UnsupportedFanError("walls are only computed for simplicial fans")
+    wall_facets = fans._wall_facets(fan)
     index = [slacks.index[v] for v in fan.rays]
     keys = [tuple(index[i] for i in cone) for cone in fan.max_cones]
     pL, q = s0.numerator * slacks.L, s0.denominator
     best: Optional[tuple[int, int]] = None  # (alpha_j, beta_j) of the least root so far
     attained = []
-    for facet, sides in sorted(fans._facets(fan).items()):
-        if len(sides) != 2:
-            continue
+    for facet, sides in wall_facets:
         (a, _), (b, jb) = sides
         j = index[fan.max_cones[b][jb]]
         alpha, beta = slacks[keys[a]][3:]
@@ -510,14 +507,9 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     """
     fan = normal_fan(P)
     pvs = vertices(P)
-    rep = fans.validate(fan)
-    if not rep.simplicial:
-        raise fans.UnsupportedFanError("walls are only computed for simplicial fans")
-    inverses = fans._inverses(fan)
+    smooth, inverses = fans.validate(fan).smooth, fans._inverses(fan)
     tried = set()
-    for facet, sides in sorted(fans._facets(fan).items()):
-        if len(sides) != 2:
-            continue
+    for facet, sides in fans._wall_facets(fan):
         lo_side, lo_pos, _, hi = fans._lower_side(fan, sides)
         adj, d = inverses[fan.max_cones[lo_side]]
         cs = [sum(map(mul, row, fan.rays[hi])) for row in adj]
@@ -526,7 +518,7 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
         zero = [row for row, c in zip(adj, cs) if not c]
         if sum(not any(sum(map(mul, r, v)) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
             continue
-        wall = fans._wall(fan, inverses, rep.smooth, facet, sides)
+        wall = fans._wall(fan, inverses, smooth, facet, sides)
         if wall.relation in tried:
             continue
         tried.add(wall.relation)

@@ -89,6 +89,16 @@ def test_ch2_rejects_a_maximal_cone_as_surface(tmp_path, capsys):
     assert "error: the surface V(3,) is not complete" in capsys.readouterr().err
 
 
+def test_ch2_rejects_a_non_simplicial_fan(tmp_path, capsys):
+    # the face fan of the cube [-1, 1]^3 has six square cones
+    rays = [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    cones = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7]]
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": cones}))
+    assert main(["ch2", str(path), "--surface", "0"]) == 2
+    assert "error: walls are only computed for simplicial fans" in capsys.readouterr().err
+
+
 def test_check_2fano_with_report(e1_file, tmp_path, capsys):
     report = tmp_path / "scan.csv"
     assert main(["check-2fano", e1_file, "--report", str(report)]) == 0

@@ -193,14 +193,19 @@ class TestIs2Fano:
         assert scan.is_two_fano and scan.witness == ()
 
     def test_one_wall_pass_per_scan(self, monkeypatch):
-        # all 18 surfaces of a 4-fold row come from one star index
+        # all 18 surfaces of a 4-fold row come from one star index, built
+        # from one relation per wall and no Wall record
+        from toriq import fans
         from toriq.fano_table import load_builtin_table, reconstruct_fan
 
         row = next(r for r in load_builtin_table() if r.name == "E_1")
         fan, _ = reconstruct_fan(row)
+        n_walls = len(walls.__wrapped__(fan))
         calls = count_calls(monkeypatch, "walls", intersection, polytopes, mmp)
+        relations = count_calls(monkeypatch, "_relation", fans, intersection)
         scan = is_2fano(fan)
-        assert len(scan.values) == 18 and len(calls) == 1
+        assert len(scan.values) == 18 and len(calls) == 0
+        assert len(relations) == n_walls == 22
 
     def test_fibering_walls_positive_anticanonical(self, corpus_fans):
         from toriq.fans import wall_classification

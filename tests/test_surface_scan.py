@@ -20,7 +20,7 @@ import linalg_oracle
 from conftest import pn_fan, singular_mfs_fan
 from helpers import faces_of_dim, run_divisor, scan
 from test_circuit_replacement import _workloads, fourfold_polytopes
-from toriq import fans, mmp
+from toriq import fans, intersection, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import Fan, MalformedFanError, UnsupportedFanError, star_subdivision, walls
 from toriq.intersection import ZERO, TorusDivisor, ch2_dot_surface, is_2fano, is_fano
@@ -144,6 +144,23 @@ def test_class_walls_partition_matches_oracle_keys(table_fans, fourfold_run_fans
         for w in walls(fan):
             expected = [v.wall_rays for v in walls(fan) if key[v.wall_rays] == key[w.wall_rays]]
             assert [v.wall_rays for v in class_walls(fan, w)] == expected
+
+
+def test_relation_is_the_walls_relation(table_fans, fourfold_run_fans):
+    # the scan's relations, on the support rays only, are those of the
+    # Wall records, entry by entry, wall by wall in ``walls`` order
+    count = 0
+    for fan in all_wall_fans(table_fans, fourfold_run_fans):
+        inverses = fans._inverses(fan)
+        two_sided = [(f, s) for f, s in sorted(fans._facets(fan).items()) if len(s) == 2]
+        assert len(two_sided) == len(walls(fan))
+        for w, (facet, sides) in zip(walls(fan), two_sided):
+            lo_side, _, _, hi, rel = fans._relation(fan, inverses, facet, sides)
+            on = dict(zip(fan.max_cones[lo_side] + (hi,), rel))
+            assert facet == w.wall_rays
+            assert tuple(on.get(i, 0) for i in range(len(fan.rays))) == w.relation
+            count += 1
+    assert count == 8576
 
 
 def test_relations_are_primitive_integers(table_fans, fourfold_run_fans):
@@ -275,11 +292,36 @@ def corrupted_inverses(fan, mode):
 def test_corrupted_adjugate_raises_like_oracle(table_fans, monkeypatch, name, mode, message):
     fan = table_fans[name]
     fans.validate(fan)  # cached from the intact adjugates
+    # a surface of the corrupted wall (the first), whose star reads it
+    sigma = walls(fan)[0].wall_rays[1:]
     broken = corrupted_inverses(fan, mode)
     monkeypatch.setattr(fans, "_inverses", broken)
+    monkeypatch.setattr(intersection, "_inverses", broken)
     monkeypatch.setattr(oracle, "_inverses", broken)
     with pytest.raises(MalformedFanError, match=message) as got:
         walls.__wrapped__(fan)
     with pytest.raises(MalformedFanError) as want:
         oracle.walls_fraction.__wrapped__(fan)
     assert str(got.value) == str(want.value)
+    # the scan runs the same checks on the same wall first
+    for fn, args in ((is_2fano, (fan,)), (ch2_dot_surface, (fan, sigma))):
+        with pytest.raises(MalformedFanError) as scanned:
+            fn(*args)
+        assert str(scanned.value) == str(got.value)
+
+
+# the face fan of the cube [-1, 1]^3: six square cones, none simplicial
+CUBE_FAN = Fan(
+    3, ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+        (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)),
+    ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)))
+
+
+def test_non_simplicial_fan_has_no_surface_scan():
+    # the scan oracle asks for the walls first; the moving oracle instead
+    # names the surface incomplete, so it is not compared here
+    assert not fans.validate(CUBE_FAN).simplicial
+    assert all(len(cone) == 4 for cone in CUBE_FAN.max_cones)
+    for fn in (ch2_dot_surface, oracle.ch2_dot_surface_scan):
+        assert raised(fn, CUBE_FAN, (0,)) == (
+            UnsupportedFanError, "walls are only computed for simplicial fans")
