@@ -187,11 +187,11 @@ def verify_row(row: TableRow) -> RowResult:
         rep = validate(fan)
         res.smooth = rep.smooth
         res.complete = rep.complete
-        if not (rep.smooth and rep.complete and rep.simplicial):
+        if not (rep.smooth and rep.complete):
             res.status = "error"
             res.reason = "fan failed smooth/complete validation"
             return res
-        if row.collections and method == "collections":
+        if method == "collections":
             got = {c.members for c in primitive_collections(fan)}
             res.collections_roundtrip = got == {tuple(sorted(c)) for c in row.collections}
         verdict = is_fano(fan)
@@ -246,7 +246,7 @@ def verify_table(rows: Optional[list[TableRow]] = None) -> VerificationReport:
             entry.status = "ok"
             entry.global_min = res.global_min
             entry.min_witness = res.min_witness
-            entry.match = res.global_min is not None and res.global_min >= 0
+            entry.match = res.global_min >= 0
             entry.reason = "minimum over surfaces is nonnegative" if entry.match else "negative surface found"
         report.nef_checks.append(entry)
     return report

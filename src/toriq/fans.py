@@ -177,8 +177,6 @@ def _facets(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
 
 def _cone_coords(fan: Fan, cone: tuple[int, ...], x) -> Optional[QVec]:
     """Coordinates of x in the simplicial cone's ray basis, or None."""
-    if not cone:
-        return () if all(a == 0 for a in x) else None
     adj, d = _inverses(fan).get(cone, (None, 0))
     if d:
         return tuple(Fraction(dot(row, x), d) for row in adj)
@@ -245,9 +243,7 @@ def validate(fan: Fan) -> ValidationReport:
             problems.append(f"cone {cone} is not strongly convex")
 
     complete = False
-    if fan.rank == 0:
-        complete = not problems and bool(fan.max_cones)
-    elif simplicial:
+    if simplicial:
         facets = _facets(fan)
         complete = (
             bool(fan.max_cones)
@@ -314,8 +310,6 @@ def _strongly_convex(fan: Fan, cone: tuple[int, ...]) -> bool:
 def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     common = sorted(set(c1) & set(c2))
     extra1 = [i for i in c1 if i not in common]
-    if not extra1:
-        return False
     # feasibility: x in both cones with some non-common coordinate in c1
     gens = []
     for i in c1:
@@ -330,8 +324,8 @@ def _pair_overlaps(fan: Fan, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of a simplicial fan with their exact relations, in the
     order of their sorted wall rays (``_wall``)."""
-    smooth, inverses = validate(fan).smooth, _inverses(fan)
-    return tuple(_wall(fan, inverses, smooth, facet, sides) for facet, sides in _wall_facets(fan))
+    inverses = _inverses(fan)
+    return tuple(_wall(fan, inverses, facet, sides) for facet, sides in _wall_facets(fan))
 
 
 def _wall_facets(fan: Fan) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -368,21 +362,17 @@ def _relation(fan: Fan, inverses, facet: tuple[int, ...],
     return lo_side, lo_pos, hi_side, hi, tuple(cs) if g == 1 else tuple([c // g for c in cs])
 
 
-def _wall(fan: Fan, inverses, smooth: bool, facet: tuple[int, ...],
-          sides: list[tuple[int, int]]) -> Wall:
-    """The ``Wall`` of ``_relation``, given whether the fan is smooth."""
+def _wall(fan: Fan, inverses, facet: tuple[int, ...], sides: list[tuple[int, int]]) -> Wall:
+    """The ``Wall`` of ``_relation``: mult(wall) is the gcd of its maximal minors,
+    the adjugate row of the ray it omits, and s = mult(wall) / (r_hi mult(sigma_hi))."""
     lo_side, lo_pos, hi_side, hi, cs = _relation(fan, inverses, facet, sides)
     lo_cone = fan.max_cones[lo_side]
     rel = [0] * len(fan.rays)
     for i, c in zip(lo_cone + (hi,), cs):
         rel[i] = c
-    if smooth:
-        mult, scale = 1, ONE
-    else:
-        # mult(wall) is the gcd of the wall's maximal minors, which make up the
-        # adjugate row of the ray it omits; s = mult(wall) / (r_hi mult(sigma_hi))
-        mult = gcd(*inverses[lo_cone][0][lo_pos])
-        scale = Fraction(mult, cs[-1] * abs(inverses[fan.max_cones[hi_side]][1]))
+    mult = gcd(*inverses[lo_cone][0][lo_pos])
+    q = cs[-1] * abs(inverses[fan.max_cones[hi_side]][1])
+    scale = ONE if mult == q else Fraction(mult, q)  # mult = q = 1 on smooth fans
     return Wall(facet, sides[0][0], sides[1][0], tuple(rel), mult, scale)
 
 

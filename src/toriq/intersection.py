@@ -112,13 +112,18 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
         list[tuple[tuple[int, ...], Fraction]], list[Fraction]]:
     """(sigma, ``ch2_dot_surface``) for each sorted (rank-2)-tuple in sigmas or,
     by default, each (rank-2)-face in order, from one pass over the maximal
-    cones and one over the walls in ``walls`` order: the cones over each face
-    and its star.  Then the distinct values, which equal values share."""
+    cones and one over the walls in ``walls`` order, reading the relations of
+    the walls over some sigma only: the cones over each face and its star.
+    Then the distinct values, which equal values share."""
     over: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cone in fan.max_cones:
         for face in combinations(cone, fan.rank - 2):
             over.setdefault(face, []).append(cone)
-    sigmas = sorted(over) if sigmas is None else sigmas
+    if sigmas is None:
+        sigmas, wanted = sorted(over), None  # every wall is over some face
+    else:
+        wanted = {c[:p] + c[p + 1:] for s in sigmas if s in over for c in over[s]
+                  for p, k in enumerate(c) if k not in s}  # the walls over the sigmas
     for sigma in sigmas:
         if sigma not in over:
             raise ValueError(f"{sigma} is not a cone of the fan")
@@ -128,6 +133,8 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
     inverses = _inverses(fan)
     stars: dict[tuple[int, ...], dict[int, tuple[int, Vec, int]]] = {}
     for facet, sides in _wall_facets(fan):
+        if wanted is not None and facet not in wanted:
+            continue
         _, lo_pos, hi_side, _, rel = _relation(fan, inverses, facet, sides)
         q = 1 if smooth else rel[-1] * abs(inverses[fan.max_cones[hi_side]][1])
         on = rel[:lo_pos] + rel[lo_pos + 1:-1]  # on the wall rays, in order
@@ -149,10 +156,7 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
             for row, r in zip(rows, r_sigma):
                 if r:
                     n -= sum(map(mul, row, v)) * r
-            if q == 1:
-                num += n * den
-            else:
-                num, den = num * q + n * den, den * q
+            num, den = num * q + n * den, den * q
         num, den = mult * num, 2 * d * den
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         keys.append((num // g, den // g))

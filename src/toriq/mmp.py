@@ -210,10 +210,10 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         if len(steps) >= budget:
             raise StepBudgetError("step budget exhausted; runaway program")
         lam, attained = _critical_value(slacks, fan, lam_prev)
-        inverses, smooth = _inverses(fan), validate(fan).smooth
+        inverses = _inverses(fan)
         classes: dict[Vec, list[Wall]] = {}
         for facet, sides in attained:
-            w = _wall(fan, inverses, smooth, facet, sides)
+            w = _wall(fan, inverses, facet, sides)
             classes.setdefault(w.relation, []).append(w)
         # walls arrive sorted, so each class's first wall is its least and
         # the first class holds the least wall of all
@@ -463,8 +463,6 @@ def _certify(slacks: _SlackRows, fan: Fan, lo: Fraction, lam: Fraction) -> Optio
     (pL_lo, q_lo), (pL_hi, q_hi) = ((s.numerator * slacks.L, s.denominator) for s in (lo, lam))
     limits, cones = set(), []
     for cone in fan.max_cones:
-        if not cone or len(cone) != fan.rank:  # the cones of ``_inverses``
-            continue
         key = tuple(index[i] for i in cone)
         t, w, d, alpha, beta = slacks[key]
         tight = []

@@ -507,7 +507,7 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     """
     fan = normal_fan(P)
     pvs = vertices(P)
-    smooth, inverses = fans.validate(fan).smooth, fans._inverses(fan)
+    inverses = fans._inverses(fan)
     tried = set()
     for facet, sides in fans._wall_facets(fan):
         lo_side, lo_pos, _, hi = fans._lower_side(fan, sides)
@@ -518,7 +518,7 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
         zero = [row for row, c in zip(adj, cs) if not c]
         if sum(not any(sum(map(mul, r, v)) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
             continue
-        wall = fans._wall(fan, inverses, smooth, facet, sides)
+        wall = fans._wall(fan, inverses, facet, sides)
         if wall.relation in tried:
             continue
         tried.add(wall.relation)

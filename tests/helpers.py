@@ -155,8 +155,8 @@ def divisor_slacks(fan: Fan, L: TorusDivisor):
 def with_walls(fan: Fan, lam, attained):
     """A ``polytopes._critical_value`` result with its attained (facet,
     sides) pairs built into walls, as ``fans.walls`` builds them."""
-    inverses, smooth = fans._inverses(fan), fans.validate(fan).smooth
-    return lam, [fans._wall(fan, inverses, smooth, facet, sides) for facet, sides in attained]
+    inverses = fans._inverses(fan)
+    return lam, [fans._wall(fan, inverses, facet, sides) for facet, sides in attained]
 
 
 def scan(fan: Fan, L: TorusDivisor, s0):

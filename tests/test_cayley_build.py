@@ -4,10 +4,12 @@ it has one facet per facet of the bases and k + 1 over the simplex, on every
 Cayley input of the suite and on strictly equivalent bases drawn at random
 (a simple polytope, its translates by integer characters and its positive
 integer dilates) over random independent directions.  Each build takes one
-hull and no redundancy removal."""
+hull and no redundancy removal.  Each input condition refuses with its own
+message."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +106,19 @@ def test_one_hull_and_no_redundancy_removal(monkeypatch):
     for i, (bases, w) in enumerate(SUITE_INPUTS, 1):
         cayley_mori_build(bases, w)
         assert (len(hulls), len(removals)) == (i, 0)
+
+
+PENTAGON = blowup_polytope((0, 0, 2, 2, 3))
+
+
+@pytest.mark.parametrize("bases,w,message", [
+    ([PENTAGON], [], "need at least two base polytopes"),
+    # the square [0, 2]^2 on the pentagon's normals: x + y <= 4 only meets a corner
+    ([PENTAGON, blowup_polytope((0, 0, 2, 2, 4))], [(1,)],
+     "base polytopes are not strictly combinatorially equivalent"),
+    ([PENTAGON, PENTAGON], [(1, 0)], "need 1 direction vectors of length 1"),
+    ([PENTAGON, PENTAGON, PENTAGON], [(1, 2), (2, 4)], "direction vectors are linearly dependent"),
+], ids=["one-base", "not-equivalent", "wrong-shape", "dependent"])
+def test_bad_inputs_rejected(bases, w, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cayley_mori_build(bases, w)

@@ -4,9 +4,9 @@ per run, each checked on its own cone.  On the forced seed-1 sweep of the
 67 rows and on all 240 pool entries the certified sigma_P equals the LP's
 and the runs solve no LP; every interval certificate equals the one of
 ``mmp_oracle``, which recomputes each cone's slacks per interval; a
-doctored relation, constant or certificate falls back to the LP; a
-corrupted adjugate fails its slack row; and bad inputs raise what they did
-when the LP came first."""
+doctored relation, constant or certificate falls back to the LP; a fan
+that cannot be certified is refused; a corrupted adjugate fails its slack
+row; and bad inputs raise what they did when the LP came first."""
 
 import dataclasses
 import re
@@ -19,7 +19,7 @@ from helpers import cold_caches, count_calls
 from test_adjoint_certificate import FIRST, pool_polytope, sweep_polytopes, unvalidated
 from test_certified_run import POOL_KEYS
 from toriq import fans, linalg, mmp, polytopes
-from toriq.fans import MalformedFanError
+from toriq.fans import Fan, MalformedFanError
 from toriq.linalg import dot
 from toriq.polytopes import (
     DegenerateError,
@@ -246,6 +246,42 @@ def test_doctored_final_value_still_raises(monkeypatch):
     with pytest.raises(MalformedFanError) as err:
         mmp.run_mmp_scaling(FIRST)
     assert str(err.value) == "final critical value 4/3 differs from effective threshold 1"
+
+
+# the normals e1, e2, -e1 - e2 and (2, -1): the last inequality's constant
+# a_4 = 2 a_1 - a_2 = 0 keeps it tight at x_sigma(s) on the cone (e1, e2)
+# for every s, and 3 keeps it slack there
+TRIANGLE = ((1, 0), (0, 1), (-1, -1), (2, -1))
+P2_CONES = ((0, 1), (0, 2), (1, 2))
+REFUSED_FANS = {
+    "not a normal": Fan(2, ((1, 0), (0, 1), (-1, -2)), P2_CONES),
+    "out of order": Fan(2, ((0, 1), (1, 0), (-1, -1)), P2_CONES),
+    "in no cone": Fan(2, TRIANGLE, P2_CONES),
+    "overlapping": Fan(2, TRIANGLE, P2_CONES + ((2, 3),)),
+    "incomplete": Fan(2, TRIANGLE[:3], ((0, 1), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_FANS)
+def test_certify_refuses_fans_it_cannot_certify(name):
+    slacks = mmp._SlackRows(FacetPresentation(2, TRIANGLE, (0, 0, 3, 3)))
+    if name == "overlapping":
+        with pytest.raises(MalformedFanError, match="overlap"):
+            fans.validate(REFUSED_FANS[name])
+    assert mmp._certify(slacks, REFUSED_FANS[name], F(0), F(1)) is None
+    # the complete fan on the same three normals certifies
+    assert mmp._certify(slacks, Fan(2, TRIANGLE[:3], P2_CONES), F(0), F(1)) is not None
+
+
+def test_certify_refuses_an_inequality_tight_on_the_whole_interval():
+    # the complete fan on all four normals: with the constant 0 the cones
+    # (e1, e2) and (e1, (2, -1)) share their point on [0, 1], where every
+    # other slack is >= 0, and (2, -1) is no ray of the first
+    fan = Fan(2, TRIANGLE, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    tight = mmp._SlackRows(FacetPresentation(2, TRIANGLE, (0, 0, 3, 0)))
+    assert mmp._certify(tight, fan, F(0), F(1)) is None
+    slack = mmp._SlackRows(FacetPresentation(2, TRIANGLE, (0, 0, 3, 1)))
+    assert mmp._certify(slack, fan, F(0), F(1, 3)) is not None
 
 
 # ---------------------------------------------------------------------------

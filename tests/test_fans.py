@@ -119,7 +119,12 @@ class TestValidate:
             Fan(-1, (), ((),))
 
     def test_rank_zero_is_well_formed(self):
-        assert validate(Fan(0, (), ((),))).well_formed
+        # the cone () has multiplicity det([]) = 1, no facet and no wall: the
+        # point is a complete fan, and the empty fan is not
+        for cones, complete in ((((),), True), ((), False)):
+            rep = validate(Fan(0, (), cones))
+            assert (rep.well_formed, rep.simplicial, rep.smooth, rep.complete, rep.problems) == (
+                True, True, True, complete, [])
 
     def test_duplicate_cone_rejected(self):
         with pytest.raises(MalformedFanError):
@@ -299,6 +304,40 @@ class TestStarSubdivision:
     def test_zero_rejected(self, p2):
         with pytest.raises(ValueError):
             star_subdivision(p2, (0, 0))
+
+    def test_non_primitive_rejected(self, p2):
+        with pytest.raises(ValueError, match=r"\(2, 2\) is not primitive"):
+            star_subdivision(p2, (2, 2))
+
+    def test_non_simplicial_rejected(self):
+        # the cone over a square: four rays in rank three
+        square = Fan(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((0, 1, 2, 3),))
+        with pytest.raises(UnsupportedFanError, match="implemented for simplicial fans"):
+            star_subdivision(square, (0, 0, 1))
+
+    def test_lower_dimensional_maximal_cone(self):
+        # the octant and a quadrant of the plane z = 0 outside it: the
+        # quadrant's coordinates come from ``solve_linear`` on its two rays
+        fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)),
+                  ((0, 1, 2), (3, 4)))
+        assert validate(fan).simplicial and not validate(fan).complete
+        assert fans_module._cone_coords(fan, (3, 4), (1, 1, 1)) is None
+        assert fans_module._cone_coords(fan, (3, 4), (-1, -2, 0)) == (1, 2)
+        # v off the quadrant's span keeps it; v in its relative interior splits it
+        inside = star_subdivision(fan, (1, 1, 1))
+        assert inside.max_cones == ((0, 1, 5), (0, 2, 5), (1, 2, 5), (3, 4))
+        split = star_subdivision(fan, (-1, -1, 0))
+        assert split.max_cones == ((0, 1, 2), (3, 5), (4, 5))
+        with pytest.raises(ValueError, match="outside the fan support"):
+            star_subdivision(fan, (1, -1, 0))
+
+    def test_empty_cone_coordinates(self):
+        # the fan of the origin alone: the empty cone holds 0 and nothing else
+        origin = Fan(2, (), ((),))
+        assert fans_module._cone_coords(origin, (), (0, 0)) == ()
+        assert fans_module._cone_coords(origin, (), (1, 0)) is None
+        with pytest.raises(ValueError, match="outside the fan support"):
+            star_subdivision(origin, (1, 0))
 
     def test_support_preserved(self, p3):
         bl = star_subdivision(p3, (1, 1, 1))

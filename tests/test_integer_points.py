@@ -146,10 +146,12 @@ def test_fraction_work_of_a_benchmark_pass(monkeypatch):
     # and builds each optimum's value and point only now.  linalg 633 and
     # fans 168 on adjoint-family when ``cayley_mori_detect`` built every
     # wall and ran ``mori_fiber_data`` on every fibering class; linalg 110
-    # and 507 when each fiber ray's coordinates took a ``solve_linear``
+    # and 507 when each fiber ray's coordinates took a ``solve_linear``;
+    # fans 70 on adjoint-family when a wall of a non-smooth fan with scale 1
+    # built its own Fraction instead of sharing ``ONE``
     assert passes == [
         {"toriq.linalg": 26, "toriq.polytopes": 403, "toriq.mmp": 86},
-        {"toriq.linalg": 279, "toriq.fans": 70, "toriq.polytopes": 2301, "toriq.mmp": 269},
+        {"toriq.linalg": 279, "toriq.fans": 38, "toriq.polytopes": 2301, "toriq.mmp": 269},
     ]
     # walls lists computed: no critical value search computes them, and
     # ``cayley_mori_detect`` sign-tests each wall from its cone's adjugate

@@ -59,6 +59,10 @@ class TestContract:
         rep = validate(res.fan)
         assert rep.smooth and rep.complete
 
+    def test_flipping_wall_gives_no_fan(self):
+        res = contract(FLIP_FAN, wall_by_rays(FLIP_FAN, (0, 1)))
+        assert (res.kind, res.fan, res.fiber_data, res.dropped_ray) == (FLIP, None, None, None)
+
 
 FLIP_FAN = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)),
                ((0, 1, 2), (0, 1, 3)))

@@ -18,7 +18,7 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 from conftest import pn_fan, singular_mfs_fan
-from helpers import faces_of_dim, run_divisor, scan
+from helpers import count_calls, faces_of_dim, run_divisor, scan
 from test_circuit_replacement import _workloads, fourfold_polytopes
 from toriq import fans, intersection, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
@@ -90,6 +90,20 @@ def assert_scan_matches_oracle(fan):
 
 def test_every_table_surface_matches_scan_oracle(table_fans):
     assert sum(assert_scan_matches_oracle(fan) for fan in table_fans.values()) == 1730
+
+
+def test_a_surface_reads_only_the_walls_over_it(table_fans, monkeypatch):
+    # the scan reads each wall's relation once; one surface reads the walls
+    # over it, one per cone over it (63,148 when it read every wall's)
+    relations = count_calls(monkeypatch, "_relation", fans, intersection)
+    for fan in table_fans.values():
+        is_2fano(fan)
+    assert len(relations) == 2346
+    relations.clear()
+    asked = [(fan, sigma) for fan in table_fans.values() for sigma in surfaces(fan)]
+    for fan, sigma in asked:
+        ch2_dot_surface(fan, sigma)
+    assert (len(asked), len(relations)) == (1730, 7038)
 
 
 def test_singular_fans_match_scan_oracle():
