@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -27,26 +26,23 @@ from .fans import (
 )
 from .formats import ParseError
 from .intersection import is_2fano, is_fano, surface_cone
-from .linalg import Vec, frac
+from .linalg import Vec, _FrozenRecord, _Record, frac
 
 
-@dataclass(frozen=True)
-class TableRow:
-    name: str
-    rays: Optional[tuple[Vec, ...]]
-    collections: Optional[tuple[tuple[int, ...], ...]]
-    surface: Optional[tuple[int, int]]
-    expected: Optional[Fraction]
-    note: str = ""
+class TableRow(_FrozenRecord):
+    __slots__ = ("name", "rays", "collections", "surface", "expected", "note")
 
-    def __post_init__(self):
-        for name in ("surface", "expected"):  # what an explicit row is verified against
-            if self.rays is not None and getattr(self, name) is None:
-                raise ParseError("rays need this cell", field=name)
-        for c in self.collections or ():
+    def __init__(self, name: str, rays: Optional[tuple[Vec, ...]],
+                 collections: Optional[tuple[tuple[int, ...], ...]],
+                 surface: Optional[tuple[int, int]], expected: Optional[Fraction], note: str = ""):
+        self._set(name, rays, collections, surface, expected, note)
+        for cell in ("surface", "expected"):  # what an explicit row is verified against
+            if rays is not None and getattr(self, cell) is None:
+                raise ParseError("rays need this cell", field=cell)
+        for c in collections or ():
             if len(set(c)) < 2:
                 raise ParseError(f"collection {c} has fewer than two members", field="collections")
-            if self.rays is not None and not all(0 <= i < len(self.rays) for i in c):
+            if rays is not None and not all(0 <= i < len(rays) for i in c):
                 raise ParseError(f"collection {c} names a ray outside the rays",
                                  field="collections")
 
@@ -116,28 +112,30 @@ def load_builtin_table() -> list[TableRow]:
     return parse_dataset(text)
 
 
-@dataclass
-class RowResult:
-    name: str
-    status: str                        # "ok" | "error" | "skipped"
-    method: str = ""                   # "collections" | "hull"
-    reason: str = ""
-    smooth: bool = False
-    complete: bool = False
-    fano: bool = False
-    computed: Optional[Fraction] = None
-    expected: Optional[Fraction] = None
-    match: Optional[bool] = None
-    global_min: Optional[Fraction] = None
-    min_witness: Optional[tuple[int, ...]] = None
-    two_fano: Optional[bool] = None
-    collections_roundtrip: Optional[bool] = None
+class RowResult(_Record):
+    """One row's verification: ``status`` is "ok", "error" or "skipped" and
+    ``method`` "collections" or "hull"."""
+
+    __slots__ = ("name", "status", "method", "reason", "smooth", "complete", "fano", "computed",
+                 "expected", "match", "global_min", "min_witness", "two_fano",
+                 "collections_roundtrip")
+
+    def __init__(self, name: str, status: str, method: str = "", reason: str = "",
+                 smooth: bool = False, complete: bool = False, fano: bool = False,
+                 computed: Optional[Fraction] = None, expected: Optional[Fraction] = None,
+                 match: Optional[bool] = None, global_min: Optional[Fraction] = None,
+                 min_witness: Optional[tuple[int, ...]] = None, two_fano: Optional[bool] = None,
+                 collections_roundtrip: Optional[bool] = None):
+        self._set(name, status, method, reason, smooth, complete, fano, computed, expected,
+                  match, global_min, min_witness, two_fano, collections_roundtrip)
 
 
-@dataclass
-class VerificationReport:
-    rows: list[RowResult] = field(default_factory=list)
-    nef_checks: list[RowResult] = field(default_factory=list)
+class VerificationReport(_Record):
+    __slots__ = ("rows", "nef_checks")
+
+    def __init__(self, rows: Optional[list[RowResult]] = None,
+                 nef_checks: Optional[list[RowResult]] = None):
+        self._set([] if rows is None else rows, [] if nef_checks is None else nef_checks)
 
     @property
     def verified(self) -> int:

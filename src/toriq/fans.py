@@ -9,19 +9,20 @@ fiber fans of a fibering wall are computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 from operator import and_, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import (
     ONE,
     Vec,
     QVec,
     _extreme_rays,
+    _FrozenRecord,
+    _Record,
     adjugate,
     det,
     dot,
@@ -47,24 +48,20 @@ class ReconstructionError(ValueError):
     """Ray/collection data did not reconstruct a valid fan."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_FrozenRecord):
     """A fan, given by its rank, primitive rays and maximal cones."""
 
-    rank: int
-    rays: tuple[Vec, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "rays", "max_cones")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise MalformedFanError(f"negative rank {self.rank}")
-        rays = tuple(int_vec(r, MalformedFanError) for r in self.rays)
-        cones = tuple(sorted(tuple(sorted(set(c))) for c in self.max_cones))
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", cones)
+    def __init__(self, rank: int, rays: tuple[Vec, ...], max_cones: tuple[tuple[int, ...], ...]):
+        if rank < 0:
+            raise MalformedFanError(f"negative rank {rank}")
+        rays = tuple(int_vec(r, MalformedFanError) for r in rays)
+        cones = tuple(sorted(tuple(sorted(set(c))) for c in max_cones))
+        self._set(rank, rays, cones)
         for r in rays:
-            if len(r) != self.rank:
-                raise MalformedFanError(f"ray {r} does not have length {self.rank}")
+            if len(r) != rank:
+                raise MalformedFanError(f"ray {r} does not have length {rank}")
             if not is_primitive(r):
                 raise MalformedFanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
@@ -82,8 +79,7 @@ class Fan:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """An (n-1)-dimensional cone shared by exactly two maximal cones,
     together with the exact linear relation among the n+1 rays involved.
 
@@ -114,8 +110,7 @@ class Wall:
         return a, b
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
+class PrimitiveCollection(NamedTuple):
     """A minimal set of rays not contained in any cone, with the data of
     its relation: sum of members = sum of coefficients over sigma's rays."""
 
@@ -125,13 +120,16 @@ class PrimitiveCollection:
     degree: Fraction
 
 
-@dataclass
-class ValidationReport:
-    well_formed: bool
-    simplicial: bool
-    smooth: bool
-    complete: bool
-    problems: list[str] = field(default_factory=list)
+class ValidationReport(_Record):
+    """``validate``'s flags and problems.  A report that ``validate`` returns
+    for a simplicial fan also keeps, out of == and repr, the sorted
+    (facet, sides) of ``_facets`` of each wall (``_wall_facets``)."""
+
+    __slots__ = ("well_formed", "simplicial", "smooth", "complete", "problems", "_wall_facets")
+
+    def __init__(self, well_formed: bool, simplicial: bool, smooth: bool, complete: bool,
+                 problems: Optional[list[str]] = None):
+        self._set(well_formed, simplicial, smooth, complete, [] if problems is None else problems)
 
 
 # Bound of the per-fan (and per-polytope) caches: far above the few hundred
@@ -242,13 +240,14 @@ def validate(fan: Fan) -> ValidationReport:
         if not d and not _strongly_convex(fan, cone):
             problems.append(f"cone {cone} is not strongly convex")
 
-    complete = False
+    complete, wall_facets = False, None
     if simplicial:
         facets = _facets(fan)
+        wall_facets = sorted(item for item in facets.items() if len(item[1]) == 2)
         complete = (
             bool(fan.max_cones)
             and all(len(cone) == fan.rank for cone in fan.max_cones)
-            and all(len(sides) == 2 for sides in facets.values())
+            and len(wall_facets) == len(facets)
         )
         if complete:
             _certify_cover(fan, inverses, facets)
@@ -258,7 +257,9 @@ def validate(fan: Fan) -> ValidationReport:
                     raise MalformedFanError(
                         f"maximal cones {c1} and {c2} overlap without meeting in a face"
                     )
-    return ValidationReport(not problems, simplicial, smooth, complete, problems)
+    report = ValidationReport(not problems, simplicial, smooth, complete, problems)
+    report._wall_facets = wall_facets
+    return report
 
 
 def _certify_cover(fan: Fan, inverses, facets) -> None:
@@ -329,10 +330,12 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
 
 
 def _wall_facets(fan: Fan) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """The (facet, sides) of ``_facets`` of each wall of a simplicial fan, sorted."""
-    if not validate(fan).simplicial:
+    """The (facet, sides) of ``_facets`` of each wall of a simplicial fan,
+    sorted, as its ``validate`` report keeps them."""
+    report = validate(fan)
+    if not report.simplicial:
         raise UnsupportedFanError("walls are only computed for simplicial fans")
-    return [(facet, sides) for facet, sides in sorted(_facets(fan).items()) if len(sides) == 2]
+    return report._wall_facets
 
 
 def _lower_side(fan: Fan, sides: list[tuple[int, int]]) -> tuple[int, int, int, int]:
@@ -593,8 +596,7 @@ def star_quotient(fan: Fan, sigma: tuple[int, ...]) -> tuple[Fan, list[Vec]]:
     return image_fan(fan, proj, star), proj
 
 
-@dataclass(frozen=True)
-class MoriFiberData:
+class MoriFiberData(NamedTuple):
     base_fan: Fan
     fiber_fan: Fan
     projection: tuple[Vec, ...]       # rows of N -> N/N0

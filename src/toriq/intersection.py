@@ -16,11 +16,11 @@ over the relations, with no ``Wall`` built, indexes every surface to its star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .fans import (
     Fan,
@@ -34,23 +34,21 @@ from .fans import (
     validate,
     walls,
 )
-from .linalg import QVec, Vec, dot, frac
+from .linalg import QVec, Vec, _FrozenRecord, dot, frac
 from .polytopes import FacetPresentation, _critical_value, _slack_rows
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class TorusDivisor:
+class TorusDivisor(_FrozenRecord):
     """An invariant Q-divisor, one rational coefficient per ray."""
 
-    fan: Fan
-    coeffs: QVec
+    __slots__ = ("fan", "coeffs")
 
-    def __post_init__(self):
-        cs = tuple(frac(a) for a in self.coeffs)
-        object.__setattr__(self, "coeffs", cs)
-        if len(cs) != len(self.fan.rays):
+    def __init__(self, fan: Fan, coeffs: QVec):
+        cs = tuple(frac(a) for a in coeffs)
+        self._set(fan, cs)
+        if len(cs) != len(fan.rays):
             raise ValueError("coefficient count differs from ray count")
 
     def __add__(self, other: "TorusDivisor") -> "TorusDivisor":
@@ -164,8 +162,7 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
     return [(sigma, distinct[key]) for sigma, key in zip(sigmas, keys)], list(distinct.values())
 
 
-@dataclass(frozen=True)
-class FanoVerdict:
+class FanoVerdict(NamedTuple):
     is_fano: bool
     method: str                      # "primitive-collections" | "kleiman"
     witnesses: tuple                 # failing collections or walls
@@ -189,8 +186,7 @@ def is_fano(fan: Fan) -> FanoVerdict:
     return FanoVerdict(not bad_walls, "kleiman", bad_walls)
 
 
-@dataclass(frozen=True)
-class TwoFanoVerdict:
+class TwoFanoVerdict(NamedTuple):
     is_two_fano: bool
     minimum: Fraction
     witness: tuple[int, ...]

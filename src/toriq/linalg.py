@@ -14,15 +14,16 @@ On homogenized rows those give polytope vertices, convex hull facets
 (``hull_facets``, the vertices of the polar), face fans (the tight sets of
 the polar) and the optimum of a linear program (``lp_standard``,
 ``lp_min``), whose vertices and recession directions are the rays.
+As the lowest module it also holds ``_Record``, the base of the
+package's records kept in slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index, mul
-from typing import Optional, Sequence
+from operator import attrgetter, index, mul
+from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -33,6 +34,57 @@ ONE = Fraction(1)
 
 class DimensionError(ValueError):
     """Raised when operands have incompatible shapes."""
+
+
+class _Record:
+    """Base of the package's records held in slots.  A record's fields are
+    the public names of its ``__slots__``, in constructor order
+    (``_fields``); its own ``__init__`` fills them, through ``_set``.  repr
+    shows the fields; == compares, between records of one class, the fields
+    named by the class keyword ``key``, all by default; ``_replace`` is the
+    constructor on the fields with some changed, so it validates as the
+    constructor does.  A ``_Record`` is mutable and unhashable, a
+    ``_FrozenRecord`` refuses assignment and hashes its key."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, key=None):
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        if cls._fields:
+            cls._key = attrgetter(*key or cls._fields)
+
+    def _set(self, *values):
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def _replace(self, **changes):
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class _FrozenRecord(_Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def frac(x) -> Fraction:
@@ -402,8 +454,7 @@ def _rationals(xs) -> list:
     return [x if type(x) is int else frac(x) for x in xs]
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str            # "optimal" | "unbounded" | "infeasible"
     value: Optional[Fraction]
     point: Optional[QVec]

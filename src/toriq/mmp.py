@@ -17,9 +17,8 @@ the same slack rows.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polytopes
 from .fans import (
@@ -36,7 +35,7 @@ from .fans import (
     wall_classification,
     walls,
 )
-from .linalg import Vec, _lowest_terms, dot, primitive_part
+from .linalg import Vec, _lowest_terms, _Record, dot, primitive_part
 from .polytopes import FacetPresentation, _critical_value, _SlackRows
 
 ZERO = Fraction(0)
@@ -66,16 +65,14 @@ class StepBudgetError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(NamedTuple):
     kind: str
     fan: Optional[Fan] = None             # divisorial result
     dropped_ray: Optional[int] = None
     fiber_data: Optional[MoriFiberData] = None
 
 
-@dataclass
-class MMPStep:
+class MMPStep(NamedTuple):
     lam: Fraction
     kind: str
     wall_rays: tuple[int, ...]
@@ -89,14 +86,19 @@ class MMPStep:
     fiber_data: Optional[MoriFiberData] = None
 
 
-@dataclass
-class MMPTrace:
-    initial_polytope: FacetPresentation
-    steps: list[MMPStep]
-    effective_threshold: Fraction
-    core_projection: Optional[polytopes.CoreProjection]  # set by the cross-validation
-    generality_flag: bool
-    validation: dict = field(default_factory=dict)
+class MMPTrace(_Record):
+    """A run's steps and checks; the cross-validation sets ``core_projection``
+    and ``validation``."""
+
+    __slots__ = ("initial_polytope", "steps", "effective_threshold", "core_projection",
+                 "generality_flag", "validation")
+
+    def __init__(self, initial_polytope: FacetPresentation, steps: list[MMPStep],
+                 effective_threshold: Fraction,
+                 core_projection: Optional[polytopes.CoreProjection], generality_flag: bool,
+                 validation: Optional[dict] = None):
+        self._set(initial_polytope, steps, effective_threshold, core_projection,
+                  generality_flag, {} if validation is None else validation)
 
     @property
     def critical_values(self) -> tuple[Fraction, ...]:
@@ -425,8 +427,7 @@ def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate
         raise MalformedFanError(f"adjoint cross-validation failed: {notes}")
 
 
-@dataclass(frozen=True)
-class _Certificate:
+class _Certificate(NamedTuple):
     """An interval certificate of ``_certify``: the tight sets of
     the limit points x_sigma(lam), as indices into P, and per maximal cone
     sigma the integers (t, w, d), d > 0, with q*d*L*x_sigma(p/q) =

@@ -10,12 +10,11 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import fans
 from .fans import Fan, _cone_inverse
@@ -24,6 +23,7 @@ from .linalg import (
     Vec,
     _common_denominator,
     _extreme_rays,
+    _FrozenRecord,
     _lowest_terms,
     _scaled,
     det,
@@ -58,30 +58,26 @@ class RedundantPresentationError(ValueError):
     """The operation needs an irredundant facet presentation."""
 
 
-@dataclass(frozen=True)
-class FacetPresentation:
+class FacetPresentation(_FrozenRecord, key=("dim", "normals", "constants")):
     """P = {x : <normals[i], x> >= -constants[i]}.  ``irredundant`` is a
     certificate carried alongside, not part of identity: == and hash ignore it."""
 
-    dim: int
-    normals: tuple[Vec, ...]
-    constants: tuple[Fraction, ...]
-    irredundant: bool = field(default=False, compare=False)
+    __slots__ = ("dim", "normals", "constants", "irredundant")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"negative dimension {self.dim}")
+    def __init__(self, dim: int, normals: tuple[Vec, ...], constants: tuple[Fraction, ...],
+                 irredundant: bool = False):
+        if dim < 0:
+            raise ValueError(f"negative dimension {dim}")
         # int tuples are kept as given, so every P^(s) of a family shares them
-        normals = tuple(int_vec(v) for v in self.normals)
-        constants = tuple(frac(a) for a in self.constants)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "constants", constants)
+        normals = tuple(int_vec(v) for v in normals)
+        constants = tuple(frac(a) for a in constants)
+        self._set(dim, normals, constants, irredundant)
         if len(normals) != len(constants):
             raise ValueError("normals and constants differ in length")
         seen = set()
         for v in normals:
-            if len(v) != self.dim:
-                raise ValueError(f"normal {v} does not have length {self.dim}")
+            if len(v) != dim:
+                raise ValueError(f"normal {v} does not have length {dim}")
             if not is_primitive(v):
                 raise ValueError(f"normal {v} is not primitive")
             if v in seen:
@@ -99,8 +95,7 @@ class FacetPresentation:
 Point = tuple[Vec, int]  # the rational point y / d as (y, d), d > 0, gcd(*y, d) = 1
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_FrozenRecord):
     """The vertices of a polytope, sorted by value, and per vertex the
     indices of all inequalities met with equality there.  A vertex is held
     as a ``Point``: gcd-reduced integer numerators over one positive
@@ -109,8 +104,10 @@ class VertexSet:
     ``Fraction``s, and ``faces``, ``_faces`` of the tight sets, are built on
     demand, once."""
 
-    points: tuple[Point, ...]
-    tight: tuple[tuple[int, ...], ...]
+    __slots__ = ("points", "tight", "__dict__")
+
+    def __init__(self, points: tuple[Point, ...], tight: tuple[tuple[int, ...], ...]):
+        self._set(points, tight)
 
     @cached_property
     def vertices(self) -> tuple[QVec, ...]:
@@ -138,14 +135,12 @@ def _vertex_set(tight: dict[Point, tuple[int, ...]]) -> VertexSet:
     return VertexSet(points, tuple(tight[x] for x in points))
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     nef: Fraction
     effective: Fraction
 
 
-@dataclass(frozen=True)
-class CoreProjection:
+class CoreProjection(NamedTuple):
     core: FacetPresentation
     core_vertices: tuple[QVec, ...]
     kernel_basis: tuple[Vec, ...]      # integer basis of K(P) cap Z^n
@@ -153,8 +148,7 @@ class CoreProjection:
     Q: FacetPresentation
 
 
-@dataclass(frozen=True)
-class CayleyMoriDecomposition:
+class CayleyMoriDecomposition(NamedTuple):
     bases: tuple[FacetPresentation, ...]
     w: tuple[QVec, ...]                # w_1..w_k relative to w_0 = 0
     fiber_projection: tuple[Vec, ...]  # rows of M -> Z^k restricting to the fiber lattice

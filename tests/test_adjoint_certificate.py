@@ -2,7 +2,6 @@
 the sampled check kept in ``mmp_oracle`` on every pinned trace, rejects
 doctored traces, and a point core's Q read off P agrees with the hull."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -81,7 +80,7 @@ def cross_validation(trace):
 def outcome(check, trace):
     """The notes (in order) and the error message of one cross-validation,
     run on a fresh copy of the trace."""
-    trace = dataclasses.replace(trace, validation={})
+    trace = trace._replace(validation={})
     try:
         check(trace)
         error = None
@@ -176,9 +175,9 @@ def test_zero_length_intervals_need_no_sample():
 
 def doctored(trace, k, **changes):
     """A copy of the trace whose step k has the given fields replaced."""
-    steps = [dataclasses.replace(s, **changes) if i == k else s
+    steps = [s._replace(**changes) if i == k else s
              for i, s in enumerate(trace.steps)]
-    return dataclasses.replace(trace, steps=steps)
+    return trace._replace(steps=steps)
 
 
 def false_notes(check, trace):
@@ -246,7 +245,7 @@ def test_reentering_contracted_inequality_rejected():
     # on the square's corner (2 - s, 1 - s) is s - 5/8, negative on
     # (1/2, 5/8) and positive at the interval's midpoint 3/4.
     trace = unvalidated(FIRST)
-    bad = dataclasses.replace(trace, initial_polytope=blowup_polytope((2, 1, 2, 1, F(19, 8))))
+    bad = trace._replace(initial_polytope=blowup_polytope((2, 1, 2, 1, F(19, 8))))
     assert "interval_1_fan_matches" in false_notes(cross_validation, bad)
     # The oracle's midpoint sample accepts the interval, so the certificate
     # is the stronger check here.

@@ -8,7 +8,6 @@ data fails the tail check.  The search sign-tests each wall from its cone's
 adjugate and finds what the search over ``fans.walls`` kept in
 ``polytope_oracle`` finds, with the work of a benchmark pass pinned."""
 
-import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -129,8 +128,8 @@ def test_tight_set_bases_match_hull_oracle(runs):
             found.append(assert_matches_oracle(P, data))
             # the wrong section faces: each fiber ray moved to the next ray of P
             n = P.nfacets
-            moved = dataclasses.replace(
-                data, fiber_ray_origin=tuple((i + 1) % n for i in data.fiber_ray_origin))
+            moved = data._replace(
+                fiber_ray_origin=tuple((i + 1) % n for i in data.fiber_ray_origin))
             found.append(assert_matches_oracle(P, moved))
     assert len(tails) == len(runs) - 1  # d2-23's Mori interval has zero length
     decomposed = sum(dec is not None for dec in found)
@@ -211,8 +210,8 @@ def test_doctored_fiber_data_fails_the_tail(change):
     trace = unvalidated(FIRST)
     step = trace.steps[-1]
     assert (step.fiber_data.fiber_basis, step.fiber_data.fiber_ray_origin) == (((0, 1),), (1, 3))
-    bad = dataclasses.replace(trace, steps=trace.steps[:-1] + [
-        dataclasses.replace(step, fiber_data=dataclasses.replace(step.fiber_data, **change))])
+    bad = trace._replace(steps=trace.steps[:-1] + [
+        step._replace(fiber_data=step.fiber_data._replace(**change))])
     for check in (cross_validation, mmp_oracle._adjoint_cross_validation):
         assert dict(outcome(check, trace)[0])["tail_is_cayley"] is True
         assert dict(outcome(check, bad)[0])["tail_is_cayley"] is False

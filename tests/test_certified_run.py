@@ -10,7 +10,6 @@ fiber basis; with no certificate the run enumerates and records what it
 did before; a certified point moved by one unit of its denominator fails
 the comparison."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -248,8 +247,8 @@ def test_scan_equals_the_curve_numbers_on_incomplete_fans(fan):
 def validated(trace, monkeypatch, **patches):
     """A copy of the trace, its core cleared, after the cross-validation
     run with ``mmp``'s names patched."""
-    trace = dataclasses.replace(
-        trace, steps=[dataclasses.replace(s) for s in trace.steps],
+    trace = trace._replace(
+        steps=[s._replace() for s in trace.steps],
         core_projection=None, validation={})
     with monkeypatch.context() as mp:
         for name, value in patches.items():

@@ -8,7 +8,6 @@ doctored relation, constant or certificate falls back to the LP; a fan
 that cannot be certified is refused; a corrupted adjugate fails its slack
 row; and bad inputs raise what they did when the LP came first."""
 
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -154,7 +153,7 @@ def last_steps():
 
 
 def with_relation(steps, relation):
-    return steps[:-1] + [dataclasses.replace(steps[-1], relation=relation)]
+    return steps[:-1] + [steps[-1]._replace(relation=relation)]
 
 
 def negative_entry(P, steps):

@@ -8,7 +8,7 @@ from toriq.cli import main
 from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import star_subdivision
 from toriq.formats import emit_fan, emit_polytope
-from conftest import hexagon, pn_fan
+from conftest import hexagon, hirzebruch_fan, pn_fan
 
 F = Fraction
 
@@ -47,6 +47,26 @@ def test_validate(p2_file, capsys):
 def test_check_fano(p2_file, capsys):
     assert main(["check-fano", p2_file]) == 0
     assert "fano: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fan, out", [
+    # F_2: smooth, so its witness is a primitive collection of degree 0
+    (json.loads(emit_fan(hirzebruch_fan(2))),
+     "fano: False (via primitive-collections)\n"
+     "witness: PrimitiveCollection(members=(0, 3), sigma=(2,), coefficients=(Fraction(2, 1),), "
+     "degree=Fraction(0, 1))\n"),
+    # simplicial, not smooth: its witness is a wall with -K.C < 0
+    ({"rank": 2, "rays": [[-2, -1], [0, -1], [1, -1], [0, 1]],
+      "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+     "fano: False (via kleiman)\n"
+     "witness: Wall(wall_rays=(1,), side_a=0, side_b=2, relation=(1, -3, 2, 0), "
+     "multiplicity=1, scale=Fraction(1, 2))\n"),
+])
+def test_check_fano_prints_its_witnesses(fan, out, tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    assert main(["check-fano", str(path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_ch2_prints_value(e1_file, capsys):

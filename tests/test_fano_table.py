@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -80,7 +79,7 @@ class TestReconstruction:
 
     def test_bad_collections_are_reported_not_replaced(self, by_name):
         # in range, but no fan: the hull used to stand in and the row passed
-        row = dataclasses.replace(by_name["E_1"], collections=((0, 1), (2, 3)))
+        row = by_name["E_1"]._replace(collections=((0, 1), (2, 3)))
         with pytest.raises(ReconstructionError, match=r"^row E_1: collections \(\(0, 1\), "
                            r"\(2, 3\)\) do not rebuild a fan: maximal cones"):
             reconstruct_fan(row)
@@ -175,14 +174,14 @@ def test_positive_scan_exceeds_nonpositive_reference():
 @pytest.mark.parametrize("missing", ["surface", "expected"])
 def test_explicit_row_needs_surface_and_reference(by_name, missing):
     with pytest.raises(ValueError, match=repr(missing)):
-        dataclasses.replace(by_name["P4"], **{missing: None})
+        by_name["P4"]._replace(**{missing: None})
 
 
 @pytest.mark.parametrize("collections", [((0, 6), (0, 7)), ((0, 6), (-1, 2)), ((3,),)])
 def test_collection_outside_the_rays_or_too_small_is_rejected(by_name, collections):
     # E_1 has rays 0..6
     with pytest.raises(ParseError) as err:
-        dataclasses.replace(by_name["E_1"], collections=collections)
+        by_name["E_1"]._replace(collections=collections)
     assert err.value.field == "collections"
 
 
@@ -219,10 +218,10 @@ def test_doctored_surface_is_a_row_error(by_name, surface, reason):
     from toriq.fano_table import verify_row
 
     good = verify_row(by_name["E_1"])
-    res = verify_row(dataclasses.replace(by_name["E_1"], surface=surface))
+    res = verify_row(by_name["E_1"]._replace(surface=surface))
     # everything before the witness value as in the good row, nothing after
-    assert res == dataclasses.replace(
-        good, status="error", reason=reason, computed=None, match=None,
+    assert res == good._replace(
+        status="error", reason=reason, computed=None, match=None,
         global_min=None, min_witness=None, two_fano=None)
 
 

@@ -3,6 +3,9 @@
 import ast
 import builtins
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import toriq
@@ -20,6 +23,19 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_start_up_loads_no_code_inspection():
+    # `dataclasses` imports these (about 7 ms per process at start-up), and
+    # no other package code needs them; a fresh process counts them exactly
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, toriq.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "toriq.cli" in loaded
+    found = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+    assert not found, found
 
 
 def _unbounded_cache(node) -> bool:

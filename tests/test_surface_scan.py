@@ -18,7 +18,7 @@ import pytest
 import intersection_oracle as oracle
 import linalg_oracle
 from conftest import pn_fan, singular_mfs_fan
-from helpers import count_calls, faces_of_dim, run_divisor, scan
+from helpers import cold_caches, count_calls, faces_of_dim, run_divisor, scan
 from test_circuit_replacement import _workloads, fourfold_polytopes
 from toriq import fans, intersection, mmp
 from toriq.fano_table import load_builtin_table, reconstruct_fan
@@ -104,6 +104,18 @@ def test_a_surface_reads_only_the_walls_over_it(table_fans, monkeypatch):
     for fan, sigma in asked:
         ch2_dot_surface(fan, sigma)
     assert (len(asked), len(relations)) == (1730, 7038)
+
+
+def test_a_fan_finds_its_walls_once(table_fans, monkeypatch):
+    # validate keeps the sorted walls on its cached report, and every
+    # single-surface call reads them there
+    facets = count_calls(monkeypatch, "_facets", fans)
+    cold_caches()
+    for _ in range(2):
+        for fan in table_fans.values():
+            for sigma in surfaces(fan):
+                ch2_dot_surface(fan, sigma)
+    assert len(facets) == len(set(table_fans.values())) == 67
 
 
 def test_singular_fans_match_scan_oracle():
