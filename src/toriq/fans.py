@@ -57,8 +57,6 @@ class Fan(_FrozenRecord):
         if rank < 0:
             raise MalformedFanError(f"negative rank {rank}")
         rays = tuple(int_vec(r, MalformedFanError) for r in rays)
-        cones = tuple(sorted(tuple(sorted(set(c))) for c in max_cones))
-        self._set(rank, rays, cones)
         for r in rays:
             if len(r) != rank:
                 raise MalformedFanError(f"ray {r} does not have length {rank}")
@@ -66,6 +64,20 @@ class Fan(_FrozenRecord):
                 raise MalformedFanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise MalformedFanError("rays are not pairwise distinct")
+        self._with_cones(rank, rays, max_cones)
+
+    @classmethod
+    def _on_rays(cls, rank: int, rays: tuple[Vec, ...], max_cones) -> Fan:
+        """The fan on rays that a record has already checked: the rays of a
+        fan, or the normals of a presentation, of this rank.  The cones are
+        checked as the constructor checks them."""
+        fan = cls.__new__(cls)
+        fan._with_cones(rank, rays, max_cones)
+        return fan
+
+    def _with_cones(self, rank, rays, max_cones):
+        cones = tuple(sorted(tuple(sorted(set(c))) for c in max_cones))
+        self._set(rank, rays, cones)
         if len(set(cones)) != len(cones):
             raise MalformedFanError("maximal cones are not pairwise distinct")
         for c in cones:

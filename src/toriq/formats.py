@@ -145,8 +145,9 @@ def parse_polytope(text: str) -> FacetPresentation:
             raise ParseError(f"malformed rational {a!r}", field="constants")
     try:
         return FacetPresentation(dim, tuple(normals), tuple(constants))
-    except ValueError as exc:
-        raise ParseError(str(exc), field="normals") from exc
+    except ValueError as exc:  # the count is checked before any normal
+        field = "constants" if len(constants) != len(normals) else "normals"
+        raise ParseError(str(exc), field=field) from exc
 
 
 def emit_polytope(P: FacetPresentation) -> str:

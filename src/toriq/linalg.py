@@ -44,7 +44,8 @@ class _Record:
     named by the class keyword ``key``, all by default; ``_replace`` is the
     constructor on the fields with some changed, so it validates as the
     constructor does.  A ``_Record`` is mutable and unhashable, a
-    ``_FrozenRecord`` refuses assignment and hashes its key."""
+    ``_FrozenRecord`` refuses assignment and hashes its key once, keeping
+    the hash in its slot ``_hash``, out of the fields."""
 
     __slots__ = ()
     __hash__ = None
@@ -75,10 +76,14 @@ class _Record:
 
 
 class _FrozenRecord(_Record):
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __hash__(self):
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+            return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

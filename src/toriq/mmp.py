@@ -159,7 +159,7 @@ def contract(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Contract
     if left:
         raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
     rays = fan.rays[:exc] + fan.rays[exc + 1:]
-    result = Fan(fan.rank, rays, tuple(tuple(i - (i > exc) for i in c) for c in cones))
+    result = Fan._on_rays(fan.rank, rays, tuple(tuple(i - (i > exc) for i in c) for c in cones))
     if not _complete_simplicial(result):
         raise MalformedFanError("divisorial contraction produced an invalid fan")
     return ContractionResult(DIVISORIAL, fan=result, dropped_ray=exc)
@@ -175,7 +175,7 @@ def flip(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Fan:
         raise ValueError("flips need a wall of flipping type (alpha >= 2)")
     cones = _replace_circuits(fan, class_walls(fan, wall) if cls is None else cls)
     was_complete = validate(fan).complete
-    result = Fan(fan.rank, fan.rays, tuple(cones))
+    result = Fan._on_rays(fan.rank, fan.rays, tuple(cones))
     rep = validate(result)
     if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
         raise MalformedFanError("flip produced an invalid fan")
@@ -406,8 +406,8 @@ def _adjoint_cross_validation(trace: MMPTrace, certs: list[Optional[_Certificate
         step, lo, cert = tail
         mid = (lo + step.lam) / 2
         rays = step.fan_before.rays
-        reduced = FacetPresentation(P.dim, rays, tuple(
-            a - mid for v, a in zip(P.normals, P.constants) if v in rays), irredundant=True)
+        keep = [i for i, v in enumerate(P.normals) if v in rays]
+        reduced = P._derived(tuple(P.constants[i] - mid for i in keep), keep, irredundant=True)
         try:
             # the x_sigma(mid), each with tight set sigma
             pvs = (polytopes.vertices(reduced) if cert is None
@@ -521,6 +521,6 @@ def _point_core_fan(P: FacetPresentation, Q: FacetPresentation) -> Fan:
     restricted to Q's facets and re-indexed into Q's order, where
     ``normal_fan(Q)`` would enumerate the same polytope again."""
     at = {v: i for i, v in enumerate(Q.normals)}
-    return Fan(Q.dim, Q.normals, tuple(
+    return Fan._on_rays(Q.dim, Q.normals, tuple(
         tuple(at[P.normals[j]] for j in t if P.normals[j] in at)
         for t in polytopes.vertices(P).tight))

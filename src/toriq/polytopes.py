@@ -70,10 +70,7 @@ class FacetPresentation(_FrozenRecord, key=("dim", "normals", "constants")):
             raise ValueError(f"negative dimension {dim}")
         # int tuples are kept as given, so every P^(s) of a family shares them
         normals = tuple(int_vec(v) for v in normals)
-        constants = tuple(frac(a) for a in constants)
-        self._set(dim, normals, constants, irredundant)
-        if len(normals) != len(constants):
-            raise ValueError("normals and constants differ in length")
+        self._with_constants(dim, normals, constants, irredundant)
         seen = set()
         for v in normals:
             if len(v) != dim:
@@ -83,6 +80,21 @@ class FacetPresentation(_FrozenRecord, key=("dim", "normals", "constants")):
             if v in seen:
                 raise ValueError(f"duplicate normal {v}")
             seen.add(v)
+
+    def _derived(self, constants, keep=None, irredundant: bool = False) -> FacetPresentation:
+        """The presentation on these normals, already checked, or on those at
+        the distinct indices ``keep``, with the given constants, coerced and
+        counted as the constructor does."""
+        Q = FacetPresentation.__new__(FacetPresentation)
+        normals = self.normals if keep is None else tuple(self.normals[i] for i in keep)
+        Q._with_constants(self.dim, normals, constants, irredundant)
+        return Q
+
+    def _with_constants(self, dim, normals, constants, irredundant):
+        constants = tuple(frac(a) for a in constants)
+        self._set(dim, normals, constants, irredundant)
+        if len(normals) != len(constants):
+            raise ValueError("normals and constants differ in length")
 
     @property
     def nfacets(self) -> int:
@@ -194,7 +206,7 @@ def normal_fan(P: FacetPresentation) -> Fan:
     cones = vertices(P).tight
     if set().union(*cones) != set(range(P.nfacets)):
         raise RedundantPresentationError("an inequality is tight at no vertex")
-    return Fan(P.dim, P.normals, cones)
+    return Fan._on_rays(P.dim, P.normals, cones)
 
 
 def polytope_of_divisor(fan: Fan, coeffs: Sequence) -> FacetPresentation:
@@ -220,7 +232,7 @@ def adjoint(P: FacetPresentation, s, allow_redundant: bool = False) -> FacetPres
             "adjoint of a redundant presentation is presentation-dependent; "
             "pass allow_redundant=True to override"
         )
-    shifted = FacetPresentation(P.dim, P.normals, tuple(a - s for a in P.constants))
+    shifted = P._derived(tuple(a - s for a in P.constants))
     try:
         Q, removed = remove_redundant(shifted)
     except (EmptyPolytopeError, DegenerateError):
@@ -237,12 +249,8 @@ def remove_redundant(P: FacetPresentation) -> tuple[FacetPresentation, tuple[int
     irredundance flag, which is not part of its identity: it shares P's
     cached vertex set."""
     facets = vertices(P).faces[1]
-    Q = FacetPresentation(
-        P.dim,
-        tuple(v for i, v in enumerate(P.normals) if i in facets),
-        tuple(a for i, a in enumerate(P.constants) if i in facets),
-        irredundant=True,
-    )
+    keep = [i for i in range(P.nfacets) if i in facets]
+    Q = P._derived(tuple(P.constants[i] for i in keep), keep, irredundant=True)
     return Q, tuple(i for i in range(P.nfacets) if i not in facets)
 
 
@@ -408,7 +416,7 @@ def _core_and_projection(P: FacetPresentation, sigma: Fraction,
     the core's vertices and P's projected vertices are integers over each
     point's denominator, and Q is 1/D times the hull of the images scaled
     to integers by their common denominator D."""
-    core = FacetPresentation(P.dim, P.normals, tuple(a - sigma for a in P.constants))
+    core = P._derived(tuple(a - sigma for a in P.constants))
     if core_points is None:
         core_points = vertices(core, allow_lower_dim=True).points
     (y0, d0), *rest = core_points
@@ -418,13 +426,11 @@ def _core_and_projection(P: FacetPresentation, sigma: Fraction,
         D, imgs = _common_denominator({_lowest_terms([dot(row, y) for row in proj], d)
                                        for y, d in vertices(P).points})
         DQ = facet_presentation_from_vertices(sorted(imgs))
-        Q = FacetPresentation(DQ.dim, DQ.normals, tuple(a / D for a in DQ.constants),
-                              irredundant=True)
+        Q = DQ._derived(tuple(a / D for a in DQ.constants), irredundant=True)
     else:
         R = remove_redundant(P)[0]
-        facets = sorted(zip(R.normals, R.constants))
-        Q = FacetPresentation(P.dim, tuple(v for v, _ in facets),
-                              tuple(a for _, a in facets), irredundant=True)
+        order = sorted(range(R.nfacets), key=R.normals.__getitem__)
+        Q = R._derived(tuple(R.constants[i] for i in order), order, irredundant=True)
     return CoreProjection(core, tuple(map(_rational, core_points)), tuple(kbasis),
                           tuple(proj), Q)
 

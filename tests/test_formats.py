@@ -107,6 +107,21 @@ class TestPolytopeFiles:
             parse_polytope(text)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("text, message, field", [
+        ('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]], "constants": ["1", "1"]}',
+         "normals and constants differ in length", "constants"),
+        ('{"dim": 2, "normals": [[1, 0], [0, 1], [-1]], "constants": [1, 1, 1]}',
+         "normal (-1,) does not have length 2", "normals"),
+        ('{"dim": 2, "normals": [[1, 0], [0, 2]], "constants": [1, 1]}',
+         "normal (0, 2) is not primitive", "normals"),
+        ('{"dim": 1, "normals": [[1], [1]], "constants": [1, 2]}',
+         "duplicate normal (1,)", "normals"),
+    ])
+    def test_presentation_error_names_its_field(self, text, message, field):
+        with pytest.raises(ParseError) as err:
+            parse_polytope(text)
+        assert (err.value.message, err.value.field) == (message, field)
+
 
 class TestDataset:
     def test_roundtrip_row(self):

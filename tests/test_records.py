@@ -4,6 +4,7 @@ validation on construction and on copy, and repr."""
 import dataclasses
 import inspect
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from toriq.fano_table import (RowResult, TableRow, VerificationReport, load_buil
 from toriq.fans import Fan, MalformedFanError, primitive_collections, walls
 from toriq.formats import ParseError
 from toriq.intersection import TorusDivisor, anticanonical, is_2fano, is_fano
+from toriq.linalg import _FrozenRecord
 from toriq.polytopes import FacetPresentation, normal_fan, vertices
 from conftest import blowup_polytope, hexagon, unit_square
 from helpers import certificates, cold_caches
+from test_circuit_replacement import _workloads, fourfold_polytopes
 
 F = Fraction
 
@@ -129,6 +132,126 @@ def test_facet_presentation_validates_on_construction_and_copy(bad):
         FacetPresentation(**{"dim": 2, "normals": P.normals, "constants": P.constants, **bad})
     with pytest.raises(ValueError):
         copy_with(P, **bad)
+
+
+@pytest.mark.parametrize("cones, message", [
+    (((0, 1), (1, 0)), "maximal cones are not pairwise distinct"),
+    (((0, 2),), "cone (0, 2) has out-of-range ray indices"),
+    (((-1, 0),), "cone (-1, 0) has out-of-range ray indices")])
+def test_fan_on_checked_rays_still_checks_its_cones(cones, message):
+    rays = ((1, 0), (0, 1))
+    for build in (Fan, Fan._on_rays):
+        with pytest.raises(MalformedFanError) as err:
+            build(2, rays, cones)
+        assert str(err.value) == message
+    assert Fan._on_rays(2, rays, ((1, 0, 1),)) == Fan(2, rays, ((0, 1),))
+
+
+def test_derived_presentation_coerces_and_counts_its_constants():
+    P = FacetPresentation(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, 1))
+    for constants, keep in (((0, 0), None), ((0, 0, 1), (0, 2))):
+        with pytest.raises(ValueError, match="normals and constants differ in length"):
+            P._derived(constants, keep)
+    Q = P._derived(("1/2", 1), (2, 0), irredundant=True)
+    assert Q == FacetPresentation(2, ((-1, -1), (1, 0)), (F(1, 2), 1)) and Q.irredundant
+    assert Q.normals[0] is P.normals[2] and P._derived(P.constants).normals is P.normals
+
+
+def _runs(workloads) -> dict:
+    """From cold caches, the encoded forced run of every row of the 4-fold
+    sweep and the encoded seed-1 adjoint-family item of every pool entry;
+    a run that raises is encoded as its error."""
+    cold_caches()
+    runs = [(name, lambda P=P: workloads.encode_trace(mmp.run_mmp_scaling(P, force=True)))
+            for name, P in fourfold_polytopes(workloads).items()]
+    runs += [(key, lambda P=P: workloads.run_adjoint_item(P)[1])
+             for key, P in workloads.adjoint_items(1)]
+    encoded = {}
+    for key, run in runs:
+        try:
+            encoded[key] = run()
+        except ValueError as exc:
+            encoded[key] = (type(exc).__name__, str(exc))
+    return encoded
+
+
+def test_derived_records_match_the_public_constructors(monkeypatch):
+    # oracle: building every derived fan and presentation through its
+    # public constructor raises nowhere and changes no result
+    workloads = _workloads()
+    expected = _runs(workloads)
+    built, raised = Counter(), []
+
+    def checked(build, *args):
+        built[build.__name__] += 1
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+
+    def derived(P, constants, keep=None, irredundant=False):
+        normals = P.normals if keep is None else tuple(P.normals[i] for i in keep)
+        return checked(FacetPresentation, P.dim, normals, constants, irredundant)
+
+    monkeypatch.setattr(FacetPresentation, "_derived", derived)
+    monkeypatch.setattr(Fan, "_on_rays", staticmethod(lambda *args: checked(Fan, *args)))
+    assert _runs(workloads) == expected
+    assert not raised and built["FacetPresentation"] and built["Fan"]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("adjoint-family", {"FacetPresentation": 161, "Fan": 173}),
+    ("mmp-4fold", {"FacetPresentation": 40, "Fan": 20})])
+def test_full_constructor_runs_only_on_new_rays_and_normals(monkeypatch, name, expected):
+    # a seed-1 pass from cold caches; while every derived record ran the
+    # full checks too, adjoint-family ran 769 and 378, and mmp-4fold 72 and 68
+    workloads = _workloads()
+    make_items, run_item, _ = workloads.WORKLOADS[name]
+    items = make_items(1)
+    built = Counter()
+    for cls in (FacetPresentation, Fan):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    cold_caches()
+    for _, item in items:
+        try:
+            run_item(item)
+        except ValueError:  # the pinned failures
+            pass
+    assert built == expected
+
+
+def test_frozen_records_hash_their_key_once(frozen_records):
+    records = [r for r in frozen_records.values() if isinstance(r, _FrozenRecord)]
+    assert sorted(type(r).__name__ for r in records) == [
+        "FacetPresentation", "Fan", "TableRow", "TorusDivisor", "VertexSet"]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert len(record.__reduce__()[1]) == len(record._fields)
+        assert "_hash" not in record._fields and "_hash" not in repr(record)
+        assert not hasattr(copy, "_hash")
+        assert hash(record) == hash(record._key(record)) == hash(copy) == copy._hash
+        object.__setattr__(copy, "_hash", hash(record) + 1)
+        assert copy == record and repr(copy) == repr(record)
+
+
+def test_a_second_hash_of_a_presentation_hashes_no_fraction(monkeypatch):
+    P = FacetPresentation(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, F(5, 2)))
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(x):
+        hashed.append(x)
+        return fraction_hash(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    first = hash(P)
+    assert hashed == list(P.constants)
+    hashed.clear()
+    assert hash(P) == first and not hashed
 
 
 def test_torus_divisor_validates_on_construction_and_copy():

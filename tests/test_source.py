@@ -191,6 +191,25 @@ def test_every_private_name_is_used():
     assert defined and not unused, unused
 
 
+# the functions that build a record on a parent record's checked rays or
+# normals (``FacetPresentation._derived``, ``Fan._on_rays``); every other
+# record, input above all, takes the public constructor and all its checks
+DERIVED_BUILDERS = {"polytopes.normal_fan", "polytopes.adjoint", "polytopes.remove_redundant",
+                    "polytopes._core_and_projection", "mmp.contract", "mmp.flip",
+                    "mmp._point_core_fan", "mmp._adjoint_cross_validation"}
+INPUT_BOUNDARY = {"formats", "fano_table", "cli", "fans.fan_from_primitive_data",
+                  "fans.face_fan", "fans._image_fan", "fans.mori_fiber_data"}
+
+
+def test_only_derived_records_skip_the_constructor_checks():
+    found = {f"{path.stem}.{top.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if _referenced(top) & {"_derived", "_on_rays"}}
+    assert found == DERIVED_BUILDERS
+    assert not {f for f in found if f in INPUT_BOUNDARY or f.split(".")[0] in INPUT_BOUNDARY}
+
+
 def _except_tuples(path):
     """(line, [class, ...]) for each ``except (A, B, ...)`` in a package module,
     the names resolved in that module."""
