@@ -87,6 +87,9 @@ def _cmd_run_mmp(args) -> int:
     except mmp.GeneralityError as exc:
         print(f"generality error: {exc}", file=sys.stderr)
         return 2
+    except mmp.StepBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if trace.generality_flag:
         print("non-general input; ties broken by lexicographically smallest wall")
     for step in trace.steps:

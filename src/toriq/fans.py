@@ -626,18 +626,23 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     support = [i for i, c in enumerate(wall.relation) if c > 0]
     basis, coords, proj = saturation_and_projection([fan.rays[i] for i in support], fan.rank)
     images = _ray_images(fan, proj)
-    # the base fan first: most walls that do not fibre fail there
-    base_fan = _image_fan(len(proj), images, fan.max_cones)
-    if not _complete_simplicial(base_fan):
-        raise MalformedFanError("wall does not induce a fibration")
-    # fiber fan: cones of the fan lying inside the kernel sublattice, each
-    # ray by its coordinates in the saturation's basis
-    in_kernel = [i for i, img in enumerate(images) if img is None]
-    fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
-    fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
-    fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
-    if not _complete_simplicial(fiber_fan):
-        raise MalformedFanError("wall does not induce a fibration")
+    # validate raises on some image fans rather than report them incomplete;
+    # either way the wall does not fibre
+    try:
+        # the base fan first: most walls that do not fibre fail there
+        base_fan = _image_fan(len(proj), images, fan.max_cones)
+        if not _complete_simplicial(base_fan):
+            raise MalformedFanError("the base fan is not complete and simplicial")
+        # fiber fan: cones of the fan lying inside the kernel sublattice,
+        # each ray by its coordinates in the saturation's basis
+        in_kernel = [i for i, img in enumerate(images) if img is None]
+        fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
+        fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
+        fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
+        if not _complete_simplicial(fiber_fan):
+            raise MalformedFanError("the fiber fan is not complete and simplicial")
+    except MalformedFanError as exc:
+        raise MalformedFanError(f"wall {wall.wall_rays} does not induce a fibration") from exc
     return MoriFiberData(
         base_fan=base_fan,
         fiber_fan=fiber_fan,

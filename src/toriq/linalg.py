@@ -355,80 +355,57 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     """Return (U, D, V) with U*M*V = D, D diagonal with d1 | d2 | ...,
     and U, V unimodular integer matrices.
 
-    M must be a nonempty integer matrix.
+    M must be a nonempty integer matrix.  The work is on one block matrix
+    B = [A | U ; V], from A = M and U, V = I: a row operation on the first
+    m rows acts on A and U, and a column operation on the first n columns
+    on A and V, so U*M*V = A throughout.
     """
     if not M or not M[0]:
         raise ValueError("Smith normal form of an empty matrix")
-    A = [list(int_vec(row)) for row in _rectangular(M, len(M[0]))]
-    m, n = len(A), len(A[0])
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
+    m, n = len(M), len(M[0])
+    B = [[*int_vec(row), *(int(i == j) for j in range(m))]
+         for i, row in enumerate(_rectangular(M, n))]
+    B += [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
-        # locate smallest-magnitude nonzero entry in the remaining block
+        # the pivot: the first entry of least nonzero magnitude, row-major
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                if B[i][j] and (best is None or abs(B[i][j]) < abs(B[best[0]][best[1]])):
+                    best = i, j
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        B[t], B[i] = B[i], B[t]
+        for row in B:
+            row[t], row[j] = row[j], row[t]
+        p = B[t][t]
         dirty = False
         for i in range(t + 1, m):
-            if A[i][t] != 0:
-                q = A[i][t] // A[t][t]
-                row_op(i, t, q)
-                if A[i][t] != 0:
-                    dirty = True
+            if B[i][t]:
+                q = B[i][t] // p
+                B[i] = [a - q * b for a, b in zip(B[i], B[t])]
+                dirty = dirty or B[i][t] != 0
         for j in range(t + 1, n):
-            if A[t][j] != 0:
-                q = A[t][j] // A[t][t]
-                col_op(j, t, q)
-                if A[t][j] != 0:
-                    dirty = True
+            if B[t][j]:
+                q = B[t][j] // p
+                for row in B:
+                    row[j] -= q * row[t]
+                dirty = dirty or B[t][j] != 0
         if dirty:
             continue
-        # enforce divisibility d_t | every remaining entry
-        fixed = True
+        # p must divide every remaining entry: else fold the first row that
+        # breaks that into row t, which shrinks the pivot, and start over
         for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    # fold row i into row t to shrink the pivot
-                    A[t] = [a + b for a, b in zip(A[t], A[i])]
-                    U[t] = [a + b for a, b in zip(U[t], U[i])]
-                    fixed = False
-                    break
-            if not fixed:
+            if any(B[i][j] % p for j in range(t + 1, n)):
+                B[t] = [a + b for a, b in zip(B[t], B[i])]
                 break
-        if fixed:
-            if A[t][t] < 0:
-                A[t] = [-a for a in A[t]]
-                U[t] = [-a for a in U[t]]
+        else:
+            if p < 0:
+                B[t] = [-a for a in B[t]]
             t += 1
-    return U, A, V
+    return [row[n:] for row in B[:m]], [row[:n] for row in B[:m]], B[m:]
 
 
 def saturation_and_projection(columns: list[Vec],

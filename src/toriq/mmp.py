@@ -202,6 +202,8 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
     built (``polytopes._slack_rows``); only the walls that vanish there are
     built.
     """
+    if P.dim == 0:
+        raise ValueError("the scaled program needs a polytope of dimension >= 1, not 0")
     fan = polytopes.polarization(P)
     slacks = polytopes._slack_rows(P)
     steps: list[MMPStep] = []

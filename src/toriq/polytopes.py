@@ -203,10 +203,10 @@ def normal_fan(P: FacetPresentation) -> Fan:
     rays are exactly the facet normals in presentation order."""
     if not P.irredundant:
         raise RedundantPresentationError("normal fan needs an irredundant presentation")
-    cones = vertices(P).tight
-    if set().union(*cones) != set(range(P.nfacets)):
-        raise RedundantPresentationError("an inequality is tight at no vertex")
-    return Fan._on_rays(P.dim, P.normals, cones)
+    vs = vertices(P)
+    if len(vs.faces[1]) != P.nfacets:
+        raise RedundantPresentationError("an inequality defines no facet")
+    return Fan._on_rays(P.dim, P.normals, vs.tight)
 
 
 def polytope_of_divisor(fan: Fan, coeffs: Sequence) -> FacetPresentation:

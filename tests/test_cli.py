@@ -296,3 +296,77 @@ def test_plot_falls_back_on_step_budget(hexagon_file, tmp_path, monkeypatch):
     svg = tmp_path / "hex.svg"
     assert main(["plot", hexagon_file, "--svg", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_validate_prints_problems(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text('{"rank": 2, "rays": [[1, 0], [-1, 0]], "max_cones": [[0, 1]]}')
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "well_formed: False" in out
+    assert "problem: cone (0, 1) is not strongly convex" in out
+
+
+def test_check_2fano_notes_a_zero_minimum(tmp_path, capsys):
+    # P^1 x P^1: every D_i^2 is 0, so its one surface pairs to exactly 0
+    path = tmp_path / "p1p1.json"
+    path.write_text(emit_fan(hirzebruch_fan(0)))
+    assert main(["check-2fano", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "2-fano: False" in out
+    assert "note: minimum is exactly zero (nef, not positive)" in out
+
+
+# P^2's triangle with the redundant inequality x + y >= -5
+@pytest.fixture()
+def redundant_file(tmp_path):
+    path = tmp_path / "redundant.json"
+    path.write_text('{"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1], [1, 1]], '
+                    '"constants": [0, 0, 1, 5]}')
+    return str(path)
+
+
+def test_run_mmp_reports_removed_inequalities(redundant_file, capsys):
+    assert main(["run-mmp", redundant_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("removed redundant inequalities at indices [3]\n")
+    assert "mori-fiber-space" in out
+
+
+def test_run_mmp_refuses_a_point(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text('{"dim": 0, "normals": [], "constants": []}')
+    assert main(["run-mmp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimension" in err
+    assert "Traceback" not in err
+
+
+def test_run_mmp_reports_step_budget(hexagon_file, monkeypatch, capsys):
+    from toriq import mmp
+
+    def exhausted(*args, **kwargs):
+        raise mmp.StepBudgetError("step budget exhausted; runaway program")
+
+    monkeypatch.setattr(mmp, "run_mmp_scaling", exhausted)
+    assert main(["run-mmp", hexagon_file]) == 2
+    assert capsys.readouterr().err == "error: step budget exhausted; runaway program\n"
+
+
+@pytest.mark.parametrize("s", ["1/0", "x"])
+def test_adjoint_rejects_a_malformed_s(hexagon_file, s, capsys):
+    assert main(["adjoint", hexagon_file, "--s", s]) == 2
+    assert "--s expects a rational" in capsys.readouterr().err
+
+
+def test_adjoint_refuses_redundant_input(redundant_file, capsys):
+    assert main(["adjoint", redundant_file, "--s", "1/4"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "inequalities [3] are redundant" in captured.err
+
+
+def test_adjoint_allow_redundant_shifts_the_full_list(redundant_file, capsys):
+    assert main(["adjoint", redundant_file, "--s", "1/4", "--allow-redundant"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sorted(data["constants"]) == ["-1/4", "-1/4", "19/4", "3/4"]

@@ -235,3 +235,58 @@ def test_one_surface_pass_per_row(by_name, monkeypatch):
                         lambda *args: calls.append(args) or scan(*args))
     res = fano_table.verify_row(by_name["E_1"])
     assert (res.status, res.computed, len(calls)) == ("ok", F(-2), 1)
+
+
+def test_row_that_is_not_smooth_is_an_error():
+    from toriq.fano_table import TableRow
+
+    # the face fan over the triangle (1, 0), (0, 1), (-1, -2): cone (0, 2) has index 2
+    row = TableRow("X", ((1, 0), (0, 1), (-1, -2)), None, (0, 1), F(-1))
+    res = verify_row(row)
+    assert (res.status, res.reason) == ("error", "fan failed smooth/complete validation")
+    assert (res.method, res.smooth, res.complete, res.fano) == ("hull", False, True, False)
+
+
+def test_row_that_is_not_fano_is_an_error():
+    from toriq.fano_table import TableRow
+
+    # the Hirzebruch surface F_2, whose curve (0, 3) has -K.C = 0
+    row = TableRow("F_2", ((1, 0), (0, 1), (-1, 2), (0, -1)), ((0, 2), (1, 3)), (0, 1), F(-1))
+    res = verify_row(row)
+    assert res.status == "error" and res.reason.startswith("fan is not Fano (witnesses ")
+    assert (res.smooth, res.complete, res.fano, res.computed) == (True, True, False, None)
+
+
+def test_positive_reference_needs_a_positive_scan(by_name):
+    res = verify_row(by_name["E_1"]._replace(expected=F(1)))
+    assert (res.status, res.reason) == ("error", "expected a positive scan")
+    assert (res.computed, res.match, res.two_fano) == (F(-2), False, False)
+
+
+def test_nef_check_skips_a_row_in_error(by_name):
+    # P4 with a reference below its scan minimum is a row error
+    report = verify_table([by_name["P4"]._replace(expected=F(-1))])
+    assert [r.status for r in report.rows] == ["error"]
+    (entry,) = report.nef_checks
+    assert (entry.name, entry.status, entry.reason) == (
+        "P4", "skipped", "nef check skipped: row status error")
+
+
+def test_dataset_row_needs_a_name():
+    from toriq.fano_table import parse_dataset
+
+    with pytest.raises(ParseError) as err:
+        parse_dataset("name,rays,collections,surface,expected,note\n"
+                      " ,1 0;0 1;-1 -1,,0 1,-1,\n")
+    assert (err.value.field, err.value.line) == ("name", 2)
+
+
+def test_row_without_rays_has_no_fan(table):
+    row = next(r for r in table if r.rays is None)
+    with pytest.raises(ReconstructionError, match=f"row {row.name} has no ray data"):
+        reconstruct_fan(row)
+
+
+def test_verify_table_defaults_to_the_builtin_table(report):
+    default = verify_table()
+    assert (default.rows, default.nef_checks) == (report.rows, report.nef_checks)

@@ -33,6 +33,27 @@ class TestDivChar:
     def test_p1p1(self, p1p1):
         assert div_char(p1p1, (2, 3)).coeffs == (F(2), F(3), F(-2), F(-3))
 
+    def test_wrong_length(self, p2):
+        with pytest.raises(ValueError, match="character exponent has wrong length"):
+            div_char(p2, (1, 0, 0))
+
+
+class TestTorusDivisor:
+    def test_sum_and_difference(self, p2):
+        D, E = TorusDivisor(p2, (1, 0, F(1, 2))), TorusDivisor(p2, (0, 2, 1))
+        assert (D + E).coeffs == (F(1), F(2), F(3, 2))
+        assert (D - E).coeffs == (F(1), F(-2), F(-1, 2))
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__"])
+    def test_fans_must_agree(self, p2, p1p1, op):
+        D, E = TorusDivisor(p2, (1, 0, 0)), TorusDivisor(p1p1, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="divisors live on different fans"):
+            getattr(D, op)(E)
+
+    def test_coefficient_count(self, p2):
+        with pytest.raises(ValueError, match="coefficient count differs from ray count"):
+            TorusDivisor(p2, (1, 0))
+
 
 class TestMoveDivisor:
     def test_p1p1(self, p1p1):

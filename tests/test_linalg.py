@@ -110,6 +110,28 @@ class TestSmithNormalForm:
         _, D, _ = smith_normal_form([[1, 2]])
         assert D == [[1, 0]]
 
+    # the exact (U, D, V) of inputs that reach each step of the reduction
+    @pytest.mark.parametrize("M, U, D, V", [
+        # the pivot 1 sits at (1, 1): a row swap and a column swap
+        ([[3, 5], [7, 1]], [[0, 1], [-1, 5]], [[1, 0], [0, 32]], [[0, 1], [1, -7]]),
+        # 3 // 2 leaves 1 in the pivot's row, then its column: restarts
+        ([[2, 3]], [[1]], [[1, 0]], [[-1, 3], [1, -2]]),
+        ([[2], [3]], [[-1, 1], [3, -2]], [[1], [0]], [[1]]),
+        # 2 does not divide 3: row 1 is folded into row 0
+        ([[2, 0], [0, 3]], [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+        # a negative pivot has its row negated
+        ([[-2, 0], [0, 4]], [[-1, 0], [0, 1]], [[2, 0], [0, 4]], [[1, 0], [0, 1]]),
+        # zero rows and columns: the search finds no pivot and stops
+        ([[0, 0, 0], [0, 2, 0]], [[0, 1], [1, 0]], [[2, 0, 0], [0, 0, 0]],
+         [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ([[0], [0]], [[1, 0], [0, 1]], [[0], [0]], [[1]]),
+    ])
+    def test_pinned_forms(self, M, U, D, V):
+        from helpers import mat_mul
+
+        assert smith_normal_form(M) == (U, D, V)
+        assert mat_mul(mat_mul(U, M), V) == D
+
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
                     min_size=2, max_size=4).filter(
         lambda rows: len({len(r) for r in rows}) == 1))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toriq.fano_table import load_builtin_table, reconstruct_fan
 from toriq.fans import (
     Fan,
     MalformedFanError,
@@ -180,8 +181,37 @@ class TestMoriFiberData:
         with pytest.raises(ValueError):
             mori_fiber_data(bl_p1p1, wall_by_rays(bl_p1p1, (4,)))
 
+    def test_wall_that_does_not_fibre_is_refused(self):
+        # G_1's wall (1, 3, 4) has alpha = 0, but the image of the fan's
+        # cones has a maximal cone inside another: the refusal names the
+        # wall, and the image fan's own error is its cause
+        rows = {r.name: r for r in load_builtin_table()}
+        fan, _ = reconstruct_fan(rows["G_1"])
+        wall = wall_by_rays(fan, (1, 3, 4))
+        assert wall.relation == (1, 0, 0, 0, 0, 0, 1) and wall_classification(fan, wall)[0] == 0
+        with pytest.raises(MalformedFanError,
+                           match=r"^wall \(1, 3, 4\) does not induce a fibration$") as err:
+            mori_fiber_data(fan, wall)
+        assert isinstance(err.value.__cause__, MalformedFanError)
+        assert "lies in maximal cone" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("verdicts, part", [([False], "base"), ([True, False], "fiber")])
+    def test_incomplete_image_is_refused(self, p1p1, monkeypatch, verdicts, part):
+        # an image fan that validates as incomplete, not as malformed
+        from toriq import fans
+
+        verdict = iter(verdicts)
+        monkeypatch.setattr(fans, "_complete_simplicial", lambda fan: next(verdict))
+        with pytest.raises(MalformedFanError, match="does not induce a fibration") as err:
+            mori_fiber_data(p1p1, wall_by_rays(p1p1, (0,)))
+        assert str(err.value.__cause__) == f"the {part} fan is not complete and simplicial"
+
 
 class TestRunMMP:
+    def test_point_is_refused(self):
+        with pytest.raises(ValueError, match="dimension >= 1, not 0"):
+            run_mmp_scaling(FacetPresentation(0, (), ()))
+
     def test_first_bundled_trace(self, p1p1):
         P = blowup_polytope((2, 1, 2, 1, F(5, 2)))
         trace = run_mmp_scaling(P)

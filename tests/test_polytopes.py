@@ -121,6 +121,16 @@ class TestNormalFan:
         with pytest.raises(RedundantPresentationError):
             normal_fan(P)
 
+    def test_weakly_redundant_inequality_rejected_under_the_flag(self):
+        # x + y >= -2 is tight only at the vertex (-1, -1): a face, no facet
+        P = FacetPresentation(2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)), (1, 1, 1, 1, 2),
+                              irredundant=True)
+        with pytest.raises(RedundantPresentationError, match="an inequality defines no facet"):
+            normal_fan(P)
+        reduced, removed = remove_redundant(P)
+        assert tuple(removed) == (4,)
+        assert len(normal_fan(reduced).rays) == 4
+
 
 class TestPolytopeOfDivisor:
     def test_p2_twice_hyperplane(self, p2):
