@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,45 @@ class TestSvg:
         P = FacetPresentation(1, ((1,), (-1,)), (0, 1))
         with pytest.raises(SvgError):
             emit_svg(P)
+
+
+HEXAGON_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="180.000" height="180.000" viewBox="0 0 180.000 180.000">
+<polygon points="150.000,90.000 90.000,30.000 30.000,30.000 30.000,90.000 90.000,150.000 150.000,150.000" fill="none" stroke="#404040" stroke-width="1"/>
+<polygon points="140.000,90.000 90.000,40.000 40.000,40.000 40.000,90.000 90.000,140.000 140.000,140.000" fill="none" stroke="#404040" stroke-width="1"/>
+<polygon points="130.000,90.000 90.000,50.000 50.000,50.000 50.000,90.000 90.000,130.000 130.000,130.000" fill="none" stroke="#404040" stroke-width="1"/>
+<polygon points="120.000,90.000 90.000,60.000 60.000,60.000 60.000,90.000 90.000,120.000 120.000,120.000" fill="none" stroke="#404040" stroke-width="1"/>
+<polygon points="110.000,90.000 90.000,70.000 70.000,70.000 70.000,90.000 90.000,110.000 110.000,110.000" fill="none" stroke="#404040" stroke-width="1"/>
+<polygon points="100.000,90.000 90.000,80.000 80.000,80.000 80.000,90.000 90.000,100.000 100.000,100.000" fill="none" stroke="#404040" stroke-width="1"/>
+<circle cx="90.000" cy="90.000" r="3" fill="#c02020"/>
+<text x="90.000" y="90.000" font-size="10">s = 1</text>
+</svg>
+"""
+
+
+# The hexagon's forced run has critical values (1, 1), and s = 2 lies past
+# its effective threshold 1, where P^(2) is empty and is not drawn.
+@pytest.mark.parametrize("critical", [None, [F(1), F(1)], [2]])
+def test_hexagon_drawing_text(critical):
+    assert emit_svg(hexagon(), critical) == HEXAGON_SVG
+
+
+# Two polygons of perfbench's adjoint-family pool, d2-8 (its core is a
+# segment) and d2-11 (a point), drawn with their forced runs' critical values.
+@pytest.mark.parametrize("normals, constants, critical, digest", [
+    (((1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (-1, 1), (1, -1)),
+     (F(10, 3), 3, 7, 11, 9, F(7, 2), 11),
+     (F(1, 3), F(10, 3), F(23, 6), F(31, 6)),
+     "436ef54ef833f59b41bcb76347c9e08dd23a548b9cbef98569ff8fd0493bf7bd"),
+    (((1, 0), (0, -1), (-1, 1), (-2, -1), (1, 1)),
+     (F(8, 3), 2, 11, F(5, 2), 12),
+     (F(13, 6), F(35, 12), F(43, 10)),
+     "19400f6f2bc7f266e773940aeddd9f14d0c33ad449af443eab681a23c3a09cbf"),
+])
+def test_pool_drawing_digest(normals, constants, critical, digest):
+    P = FacetPresentation(2, normals, constants, irredundant=True)
+    svg = emit_svg(P, critical)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_empty_flagged_polytope_rejected():
