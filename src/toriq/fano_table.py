@@ -75,11 +75,14 @@ def _parse_vec_list(cell: str, field, line):
 def parse_dataset(text: str):
     """Rows of a classification dataset CSV; see the README for columns."""
     reader = csv.DictReader(io.StringIO(text))
-    rows = []
+    rows, names = [], set()
     for lineno, rec in enumerate(reader, start=2):
         name = (rec.get("name") or "").strip()
         if not name:
             raise ParseError("missing row name", field="name", line=lineno)
+        if name in names:
+            raise ParseError(f"repeated row name {name!r}", field="name", line=lineno)
+        names.add(name)
         rays = _parse_vec_list(rec.get("rays") or "", "rays", lineno)
         colls = _parse_vec_list(rec.get("collections") or "", "collections", lineno)
         surface = _parse_vec_list(rec.get("surface") or "", "surface", lineno)

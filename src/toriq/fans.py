@@ -135,7 +135,11 @@ class PrimitiveCollection(NamedTuple):
 class ValidationReport(_Record):
     """``validate``'s flags and problems.  A report that ``validate`` returns
     for a simplicial fan also keeps, out of == and repr, the sorted
-    (facet, sides) of ``_facets`` of each wall (``_wall_facets``)."""
+    (facet, sides) of ``_facets`` of each wall (``_wall_facets``).
+
+    The flags nest: only a simplicial fan is checked for completeness, and
+    only a cone of multiplicity 0 (so not simplicial) can be a problem.  So
+    complete implies simplicial, which implies well_formed."""
 
     __slots__ = ("well_formed", "simplicial", "smooth", "complete", "problems", "_wall_facets")
 
@@ -417,7 +421,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveCollection, ...]:
     count minus coefficient sum).
     """
     rep = validate(fan)
-    if not (rep.simplicial and rep.complete):
+    if not rep.complete:
         raise UnsupportedFanError("primitive collections need a complete simplicial fan")
     m = len(fan.rays)
     holding, near = [0] * m, [0] * m  # per ray: the cones holding it, its neighbours
@@ -503,7 +507,7 @@ def fan_from_primitive_data(rays: list[Vec], collections: list[tuple[int, ...]])
         rep = validate(fan)
     except MalformedFanError as exc:
         raise ReconstructionError(str(exc)) from exc
-    if not (rep.well_formed and rep.simplicial and rep.complete):
+    if not rep.complete:
         raise ReconstructionError(
             f"collection data yields an invalid fan (problems={rep.problems}, "
             f"simplicial={rep.simplicial}, complete={rep.complete})"
@@ -531,7 +535,7 @@ def face_fan(rays: list[Vec]) -> Fan:
     cones = [tuple(i for i in range(m) if mask >> i & 1) for z, mask in polar if z[n]]
     fan = Fan(n, tuple(rays), tuple(cones))
     rep = validate(fan)
-    if not (rep.well_formed and rep.complete):
+    if not rep.complete:
         raise ReconstructionError("face fan failed validation")
     return fan
 
@@ -655,8 +659,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
 
 
 def _complete_simplicial(fan: Fan) -> bool:
-    rep = validate(fan)
-    return rep.well_formed and rep.simplicial and rep.complete
+    return validate(fan).complete
 
 
 def weakly_split(fan: Fan, projection) -> bool:

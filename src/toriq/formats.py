@@ -9,7 +9,6 @@ and therefore stable under diffing.
 from __future__ import annotations
 
 import csv
-import functools
 import io as _stdio
 import json
 import warnings
@@ -220,25 +219,16 @@ def _svg_num(q: Fraction) -> str:
 
 
 def _ordered_cycle(points: Sequence[tuple[Fraction, Fraction]]):
+    """The points by angle about their centroid, counterclockwise from angle 0."""
     cx = sum((p[0] for p in points), Fraction(0)) / len(points)
     cy = sum((p[1] for p in points), Fraction(0)) / len(points)
 
-    def half(p):
+    def angle(p):
+        # inside each open half-plane, -cot = -dx/dy grows with the angle
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        return (dy < 0 or (dy == 0 and dx <= 0), dy != 0, -dx / dy if dy else 0)
 
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=angle)
 
 
 def emit_svg(P: FacetPresentation, critical_values: Optional[Sequence] = None) -> str:
@@ -252,57 +242,40 @@ def emit_svg(P: FacetPresentation, critical_values: Optional[Sequence] = None) -
         th = thresholds(base)
     except EmptyPolytopeError:
         raise SvgError("nothing to draw") from None
-    crit = sorted({frac(c) for c in (critical_values or [])} | {th.nef, th.effective})
-    svals = sorted({th.effective * i / 6 for i in range(6)} | set(crit))
-    polys = []
-    labels = []
-    allpts = []
-    for s in svals:
+    crit = {frac(c) for c in (critical_values or [])} | {th.nef, th.effective}
+    family = []  # (s, vertices of P^(s)); never empty, as P^(0) = base is not
+    for s in sorted({th.effective * i / 6 for i in range(6)} | crit):
         try:
-            vs = vertices(adjoint(base, s, allow_redundant=True), allow_lower_dim=True).vertices
+            family.append((s, vertices(adjoint(base, s), allow_lower_dim=True).vertices))
         except EmptyPolytopeError:
-            continue
-        allpts.extend(vs)
-        is_crit = s in crit
-        polys.append((vs, is_crit))
-        if is_crit:
-            labels.append((vs[0], f"s = {format_frac(s)}"))
-    if not allpts:
-        raise SvgError("nothing to draw")
-    xs = [p[0] for p in allpts]
-    ys = [p[1] for p in allpts]
+            pass
+    xs = [p[0] for _, vs in family for p in vs]
+    ys = [p[1] for _, vs in family for p in vs]
     pad = Fraction(1, 2)
     minx, maxx = min(xs) - pad, max(xs) + pad
     miny, maxy = min(ys) - pad, max(ys) + pad
-    width = (maxx - minx) * _SCALE
-    height = (maxy - miny) * _SCALE
 
-    def pt(p):
-        x = (p[0] - minx) * _SCALE
-        y = (maxy - p[1]) * _SCALE
-        return f"{_svg_num(x)},{_svg_num(y)}"
+    def xy(p):
+        return _svg_num((p[0] - minx) * _SCALE), _svg_num((maxy - p[1]) * _SCALE)
 
+    width, height = xy((maxx, miny))  # the far corner of the box
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_svg_num(width)}" '
-        f'height="{_svg_num(height)}" viewBox="0 0 {_svg_num(width)} {_svg_num(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for vs, is_crit in polys:
-        stroke = "#c02020" if is_crit else "#404040"
-        swidth = "2" if is_crit else "1"
+    for s, vs in family:
+        stroke, swidth = ("#c02020", 2) if s in crit else ("#404040", 1)
         if len(vs) == 1:
+            x, y = xy(vs[0])
+            out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{stroke}"/>')
+        else:
+            pts = " ".join(",".join(xy(p)) for p in _ordered_cycle(vs))
             out.append(
-                f'<circle cx="{_svg_num((vs[0][0] - minx) * _SCALE)}" '
-                f'cy="{_svg_num((maxy - vs[0][1]) * _SCALE)}" r="3" fill="{stroke}"/>'
+                f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="{swidth}"/>'
             )
-            continue
-        pts = " ".join(pt(p) for p in _ordered_cycle(list(vs)))
-        out.append(
-            f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="{swidth}"/>'
-        )
-    for anchor, text in labels:
-        out.append(
-            f'<text x="{_svg_num((anchor[0] - minx) * _SCALE)}" '
-            f'y="{_svg_num((maxy - anchor[1]) * _SCALE)}" font-size="10">{text}</text>'
-        )
+    for s, vs in family:
+        if s in crit:
+            x, y = xy(vs[0])
+            out.append(f'<text x="{x}" y="{y}" font-size="10">s = {format_frac(s)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -85,6 +85,8 @@ def curve_number(fan: Fan, D: TorusDivisor, tau: tuple[int, ...]) -> Fraction:
 def wall_curve_number(fan: Fan, D: TorusDivisor, wall: Wall) -> Fraction:
     """D . V(wall): the wall's scale times the pairing of D with its
     integer relation."""
+    if D.fan != fan:
+        raise ValueError("the divisor lives on another fan")
     return wall.scale * sum((d * r for d, r in zip(D.coeffs, wall.relation) if r), ZERO)
 
 
@@ -176,7 +178,7 @@ def is_fano(fan: Fan) -> FanoVerdict:
     meets the anticanonical divisor positively (Kleiman's criterion).
     """
     rep = validate(fan)
-    if not (rep.simplicial and rep.complete):
+    if not rep.complete:
         raise UnsupportedFanError("Fano test needs a complete simplicial fan")
     if rep.smooth:
         bad = tuple(c for c in primitive_collections(fan) if c.degree <= 0)
@@ -198,7 +200,7 @@ def is_2fano(fan: Fan) -> TwoFanoVerdict:
     """Positivity of the squared-divisor pairing over every invariant
     surface; the witness is the minimizing surface cone."""
     rep = validate(fan)
-    if not (rep.simplicial and rep.complete):
+    if not rep.complete:
         raise UnsupportedFanError("2-Fano scan needs a complete simplicial fan")
     if fan.rank < 2:
         raise ValueError("2-Fano scan needs rank >= 2")
@@ -209,6 +211,8 @@ def is_2fano(fan: Fan) -> TwoFanoVerdict:
 
 
 def is_ample(fan: Fan, D: TorusDivisor) -> bool:
+    if D.fan != fan:
+        raise ValueError("the divisor lives on another fan")
     return all(wall_curve_number(fan, D, w) > 0 for w in walls(fan))
 
 
@@ -217,5 +221,7 @@ def nef_threshold(fan: Fan, L: TorusDivisor) -> Fraction:
     s at which a wall curve C with -K.C > 0 has (L + s*K).C = 0, read off
     the slack rows of the polytope {x : <v_k, x> + L_k >= 0} that L gives on
     the fan's rays (``polytopes._critical_value``)."""
+    if L.fan != fan:
+        raise ValueError("the divisor lives on another fan")
     slacks = _slack_rows(FacetPresentation(fan.rank, fan.rays, L.coeffs))
     return _critical_value(slacks, fan, ZERO)[0]

@@ -177,7 +177,7 @@ def flip(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Fan:
     was_complete = validate(fan).complete
     result = Fan._on_rays(fan.rank, fan.rays, tuple(cones))
     rep = validate(result)
-    if not (rep.well_formed and rep.simplicial and (rep.complete or not was_complete)):
+    if not (rep.simplicial and (rep.complete or not was_complete)):
         raise MalformedFanError("flip produced an invalid fan")
     return result
 
@@ -461,7 +461,7 @@ def _certify(slacks: _SlackRows, fan: Fan, lo: Fraction, lam: Fraction) -> Optio
         rep = validate(fan)
     except MalformedFanError:
         return None
-    if not (rep.well_formed and rep.complete):
+    if not rep.complete:
         return None
     (pL_lo, q_lo), (pL_hi, q_hi) = ((s.numerator * slacks.L, s.denominator) for s in (lo, lam))
     limits, cones = set(), []

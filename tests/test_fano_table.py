@@ -281,6 +281,17 @@ def test_dataset_row_needs_a_name():
     assert (err.value.field, err.value.line) == ("name", 2)
 
 
+def test_dataset_row_name_must_be_new():
+    # verify_table would report both rows, and its nef check read the later one
+    from toriq.fano_table import parse_dataset
+
+    with pytest.raises(ParseError) as err:
+        parse_dataset("name,rays,collections,surface,expected,note\n"
+                      "P4,,,,,\nB_1,,,,,\nP4,1 0;0 1;-1 -1,,0 1,-1,\n")
+    assert (err.value.message, err.value.field, err.value.line) == (
+        "repeated row name 'P4'", "name", 4)
+
+
 def test_row_without_rays_has_no_fan(table):
     row = next(r for r in table if r.rays is None)
     with pytest.raises(ReconstructionError, match=f"row {row.name} has no ray data"):

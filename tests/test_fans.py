@@ -1,6 +1,7 @@
+import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +22,7 @@ from toriq.fans import (
     walls,
 )
 from toriq.fano_table import load_builtin_table, reconstruct_fan
+from toriq.linalg import primitive_part
 from toriq.mmp import run_mmp_scaling
 from conftest import blowup_polytope, hexagon, hirzebruch_fan
 from helpers import cone_contains, fans_equal_up_to_ray_order
@@ -44,6 +46,30 @@ class TestValidate:
         rep = validate(singular_fan)
         assert rep.simplicial and rep.complete
         assert not rep.smooth
+
+    def test_flags_nest(self, corpus_fans):
+        # complete => simplicial => well_formed (see ValidationReport), over the
+        # corpus, the 67 explicit table fans, random rank 2-3 face fans and each
+        # of those with a cone dropped, a cone with a line and the cube's face fan
+        fans = list(corpus_fans) + [
+            reconstruct_fan(row)[0] for row in load_builtin_table() if row.explicit]
+        rng = random.Random(3)
+        while len(fans) < 6 + 67 + 80:
+            rank = rng.choice((2, 3))
+            rays = {primitive_part(v) for v in (tuple(rng.randint(-2, 2) for _ in range(rank))
+                    for _ in range(rank + rng.randint(1, 4))) if any(v)}
+            try:
+                fan = face_fan(sorted(rays))
+            except ReconstructionError:
+                continue
+            fans += [fan, Fan(rank, fan.rays, fan.max_cones[1:])]
+        cube = sorted(product((1, -1), repeat=3))
+        faces = tuple(tuple(i for i, v in enumerate(cube) if v[k] == s)
+                      for k in range(3) for s in (1, -1))
+        fans += [Fan(2, ((1, 0), (-1, 0)), ((0, 1),)), Fan(3, tuple(cube), faces)]
+        flags = {(rep.complete, rep.simplicial, rep.well_formed) for rep in map(validate, fans)}
+        assert flags == {(True, True, True), (False, True, True),
+                         (False, False, True), (False, False, False)}
 
     @pytest.mark.parametrize("rays, simplicial, smooth", [
         # the cone over a square: four rays in rank 3, multiplicity 0

@@ -50,6 +50,11 @@ class TestFanFiles:
         with pytest.raises(ParseError, match="rank"):
             parse_fan('{"rays": [], "max_cones": []}')
 
+    def test_zero_ray(self):
+        with pytest.raises(ParseError) as err:
+            parse_fan('{"rank": 2, "rays": [[1, 0], [0, 0]], "max_cones": [[0]]}', lenient=True)
+        assert (err.value.message, err.value.field) == ("zero ray (0, 0)", "rays")
+
     def test_bad_json_reports_line(self):
         with pytest.raises(ParseError):
             parse_fan("{not json")
@@ -90,6 +95,11 @@ class TestPolytopeFiles:
     def test_non_object_rejected(self, text):
         with pytest.raises(ParseError, match="expected a JSON object"):
             parse_polytope(text)
+
+    def test_missing_key(self):
+        with pytest.raises(ParseError) as err:
+            parse_polytope('{"dim": 1, "normals": [[1], [-1]]}')
+        assert (err.value.message, err.value.field) == ("missing key", "constants")
 
     def test_bad_rational(self):
         with pytest.raises(ParseError, match="constants"):

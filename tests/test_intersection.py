@@ -55,6 +55,28 @@ class TestTorusDivisor:
             TorusDivisor(p2, (1, 0))
 
 
+class TestDivisorOnAnotherFan:
+    # B has P^2's ray count, so a coefficient-wise pairing would not notice
+    # that L lives on P^2: it read nef_threshold(B, L) = 5/4, curve_number 5/2
+    B = Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (0, 2)))
+
+    def test_values_on_each_fan(self, p2):
+        L, M = TorusDivisor(p2, (2, 1, 1)), TorusDivisor(self.B, (2, 1, 1))
+        assert (nef_threshold(p2, L), curve_number(p2, L, (0,)), is_ample(p2, L)) == (F(4, 3), 4, True)
+        assert (nef_threshold(self.B, M), curve_number(self.B, M, (0,))) == (F(5, 4), F(5, 2))
+
+    @pytest.mark.parametrize("call", [
+        lambda fan, D: curve_number(fan, D, (0,)),
+        lambda fan, D: intersection.wall_curve_number(fan, D, walls(fan)[0]),
+        is_ample,
+        nef_threshold,
+    ], ids=["curve_number", "wall_curve_number", "is_ample", "nef_threshold"])
+    def test_refused(self, p2, p1p1, call):
+        for fan, D in ((p1p1, anticanonical(p2)), (self.B, TorusDivisor(p2, (2, 1, 1)))):
+            with pytest.raises(ValueError, match="the divisor lives on another fan"):
+                call(fan, D)
+
+
 class TestMoveDivisor:
     def test_p1p1(self, p1p1):
         moved = move_divisor(p1p1, 0, (0, 1))
