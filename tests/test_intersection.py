@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toriq import intersection, mmp, polytopes
-from toriq.fans import Fan, star_subdivision, validate, walls
+from toriq.fans import Fan, UnsupportedFanError, star_subdivision, validate, walls
 from toriq.intersection import (
     TorusDivisor,
     anticanonical,
@@ -17,7 +17,7 @@ from toriq.intersection import (
     nef_threshold,
 )
 from intersection_oracle import intersect_once, move_divisor, quotient_index
-from conftest import hexagon, hirzebruch_fan
+from conftest import hexagon, hirzebruch_fan, pn_fan
 from helpers import count_calls, faces_of_dim, prime_divisor
 
 F = Fraction
@@ -215,6 +215,11 @@ class TestIsFano:
             if c.members in wall_sets:
                 assert c.degree == curve_number(bl_p1p1, mk, c.members)
 
+    def test_incomplete_refused(self):
+        quadrant = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+        with pytest.raises(UnsupportedFanError, match="Fano test needs a complete simplicial fan"):
+            is_fano(quadrant)
+
 
 class TestIs2Fano:
     def test_p4(self, p4):
@@ -234,6 +239,15 @@ class TestIs2Fano:
     def test_surface_case(self, p2):
         scan = is_2fano(p2)
         assert scan.is_two_fano and scan.witness == ()
+
+    def test_incomplete_refused(self):
+        quadrant = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+        with pytest.raises(UnsupportedFanError, match="2-Fano scan needs a complete simplicial"):
+            is_2fano(quadrant)
+
+    def test_p1_refused(self):
+        with pytest.raises(ValueError, match=r"2-Fano scan needs rank >= 2"):
+            is_2fano(pn_fan(1))
 
     def test_one_wall_pass_per_scan(self, monkeypatch):
         # all 18 surfaces of a 4-fold row come from one star index, built

@@ -14,6 +14,7 @@ from toriq.linalg import (
     adjugate,
     det,
     dot,
+    frac,
     hull_facets,
     int_vec,
     kernel_basis,
@@ -49,6 +50,13 @@ class TestSolveLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             dot((1, 2), (1, 2, 3))
+
+    def test_right_hand_side_length_checked(self):
+        with pytest.raises(DimensionError, match="2 rows but 1 right-hand entries"):
+            solve_linear([[1, 0], [0, 1]], [1])
+
+    def test_no_rows(self):
+        assert solve_linear([], []) == ()
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=3, max_size=3),
@@ -100,6 +108,11 @@ class TestSmithNormalForm:
     def test_identity(self):
         _, D, _ = smith_normal_form([[1, 0], [0, 1]])
         assert D == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("M", [[], [[]]], ids=["no-rows", "no-columns"])
+    def test_empty_refused(self, M):
+        with pytest.raises(ValueError, match="Smith normal form of an empty matrix"):
+            smith_normal_form(M)
 
     def test_two_by_two(self):
         # row/column reduction by hand: invariant factors 2, 4
@@ -274,6 +287,10 @@ class TestNonnegSolve:
     def test_outside_cone(self):
         assert nonneg_solve([(1, 0), (0, 1)], (-1, 0)) is None
 
+    def test_generator_length_checked(self):
+        with pytest.raises(DimensionError, match="generator length differs from target length"):
+            nonneg_solve([(1, 0), (0, 1, 0)], (1, 1))
+
     def test_rotated_cone(self):
         # 2x2 solve oracle: (2,0) = 1*(1,1) + 1*(1,-1)
         assert nonneg_solve([(1, 1), (1, -1)], (2, 0)) == (F(1), F(1))
@@ -412,6 +429,13 @@ class TestHullFacets:
         with pytest.raises(ValueError):
             hull_facets([(0, 0), (1, 1), (2, 2)])
 
+    def test_no_points_refused(self):
+        with pytest.raises(ValueError, match="no points"):
+            hull_facets([])
+
+    def test_zero_dimensional_points(self):
+        assert hull_facets([(), ()]) == []
+
 
 SEGMENT = FacetPresentation(1, ((1,), (-1,)), (0, 1), irredundant=True)
 NON_INTEGER_ENTRY_POINTS = {
@@ -430,6 +454,22 @@ def test_non_integer_entry_rejected(entry, x):
     error, build = NON_INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(error, match="is not an integer"):
         build(x)
+
+
+def test_kernel_of_no_equations():
+    assert kernel_basis([]) == []
+
+
+def test_frac_refuses_a_float():
+    with pytest.raises(TypeError, match="cannot interpret 1.5 as an exact rational"):
+        frac(1.5)
+
+
+def test_records_of_different_classes_are_unequal():
+    # Fan.__eq__ and FacetPresentation.__eq__ both decline the comparison
+    fan = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+    assert fan.__eq__(SEGMENT) is NotImplemented
+    assert fan != SEGMENT and not fan == SEGMENT
 
 
 def test_integral_fractions_accepted():

@@ -160,6 +160,10 @@ class TestPolytopeOfDivisor:
         vs = {tuple(x - mi for x, mi in zip(v, m)) for v in vertices(P).vertices}
         assert vs == set(vertices(Pm).vertices)
 
+    def test_coefficient_count_checked(self, p2):
+        with pytest.raises(ValueError, match="coefficient count differs from ray count"):
+            polytope_of_divisor(p2, (1, 1))
+
 
 class TestAdjoint:
     def test_triangle_stays_triangle(self):
@@ -235,6 +239,16 @@ class TestThresholds:
         assert affine_rank(vs.vertices) < P.dim
         mid = adjoint(P, sigma / 2)
         assert vertices(mid).vertices  # still full-dimensional
+
+    def test_unbounded_refused(self):
+        # x >= 0 and y >= 0: normals that do not positively span
+        with pytest.raises(UnboundedError, match="presentation is unbounded"):
+            effective_threshold(FacetPresentation(2, ((1, 0), (0, 1)), (0, 0)))
+
+    def test_empty_refused(self):
+        # x >= 1 and x <= -1: sigma = -1
+        with pytest.raises(EmptyPolytopeError, match="polytope is empty"):
+            effective_threshold(FacetPresentation(1, ((1,), (-1,)), (-1, -1)))
 
 
 class TestCoreAndProjection:
@@ -340,6 +354,14 @@ class TestCayleyMori:
         P = cayley_mori_build(segs, [(0, 1), (-2, 1)])
         # direction matrix has invariant factors 1, 2: not s * identity
         assert is_cayley_s(P) is None
+
+    def test_no_cayley_structure(self):
+        assert is_cayley_s(hexagon()) is None
+
+    def test_non_integer_directions(self):
+        dec = CayleyMoriDecomposition(bases=(), w=((F(1, 2),),), fiber_projection=(),
+                                      base_faces=(), simplex_vertices=())
+        assert is_cayley_s(None, dec) is None
 
 
 @st.composite

@@ -174,17 +174,20 @@ def test_class_walls_partition_matches_oracle_keys(table_fans, fourfold_run_fans
 
 def test_relation_is_the_walls_relation(table_fans, fourfold_run_fans):
     # the scan's relations, on the support rays only, are those of the
-    # Wall records, entry by entry, wall by wall in ``walls`` order
+    # Wall records, entry by entry, wall by wall in ``walls`` order; the
+    # relation is the one positive on both opposite rays, so read with the
+    # wall's two sides swapped it is the same
     count = 0
     for fan in all_wall_fans(table_fans, fourfold_run_fans):
         inverses = fans._inverses(fan)
         two_sided = [(f, s) for f, s in sorted(fans._facets(fan).items()) if len(s) == 2]
         assert len(two_sided) == len(walls(fan))
         for w, (facet, sides) in zip(walls(fan), two_sided):
-            lo_side, _, _, hi, rel = fans._relation(fan, inverses, facet, sides)
-            on = dict(zip(fan.max_cones[lo_side] + (hi,), rel))
             assert facet == w.wall_rays
-            assert tuple(on.get(i, 0) for i in range(len(fan.rays))) == w.relation
+            for order in (sides, sides[::-1]):
+                side, _, _, op, rel = fans._relation(fan, inverses, facet, order)
+                on = dict(zip(fan.max_cones[side] + (op,), rel))
+                assert tuple(on.get(i, 0) for i in range(len(fan.rays))) == w.relation
             count += 1
     assert count == 8576
 
