@@ -354,45 +354,40 @@ def _wall_facets(fan: Fan) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]
     return report._wall_facets
 
 
-def _lower_side(fan: Fan, sides: list[tuple[int, int]]) -> tuple[int, int, int, int]:
-    """(lo_side, lo_pos, hi_side, hi): a wall's sides, lower opposite ray first."""
-    (a, ja), (b, jb) = sides
-    op_a, op_b = fan.max_cones[a][ja], fan.max_cones[b][jb]
-    return (a, ja, b, op_b) if op_a < op_b else (b, jb, a, op_a)
-
-
 def _relation(fan: Fan, inverses, facet: tuple[int, ...],
               sides: list[tuple[int, int]]) -> tuple[int, int, int, int, Vec]:
-    """``_lower_side`` of the wall on a facet with two sides (``_facets``) and
-    its primitive integer relation on the lower side's cone, then on hi: -v_hi
-    in that cone's ray basis is c / d for c = -adj·v_hi (``_inverses``); its
-    self-checks, c_lo / d > 0 and sum_i c_i v_i + d v_hi = 0, run in integers,
-    and (c, d) is divided by its gcd with the sign of d."""
-    lo_side, lo_pos, hi_side, hi = _lower_side(fan, sides)
-    lo_cone = fan.max_cones[lo_side]
-    adj, d = inverses[lo_cone]
-    v_hi = fan.rays[hi]
-    cs = [-sum(map(mul, row, v_hi)) for row in adj] + [d]
-    if cs[lo_pos] * d <= 0:
+    """(a, ja, b, op) of the wall on a facet with sides (a, ja), (b, jb)
+    (``_facets``), op the opposite ray of cone b, and the wall's primitive
+    integer relation on cone a's rays, then on op.  It is the one relation
+    positive on both opposite rays, so either side gives it: -v_op in cone
+    a's ray basis is c / d for c = -adj·v_op (``_inverses``); its
+    self-checks, c_ja / d > 0 and sum_i c_i v_i + d v_op = 0, run in
+    integers, and (c, d) is divided by its gcd with the sign of d."""
+    (a, ja), (b, jb) = sides
+    cone, op = fan.max_cones[a], fan.max_cones[b][jb]
+    adj, d = inverses[cone]
+    v_op = fan.rays[op]
+    cs = [-sum(map(mul, row, v_op)) for row in adj] + [d]
+    if cs[ja] * d <= 0:
         raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in lo_cone + (hi,)))):
+    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in cone + (op,)))):
         raise MalformedFanError(f"relation across wall {facet} does not vanish")
     g = gcd(*cs) if d > 0 else -gcd(*cs)
-    return lo_side, lo_pos, hi_side, hi, tuple(cs) if g == 1 else tuple([c // g for c in cs])
+    return a, ja, b, op, tuple(cs) if g == 1 else tuple([c // g for c in cs])
 
 
 def _wall(fan: Fan, inverses, facet: tuple[int, ...], sides: list[tuple[int, int]]) -> Wall:
     """The ``Wall`` of ``_relation``: mult(wall) is the gcd of its maximal minors,
-    the adjugate row of the ray it omits, and s = mult(wall) / (r_hi mult(sigma_hi))."""
-    lo_side, lo_pos, hi_side, hi, cs = _relation(fan, inverses, facet, sides)
-    lo_cone = fan.max_cones[lo_side]
+    the adjugate row of the ray cone a omits, and s = mult(wall) / (r_op mult(sigma_b))."""
+    a, ja, b, op, cs = _relation(fan, inverses, facet, sides)
+    cone = fan.max_cones[a]
     rel = [0] * len(fan.rays)
-    for i, c in zip(lo_cone + (hi,), cs):
+    for i, c in zip(cone + (op,), cs):
         rel[i] = c
-    mult = gcd(*inverses[lo_cone][0][lo_pos])
-    q = cs[-1] * abs(inverses[fan.max_cones[hi_side]][1])
+    mult = gcd(*inverses[cone][0][ja])
+    q = cs[-1] * abs(inverses[fan.max_cones[b]][1])
     scale = ONE if mult == q else Fraction(mult, q)  # mult = q = 1 on smooth fans
-    return Wall(facet, sides[0][0], sides[1][0], tuple(rel), mult, scale)
+    return Wall(facet, a, b, tuple(rel), mult, scale)
 
 
 def wall_classification(fan: Fan, wall: Wall) -> tuple[int, int]:
@@ -635,7 +630,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     try:
         # the base fan first: most walls that do not fibre fail there
         base_fan = _image_fan(len(proj), images, fan.max_cones)
-        if not _complete_simplicial(base_fan):
+        if not validate(base_fan).complete:
             raise MalformedFanError("the base fan is not complete and simplicial")
         # fiber fan: cones of the fan lying inside the kernel sublattice,
         # each ray by its coordinates in the saturation's basis
@@ -643,7 +638,7 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_rays = [tuple(dot(row, fan.rays[i]) for row in coords) for i in in_kernel]
         fiber_cones = [tuple(map(in_kernel.index, c)) for c in restricted_cones(fan, in_kernel)]
         fiber_fan = Fan(len(basis), tuple(fiber_rays), tuple(fiber_cones))
-        if not _complete_simplicial(fiber_fan):
+        if not validate(fiber_fan).complete:
             raise MalformedFanError("the fiber fan is not complete and simplicial")
     except MalformedFanError as exc:
         raise MalformedFanError(f"wall {wall.wall_rays} does not induce a fibration") from exc
@@ -656,10 +651,6 @@ def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
         fiber_rho_one=len(fiber_rays) == fiber_fan.rank + 1,
         split=_weakly_split(fan, images, base_fan),
     )
-
-
-def _complete_simplicial(fan: Fan) -> bool:
-    return validate(fan).complete
 
 
 def weakly_split(fan: Fan, projection) -> bool:

@@ -129,15 +129,15 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
             raise ValueError(f"{sigma} is not a cone of the fan")
     smooth = validate(fan).smooth
     # D_j . V(sigma) = mult(sigma) / mult(tau) V(tau) for tau = sigma + {j}, and s_tau =
-    # mult(tau) / q for q = r_hi mult(sigma_hi): each wall keeps q and r on its rays
+    # mult(tau) / q for q = r_op mult(sigma_b): each wall keeps q and r on its rays
     inverses = _inverses(fan)
     stars: dict[tuple[int, ...], dict[int, tuple[int, Vec, int]]] = {}
     for facet, sides in _wall_facets(fan):
         if wanted is not None and facet not in wanted:
             continue
-        _, lo_pos, hi_side, _, rel = _relation(fan, inverses, facet, sides)
-        q = 1 if smooth else rel[-1] * abs(inverses[fan.max_cones[hi_side]][1])
-        on = rel[:lo_pos] + rel[lo_pos + 1:-1]  # on the wall rays, in order
+        _, ja, b, _, rel = _relation(fan, inverses, facet, sides)
+        q = 1 if smooth else rel[-1] * abs(inverses[fan.max_cones[b]][1])
+        on = rel[:ja] + rel[ja + 1:-1]  # on the wall rays, in order
         for p, j in enumerate(facet):
             stars.setdefault(facet[:p] + facet[p + 1:], {})[j] = (on[p], on[:p] + on[p + 1:], q)
     keys = []  # each value's num / den in lowest terms

@@ -26,7 +26,6 @@ from .fans import (
     MalformedFanError,
     MoriFiberData,
     Wall,
-    _complete_simplicial,
     _inverses,
     _wall,
     mori_fiber_data,
@@ -119,11 +118,11 @@ def _replace_circuits(fan: Fan, cls: list[Wall]) -> set[tuple[int, ...]]:
     """The maximal cones after crossing every wall of one class, given as
     ``class_walls`` gives it.
 
-    Over each circuit (wall rays and both opposite rays) the cones that omit
+    Over each circuit, the union of a wall's two cones, the cones that omit
     a ray with positive relation coefficient give way to the cones that omit
     one with negative coefficient (Reid 1983; Cox-Little-Schenck 15.3)."""
     # walls over one circuit have proportional relations, so any one serves
-    circuits = {frozenset(w.wall_rays) | frozenset(w.opposite_rays(fan)): w.relation
+    circuits = {frozenset(fan.max_cones[w.side_a] + fan.max_cones[w.side_b]): w.relation
                 for w in cls}
     cones = set(fan.max_cones)
     for circ, relation in circuits.items():
@@ -160,7 +159,7 @@ def contract(fan: Fan, wall: Wall, cls: Optional[list[Wall]] = None) -> Contract
         raise MalformedFanError(f"cones {left} still hold the exceptional ray {exc}")
     rays = fan.rays[:exc] + fan.rays[exc + 1:]
     result = Fan._on_rays(fan.rank, rays, tuple(tuple(i - (i > exc) for i in c) for c in cones))
-    if not _complete_simplicial(result):
+    if not validate(result).complete:
         raise MalformedFanError("divisorial contraction produced an invalid fan")
     return ContractionResult(DIVISORIAL, fan=result, dropped_ray=exc)
 

@@ -494,11 +494,10 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     tight sets, as the scaled program does along its own Mori fiber.
 
     Walls are met in ``fans.walls`` order and built only where they fibre
-    with a Picard-rank-one fiber, as the decomposition needs: for
-    cs = adj·v_hi in the cone (adj, d) of the lower opposite ray, no wall
-    ray has cs·d > 0 (alpha = 0), and no ray but the support's has adj·v
-    vanish where cs does.  That drops no check: ``fans.validate`` rejects
-    a nonconvex crossing, and adj·V = d·I makes every relation vanish.
+    with a Picard-rank-one fiber, as the decomposition needs: the relation
+    of ``fans._relation``, read off the wall's first cone (adj, d), has no
+    negative entry (alpha = 0), and no ray but the support's has adj·v
+    vanish on the rows where the relation does.
 
     On success the base polytopes are returned in coordinates on the kernel
     of the fiber projection, together with the simplex directions w and the
@@ -510,12 +509,10 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     inverses = fans._inverses(fan)
     tried = set()
     for facet, sides in fans._wall_facets(fan):
-        lo_side, lo_pos, _, hi = fans._lower_side(fan, sides)
-        adj, d = inverses[fan.max_cones[lo_side]]
-        cs = [sum(map(mul, row, fan.rays[hi])) for row in adj]
-        if any(c * d > 0 for p, c in enumerate(cs) if p != lo_pos):
+        side, _, _, _, rel = fans._relation(fan, inverses, facet, sides)
+        if min(rel) < 0:
             continue
-        zero = [row for row, c in zip(adj, cs) if not c]
+        zero = [row for row, r in zip(inverses[fan.max_cones[side]][0], rel) if not r]
         if sum(not any(sum(map(mul, r, v)) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
             continue
         wall = fans._wall(fan, inverses, facet, sides)

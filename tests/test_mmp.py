@@ -200,10 +200,11 @@ class TestMoriFiberData:
         # an image fan that validates as incomplete, not as malformed
         from toriq import fans
 
-        verdict = iter(verdicts)
-        monkeypatch.setattr(fans, "_complete_simplicial", lambda fan: next(verdict))
+        verdict, wall = iter(verdicts), wall_by_rays(p1p1, (0,))
+        monkeypatch.setattr(fans, "validate", lambda fan: fans.ValidationReport(
+            True, True, True, next(verdict)))
         with pytest.raises(MalformedFanError, match="does not induce a fibration") as err:
-            mori_fiber_data(p1p1, wall_by_rays(p1p1, (0,)))
+            mori_fiber_data(p1p1, wall)
         assert str(err.value.__cause__) == f"the {part} fan is not complete and simplicial"
 
 
