@@ -13,13 +13,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
-from operator import and_, mul
+from operator import and_
 from typing import NamedTuple, Optional
 
 from .linalg import (
     ONE,
     Vec,
     QVec,
+    _dot_of,
     _extreme_rays,
     _FrozenRecord,
     _Record,
@@ -290,7 +291,7 @@ def _certify_cover(fan: Fan, inverses, facets) -> None:
             raise MalformedFanError(
                 f"maximal cones {cones[a]} and {cones[b]} lie on the same side of their wall"
             )
-    m = 2
+    dot_r, m = _dot_of(fan.rank), 2
     while True:
         # (1, m, m^2, ...) lies on a boundary hyperplane for finitely many m;
         # a cone is left at its first negative sign (see ``validate``)
@@ -299,7 +300,7 @@ def _certify_cover(fan: Fan, inverses, facets) -> None:
         for cone, (adj, d) in inverses.items():
             zero = False
             for row in adj:
-                s = sum(map(mul, row, p)) * d
+                s = dot_r(row, p) * d
                 if s < 0:
                     break
                 zero = zero or not s
@@ -342,7 +343,8 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of a simplicial fan with their exact relations, in the
     order of their sorted wall rays (``_wall``)."""
     inverses = _inverses(fan)
-    return tuple(_wall(fan, inverses, facet, sides) for facet, sides in _wall_facets(fan))
+    return tuple(_wall(fan, inverses, facet, _relation(fan, inverses, facet, sides))
+                 for facet, sides in _wall_facets(fan))
 
 
 def _wall_facets(fan: Fan) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -366,20 +368,22 @@ def _relation(fan: Fan, inverses, facet: tuple[int, ...],
     (a, ja), (b, jb) = sides
     cone, op = fan.max_cones[a], fan.max_cones[b][jb]
     adj, d = inverses[cone]
-    v_op = fan.rays[op]
-    cs = [-sum(map(mul, row, v_op)) for row in adj] + [d]
+    v_op, dot_r, dot_r1 = fan.rays[op], _dot_of(fan.rank), _dot_of(fan.rank + 1)
+    cs = [-dot_r(row, v_op) for row in adj] + [d]
     if cs[ja] * d <= 0:
         raise MalformedFanError(f"wall {facet} has a nonconvex crossing")
-    if any(sum(map(mul, cs, coords)) for coords in zip(*(fan.rays[i] for i in cone + (op,)))):
+    if any(dot_r1(cs, coords) for coords in zip(*(fan.rays[i] for i in cone + (op,)))):
         raise MalformedFanError(f"relation across wall {facet} does not vanish")
     g = gcd(*cs) if d > 0 else -gcd(*cs)
     return a, ja, b, op, tuple(cs) if g == 1 else tuple([c // g for c in cs])
 
 
-def _wall(fan: Fan, inverses, facet: tuple[int, ...], sides: list[tuple[int, int]]) -> Wall:
-    """The ``Wall`` of ``_relation``: mult(wall) is the gcd of its maximal minors,
-    the adjugate row of the ray cone a omits, and s = mult(wall) / (r_op mult(sigma_b))."""
-    a, ja, b, op, cs = _relation(fan, inverses, facet, sides)
+def _wall(fan: Fan, inverses, facet: tuple[int, ...],
+          relation: tuple[int, int, int, int, Vec]) -> Wall:
+    """The ``Wall`` on a facet from its ``_relation`` result, which the caller
+    holds: mult(wall) is the gcd of its maximal minors, the adjugate row of
+    the ray cone a omits, and s = mult(wall) / (r_op mult(sigma_b))."""
+    a, ja, b, op, cs = relation
     cone = fan.max_cones[a]
     rel = [0] * len(fan.rays)
     for i, c in zip(cone + (op,), cs):
@@ -452,12 +456,12 @@ def _minimal_cone_with_coords(fan: Fan, x) -> tuple[tuple[int, ...], Vec, int]:
     """The rays of the minimal cone of a complete simplicial fan holding x,
     with x's positive coordinates on them as integers c over one positive
     denominator d: the cone's determinant, up to sign."""
-    inverses = _inverses(fan)
+    inverses, dot_r = _inverses(fan), _dot_of(fan.rank)
     for cone in fan.max_cones:
         adj, d = inverses[cone]
         sign, cs = (1 if d > 0 else -1), []
         for row in adj:
-            c = sign * sum(map(mul, row, x))
+            c = sign * dot_r(row, x)
             if c < 0:
                 break
             cs.append(c)

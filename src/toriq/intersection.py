@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from .fans import (
@@ -34,7 +33,7 @@ from .fans import (
     validate,
     walls,
 )
-from .linalg import QVec, Vec, _FrozenRecord, dot, frac
+from .linalg import QVec, Vec, _dot_of, _FrozenRecord, dot, frac
 from .polytopes import FacetPresentation, _critical_value, _slack_rows
 
 ZERO = Fraction(0)
@@ -140,6 +139,7 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
         on = rel[:ja] + rel[ja + 1:-1]  # on the wall rays, in order
         for p, j in enumerate(facet):
             stars.setdefault(facet[:p] + facet[p + 1:], {})[j] = (on[p], on[:p] + on[p + 1:], q)
+    dot_r = _dot_of(fan.rank)
     keys = []  # each value's num / den in lowest terms
     for sigma in sigmas:
         star, cones = stars.get(sigma, {}), over[sigma]
@@ -155,7 +155,7 @@ def _surface_values(fan: Fan, sigmas=None) -> tuple[
             v, n = fan.rays[j], r_j * d
             for row, r in zip(rows, r_sigma):
                 if r:
-                    n -= sum(map(mul, row, v)) * r
+                    n -= dot_r(row, v) * r
             num, den = num * q + n * den, den * q
         num, den = mult * num, 2 * d * den
         g = gcd(num, den) if den > 0 else -gcd(num, den)

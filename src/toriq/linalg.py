@@ -117,10 +117,30 @@ def format_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+# the dot products of lengths 2 ... 5 written out term by term
+_DOTS = (_dot, _dot,
+         lambda u, v: u[0] * v[0] + u[1] * v[1],
+         lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2],
+         lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3],
+         lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3] + u[4] * v[4])
+
+
+def _dot_of(n: int):
+    """The dot product of vectors of length n, the one kernel of every hot
+    product: written out for n = 2 ... 5 (every rank of the table and the
+    pool, and the double description's rows of n + 1 and n + 2 entries),
+    the generic ``_dot`` otherwise.  A loop over one length fetches it once."""
+    return _DOTS[n] if n < len(_DOTS) else _dot
+
+
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise DimensionError(f"dot of length {len(u)} against {len(v)}")
-    return sum(map(mul, u, v))
+    return _dot_of(len(u))(u, v)
 
 
 def vec_sub(u, v):
@@ -453,15 +473,16 @@ def _ray_optimum(c: Sequence, rays: list[tuple[Vec, int]], kernel: Sequence[Vec]
     cross-multiplied, the first of equal ones winning, and only the winner
     becomes ``Fraction``s."""
     L, C = _scaled(_rationals(c))
+    dot_n = _dot_of(len(C))  # on x, the leading n entries of (x, t)
     best = None
     for z, _ in rays:
-        t, v = z[-1], sum(map(mul, C, z))
+        t, v = z[-1], dot_n(C, z)
         if t > 0 and (best is None or v * bt < bv * t):
             best, bv, bt = z, v, t
     if best is None:
         return LPResult("infeasible", None, None)
-    recedes = any(z[-1] == 0 and sum(map(mul, C, z)) < 0 for z, _ in rays)
-    if recedes or any(sum(map(mul, C, k)) for k in kernel):
+    recedes = any(z[-1] == 0 and dot_n(C, z) < 0 for z, _ in rays)
+    if recedes or any(dot_n(C, k) for k in kernel):
         return LPResult("unbounded", None, None)
     return LPResult("optimal", Fraction(bv, L * bt), tuple(Fraction(a, bt) for a in best[:-1]))
 
@@ -556,13 +577,14 @@ def _extreme_rays(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]
     seen = sum(1 << j for j in pivots)
     rays = [(primitive_part(e if d > 0 else [-x for x in e]), seen & ~(1 << j))
             for e, j in zip(E, pivots)]
+    dot_k = _dot_of(k)
     for j, row in enumerate(rows):
         if seen >> j & 1:
             continue
         bit = 1 << j
         pos, neg, kept = [], [], []
         for z, mask in rays:
-            s = sum(map(mul, row, z))
+            s = dot_k(row, z)
             if s > 0:
                 pos.append((z, mask, s))
                 kept.append((z, mask))

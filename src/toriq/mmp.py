@@ -27,6 +27,7 @@ from .fans import (
     MoriFiberData,
     Wall,
     _inverses,
+    _relation,
     _wall,
     mori_fiber_data,
     restricted_cones,
@@ -216,7 +217,7 @@ def run_mmp_scaling(P: FacetPresentation, force: bool = False) -> MMPTrace:
         inverses = _inverses(fan)
         classes: dict[Vec, list[Wall]] = {}
         for facet, sides in attained:
-            w = _wall(fan, inverses, facet, sides)
+            w = _wall(fan, inverses, facet, _relation(fan, inverses, facet, sides))
             classes.setdefault(w.relation, []).append(w)
         # walls arrive sorted, so each class's first wall is its least and
         # the first class holds the least wall of all

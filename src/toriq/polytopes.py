@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import fans
@@ -22,6 +21,7 @@ from .linalg import (
     QVec,
     Vec,
     _common_denominator,
+    _dot_of,
     _extreme_rays,
     _FrozenRecord,
     _lowest_terms,
@@ -339,8 +339,9 @@ class _SlackRows(dict):
         t = [sign * sum(col) for col in zip(*adj)]
         w = [sign * sum(self.A[j] * x for j, x in zip(key, col)) for col in zip(*adj)]
         d *= sign
-        alpha = [sum(map(mul, v, t)) - d for v in self.P.normals]
-        beta = [sum(map(mul, v, w)) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
+        dot_n = _dot_of(len(t))
+        alpha = [dot_n(v, t) - d for v in self.P.normals]
+        beta = [dot_n(v, w) - d * Aj for v, Aj in zip(self.P.normals, self.A)]
         if any(alpha[i] or beta[i] for i in key):
             raise fans.MalformedFanError(f"cone {key} of P's normals is not tight at its own point")
         self[key] = row = t, w, d, alpha, beta
@@ -506,16 +507,17 @@ def cayley_mori_detect(P: FacetPresentation) -> Optional[CayleyMoriDecomposition
     """
     fan = normal_fan(P)
     pvs = vertices(P)
-    inverses = fans._inverses(fan)
+    inverses, dot_r = fans._inverses(fan), _dot_of(fan.rank)
     tried = set()
     for facet, sides in fans._wall_facets(fan):
-        side, _, _, _, rel = fans._relation(fan, inverses, facet, sides)
+        relation = fans._relation(fan, inverses, facet, sides)
+        side, _, _, _, rel = relation
         if min(rel) < 0:
             continue
         zero = [row for row, r in zip(inverses[fan.max_cones[side]][0], rel) if not r]
-        if sum(not any(sum(map(mul, r, v)) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
+        if sum(not any(dot_r(r, v) for r in zero) for v in fan.rays) > P.dim + 1 - len(zero):
             continue
-        wall = fans._wall(fan, inverses, facet, sides)
+        wall = fans._wall(fan, inverses, facet, relation)
         if wall.relation in tried:
             continue
         tried.add(wall.relation)

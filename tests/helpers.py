@@ -156,7 +156,8 @@ def with_walls(fan: Fan, lam, attained):
     """A ``polytopes._critical_value`` result with its attained (facet,
     sides) pairs built into walls, as ``fans.walls`` builds them."""
     inverses = fans._inverses(fan)
-    return lam, [fans._wall(fan, inverses, facet, sides) for facet, sides in attained]
+    return lam, [fans._wall(fan, inverses, facet, fans._relation(fan, inverses, facet, sides))
+                 for facet, sides in attained]
 
 
 def scan(fan: Fan, L: TorusDivisor, s0):

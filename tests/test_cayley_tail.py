@@ -184,6 +184,18 @@ def test_work_of_an_adjoint_family_pass(monkeypatch):
     assert work == (333, 314, 98, 0)
 
 
+def test_search_reads_each_relation_once(monkeypatch):
+    # over the pool, from cold caches, the search reads each wall's relation
+    # once and builds the wall from it: 1727 reads, 2280 when the wall read
+    # its relation again
+    polys = [pool_polytope(key) for key in POOL_KEYS]
+    relations = count_calls(monkeypatch, "_relation", fans)
+    cold_caches()
+    for P in polys:
+        cayley_mori_detect(P)
+    assert len(relations) == 1727
+
+
 def test_tail_with_a_fiber_of_picard_rank_two():
     # three classes vanish at 7/2 and the forced run contracts to a fiber
     # of Picard rank two; another fibration makes the tail a Cayley sum,

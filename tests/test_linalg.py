@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from conftest import pn_fan
 from toriq.fans import Fan, MalformedFanError, cone_multiplicity, star_subdivision
 from toriq.linalg import (
     DimensionError,
+    _dot_of,
     _scaled,
     adjugate,
     det,
@@ -381,7 +383,21 @@ def test_dot_matches_generator_form(uv):
     assert got == expected and type(got) is type(expected)
 
 
-@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((), (F(1),)), ((F(1, 2),), ())])
+@pytest.mark.parametrize("n", range(9))
+@given(st.data())
+@settings(max_examples=15)
+def test_dot_kernel_matches_the_generic_sum(n, data):
+    # written out for n = 2 ... 5, the generic sum otherwise: the same value
+    # and type on int vectors and on Fraction vectors
+    for entries in (st.integers(-10**12, 10**12),
+                    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))):
+        u, v = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+        got, expected = _dot_of(n)(u, v), sum(map(mul, u, v))
+        assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((), (F(1),)), ((F(1, 2),), ()),
+                                  ((1, 2, 3, 4), (1, 2, 3, 4, 5)), ((1, 2, 3, 4, 5), (1, 2, 3, 4))])
 def test_dot_length_mismatch(u, v):
     with pytest.raises(DimensionError, match=f"^dot of length {len(u)} against {len(v)}$"):
         dot(u, v)

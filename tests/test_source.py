@@ -104,6 +104,32 @@ def test_one_integer_scaling():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def _sums_of_products(tree) -> list[int]:
+    """Lines of each ``sum(map(mul, ...))`` in the tree."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+            and node.args and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "map"
+            and getattr(next(iter(node.args[0].args), None), "id", None) == "mul"]
+
+
+def test_one_dot_kernel():
+    # every hot product of two vectors goes through linalg._dot_of, which
+    # writes out the short lengths: only its generic fallback, linalg._dot,
+    # sums map(mul, u, v)
+    found, fallback = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = _sums_of_products(tree)
+        if path.stem == "linalg":
+            kernel = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_dot")
+            fallback = _sums_of_products(kernel)
+            lines = [n for n in lines if n not in fallback]
+        found += [f"{path.name}:{n}" for n in lines]
+    assert len(fallback) == 1 and not found, found
+
+
 def test_every_cache_is_bounded():
     # the loaded caches themselves, whatever expression gave their size
     for path in SRC.glob("*.py"):
