@@ -17,6 +17,7 @@ from operator import and_
 from typing import NamedTuple, Optional
 
 from .linalg import (
+    CACHE_SIZE,
     ONE,
     Vec,
     QVec,
@@ -147,12 +148,6 @@ class ValidationReport(_Record):
     def __init__(self, well_formed: bool, simplicial: bool, smooth: bool, complete: bool,
                  problems: Optional[list[str]] = None):
         self._set(well_formed, simplicial, smooth, complete, [] if problems is None else problems)
-
-
-# Bound of the per-fan (and per-polytope) caches: far above the few hundred
-# distinct keys one table or MMP run meets, so such a run evicts nothing,
-# while a long sweep stays bounded.
-CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=4 * CACHE_SIZE)
@@ -621,6 +616,7 @@ class MoriFiberData(NamedTuple):
     split: bool
 
 
+@lru_cache(maxsize=CACHE_SIZE)  # the Cayley search and the run's last step share it
 def mori_fiber_data(fan: Fan, wall: Wall) -> MoriFiberData:
     """Quotient base fan, fiber fan and the projection for a fibering wall."""
     alpha, _ = wall_classification(fan, wall)

@@ -21,6 +21,7 @@ package's records kept in slots.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter, index, mul
 from typing import NamedTuple, Optional, Sequence
@@ -30,6 +31,11 @@ QVec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Bound of the package's caches: far above the few hundred distinct keys one
+# table or MMP run meets, so such a run evicts nothing, while a long sweep
+# stays bounded.
+CACHE_SIZE = 1024
 
 
 class DimensionError(ValueError):
@@ -158,6 +164,8 @@ def _lowest_terms(y: Sequence[int], d: int) -> tuple[Vec, int]:
     """The rational point y / d, d > 0, as (y', d') with gcd(*y', d') = 1:
     one representation per point, so equal points are equal pairs."""
     g = gcd(d, *y)
+    if g == 1:
+        return tuple(y), d
     return tuple(a // g for a in y), d // g
 
 
@@ -176,6 +184,8 @@ def primitive_part(v: Sequence[int]) -> Vec:
     vector, which has no primitive representative.
     """
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(a // g for a in v)
@@ -435,15 +445,24 @@ def saturation_and_projection(columns: list[Vec],
     basis of the saturation (span ∩ Z^n) of their lattice; the rows U[:r],
     which give a vector of the saturation its coordinates in that basis;
     and the rows U[r:], the projection Z^n -> Z^(n-r) whose kernel is the
-    saturation, which are also a basis of the forms that vanish on it."""
+    saturation, which are also a basis of the forms that vanish on it.
+    Each is a fresh list, read off the cached ``_saturation``."""
+    basis, coords, proj = _saturation(tuple(map(tuple, columns)), n)
+    return list(basis), list(coords), list(proj)
+
+
+@lru_cache(maxsize=CACHE_SIZE)  # one Smith form per column set
+def _saturation(columns: tuple[Vec, ...],
+                n: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """``saturation_and_projection`` of the column tuples, as tuples."""
     if not columns:
-        return [], [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        return (), (), tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     A = [list(row) for row in zip(*_rectangular(columns, n))]
     U, D, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
     adj, d = adjugate(U)  # U is unimodular, so U^-1 = d * adj
-    basis = [tuple(d * adj[i][j] for i in range(n)) for j in range(r)]
-    return basis, [tuple(row) for row in U[:r]], [tuple(row) for row in U[r:]]
+    basis = tuple(tuple(d * adj[i][j] for i in range(n)) for j in range(r))
+    return basis, tuple(map(tuple, U[:r])), tuple(map(tuple, U[r:]))
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +593,11 @@ def _extreme_rays(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]
             rays, _ = _extreme_rays([*rows, *([s * x for x in e] for e in lineality for s in (1, -1))])
             return [(z, mask & (1 << m) - 1) for z, mask in rays], lineality
         E = [t[m:] for t in T]
-    seen = sum(1 << j for j in pivots)
-    rays = [(primitive_part(e if d > 0 else [-x for x in e]), seen & ~(1 << j))
-            for e, j in zip(E, pivots)]
+    seen, sign = sum(1 << j for j in pivots), 1 if d > 0 else -1
+    rays = []
+    for e, j in zip(E, pivots):
+        g = sign * gcd(*e)  # primitive_part inline: a gcd of 1 divides nothing
+        rays.append((tuple(e) if g == 1 else tuple(a // g for a in e), seen & ~(1 << j)))
     dot_k = _dot_of(k)
     for j, row in enumerate(rows):
         if seen >> j & 1:
@@ -597,11 +618,15 @@ def _extreme_rays(rows: Sequence[Vec]) -> tuple[list[tuple[Vec, int]], list[Vec]
             for zn, mn, sn in neg:
                 common = mp & mn
                 # a 2-face has k - 2 independent rows that vanish on it
-                if common.bit_count() < k - 2 or any(
-                        c & common == common and c != mp and c != mn for c in masks):
+                if common.bit_count() < k - 2:
                     continue
-                kept.append((primitive_part([sp * b - sn * a for a, b in zip(zp, zn)]),
-                             common | bit))
+                for c in masks:
+                    if c & common == common and c != mp and c != mn:
+                        break
+                else:
+                    z = [sp * b - sn * a for a, b in zip(zp, zn)]
+                    g = gcd(*z)
+                    kept.append((tuple(z) if g == 1 else tuple(a // g for a in z), common | bit))
         rays = kept
     return rays, []
 

@@ -325,13 +325,16 @@ class _SlackRows(dict):
     the cone's indices into P, from the cone's cached adjugate.  The row is
     checked on its own cone: x_sigma(s) is tight on sigma's inequalities,
     alpha_i = beta_i = 0 for i in sigma, which fixes t and w since sigma's
-    normals are independent, or ``MalformedFanError`` names the cone."""
+    normals are independent, or ``MalformedFanError`` names the cone.
+    ``scans`` keeps each ``_critical_value`` result by (fan, s0), so P's nef
+    threshold is the first step of its run."""
 
     def __init__(self, P: FacetPresentation):
         super().__init__()
         self.P = P
         self.index = {v: j for j, v in enumerate(P.normals)}
         self.L, self.A = _scaled(P.constants)
+        self.scans: dict[tuple[Fan, Fraction], tuple[Fraction, tuple]] = {}
 
     def __missing__(self, key: tuple[int, ...]) -> tuple[Vec, Vec, int, list[int], list[int]]:
         adj, d = _cone_inverse(tuple(self.P.normals[j] for j in key))
@@ -355,7 +358,7 @@ def _slack_rows(P: FacetPresentation) -> _SlackRows:
 
 
 def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
-        Fraction, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]:
+        Fraction, tuple[tuple[tuple[int, ...], list[tuple[int, int]]], ...]]:
     """The nef threshold lambda of L + s*K from s0 on, where the fan's rays
     are normals of the P of ``slacks`` and L is the divisor of P's constants
     on them, and the walls where L + lambda*K vanishes with -K.C > 0, as
@@ -371,7 +374,10 @@ def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
     wall.  A slack that decreases, alpha_j < 0, vanishes at
     beta_j / (L*alpha_j); lambda is the least such root, compared
     cross-multiplied.  No wall relation is built, and completeness is not
-    assumed."""
+    assumed.  Each (fan, s0) is scanned once per slack rows (``scans``)."""
+    found = slacks.scans.get((fan, s0))
+    if found is not None:
+        return found
     wall_facets = fans._wall_facets(fan)
     index = [slacks.index[v] for v in fan.rays]
     keys = [tuple(index[i] for i in cone) for cone in fan.max_cones]
@@ -395,7 +401,8 @@ def _critical_value(slacks: _SlackRows, fan: Fan, s0: Fraction) -> tuple[
                 attained.append((facet, sides))
     if best is None:
         raise ValueError("no wall meets the canonical divisor negatively")
-    return Fraction(best[1], slacks.L * best[0]), attained
+    slacks.scans[fan, s0] = found = Fraction(best[1], slacks.L * best[0]), tuple(attained)
+    return found
 
 
 def core_and_projection(P: FacetPresentation) -> CoreProjection:

@@ -29,7 +29,7 @@ from toriq.polytopes import (
     vertices,
 )
 from conftest import blowup_polytope, hexagon, hirzebruch_fan
-from helpers import cone_contains, fans_equal_up_to_ray_order
+from helpers import cold_caches, cone_contains, fans_equal_up_to_ray_order
 
 F = Fraction
 
@@ -203,6 +203,7 @@ class TestMoriFiberData:
         verdict, wall = iter(verdicts), wall_by_rays(p1p1, (0,))
         monkeypatch.setattr(fans, "validate", lambda fan: fans.ValidationReport(
             True, True, True, next(verdict)))
+        cold_caches()  # so the fibration is computed, not read off an earlier call
         with pytest.raises(MalformedFanError, match="does not induce a fibration") as err:
             mori_fiber_data(p1p1, wall)
         assert str(err.value.__cause__) == f"the {part} fan is not complete and simplicial"
